@@ -21,14 +21,19 @@ from repro.hardware import larger_btb_xeon, larger_l2_xeon
 from repro.systems import SYSTEM_C
 
 
+def modified_spec_session(runner, spec) -> Session:
+    """System C on the NSM grid build at fresh-build state, on another chip."""
+    database, checkpoint = runner.grid_database("nsm")
+    database.address_space.restore(checkpoint)
+    return Session(database, SYSTEM_C, spec=spec)
+
+
 @pytest.mark.figure("ablation_larger_l2")
 def test_larger_l2_removes_data_stalls(benchmark, runner):
-    workload = runner.micro_workload
-    database = runner.micro_database
-    query = workload.sequential_range_selection(0.10)
+    query = runner.micro_workload.sequential_range_selection(0.10)
 
     def run():
-        session = Session(database, SYSTEM_C, spec=larger_l2_xeon(2048))
+        session = modified_spec_session(runner, larger_l2_xeon(2048))
         return session.execute(query, warmup_runs=1)
 
     big_l2 = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -43,12 +48,10 @@ def test_larger_l2_removes_data_stalls(benchmark, runner):
 
 @pytest.mark.figure("ablation_larger_btb")
 def test_larger_btb_reduces_btb_misses(benchmark, runner):
-    workload = runner.micro_workload
-    database = runner.micro_database
-    query = workload.sequential_range_selection(0.10)
+    query = runner.micro_workload.sequential_range_selection(0.10)
 
     def run():
-        session = Session(database, SYSTEM_C, spec=larger_btb_xeon(16384))
+        session = modified_spec_session(runner, larger_btb_xeon(16384))
         return session.execute(query, warmup_runs=0)
 
     big_btb = benchmark.pedantic(run, rounds=1, iterations=1)

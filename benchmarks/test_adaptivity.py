@@ -34,6 +34,6 @@ def test_adaptive_ordering_reduces_mispredictions_and_cycles(regenerate, runner)
         # Exploration costs epsilon a little versus pure greedy, but it must
         # stay far below the static order's misprediction bill.
         assert epsilon["branch mispredictions"] < static["branch mispredictions"]
-        reductions = result.data["greedy_vs_static"][layout]
+        reductions = per_mode["greedy vs static"]
         assert reductions["misprediction reduction"] > 0.10
         assert reductions["cycle reduction"] > 0.0

@@ -64,10 +64,9 @@ def test_figure_5_1(regenerate, runner):
 @pytest.mark.slow
 @pytest.mark.figure("figure_5_1_layouts")
 def test_figure_5_1_by_layout(regenerate, runner):
-    """The breakdown per page layout, through the warmed-build grid."""
-    figure = regenerate(figure_5_1, runner, layouts=("nsm", "pax"))
-    data = figure.data
-    assert set(data) == {"nsm", "pax"}
+    """The breakdown per page layout."""
+    data = {"nsm": figure_5_1(runner).data,
+            "pax": regenerate(figure_5_1, runner, layout="pax").data}
 
     for layout, per_kind in data.items():
         assert set(per_kind["SRS"]) == {"A", "B", "C", "D"}

@@ -12,7 +12,10 @@ one is actually runnable, without paying for a full execution:
 
 Any README command that names a file that does not exist fails the check --
 documentation that drifts from the tree should break CI, which is the point
-of the docs job.  Exit status: 0 when every quoted command passes.
+of the docs job.  So does any ``scripts/...``, ``examples/...`` or top-level
+``*.md`` path named anywhere in README.md, DESIGN.md or the text of a
+``src/repro/**/*.py`` file (docstrings and comments alike) that is not in
+the tree.  Exit status: 0 when every check passes.
 
 Usage::
 
@@ -21,6 +24,7 @@ Usage::
 
 from __future__ import annotations
 
+import glob
 import os
 import py_compile
 import re
@@ -32,6 +36,8 @@ README = os.path.join(REPO, "README.md")
 
 #: Matches the script/example path tokens inside quoted commands.
 PATH_PATTERN = re.compile(r"\b((?:scripts|examples)/[\w./-]+\.(?:py|sh))\b")
+#: Matches a top-level markdown file name (not one inside a directory).
+MARKDOWN_PATTERN = re.compile(r"(?<![\w/.-])([\w-]+\.md)\b")
 
 
 def fenced_blocks(text: str):
@@ -81,6 +87,21 @@ def check_command_paths(command: str):
                 yield error
 
 
+def dangling_references():
+    """Yield error strings for paths the docs and sources name but the
+    tree does not have."""
+    documents = [README, os.path.join(REPO, "DESIGN.md")] + sorted(glob.glob(
+        os.path.join(REPO, "src", "repro", "**", "*.py"), recursive=True))
+    for document in documents:
+        with open(document) as handle:
+            text = handle.read()
+        named = PATH_PATTERN.findall(text) + MARKDOWN_PATTERN.findall(text)
+        for path in sorted(set(named)):
+            if not os.path.exists(os.path.join(REPO, path)):
+                yield (f"{os.path.relpath(document, REPO)} names {path}, "
+                       f"which does not exist")
+
+
 def main() -> int:
     with open(README) as handle:
         text = handle.read()
@@ -99,6 +120,7 @@ def main() -> int:
         command_errors = list(check_command_paths(command))
         errors.extend(command_errors)
         print(f"[{'FAIL' if command_errors else 'ok':>4}] {command}")
+    errors.extend(dangling_references())
     if errors:
         print("\ndocs check FAILED:")
         for error in errors:

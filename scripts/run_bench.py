@@ -1,28 +1,30 @@
 #!/usr/bin/env python
 """Wall-clock + simulated-cycle benchmark of the Figure 5.1-style queries.
 
-Runs the microbenchmark queries (sequential range selection, indexed range
-selection, sequential join) under every engine x layout combination
-(tuple/vectorized x NSM/PAX), plus the adaptivity cells -- each adaptive
-decision measured off/static/greedy on both layouts, recording greedy's
-reduction over the planner-frozen static execution: ``ACS`` (skewed
-3-conjunct selection, runtime conjunct reordering), ``AJS`` (skewed
-planner-wrong join, runtime join-side selection) and ``ABS`` (50% selection
-with a too-small configured vector, runtime batch sizing) -- plus the
-memory-budget sweep ``SJB-inf/2x/1x/0.5x`` (the sequential join under a
-``memory_budget_bytes`` of infinity / 2x / 1x / 0.5x the build side's
-footprint, exercising the grace/hybrid spilling path; the ``inf`` cells
-are gated cycle-identical to the plain ``SJ`` cells) -- and the
-concurrent-serving cells ``SRV-serial``/``SRV-8`` (the open-loop mixed
-arrival trace served back to back vs at concurrency 8 with plan/result
-caches and shared scans; throughput and p50/p95/p99 latency recorded) --
-and the TPC/sweep cells ``tpc/{nsm,pax}/{TPCD,TPCC}`` (the 17-query TPC-D
-suite and the TPC-C transaction mix on the warmed per-layout TPC grids,
-vectorized engine; TPC-C restores the data checkpoint per run since its
-updates mutate pages in place) and ``sweep/{nsm,pax}/{SEL-50,RS-200}``
-(one representative point of the selectivity and record-size sweeps per
-layout) -- and emits a ``BENCH_<stamp>.json`` into ``benchmarks/results/``
-(gitignored; override with ``--out-dir``) recording, per configuration:
+Measures a table of grid cells, each one
+:class:`~repro.experiments.runner.Cell` handed to the shared
+:class:`~repro.experiments.runner.ExperimentRunner` (build once per dataset
+and layout, restore the post-build checkpoint, fresh session, execute):
+
+* the microbenchmark queries ``SRS``/``IRS``/``SJ`` under every engine x
+  layout combination (tuple/vectorized x NSM/PAX);
+* the adaptivity cells ``ACS``/``AJS``/``ABS`` (see
+  :data:`~repro.experiments.runner.ADAPTIVE_KINDS`), each measured
+  off/static/greedy on both layouts, recording greedy's reduction over the
+  planner-frozen static execution;
+* the memory-budget sweep ``SJB-inf/2x/1x/0.5x`` (the join under a
+  ``memory_budget_bytes`` of infinity / 2x / 1x / 0.5x the build side's
+  footprint, exercising the grace/hybrid spilling path; the ``inf`` cells
+  are gated cycle-identical to the plain ``SJ`` cells);
+* the concurrent-serving cells ``SRV-serial``/``SRV-8`` (the open-loop mixed
+  arrival trace served back to back vs at concurrency 8 with plan/result
+  caches and shared scans; throughput and p50/p95/p99 latency recorded);
+* the TPC cells ``tpc/{nsm,pax}/{TPCD,TPCC}`` (the 17-query suite and the
+  transaction mix, vectorized engine) and the sweep points
+  ``sweep/{nsm,pax}/{SEL-50,RS-200}``;
+
+and emits a ``BENCH_<stamp>.json`` into ``benchmarks/results/`` (gitignored;
+override with ``--out-dir``) recording, per cell:
 
 * ``wall_seconds`` -- best-of-``--repeat`` wall-clock time of the measured
   execution (the *simulator's* speed, which is what caps how large a
@@ -30,18 +32,18 @@ layout) -- and emits a ``BENCH_<stamp>.json`` into ``benchmarks/results/``
 * ``cycles`` -- simulated ``CPU_CLK_UNHALTED`` (the *modelled* speed, which
   must not change when the simulator gets faster).
 
-The grid reuses **one warmed database build per layout** (the address space
-is rolled back to the post-build checkpoint before every session, so the
-cached path is bit-identical to a fresh build -- asserted per cell against
-the repeat runs) and can dispatch independent cells to a fork-based process
-pool (``--grid-workers``).  ``--parallelism N`` additionally runs each
-vectorized cell through the morsel-parallel exchange; simulated cycles are
-identical for every N by design.
+Every repeat restores the cell's build to its post-build checkpoint, so run
+N is bit-identical to run 1 (and to a run against a freshly built database)
+-- asserted per cell -- and independent cells can be dispatched to a
+fork-based process pool (``--grid-workers``).  ``--parallelism N``
+additionally runs each vectorized cell through the morsel-parallel exchange;
+simulated cycles are identical for every N by design.
 
 ``--compare-to`` embeds a previous BENCH json, prints a per-cell delta
 table, and acts as a **regression gate**: the exit status is non-zero when
-any cell's simulated cycles differ from the baseline or its wall clock
-regresses by more than ``--tolerance`` (default 0.20 = 20%).
+any cell's simulated cycles differ from the baseline, a baseline cell was
+not measured, or a wall clock regresses by more than ``--tolerance``
+(default 0.20 = 20%).
 
 Usage::
 
@@ -61,16 +63,15 @@ import platform
 import subprocess
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from repro.engine.session import Session
-from repro.execution.parallel import fork_available
-from repro.experiments.runner import ExperimentConfig, ExperimentRunner
+from repro.experiments.runner import (ADAPTIVE_KINDS, Cell, ExperimentConfig,
+                                      ExperimentRunner, adaptive_cell)
 from repro.hardware.counters import EventCounters
 from repro.systems import SYSTEM_B
-from repro.systems.vendors import oltp_variant, system_by_key
 from repro.workloads.micro import MicroWorkloadConfig
 from repro.workloads.serving import ServingTraceConfig, build_trace, run_open_loop
 from repro.workloads.tpcc import TPCCConfig
@@ -80,39 +81,21 @@ ENGINES = ("tuple", "vectorized")
 LAYOUTS = ("nsm", "pax")
 QUERY_KINDS = ("SRS", "IRS", "SJ")
 
-#: Memory-budget sweep of the sequential join (vectorized engine only):
-#: the same ``SJ`` join measured under ``memory_budget_bytes`` set to
-#: infinity (``None`` -- the structural bypass, gated cycle-identical to
-#: the plain ``SJ`` cell), then 2x / 1x / 0.5x of the build side's byte
-#: footprint (``MicroWorkloadConfig.s_bytes``).  Finite budgets exercise
-#: the grace/hybrid spilling join through the buffer pool's backing
-#: store; each cell records the budget and the charged page I/O.
+#: Memory-budget sweep of the join (vectorized engine only), measured under
+#: ``memory_budget_bytes`` set to infinity (``None`` -- the structural
+#: bypass, gated cycle-identical to the plain ``SJ`` cell), then 2x / 1x /
+#: 0.5x of the build side's byte footprint (``MicroWorkloadConfig.s_bytes``).
+#: Finite budgets exercise the grace/hybrid spilling join through the buffer
+#: pool's backing store; each cell records the budget and the charged page
+#: I/O.  Pinned to a serial session: the spilling join's page-I/O schedule
+#: depends on ingest order.
 BUDGET_KINDS = ("SJB-inf", "SJB-2x", "SJB-1x", "SJB-0.5x")
 
 #: Adaptivity modes measured on the adaptive cells: ``off`` anchors the
 #: bit-identity contract of the legacy path, ``static`` runs the adaptive
 #: machinery with the planner's decisions (the control arm), ``greedy``
-#: adapts from runtime observations.  Three adaptive workloads:
-#:
-#: * ``ACS`` -- skewed-conjunct selection (PR 4): runtime conjunct
-#:   reordering's misprediction/cycle reduction;
-#: * ``AJS`` -- skewed join (build side pinned to the 30x larger R,
-#:   modelling a stale-stats planner): runtime join-side selection flips to
-#:   build on S; measured with one warm-up run so the collector's
-#:   cardinality observations let greedy flip before wasting build work;
-#: * ``ABS`` -- 50% selection with a deliberately too-small configured
-#:   vector (32 rows): runtime batch sizing walks the bounded ladder from
-#:   observed L1D pressure and recovers the amortisation.
+#: adapts from runtime observations.
 ADAPTIVE_MODES = ("off", "static", "greedy")
-
-#: Per-kind measurement knobs of the adaptive cells: which decision switch
-#: to enable (for non-``off`` modes), the configured batch size, and the
-#: warm-up discipline.
-ADAPTIVE_KINDS = {
-    "ACS": {},
-    "AJS": {"adaptive_joins": True, "warmup_runs": 1},
-    "ABS": {"adaptive_batching": True, "batch_size": 32},
-}
 
 #: Concurrent-serving cells: the open-loop mixed-class arrival trace
 #: (:mod:`repro.workloads.serving`) driven through the serving layer.
@@ -126,19 +109,15 @@ ADAPTIVE_KINDS = {
 SERVING_KINDS = ("SRV-serial", "SRV-8")
 SERVING_QUERIES = 48
 
-#: TPC cells: the full TPC-D 17-query suite and the TPC-C transaction mix
-#: measured per layout on the warmed TPC grids (vectorized engine,
-#: System B).  TPC-D restores the post-build address-space checkpoint per
-#: run; TPC-C additionally restores the data checkpoint (raw page bytes),
-#: since its updates mutate records in place -- both are asserted
-#: repeat-identical, the runtime check that the warmed-grid path changes
-#: nothing for an update-heavy workload either.
+#: TPC cells: the TPC-D suite and the TPC-C mix per layout (vectorized
+#: engine, System B).  TPC-C's updates mutate records in place, so its
+#: repeat identity is the runtime check that the data checkpoint makes
+#: warmed-build reuse invisible for an update-heavy workload too.
 TPC_KINDS = ("TPCD", "TPCC")
 
 #: Sweep cells: one representative point of each parameter sweep, per
-#: layout -- ``SEL-50`` (the 50%-selectivity sequential selection against
-#: the shared warmed build) and ``RS-200`` (the 200-byte record-size point
-#: against its own warmed layout-pinned build).
+#: layout -- ``SEL-50`` (the 50%-selectivity sequential selection) and
+#: ``RS-200`` (the 200-byte record-size point, its own warmed build).
 SWEEP_KINDS = ("SEL-50", "RS-200")
 SWEEP_RECORD_SIZE = 200
 
@@ -153,7 +132,8 @@ HEADLINE = ("vectorized", "pax", "SRS")
 DEFAULT_KERNEL_BACKENDS = ("auto",)
 
 
-def make_runner(scale: Optional[float], parallelism: int = 1) -> ExperimentRunner:
+def make_runner(scale: Optional[float], parallelism: int = 1,
+                grid_workers: int = 1) -> ExperimentRunner:
     """Runner for the bench grid, with every workload scaled from ``--scale``.
 
     ``--scale`` is the absolute microbenchmark scale; the TPC datasets (and
@@ -172,23 +152,8 @@ def make_runner(scale: Optional[float], parallelism: int = 1) -> ExperimentRunne
     return ExperimentRunner(ExperimentConfig(
         micro=micro, tpcd=tpcd, tpcc=tpcc,
         tpcc_transactions=max(int(120 * factor), 10),
-        os_interference=False, parallelism=parallelism))
-
-
-def query_for(workload, kind: str):
-    if kind == "SRS":
-        return workload.sequential_range_selection()
-    if kind == "IRS":
-        return workload.indexed_range_selection()
-    if kind == "ACS":
-        return workload.skewed_conjunct_selection()
-    if kind == "AJS":
-        return workload.skewed_join()
-    if kind == "ABS":
-        return workload.sequential_range_selection(0.5)
-    if kind.startswith("SJB"):
-        return workload.over_budget_join()
-    return workload.sequential_join()
+        os_interference=False, parallelism=parallelism,
+        grid_workers=grid_workers))
 
 
 def budget_for(kind: str, s_bytes: int) -> Optional[int]:
@@ -203,393 +168,162 @@ def budget_for(kind: str, s_bytes: int) -> Optional[int]:
     return max(s_bytes // 2, 1)
 
 
-def measure_cell(runner: ExperimentRunner, engine: str, layout: str, kind: str,
-                 repeat: int, adaptivity: str = "off",
-                 kernel_backend: str = "auto",
-                 profile: bool = False) -> dict:
-    """Best-of-``repeat`` wall clock against the cached warmed build.
+class BenchCell(NamedTuple):
+    """One row of the cell table: how the cell is named in records and
+    baselines, and what the runner builds and measures for it."""
 
-    Every run rolls the shared build's address space back to its post-build
-    checkpoint, so run N is bit-identical to run 1 (and to a run against a
-    freshly built database); the identity of rows and cycles across repeats
-    is asserted, which is the runtime check that the cached-database path
-    changes nothing.
-    """
-    query = query_for(runner.micro_workload, kind)
-    knobs = ADAPTIVE_KINDS.get(kind, {})
-    adaptive_on = adaptivity != "off"
-    session_kwargs = {
-        "adaptive_joins": adaptive_on and knobs.get("adaptive_joins", False),
-        "adaptive_batching": adaptive_on and knobs.get("adaptive_batching",
-                                                       False),
-        "batch_size": knobs.get("batch_size"),
-        "kernel_backend": kernel_backend,
-    }
-    budget = None
-    if kind.startswith("SJB"):
-        budget = budget_for(kind, runner.config.micro.s_bytes)
-        session_kwargs["memory_budget_bytes"] = budget
-    warmup_runs = knobs.get("warmup_runs", 0)
-    best = None
-    cycles = None
-    rows = None
-    counters = None
-    io_stats = None
-    # Adaptive greedy/epsilon decisions depend on the morsel partitioning
-    # (only adaptivity="off" promises bit-identity to serial -- DESIGN.md),
-    # so the adaptive cells are pinned to a serial session to keep their
-    # cycles deterministic under --parallelism.  The budget cells pin too:
-    # the spilling join's page-I/O schedule depends on ingest order, and a
-    # serial session keeps the charged cycles deterministic.
-    parallelism = 1 if (adaptivity != "off" or kind.startswith("SJB")) else None
-    resolved_backend = None
-    breakdown = None
-    for _ in range(max(repeat, 1)):
-        setup_start = time.perf_counter()
-        with runner.grid_session(engine, layout, adaptivity=adaptivity,
-                                 parallelism=parallelism,
-                                 **session_kwargs) as session:
-            resolved_backend = session.context.kernels.name
-            setup_seconds = time.perf_counter() - setup_start
-            start = time.perf_counter()
-            result = session.execute(query, warmup_runs=warmup_runs)
-            elapsed = time.perf_counter() - start
-            run_io = dict(session.context.io_stats)
-        if best is None or elapsed < best:
-            best = elapsed
-            if profile:
-                # The measured execute() includes the cell's warm-up runs
-                # (their count is recorded so the share is interpretable).
-                breakdown = {"session_setup_seconds": round(setup_seconds, 6),
-                             "execute_seconds": round(elapsed, 6),
-                             "warmup_runs": warmup_runs}
-        run_cycles = result.counters.get("CPU_CLK_UNHALTED")
-        if cycles is not None and (run_cycles != cycles or result.rows != rows):
-            raise AssertionError(
-                f"cached-database run of {engine}/{layout}/{kind}/{adaptivity} "
-                f"diverged: cycles {run_cycles} vs {cycles}, "
-                f"rows equal: {result.rows == rows}")
-        cycles = run_cycles
-        rows = result.rows
-        counters = result.counters
-        io_stats = run_io
-    point = {"engine": engine, "layout": layout, "query": kind,
-             "adaptivity": adaptivity,
-             "kernel_backend": kernel_backend,
-             "resolved_kernel_backend": resolved_backend,
-             "wall_seconds": round(best, 6), "cycles": cycles,
-             "branch_mispredictions": counters.get("BR_MISS_PRED_RETIRED"),
-             "result_rows": rows,
-             "_counters": counters}
-    if breakdown is not None:
-        point["profile"] = breakdown
-    if kind.startswith("SJB"):
-        point["memory_budget_bytes"] = budget
-        point["io_stats"] = io_stats
-    return point
+    #: ``engine`` (an engine, or the ``serving``/``tpc``/``sweep`` family),
+    #: ``layout``, ``query``, ``adaptivity``, ``kernel_backend``.
+    labels: Dict[str, str]
+    #: For serving cells, only the build the server serves over.
+    cell: Cell
 
 
-def measure_serving_cell(runner: ExperimentRunner, layout: str, kind: str,
-                         repeat: int, kernel_backend: str = "auto") -> dict:
-    """Best-of-``repeat`` open-loop serving run of the mixed arrival trace.
-
-    Each repeat drives a **fresh** server over the same deterministic trace;
-    the run's total simulated cycles and total result rows are asserted
-    identical across repeats (the serving layers are count-deterministic
-    regardless of how wall-clock timing shapes the admission rounds), while
-    the best wall clock / its throughput and latency percentiles are kept.
-    """
-    trace = build_trace(runner.micro_workload,
-                        ServingTraceConfig(queries=SERVING_QUERIES))
-    concurrent = kind != "SRV-serial"
-    best = None
-    best_report = None
-    cycles = None
-    total_rows = None
-    for _ in range(max(repeat, 1)):
-        server = runner.serving_server(
-            layout, max_concurrency=8 if concurrent else 1,
-            plan_cache=concurrent, result_cache=concurrent,
-            shared_scans=concurrent, kernel_backend=kernel_backend)
-        start = time.perf_counter()
-        report = run_open_loop(server, trace)
-        elapsed = time.perf_counter() - start
-        if cycles is not None and (report.total_cycles != cycles
-                                   or report.total_rows != total_rows):
-            raise AssertionError(
-                f"serving/{layout}/{kind} diverged across repeats: cycles "
-                f"{report.total_cycles} vs {cycles}, rows "
-                f"{report.total_rows} vs {total_rows}")
-        cycles = report.total_cycles
-        total_rows = report.total_rows
-        if best is None or elapsed < best:
-            best = elapsed
-            best_report = report
-    return {"engine": "serving", "layout": layout, "query": kind,
-            "adaptivity": "off",
-            "kernel_backend": kernel_backend,
-            "resolved_kernel_backend": kernel_backend,
-            "wall_seconds": round(best, 6), "cycles": cycles,
-            "branch_mispredictions":
-                best_report.counters.get("BR_MISS_PRED_RETIRED"),
-            "result_rows": total_rows,
-            "serving": {
-                "max_concurrency": 8 if concurrent else 1,
-                "queries": best_report.queries,
-                "rounds": best_report.rounds,
-                "throughput_qps": round(best_report.throughput_qps, 3),
-                "latency_p50": round(best_report.latency_p50, 6),
-                "latency_p95": round(best_report.latency_p95, 6),
-                "latency_p99": round(best_report.latency_p99, 6),
-                "queue_depth_high_water":
-                    best_report.stats.get("queue_depth_high_water", 0),
-                "classes": {key: dict(value) for key, value
-                            in sorted(best_report.classes.items())},
-                "stats": best_report.stats,
-            },
-            "_counters": best_report.counters}
-
-
-def measure_tpc_cell(runner: ExperimentRunner, layout: str, kind: str,
-                     repeat: int, kernel_backend: str = "auto") -> dict:
-    """Best-of-``repeat`` TPC run against the warmed per-layout TPC grid.
-
-    Each repeat restores the post-build checkpoint(s) -- address space for
-    the read-only TPC-D suite, address space *plus* raw page bytes for the
-    update-heavy TPC-C mix -- and the identity of simulated cycles and
-    result rows across repeats is asserted: the runtime check that warmed-
-    grid reuse is invisible even when the workload mutates the pages.
-    """
-    best = None
-    cycles = None
-    rows = None
-    counters = None
-    resolved_backend = None
-    transactions = None
-    for _ in range(max(repeat, 1)):
-        if kind == "TPCD":
-            database, checkpoint = runner.tpcd_grid_database(layout)
-            database.address_space.restore(checkpoint)
-            start = time.perf_counter()
-            with Session(database, system_by_key("B"), spec=runner.config.spec,
-                         os_interference=runner.config.os_config(),
-                         engine="vectorized",
-                         kernel_backend=kernel_backend) as session:
-                resolved_backend = session.context.kernels.name
-                result = session.execute_suite(runner.tpcd_workload.queries(),
-                                               warmup_runs=0, label="TPC-D")
-            elapsed = time.perf_counter() - start
-            run_cycles = result.counters.get("CPU_CLK_UNHALTED")
-            run_rows = result.rows
-            run_counters = result.counters
-        else:
-            database, workload, checkpoint, data = runner.tpcc_grid_database(layout)
-            database.address_space.restore(checkpoint)
-            database.data_restore(data)
-            start = time.perf_counter()
-            with Session(database, oltp_variant(system_by_key("B")),
-                         spec=runner.config.spec,
-                         os_interference=runner.config.os_config(),
-                         engine="vectorized",
-                         kernel_backend=kernel_backend) as session:
-                resolved_backend = session.context.kernels.name
-                run_counters, _, _, executed = workload.run(
-                    session, transactions=runner.config.tpcc_transactions,
-                    warmup_transactions=max(
-                        runner.config.tpcc_transactions // 10, 5))
-            elapsed = time.perf_counter() - start
-            run_cycles = run_counters.get("CPU_CLK_UNHALTED")
-            run_rows = executed
-            transactions = executed
-        if cycles is not None and (run_cycles != cycles or run_rows != rows):
-            raise AssertionError(
-                f"warmed TPC grid run of tpc/{layout}/{kind} diverged: "
-                f"cycles {run_cycles} vs {cycles}, "
-                f"rows equal: {run_rows == rows}")
-        if best is None or elapsed < best:
-            best = elapsed
-        cycles = run_cycles
-        rows = run_rows
-        counters = run_counters
-    point = {"engine": "tpc", "layout": layout, "query": kind,
-             "adaptivity": "off",
-             "kernel_backend": kernel_backend,
-             "resolved_kernel_backend": resolved_backend,
-             "wall_seconds": round(best, 6), "cycles": cycles,
-             "branch_mispredictions": counters.get("BR_MISS_PRED_RETIRED"),
-             "result_rows": rows if kind == "TPCD" else [],
-             "_counters": counters}
-    if transactions is not None:
-        point["transactions"] = transactions
-    return point
-
-
-def measure_sweep_cell(runner: ExperimentRunner, layout: str, kind: str,
-                       repeat: int, kernel_backend: str = "auto") -> dict:
-    """Best-of-``repeat`` sweep-point run against its warmed layout build.
-
-    ``SEL-50`` measures the 50%-selectivity sequential selection on the
-    shared grid build; ``RS-200`` measures the default selection on the
-    200-byte record-size build (its own per-(size, layout) warmed
-    database).  Both assert repeat-identity of cycles and rows.
-    """
-    if kind == "SEL-50":
-        workload = runner.micro_workload
-        query = workload.sequential_range_selection(0.5)
-    else:
-        _, workload, _ = runner._record_size_grid_database(
-            SWEEP_RECORD_SIZE, layout)
-        query = workload.sequential_range_selection()
-    best = None
-    cycles = None
-    rows = None
-    counters = None
-    resolved_backend = None
-    for _ in range(max(repeat, 1)):
-        if kind == "SEL-50":
-            database, checkpoint = runner.grid_database(layout)
-        else:
-            database, _, checkpoint = runner._record_size_grid_database(
-                SWEEP_RECORD_SIZE, layout)
-        database.address_space.restore(checkpoint)
-        start = time.perf_counter()
-        with Session(database, system_by_key("B"), spec=runner.config.spec,
-                     os_interference=runner.config.os_config(),
-                     engine="vectorized",
-                     kernel_backend=kernel_backend) as session:
-            resolved_backend = session.context.kernels.name
-            result = session.execute(query, warmup_runs=0)
-        elapsed = time.perf_counter() - start
-        run_cycles = result.counters.get("CPU_CLK_UNHALTED")
-        if cycles is not None and (run_cycles != cycles or result.rows != rows):
-            raise AssertionError(
-                f"warmed sweep run of sweep/{layout}/{kind} diverged: "
-                f"cycles {run_cycles} vs {cycles}, "
-                f"rows equal: {result.rows == rows}")
-        if best is None or elapsed < best:
-            best = elapsed
-        cycles = run_cycles
-        rows = result.rows
-        counters = result.counters
-    return {"engine": "sweep", "layout": layout, "query": kind,
-            "adaptivity": "off",
-            "kernel_backend": kernel_backend,
-            "resolved_kernel_backend": resolved_backend,
-            "wall_seconds": round(best, 6), "cycles": cycles,
-            "branch_mispredictions": counters.get("BR_MISS_PRED_RETIRED"),
-            "result_rows": rows,
-            "_counters": counters}
-
-
-#: Runner inherited by forked grid workers.
-_BENCH_RUNNER: Optional[ExperimentRunner] = None
-_BENCH_REPEAT = 1
-_BENCH_PROFILE = False
-
-
-def _measure_any_cell(runner: ExperimentRunner,
-                      cell: Tuple[str, str, str, str, str],
-                      repeat: int, profile: bool) -> dict:
-    engine, layout, kind, adaptivity, backend = cell
-    if engine == "serving":
-        return measure_serving_cell(runner, layout, kind, repeat=repeat,
-                                    kernel_backend=backend)
-    if engine == "tpc":
-        return measure_tpc_cell(runner, layout, kind, repeat=repeat,
-                                kernel_backend=backend)
-    if engine == "sweep":
-        return measure_sweep_cell(runner, layout, kind, repeat=repeat,
-                                  kernel_backend=backend)
-    return measure_cell(runner, engine, layout, kind, repeat=repeat,
-                        adaptivity=adaptivity, kernel_backend=backend,
-                        profile=profile)
-
-
-def _measure_cell_task(cell: Tuple[str, str, str, str, str]) -> dict:
-    point = _measure_any_cell(_BENCH_RUNNER, cell, _BENCH_REPEAT,
-                              _BENCH_PROFILE)
-    point["_counters"] = point["_counters"].as_dict()
-    return point
-
-
-def grid_cells(kernel_backends: Tuple[str, ...] = DEFAULT_KERNEL_BACKENDS,
-               cells_filter: Optional[str] = None
-               ) -> List[Tuple[str, str, str, str, str]]:
+def grid_cells(micro: MicroWorkloadConfig,
+               kernel_backends: Tuple[str, ...] = DEFAULT_KERNEL_BACKENDS,
+               cells_filter: Optional[str] = None) -> List[BenchCell]:
     """The 12 engine x layout x query cells plus the adaptivity,
     memory-budget, concurrent-serving, TPC (``tpc/*``) and sweep-point
     (``sweep/*``) cells, each measured per kernel backend.
     ``cells_filter`` keeps only the cells whose display name
     (``engine/layout/query[/adaptivity][/backend]``) matches the glob."""
-    cells = [(engine, layout, kind, "off") for engine in ENGINES
-             for layout in LAYOUTS for kind in QUERY_KINDS]
-    cells.extend(("vectorized", layout, kind, mode)
-                 for kind in ADAPTIVE_KINDS
-                 for layout in LAYOUTS for mode in ADAPTIVE_MODES)
-    cells.extend(("vectorized", layout, kind, "off")
-                 for layout in LAYOUTS for kind in BUDGET_KINDS)
-    cells.extend(("serving", layout, kind, "off")
-                 for layout in LAYOUTS for kind in SERVING_KINDS)
-    cells.extend(("tpc", layout, kind, "off")
-                 for layout in LAYOUTS for kind in TPC_KINDS)
-    cells.extend(("sweep", layout, kind, "off")
-                 for layout in LAYOUTS for kind in SWEEP_KINDS)
-    expanded = [cell + (backend,) for backend in kernel_backends
-                for cell in cells]
-    if cells_filter:
-        expanded = [cell for cell in expanded
-                    if fnmatch.fnmatchcase(_cell_tuple_name(cell),
-                                           cells_filter)]
-    return expanded
-
-
-def _cell_tuple_name(cell: Tuple[str, str, str, str, str]) -> str:
-    """Display name of a not-yet-measured cell (mirrors ``_cell_name``)."""
-    engine, layout, kind, adaptivity, backend = cell
-    name = f"{engine}/{layout}/{kind}"
-    if adaptivity != "off":
-        name += f"/{adaptivity}"
-    if backend != "auto":
-        name += f"/{backend}"
-    return name
-
-
-def run_grid(runner: ExperimentRunner, repeat: int, grid_workers: int,
-             kernel_backends: Tuple[str, ...] = DEFAULT_KERNEL_BACKENDS,
-             profile: bool = False,
-             cells_filter: Optional[str] = None) -> List[dict]:
-    """Measure all grid cells, serially or via a fork-based process pool."""
-    cells = grid_cells(kernel_backends, cells_filter=cells_filter)
-    if grid_workers > 1 and not fork_available():
-        grid_workers = 1
-    if grid_workers <= 1:
-        points = []
-        for cell in cells:
-            point = _measure_any_cell(runner, cell, repeat, profile)
-            point["_counters"] = point["_counters"].as_dict()
-            points.append(point)
-        return points
-    # Pre-build every needed warmed database so forked workers inherit the
-    # builds instead of rebuilding them per process.
+    table: List[Tuple[str, str, str, str, Cell]] = []
+    for engine in ENGINES:
+        for layout in LAYOUTS:
+            for kind in QUERY_KINDS:
+                table.append((engine, layout, kind, "off",
+                              Cell(engine=engine, layout=layout, query=kind)))
+    for kind in ADAPTIVE_KINDS:
+        for layout in LAYOUTS:
+            for mode in ADAPTIVE_MODES:
+                table.append(("vectorized", layout, kind, mode,
+                              adaptive_cell(kind, layout, mode)))
+    vectorized = Cell(engine="vectorized")
     for layout in LAYOUTS:
-        runner.grid_database(layout)
-    for engine, layout, kind, _, _ in cells:
-        if engine == "tpc" and kind == "TPCD":
-            runner.tpcd_grid_database(layout)
-        elif engine == "tpc":
-            runner.tpcc_grid_database(layout)
-        elif engine == "sweep" and kind == "RS-200":
-            runner._record_size_grid_database(SWEEP_RECORD_SIZE, layout)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    global _BENCH_RUNNER, _BENCH_REPEAT, _BENCH_PROFILE
-    _BENCH_RUNNER, _BENCH_REPEAT, _BENCH_PROFILE = runner, repeat, profile
-    try:
-        with ProcessPoolExecutor(
-                max_workers=min(grid_workers, len(cells)),
-                mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_measure_cell_task, cells))
-    finally:
-        _BENCH_RUNNER = None
+        for kind in BUDGET_KINDS:
+            table.append(("vectorized", layout, kind, "off", replace(
+                vectorized, layout=layout, query="SJB", parallelism=1,
+                memory_budget_bytes=budget_for(kind, micro.s_bytes))))
+    for layout in LAYOUTS:
+        for kind in SERVING_KINDS:
+            table.append(("serving", layout, kind, "off", Cell(layout=layout)))
+    for layout in LAYOUTS:
+        for kind in TPC_KINDS:
+            table.append(("tpc", layout, kind, "off", replace(
+                vectorized, layout=layout, dataset=kind.lower())))
+    for layout in LAYOUTS:
+        table.append(("sweep", layout, "SEL-50", "off",
+                      replace(vectorized, layout=layout, selectivity=0.5)))
+        table.append(("sweep", layout, "RS-200", "off", replace(
+            vectorized, layout=layout, record_size=SWEEP_RECORD_SIZE)))
+    cells = [BenchCell({"engine": engine, "layout": layout, "query": kind,
+                        "adaptivity": adaptivity, "kernel_backend": backend},
+                       replace(cell, kernel_backend=backend))
+             for backend in kernel_backends
+             for engine, layout, kind, adaptivity, cell in table]
+    if cells_filter:
+        cells = [cell for cell in cells
+                 if fnmatch.fnmatchcase(_cell_name(cell.labels), cells_filter)]
+    return cells
+
+
+class Run(NamedTuple):
+    """One execution of a cell; ``counters`` and ``rows`` must repeat exactly."""
+
+    seconds: float
+    counters: EventCounters
+    rows: object
+    #: Cell-family-specific fields of the point (resolved backend, spill
+    #: I/O, serving report, ...).
+    extras: dict
+
+
+def run_query_cell(runner: ExperimentRunner, cell: Cell, profile: bool) -> Run:
+    """Restore, open a session, execute: one run of a query/suite/mix cell."""
+    setup_start = time.perf_counter()
+    with runner.session(cell) as session:
+        start = time.perf_counter()
+        result = runner.execute(cell, session)
+        seconds = time.perf_counter() - start
+        extras = {"resolved_kernel_backend": session.context.kernels.name}
+        if cell.query == "SJB":
+            extras["memory_budget_bytes"] = cell.memory_budget_bytes
+            extras["io_stats"] = dict(session.context.io_stats)
+    if profile:
+        # The measured execute() includes the cell's warm-up runs (their
+        # count is recorded so the share is interpretable).
+        extras["profile"] = {
+            "session_setup_seconds": round(start - setup_start, 6),
+            "execute_seconds": round(seconds, 6),
+            "warmup_runs": cell.warmup_runs}
+    if cell.dataset == "tpcc":
+        extras["transactions"] = result.transactions
+        return Run(seconds, result.counters, [], extras)
+    return Run(seconds, result.counters, result.rows, extras)
+
+
+def run_serving_cell(runner: ExperimentRunner, labels: Dict[str, str]) -> Run:
+    """One open-loop run of the mixed arrival trace through a **fresh**
+    server; the serving layers are count-deterministic regardless of how
+    wall-clock timing shapes the admission rounds."""
+    trace = build_trace(runner.micro_workload,
+                        ServingTraceConfig(queries=SERVING_QUERIES))
+    concurrent = labels["query"] != "SRV-serial"
+    server = runner.serving_server(
+        labels["layout"], max_concurrency=8 if concurrent else 1,
+        plan_cache=concurrent, result_cache=concurrent,
+        shared_scans=concurrent, kernel_backend=labels["kernel_backend"])
+    start = time.perf_counter()
+    report = run_open_loop(server, trace)
+    seconds = time.perf_counter() - start
+    return Run(seconds, report.counters, report.total_rows, {
+        "resolved_kernel_backend": labels["kernel_backend"],
+        "serving": {
+            "max_concurrency": 8 if concurrent else 1,
+            "queries": report.queries,
+            "rounds": report.rounds,
+            "throughput_qps": round(report.throughput_qps, 3),
+            "latency_p50": round(report.latency_p50, 6),
+            "latency_p95": round(report.latency_p95, 6),
+            "latency_p99": round(report.latency_p99, 6),
+            "queue_depth_high_water":
+                report.stats.get("queue_depth_high_water", 0),
+            "classes": {key: dict(value) for key, value
+                        in sorted(report.classes.items())},
+            "stats": report.stats,
+        }})
+
+
+def measure_cell(runner: ExperimentRunner, bench_cell: BenchCell,
+                 repeat: int = 1, profile: bool = False) -> dict:
+    """Best-of-``repeat`` wall clock of one cell, as a BENCH point.
+
+    Every run starts from the build's post-build checkpoint, so run N is
+    bit-identical to run 1 (and to a run against a freshly built database);
+    the identity of rows and cycles across repeats is asserted, which is the
+    runtime check that the cached-database path changes nothing.
+    """
+    labels, cell = bench_cell
+    best = None
+    for _ in range(max(repeat, 1)):
+        if labels["engine"] == "serving":
+            run = run_serving_cell(runner, labels)
+        else:
+            run = run_query_cell(runner, cell, profile)
+        cycles = run.counters.get("CPU_CLK_UNHALTED")
+        if best is not None and (
+                cycles != best.counters.get("CPU_CLK_UNHALTED")
+                or run.rows != best.rows):
+            raise AssertionError(
+                f"cached-database run of {_cell_name(labels)} diverged: cycles "
+                f"{cycles} vs {best.counters.get('CPU_CLK_UNHALTED')}, "
+                f"rows equal: {run.rows == best.rows}")
+        if best is None or run.seconds < best.seconds:
+            best = run
+    return {**labels, "wall_seconds": round(best.seconds, 6), "cycles": cycles,
+            "branch_mispredictions": best.counters.get("BR_MISS_PRED_RETIRED"),
+            "result_rows": best.rows, **best.extras,
+            "_counters": best.counters.as_dict()}
 
 
 def merged_grid_counters(points: List[dict]) -> EventCounters:
@@ -742,19 +476,23 @@ def budget_identity_violations(points: List[dict]) -> List[str]:
 # Regression gate
 # ---------------------------------------------------------------------------
 def compare_to_baseline(points: List[dict], baseline: dict,
-                        tolerance: Optional[float]
+                        tolerance: Optional[float],
+                        cells_filter: Optional[str] = None
                         ) -> Tuple[List[str], List[str], Dict[str, dict]]:
     """Per-cell delta table plus gate violations.
 
     A violation is raised when a cell's simulated cycles differ from the
-    baseline (the model changed) or its wall clock regressed by more than
-    ``tolerance`` (fractional; 0.2 = +20%).  ``tolerance=None`` disables
-    the wall gate (used when cells were measured concurrently, where
-    per-cell wall clocks are not comparable to a serial baseline); cycles
-    always gate.  Cells absent from the baseline are reported but never
-    gate.
+    baseline (the model changed), its wall clock regressed by more than
+    ``tolerance`` (fractional; 0.2 = +20%), or a baseline cell was not
+    measured at all (a cell dropped from the table must not pass the gate;
+    under ``cells_filter`` only the baseline cells the glob selects are
+    required).  ``tolerance=None`` disables the wall gate (used when cells
+    were measured concurrently, where per-cell wall clocks are not
+    comparable to a serial baseline); cycles always gate.  Cells absent
+    from the baseline are reported but never gate.
     """
     baseline_points = {_cell_key(c): c for c in baseline.get("configs", ())}
+    measured = {_cell_key(point) for point in points}
     lines = [f"{'cell':>30s} {'wall before':>12s} {'wall after':>11s} "
              f"{'wall_speedup_vs_baseline':>24s}  cycles"]
     violations: List[str] = []
@@ -792,6 +530,11 @@ def compare_to_baseline(points: List[dict], baseline: dict,
             violations.append(
                 f"{name}: wall clock regressed {wall_after:.3f}s vs "
                 f"{wall_before:.3f}s (> {tolerance:.0%} tolerance)")
+    for key, before in baseline_points.items():
+        name = _cell_name(before)
+        if key not in measured and (
+                cells_filter is None or fnmatch.fnmatchcase(name, cells_filter)):
+            violations.append(f"{name}: in the baseline but not measured")
     return lines, violations, speedups
 
 
@@ -849,18 +592,21 @@ def main() -> int:
         if backend.strip()) or DEFAULT_KERNEL_BACKENDS
 
     grid_start = time.perf_counter()
-    runner = make_runner(args.scale, parallelism=args.parallelism)
-    build_start = time.perf_counter()
-    for layout in LAYOUTS:
-        runner.grid_database(layout)
-    build_seconds = time.perf_counter() - build_start
-
-    points = run_grid(runner, args.repeat, args.grid_workers,
-                      kernel_backends=kernel_backends, profile=args.profile,
-                      cells_filter=args.cells)
-    if not points:
+    runner = make_runner(args.scale, parallelism=args.parallelism,
+                         grid_workers=args.grid_workers)
+    cells = grid_cells(runner.config.micro, kernel_backends, args.cells)
+    if not cells:
         print(f"no grid cells match --cells {args.cells!r}")
         return 1
+    # Build the datasets of the selected cells up front, so forked workers
+    # inherit the warmed builds and no cell's wall clock pays for one.
+    build_start = time.perf_counter()
+    builds = {id(runner.build(bench_cell.cell)) for bench_cell in cells}
+    build_seconds = time.perf_counter() - build_start
+
+    points = runner.map_cells(
+        lambda runner, bench_cell: measure_cell(
+            runner, bench_cell, args.repeat, args.profile), cells)
     for point in points:
         line = (f"{_cell_name(point):>26}: {point['wall_seconds']:.3f}s wall, "
                 f"{point['cycles']:,} simulated cycles, "
@@ -907,7 +653,7 @@ def main() -> int:
         "kernel_backends": list(kernel_backends),
         "grid_wall_seconds": round(grid_wall, 3),
         "db_build_seconds": round(build_seconds, 3),
-        "db_builds": len(LAYOUTS),
+        "db_builds": len(builds),
         "grid_total_cycles": totals.get("CPU_CLK_UNHALTED"),
         "headline": {"engine": HEADLINE[0], "layout": HEADLINE[1],
                      "query": HEADLINE[2]},
@@ -918,7 +664,7 @@ def main() -> int:
     if args.cells:
         report["cells_filter"] = args.cells
     print(f"\ngrid wall: {grid_wall:.3f}s end-to-end "
-          f"({build_seconds:.3f}s for {len(LAYOUTS)} database builds, "
+          f"({build_seconds:.3f}s for {len(builds)} database builds, "
           f"repeat={args.repeat}, grid_workers={args.grid_workers}, "
           f"parallelism={args.parallelism})")
     for layout, summary in report["adaptivity"].items():
@@ -954,7 +700,7 @@ def main() -> int:
             print("\n(grid_workers > 1: wall-clock gate disabled, "
                   "cycles still gated)")
         lines, violations, speedups = compare_to_baseline(
-            configs, baseline, tolerance)
+            configs, baseline, tolerance, cells_filter=args.cells)
         report["speedups"] = speedups
         report["gate_violations"] = violations
         print()

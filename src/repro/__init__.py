@@ -22,7 +22,7 @@ Typical usage::
 
 from .analysis import ExecutionBreakdown, QueryMetrics, compute_metrics
 from .engine import Database, QueryResult, Session
-from .experiments import ExperimentConfig, ExperimentRunner, all_figures
+from .experiments import ExperimentConfig, ExperimentRunner
 from .hardware import PENTIUM_II_XEON, ProcessorSpec, SimulatedProcessor
 from .systems import (ALL_SYSTEMS, SYSTEM_A, SYSTEM_B, SYSTEM_C, SYSTEM_D,
                       SystemProfile, system_by_key)
@@ -34,7 +34,7 @@ __version__ = "1.0.0"
 __all__ = [
     "ExecutionBreakdown", "QueryMetrics", "compute_metrics",
     "Database", "QueryResult", "Session",
-    "ExperimentConfig", "ExperimentRunner", "all_figures",
+    "ExperimentConfig", "ExperimentRunner",
     "PENTIUM_II_XEON", "ProcessorSpec", "SimulatedProcessor",
     "ALL_SYSTEMS", "SYSTEM_A", "SYSTEM_B", "SYSTEM_C", "SYSTEM_D", "SystemProfile",
     "system_by_key",

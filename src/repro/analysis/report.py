@@ -4,7 +4,7 @@ The original figures are stacked bar charts; a terminal reproduction renders
 each one as an aligned text table (systems as columns, components as rows,
 values as percentages) plus, where useful, a crude horizontal bar.  The
 benchmark harness prints these tables so a run of ``pytest benchmarks/``
-regenerates every figure in readable form, and EXPERIMENTS.md embeds them.
+regenerates every figure in readable form.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def format_comparison(title: str,
                       rows: Sequence[Tuple[str, str, str, str]],
                       headers: Tuple[str, str, str, str] = ("observation", "paper",
                                                             "measured", "verdict")) -> str:
-    """Render paper-vs-measured comparison rows (used by EXPERIMENTS.md)."""
+    """Render paper-vs-measured comparison rows."""
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):

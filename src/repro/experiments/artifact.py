@@ -10,9 +10,9 @@ This module is the measurement side of the three-command artifact pipeline
 Everything measures through one shared :class:`ExperimentRunner`, so the
 whole artifact costs one pass over the workloads: the microbenchmark grid
 figures (5.1--5.5) per page layout, the record-size and selectivity sweeps
-per layout, the TPC-D and TPC-C workloads on the warmed-build grid under
-the modern engine matrix (tuple vs vectorized, optional ``workers`` and
-adaptivity arms), and the two configuration tables (4.1/4.2).
+per layout, the TPC-D and TPC-C workloads under the modern engine matrix
+(tuple vs vectorized, optional ``workers`` and adaptivity arms), the two
+adaptivity experiments, and the two configuration tables (4.1/4.2).
 
 Scale presets pick the dataset sizes: ``ci`` (seconds, used by the CI smoke
 job), ``small`` (a quick local run) and ``full`` (the repo's default
@@ -157,12 +157,10 @@ REGISTRY: Tuple[ArtifactSpec, ...] = (
                  lambda runner, options: figures.table_4_2().data),
     ArtifactSpec("figure_5_1", "Execution time breakdown",
                  ("layout", "query", "system", "component", "share"),
-                 lambda runner, options:
-                 figures.figure_5_1(runner, layouts=LAYOUTS).data),
+                 _per_layout(figures.figure_5_1)),
     ArtifactSpec("figure_5_2", "Memory stall breakdown",
                  ("layout", "query", "system", "component", "share"),
-                 lambda runner, options:
-                 figures.figure_5_2(runner, layouts=LAYOUTS).data),
+                 _per_layout(figures.figure_5_2)),
     ArtifactSpec("figure_5_3", "Instructions retired per record",
                  ("layout", "system", "query", "instructions_per_record"),
                  _per_layout(figures.figure_5_3)),
@@ -197,6 +195,12 @@ REGISTRY: Tuple[ArtifactSpec, ...] = (
     ArtifactSpec("engine_ablation", "Tuple vs vectorized execution",
                  ("query", "arm", "metric", "value"),
                  _simple(figures.engine_ablation)),
+    ArtifactSpec("figure_adaptivity", "Adaptive conjunct reordering",
+                 ("layout", "mode", "metric", "value"),
+                 _simple(figures.figure_adaptivity)),
+    ArtifactSpec("figure_adaptive_joins", "Adaptive join-side selection",
+                 ("layout", "mode", "metric", "value"),
+                 _simple(figures.figure_adaptive_joins)),
     ArtifactSpec("headline_claims", "Section 1 headline claims",
                  ("claim", "value"), _simple(figures.headline_claims)),
 )

@@ -4,20 +4,24 @@ Each function measures (through a shared :class:`~repro.experiments.runner.
 ExperimentRunner`) and returns a :class:`FigureResult` holding the structured
 data plus a text rendering in the spirit of the original chart.  The
 benchmark harness under ``benchmarks/`` calls one function per figure and
-asserts the qualitative claims the paper attaches to it; EXPERIMENTS.md
-records the rendered output next to the paper's numbers.
+asserts the qualitative claims the paper attaches to it.
+
+Every measured figure takes the page ``layout`` it is measured under
+(default ``"nsm"``, the layout of the paper's systems); the name and the
+rendered titles carry it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..analysis.breakdown import MEMORY_COMPONENTS
 from ..analysis.metrics import cpi_breakdown
 from ..analysis.report import format_key_values, format_stacked_bars, format_table
 from ..hardware.specs import PENTIUM_II_XEON, ProcessorSpec
-from .runner import ExperimentRunner, QUERY_KINDS, TPCD_SYSTEMS
+from .runner import (ExperimentRunner, QUERY_KINDS, TPCD_SYSTEMS,
+                     adaptive_cell)
 
 #: Labels used in the figures, matching the paper's legends.
 GROUP_LABELS = ("Computation", "Memory stalls", "Branch mispredictions", "Resource stalls")
@@ -67,149 +71,66 @@ def table_4_2() -> FigureResult:
 
 
 # ---------------------------------------------------------------------------
-# Figure 5.1: execution time breakdown into the four components
+# Figures 5.1 / 5.2: execution time and memory stall breakdowns
 # ---------------------------------------------------------------------------
-def figure_5_1(runner: ExperimentRunner,
-               layouts: Optional[Sequence[str]] = None) -> FigureResult:
-    """Execution-time breakdown (TC / TM / TB / TR) per system and query.
+def _tag(layout: str) -> str:
+    """Title tag naming the page layout a figure was measured under."""
+    return f" [{layout.upper()}]"
 
-    ``layouts`` (e.g. ``("nsm", "pax")``) reproduces the breakdown per page
-    layout through the warmed-build grid machinery, quantifying how much of
-    each system's profile survives the PAX layout change; ``None`` (the
-    default) keeps the paper's original NSM measurement discipline and
-    output shape.
-    """
-    if layouts is not None:
-        return _breakdown_by_layout(runner, layouts, "figure_5_1")
+
+def _breakdown_figure(runner: ExperimentRunner, layout: str, number: str,
+                      title: str, labels: Sequence[str],
+                      shares_of: Callable) -> FigureResult:
+    """``{query: {system: {label: share}}}`` over the eleven Figure 5.1 cells."""
     data: Dict[str, Dict[str, Dict[str, float]]] = {}
     sections = []
     for kind in QUERY_KINDS:
         per_system: Dict[str, Dict[str, float]] = {}
         for profile in runner.systems():
-            result = runner.micro_result(profile.key, kind)
+            result = runner.micro_result(profile.key, kind, layout=layout)
             if result is None:
                 continue
-            shares = result.breakdown.shares()
-            per_system[profile.key] = {
-                "Computation": shares["computation"],
-                "Memory stalls": shares["memory"],
-                "Branch mispredictions": shares["branch"],
-                "Resource stalls": shares["resource"],
-            }
+            per_system[profile.key] = dict(zip(labels, shares_of(result.breakdown)))
         data[kind] = per_system
         sections.append(format_table(
-            f"Figure 5.1 ({QUERY_TITLES[kind]}): query execution time breakdown",
-            list(GROUP_LABELS), list(per_system.keys()), per_system))
-    return FigureResult(name="figure_5_1", title="Execution time breakdown",
-                        data=data, text="\n\n".join(sections))
+            f"Figure {number}{_tag(layout)} ({QUERY_TITLES[kind]}): "
+            f"{title.lower()}",
+            list(labels), list(per_system.keys()), per_system))
+    return FigureResult(name=f"figure_{number.replace('.', '_')}_{layout}",
+                        title=title, data=data, text="\n\n".join(sections))
 
 
-def _layout_naming(base: str, layout: Optional[str]) -> Tuple[str, str]:
-    """``(figure name, title tag)`` for a layout-pinned figure variant.
-
-    ``None`` keeps the legacy name (and an empty tag) so existing figure
-    consumers see byte-identical output; a pinned layout suffixes the name
-    and tags the rendered title.
-    """
-    if layout is None:
-        return base, ""
-    return f"{base}_{layout}", f" [{layout.upper()}]"
-
-
-def _breakdown_by_layout(runner: ExperimentRunner, layouts: Sequence[str],
-                         figure: str) -> FigureResult:
-    """Per-layout variants of the Figure 5.1 / 5.2 breakdowns.
-
-    Each (layout, kind, system) point is measured against the shared warmed
-    build of that layout (address space checkpoint-restored per session), so
-    points are fresh-build-identical and independent of measurement order.
-    """
-    data: Dict[str, Dict[str, Dict[str, Dict[str, float]]]] = {}
-    sections = []
-    label_by_component = dict(zip(MEMORY_COMPONENTS, MEMORY_LABELS))
-    for layout in layouts:
-        per_kind: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for kind in QUERY_KINDS:
-            per_system: Dict[str, Dict[str, float]] = {}
-            for profile in runner.systems():
-                result = runner.micro_result(profile.key, kind, layout=layout)
-                if result is None:
-                    continue
-                if figure == "figure_5_1":
-                    shares = result.breakdown.shares()
-                    per_system[profile.key] = {
-                        "Computation": shares["computation"],
-                        "Memory stalls": shares["memory"],
-                        "Branch mispredictions": shares["branch"],
-                        "Resource stalls": shares["resource"],
-                    }
-                else:
-                    memory_shares = result.breakdown.memory_shares()
-                    per_system[profile.key] = {
-                        label_by_component[name]: value
-                        for name, value in memory_shares.items()}
-            per_kind[kind] = per_system
-            labels = (list(GROUP_LABELS) if figure == "figure_5_1"
-                      else list(MEMORY_LABELS))
-            number = "5.1" if figure == "figure_5_1" else "5.2"
-            what = ("query execution time breakdown" if figure == "figure_5_1"
-                    else "memory stall time breakdown")
-            sections.append(format_table(
-                f"Figure {number} [{layout.upper()}] ({QUERY_TITLES[kind]}): {what}",
-                labels, list(per_system.keys()), per_system))
-        data[layout] = per_kind
-    return FigureResult(name=f"{figure}_layouts",
-                        title=("Execution time breakdown by layout"
-                               if figure == "figure_5_1"
-                               else "Memory stall breakdown by layout"),
-                        data=data, text="\n\n".join(sections))
+def figure_5_1(runner: ExperimentRunner, layout: str = "nsm") -> FigureResult:
+    """Execution-time breakdown (TC / TM / TB / TR) per system and query."""
+    def shares_of(breakdown):
+        shares = breakdown.shares()
+        return [shares[group]
+                for group in ("computation", "memory", "branch", "resource")]
+    return _breakdown_figure(runner, layout, "5.1",
+                             "Query execution time breakdown", GROUP_LABELS,
+                             shares_of)
 
 
-# ---------------------------------------------------------------------------
-# Figure 5.2: memory stall breakdown
-# ---------------------------------------------------------------------------
-def figure_5_2(runner: ExperimentRunner,
-               layouts: Optional[Sequence[str]] = None) -> FigureResult:
-    """Contributions of the five memory components to the memory stall time.
-
-    ``layouts`` reproduces the breakdown per page layout (see
-    :func:`figure_5_1`); the default keeps the original NSM discipline.
-    """
-    if layouts is not None:
-        return _breakdown_by_layout(runner, layouts, "figure_5_2")
-    label_by_component = dict(zip(MEMORY_COMPONENTS, MEMORY_LABELS))
-    data: Dict[str, Dict[str, Dict[str, float]]] = {}
-    sections = []
-    for kind in QUERY_KINDS:
-        per_system: Dict[str, Dict[str, float]] = {}
-        for profile in runner.systems():
-            result = runner.micro_result(profile.key, kind)
-            if result is None:
-                continue
-            shares = result.breakdown.memory_shares()
-            per_system[profile.key] = {label_by_component[name]: value
-                                       for name, value in shares.items()}
-        data[kind] = per_system
-        sections.append(format_table(
-            f"Figure 5.2 ({QUERY_TITLES[kind]}): memory stall time breakdown",
-            list(MEMORY_LABELS), list(per_system.keys()), per_system))
-    return FigureResult(name="figure_5_2", title="Memory stall breakdown",
-                        data=data, text="\n\n".join(sections))
+def figure_5_2(runner: ExperimentRunner, layout: str = "nsm") -> FigureResult:
+    """Contributions of the five memory components to the memory stall time."""
+    def shares_of(breakdown):
+        shares = breakdown.memory_shares()
+        return [shares[component] for component in MEMORY_COMPONENTS]
+    return _breakdown_figure(runner, layout, "5.2",
+                             "Memory stall time breakdown", MEMORY_LABELS,
+                             shares_of)
 
 
 # ---------------------------------------------------------------------------
 # Figure 5.3: instructions retired per record
 # ---------------------------------------------------------------------------
 def figure_5_3(runner: ExperimentRunner,
-               layout: Optional[str] = None) -> FigureResult:
+               layout: str = "nsm") -> FigureResult:
     """Instructions retired per record for each system and query.
 
     Following the paper's definitions: the sequential selection and the join
     divide by the number of records in R; the indexed selection divides by
-    the number of *selected* records.  ``layout`` pins the page layout and
-    measures through the warmed-build grid (see
-    :meth:`~repro.experiments.runner.ExperimentRunner.micro_result`);
-    ``None`` keeps the paper's NSM discipline bit-identical.
+    the number of *selected* records.
     """
     r_rows = runner.r_rows()
     selected = runner.selected_records()
@@ -224,11 +145,11 @@ def figure_5_3(runner: ExperimentRunner,
             divisor = selected if kind == "IRS" else r_rows
             per_query[kind] = instructions / max(divisor, 1)
         data[profile.key] = per_query
-    name, tag = _layout_naming("figure_5_3", layout)
-    text = format_table(f"Figure 5.3{tag}: Instructions retired per record",
+    text = format_table(f"Figure 5.3{_tag(layout)}: Instructions retired per record",
                         list(QUERY_KINDS), list(data.keys()),
                         data, formatter=lambda v: f"{v:,.0f}")
-    return FigureResult(name=name, title="Instructions retired per record",
+    return FigureResult(name=f"figure_5_3_{layout}",
+                        title="Instructions retired per record",
                         data=data, text=text)
 
 
@@ -236,7 +157,7 @@ def figure_5_3(runner: ExperimentRunner,
 # Figure 5.4: branch misprediction rates; TB and TL1I vs selectivity
 # ---------------------------------------------------------------------------
 def figure_5_4_left(runner: ExperimentRunner,
-                    layout: Optional[str] = None) -> FigureResult:
+                    layout: str = "nsm") -> FigureResult:
     """Branch misprediction rates per system and query."""
     data: Dict[str, Dict[str, float]] = {}
     for profile in runner.systems():
@@ -247,15 +168,15 @@ def figure_5_4_left(runner: ExperimentRunner,
                 continue
             per_query[kind] = result.metrics.branch_misprediction_rate
         data[profile.key] = per_query
-    name, tag = _layout_naming("figure_5_4_left", layout)
-    text = format_table(f"Figure 5.4 (left){tag}: branch misprediction rates",
+    text = format_table(f"Figure 5.4 (left){_tag(layout)}: branch misprediction rates",
                         list(QUERY_KINDS), list(data.keys()), data)
-    return FigureResult(name=name, title="Branch misprediction rates",
+    return FigureResult(name=f"figure_5_4_left_{layout}",
+                        title="Branch misprediction rates",
                         data=data, text=text)
 
 
 def figure_5_4_right(runner: ExperimentRunner, system_key: str = "D",
-                     layout: Optional[str] = None) -> FigureResult:
+                     layout: str = "nsm") -> FigureResult:
     """TB and TL1I (as % of execution time) versus selectivity for one system."""
     series = runner.selectivity_series(system_key, "SRS", layout=layout)
     data: Dict[str, Dict[str, float]] = {}
@@ -265,12 +186,11 @@ def figure_5_4_right(runner: ExperimentRunner, system_key: str = "D",
             "Branch mispred. stalls": shares["TB"],
             "L1 I-cache stalls": shares["TL1I"],
         }
-    name, tag = _layout_naming("figure_5_4_right", layout)
     text = format_table(
-        f"Figure 5.4 (right){tag}: System {system_key} sequential selection -- "
+        f"Figure 5.4 (right){_tag(layout)}: System {system_key} sequential selection -- "
         f"TB and TL1I vs selectivity",
         ["Branch mispred. stalls", "L1 I-cache stalls"], list(data.keys()), data)
-    return FigureResult(name=name,
+    return FigureResult(name=f"figure_5_4_right_{layout}",
                         title="Branch and L1I stalls vs selectivity",
                         data=data, text=text)
 
@@ -279,11 +199,10 @@ def figure_5_4_right(runner: ExperimentRunner, system_key: str = "D",
 # Figure 5.5: TDEP and TFU contributions
 # ---------------------------------------------------------------------------
 def figure_5_5(runner: ExperimentRunner,
-               layout: Optional[str] = None) -> FigureResult:
+               layout: str = "nsm") -> FigureResult:
     """Dependency and functional-unit stall contributions to execution time."""
     data: Dict[str, Dict[str, Dict[str, float]]] = {}
     sections = []
-    name, tag = _layout_naming("figure_5_5", layout)
     for component, label in (("TDEP", "TDEP"), ("TFU", "TFU")):
         per_system: Dict[str, Dict[str, float]] = {}
         for profile in runner.systems():
@@ -296,42 +215,28 @@ def figure_5_5(runner: ExperimentRunner,
             per_system[profile.key] = per_query
         data[label] = per_system
         sections.append(format_table(
-            f"Figure 5.5{tag}: {label} contribution to execution time",
+            f"Figure 5.5{_tag(layout)}: {label} contribution to execution time",
             list(QUERY_KINDS), list(per_system.keys()), per_system))
-    return FigureResult(name=name, title="Resource stall split",
+    return FigureResult(name=f"figure_5_5_{layout}", title="Resource stall split",
                         data=data, text="\n\n".join(sections))
 
 
 # ---------------------------------------------------------------------------
 # Figures 5.6 / 5.7: microbenchmark versus TPC-D
 # ---------------------------------------------------------------------------
-def _tpcd_for_figure(runner: ExperimentRunner, system: str,
-                     layout: Optional[str]):
-    """The TPC-D suite result a comparison figure should use.
-
-    The legacy path (``layout is None``) is the historical fresh-NSM-build
-    tuple-engine measurement; a pinned layout routes through the warmed TPC
-    grid with the *tuple* engine so the page layout is the only axis that
-    changed relative to the paper's measurement.
-    """
-    if layout is None:
-        return runner.tpcd_result(system)
-    return runner.tpcd_grid_result(layout, system_key=system, engine="tuple")
-
-
 def figure_5_6(runner: ExperimentRunner,
                systems: Sequence[str] = TPCD_SYSTEMS,
-               layout: Optional[str] = None) -> FigureResult:
+               layout: str = "nsm") -> FigureResult:
     """Clocks-per-instruction breakdown: 10% sequential selection vs TPC-D."""
     data: Dict[str, Dict[str, Dict[str, float]]] = {"SRS": {}, "TPC-D": {}}
     for system in systems:
         srs = runner.micro_result(system, "SRS", layout=layout)
         assert srs is not None
-        tpcd = _tpcd_for_figure(runner, system, layout)
+        tpcd = runner.tpcd_grid_result(layout, system_key=system, engine="tuple")
         data["SRS"][system] = cpi_breakdown(srs.breakdown, srs.counters.get("INST_RETIRED"))
         data["TPC-D"][system] = cpi_breakdown(tpcd.breakdown, tpcd.counters.get("INST_RETIRED"))
     rows = ["computation", "memory", "branch", "resource", "total"]
-    name, tag = _layout_naming("figure_5_6", layout)
+    tag = _tag(layout)
     sections = [
         format_table(f"Figure 5.6 (left){tag}: CPI breakdown, 10% sequential selection",
                      rows, list(data["SRS"].keys()), data["SRS"],
@@ -340,13 +245,14 @@ def figure_5_6(runner: ExperimentRunner,
                      rows, list(data["TPC-D"].keys()), data["TPC-D"],
                      formatter=lambda v: f"{v:.2f}"),
     ]
-    return FigureResult(name=name, title="CPI breakdown, micro vs TPC-D",
+    return FigureResult(name=f"figure_5_6_{layout}",
+                        title="CPI breakdown, micro vs TPC-D",
                         data=data, text="\n\n".join(sections))
 
 
 def figure_5_7(runner: ExperimentRunner,
                systems: Sequence[str] = TPCD_SYSTEMS,
-               layout: Optional[str] = None) -> FigureResult:
+               layout: str = "nsm") -> FigureResult:
     """Cache-related stall breakdown: 10% sequential selection vs TPC-D."""
     cache_components = ("TL1D", "TL1I", "TL2D", "TL2I")
     labels = dict(zip(cache_components, ("L1 D-stalls", "L1 I-stalls",
@@ -355,21 +261,23 @@ def figure_5_7(runner: ExperimentRunner,
     for system in systems:
         for workload_name, result in (
                 ("SRS", runner.micro_result(system, "SRS", layout=layout)),
-                ("TPC-D", _tpcd_for_figure(runner, system, layout))):
+                ("TPC-D", runner.tpcd_grid_result(layout, system_key=system,
+                                                  engine="tuple"))):
             assert result is not None
             components = result.breakdown.components
             total = sum(components[name] for name in cache_components)
             data[workload_name][system] = {
                 labels[name]: (components[name] / total if total else 0.0)
                 for name in cache_components}
-    name, tag = _layout_naming("figure_5_7", layout)
+    tag = _tag(layout)
     sections = [
         format_table(f"Figure 5.7 (left){tag}: cache-related stalls, 10% sequential selection",
                      list(labels.values()), list(data["SRS"].keys()), data["SRS"]),
         format_table(f"Figure 5.7 (right){tag}: cache-related stalls, TPC-D average",
                      list(labels.values()), list(data["TPC-D"].keys()), data["TPC-D"]),
     ]
-    return FigureResult(name=name, title="Cache stalls, micro vs TPC-D",
+    return FigureResult(name=f"figure_5_7_{layout}",
+                        title="Cache stalls, micro vs TPC-D",
                         data=data, text="\n\n".join(sections))
 
 
@@ -378,21 +286,14 @@ def figure_5_7(runner: ExperimentRunner,
 # ---------------------------------------------------------------------------
 def tpcc_summary(runner: ExperimentRunner,
                  systems: Optional[Sequence[str]] = None,
-                 layout: Optional[str] = None) -> FigureResult:
-    """Section 5.5's TPC-C observations: CPI, memory-stall share, L2 dominance.
-
-    ``layout`` pins the page layout and measures through the warmed TPC-C
-    grid (tuple engine, both checkpoints restored per arm); ``None`` keeps
-    the historical fresh-NSM-build measurement bit-identical.
-    """
+                 layout: str = "nsm") -> FigureResult:
+    """Section 5.5's TPC-C observations: CPI, memory-stall share, L2 dominance
+    (tuple engine, as the paper's systems)."""
     systems = [p.key for p in runner.systems()] if systems is None else list(systems)
     data: Dict[str, Dict[str, float]] = {}
     for system in systems:
-        if layout is None:
-            result = runner.tpcc_result(system)
-        else:
-            result = runner.tpcc_grid_result(layout, system_key=system,
-                                             engine="tuple")
+        result = runner.tpcc_grid_result(layout, system_key=system,
+                                         engine="tuple")
         shares = result.breakdown.shares()
         memory_shares = result.breakdown.memory_shares()
         data[system] = {
@@ -401,19 +302,19 @@ def tpcc_summary(runner: ExperimentRunner,
             "L2 share of memory stalls": memory_shares["TL2D"] + memory_shares["TL2I"],
             "resource stall share": shares["resource"],
         }
-    name, tag = _layout_naming("tpcc_summary", layout)
-    text = format_table(f"Section 5.5{tag}: TPC-C workload characteristics",
+    text = format_table(f"Section 5.5{_tag(layout)}: TPC-C workload characteristics",
                         ["CPI", "memory stall share", "L2 share of memory stalls",
                          "resource stall share"],
                         list(data.keys()), data, formatter=lambda v: f"{v:6.2f}")
-    return FigureResult(name=name, title="TPC-C observations", data=data, text=text)
+    return FigureResult(name=f"tpcc_summary_{layout}", title="TPC-C observations",
+                        data=data, text=text)
 
 
 # ---------------------------------------------------------------------------
 # Section 5.2 text: record size sweep
 # ---------------------------------------------------------------------------
 def record_size_sweep(runner: ExperimentRunner,
-                      layout: Optional[str] = None) -> FigureResult:
+                      layout: str = "nsm") -> FigureResult:
     """TL2D, L1I misses and cycles per record as the record size grows."""
     series = runner.record_size_series(layout=layout)
     data: Dict[str, Dict[str, Dict[str, float]]] = {}
@@ -425,14 +326,13 @@ def record_size_sweep(runner: ExperimentRunner,
             "L1I misses/record": result.counters.get("IFU_IFETCH_MISS") / records,
             "cycles/record": per_record["total"],
         }
-    name, tag = _layout_naming("record_size_sweep", layout)
     sections = []
     for system, columns in data.items():
         sections.append(format_table(
-            f"Section 5.2{tag}: record-size sweep, System {system} sequential selection",
+            f"Section 5.2{_tag(layout)}: record-size sweep, System {system} sequential selection",
             ["TL2D cycles/record", "L1I misses/record", "cycles/record"],
             list(columns.keys()), columns, formatter=lambda v: f"{v:,.1f}"))
-    return FigureResult(name=name, title="Record size sweep",
+    return FigureResult(name=f"record_size_sweep_{layout}", title="Record size sweep",
                         data=data, text="\n\n".join(sections))
 
 
@@ -570,8 +470,45 @@ def engine_ablation(runner: ExperimentRunner,
 
 
 # ---------------------------------------------------------------------------
-# Adaptivity: runtime conjunct reordering measured on the branch unit
+# Adaptivity: runtime decisions measured against the planner-frozen control arm
 # ---------------------------------------------------------------------------
+def _adaptive_figure(runner: ExperimentRunner, kind: str, name: str, title: str,
+                     heading: str, layouts: Sequence[str], modes: Sequence[str],
+                     metrics: Dict[str, Callable],
+                     reductions: Dict[str, Sequence[str]]) -> FigureResult:
+    """One adaptivity workload under every mode and layout.
+
+    ``metrics`` maps a row label to ``result -> value``; ``reductions`` maps a
+    label to the metric rows whose sum greedy reduces relative to ``static``
+    (the control arm: adaptive charging, planner decisions), recorded per
+    layout as the pseudo-mode ``"greedy vs static"``.
+    """
+    data: Dict[str, Dict[str, Dict[str, float]]] = {}
+    sections = []
+    for layout in layouts:
+        per_mode: Dict[str, Dict[str, float]] = {}
+        for mode in modes:
+            result = runner.measure(adaptive_cell(kind, layout, mode))
+            per_mode[mode] = {label: float(metric(result))
+                              for label, metric in metrics.items()}
+        sections.append(format_table(
+            f"{title} ({layout.upper()}): {heading}, vectorized engine",
+            list(metrics), list(per_mode.keys()), per_mode,
+            formatter=lambda v: f"{v:,.0f}"))
+        if "static" in per_mode and "greedy" in per_mode:
+            static, greedy = per_mode["static"], per_mode["greedy"]
+            versus = {
+                label: 1.0 - (sum(greedy[row] for row in rows)
+                              / max(sum(static[row] for row in rows), 1.0))
+                for label, rows in reductions.items()}
+            sections.append(format_key_values(
+                f"{title} ({layout.upper()}): greedy vs static", versus))
+            per_mode["greedy vs static"] = versus
+        data[layout] = per_mode
+    return FigureResult(name=name, title=title, data=data,
+                        text="\n\n".join(sections))
+
+
 def figure_adaptivity(runner: ExperimentRunner,
                       layouts: Sequence[str] = ("nsm", "pax"),
                       modes: Sequence[str] = ("off", "static", "greedy",
@@ -588,53 +525,23 @@ def figure_adaptivity(runner: ExperimentRunner,
     ~90% -- the misprediction reduction the paper's branch analysis
     (Section 5.3) predicts, plus the short-circuit cycle saving.
     """
-    data: Dict[str, Dict[str, Dict[str, float]]] = {}
-    sections = []
-    metrics_rows = ["total cycles", "branch mispredictions",
-                    "branch stall cycles", "branches retired",
-                    "predicate invocations", "result rows"]
-    for layout in layouts:
-        per_mode: Dict[str, Dict[str, float]] = {}
-        for mode in modes:
-            result = runner.adaptive_cell(layout, mode)
-            components = result.breakdown.components
-            per_mode[mode] = {
-                "total cycles": float(result.breakdown.total_cycles),
-                "branch mispredictions":
-                    float(result.counters.get("BR_MISS_PRED_RETIRED")),
-                "branch stall cycles": components["TB"],
-                "branches retired":
-                    float(result.counters.get("BR_INST_RETIRED")),
-                "predicate invocations":
-                    float(result.routine_invocations.get("predicate", 0)),
-                "result rows": float(len(result.rows)),
-            }
-        data[layout] = per_mode
-        sections.append(format_table(
-            f"Adaptivity ({layout.upper()}): skewed 3-conjunct selection, "
-            f"vectorized engine",
-            metrics_rows, list(per_mode.keys()), per_mode,
-            formatter=lambda v: f"{v:,.0f}"))
-        if "static" in per_mode and "greedy" in per_mode:
-            static, greedy = per_mode["static"], per_mode["greedy"]
-            reductions = {
-                "misprediction reduction":
-                    1.0 - greedy["branch mispredictions"]
-                    / max(static["branch mispredictions"], 1.0),
-                "cycle reduction":
-                    1.0 - greedy["total cycles"] / max(static["total cycles"], 1.0),
-            }
-            data.setdefault("greedy_vs_static", {})[layout] = reductions
-            sections.append(format_key_values(
-                f"Adaptivity ({layout.upper()}): greedy vs static", reductions))
-    return FigureResult(name="figure_adaptivity",
-                        title="Adaptive conjunct reordering",
-                        data=data, text="\n\n".join(sections))
+    return _adaptive_figure(
+        runner, "ACS", "figure_adaptivity", "Adaptivity",
+        "skewed 3-conjunct selection", layouts, modes,
+        metrics={
+            "total cycles": lambda r: r.breakdown.total_cycles,
+            "branch mispredictions":
+                lambda r: r.counters.get("BR_MISS_PRED_RETIRED"),
+            "branch stall cycles": lambda r: r.breakdown.components["TB"],
+            "branches retired": lambda r: r.counters.get("BR_INST_RETIRED"),
+            "predicate invocations":
+                lambda r: r.routine_invocations.get("predicate", 0),
+            "result rows": lambda r: len(r.rows),
+        },
+        reductions={"misprediction reduction": ("branch mispredictions",),
+                    "cycle reduction": ("total cycles",)})
 
 
-# ---------------------------------------------------------------------------
-# Adaptivity: runtime join-side selection measured on the memory hierarchy
-# ---------------------------------------------------------------------------
 def figure_adaptive_joins(runner: ExperimentRunner,
                           layouts: Sequence[str] = ("nsm", "pax"),
                           modes: Sequence[str] = ("off", "static", "greedy")
@@ -652,48 +559,20 @@ def figure_adaptive_joins(runner: ExperimentRunner,
     analysis (Section 5.2) says table size matters: L1/L2 data stalls from
     the build's random-probe traffic, not instruction or branch behaviour.
     """
-    data: Dict[str, Dict[str, Dict[str, float]]] = {}
-    sections = []
-    metrics_rows = ["total cycles", "L1 D-stall cycles", "L2 D-stall cycles",
-                    "data memory refs", "branch stall cycles", "result rows"]
-    for layout in layouts:
-        per_mode: Dict[str, Dict[str, float]] = {}
-        for mode in modes:
-            result = runner.adaptive_join_cell(layout, mode)
-            components = result.breakdown.components
-            per_mode[mode] = {
-                "total cycles": float(result.breakdown.total_cycles),
-                "L1 D-stall cycles": components["TL1D"],
-                "L2 D-stall cycles": components["TL2D"],
-                "data memory refs":
-                    float(result.counters.get("DATA_MEM_REFS")),
-                "branch stall cycles": components["TB"],
-                "result rows": float(len(result.rows)),
-            }
-        data[layout] = per_mode
-        sections.append(format_table(
-            f"Adaptive joins ({layout.upper()}): skewed build-side "
-            f"misestimate, vectorized engine",
-            metrics_rows, list(per_mode.keys()), per_mode,
-            formatter=lambda v: f"{v:,.0f}"))
-        if "static" in per_mode and "greedy" in per_mode:
-            static, greedy = per_mode["static"], per_mode["greedy"]
-            reductions = {
-                "cycle reduction":
-                    1.0 - greedy["total cycles"] / max(static["total cycles"], 1.0),
-                "data-stall reduction":
-                    1.0 - ((greedy["L1 D-stall cycles"]
-                            + greedy["L2 D-stall cycles"])
-                           / max(static["L1 D-stall cycles"]
-                                 + static["L2 D-stall cycles"], 1.0)),
-            }
-            data.setdefault("greedy_vs_static", {})[layout] = reductions
-            sections.append(format_key_values(
-                f"Adaptive joins ({layout.upper()}): greedy vs static",
-                reductions))
-    return FigureResult(name="figure_adaptive_joins",
-                        title="Adaptive join-side selection",
-                        data=data, text="\n\n".join(sections))
+    return _adaptive_figure(
+        runner, "AJS", "figure_adaptive_joins", "Adaptive joins",
+        "skewed build-side misestimate", layouts, modes,
+        metrics={
+            "total cycles": lambda r: r.breakdown.total_cycles,
+            "L1 D-stall cycles": lambda r: r.breakdown.components["TL1D"],
+            "L2 D-stall cycles": lambda r: r.breakdown.components["TL2D"],
+            "data memory refs": lambda r: r.counters.get("DATA_MEM_REFS"),
+            "branch stall cycles": lambda r: r.breakdown.components["TB"],
+            "result rows": lambda r: len(r.rows),
+        },
+        reductions={"cycle reduction": ("total cycles",),
+                    "data-stall reduction": ("L1 D-stall cycles",
+                                             "L2 D-stall cycles")})
 
 
 # ---------------------------------------------------------------------------
@@ -723,28 +602,3 @@ def headline_claims(runner: ExperimentRunner) -> FigureResult:
     }
     text = format_key_values("Section 1: headline claims recomputed", data)
     return FigureResult(name="headline_claims", title="Headline claims", data=data, text=text)
-
-
-# ---------------------------------------------------------------------------
-# Convenience: run everything (used by the examples and EXPERIMENTS.md script)
-# ---------------------------------------------------------------------------
-def all_figures(runner: ExperimentRunner) -> List[FigureResult]:
-    """Generate every reproduced table and figure, in paper order."""
-    return [
-        table_4_1(runner.config.spec),
-        table_4_2(),
-        figure_5_1(runner),
-        figure_5_2(runner),
-        figure_5_3(runner),
-        figure_5_4_left(runner),
-        figure_5_4_right(runner),
-        figure_5_5(runner),
-        figure_5_6(runner),
-        figure_5_7(runner),
-        tpcc_summary(runner),
-        record_size_sweep(runner),
-        engine_ablation(runner),
-        figure_adaptivity(runner),
-        figure_adaptive_joins(runner),
-        headline_claims(runner),
-    ]

@@ -1,11 +1,23 @@
-"""Experiment runner: shared measurement infrastructure for every figure.
+"""Experiment runner: the one measurement discipline behind every number.
 
-The paper's figures all draw on a small set of underlying measurements (the
-three microbenchmark queries on four systems, a selectivity sweep, a record
-size sweep, the TPC-D suite and the TPC-C mix).  :class:`ExperimentRunner`
-performs each of those measurements exactly once, caches the result, and lets
-every figure function pull what it needs -- so regenerating the whole figure
-set costs one pass over the workloads rather than one pass per figure.
+The paper's method is one query measured in isolation, repeatably.  Every
+figure, bench cell and artifact here is therefore a :class:`Cell` -- a
+frozen description of *what* to measure (dataset, page layout, system, query
+or suite or transaction mix, session knobs, warm-up) -- handed to
+:meth:`ExperimentRunner.measure`, which does the same four things for all of
+them:
+
+1. **build once** per (dataset, layout[, record size]) and take the
+   address-space checkpoint (plus, for TPC-C, whose mix updates records in
+   place, a raw-page data checkpoint) right after the build;
+2. **restore** the checkpoint(s), so the session's transient allocations
+   (code layout, workspace) land where they would against a fresh build;
+3. construct the :class:`~repro.engine.session.Session` and **execute**;
+4. **cache** the result under the cell.
+
+Step 2 makes a cell fresh-build-identical and independent of which cells
+ran before it -- which is also what lets cells be dispatched to forked
+workers (:meth:`ExperimentRunner.map_cells`).
 
 Scale and warm-up policy
 ------------------------
@@ -17,20 +29,22 @@ harmless at full scale because every query's working set dwarfs the L2; at
 reduced scale a warm-up run would park the indexed selection's (10% of R)
 working set inside the L2 and erase exactly the effect the paper reports, so
 the runner measures the first execution instead.  The substitution is
-recorded in DESIGN.md and EXPERIMENTS.md.
+recorded in DESIGN.md.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from ..analysis.breakdown import ExecutionBreakdown
-from ..analysis.metrics import QueryMetrics, compute_metrics
+from ..analysis.metrics import QueryMetrics
 from ..engine.database import Database
 from ..engine.session import QueryResult, Session
 from ..execution.parallel import fork_available
+from ..hardware.counters import EventCounters
 from ..hardware.os_interference import OSInterferenceConfig
 from ..hardware.specs import PENTIUM_II_XEON, ProcessorSpec
 from ..systems.profile import SystemProfile
@@ -43,19 +57,105 @@ from ..workloads.tpcd import TPCDConfig, TPCDWorkload
 #: The three microbenchmark query kinds, using the paper's abbreviations.
 QUERY_KINDS = ("SRS", "IRS", "SJ")
 
-
-#: Runner inherited by forked grid workers (set only around a dispatch).
-_GRID_RUNNER: Optional["ExperimentRunner"] = None
-
-
-def _grid_cell_task(cell: Tuple[str, str, str], system_key: str) -> "QueryResult":
-    """Worker entry point: measure one grid cell on the forked runner."""
-    runner = _GRID_RUNNER
-    engine, layout, kind = cell
-    return runner.grid_cell(engine, layout, kind, system_key=system_key)
-
 #: Systems measured for the TPC-D comparison (the paper ran A, B and D).
 TPCD_SYSTEMS = ("A", "B", "D")
+
+#: Every query a micro cell can run: the paper's three plus the skewed
+#: 3-conjunct selection (``ACS``), the planner-wrong skewed join (``AJS``)
+#: and the over-budget join (``SJB``).  ``(workload, selectivity, offset)``.
+MICRO_QUERIES: Dict[str, Callable] = {
+    "SRS": lambda w, selectivity, offset:
+        w.sequential_range_selection(selectivity, offset),
+    "IRS": lambda w, selectivity, offset:
+        w.indexed_range_selection(selectivity, offset),
+    "SJ": lambda w, selectivity, offset: w.sequential_join(),
+    "ACS": lambda w, selectivity, offset: w.skewed_conjunct_selection(),
+    "AJS": lambda w, selectivity, offset: w.skewed_join(),
+    "SJB": lambda w, selectivity, offset: w.over_budget_join(),
+}
+
+DATASETS = ("micro", "tpcd", "tpcc")
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One measurement on the warmed grid (hashable: it is the cache key).
+
+    ``dataset`` picks what is built -- ``micro`` (R + S + selection index;
+    with ``record_size`` set, that record size's own R-only build),
+    ``tpcd`` or ``tpcc`` -- and thereby what runs: a micro ``query`` at
+    ``selectivity``, the 17-query TPC-D suite, or the TPC-C transaction mix
+    (OLTP profile variant, configured transaction count, 10% warm-up).
+    ``None`` knobs keep the session's (or, for ``parallelism``, the
+    config's) default.  ``warmup_offset`` warms up with the same query kind
+    over a key window shifted by that fraction of the domain instead of
+    with the measured query itself.
+    """
+
+    dataset: str = "micro"
+    layout: str = "nsm"
+    system: str = "B"
+    engine: str = "tuple"
+    query: str = "SRS"
+    selectivity: Optional[float] = None
+    record_size: Optional[int] = None
+    warmup_runs: int = 0
+    warmup_offset: Optional[float] = None
+    adaptivity: str = "off"
+    adaptive_joins: bool = False
+    adaptive_batching: bool = False
+    parallelism: Optional[int] = None
+    batch_size: Optional[int] = None
+    memory_budget_bytes: Optional[int] = None
+    charge_mode: Optional[str] = None
+    kernel_backend: Optional[str] = None
+    tracing: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.dataset not in DATASETS:
+            raise ValueError(f"unknown dataset {self.dataset!r}; "
+                             f"expected one of {DATASETS}")
+        if self.query not in MICRO_QUERIES:
+            raise ValueError(f"unknown query kind {self.query!r}; "
+                             f"expected one of {tuple(MICRO_QUERIES)}")
+        object.__setattr__(self, "system", self.system.upper())
+
+
+#: The adaptivity experiment's three workloads, as cell fields; the decision
+#: switch named here is enabled for every non-``off`` mode, so ``static`` is
+#: the control arm (adaptive charging, planner decisions).
+#:
+#: * ``ACS`` -- skewed-conjunct selection: runtime conjunct reordering;
+#: * ``AJS`` -- skewed join (build side pinned to the 30x larger R, a
+#:   stale-statistics misestimate): runtime join-side selection; one warm-up
+#:   run populates the collector's cardinalities, the regime where greedy
+#:   flips *before* any build work is wasted;
+#: * ``ABS`` -- 50% selection with a deliberately too-small configured
+#:   vector: runtime batch sizing walks the bounded ladder from observed
+#:   L1D pressure.
+ADAPTIVE_KINDS: Dict[str, Dict] = {
+    "ACS": {"query": "ACS"},
+    "AJS": {"query": "AJS", "adaptive_joins": True, "warmup_runs": 1},
+    "ABS": {"query": "SRS", "selectivity": 0.5, "adaptive_batching": True,
+            "batch_size": 32},
+}
+
+
+def adaptive_cell(kind: str, layout: str, adaptivity: str,
+                  system: str = "B") -> Cell:
+    """The ``kind`` adaptivity workload under one mode (vectorized engine).
+
+    Greedy/epsilon decisions depend on the morsel partitioning (only
+    ``adaptivity="off"`` promises bit-identity to serial), so adaptive arms
+    are pinned to a serial session to keep their cycles deterministic.
+    """
+    knobs = dict(ADAPTIVE_KINDS[kind])
+    adaptive = adaptivity != "off"
+    for switch in ("adaptive_joins", "adaptive_batching"):
+        knobs[switch] = adaptive and knobs.get(switch, False)
+    return Cell(layout=layout, system=system, engine="vectorized",
+                adaptivity=adaptivity, parallelism=1 if adaptive else None,
+                **knobs)
 
 
 def _env_scale(default: float) -> float:
@@ -88,9 +188,8 @@ class ExperimentConfig:
     #: Morsel parallelism inside each measured session (the ``workers=N``
     #: exchange; simulated counts are identical for every N by design).
     parallelism: int = 1
-    #: Process-level parallelism across independent grid cells
-    #: (engine x layout x query); cells are dispatched to a fork-based
-    #: pool that inherits the warmed database builds.
+    #: Process-level parallelism across independent cells: ``map_cells``
+    #: dispatches to a fork-based pool that inherits the warmed builds.
     grid_workers: int = 1
 
     def os_config(self) -> Optional[OSInterferenceConfig]:
@@ -102,50 +201,43 @@ class TPCCResult:
     """Measurement of one system's TPC-C run."""
 
     system: str
+    counters: EventCounters
     breakdown: ExecutionBreakdown
     metrics: QueryMetrics
     transactions: int
 
 
+class Build(NamedTuple):
+    """One warmed dataset build plus what restores it to fresh-build state."""
+
+    database: Database
+    workload: Union[MicroWorkload, TPCDWorkload, TPCCWorkload]
+    #: Address-space checkpoint taken right after the build.
+    checkpoint: Dict[str, int]
+    #: Raw page bytes, for datasets whose workload updates records in place
+    #: (TPC-C); ``None`` for read-only datasets.
+    data: Optional[Dict]
+
+
+#: Runner and task inherited by forked ``map_cells`` workers (set only
+#: around a dispatch).
+_FORKED: Optional[Tuple["ExperimentRunner", Callable]] = None
+
+
+def _forked_task(item):
+    runner, function = _FORKED
+    return function(runner, item)
+
+
 class ExperimentRunner:
-    """Lazily measures and caches every experiment the figures need."""
+    """Lazily builds, measures and caches every cell the figures need."""
 
     def __init__(self, config: Optional[ExperimentConfig] = None) -> None:
         self.config = config or ExperimentConfig()
-        self._micro_db: Optional[Database] = None
         self._micro_workload: Optional[MicroWorkload] = None
-        self._tpcd_db: Optional[Database] = None
         self._tpcd_workload: Optional[TPCDWorkload] = None
-        self._micro_results: Dict[Tuple[str, str, float, int, str, Optional[str]],
-                                  Optional[QueryResult]] = {}
-        self._record_size_results: Dict[Tuple[str, int], QueryResult] = {}
-        self._record_size_dbs: Dict[int, Tuple[Database, MicroWorkload]] = {}
-        self._tpcd_results: Dict[str, QueryResult] = {}
-        self._tpcc_results: Dict[str, TPCCResult] = {}
-        # One warmed (R + S + selection index) build per page layout, shared
-        # by every grid cell; the address-space checkpoint taken right after
-        # the build lets each cell's session roll the allocator back, so a
-        # cell measured against the cached build is bit-identical to one
-        # measured against a fresh build.
-        self._grid_dbs: Dict[str, Tuple[Database, Dict[str, int]]] = {}
-        self._grid_results: Dict[Tuple[str, str, str, str], QueryResult] = {}
-        self._adaptive_results: Dict[Tuple[str, str, str], QueryResult] = {}
-        # Warmed TPC builds, one per page layout, shared by every engine/
-        # charge-mode/worker/backend arm of the TPC-under-the-modern-engine
-        # matrix.  TPC-D is read-only, so the address-space checkpoint
-        # suffices; the TPC-C mix *updates* records, so its entry also
-        # carries a data checkpoint (raw page bytes) restored before every
-        # measurement -- each arm sees the freshly built contents.
-        self._tpcd_grid_dbs: Dict[str, Tuple[Database, Dict[str, int]]] = {}
-        self._tpcd_grid_results: Dict[Tuple, QueryResult] = {}
-        self._tpcc_grid_dbs: Dict[str, Tuple[Database, TPCCWorkload,
-                                             Dict[str, int], Dict]] = {}
-        self._tpcc_grid_results: Dict[Tuple, TPCCResult] = {}
-        # Per-(record size, layout) warmed builds for the layout-pinned
-        # record-size sweep (each point is its own database).
-        self._record_size_grid_dbs: Dict[Tuple[int, str],
-                                         Tuple[Database, MicroWorkload,
-                                               Dict[str, int]]] = {}
+        self._builds: Dict[Tuple[str, str, Optional[int]], Build] = {}
+        self._results: Dict[Cell, Union[QueryResult, TPCCResult]] = {}
 
     # ----------------------------------------------------------- workloads
     @property
@@ -155,124 +247,184 @@ class ExperimentRunner:
         return self._micro_workload
 
     @property
-    def micro_database(self) -> Database:
-        if self._micro_db is None:
-            workload = self.micro_workload
-            self._micro_db = workload.build()
-            workload.create_selection_index(self._micro_db)
-        return self._micro_db
-
-    @property
     def tpcd_workload(self) -> TPCDWorkload:
         if self._tpcd_workload is None:
             self._tpcd_workload = TPCDWorkload(self.config.tpcd)
         return self._tpcd_workload
 
-    @property
-    def tpcd_database(self) -> Database:
-        if self._tpcd_db is None:
-            self._tpcd_db = self.tpcd_workload.build()
-        return self._tpcd_db
-
     def systems(self) -> Tuple[SystemProfile, ...]:
         return ALL_SYSTEMS
 
-    # ------------------------------------------------------------- sessions
-    def _session(self, profile: SystemProfile, database: Database,
-                 engine: str = "tuple") -> Session:
-        return Session(database, profile, spec=self.config.spec,
-                       os_interference=self.config.os_config(), engine=engine)
+    # -------------------------------------------------------------- builds
+    def build(self, cell: Cell) -> Build:
+        """The warmed build ``cell`` measures against, built exactly once."""
+        key = (cell.dataset, cell.layout, cell.record_size)
+        cached = self._builds.get(key)
+        if cached is None:
+            data = None
+            if cell.dataset == "micro":
+                if cell.record_size is None:
+                    workload = self.micro_workload
+                    database = workload.build(layout_style=cell.layout)
+                else:
+                    # Each record-size sweep point is its own R-only build.
+                    workload = MicroWorkload(replace(
+                        self.config.micro, record_size=cell.record_size))
+                    database = workload.build(include_s=False,
+                                              layout_style=cell.layout)
+                workload.create_selection_index(database)
+            elif cell.dataset == "tpcd":
+                workload = self.tpcd_workload
+                database = workload.build(layout_style=cell.layout)
+            else:
+                workload = TPCCWorkload(self.config.tpcc)
+                database = workload.build(layout_style=cell.layout)
+            checkpoint = database.address_space.checkpoint()
+            if cell.dataset == "tpcc":
+                # Slot directories and indexes are untouched by the mix's
+                # absolute-value updates, so page bytes are sufficient.
+                data = database.data_checkpoint()
+            cached = self._builds[key] = Build(database, workload,
+                                               checkpoint, data)
+        return cached
 
-    # ------------------------------------------------------- micro results
+    def grid_database(self, layout: str) -> Tuple[Database, Dict[str, int]]:
+        """The warmed microbenchmark build for one layout + its checkpoint."""
+        build = self.build(Cell(layout=layout))
+        return build.database, build.checkpoint
+
+    def tpcd_grid_database(self, layout: str) -> Tuple[Database, Dict[str, int]]:
+        """The warmed TPC-D build for one layout + its checkpoint."""
+        build = self.build(Cell(dataset="tpcd", layout=layout))
+        return build.database, build.checkpoint
+
+    def tpcc_grid_database(self, layout: str
+                           ) -> Tuple[Database, TPCCWorkload, Dict[str, int], Dict]:
+        """The warmed TPC-C build for one layout + both its checkpoints."""
+        return self.build(Cell(dataset="tpcc", layout=layout))
+
+    # --------------------------------------------------------- measurement
+    def session(self, cell: Cell) -> Session:
+        """A measurement session for ``cell`` against fresh-build state.
+
+        The build is rolled back to its post-build checkpoint(s) first, so
+        simulated counts cannot depend on how many cells ran before.
+        """
+        build = self.build(cell)
+        build.database.address_space.restore(build.checkpoint)
+        if build.data is not None:
+            build.database.data_restore(build.data)
+        profile = system_by_key(cell.system)
+        if cell.dataset == "tpcc":
+            profile = oltp_variant(profile)
+        knobs = {name: getattr(cell, name)
+                 for name in ("batch_size", "memory_budget_bytes",
+                              "charge_mode", "kernel_backend", "tracing")
+                 if getattr(cell, name) is not None}
+        return Session(build.database, profile, spec=self.config.spec,
+                       os_interference=self.config.os_config(),
+                       engine=cell.engine,
+                       parallelism=(self.config.parallelism
+                                    if cell.parallelism is None
+                                    else cell.parallelism),
+                       adaptivity=cell.adaptivity,
+                       adaptive_joins=cell.adaptive_joins,
+                       adaptive_batching=cell.adaptive_batching, **knobs)
+
+    def execute(self, cell: Cell, session: Session
+                ) -> Union[QueryResult, TPCCResult]:
+        """Run what ``cell`` describes on a session from :meth:`session`."""
+        workload = self.build(cell).workload
+        if cell.dataset == "tpcd":
+            return session.execute_suite(workload.queries(), warmup_runs=0,
+                                         label="TPC-D")
+        if cell.dataset == "tpcc":
+            transactions = self.config.tpcc_transactions
+            counters, breakdown, metrics, executed = workload.run(
+                session, transactions=transactions,
+                warmup_transactions=max(transactions // 10, 5))
+            return TPCCResult(system=cell.system, counters=counters,
+                              breakdown=breakdown, metrics=metrics,
+                              transactions=executed)
+        make_query = MICRO_QUERIES[cell.query]
+        warmup_query = None
+        if cell.warmup_offset is not None:
+            warmup_query = make_query(workload, cell.selectivity,
+                                      cell.warmup_offset)
+        return session.execute(make_query(workload, cell.selectivity, 0.0),
+                               warmup_runs=cell.warmup_runs,
+                               warmup_query=warmup_query)
+
+    def measure(self, cell: Cell) -> Union[QueryResult, TPCCResult]:
+        """Measure ``cell`` once (restore, session, execute) and cache it."""
+        cached = self._results.get(cell)
+        if cached is None:
+            with self.session(cell) as session:
+                cached = self._results[cell] = self.execute(cell, session)
+        return cached
+
+    def map_cells(self, function: Callable, items: Iterable) -> List:
+        """``[function(runner, item) for item in items]``, in order.
+
+        With ``config.grid_workers > 1`` the calls are dispatched to a
+        fork-based process pool.  Cells are independent measurements (each
+        restores its build's checkpoint), so results are identical under
+        serial and parallel dispatch; build the items' datasets first
+        (:meth:`build`) so workers inherit them instead of rebuilding.
+        """
+        items = list(items)
+        workers = min(self.config.grid_workers, len(items))
+        if workers <= 1 or not fork_available():
+            return [function(self, item) for item in items]
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        global _FORKED
+        _FORKED = (self, function)
+        try:
+            with ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(_forked_task, items))
+        finally:
+            _FORKED = None
+
+    # ------------------------------------------------------ cell constructors
     def micro_result(self, system_key: str, kind: str,
                      selectivity: Optional[float] = None,
                      record_size: Optional[int] = None,
                      engine: str = "tuple",
-                     layout: Optional[str] = None) -> Optional[QueryResult]:
+                     layout: str = "nsm") -> Optional[QueryResult]:
         """Measure one (system, query kind) point of the microbenchmark.
 
         Returns ``None`` for System A's indexed range selection: A's
         optimiser does not use the index, so -- exactly as in Figure 5.1 --
         there is no IRS measurement for it.  ``engine`` selects the
         tuple-at-a-time executor (what the paper's systems do) or the
-        vectorized batch executor for the engine-ablation experiment.
-
-        ``layout`` pins the page layout (``"nsm"``/``"pax"``) and routes the
-        measurement through the warmed-build grid machinery: one shared
-        build per layout, address space rolled back to the post-build
-        checkpoint before each session, so every point measures against
-        fresh-build-identical state.  ``None`` (the default) preserves the
-        historical discipline -- the shared NSM database with sequential
-        session allocations -- so existing figures reproduce bit-identically.
+        vectorized batch executor for the engine-ablation experiment;
+        ``layout`` the page layout (default NSM, the paper's).
         """
-        if kind not in QUERY_KINDS:
-            raise ValueError(f"unknown query kind {kind!r}; expected one of {QUERY_KINDS}")
-        selectivity = self.config.selectivity if selectivity is None else selectivity
-        record_size = self.config.micro.record_size if record_size is None else record_size
-        key = (system_key.upper(), kind, round(selectivity, 4), record_size,
-               engine, layout)
-        if key in self._micro_results:
-            return self._micro_results[key]
-
-        profile = system_by_key(system_key)
-        if kind == "IRS" and not profile.uses_index_for_range_selection:
-            self._micro_results[key] = None
-            return None
-
-        if layout is not None:
-            if record_size != self.config.micro.record_size:
-                database, workload, checkpoint = \
-                    self._record_size_grid_database(record_size, layout)
-            else:
-                workload = self.micro_workload
-                database, checkpoint = self.grid_database(layout)
-            database.address_space.restore(checkpoint)
-            session = Session(database, profile, spec=self.config.spec,
-                              os_interference=self.config.os_config(),
-                              engine=engine)
-        elif record_size == self.config.micro.record_size:
-            database, workload = self.micro_database, self.micro_workload
-            session = self._session(profile, database, engine=engine)
-        else:
-            database, workload = self._record_size_database(record_size)
-            session = self._session(profile, database, engine=engine)
-        warmup_query = None
-        warmup_runs = self.config.warmup_runs
-        if kind == "SRS":
-            query = workload.sequential_range_selection(selectivity)
-        elif kind == "IRS":
-            query = workload.indexed_range_selection(selectivity)
+        if record_size == self.config.micro.record_size:
+            record_size = None
+        cell = Cell(layout=layout, system=system_key, engine=engine, query=kind,
+                    selectivity=(self.config.selectivity if selectivity is None
+                                 else selectivity),
+                    record_size=record_size,
+                    warmup_runs=self.config.warmup_runs)
+        if kind == "IRS":
+            if not system_by_key(system_key).uses_index_for_range_selection:
+                return None
             # Warm the index-selection code paths and inner index nodes with a
             # probe over a *disjoint* key window, so the measured window's heap
             # records stay cold (as they are at the paper's full scale, where
             # 10% of R is ~23x the L2 capacity).
-            warmup_query = workload.indexed_range_selection(selectivity, offset=1.0)
-            warmup_runs = max(warmup_runs, 1)
-        else:
-            query = workload.sequential_join()
-        result = session.execute(query, warmup_runs=warmup_runs,
-                                 warmup_query=warmup_query)
-        self._micro_results[key] = result
-        return result
-
-    def micro_results(self, kinds: Sequence[str] = QUERY_KINDS,
-                      systems: Optional[Sequence[str]] = None
-                      ) -> Dict[str, Dict[str, Optional[QueryResult]]]:
-        """``{kind: {system: result-or-None}}`` for the default selectivity."""
-        systems = [p.key for p in ALL_SYSTEMS] if systems is None else list(systems)
-        return {kind: {system: self.micro_result(system, kind) for system in systems}
-                for kind in kinds}
+            cell = replace(cell, warmup_runs=max(cell.warmup_runs, 1),
+                           warmup_offset=1.0)
+        return self.measure(cell)
 
     def selectivity_series(self, system_key: str = "D", kind: str = "SRS",
                            selectivities: Optional[Sequence[float]] = None,
-                           layout: Optional[str] = None
-                           ) -> Dict[float, QueryResult]:
-        """Measurements across the selectivity sweep (Figure 5.4 right).
-
-        ``layout`` pins the page layout and measures every point against the
-        shared warmed grid build for that layout (see :meth:`micro_result`);
-        ``None`` keeps the historical shared-NSM path bit-identical.
-        """
+                           layout: str = "nsm") -> Dict[float, QueryResult]:
+        """Measurements across the selectivity sweep (Figure 5.4 right)."""
         selectivities = self.config.selectivity_points if selectivities is None else selectivities
         out: Dict[float, QueryResult] = {}
         for selectivity in selectivities:
@@ -282,95 +434,16 @@ class ExperimentRunner:
                 out[selectivity] = result
         return out
 
-    # -------------------------------------------------- record-size results
-    def _record_size_database(self, record_size: int) -> Tuple[Database, MicroWorkload]:
-        if record_size not in self._record_size_dbs:
-            workload = MicroWorkload(replace(self.config.micro, record_size=record_size))
-            database = workload.build(include_s=False)
-            workload.create_selection_index(database)
-            self._record_size_dbs[record_size] = (database, workload)
-        return self._record_size_dbs[record_size]
-
-    def _record_size_grid_database(self, record_size: int, layout: str
-                                   ) -> Tuple[Database, MicroWorkload, Dict[str, int]]:
-        """Warmed layout-pinned build for one record-size sweep point.
-
-        Mirrors :meth:`_record_size_database` but builds with the requested
-        page layout and takes the post-build address-space checkpoint, so
-        every session against the point rolls back to fresh-build state --
-        the sweep's measurements cannot depend on point build order.
-        """
-        key = (record_size, layout)
-        cached = self._record_size_grid_dbs.get(key)
-        if cached is None:
-            workload = MicroWorkload(replace(self.config.micro, record_size=record_size))
-            database = workload.build(include_s=False, layout_style=layout)
-            workload.create_selection_index(database)
-            cached = (database, workload, database.address_space.checkpoint())
-            self._record_size_grid_dbs[key] = cached
-        return cached
-
     def record_size_series(self, systems: Optional[Sequence[str]] = None,
                            record_sizes: Optional[Sequence[int]] = None,
-                           layout: Optional[str] = None
+                           layout: str = "nsm"
                            ) -> Dict[Tuple[str, int], QueryResult]:
-        """Sequential-selection measurements across record sizes (Section 5.2).
-
-        ``layout`` pins the page layout; each sweep point then measures
-        against its own warmed checkpoint-restored build for that layout.
-        """
+        """Sequential-selection measurements across record sizes (Section 5.2)."""
         systems = self.config.record_size_systems if systems is None else systems
         record_sizes = self.config.record_size_points if record_sizes is None else record_sizes
-        out: Dict[Tuple[str, int], QueryResult] = {}
-        for system in systems:
-            for size in record_sizes:
-                result = self.micro_result(system, "SRS", record_size=size,
-                                           layout=layout)
-                assert result is not None
-                out[(system, size)] = result
-        return out
-
-    # ----------------------------------------------------------- DSS / OLTP
-    def tpcd_result(self, system_key: str) -> QueryResult:
-        """Average breakdown of the 17-query DSS suite for one system."""
-        key = system_key.upper()
-        if key not in self._tpcd_results:
-            profile = system_by_key(key)
-            session = self._session(profile, self.tpcd_database)
-            result = session.execute_suite(self.tpcd_workload.queries(),
-                                           warmup_runs=0, label="TPC-D")
-            self._tpcd_results[key] = result
-        return self._tpcd_results[key]
-
-    def tpcc_result(self, system_key: str) -> TPCCResult:
-        """TPC-C-style OLTP measurement for one system (OLTP profile variant)."""
-        key = system_key.upper()
-        if key not in self._tpcc_results:
-            profile = oltp_variant(system_by_key(key))
-            workload = TPCCWorkload(self.config.tpcc)
-            database = workload.build()
-            session = self._session(profile, database)
-            _, breakdown, metrics, executed = workload.run(
-                session, transactions=self.config.tpcc_transactions,
-                warmup_transactions=max(self.config.tpcc_transactions // 10, 5))
-            self._tpcc_results[key] = TPCCResult(system=key, breakdown=breakdown,
-                                                 metrics=metrics, transactions=executed)
-        return self._tpcc_results[key]
-
-    # ------------------------------------------------- TPC warmed-build grid
-    def tpcd_grid_database(self, layout: str) -> Tuple[Database, Dict[str, int]]:
-        """The warmed TPC-D build for one page layout, plus its checkpoint.
-
-        Built exactly once per layout; every arm of the TPC-under-the-
-        modern-engine matrix shares it.  The suite is read-only, so the
-        address-space checkpoint alone restores fresh-build state.
-        """
-        cached = self._tpcd_grid_dbs.get(layout)
-        if cached is None:
-            database = self.tpcd_workload.build(layout_style=layout)
-            cached = (database, database.address_space.checkpoint())
-            self._tpcd_grid_dbs[layout] = cached
-        return cached
+        return {(system, size): self.micro_result(system, "SRS", record_size=size,
+                                                  layout=layout)
+                for system in systems for size in record_sizes}
 
     def tpcd_grid_result(self, layout: str, system_key: str = "B",
                          engine: str = "vectorized",
@@ -378,112 +451,28 @@ class ExperimentRunner:
                          workers: int = 1,
                          kernel_backend: Optional[str] = None,
                          adaptivity: str = "off") -> QueryResult:
-        """The 17-query TPC-D suite on the warmed grid, one engine-matrix arm.
-
-        Restores the layout's post-build checkpoint, then runs the full
-        suite exactly like :meth:`tpcd_result` (``warmup_runs=0``, averaged
-        label ``"TPC-D"``) but through the modern-engine knobs: ``engine``
-        (tuple/vectorized), ``charge_mode`` (``per_address``/``span``),
-        ``workers`` (morsel parallelism) and ``kernel_backend``.  Counts are
-        identical across charge modes, worker counts and backends by design;
-        engines differ (that is the ablation).
+        """The 17-query TPC-D suite (averaged, label ``"TPC-D"``), one
+        engine-matrix arm.  Counts are identical across charge modes, worker
+        counts and backends by design; engines differ (that is the ablation).
         """
-        key = (layout, system_key.upper(), engine, charge_mode, workers,
-               kernel_backend, adaptivity)
-        cached = self._tpcd_grid_results.get(key)
-        if cached is not None:
-            return cached
-        database, checkpoint = self.tpcd_grid_database(layout)
-        database.address_space.restore(checkpoint)
-        kwargs = {}
-        if charge_mode is not None:
-            kwargs["charge_mode"] = charge_mode
-        if kernel_backend is not None:
-            kwargs["kernel_backend"] = kernel_backend
-        with Session(database, system_by_key(system_key), spec=self.config.spec,
-                     os_interference=self.config.os_config(), engine=engine,
-                     parallelism=workers, adaptivity=adaptivity,
-                     adaptive_joins=(adaptivity != "off"),
-                     **kwargs) as session:
-            result = session.execute_suite(self.tpcd_workload.queries(),
-                                           warmup_runs=0, label="TPC-D")
-        self._tpcd_grid_results[key] = result
-        return result
-
-    def tpcc_grid_database(self, layout: str
-                           ) -> Tuple[Database, TPCCWorkload, Dict[str, int], Dict]:
-        """The warmed TPC-C build for one layout, plus both checkpoints.
-
-        The transaction mix *updates* records in place, so fresh-build
-        state needs two restores: the address-space checkpoint (allocation
-        cursors) and the data checkpoint (raw page bytes snapshotted right
-        after the build).  Slot directories and indexes are untouched by
-        the mix's absolute-value updates, so page bytes are sufficient.
-        """
-        cached = self._tpcc_grid_dbs.get(layout)
-        if cached is None:
-            workload = TPCCWorkload(self.config.tpcc)
-            database = workload.build(layout_style=layout)
-            cached = (database, workload, database.address_space.checkpoint(),
-                      database.data_checkpoint())
-            self._tpcc_grid_dbs[layout] = cached
-        return cached
+        return self.measure(Cell(
+            dataset="tpcd", layout=layout, system=system_key, engine=engine,
+            charge_mode=charge_mode, parallelism=workers,
+            kernel_backend=kernel_backend, adaptivity=adaptivity,
+            adaptive_joins=(adaptivity != "off")))
 
     def tpcc_grid_result(self, layout: str, system_key: str = "B",
                          engine: str = "vectorized",
                          charge_mode: Optional[str] = None,
                          workers: int = 1,
                          kernel_backend: Optional[str] = None) -> TPCCResult:
-        """The TPC-C mix on the warmed grid, one engine-matrix arm.
-
-        Restores both the address-space checkpoint *and* the data
-        checkpoint before driving the mix, so every arm measures the
+        """The TPC-C mix, one engine-matrix arm: every arm measures the
         freshly built table contents no matter which update-heavy arms ran
-        before it -- the warmed-build discipline extended to a mutating
-        workload.  Drive parameters match :meth:`tpcc_result` exactly
-        (OLTP profile variant, configured transaction count, 10% warm-up).
-        """
-        key = (layout, system_key.upper(), engine, charge_mode, workers,
-               kernel_backend)
-        cached = self._tpcc_grid_results.get(key)
-        if cached is not None:
-            return cached
-        database, workload, checkpoint, data = self.tpcc_grid_database(layout)
-        database.address_space.restore(checkpoint)
-        database.data_restore(data)
-        profile = oltp_variant(system_by_key(system_key))
-        kwargs = {}
-        if charge_mode is not None:
-            kwargs["charge_mode"] = charge_mode
-        if kernel_backend is not None:
-            kwargs["kernel_backend"] = kernel_backend
-        with Session(database, profile, spec=self.config.spec,
-                     os_interference=self.config.os_config(), engine=engine,
-                     parallelism=workers, **kwargs) as session:
-            _, breakdown, metrics, executed = workload.run(
-                session, transactions=self.config.tpcc_transactions,
-                warmup_transactions=max(self.config.tpcc_transactions // 10, 5))
-        result = TPCCResult(system=system_key.upper(), breakdown=breakdown,
-                            metrics=metrics, transactions=executed)
-        self._tpcc_grid_results[key] = result
-        return result
-
-    # -------------------------------------------------- engine x layout grid
-    def grid_database(self, layout: str) -> Tuple[Database, Dict[str, int]]:
-        """The warmed microbenchmark build for one page layout.
-
-        Built exactly once per layout (R, S, selection index) and shared by
-        every grid cell; returns the database plus the address-space
-        checkpoint taken immediately after the build.
-        """
-        cached = self._grid_dbs.get(layout)
-        if cached is None:
-            workload = self.micro_workload
-            database = workload.build(layout_style=layout)
-            workload.create_selection_index(database)
-            cached = (database, database.address_space.checkpoint())
-            self._grid_dbs[layout] = cached
-        return cached
+        before it."""
+        return self.measure(Cell(
+            dataset="tpcc", layout=layout, system=system_key, engine=engine,
+            charge_mode=charge_mode, parallelism=workers,
+            kernel_backend=kernel_backend))
 
     def grid_session(self, engine: str, layout: str,
                      system_key: str = "B",
@@ -495,47 +484,14 @@ class ExperimentRunner:
                      memory_budget_bytes: Optional[int] = None,
                      kernel_backend: Optional[str] = None,
                      tracing: Optional[str] = None) -> Session:
-        """A measurement session against the cached grid build.
-
-        The address space is rolled back to the post-build checkpoint
-        first, so the session's transient allocations (code layout,
-        workspace) land at the same addresses as against a fresh build --
-        simulated counts cannot depend on how many cells ran before.
-        ``adaptivity`` threads the runtime-adaptation mode through to the
-        session (used by the adaptivity experiment cells), with
-        ``adaptive_joins`` / ``adaptive_batching`` enabling the
-        per-decision switches and ``batch_size`` pinning the configured
-        vector size (the batch-size cells deliberately start from a wrong
-        one); ``parallelism`` overrides the config knob per session (the
-        bench pins adaptive cells to serial, where their cycles are
-        deterministic).  ``memory_budget_bytes`` caps the vectorized hash
-        join's working memory (the budget-sweep cells express it relative
-        to the build side's ``s_bytes``).  ``kernel_backend`` selects the
-        data-plane kernel implementation (``None`` keeps the session
-        default, ``auto``).  ``tracing`` enables per-operator query
-        tracing (:mod:`repro.observability`; ``None`` keeps the default,
-        ``off``).
-        """
-        database, checkpoint = self.grid_database(layout)
-        database.address_space.restore(checkpoint)
-        if parallelism is None:
-            parallelism = self.config.parallelism
-        kwargs = {}
-        if batch_size is not None:
-            kwargs["batch_size"] = batch_size
-        if memory_budget_bytes is not None:
-            kwargs["memory_budget_bytes"] = memory_budget_bytes
-        if kernel_backend is not None:
-            kwargs["kernel_backend"] = kernel_backend
-        if tracing is not None:
-            kwargs["tracing"] = tracing
-        return Session(database, system_by_key(system_key), spec=self.config.spec,
-                       os_interference=self.config.os_config(), engine=engine,
-                       parallelism=parallelism,
-                       adaptivity=adaptivity,
-                       adaptive_joins=adaptive_joins,
-                       adaptive_batching=adaptive_batching,
-                       **kwargs)
+        """A checkpoint-restored session against the microbenchmark build,
+        for callers that drive their own queries (see :meth:`session`)."""
+        return self.session(Cell(
+            layout=layout, system=system_key, engine=engine,
+            adaptivity=adaptivity, parallelism=parallelism,
+            adaptive_joins=adaptive_joins, adaptive_batching=adaptive_batching,
+            batch_size=batch_size, memory_budget_bytes=memory_budget_bytes,
+            kernel_backend=kernel_backend, tracing=tracing))
 
     def serving_server(self, layout: str, *, system_key: str = "B",
                        max_concurrency: int = 8,
@@ -550,9 +506,9 @@ class ExperimentRunner:
         grid build for ``layout``.
 
         The server restores the build's checkpoint before every query it
-        serves, so — like :meth:`grid_session` — serving cells measure
-        against fresh-build-identical state regardless of what ran before.
-        With ``max_concurrency=1`` and all three layers disabled the server
+        serves, so — like :meth:`session` — serving cells measure against
+        fresh-build-identical state regardless of what ran before.  With
+        ``max_concurrency=1`` and all three layers disabled the server
         degenerates to back-to-back solo sessions (the bench's serial
         serving baseline).
         """
@@ -570,153 +526,6 @@ class ExperimentRunner:
                       plan_cache=plan_cache, result_cache=result_cache,
                       shared_scans=shared_scans, engine=engine,
                       memory_budget_bytes=memory_budget_bytes, **kwargs)
-
-    def grid_cell(self, engine: str, layout: str, kind: str,
-                  system_key: str = "B") -> QueryResult:
-        """Measure one engine x layout x query cell (cold, warmup_runs=0)."""
-        key = (engine, layout, kind, system_key.upper())
-        cached = self._grid_results.get(key)
-        if cached is not None:
-            return cached
-        if kind not in QUERY_KINDS:
-            raise ValueError(f"unknown query kind {kind!r}; expected one of {QUERY_KINDS}")
-        workload = self.micro_workload
-        if kind == "SRS":
-            query = workload.sequential_range_selection()
-        elif kind == "IRS":
-            query = workload.indexed_range_selection()
-        else:
-            query = workload.sequential_join()
-        with self.grid_session(engine, layout, system_key) as session:
-            result = session.execute(query, warmup_runs=0)
-        self._grid_results[key] = result
-        return result
-
-    # ------------------------------------------------- adaptivity experiment
-    def adaptive_cell(self, layout: str, adaptivity: str,
-                      system_key: str = "B") -> QueryResult:
-        """Measure the skewed-conjunct selection under one adaptivity mode.
-
-        Runs the vectorized engine on the shared warmed grid build
-        (checkpoint-restored, cold caches, ``warmup_runs=0``) so the only
-        difference between two cells of the same layout is the conjunct
-        evaluation policy: ``off`` is the bit-identical legacy path,
-        ``static`` is adaptive charging in planner order (the control arm),
-        ``greedy``/``epsilon`` reorder from observed selectivities.
-        """
-        key = (layout, adaptivity, system_key.upper())
-        cached = self._adaptive_results.get(key)
-        if cached is not None:
-            return cached
-        query = self.micro_workload.skewed_conjunct_selection()
-        with self.grid_session("vectorized", layout, system_key,
-                               adaptivity=adaptivity) as session:
-            result = session.execute(query, warmup_runs=0)
-        self._adaptive_results[key] = result
-        return result
-
-    def adaptive_grid(self, layouts: Sequence[str] = ("nsm", "pax"),
-                      modes: Sequence[str] = ("off", "static", "greedy",
-                                              "epsilon"),
-                      system_key: str = "B"
-                      ) -> Dict[Tuple[str, str], QueryResult]:
-        """Measure the full layout x adaptivity-mode grid of the experiment."""
-        return {(layout, mode): self.adaptive_cell(layout, mode, system_key)
-                for layout in layouts for mode in modes}
-
-    def adaptive_join_cell(self, layout: str, adaptivity: str,
-                           system_key: str = "B") -> QueryResult:
-        """Measure the skewed (planner-wrong) join under one adaptivity mode.
-
-        The skewed join pins the hash build side to R, the 30x larger
-        relation (a stale-statistics misestimate); ``adaptive_joins`` is
-        enabled for every non-``off`` mode, so ``static`` is the
-        cycle-identical control arm (the policy never flips) and ``greedy``
-        flips to build on S.  Measured with ``warmup_runs=1``: the warm-up
-        execution populates the collector's cardinality observations --
-        the paper's warm-unit discipline, and the regime where join-side
-        selection flips *before* any build work is wasted.
-        """
-        key = (layout, adaptivity, system_key.upper(), "join")
-        cached = self._adaptive_results.get(key)
-        if cached is not None:
-            return cached
-        query = self.micro_workload.skewed_join()
-        with self.grid_session("vectorized", layout, system_key,
-                               adaptivity=adaptivity,
-                               adaptive_joins=(adaptivity != "off")) as session:
-            result = session.execute(query, warmup_runs=1)
-        self._adaptive_results[key] = result
-        return result
-
-    def adaptive_batch_cell(self, layout: str, adaptivity: str,
-                            system_key: str = "B",
-                            batch_size: int = 32) -> QueryResult:
-        """Measure the 50% selection with a deliberately wrong vector size.
-
-        ``adaptive_batching`` is enabled for every non-``off`` mode:
-        ``static`` runs the same cross-page scan structure at the fixed
-        (wrong) size -- the control arm -- while ``greedy`` walks the
-        bounded ladder from observed L1D pressure and settles on the
-        largest rung whose misses-per-row still fits.
-        """
-        key = (layout, adaptivity, system_key.upper(), "batch")
-        cached = self._adaptive_results.get(key)
-        if cached is not None:
-            return cached
-        query = self.micro_workload.sequential_range_selection(0.5)
-        with self.grid_session("vectorized", layout, system_key,
-                               adaptivity=adaptivity,
-                               adaptive_batching=(adaptivity != "off"),
-                               batch_size=batch_size) as session:
-            result = session.execute(query, warmup_runs=0)
-        self._adaptive_results[key] = result
-        return result
-
-    def micro_grid(self,
-                   engines: Sequence[str] = ("tuple", "vectorized"),
-                   layouts: Sequence[str] = ("nsm", "pax"),
-                   kinds: Sequence[str] = QUERY_KINDS,
-                   system_key: str = "B",
-                   grid_workers: Optional[int] = None
-                   ) -> Dict[Tuple[str, str, str], QueryResult]:
-        """Measure the full engine x layout x query grid.
-
-        Cells are independent measurements (each rolls the shared warmed
-        build back to its post-build checkpoint), so they can be dispatched
-        to a fork-based process pool: ``grid_workers`` (defaulting to the
-        config knob) > 1 fans cells out to worker processes that inherit
-        the warmed builds through fork.  Cell results are identical under
-        serial and parallel dispatch.
-        """
-        cells = [(engine, layout, kind) for engine in engines
-                 for layout in layouts for kind in kinds]
-        workers = self.config.grid_workers if grid_workers is None else grid_workers
-        pending = [cell for cell in cells
-                   if (cell[0], cell[1], cell[2], system_key.upper())
-                   not in self._grid_results]
-        if workers > 1 and len(pending) > 1 and fork_available():
-            # Build every needed database before forking so workers inherit
-            # the warmed builds instead of rebuilding per process.
-            for layout in {layout for _, layout, _ in pending}:
-                self.grid_database(layout)
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            global _GRID_RUNNER
-            _GRID_RUNNER = self
-            try:
-                with ProcessPoolExecutor(
-                        max_workers=min(workers, len(pending)),
-                        mp_context=multiprocessing.get_context("fork")) as pool:
-                    futures = {cell: pool.submit(_grid_cell_task, cell, system_key)
-                               for cell in pending}
-                    for cell, future in futures.items():
-                        key = (cell[0], cell[1], cell[2], system_key.upper())
-                        self._grid_results[key] = future.result()
-            finally:
-                _GRID_RUNNER = None
-        return {cell: self.grid_cell(*cell, system_key=system_key)
-                for cell in cells}
 
     # -------------------------------------------------------------- helpers
     def selected_records(self, selectivity: Optional[float] = None) -> int:

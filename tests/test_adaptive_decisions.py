@@ -386,23 +386,24 @@ def test_batching_composes_with_conjunct_reordering():
 def test_runner_adaptive_cells_measure_both_decisions():
     """The experiments layer's AJS/ABS cells: identical rows per mode,
     greedy cheaper than the static control arm, warmed-build reuse."""
-    from repro.experiments import ExperimentConfig, ExperimentRunner
+    from repro.experiments import (ExperimentConfig, ExperimentRunner,
+                                   adaptive_cell)
 
     runner = ExperimentRunner(ExperimentConfig(
         micro=MicroWorkloadConfig(scale=1.0 / 400.0), os_interference=False))
     for layout in ("nsm", "pax"):
-        join_static = runner.adaptive_join_cell(layout, "static")
-        join_greedy = runner.adaptive_join_cell(layout, "greedy")
+        join_static = runner.measure(adaptive_cell("AJS", layout, "static"))
+        join_greedy = runner.measure(adaptive_cell("AJS", layout, "greedy"))
         assert join_static.rows == join_greedy.rows
         assert (join_greedy.counters.get("CPU_CLK_UNHALTED")
                 < join_static.counters.get("CPU_CLK_UNHALTED"))
-        batch_static = runner.adaptive_batch_cell(layout, "static")
-        batch_greedy = runner.adaptive_batch_cell(layout, "greedy")
+        batch_static = runner.measure(adaptive_cell("ABS", layout, "static"))
+        batch_greedy = runner.measure(adaptive_cell("ABS", layout, "greedy"))
         assert batch_static.rows == batch_greedy.rows
         assert (batch_greedy.counters.get("CPU_CLK_UNHALTED")
                 < batch_static.counters.get("CPU_CLK_UNHALTED"))
         # Cells are cached: re-measuring returns the same object.
-        assert runner.adaptive_join_cell(layout, "greedy") is join_greedy
+        assert runner.measure(adaptive_cell("AJS", layout, "greedy")) is join_greedy
 
 
 def test_greedy_flip_beats_static_on_planner_wrong_join():

@@ -13,21 +13,26 @@ from repro.experiments import (ExperimentConfig, ExperimentRunner, figure_5_1,
                                figure_5_4_right, figure_5_5, figure_5_6, figure_5_7,
                                headline_claims, record_size_sweep, table_4_1, table_4_2,
                                tpcc_summary)
+from repro.experiments.runner import QUERY_KINDS
+from repro.systems import ALL_SYSTEMS
 from repro.workloads import MicroWorkloadConfig, TPCCConfig, TPCDConfig
+
+from test_sweep_properties import measured_in_order
+
+CONFIG = ExperimentConfig(
+    micro=MicroWorkloadConfig(scale=1 / 2000, minimum_r_rows=600),
+    tpcd=TPCDConfig(lineitem_rows=400, orders_rows=40, part_rows=20, supplier_rows=10),
+    tpcc=TPCCConfig(scale=1 / 300, users=4),
+    tpcc_transactions=8,
+    selectivity_points=(0.0, 0.10, 0.50),
+    record_size_points=(20, 100),
+    record_size_systems=("C",),
+)
 
 
 @pytest.fixture(scope="module")
 def runner() -> ExperimentRunner:
-    config = ExperimentConfig(
-        micro=MicroWorkloadConfig(scale=1 / 2000, minimum_r_rows=600),
-        tpcd=TPCDConfig(lineitem_rows=400, orders_rows=40, part_rows=20, supplier_rows=10),
-        tpcc=TPCCConfig(scale=1 / 300, users=4),
-        tpcc_transactions=8,
-        selectivity_points=(0.0, 0.10, 0.50),
-        record_size_points=(20, 100),
-        record_size_systems=("C",),
-    )
-    return ExperimentRunner(config)
+    return ExperimentRunner(CONFIG)
 
 
 class TestRunner:
@@ -61,11 +66,25 @@ class TestRunner:
         assert sizes[20] == sizes[100]          # same row count, different record size
 
     def test_tpcd_and_tpcc_results(self, runner):
-        tpcd = runner.tpcd_result("B")
+        tpcd = runner.tpcd_grid_result("nsm", "B", engine="tuple")
         assert tpcd.queries_in_unit == 17
-        tpcc = runner.tpcc_result("B")
+        tpcc = runner.tpcc_grid_result("nsm", "B", engine="tuple")
         assert tpcc.transactions == 8
         assert tpcc.metrics.cpi > 0
+
+    def test_default_results_independent_of_measurement_order(self):
+        """The eleven Figure 5.1 cells through the default call, in paper
+        order and in reverse, on two fresh runners: equal cell by cell."""
+        cells = [(profile.key, kind) for kind in QUERY_KINDS
+                 for profile in ALL_SYSTEMS
+                 if kind != "IRS" or profile.uses_index_for_range_selection]
+        assert len(cells) == 11
+
+        def measure(runner, cell):
+            result = runner.micro_result(*cell)
+            return result.rows, result.counters.as_dict()
+        assert (measured_in_order(CONFIG, cells, measure)
+                == measured_in_order(CONFIG, cells[::-1], measure))
 
 
 class TestFigures:

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from repro.experiments.runner import ExperimentConfig, ExperimentRunner
+from repro.experiments.runner import Cell, ExperimentConfig, ExperimentRunner
 from repro.storage.address_space import AddressSpace, AddressSpaceError
 from repro.workloads.micro import MicroWorkloadConfig
 
@@ -28,8 +28,9 @@ import run_bench  # noqa: E402
 TINY = MicroWorkloadConfig(scale=0.001)
 
 
-def tiny_runner() -> ExperimentRunner:
-    return ExperimentRunner(ExperimentConfig(micro=TINY, os_interference=False))
+def tiny_runner(grid_workers: int = 1) -> ExperimentRunner:
+    return ExperimentRunner(ExperimentConfig(micro=TINY, os_interference=False,
+                                             grid_workers=grid_workers))
 
 
 # ---------------------------------------------------------------------------
@@ -80,31 +81,35 @@ class TestGridDatabaseReuse:
         same cell measured by a brand-new runner (fresh build)."""
         shared = tiny_runner()
         # Burn several sessions against the shared build first.
-        shared.grid_cell("vectorized", "nsm", "SRS")
-        shared.grid_cell("tuple", "nsm", "IRS")
-        cached = shared.grid_cell("tuple", "nsm", "SJ")
+        shared.measure(Cell(engine="vectorized", query="SRS"))
+        shared.measure(Cell(engine="tuple", query="IRS"))
+        cached = shared.measure(Cell(engine="tuple", query="SJ"))
 
-        fresh = tiny_runner().grid_cell("tuple", "nsm", "SJ")
+        fresh = tiny_runner().measure(Cell(engine="tuple", query="SJ"))
         assert cached.rows == fresh.rows
         assert cached.counters.as_dict() == fresh.counters.as_dict()
 
     def test_repeated_measurement_of_cached_cell_is_identical(self):
         runner = tiny_runner()
-        first = runner.grid_cell("vectorized", "pax", "SRS")
-        runner._grid_results.clear()
-        second = runner.grid_cell("vectorized", "pax", "SRS")
+        cell = Cell(engine="vectorized", layout="pax", query="SRS")
+        first = runner.measure(cell)
+        with runner.session(cell) as session:
+            second = runner.execute(cell, session)
+        assert second is not first
         assert first.rows == second.rows
         assert first.counters.as_dict() == second.counters.as_dict()
 
     def test_serial_and_parallel_dispatch_agree(self):
-        serial = tiny_runner().micro_grid(kinds=("SRS", "SJ"), layouts=("nsm",))
-        parallel = tiny_runner().micro_grid(kinds=("SRS", "SJ"), layouts=("nsm",),
-                                            grid_workers=3)
-        assert serial.keys() == parallel.keys()
-        for cell in serial:
-            assert serial[cell].rows == parallel[cell].rows
-            assert (serial[cell].counters.as_dict()
-                    == parallel[cell].counters.as_dict())
+        cells = [Cell(engine=engine, query=kind)
+                 for engine in ("tuple", "vectorized") for kind in ("SRS", "SJ")]
+        serial = tiny_runner().map_cells(ExperimentRunner.measure, cells)
+        forked = tiny_runner(grid_workers=3)
+        forked.build(cells[0])
+        parallel = forked.map_cells(ExperimentRunner.measure, cells)
+        assert len(serial) == len(parallel) == len(cells)
+        for one, other in zip(serial, parallel):
+            assert one.rows == other.rows
+            assert one.counters.as_dict() == other.counters.as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +117,11 @@ class TestGridDatabaseReuse:
 # ---------------------------------------------------------------------------
 class TestRunBench:
     def measure(self, runner, repeat=2):
-        points = []
-        for engine in ("tuple", "vectorized"):
-            point = run_bench.measure_cell(runner, engine, "nsm", "SRS",
-                                           repeat=repeat)
-            point["_counters"] = point["_counters"].as_dict()
-            points.append(point)
-        return points
+        cells = run_bench.grid_cells(runner.config.micro,
+                                     cells_filter="*/nsm/SRS")
+        assert len(cells) == 2
+        return [run_bench.measure_cell(runner, cell, repeat=repeat)
+                for cell in cells]
 
     def test_measure_cell_asserts_repeat_identity(self):
         runner = run_bench.make_runner(0.001)
@@ -170,3 +173,15 @@ class TestRunBench:
         _, violations, speedups = self.gate(points, points[:1])
         assert not violations
         assert len(speedups) == 1
+
+    def test_gate_fails_on_baseline_cells_missing_from_the_run(self):
+        """A cell dropped from the table must not pass the gate -- unless
+        ``--cells`` deselected it."""
+        runner = run_bench.make_runner(0.001)
+        points = self.measure(runner)
+        _, violations, _ = self.gate(points[:1], points)
+        assert violations == [
+            "vectorized/nsm/SRS: in the baseline but not measured"]
+        _, violations, _ = run_bench.compare_to_baseline(
+            points[:1], {"configs": points}, 0.2, cells_filter="tuple/*")
+        assert not violations

@@ -125,11 +125,11 @@ class TestPaperQualitativeClaims:
 
     def test_tpcc_has_higher_cpi_than_the_microbenchmark(self, runner):
         srs_cpi = runner.micro_result("B", "SRS").metrics.cpi
-        tpcc_cpi = runner.tpcc_result("B").metrics.cpi
+        tpcc_cpi = runner.tpcc_grid_result("nsm", "B", engine="tuple").metrics.cpi
         assert tpcc_cpi > srs_cpi
 
     def test_tpcc_memory_stalls_dominated_by_l2(self, runner):
-        tpcc = runner.tpcc_result("B")
+        tpcc = runner.tpcc_grid_result("nsm", "B", engine="tuple")
         memory = tpcc.breakdown.memory_shares()
         assert memory["TL2D"] + memory["TL2I"] > memory["TL1D"] + memory["TL1I"]
 
@@ -145,7 +145,7 @@ class TestMeasurementConsistency:
         conflict misses slightly.
         """
         workload = runner.micro_workload
-        database = runner.micro_database
+        database, _ = runner.grid_database("nsm")
         query = workload.sequential_range_selection(0.10)
         first = Session(database, SYSTEM_B, os_interference=None).execute(query, warmup_runs=0)
         second = Session(database, SYSTEM_B, os_interference=None).execute(query, warmup_runs=0)
@@ -168,7 +168,7 @@ class TestMeasurementConsistency:
         workload = runner.micro_workload
         rows = workload.config.r_rows
         selected = workload.expected_selected_rows(0.10)
-        records_per_page = runner.micro_database.table("R").heap.records_per_page
+        records_per_page = runner.grid_database("nsm")[0].table("R").heap.records_per_page
         predicted = profile.path_instructions({
             "scan_next": 1.0,
             "predicate": 1.0,

@@ -34,6 +34,7 @@ from repro.systems.vendors import system_by_key
 from repro.workloads.micro import MicroWorkloadConfig
 from repro.workloads.sweeps import (build_database_for_point, pages_touched,
                                     record_size_sweep)
+from repro.workloads.tpcc import TPCCConfig
 from repro.workloads.tpcd import TPCDConfig, TPCDWorkload
 
 LAYOUTS = ("nsm", "pax")
@@ -134,11 +135,22 @@ def test_paper_record_sizes_strictly_increase_pages(layout):
 
 
 # ---------------------------------------------- build-order independence
-def _measured_cycles(runner: ExperimentRunner, record_sizes) -> dict:
-    """Warmed-grid SRS cycles per record size, measured in the given order."""
-    return {size: runner.micro_result("B", "SRS", record_size=size,
-                                      layout="nsm").metrics.cycles
-            for size in record_sizes}
+def measured_in_order(config: ExperimentConfig, points, measure) -> dict:
+    """``{point: measure(runner, point)}`` on a fresh runner, in this order."""
+    runner = ExperimentRunner(config)
+    return {point: measure(runner, point) for point in points}
+
+
+def assert_order_independent(config: ExperimentConfig, order, measure) -> None:
+    """Two fresh runners, canonical vs permuted order: equal point by point."""
+    assert (measured_in_order(config, order, measure)
+            == measured_in_order(config, sorted(order), measure))
+
+
+TINY = ExperimentConfig(
+    micro=TINY_MICRO, tpcd=_tiny_tpcd(7, 120),
+    tpcc=TPCCConfig(scale=1 / 300, users=4), tpcc_transactions=8,
+    os_interference=False)
 
 
 @MEASURE_SETTINGS
@@ -150,27 +162,29 @@ def test_sweep_points_independent_of_build_order(order):
     order; since every point gets its own build and the address checkpoint
     rolls sessions back, the order must be unobservable.
     """
-    canonical = ExperimentRunner(ExperimentConfig(micro=TINY_MICRO,
-                                                  os_interference=False))
-    permuted = ExperimentRunner(ExperimentConfig(micro=TINY_MICRO,
-                                                 os_interference=False))
-    reference = _measured_cycles(canonical, sorted(order))
-    shuffled = _measured_cycles(permuted, order)
-    assert shuffled == reference
+    assert_order_independent(
+        TINY, order, lambda runner, size: runner.micro_result(
+            "B", "SRS", record_size=size).metrics.cycles)
 
 
 @MEASURE_SETTINGS
 @given(order=st.permutations((0.0, 0.1, 0.5)))
 def test_selectivity_points_independent_of_order(order):
     """Selectivity points share one warmed build; order is unobservable."""
-    canonical = ExperimentRunner(ExperimentConfig(micro=TINY_MICRO,
-                                                  os_interference=False))
-    permuted = ExperimentRunner(ExperimentConfig(micro=TINY_MICRO,
-                                                 os_interference=False))
-    reference = {sel: canonical.micro_result("B", "SRS", selectivity=sel,
-                                             layout="nsm").metrics.cycles
-                 for sel in sorted(order)}
-    shuffled = {sel: permuted.micro_result("B", "SRS", selectivity=sel,
-                                           layout="nsm").metrics.cycles
-                for sel in order}
-    assert shuffled == reference
+    assert_order_independent(
+        TINY, order, lambda runner, selectivity: runner.micro_result(
+            "B", "SRS", selectivity=selectivity).metrics.cycles)
+
+
+@MEASURE_SETTINGS
+@given(order=st.permutations(("A/tpcd", "B/tpcd", "B/tpcc", "D/tpcc")))
+def test_tpc_results_independent_of_order(order):
+    """The TPC-D suite and the update-heavy TPC-C mix per system, tuple
+    engine (what Figures 5.6/5.7 and Section 5.5 measure): the data
+    checkpoint hides every earlier mix's in-place updates."""
+    def measure(runner, point):
+        system, dataset = point.split("/")
+        method = (runner.tpcd_grid_result if dataset == "tpcd"
+                  else runner.tpcc_grid_result)
+        return method("nsm", system, engine="tuple").counters.as_dict()
+    assert_order_independent(TINY, order, measure)
