@@ -28,9 +28,11 @@ override with ``--out-dir``) recording, per cell:
 
 * ``wall_seconds`` -- best-of-``--repeat`` wall-clock time of the measured
   execution (the *simulator's* speed, which is what caps how large a
-  Figure 5.1/5.2 grid we can afford), and
+  Figure 5.1/5.2 grid we can afford),
 * ``cycles`` -- simulated ``CPU_CLK_UNHALTED`` (the *modelled* speed, which
-  must not change when the simulator gets faster).
+  must not change when the simulator gets faster), and
+* ``charging_path`` -- which routine-charging implementation the cell's
+  sessions ran (``"native"`` or ``"python: <reason>"``; fast-path provenance).
 
 Every repeat restores the cell's build to its post-build checkpoint, so run
 N is bit-identical to run 1 (and to a run against a freshly built database)
@@ -245,7 +247,8 @@ def run_query_cell(runner: ExperimentRunner, cell: Cell, profile: bool) -> Run:
         start = time.perf_counter()
         result = runner.execute(cell, session)
         seconds = time.perf_counter() - start
-        extras = {"resolved_kernel_backend": session.context.kernels.name}
+        extras = {"resolved_kernel_backend": session.context.kernels.name,
+                  "charging_path": session.charging_path}
         if cell.query == "SJB":
             extras["memory_budget_bytes"] = cell.memory_budget_bytes
             extras["io_stats"] = dict(session.context.io_stats)
@@ -278,6 +281,7 @@ def run_serving_cell(runner: ExperimentRunner, labels: Dict[str, str]) -> Run:
     seconds = time.perf_counter() - start
     return Run(seconds, report.counters, report.total_rows, {
         "resolved_kernel_backend": labels["kernel_backend"],
+        "charging_path": server.charging_path,
         "serving": {
             "max_concurrency": 8 if concurrent else 1,
             "queries": report.queries,

@@ -92,7 +92,8 @@ def main(argv=None) -> int:
           f"scale={args.scale} workers={args.workers} "
           f"tracing={args.tracing}")
     print(f"# rows={len(result.rows)} "
-          f"cycles={result.counters.get('CPU_CLK_UNHALTED')}")
+          f"cycles={result.counters.get('CPU_CLK_UNHALTED')} "
+          f"charging_path={session.charging_path!r}")
     print(render_trace(result.trace, spec, processor,
                        show_breakdown=not args.no_breakdown))
 

@@ -198,6 +198,14 @@ class Session:
         """The execution configuration plans are planned for and run under."""
         return self.planner.execution
 
+    @property
+    def charging_path(self) -> str:
+        """Which routine-charging implementation this session runs:
+        ``"native"`` or ``"python: <reason>"`` (read-only provenance; see
+        :attr:`ExecutionContext.charging_path
+        <repro.execution.context.ExecutionContext.charging_path>`)."""
+        return self.context.charging_path
+
     # ------------------------------------------------------------- planning
     def plan(self, query: LogicalQuery) -> PhysicalPlan:
         return self.planner.plan(query)

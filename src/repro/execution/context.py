@@ -210,26 +210,42 @@ class ExecutionContext:
         # Native visit fast path (``_cachesim.c``): the whole of
         # ``_visit_segment`` / ``_touch_workspace`` runs as one C call over
         # the live hardware state, count- and state-identical to the Python
-        # code (asserted by tests/test_native_charging.py).  Eligible only
-        # when the native module loaded, the processor built its state block,
-        # no OS-interference model is attached (``charge_routine`` must run
-        # its interrupt hook), span charging is on (``per_address`` stays a
-        # pure-Python oracle of the span contract) and the workspace geometry
-        # is non-degenerate.  Segment handles (plain-data views of
-        # ``CodeSegment``) are built lazily per operation; ``False`` marks a
-        # segment whose cold slice wraps the whole pool (Python fallback).
+        # code (asserted by tests/test_native_charging.py), the
+        # OS-interference hook included (the C visit calls back into
+        # ``SimulatedProcessor._advance_os_clock``).  Eligible when the
+        # native module loaded and the processor built its state block, span
+        # charging is on (``per_address`` stays a pure-Python oracle of the
+        # span contract) and the workspace geometry is non-degenerate;
+        # :attr:`charging_path` reports which of these decided.  Segment
+        # handles (plain-data views of ``CodeSegment``) are built lazily per
+        # operation; ``False`` marks a segment whose cold slice wraps the
+        # whole pool (Python fallback, counted in
+        # :attr:`python_segment_visits`).
         self._segment_handles: Dict[str, object] = {}
         self._native_ctx = None
-        if (_NATIVE is not None
-                and getattr(processor, "_native_state", None) is not None
-                and processor.os is None
-                and self._span_charging
-                and 0 < self._workspace_stride < self._workspace_size):
+        #: Routine visits of a native-path context that nevertheless ran the
+        #: Python ``_visit_segment`` (degenerate cold-pool geometry).
+        self.python_segment_visits = 0
+        if _NATIVE is None or getattr(processor, "_native_state", None) is None:
+            self._charging_path = "python: no native module"
+        elif not self._span_charging:
+            self._charging_path = "python: per_address charge mode"
+        elif not 0 < self._workspace_stride < self._workspace_size:
+            self._charging_path = "python: degenerate workspace geometry"
+        else:
+            self._charging_path = "native"
             self._native_ctx = _NATIVE.pack_ctx(
                 self, processor._native_state, self.workspace_base,
                 self._workspace_stride, self._workspace_size,
                 self.layout.cold_pool_base, self.layout.cold_pool_lines,
                 self._site_state, LINE_BYTES)
+
+    @property
+    def charging_path(self) -> str:
+        """Which routine-visit implementation this context runs, and why:
+        ``"native"`` or ``"python: <reason>"``.  Decided once, at
+        construction; read-only (fast-path provenance, not a knob)."""
+        return self._charging_path
 
     # ------------------------------------------------------------ resolution
     def columns_for_table(self, table: Table, columns: Sequence[str]) -> Tuple[str, ...]:
@@ -403,6 +419,7 @@ class ExecutionContext:
                 _NATIVE.visit(ctx_state, handle,
                               -1 if data_taken is None else int(bool(data_taken)))
                 return
+            self.python_segment_visits += 1
         processor = self.processor
         self._visit_counter += 1
 

@@ -362,7 +362,7 @@ static PyObject *s_branches, *s_taken, *s_mispredictions, *s_btb_hits, *s_btb_mi
 static PyObject *s_tag, *s_history, *s_counters;
 static PyObject *s_move_to_end, *s_popitem;
 static PyObject *s_visit_counter, *s_cold_cursor, *s_workspace_cursor, *s_bulk_carry;
-static PyObject *s_l1i_stall, *s_last_page;
+static PyObject *s_l1i_stall, *s_last_page, *s_advance_os_clock;
 static PyObject *k_IFU_IFETCH, *k_IFU_IFETCH_MISS, *k_L2_IFETCH, *k_L2_IFETCH_MISS;
 static PyObject *k_ITLB_MISS, *k_INST_RETIRED, *k_INST_DECODED, *k_UOPS_RETIRED;
 static PyObject *k_DATA_MEM_REFS, *k_PARTIAL_RAT_STALLS, *k_FU_CONTENTION_STALLS;
@@ -385,7 +385,10 @@ typedef struct {
     PyObject *entry_class;
     double l1i_stall_cost, l2i_stall_cost;
     PyObject *user;       /* counters.user dict */
-    PyObject *processor;  /* SimulatedProcessor (stall / last-page attrs) */
+    int has_os;           /* an OS-interference model is attached */
+    PyObject *processor;  /* SimulatedProcessor (stall / last-page attrs, the
+                           * OS-clock hook); NOT part of the state tuple --
+                           * borrowed, see "packed constant blocks" below */
 } Machine;
 
 typedef struct {
@@ -422,7 +425,8 @@ unpack_machine(PyObject *state, Machine *m)
     m->l1i_stall_cost = PyFloat_AsDouble(ITEM(24));
     m->l2i_stall_cost = PyFloat_AsDouble(ITEM(25));
     m->user = ITEM(26);
-    m->processor = ITEM(27);
+    m->has_os = (int)PyLong_AsLong(ITEM(27));
+    m->processor = NULL;
 #undef ITEM
     if (PyErr_Occurred())
         return -1;
@@ -932,10 +936,17 @@ workspace_impl(Machine *m, long base, long stride, long size, long touches,
 
 /* The per-call state blocks are parsed ONCE into C structs wrapped in
  * capsules (``pack_machine``/``pack_ctx``/``pack_segment``): the hot entry
- * points then run with zero per-call unpacking.  Object pointers inside the
- * structs are borrowed from objects the processor / context keep alive for
- * at least as long as they keep the capsule; the machine box additionally
- * owns its source tuple so the borrowed pointers can never dangle. */
+ * points then run with zero per-call unpacking.
+ *
+ * Ownership runs one way, processor -> capsule -> state tuple -> component
+ * objects.  The machine box owns its source tuple, so the component
+ * pointers parsed out of it can never dangle, and the tuple holds only
+ * objects that do not refer back to the processor.  The processor itself is
+ * *borrowed*: a capsule is not tracked by the cycle collector, so an owned
+ * reference here would be a processor -> capsule -> processor cycle nobody
+ * can break, and every session would live for the life of the process.  The
+ * borrow cannot dangle because the processor owns the machine capsule, and
+ * every context capsule is owned by a context that holds the processor. */
 
 static const char *MACHINE_CAPSULE = "repro._cachesim.machine";
 static const char *CTX_CAPSULE = "repro._cachesim.ctx";
@@ -1000,11 +1011,15 @@ machine_arg(PyObject *capsule)
     return box == NULL ? NULL : &box->m;
 }
 
-/* pack_machine(state_tuple) -> capsule */
+/* pack_machine(state_tuple, processor) -> capsule; the processor is
+ * borrowed (it owns the capsule), the tuple is owned. */
 static PyObject *
-cachesim_pack_machine(PyObject *module, PyObject *state)
+cachesim_pack_machine(PyObject *module, PyObject *args)
 {
     (void)module;
+    PyObject *state, *processor;
+    if (!PyArg_ParseTuple(args, "OO", &state, &processor))
+        return NULL;
     MachineBox *box = PyMem_Malloc(sizeof(MachineBox));
     if (box == NULL)
         return PyErr_NoMemory();
@@ -1012,6 +1027,7 @@ cachesim_pack_machine(PyObject *module, PyObject *state)
         PyMem_Free(box);
         return NULL;
     }
+    box->m.processor = processor;
     Py_INCREF(state);
     box->owner = state;
     PyObject *capsule = PyCapsule_New(box, MACHINE_CAPSULE, machine_capsule_free);
@@ -1296,8 +1312,7 @@ cachesim_visit(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
 
     /* Fused retirement / bulk-reference / resource-stall counters
-     * (``charge_routine`` without the OS hook: the Python wrapper only
-     * takes this path when no OS-interference model is attached). */
+     * (``charge_routine``). */
     if (dict_add(m->user, k_INST_RETIRED, instructions) < 0
             || dict_add(m->user, k_INST_DECODED, instructions) < 0
             || dict_add(m->user, k_UOPS_RETIRED, uops) < 0
@@ -1307,6 +1322,25 @@ cachesim_visit(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             || dict_add(m->user, k_ILD_STALL, ild) < 0
             || dict_add(m->user, k_RESOURCE_STALLS, total_stall) < 0)
         return NULL;
+
+    /* The OS-interference hook of ``charge_routine``, at the same point of
+     * the visit: the clock advances by the retired instructions and any
+     * interrupt that falls due is serviced in Python.  The handler mutates
+     * in place the L1I set lists and the ITLB OrderedDict borrowed here and
+     * rebinds ``_last_instruction_page``; every instruction-side local was
+     * written back and folded above, and nothing below reads one. */
+    if (m->has_os) {
+        PyObject *retired = PyLong_FromLong(instructions);
+        if (retired == NULL)
+            return NULL;
+        PyObject *r = PyObject_CallMethodObjArgs(m->processor,
+                                                 s_advance_os_clock,
+                                                 retired, NULL);
+        Py_DECREF(retired);
+        if (r == NULL)
+            return NULL;
+        Py_DECREF(r);
+    }
 
     /* Private working-set touches. */
     if (touches > 0) {
@@ -1452,7 +1486,7 @@ static PyMethodDef cachesim_methods[] = {
      "Bulk strided access; returns counter deltas."},
     {"lines", cachesim_lines, METH_VARARGS,
      "Bulk line-run access; returns counter deltas."},
-    {"pack_machine", cachesim_pack_machine, METH_O,
+    {"pack_machine", cachesim_pack_machine, METH_VARARGS,
      "Parse a processor state tuple into a reusable capsule."},
     {"pack_ctx", cachesim_pack_ctx, METH_VARARGS,
      "Parse execution-context constants into a reusable capsule."},
@@ -1508,6 +1542,7 @@ init_interned(void)
     INTERN(s_bulk_carry, "_bulk_mispred_carry");
     INTERN(s_l1i_stall, "_l1i_stall_cycles");
     INTERN(s_last_page, "_last_instruction_page");
+    INTERN(s_advance_os_clock, "_advance_os_clock");
     INTERN(k_IFU_IFETCH, "IFU_IFETCH");
     INTERN(k_IFU_IFETCH_MISS, "IFU_IFETCH_MISS");
     INTERN(k_L2_IFETCH, "L2_IFETCH");

@@ -522,7 +522,7 @@ class Cache:
         self.stats.invalidations += dropped
         return dropped
 
-    def invalidate_fraction(self, fraction: float, stride: int = 1) -> int:
+    def invalidate_fraction(self, fraction: float) -> int:
         """Invalidate roughly ``fraction`` of resident lines.
 
         Used by the OS-interference model to approximate the instruction
@@ -535,17 +535,14 @@ class Cache:
         if fraction >= 1.0:
             return self.invalidate_all()
         dropped = 0
-        for set_index, ways in enumerate(self._sets):
+        for ways, dirty in zip(self._sets, self._dirty):
             if not ways:
                 continue
-            if (set_index // max(stride, 1)) % 1 == 0:
-                keep = int(round(len(ways) * (1.0 - fraction)))
-                victims = ways[keep:]
-                del ways[keep:]
-                dirty = self._dirty[set_index]
-                for victim in victims:
-                    dirty.discard(victim)
-                dropped += len(victims)
+            keep = int(round(len(ways) * (1.0 - fraction)))
+            victims = ways[keep:]
+            del ways[keep:]
+            dirty.difference_update(victims)
+            dropped += len(victims)
         self.stats.invalidations += dropped
         return dropped
 

@@ -48,7 +48,14 @@ class OSInterferenceConfig:
 
 
 class OSInterference:
-    """Stateful periodic-interrupt generator attached to a processor."""
+    """Stateful periodic-interrupt generator attached to a processor.
+
+    The clock has one driver, ``SimulatedProcessor._advance_os_clock``,
+    which ``retire``, ``charge_routine`` and the native routine visit
+    (``_cachesim.c``) all call with the user instructions they retired; the
+    handler it invokes when :meth:`note_instructions` reports interrupts due
+    stays in Python on every charging path.
+    """
 
     __slots__ = ("config", "_since_last", "interrupts")
 

@@ -71,8 +71,15 @@ class SimulatedProcessor:
         #: differential test) keeps every charge on the pure-Python oracle
         #: paths; the native paths are count- and state-identical by contract
         #: (asserted by tests/test_native_charging.py).
-        self._native_state = (_NATIVE.pack_machine(self._build_native_state())
-                              if _NATIVE is not None else None)
+        #:
+        #: The state tuple must never contain the processor: the capsule owns
+        #: the tuple and is invisible to the cycle collector, so that would be
+        #: a cycle nobody can break.  ``self`` is passed separately and only
+        #: borrowed by the C side (ownership rule: ``_cachesim.c``, "packed
+        #: constant blocks").
+        self._native_state = (
+            _NATIVE.pack_machine(self._build_native_state(), self)
+            if _NATIVE is not None else None)
 
     def _build_native_state(self):
         caches = self.caches
@@ -95,7 +102,7 @@ class SimulatedProcessor:
             float(spec.pipeline.l1i_fetch_stall_cycles),
             float(spec.memory.latency_cycles),
             self.counters.user,
-            self,
+            1 if self.os is not None else 0,
         )
 
     # ------------------------------------------------------------ code side
@@ -227,9 +234,7 @@ class SimulatedProcessor:
         bank["INST_DECODED"] = bank.get("INST_DECODED", 0) + instructions
         bank["UOPS_RETIRED"] = bank.get("UOPS_RETIRED", 0) + uops
         if self.os is not None and mode == MODE_USER:
-            fired = self.os.note_instructions(instructions)
-            if fired:
-                self._service_interrupts(fired)
+            self._advance_os_clock(instructions)
 
     def charge_routine(self, instructions: int, uops: int, data_refs: int,
                        dep_stall: int, fu_stall: int, ild_stall: int,
@@ -259,9 +264,7 @@ class SimulatedProcessor:
                 user["ILD_STALL"] = user.get("ILD_STALL", 0) + ild_stall
             user["RESOURCE_STALLS"] = user.get("RESOURCE_STALLS", 0) + total_stall
         if self.os is not None:
-            fired = self.os.note_instructions(instructions)
-            if fired:
-                self._service_interrupts(fired)
+            self._advance_os_clock(instructions)
 
     # ------------------------------------------------------------ data side
     def data_read(self, address: int, size: int = 4) -> int:
@@ -509,6 +512,19 @@ class SimulatedProcessor:
             self.counters.add("RECORDS_PROCESSED", count)
 
     # ------------------------------------------------------------ OS model
+    def _advance_os_clock(self, instructions: int) -> None:
+        """Advance the OS-interference clock by ``instructions`` retired user
+        instructions and service every interrupt that falls due.
+
+        The one place the clock moves: :meth:`retire`, :meth:`charge_routine`
+        and the native routine visit (``_cachesim.c`` calls back here after
+        its fused retirement counters, before the workspace touches) all go
+        through it.  Requires an attached OS model.
+        """
+        fired = self.os.note_instructions(instructions)
+        if fired:
+            self._service_interrupts(fired)
+
     def _service_interrupts(self, count: int) -> None:
         """Apply the effects of ``count`` simulated OS interrupts."""
         assert self.os is not None

@@ -60,8 +60,7 @@ _step = st.one_of(
               st.integers(min_value=1, max_value=16), st.booleans()),
     st.tuples(st.just("lines"), _addr, st.integers(min_value=1, max_value=4),
               st.integers(min_value=0, max_value=40)),
-    st.tuples(st.just("invalidate"), st.floats(min_value=0.0, max_value=1.0),
-              st.integers(min_value=1, max_value=3)),
+    st.tuples(st.just("invalidate"), st.floats(min_value=0.0, max_value=1.0)),
 )
 
 
@@ -84,8 +83,8 @@ def replay(hier: CacheHierarchy, trace) -> list:
             addrs = range(start, start + count * step_lines * 32, step_lines * 32)
             observed.append(hier.l1i.access_lines(addrs, PORT_INSTRUCTION))
         elif op == "invalidate":
-            _, fraction, stride = step
-            observed.append(hier.l1d.invalidate_fraction(fraction, stride=stride))
+            _, fraction = step
+            observed.append(hier.l1d.invalidate_fraction(fraction))
     return observed
 
 

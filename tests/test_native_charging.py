@@ -16,17 +16,28 @@ interleaving.
 The oracle side is obtained by clearing ``SimulatedProcessor._native_state``
 (and constructing the context afterwards, so ``ExecutionContext._native_ctx``
 stays ``None``) -- the same state ``REPRO_NATIVE=0`` produces at import time.
+
+The contract covers the OS-interference model too: the native visit advances
+the interrupt clock at the same point ``charge_routine`` does and calls back
+into the Python handler, so sessions in the paper's own configuration run on
+the native path and are compared here, interrupt by interrupt, with the
+oracle.
 """
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
+import repro.execution.context as context_mod
 import repro.hardware.cache as cache_mod
+import repro.hardware.processor as processor_mod
 from repro.execution.context import ExecutionContext
+from repro.experiments import ExperimentConfig, ExperimentRunner
+from repro.hardware.os_interference import OSInterferenceConfig
 from repro.hardware.processor import SimulatedProcessor
 from repro.storage.address_space import AddressSpace
 from repro.systems import SYSTEM_A, SYSTEM_B
+from repro.workloads.micro import MicroWorkloadConfig
 
 pytestmark = pytest.mark.skipif(
     cache_mod._NATIVE is None,
@@ -57,6 +68,8 @@ def processor_state(proc: SimulatedProcessor):
         "branch_stats": proc.branch_unit.stats.as_dict(),
         "stall": proc._l1i_stall_cycles,
         "last_page": proc._last_instruction_page,
+        "os": (None if proc.os is None
+               else (proc.os._since_last, proc.os.interrupts)),
     }
 
 
@@ -86,16 +99,17 @@ def processor_pair():
     return native, oracle
 
 
-def context_pair(profile=SYSTEM_B, charge_mode="span"):
+def context_pair(profile=SYSTEM_B, charge_mode="span", os_interference=None):
     def build(force_python):
-        proc = SimulatedProcessor()
+        proc = SimulatedProcessor(os_interference=os_interference)
         if force_python:
             proc._native_state = None
         return ExecutionContext(proc, profile, AddressSpace(),
                                 charge_mode=charge_mode)
     native, oracle = build(False), build(True)
-    assert native._native_ctx is not None
+    assert native._native_ctx is not None and native.charging_path == "native"
     assert oracle._native_ctx is None
+    assert oracle.charging_path == "python: no native module"
     return native, oracle
 
 
@@ -171,6 +185,12 @@ def replay_context(ctx: ExecutionContext, trace):
         elif op == "batch":
             _, which, count = step
             ctx.visit_batch(names[which % len(names)], count)
+        elif op == "read":
+            _, address, size = step
+            ctx.read_address(address, size)
+        elif op == "write":
+            _, address, size = step
+            ctx.write_address(address, size)
         else:  # conjunct
             _, which, site, outcomes = step
             ctx.visit_conjunct_batch(names[which % len(names)],
@@ -230,15 +250,108 @@ def test_per_address_mode_stays_pure_python_and_equivalent():
         assert native_state[key] == oracle_state[key], f"{key} diverged"
 
 
-def test_os_interference_disables_native_visit():
-    """With an OS model the visit must stay on Python (``charge_routine``
-    drives the interrupt hook); processor-level fast paths remain safe."""
-    from repro.hardware.os_interference import OSInterferenceConfig
-    proc = SimulatedProcessor(os_interference=OSInterferenceConfig())
-    ctx = ExecutionContext(proc, SYSTEM_B, AddressSpace())
-    assert ctx._native_ctx is None
-    assert proc._native_state is not None
-    names = segment_names(ctx)
-    for i in range(50):
-        ctx.visit(names[i % len(names)])  # smoke: interrupts still fire
-    assert proc.counters.sup.get("OS_INTERRUPTS", 0) >= 0
+def test_per_address_mode_reports_its_reason():
+    ctx = ExecutionContext(SimulatedProcessor(), SYSTEM_B, AddressSpace(),
+                           charge_mode="per_address")
+    assert ctx.charging_path == "python: per_address charge mode"
+    with pytest.raises(AttributeError):
+        ctx.charging_path = "native"  # provenance, not a knob
+
+
+# ------------------------------------------------- OS interference, natively
+
+_os_config = st.builds(
+    OSInterferenceConfig,
+    # Small enough that interrupts fire mid-sequence and, at the low end
+    # (segments retire hundreds of instructions), several inside one visit.
+    interval_instructions=st.integers(min_value=20, max_value=6000),
+    l1i_flush_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+    flush_itlb=st.booleans(),
+)
+
+_os_step = st.one_of(
+    _ctx_step,
+    st.tuples(st.just("read"), _addr, st.integers(1, 64)),
+    st.tuples(st.just("write"), _addr, st.integers(1, 64)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_os_config, st.lists(_os_step, min_size=1, max_size=40))
+def test_os_interference_visits_identical(config, trace):
+    native, oracle = context_pair(os_interference=config)
+    # Routine 0 (``query_setup``) retires more instructions than any drawn
+    # interval several times over: one visit up front guarantees that
+    # interrupts fire -- more than one inside that visit -- whatever the
+    # rest of the trace does.
+    trace = [("visit", 0, None)] + trace
+    replay_context(native, trace)
+    replay_context(oracle, trace)
+    assert_states_identical(context_state(native), context_state(oracle))
+    assert native.python_segment_visits == 0
+    assert native.processor.counters.sup["OS_INTERRUPTS"] > 0
+    assert (native.processor.finalize().as_dict()
+            == oracle.processor.finalize().as_dict())
+
+
+@pytest.mark.parametrize("flush_fraction", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("flush_itlb", [False, True])
+def test_several_interrupts_inside_one_native_visit(flush_fraction, flush_itlb):
+    """One visit whose retired instructions span several intervals services
+    all of them at the hook (``fired > 1``), between the retirement fold and
+    the workspace touches -- on both paths."""
+    probe = ExecutionContext(SimulatedProcessor(), SYSTEM_B, AddressSpace())
+    name = max(segment_names(probe),
+               key=lambda n: probe.layout.segment(n).instructions)
+    instructions = probe.layout.segment(name).instructions
+    config = OSInterferenceConfig(interval_instructions=instructions // 3,
+                                  l1i_flush_fraction=flush_fraction,
+                                  flush_itlb=flush_itlb)
+    native, oracle = context_pair(os_interference=config)
+    for ctx in (native, oracle):
+        ctx.visit(name)
+        assert ctx.processor.os.interrupts == 3
+        if flush_itlb:
+            assert ctx.processor._last_instruction_page == -1
+        for i in range(40):
+            ctx.visit(name, data_taken=bool(i % 2))
+    assert_states_identical(context_state(native), context_state(oracle))
+
+
+@pytest.fixture(scope="module")
+def os_runner():
+    return ExperimentRunner(ExperimentConfig(
+        micro=MicroWorkloadConfig(scale=0.001), os_interference=True))
+
+
+@pytest.mark.parametrize("engine", ["tuple", "vectorized"])
+@pytest.mark.parametrize("system_key", ["A", "B", "C", "D"])
+def test_engine_counts_identical_under_default_os_model(os_runner, monkeypatch,
+                                                        system_key, engine):
+    """Whole queries in the paper's configuration (default OS model): the
+    native and the pure-Python charging paths give the same rows and the
+    same ``EventCounters``, user and supervisor banks alike."""
+    workload = os_runner.micro_workload
+    queries = {"SRS": workload.sequential_range_selection(),
+               "IRS": workload.indexed_range_selection(),
+               "SJ": workload.sequential_join()}
+    outcomes = {}
+    for path in ("native", "python"):
+        if path == "python":
+            # What REPRO_NATIVE=0 leaves behind at import time.
+            for module in (cache_mod, processor_mod, context_mod):
+                monkeypatch.setattr(module, "_NATIVE", None)
+        for label, query in queries.items():
+            session = os_runner.grid_session(engine, "nsm", system_key=system_key)
+            assert session.charging_path == (
+                "native" if path == "native" else "python: no native module")
+            result = session.execute(query, warmup_runs=0)
+            session.close()
+            outcomes[path, label] = (result.rows, dict(result.counters.user),
+                                     dict(result.counters.sup))
+    for label in queries:
+        native, python = outcomes["native", label], outcomes["python", label]
+        assert native[0] == python[0], f"{label}: rows diverged"
+        assert native[1] == python[1], f"{label}: user counters diverged"
+        assert native[2] == python[2], f"{label}: supervisor counters diverged"
+        assert native[2]["OS_INTERRUPTS"] > 0, f"{label}: no interrupt fired"
