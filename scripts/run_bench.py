@@ -34,6 +34,11 @@ override with ``--out-dir``) recording, per cell:
 * ``charging_path`` -- which routine-charging implementation the cell's
   sessions ran (``"native"`` or ``"python: <reason>"``; fast-path provenance).
 
+The record's header carries ``native_status`` once: whether the native
+hardware automata loaded and, when they did not, why
+(``repro.hardware.native.load_status()``) -- so a record full of
+``"python: no native module"`` cells says what to fix.
+
 Every repeat restores the cell's build to its post-build checkpoint, so run
 N is bit-identical to run 1 (and to a run against a freshly built database)
 -- asserted per cell -- and independent cells can be dispatched to a
@@ -73,6 +78,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from repro.experiments.runner import (ADAPTIVE_KINDS, Cell, ExperimentConfig,
                                       ExperimentRunner, adaptive_cell)
 from repro.hardware.counters import EventCounters
+from repro.hardware.native import load_status
 from repro.systems import SYSTEM_B
 from repro.workloads.micro import MicroWorkloadConfig
 from repro.workloads.serving import ServingTraceConfig, build_trace, run_open_loop
@@ -648,6 +654,7 @@ def main() -> int:
         "label": args.label,
         "git_revision": git_revision(),
         "python": platform.python_version(),
+        "native_status": load_status(),
         "repeat": args.repeat,
         "scale": config.scale,
         "r_rows": config.r_rows,

@@ -33,6 +33,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
+from repro.hardware.native import load_status
 from repro.observability import chrome_trace, render_trace, trace_to_dict
 from repro.workloads.micro import MicroWorkloadConfig
 
@@ -90,7 +91,7 @@ def main(argv=None) -> int:
     processor = session.context.processor
     print(f"# {args.query} engine={args.engine} layout={args.layout} "
           f"scale={args.scale} workers={args.workers} "
-          f"tracing={args.tracing}")
+          f"tracing={args.tracing} native={load_status()!r}")
     print(f"# rows={len(result.rows)} "
           f"cycles={result.counters.get('CPU_CLK_UNHALTED')} "
           f"charging_path={session.charging_path!r}")

@@ -46,7 +46,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from ..hardware.cache import _NATIVE
+from ..hardware.native import delegated
 from ..hardware.processor import SimulatedProcessor
 from ..query.plans import CHARGE_MODES, CHARGE_SPAN
 from ..storage.address_space import AddressSpace
@@ -88,6 +88,17 @@ def _consecutive_runs(slots: Sequence[int]) -> Iterable[Sequence[int]]:
 class ExecutionContext:
     """Per-(system, processor) execution state shared by all operators."""
 
+    #: Visit bookkeeping every routine visit advances: the deterministic
+    #: per-visit counter behind the pseudo-random branch outcomes, the
+    #: cold-code rotation and cyclic workspace cursors, and the fractional
+    #: remainder of the bulk-branch misprediction extrapolation (kept so
+    #: small per-visit quantities do not round away).  Members of the native
+    #: visit context when there is one.
+    _visit_counter = delegated("_native_ctx", "visit_counter")
+    _cold_cursor = delegated("_native_ctx", "cold_cursor")
+    _workspace_cursor = delegated("_native_ctx", "workspace_cursor")
+    _bulk_mispred_carry = delegated("_native_ctx", "bulk_carry")
+
     def __init__(self,
                  processor: SimulatedProcessor,
                  profile: SystemProfile,
@@ -119,20 +130,10 @@ class ExecutionContext:
         # Private working set (cycled through on every routine invocation).
         self.workspace_base = address_space.allocate("workspace", profile.workspace_bytes,
                                                       alignment=64)
-        self._workspace_cursor = 0
         self._workspace_size = profile.workspace_bytes
         self._workspace_stride = profile.workspace_touch_stride
 
-        # Cold-code rotation state.
-        self._cold_cursor = 0
-
-        # Bulk-branch misprediction extrapolation keeps a fractional
-        # remainder so small per-visit quantities do not round away.
-        self._bulk_mispred_carry = 0.0
-
-        # Deterministic per-visit counter for pseudo-random branch outcomes
-        # and per-site state for alternating / rare branches.
-        self._visit_counter = 0
+        # Per-site state for alternating / rare branches.
         self._site_state: Dict[int, int] = {}
 
         self.rows_produced = 0
@@ -209,11 +210,11 @@ class ExecutionContext:
 
         # Native visit fast path (``_cachesim.c``): the whole of
         # ``_visit_segment`` / ``_touch_workspace`` runs as one C call over
-        # the live hardware state, count- and state-identical to the Python
-        # code (asserted by tests/test_native_charging.py), the
+        # the processor's native automata, count- and state-identical to the
+        # Python code (asserted by tests/test_native_charging.py), the
         # OS-interference hook included (the C visit calls back into
         # ``SimulatedProcessor._advance_os_clock``).  Eligible when the
-        # native module loaded and the processor built its state block, span
+        # processor was built natively (it holds a charging block), span
         # charging is on (``per_address`` stays a pure-Python oracle of the
         # span contract) and the workspace geometry is non-degenerate;
         # :attr:`charging_path` reports which of these decided.  Segment
@@ -226,7 +227,8 @@ class ExecutionContext:
         #: Routine visits of a native-path context that nevertheless ran the
         #: Python ``_visit_segment`` (degenerate cold-pool geometry).
         self.python_segment_visits = 0
-        if _NATIVE is None or getattr(processor, "_native_state", None) is None:
+        native_state = getattr(processor, "_native_state", None)
+        if native_state is None:
             self._charging_path = "python: no native module"
         elif not self._span_charging:
             self._charging_path = "python: per_address charge mode"
@@ -234,11 +236,15 @@ class ExecutionContext:
             self._charging_path = "python: degenerate workspace geometry"
         else:
             self._charging_path = "native"
-            self._native_ctx = _NATIVE.pack_ctx(
-                self, processor._native_state, self.workspace_base,
+            self._native_ctx = native_state.context(
+                self.workspace_base,
                 self._workspace_stride, self._workspace_size,
                 self.layout.cold_pool_base, self.layout.cold_pool_lines,
                 self._site_state, LINE_BYTES)
+        self._visit_counter = 0
+        self._cold_cursor = 0
+        self._workspace_cursor = 0
+        self._bulk_mispred_carry = 0.0
 
     @property
     def charging_path(self) -> str:
@@ -354,8 +360,8 @@ class ExecutionContext:
         if native_state is not None:
             # Native per-row branch loop (predictor state, stats and
             # counter folds identical to the Python loop below).
-            taken, mispredictions, btb_misses = _NATIVE.conjunct(
-                native_state, address, outcomes)
+            taken, mispredictions, btb_misses = native_state.conjunct(
+                address, outcomes)
             self.processor.count_branches(count, taken=taken,
                                           mispredictions=mispredictions,
                                           btb_misses=btb_misses)
@@ -416,8 +422,7 @@ class ExecutionContext:
                 handle = self._native_segment_handle(segment)
                 self._segment_handles[segment.name] = handle
             if handle is not False:
-                _NATIVE.visit(ctx_state, handle,
-                              -1 if data_taken is None else int(bool(data_taken)))
+                ctx_state.visit(handle, data_taken)
                 return
             self.python_segment_visits += 1
         processor = self.processor
@@ -504,7 +509,7 @@ class ExecutionContext:
         if touches <= 0:
             return
         if self._native_ctx is not None:
-            _NATIVE.workspace(self._native_ctx, touches)
+            self._native_ctx.workspace(touches)
             return
         processor = self.processor
         stride = self._workspace_stride
@@ -542,7 +547,7 @@ class ExecutionContext:
         bulk = segment.bulk_branches
         sites = tuple((_NATIVE_KIND_CODES[site.kind], site.address, site.weight)
                       for site in segment.branch_sites)
-        return _NATIVE.pack_segment(
+        return self._native_ctx.segment(
             (segment.base_address, len(segment.hot_lines), cold,
              segment.instructions, segment.uops, segment.data_refs,
              stall_ints[0], stall_ints[1], stall_ints[2], stall_ints[3],

@@ -1,368 +1,72 @@
-/* Native fast path for the set-associative cache automaton.
+/* Native hardware automata and charging fast paths.
  *
- * This module accelerates the inner loops of ``repro.hardware.cache.Cache``
- * (``access_strided`` / ``access_lines`` and the scalar ``access``) without
- * owning any state: it manipulates the *same* Python ``list``-of-lists set
- * structures and per-set dirty ``set`` objects the pure-Python automaton
- * uses, via the CPython C API.  Every state transition -- membership probe,
- * MRU move, victim pop, dirty bookkeeping, L1->L2 fill, write-back -- is a
- * line-for-line transcription of the Python reference implementation, so
- * the cache contents, LRU orderings and statistics after any call are
- * byte-identical to the pure-Python path (asserted by the differential
- * hypothesis suite in ``tests/test_native_cache.py``).  The pure-Python
- * loops remain in place as the oracle and the fallback when this module is
- * not buildable.
+ * Ownership rule: each automaton has exactly one owner of its state,
+ * decided once, when the Python object is constructed.  With this module
+ * loaded, ``repro.hardware.cache.Cache``, ``tlb.TLB`` and
+ * ``branch.BranchPredictor`` each hold one of the state objects defined
+ * here and delegate every method to it; without it they are the pure-Python
+ * automata (the oracle of the differential suites and the fallback).  The
+ * two are never mixed: nothing in this file reads or writes a Python
+ * container on a state-transition path.
  *
- * Statistics are *not* updated here: each entry point returns the counter
- * deltas as a tuple and the Python caller folds them into ``CacheStats``
- * (the adds commute, so applying them once per call changes no totals --
- * the same argument the span-charging fast path already relies on).
+ *   CacheState   int64 tags[num_sets * assoc], MRU first within a set; one
+ *                dirty byte per way; a fill count per set; an owned
+ *                reference to the next level's CacheState.
+ *   TLBState     an MRU-ordered page array of ``entries`` slots.
+ *   BTBState     per way a tag, a history register and 1 << history_bits
+ *                two-bit counters; per set an MRU-ordered array of way slots.
+ *   Machine      one processor's automata plus what a charging call folds
+ *                into: owned references to the six state objects, to their
+ *                Python wrappers (the ``stats`` holders) and to the user
+ *                counter bank; the two front-end scalars every fetch
+ *                advances; the processor itself is only borrowed.
+ *   Context      one ExecutionContext's visit constants and visit
+ *                bookkeeping (visit counter, cursors, carry) over a Machine.
+ *   Segment      one code segment's visit constants (plain scalars).
  *
- * Return tuple layout (all non-negative integers):
- *   (accesses, misses, self_writebacks,
- *    next_fill_accesses, next_fill_misses,
- *    next_write_accesses, next_write_misses, next_writebacks)
+ * Why nothing dangles: a state object is reference counted like any Python
+ * object, a level owns its next level, a Machine owns its six states and a
+ * Context owns its Machine, so the arrays live as long as anything can
+ * reach them and are freed in ``tp_dealloc``.  No cycle exists: a next
+ * level must exist before the level above it, a state never refers to its
+ * wrapper, and the one back reference (Machine -> processor, for the
+ * OS-clock callback) is borrowed -- the processor owns its Machine, so the
+ * borrow cannot outlive its target.
+ *
+ * Every transition is a transcription of the Python reference (``cache.py``
+ * ``_access_line``, ``tlb.py`` ``access``, ``branch.py``
+ * ``execute``); ``snapshot()`` returns the canonical Python shape of a
+ * state and is the only surface the differential tests compare.
+ *
+ * Statistics stay in the Python ``stats`` objects.  A cache level counts
+ * the events of one call in its ``pend`` block, exactly where the Python
+ * code increments ``stats``, and the entry point folds the block into
+ * ``wrapper.stats`` before it returns (the adds commute, so once per call
+ * changes no total).
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
+
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 #ifndef CACHESIM_SOURCE_HASH
 #define CACHESIM_SOURCE_HASH "dev"
 #endif
 
-typedef struct {
-    PyObject *sets;   /* list of per-set MRU-ordered lists of line numbers */
-    PyObject *dirty;  /* list of per-set Python sets of dirty line numbers */
-    long set_mask;
-    long assoc;
-    int write_back;
-} Level;
-
-typedef struct {
-    long accesses;
-    long misses;
-    long self_wb;
-    long fill_acc;
-    long fill_miss;
-    long write_acc;
-    long write_miss;
-    long next_wb;
-} Counts;
-
-/* ----------------------------------------------------------- list helpers */
-
-static Py_ssize_t
-find_line(PyObject *ways, long line)
-{
-    Py_ssize_t n = PyList_GET_SIZE(ways);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        long v = PyLong_AsLong(PyList_GET_ITEM(ways, i));
-        if (v == line)
-            return i;
-    }
-    return -1;
-}
-
-/* Move the item at index ``i`` to the front (MRU position). */
-static int
-mru_move(PyObject *ways, Py_ssize_t i)
-{
-    PyObject *item = PyList_GET_ITEM(ways, i);
-    Py_INCREF(item);
-    if (PyList_SetSlice(ways, i, i + 1, NULL) < 0) {
-        Py_DECREF(item);
-        return -1;
-    }
-    if (PyList_Insert(ways, 0, item) < 0) {
-        Py_DECREF(item);
-        return -1;
-    }
-    Py_DECREF(item);
-    return 0;
-}
-
-static int
-insert_front(PyObject *ways, long line)
-{
-    PyObject *obj = PyLong_FromLong(line);
-    if (obj == NULL)
-        return -1;
-    int rc = PyList_Insert(ways, 0, obj);
-    Py_DECREF(obj);
-    return rc;
-}
-
-/* Pop the LRU (last) entry; stores its line number into *victim. */
-static int
-pop_last(PyObject *ways, long *victim)
-{
-    Py_ssize_t n = PyList_GET_SIZE(ways);
-    *victim = PyLong_AsLong(PyList_GET_ITEM(ways, n - 1));
-    return PyList_SetSlice(ways, n - 1, n, NULL);
-}
-
-static int
-dirty_add(PyObject *dirty_list, long set_index, long line)
-{
-    PyObject *key = PyLong_FromLong(line);
-    if (key == NULL)
-        return -1;
-    int rc = PySet_Add(PyList_GET_ITEM(dirty_list, set_index), key);
-    Py_DECREF(key);
-    return rc;
-}
-
-/* Discard ``line`` from the set; returns 1 if it was present, 0 if not,
- * -1 on error -- exactly the "if victim in dirty: discard" idiom. */
-static int
-dirty_discard(PyObject *dirty_list, long set_index, long line)
-{
-    PyObject *key = PyLong_FromLong(line);
-    if (key == NULL)
-        return -1;
-    int rc = PySet_Discard(PyList_GET_ITEM(dirty_list, set_index), key);
-    Py_DECREF(key);
-    return rc;
-}
-
-/* ------------------------------------------------------- level automaton */
-
-/* ``Cache._miss_line`` for a cache with no next level (the L2, or a
- * standalone cache): victim selection, write-back bookkeeping, fill. */
-static int
-last_level_miss_line(Level *lvl, Counts *counts, long line, int write, int is_next)
-{
-    long set_index = line & lvl->set_mask;
-    PyObject *ways = PyList_GET_ITEM(lvl->sets, set_index);
-    if (PyList_GET_SIZE(ways) >= lvl->assoc) {
-        long victim;
-        if (pop_last(ways, &victim) < 0)
-            return -1;
-        int was_dirty = dirty_discard(lvl->dirty, set_index, victim);
-        if (was_dirty < 0)
-            return -1;
-        if (was_dirty) {
-            if (is_next)
-                counts->next_wb++;
-            else
-                counts->self_wb++;
-        }
-    }
-    if (insert_front(ways, line) < 0)
-        return -1;
-    if (write && lvl->write_back)
-        return dirty_add(lvl->dirty, set_index, line);
-    return 0;
-}
-
-/* ``Cache._access_line`` on the *next* level (used for L1 victim
- * write-backs and write-through forwarding): counts on the write port. */
-static int
-next_level_write_access(Level *next, Counts *counts, long line)
-{
-    counts->write_acc++;
-    long set_index = line & next->set_mask;
-    PyObject *ways = PyList_GET_ITEM(next->sets, set_index);
-    Py_ssize_t i = find_line(ways, line);
-    if (i >= 0) {
-        if (i > 0 && mru_move(ways, i) < 0)
-            return -1;
-        return dirty_add(next->dirty, set_index, line);
-    }
-    counts->write_miss++;
-    return last_level_miss_line(next, counts, line, 1, 1);
-}
-
-/* ``Cache._miss_line`` on the first level, including the next-level fill
- * request and the victim write-back. */
-static int
-miss_line(Level *self, Level *next, Counts *counts, long line, int write)
-{
-    if (next != NULL) {
-        /* Fill request: a read regardless of the original direction;
-         * the port split (fill vs write traffic) is applied by the
-         * Python caller, which knows the fill port. */
-        counts->fill_acc++;
-        long nset = line & next->set_mask;
-        PyObject *nways = PyList_GET_ITEM(next->sets, nset);
-        Py_ssize_t i = find_line(nways, line);
-        if (i >= 0) {
-            if (i > 0 && mru_move(nways, i) < 0)
-                return -1;
-        }
-        else {
-            counts->fill_miss++;
-            if (last_level_miss_line(next, counts, line, 0, 1) < 0)
-                return -1;
-        }
-    }
-    long set_index = line & self->set_mask;
-    PyObject *ways = PyList_GET_ITEM(self->sets, set_index);
-    if (PyList_GET_SIZE(ways) >= self->assoc) {
-        long victim;
-        if (pop_last(ways, &victim) < 0)
-            return -1;
-        int was_dirty = dirty_discard(self->dirty, set_index, victim);
-        if (was_dirty < 0)
-            return -1;
-        if (was_dirty) {
-            counts->self_wb++;
-            if (next != NULL && next_level_write_access(next, counts, victim) < 0)
-                return -1;
-        }
-    }
-    if (insert_front(ways, line) < 0)
-        return -1;
-    if (write) {
-        if (self->write_back)
-            return dirty_add(self->dirty, set_index, line);
-        if (next != NULL)
-            return next_level_write_access(next, counts, line);
-    }
-    return 0;
-}
-
-/* One line touch on the first level (hit fast path + miss machine). */
-static int
-touch_line(Level *self, Level *next, Counts *counts, long line, int port, int write)
-{
-    (void)port;
-    counts->accesses++;
-    long set_index = line & self->set_mask;
-    PyObject *ways = PyList_GET_ITEM(self->sets, set_index);
-    Py_ssize_t i = find_line(ways, line);
-    if (i >= 0) {
-        if (i > 0 && mru_move(ways, i) < 0)
-            return -1;
-        if (write)
-            return dirty_add(self->dirty, set_index, line);
-        return 0;
-    }
-    counts->misses++;
-    return miss_line(self, next, counts, line, write);
-}
-
-/* ------------------------------------------------------- argument parsing */
-
-static int
-unpack_level(PyObject *obj, Level *lvl)
-{
-    /* ``(sets, dirty, set_mask, assoc, write_back)`` prebuilt per Cache. */
-    if (!PyTuple_Check(obj) || PyTuple_GET_SIZE(obj) != 5) {
-        PyErr_SetString(PyExc_TypeError, "level must be a 5-tuple");
-        return -1;
-    }
-    lvl->sets = PyTuple_GET_ITEM(obj, 0);
-    lvl->dirty = PyTuple_GET_ITEM(obj, 1);
-    lvl->set_mask = PyLong_AsLong(PyTuple_GET_ITEM(obj, 2));
-    lvl->assoc = PyLong_AsLong(PyTuple_GET_ITEM(obj, 3));
-    lvl->write_back = (int)PyLong_AsLong(PyTuple_GET_ITEM(obj, 4));
-    if (PyErr_Occurred())
-        return -1;
-    return 0;
-}
-
-static PyObject *
-build_result(const Counts *counts)
-{
-    return Py_BuildValue("(llllllll)", counts->accesses, counts->misses,
-                         counts->self_wb, counts->fill_acc, counts->fill_miss,
-                         counts->write_acc, counts->write_miss, counts->next_wb);
-}
-
-/* --------------------------------------------------------- entry points */
-
-/* strided(self, next_or_None, line_shift, addr, stride, count, size,
- *         port, write) -- mirrors ``Cache.access_strided``. */
-static PyObject *
-cachesim_strided(PyObject *module, PyObject *args)
-{
-    (void)module;
-    PyObject *self_obj, *next_obj;
-    long shift, addr, stride, count, size;
-    int port, write;
-    if (!PyArg_ParseTuple(args, "OOlllllii", &self_obj, &next_obj, &shift,
-                          &addr, &stride, &count, &size, &port, &write))
-        return NULL;
-    Level self_lvl, next_lvl;
-    Level *next = NULL;
-    if (unpack_level(self_obj, &self_lvl) < 0)
-        return NULL;
-    if (next_obj != Py_None) {
-        if (unpack_level(next_obj, &next_lvl) < 0)
-            return NULL;
-        next = &next_lvl;
-    }
-    Counts counts = {0, 0, 0, 0, 0, 0, 0, 0};
-    long span = (size > 1 ? size : 1) - 1;
-    long element = addr;
-    for (long k = 0; k < count; k++) {
-        long first = element >> shift;
-        long last = (element + span) >> shift;
-        element += stride;
-        for (long line = first; line <= last; line++) {
-            if (touch_line(&self_lvl, next, &counts, line, port, write) < 0)
-                return NULL;
-        }
-    }
-    return build_result(&counts);
-}
-
-/* lines(self, next_or_None, line_shift, start_addr, step, count, port,
- *       write) -- mirrors ``Cache.access_lines`` over an address range. */
-static PyObject *
-cachesim_lines(PyObject *module, PyObject *args)
-{
-    (void)module;
-    PyObject *self_obj, *next_obj;
-    long shift, start, step, count;
-    int port, write;
-    if (!PyArg_ParseTuple(args, "OOllllii", &self_obj, &next_obj, &shift,
-                          &start, &step, &count, &port, &write))
-        return NULL;
-    Level self_lvl, next_lvl;
-    Level *next = NULL;
-    if (unpack_level(self_obj, &self_lvl) < 0)
-        return NULL;
-    if (next_obj != Py_None) {
-        if (unpack_level(next_obj, &next_lvl) < 0)
-            return NULL;
-        next = &next_lvl;
-    }
-    Counts counts = {0, 0, 0, 0, 0, 0, 0, 0};
-    long addr = start;
-    for (long k = 0; k < count; k++) {
-        if (touch_line(&self_lvl, next, &counts, addr >> shift, port, write) < 0)
-            return NULL;
-        addr += step;
-    }
-    return build_result(&counts);
-}
-
-/* ====================================================================== */
-/* Charged fast paths: processor- and executor-level loops.                */
-/*                                                                        */
-/* The entry points below move whole *charging* operations (not just the  */
-/* cache automaton) into C: an executor routine visit, a charged strided  */
-/* data read/write (DTLB + caches + event counters), an instruction-run   */
-/* fetch, and the per-row conjunct branch loop.  They manipulate the same */
-/* Python state the pure-Python code does -- counter dicts, TLB           */
-/* OrderedDicts, BTB entry lists, cache set lists -- via the C API, so    */
-/* every simulated count and every piece of microarchitectural state is   */
-/* identical to the pure-Python oracle (asserted by the differential      */
-/* suites; the pure-Python paths remain in place as oracle and fallback). */
-/* ====================================================================== */
-
+#define PORT_DATA_READ 0
+#define PORT_DATA_WRITE 1
+#define PORT_INSTRUCTION 2
 #define HASH_CONSTANT 2654435761UL
 
 /* Interned attribute / counter-key strings (created at module init). */
-static PyObject *s_stats, *s_accesses, *s_misses, *s_writebacks;
+static PyObject *s_stats, *s_native, *s_next_level;
+static PyObject *s_accesses, *s_misses, *s_writebacks;
 static PyObject *s_branches, *s_taken, *s_mispredictions, *s_btb_hits, *s_btb_misses;
-static PyObject *s_tag, *s_history, *s_counters;
-static PyObject *s_move_to_end, *s_popitem;
-static PyObject *s_visit_counter, *s_cold_cursor, *s_workspace_cursor, *s_bulk_carry;
-static PyObject *s_l1i_stall, *s_last_page, *s_advance_os_clock;
+static PyObject *s_advance_os_clock;
 static PyObject *k_IFU_IFETCH, *k_IFU_IFETCH_MISS, *k_L2_IFETCH, *k_L2_IFETCH_MISS;
 static PyObject *k_ITLB_MISS, *k_INST_RETIRED, *k_INST_DECODED, *k_UOPS_RETIRED;
 static PyObject *k_DATA_MEM_REFS, *k_PARTIAL_RAT_STALLS, *k_FU_CONTENTION_STALLS;
@@ -370,70 +74,45 @@ static PyObject *k_ILD_STALL, *k_RESOURCE_STALLS, *k_DTLB_MISS, *k_DCU_LINES_IN;
 static PyObject *k_L2_DATA_RQSTS, *k_L2_DATA_MISS, *k_BR_INST_RETIRED;
 static PyObject *k_BR_TAKEN_RETIRED, *k_BR_MISS_PRED_RETIRED, *k_BTB_MISSES;
 
-/* The processor-level constant block built by SimulatedProcessor (stable
- * objects only: stats objects rebind on reset_stats and are re-fetched per
- * call through GetAttr). */
-typedef struct {
-    PyObject *l1d_obj, *l1i_obj, *l2_obj;
-    Level l1d, l1i, l2;
-    long l1d_shift, l1i_shift;
-    PyObject *dtlb_obj, *itlb_obj, *dtlb_entries, *itlb_entries;
-    long dtlb_shift, itlb_shift, dtlb_cap, itlb_cap;
-    PyObject *branch_obj, *btb_sets;
-    long btb_set_mask, history_mask, history_bits, btb_assoc;
-    int static_backward;
-    PyObject *entry_class;
-    double l1i_stall_cost, l2i_stall_cost;
-    PyObject *user;       /* counters.user dict */
-    int has_os;           /* an OS-interference model is attached */
-    PyObject *processor;  /* SimulatedProcessor (stall / last-page attrs, the
-                           * OS-clock hook); NOT part of the state tuple --
-                           * borrowed, see "packed constant blocks" below */
-} Machine;
+/* Method-table cast through ``void (*)(void)``: the functions below take
+ * their own object type as ``self`` (quiet under -Wcast-function-type). */
+#define METHOD(function) ((PyCFunction)(void (*)(void))(function))
 
-typedef struct {
-    long branches, taken, mispred, btb_hits, btb_misses;
-} BranchDeltas;
+/* ------------------------------------------------------ argument helpers */
 
 static int
-unpack_machine(PyObject *state, Machine *m)
+check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t expected)
 {
-    if (!PyTuple_Check(state) || PyTuple_GET_SIZE(state) != 28) {
-        PyErr_SetString(PyExc_TypeError, "machine state must be a 28-tuple");
-        return -1;
-    }
-#define ITEM(i) PyTuple_GET_ITEM(state, (i))
-    m->l1d_obj = ITEM(0); m->l1i_obj = ITEM(1); m->l2_obj = ITEM(2);
-    if (unpack_level(ITEM(3), &m->l1d) < 0) return -1;
-    if (unpack_level(ITEM(4), &m->l1i) < 0) return -1;
-    if (unpack_level(ITEM(5), &m->l2) < 0) return -1;
-    m->l1d_shift = PyLong_AsLong(ITEM(6));
-    m->l1i_shift = PyLong_AsLong(ITEM(7));
-    m->dtlb_obj = ITEM(8); m->itlb_obj = ITEM(9);
-    m->dtlb_entries = ITEM(10); m->itlb_entries = ITEM(11);
-    m->dtlb_shift = PyLong_AsLong(ITEM(12));
-    m->itlb_shift = PyLong_AsLong(ITEM(13));
-    m->dtlb_cap = PyLong_AsLong(ITEM(14));
-    m->itlb_cap = PyLong_AsLong(ITEM(15));
-    m->branch_obj = ITEM(16); m->btb_sets = ITEM(17);
-    m->btb_set_mask = PyLong_AsLong(ITEM(18));
-    m->history_mask = PyLong_AsLong(ITEM(19));
-    m->static_backward = (int)PyLong_AsLong(ITEM(20));
-    m->history_bits = PyLong_AsLong(ITEM(21));
-    m->btb_assoc = PyLong_AsLong(ITEM(22));
-    m->entry_class = ITEM(23);
-    m->l1i_stall_cost = PyFloat_AsDouble(ITEM(24));
-    m->l2i_stall_cost = PyFloat_AsDouble(ITEM(25));
-    m->user = ITEM(26);
-    m->has_os = (int)PyLong_AsLong(ITEM(27));
-    m->processor = NULL;
-#undef ITEM
-    if (PyErr_Occurred())
-        return -1;
-    return 0;
+    if (nargs == expected)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)",
+                 name, expected, nargs);
+    return -1;
 }
 
-/* ----------------------------------------------------- small fold helpers */
+/* The constructors take positional arguments only. */
+static int
+check_no_keywords(const char *name, PyObject *kwargs)
+{
+    if (kwargs == NULL || !PyDict_GET_SIZE(kwargs))
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s takes no keyword arguments", name);
+    return -1;
+}
+
+/* Positive, and small enough that ``count * assoc`` array sizes cannot
+ * overflow. */
+static int
+check_geometry(const char *what, long value, long limit)
+{
+    if (value >= 1 && value <= limit)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "%s must be between 1 and %ld, got %ld",
+                 what, limit, value);
+    return -1;
+}
+
+/* ------------------------------------------------------------ fold helpers */
 
 static int
 dict_add(PyObject *d, PyObject *key, long delta)
@@ -479,28 +158,6 @@ set_long_attr(PyObject *obj, PyObject *name, long value)
     return rc;
 }
 
-static double
-get_double_attr(PyObject *obj, PyObject *name, int *err)
-{
-    PyObject *v = PyObject_GetAttr(obj, name);
-    if (v == NULL) { *err = 1; return 0.0; }
-    double out = PyFloat_AsDouble(v);
-    Py_DECREF(v);
-    if (out == -1.0 && PyErr_Occurred()) { *err = 1; return 0.0; }
-    return out;
-}
-
-static int
-set_double_attr(PyObject *obj, PyObject *name, double value)
-{
-    PyObject *v = PyFloat_FromDouble(value);
-    if (v == NULL)
-        return -1;
-    int rc = PyObject_SetAttr(obj, name, v);
-    Py_DECREF(v);
-    return rc;
-}
-
 static int
 attr_add_long(PyObject *obj, PyObject *name, long delta)
 {
@@ -513,77 +170,895 @@ attr_add_long(PyObject *obj, PyObject *name, long delta)
     return set_long_attr(obj, name, cur + delta);
 }
 
+/* ``stats.<name>[port] += delta`` for port 0..2 of a per-port list. */
 static int
-list_add_long(PyObject *list, Py_ssize_t index, long delta)
+port_list_add(PyObject *stats, PyObject *name, const long *deltas)
 {
-    if (!delta)
+    if (!deltas[0] && !deltas[1] && !deltas[2])
         return 0;
-    long cur = PyLong_AsLong(PyList_GET_ITEM(list, index));
-    if (cur == -1 && PyErr_Occurred())
+    PyObject *list = PyObject_GetAttr(stats, name);
+    if (list == NULL)
         return -1;
-    PyObject *obj = PyLong_FromLong(cur + delta);
-    if (obj == NULL)
-        return -1;
-    PyList_SetItem(list, index, obj);  /* steals obj */
+    int rc = -1;
+    if (!PyList_Check(list) || PyList_GET_SIZE(list) < 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "cache statistics must be per-port lists of three");
+        goto done;
+    }
+    for (int port = 0; port < 3; port++) {
+        if (!deltas[port])
+            continue;
+        long cur = PyLong_AsLong(PyList_GET_ITEM(list, port));
+        if (cur == -1 && PyErr_Occurred())
+            goto done;
+        PyObject *obj = PyLong_FromLong(cur + deltas[port]);
+        if (obj == NULL)
+            goto done;
+        PyList_SetItem(list, port, obj);  /* steals obj */
+    }
+    rc = 0;
+done:
+    Py_DECREF(list);
+    return rc;
+}
+
+/* ======================================================================= */
+/* Cache level                                                              */
+/* ======================================================================= */
+
+/* Events of the call in progress, per port as ``CacheStats`` keeps them. */
+typedef struct {
+    long accesses[3];
+    long misses[3];
+    long writebacks;
+} Pending;
+
+typedef struct CacheState {
+    PyObject_HEAD
+    int64_t *tags;    /* num_sets * assoc line numbers, MRU first per set */
+    uint8_t *dirty;   /* parallel to tags */
+    int32_t *fill;    /* resident ways per set */
+    long num_sets, set_mask, assoc, line_shift;
+    int write_back;
+    struct CacheState *next;  /* owned; NULL on the last level */
+    Pending pend;
+} CacheState;
+
+static PyTypeObject CacheStateType;
+
+/* Insert ``line`` at the MRU position of a set holding ``n`` ways. */
+static inline void
+set_insert_front(int64_t *tags, uint8_t *dirty, long n, int64_t line)
+{
+    memmove(tags + 1, tags, (size_t)n * sizeof(int64_t));
+    memmove(dirty + 1, dirty, (size_t)n);
+    tags[0] = line;
+    dirty[0] = 0;
+}
+
+/* Probe a set; a hit moves the way to the MRU position (its dirty bit
+ * travels with it).  Returns 1 on a hit. */
+static inline int
+set_probe(int64_t *tags, uint8_t *dirty, long n, int64_t line)
+{
+    if (n && tags[0] == line)
+        return 1;
+    for (long i = 1; i < n; i++) {
+        if (tags[i] == line) {
+            uint8_t was_dirty = dirty[i];
+            set_insert_front(tags, dirty, i, line);
+            dirty[0] = was_dirty;
+            return 1;
+        }
+    }
     return 0;
 }
 
-/* Fold accesses/misses/writebacks into ``cache.stats`` (re-fetched per call:
- * reset_stats rebinds the stats object). */
+/* ``Cache._access_line``: one line touch -- probe; on a miss the
+ * next-level fill request, victim selection, write-back bookkeeping and
+ * fill.  Returns 1 on a miss at this level. */
 static int
-fold_cache(PyObject *cache_obj, int port, long accesses, long misses, long wb)
+cache_access_line(CacheState *c, int64_t line, int port, int write)
 {
-    if (!accesses && !misses && !wb)
+    c->pend.accesses[port]++;
+    long set_index = (long)(line & c->set_mask);
+    int64_t *tags = c->tags + set_index * c->assoc;
+    uint8_t *dirty = c->dirty + set_index * c->assoc;
+    long n = c->fill[set_index];
+    if (set_probe(tags, dirty, n, line)) {
+        if (write)
+            dirty[0] = 1;
         return 0;
-    PyObject *stats = PyObject_GetAttr(cache_obj, s_stats);
+    }
+    c->pend.misses[port]++;
+    CacheState *next = c->next;
+    if (next != NULL)
+        /* Fill request: a read regardless of the original direction
+         * (write-allocate); instruction fills keep the instruction port. */
+        cache_access_line(next, line,
+                          port == PORT_INSTRUCTION ? PORT_INSTRUCTION
+                                                   : PORT_DATA_READ, 0);
+    if (n >= c->assoc) {
+        n--;
+        if (dirty[n]) {
+            c->pend.writebacks++;
+            if (next != NULL)  /* the write-back installs the line there */
+                cache_access_line(next, tags[n], PORT_DATA_WRITE, 1);
+        }
+    }
+    set_insert_front(tags, dirty, n, line);
+    c->fill[set_index] = (int32_t)(n + 1);
+    if (write) {
+        if (c->write_back)
+            dirty[0] = 1;
+        else if (next != NULL)  /* write-through: forwarded as traffic */
+            cache_access_line(next, line, PORT_DATA_WRITE, 1);
+    }
+    return 1;
+}
+
+/* ``count`` elements of ``size`` bytes, ``stride`` apart, every line each
+ * element spans, in ascending order (``Cache.access_strided``). */
+static void
+cache_strided(CacheState *c, long addr, long stride, long count, long size,
+              int port, int write)
+{
+    long span = (size > 1 ? size : 1) - 1;
+    long shift = c->line_shift;
+    long element = addr;
+    for (long k = 0; k < count; k++) {
+        long last = (element + span) >> shift;
+        for (long line = element >> shift; line <= last; line++)
+            cache_access_line(c, line, port, write);
+        element += stride;
+    }
+}
+
+/* Fold one level's pending events into ``wrapper.stats`` (a ``CacheStats``;
+ * fetched per call, ``reset_stats`` rebinds it). */
+static int
+cache_fold_into(CacheState *c, PyObject *wrapper)
+{
+    Pending p = c->pend;
+    memset(&c->pend, 0, sizeof(Pending));
+    PyObject *stats = PyObject_GetAttr(wrapper, s_stats);
     if (stats == NULL)
         return -1;
-    int rc = -1;
-    PyObject *acc_list = NULL, *miss_list = NULL;
-    acc_list = PyObject_GetAttr(stats, s_accesses);
-    if (acc_list == NULL) goto done;
-    miss_list = PyObject_GetAttr(stats, s_misses);
-    if (miss_list == NULL) goto done;
-    if (list_add_long(acc_list, port, accesses) < 0) goto done;
-    if (list_add_long(miss_list, port, misses) < 0) goto done;
-    if (attr_add_long(stats, s_writebacks, wb) < 0) goto done;
-    rc = 0;
-done:
-    Py_XDECREF(acc_list);
-    Py_XDECREF(miss_list);
+    int rc = 0;
+    if (port_list_add(stats, s_accesses, p.accesses) < 0
+            || port_list_add(stats, s_misses, p.misses) < 0
+            || attr_add_long(stats, s_writebacks, p.writebacks) < 0)
+        rc = -1;
     Py_DECREF(stats);
     return rc;
 }
 
-/* Fold the next-level (L2) deltas of a Counts block, exactly as
- * ``Cache._apply_native`` does on the Python side. */
+/* Fold a whole chain: level k's events into the ``stats`` of the k-th
+ * wrapper along ``wrapper.next_level``.  Events of a level whose wrapper is
+ * gone are dropped with it. */
 static int
-fold_next(PyObject *l2_obj, int fill_port, const Counts *c)
+cache_fold_chain(CacheState *c, PyObject *wrapper)
 {
-    if (!c->fill_acc && !c->fill_miss && !c->write_acc && !c->write_miss
-            && !c->next_wb)
-        return 0;
-    PyObject *stats = PyObject_GetAttr(l2_obj, s_stats);
-    if (stats == NULL)
-        return -1;
-    int rc = -1;
-    PyObject *acc_list = NULL, *miss_list = NULL;
-    acc_list = PyObject_GetAttr(stats, s_accesses);
-    if (acc_list == NULL) goto done;
-    miss_list = PyObject_GetAttr(stats, s_misses);
-    if (miss_list == NULL) goto done;
-    if (list_add_long(acc_list, fill_port, c->fill_acc) < 0) goto done;
-    if (list_add_long(miss_list, fill_port, c->fill_miss) < 0) goto done;
-    if (list_add_long(acc_list, 1, c->write_acc) < 0) goto done;
-    if (list_add_long(miss_list, 1, c->write_miss) < 0) goto done;
-    if (attr_add_long(stats, s_writebacks, c->next_wb) < 0) goto done;
-    rc = 0;
-done:
-    Py_XDECREF(acc_list);
-    Py_XDECREF(miss_list);
-    Py_DECREF(stats);
+    int rc = 0;
+    Py_INCREF(wrapper);
+    for (; c != NULL; c = c->next) {
+        if (rc < 0 || wrapper == Py_None) {
+            memset(&c->pend, 0, sizeof(Pending));
+            continue;
+        }
+        rc = cache_fold_into(c, wrapper);
+        if (rc == 0 && c->next != NULL) {
+            PyObject *below = PyObject_GetAttr(wrapper, s_next_level);
+            if (below == NULL)
+                rc = -1;
+            else
+                Py_SETREF(wrapper, below);
+        }
+    }
+    Py_DECREF(wrapper);
     return rc;
 }
+
+static int
+port_arg(PyObject *obj)
+{
+    long port = PyLong_AsLong(obj);
+    if (port == -1 && PyErr_Occurred())
+        return -1;
+    if (port < 0 || port > 2) {
+        PyErr_SetString(PyExc_IndexError, "cache port out of range");
+        return -1;
+    }
+    return (int)port;
+}
+
+/* CacheState(num_sets, assoc, line_shift, write_back, next_or_None) */
+static PyObject *
+CacheState_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    long num_sets, assoc, line_shift;
+    int write_back;
+    PyObject *next_obj;
+    if (check_no_keywords("CacheState", kwargs) < 0
+            || !PyArg_ParseTuple(args, "lllpO", &num_sets, &assoc, &line_shift,
+                                 &write_back, &next_obj))
+        return NULL;
+    if (check_geometry("num_sets", num_sets, 1L << 28) < 0
+            || check_geometry("associativity", assoc, 1L << 16) < 0)
+        return NULL;
+    if (num_sets & (num_sets - 1)) {
+        PyErr_SetString(PyExc_ValueError, "num_sets must be a power of two");
+        return NULL;
+    }
+    if (line_shift < 0 || line_shift > 62) {
+        PyErr_SetString(PyExc_ValueError, "line_shift out of range");
+        return NULL;
+    }
+    if (next_obj != Py_None && Py_TYPE(next_obj) != &CacheStateType) {
+        PyErr_SetString(PyExc_TypeError,
+                        "next level must be a CacheState or None");
+        return NULL;
+    }
+    CacheState *c = (CacheState *)type->tp_alloc(type, 0);
+    if (c == NULL)
+        return NULL;
+    size_t ways = (size_t)num_sets * (size_t)assoc;
+    c->tags = PyMem_Calloc(ways, sizeof(int64_t));
+    c->dirty = PyMem_Calloc(ways, 1);
+    c->fill = PyMem_Calloc((size_t)num_sets, sizeof(int32_t));
+    if (c->tags == NULL || c->dirty == NULL || c->fill == NULL) {
+        Py_DECREF(c);
+        return PyErr_NoMemory();
+    }
+    c->num_sets = num_sets;
+    c->set_mask = num_sets - 1;
+    c->assoc = assoc;
+    c->line_shift = line_shift;
+    c->write_back = write_back;
+    if (next_obj != Py_None) {
+        Py_INCREF(next_obj);
+        c->next = (CacheState *)next_obj;
+    }
+    return (PyObject *)c;
+}
+
+static void
+CacheState_dealloc(PyObject *self)
+{
+    CacheState *c = (CacheState *)self;
+    PyMem_Free(c->tags);
+    PyMem_Free(c->dirty);
+    PyMem_Free(c->fill);
+    Py_XDECREF(c->next);
+    Py_TYPE(self)->tp_free(self);
+}
+
+/* strided(wrapper, addr, stride, count, size, port, write) -> misses */
+static PyObject *
+CacheState_strided(CacheState *c, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("strided", nargs, 7) < 0)
+        return NULL;
+    long addr = PyLong_AsLong(args[1]);
+    long stride = PyLong_AsLong(args[2]);
+    long count = PyLong_AsLong(args[3]);
+    long size = PyLong_AsLong(args[4]);
+    if (PyErr_Occurred())
+        return NULL;
+    int port = port_arg(args[5]);
+    int write = PyObject_IsTrue(args[6]);
+    if (port < 0 || write < 0)
+        return NULL;
+    cache_strided(c, addr, stride, count, size, port, write);
+    long misses = c->pend.misses[port];
+    if (cache_fold_chain(c, args[0]) < 0)
+        return NULL;
+    return PyLong_FromLong(misses);
+}
+
+/* lines(wrapper, start_addr, step, count, port, write) -> misses
+ * -- ``count`` line touches at byte addresses ``start + k * step``. */
+static PyObject *
+CacheState_lines(CacheState *c, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("lines", nargs, 6) < 0)
+        return NULL;
+    long addr = PyLong_AsLong(args[1]);
+    long step = PyLong_AsLong(args[2]);
+    long count = PyLong_AsLong(args[3]);
+    if (PyErr_Occurred())
+        return NULL;
+    int port = port_arg(args[4]);
+    int write = PyObject_IsTrue(args[5]);
+    if (port < 0 || write < 0)
+        return NULL;
+    for (long k = 0; k < count; k++) {
+        cache_access_line(c, addr >> c->line_shift, port, write);
+        addr += step;
+    }
+    long misses = c->pend.misses[port];
+    if (cache_fold_chain(c, args[0]) < 0)
+        return NULL;
+    return PyLong_FromLong(misses);
+}
+
+static PyObject *
+CacheState_contains(CacheState *c, PyObject *arg)
+{
+    long addr = PyLong_AsLong(arg);
+    if (addr == -1 && PyErr_Occurred())
+        return NULL;
+    int64_t line = addr >> c->line_shift;
+    long set_index = (long)(line & c->set_mask);
+    const int64_t *tags = c->tags + set_index * c->assoc;
+    for (long i = 0; i < c->fill[set_index]; i++) {
+        if (tags[i] == line)
+            Py_RETURN_TRUE;
+    }
+    Py_RETURN_FALSE;
+}
+
+static long
+cache_resident(const CacheState *c)
+{
+    long total = 0;
+    for (long s = 0; s < c->num_sets; s++)
+        total += c->fill[s];
+    return total;
+}
+
+static PyObject *
+CacheState_resident_lines(CacheState *c, PyObject *ignored)
+{
+    (void)ignored;
+    return PyLong_FromLong(cache_resident(c));
+}
+
+static long
+cache_invalidate_all(CacheState *c)
+{
+    long dropped = cache_resident(c);
+    memset(c->fill, 0, (size_t)c->num_sets * sizeof(int32_t));
+    return dropped;
+}
+
+static PyObject *
+CacheState_invalidate_all(CacheState *c, PyObject *ignored)
+{
+    (void)ignored;
+    return PyLong_FromLong(cache_invalidate_all(c));
+}
+
+/* ``Cache.invalidate_fraction``: per set keep the
+ * ``int(round(n * (1.0 - fraction)))`` most recently used lines.  Python's
+ * ``round`` is half-to-even, which is ``nearbyint`` under the default
+ * rounding mode -- never ``lround`` or ``+ 0.5`` truncation (a 1-line set
+ * at fraction 0.5 keeps 0, a 3-line set keeps 2). */
+static PyObject *
+CacheState_invalidate_fraction(CacheState *c, PyObject *arg)
+{
+    double fraction = PyFloat_AsDouble(arg);
+    if (fraction == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (isnan(fraction)) {
+        PyErr_SetString(PyExc_ValueError, "cannot convert float NaN to integer");
+        return NULL;
+    }
+    if (fraction <= 0.0)
+        return PyLong_FromLong(0);
+    if (fraction >= 1.0)
+        return PyLong_FromLong(cache_invalidate_all(c));
+    long dropped = 0;
+    for (long s = 0; s < c->num_sets; s++) {
+        long n = c->fill[s];
+        if (!n)
+            continue;
+        long keep = (long)nearbyint((double)n * (1.0 - fraction));
+        dropped += n - keep;
+        c->fill[s] = (int32_t)keep;  /* the victims' dirty bits go with them */
+    }
+    return PyLong_FromLong(dropped);
+}
+
+/* snapshot() -> (sets, dirty): per set the MRU-ordered line list and the
+ * set of dirty lines -- the shape the Python automaton keeps. */
+static PyObject *
+CacheState_snapshot(CacheState *c, PyObject *ignored)
+{
+    (void)ignored;
+    PyObject *sets = PyList_New(c->num_sets);
+    PyObject *dirty_sets = PyList_New(c->num_sets);
+    if (sets == NULL || dirty_sets == NULL)
+        goto fail;
+    for (long s = 0; s < c->num_sets; s++) {
+        long n = c->fill[s];
+        PyObject *ways = PyList_New(n);
+        PyObject *dirty = PySet_New(NULL);
+        if (ways != NULL)
+            PyList_SET_ITEM(sets, s, ways);
+        if (dirty != NULL)
+            PyList_SET_ITEM(dirty_sets, s, dirty);
+        if (ways == NULL || dirty == NULL)
+            goto fail;
+        for (long i = 0; i < n; i++) {
+            PyObject *line = PyLong_FromLongLong(c->tags[s * c->assoc + i]);
+            if (line == NULL)
+                goto fail;
+            PyList_SET_ITEM(ways, i, line);
+            if (c->dirty[s * c->assoc + i] && PySet_Add(dirty, line) < 0)
+                goto fail;
+        }
+    }
+    return Py_BuildValue("(NN)", sets, dirty_sets);
+fail:
+    Py_XDECREF(sets);
+    Py_XDECREF(dirty_sets);
+    return NULL;
+}
+
+static PyMethodDef CacheState_methods[] = {
+    {"strided", METHOD(CacheState_strided), METH_FASTCALL,
+     "Bulk strided access; folds statistics, returns this level's misses."},
+    {"lines", METHOD(CacheState_lines), METH_FASTCALL,
+     "Bulk line-run access; folds statistics, returns this level's misses."},
+    {"contains", METHOD(CacheState_contains), METH_O,
+     "True when the line holding the address is resident."},
+    {"resident_lines", METHOD(CacheState_resident_lines), METH_NOARGS,
+     "Number of resident lines."},
+    {"invalidate_all", METHOD(CacheState_invalidate_all), METH_NOARGS,
+     "Drop every line; returns how many."},
+    {"invalidate_fraction", METHOD(CacheState_invalidate_fraction), METH_O,
+     "Drop the LRU share of every set; returns how many lines."},
+    {"snapshot", METHOD(CacheState_snapshot), METH_NOARGS,
+     "(MRU-ordered line lists, dirty sets), one entry per set."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject CacheStateType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.hardware._cachesim.CacheState",
+    .tp_basicsize = sizeof(CacheState),
+    .tp_dealloc = CacheState_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Flat-array state of one set-associative LRU cache level.",
+    .tp_methods = CacheState_methods,
+    .tp_new = CacheState_new,
+};
+
+/* ======================================================================= */
+/* TLB                                                                      */
+/* ======================================================================= */
+
+typedef struct {
+    PyObject_HEAD
+    int64_t *pages;  /* MRU first */
+    long fill, capacity, page_shift;
+} TLBState;
+
+static PyTypeObject TLBStateType;
+
+/* One ``TLB.access`` transition; returns 1 on a miss. */
+static inline int
+tlb_touch(TLBState *t, int64_t page)
+{
+    int64_t *pages = t->pages;
+    long n = t->fill;
+    if (n && pages[0] == page)
+        return 0;
+    for (long i = 1; i < n; i++) {
+        if (pages[i] == page) {
+            memmove(pages + 1, pages, (size_t)i * sizeof(int64_t));
+            pages[0] = page;
+            return 0;
+        }
+    }
+    if (n < t->capacity)
+        t->fill = ++n;  /* else the LRU entry falls off the end */
+    memmove(pages + 1, pages, (size_t)(n - 1) * sizeof(int64_t));
+    pages[0] = page;
+    return 1;
+}
+
+/* TLBState(entries, page_shift) */
+static PyObject *
+TLBState_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    long entries, page_shift;
+    if (check_no_keywords("TLBState", kwargs) < 0
+            || !PyArg_ParseTuple(args, "ll", &entries, &page_shift))
+        return NULL;
+    if (check_geometry("entries", entries, 1L << 24) < 0)
+        return NULL;
+    if (page_shift < 0 || page_shift > 62) {
+        PyErr_SetString(PyExc_ValueError, "page_shift out of range");
+        return NULL;
+    }
+    TLBState *t = (TLBState *)type->tp_alloc(type, 0);
+    if (t == NULL)
+        return NULL;
+    t->pages = PyMem_Calloc((size_t)entries, sizeof(int64_t));
+    if (t->pages == NULL) {
+        Py_DECREF(t);
+        return PyErr_NoMemory();
+    }
+    t->capacity = entries;
+    t->page_shift = page_shift;
+    return (PyObject *)t;
+}
+
+static void
+TLBState_dealloc(PyObject *self)
+{
+    TLBState *t = (TLBState *)self;
+    PyMem_Free(t->pages);
+    Py_TYPE(self)->tp_free(self);
+}
+
+/* touch(addr) -> 1 on a miss, 0 on a hit */
+static PyObject *
+TLBState_touch(TLBState *t, PyObject *arg)
+{
+    long addr = PyLong_AsLong(arg);
+    if (addr == -1 && PyErr_Occurred())
+        return NULL;
+    return PyLong_FromLong(tlb_touch(t, addr >> t->page_shift));
+}
+
+static PyObject *
+TLBState_contains(TLBState *t, PyObject *arg)
+{
+    long addr = PyLong_AsLong(arg);
+    if (addr == -1 && PyErr_Occurred())
+        return NULL;
+    int64_t page = addr >> t->page_shift;
+    for (long i = 0; i < t->fill; i++) {
+        if (t->pages[i] == page)
+            Py_RETURN_TRUE;
+    }
+    Py_RETURN_FALSE;
+}
+
+static PyObject *
+TLBState_resident_pages(TLBState *t, PyObject *ignored)
+{
+    (void)ignored;
+    return PyLong_FromLong(t->fill);
+}
+
+static PyObject *
+TLBState_flush(TLBState *t, PyObject *ignored)
+{
+    (void)ignored;
+    long dropped = t->fill;
+    t->fill = 0;
+    return PyLong_FromLong(dropped);
+}
+
+/* snapshot() -> resident pages, least recently used first (the iteration
+ * order of the Python automaton's OrderedDict). */
+static PyObject *
+TLBState_snapshot(TLBState *t, PyObject *ignored)
+{
+    (void)ignored;
+    PyObject *pages = PyList_New(t->fill);
+    if (pages == NULL)
+        return NULL;
+    for (long i = 0; i < t->fill; i++) {
+        PyObject *page = PyLong_FromLongLong(t->pages[t->fill - 1 - i]);
+        if (page == NULL) {
+            Py_DECREF(pages);
+            return NULL;
+        }
+        PyList_SET_ITEM(pages, i, page);
+    }
+    return pages;
+}
+
+static PyMethodDef TLBState_methods[] = {
+    {"touch", METHOD(TLBState_touch), METH_O,
+     "Translate an address; returns 1 on a miss."},
+    {"contains", METHOD(TLBState_contains), METH_O,
+     "True when the page holding the address is resident."},
+    {"resident_pages", METHOD(TLBState_resident_pages), METH_NOARGS,
+     "Number of resident translations."},
+    {"flush", METHOD(TLBState_flush), METH_NOARGS,
+     "Drop every translation; returns how many."},
+    {"snapshot", METHOD(TLBState_snapshot), METH_NOARGS,
+     "Resident pages, least recently used first."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject TLBStateType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.hardware._cachesim.TLBState",
+    .tp_basicsize = sizeof(TLBState),
+    .tp_dealloc = TLBState_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "MRU-ordered page array of one fully associative LRU TLB.",
+    .tp_methods = TLBState_methods,
+    .tp_new = TLBState_new,
+};
+
+/* ======================================================================= */
+/* Branch target buffer                                                     */
+/* ======================================================================= */
+
+typedef struct {
+    PyObject_HEAD
+    int64_t *tags;      /* per way slot */
+    int32_t *history;   /* per way slot */
+    uint8_t *counters;  /* per way slot, 1 << history_bits two-bit counters */
+    int32_t *order;     /* per set: way slots (0..assoc-1), MRU first */
+    int32_t *fill;      /* per set: resident ways; they occupy slots 0..fill-1 */
+    long num_sets, set_mask, assoc, history_bits, history_mask;
+    int static_backward;
+} BTBState;
+
+static PyTypeObject BTBStateType;
+
+typedef struct {
+    long branches, taken, mispredictions, btb_hits, btb_misses;
+} BranchDeltas;
+
+/* ``_BTBEntry.update``: saturate the two-bit counter, shift the history. */
+static inline void
+btb_update(BTBState *b, long slot, int taken)
+{
+    uint8_t *counter = b->counters + (slot << b->history_bits) + b->history[slot];
+    if (taken) {
+        if (*counter < 3)
+            (*counter)++;
+    }
+    else if (*counter > 0) {
+        (*counter)--;
+    }
+    b->history[slot] = (int32_t)(((b->history[slot] << 1) | taken)
+                                 & b->history_mask);
+}
+
+/* ``BranchPredictor.execute``; returns 1 when mispredicted. */
+static int
+btb_execute(BTBState *b, long site_addr, int taken, int backward,
+            BranchDeltas *bd)
+{
+    bd->branches++;
+    bd->taken += taken;
+    int64_t site = site_addr >> 4;
+    long set_index = (long)(site & b->set_mask);
+    int32_t *order = b->order + set_index * b->assoc;
+    long base = set_index * b->assoc;
+    long n = b->fill[set_index];
+    int prediction;
+    long i = 0;
+    while (i < n && b->tags[base + order[i]] != site)
+        i++;
+    if (i < n) {
+        bd->btb_hits++;
+        int32_t way = order[i];
+        long slot = base + way;
+        prediction = b->counters[(slot << b->history_bits)
+                                 + b->history[slot]] >= 2;
+        memmove(order + 1, order, (size_t)i * sizeof(int32_t));
+        order[0] = way;
+        btb_update(b, slot, taken);
+    }
+    else {
+        bd->btb_misses++;
+        prediction = b->static_backward ? backward : 0;
+        if (taken) {
+            /* Only taken branches allocate; a full set recycles its LRU
+             * way's slot. */
+            int32_t way;
+            if (n < b->assoc) {
+                way = (int32_t)n;
+                b->fill[set_index] = (int32_t)++n;
+            }
+            else {
+                way = order[n - 1];
+            }
+            memmove(order + 1, order, (size_t)(n - 1) * sizeof(int32_t));
+            order[0] = way;
+            long slot = base + way;
+            b->tags[slot] = site;
+            b->history[slot] = 0;
+            memset(b->counters + (slot << b->history_bits), 2,
+                   (size_t)1 << b->history_bits);  /* weakly taken */
+            btb_update(b, slot, taken);
+        }
+    }
+    int mispredicted = prediction != taken;
+    bd->mispredictions += mispredicted;
+    return mispredicted;
+}
+
+/* BTBState(num_sets, assoc, history_bits, static_backward_taken) */
+static PyObject *
+BTBState_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    long num_sets, assoc, history_bits;
+    int static_backward;
+    if (check_no_keywords("BTBState", kwargs) < 0
+            || !PyArg_ParseTuple(args, "lllp", &num_sets, &assoc, &history_bits,
+                                 &static_backward))
+        return NULL;
+    if (check_geometry("num_sets", num_sets, 1L << 24) < 0
+            || check_geometry("associativity", assoc, 1L << 12) < 0)
+        return NULL;
+    if (history_bits < 0 || history_bits > 16) {
+        PyErr_SetString(PyExc_ValueError,
+                        "history_bits must be between 0 and 16");
+        return NULL;
+    }
+    BTBState *b = (BTBState *)type->tp_alloc(type, 0);
+    if (b == NULL)
+        return NULL;
+    size_t ways = (size_t)num_sets * (size_t)assoc;
+    b->tags = PyMem_Calloc(ways, sizeof(int64_t));
+    b->history = PyMem_Calloc(ways, sizeof(int32_t));
+    b->counters = PyMem_Calloc(ways << history_bits, 1);
+    b->order = PyMem_Calloc(ways, sizeof(int32_t));
+    b->fill = PyMem_Calloc((size_t)num_sets, sizeof(int32_t));
+    if (b->tags == NULL || b->history == NULL || b->counters == NULL
+            || b->order == NULL || b->fill == NULL) {
+        Py_DECREF(b);
+        return PyErr_NoMemory();
+    }
+    b->num_sets = num_sets;
+    b->set_mask = num_sets - 1;
+    b->assoc = assoc;
+    b->history_bits = history_bits;
+    b->history_mask = (1L << history_bits) - 1;
+    b->static_backward = static_backward;
+    return (PyObject *)b;
+}
+
+static void
+BTBState_dealloc(PyObject *self)
+{
+    BTBState *b = (BTBState *)self;
+    PyMem_Free(b->tags);
+    PyMem_Free(b->history);
+    PyMem_Free(b->counters);
+    PyMem_Free(b->order);
+    PyMem_Free(b->fill);
+    Py_TYPE(self)->tp_free(self);
+}
+
+/* execute(site_addr, taken, backward) -> bit 0 mispredicted, bit 1 BTB hit */
+static PyObject *
+BTBState_execute(BTBState *b, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("execute", nargs, 3) < 0)
+        return NULL;
+    long site_addr = PyLong_AsLong(args[0]);
+    if (site_addr == -1 && PyErr_Occurred())
+        return NULL;
+    int taken = PyObject_IsTrue(args[1]);
+    int backward = PyObject_IsTrue(args[2]);
+    if (taken < 0 || backward < 0)
+        return NULL;
+    BranchDeltas bd = {0, 0, 0, 0, 0};
+    int mispredicted = btb_execute(b, site_addr, taken, backward, &bd);
+    return PyLong_FromLong(mispredicted | (bd.btb_hits ? 2 : 0));
+}
+
+static PyObject *
+BTBState_resident_entries(BTBState *b, PyObject *ignored)
+{
+    (void)ignored;
+    long total = 0;
+    for (long s = 0; s < b->num_sets; s++)
+        total += b->fill[s];
+    return PyLong_FromLong(total);
+}
+
+static PyObject *
+BTBState_flush(BTBState *b, PyObject *ignored)
+{
+    (void)ignored;
+    memset(b->fill, 0, (size_t)b->num_sets * sizeof(int32_t));
+    Py_RETURN_NONE;
+}
+
+/* snapshot() -> per set the MRU-ordered ``(tag, history, counters)`` ways. */
+static PyObject *
+BTBState_snapshot(BTBState *b, PyObject *ignored)
+{
+    (void)ignored;
+    long table = 1L << b->history_bits;
+    PyObject *sets = PyList_New(b->num_sets);
+    if (sets == NULL)
+        return NULL;
+    for (long s = 0; s < b->num_sets; s++) {
+        long n = b->fill[s];
+        PyObject *ways = PyList_New(n);
+        if (ways == NULL)
+            goto fail;
+        PyList_SET_ITEM(sets, s, ways);
+        for (long i = 0; i < n; i++) {
+            long slot = s * b->assoc + b->order[s * b->assoc + i];
+            PyObject *counters = PyTuple_New(table);
+            if (counters == NULL)
+                goto fail;
+            for (long k = 0; k < table; k++) {
+                PyObject *value = PyLong_FromLong(
+                    b->counters[(slot << b->history_bits) + k]);
+                if (value == NULL) {
+                    Py_DECREF(counters);
+                    goto fail;
+                }
+                PyTuple_SET_ITEM(counters, k, value);
+            }
+            PyObject *way = Py_BuildValue("(LlN)", (long long)b->tags[slot],
+                                          (long)b->history[slot], counters);
+            if (way == NULL)
+                goto fail;
+            PyList_SET_ITEM(ways, i, way);
+        }
+    }
+    return sets;
+fail:
+    Py_DECREF(sets);
+    return NULL;
+}
+
+static PyMethodDef BTBState_methods[] = {
+    {"execute", METHOD(BTBState_execute), METH_FASTCALL,
+     "Execute one branch; bit 0 mispredicted, bit 1 BTB hit."},
+    {"resident_entries", METHOD(BTBState_resident_entries), METH_NOARGS,
+     "Number of allocated BTB entries."},
+    {"flush", METHOD(BTBState_flush), METH_NOARGS,
+     "Clear all prediction state."},
+    {"snapshot", METHOD(BTBState_snapshot), METH_NOARGS,
+     "Per set, MRU first: (tag, history, counters)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject BTBStateType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.hardware._cachesim.BTBState",
+    .tp_basicsize = sizeof(BTBState),
+    .tp_dealloc = BTBState_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Two-level adaptive predictor state behind a set-associative BTB.",
+    .tp_methods = BTBState_methods,
+    .tp_new = BTBState_new,
+};
+
+/* ======================================================================= */
+/* Machine: one processor's automata and the charged operations over them   */
+/* ======================================================================= */
+
+typedef struct {
+    PyObject_HEAD
+    CacheState *l1d, *l1i, *l2;  /* owned */
+    TLBState *dtlb, *itlb;       /* owned */
+    BTBState *btb;               /* owned */
+    /* The Python wrappers, owned: their ``stats`` objects rebind on
+     * ``reset_stats`` and are fetched per call. */
+    PyObject *l1d_obj, *l1i_obj, *l2_obj, *dtlb_obj, *itlb_obj, *branch_obj;
+    PyObject *user;              /* counters.user dict, owned */
+    double l1i_stall_cost, l2i_stall_cost;
+    int has_os;                  /* an OS-interference model is attached */
+    PyObject *processor;         /* borrowed: the processor owns this object */
+    /* Front-end scalars (``SimulatedProcessor._l1i_stall_cycles`` /
+     * ``_last_instruction_page`` read and write these members). */
+    double l1i_stall_cycles;
+    long last_instruction_page;
+} Machine;
+
+static PyTypeObject MachineType;
+
+/* What one charged operation adds up before it folds, beside the cache
+ * events pending in the three levels: TLB consultations, the predictor's
+ * statistics, and the event counters that do not derive from those. */
+typedef struct {
+    long itlb_acc, itlb_miss, dtlb_acc, dtlb_miss;
+    BranchDeltas predictor;
+    long data_refs;
+    long instructions, uops, dep_stall, fu_stall, ild_stall, resource_stall;
+    long br_retired, br_taken, br_mispredicted, btb_misses;
+} Charge;
 
 static int
 fold_tlb(PyObject *tlb_obj, long accesses, long misses)
@@ -594,9 +1069,8 @@ fold_tlb(PyObject *tlb_obj, long accesses, long misses)
     if (stats == NULL)
         return -1;
     int rc = 0;
-    if (attr_add_long(stats, s_accesses, accesses) < 0)
-        rc = -1;
-    else if (attr_add_long(stats, s_misses, misses) < 0)
+    if (attr_add_long(stats, s_accesses, accesses) < 0
+            || attr_add_long(stats, s_misses, misses) < 0)
         rc = -1;
     Py_DECREF(stats);
     return rc;
@@ -610,293 +1084,467 @@ fold_branch(PyObject *branch_obj, const BranchDeltas *bd)
     PyObject *stats = PyObject_GetAttr(branch_obj, s_stats);
     if (stats == NULL)
         return -1;
-    int rc = -1;
-    if (attr_add_long(stats, s_branches, bd->branches) < 0) goto done;
-    if (attr_add_long(stats, s_taken, bd->taken) < 0) goto done;
-    if (attr_add_long(stats, s_mispredictions, bd->mispred) < 0) goto done;
-    if (attr_add_long(stats, s_btb_hits, bd->btb_hits) < 0) goto done;
-    if (attr_add_long(stats, s_btb_misses, bd->btb_misses) < 0) goto done;
-    rc = 0;
-done:
+    int rc = 0;
+    if (attr_add_long(stats, s_branches, bd->branches) < 0
+            || attr_add_long(stats, s_taken, bd->taken) < 0
+            || attr_add_long(stats, s_mispredictions, bd->mispredictions) < 0
+            || attr_add_long(stats, s_btb_hits, bd->btb_hits) < 0
+            || attr_add_long(stats, s_btb_misses, bd->btb_misses) < 0)
+        rc = -1;
     Py_DECREF(stats);
     return rc;
 }
 
-/* --------------------------------------------------------- TLB automaton */
-
-/* One ``TLB.access``/``access_bulk`` state transition on the OrderedDict
- * (mutating method calls go through the object so the LRU linkage stays
- * consistent; membership/size use the dict fast paths).  The access count
- * is accumulated by the caller. */
-static int
-tlb_touch(PyObject *entries, long capacity, long page, long *miss)
+/* A charged operation that raised folds nothing; the next one must still
+ * start from empty pending blocks. */
+static void
+machine_discard_pending(Machine *m)
 {
-    PyObject *key = PyLong_FromLong(page);
-    if (key == NULL)
+    memset(&m->l1d->pend, 0, sizeof(Pending));
+    memset(&m->l1i->pend, 0, sizeof(Pending));
+    memset(&m->l2->pend, 0, sizeof(Pending));
+}
+
+/* Fold one charged operation, once: the event counters (those of the
+ * caches read off the pending blocks -- the L2's per-port misses split
+ * instruction fills from data traffic, exactly as the Python code's
+ * ``l2.stats.misses`` deltas do), then each automaton's statistics.  Every
+ * add commutes with everything the Python side does in between, the
+ * OS-interrupt handler included (it touches the supervisor bank, the
+ * ``invalidations`` statistic and the state objects), so folding at the end
+ * of the operation changes no total. */
+static int
+machine_fold(Machine *m, const Charge *ch)
+{
+    const Pending *l1d = &m->l1d->pend, *l1i = &m->l1i->pend, *l2 = &m->l2->pend;
+    long l1i_misses = l1i->misses[PORT_INSTRUCTION];
+    long l1d_misses = l1d->misses[PORT_DATA_READ] + l1d->misses[PORT_DATA_WRITE];
+    PyObject *user = m->user;
+    if (dict_add(user, k_IFU_IFETCH, l1i->accesses[PORT_INSTRUCTION]) < 0
+            || dict_add(user, k_IFU_IFETCH_MISS, l1i_misses) < 0
+            || dict_add(user, k_L2_IFETCH, l1i_misses) < 0
+            || dict_add(user, k_L2_IFETCH_MISS, l2->misses[PORT_INSTRUCTION]) < 0
+            || dict_add(user, k_ITLB_MISS, ch->itlb_miss) < 0
+            || dict_add(user, k_INST_RETIRED, ch->instructions) < 0
+            || dict_add(user, k_INST_DECODED, ch->instructions) < 0
+            || dict_add(user, k_UOPS_RETIRED, ch->uops) < 0
+            || dict_add(user, k_DATA_MEM_REFS, ch->data_refs) < 0
+            || dict_add(user, k_PARTIAL_RAT_STALLS, ch->dep_stall) < 0
+            || dict_add(user, k_FU_CONTENTION_STALLS, ch->fu_stall) < 0
+            || dict_add(user, k_ILD_STALL, ch->ild_stall) < 0
+            || dict_add(user, k_RESOURCE_STALLS, ch->resource_stall) < 0
+            || dict_add(user, k_DTLB_MISS, ch->dtlb_miss) < 0
+            || dict_add(user, k_DCU_LINES_IN, l1d_misses) < 0
+            || dict_add(user, k_L2_DATA_RQSTS, l1d_misses) < 0
+            || dict_add(user, k_L2_DATA_MISS, l2->misses[PORT_DATA_READ]
+                                             + l2->misses[PORT_DATA_WRITE]) < 0
+            || dict_add(user, k_BR_INST_RETIRED, ch->br_retired) < 0
+            || dict_add(user, k_BR_TAKEN_RETIRED, ch->br_taken) < 0
+            || dict_add(user, k_BR_MISS_PRED_RETIRED, ch->br_mispredicted) < 0
+            || dict_add(user, k_BTB_MISSES, ch->btb_misses) < 0
+            || cache_fold_into(m->l1i, m->l1i_obj) < 0
+            || cache_fold_into(m->l1d, m->l1d_obj) < 0
+            || cache_fold_into(m->l2, m->l2_obj) < 0
+            || fold_tlb(m->itlb_obj, ch->itlb_acc, ch->itlb_miss) < 0
+            || fold_tlb(m->dtlb_obj, ch->dtlb_acc, ch->dtlb_miss) < 0
+            || fold_branch(m->branch_obj, &ch->predictor) < 0) {
+        machine_discard_pending(m);
         return -1;
-    int has = PyDict_Contains(entries, key);
-    if (has < 0) {
-        Py_DECREF(key);
-        return -1;
-    }
-    if (has) {
-        PyObject *r = PyObject_CallMethodObjArgs(entries, s_move_to_end, key, NULL);
-        Py_DECREF(key);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        return 0;
-    }
-    (*miss)++;
-    int rc = PyObject_SetItem(entries, key, Py_None);
-    Py_DECREF(key);
-    if (rc < 0)
-        return -1;
-    if (PyDict_Size(entries) > capacity) {
-        PyObject *r = PyObject_CallMethodObjArgs(entries, s_popitem, Py_False, NULL);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
     }
     return 0;
 }
-
-/* ---------------------------------------------------- instruction fetches */
 
 /* ``SimulatedProcessor.fetch_code_run``: ITLB per page transition, one L1I
- * line touch per line, per-run front-end stall accumulation.  Counter
- * deltas accumulate into *ic / *itlb_*; the stall is added per run with
- * misses (the exact float-accumulation order of the Python code). */
-static int
-fetch_run_impl(Machine *m, long line_addr, long count, Counts *ic,
-               long *itlb_acc, long *itlb_miss, long *last_page, double *stall)
+ * line touch per line, per-run front-end stall accumulation (the stall is
+ * added per run with misses: the float-accumulation order of the Python
+ * code). */
+static void
+fetch_run_impl(Machine *m, Charge *ch, long line_addr, long count)
 {
     if (count <= 0)
-        return 0;
-    long line_bytes = 1L << m->l1i_shift;
-    long first_page = line_addr >> m->itlb_shift;
+        return;
+    CacheState *l1i = m->l1i;
+    TLBState *itlb = m->itlb;
+    long line_bytes = 1L << l1i->line_shift;
+    long first_page = line_addr >> itlb->page_shift;
     long last_line = line_addr + (count - 1) * line_bytes;
-    long miss_before = ic->misses;
-    long fill_before = ic->fill_miss;
-    if (first_page != *last_page) {
-        (*itlb_acc)++;
-        if (tlb_touch(m->itlb_entries, m->itlb_cap, first_page, itlb_miss) < 0)
-            return -1;
+    long miss_before = l1i->pend.misses[PORT_INSTRUCTION];
+    long fill_before = m->l2->pend.misses[PORT_INSTRUCTION];
+    if (first_page != m->last_instruction_page) {
+        ch->itlb_acc++;
+        ch->itlb_miss += tlb_touch(itlb, first_page);
     }
-    long end_page = last_line >> m->itlb_shift;
+    long end_page = last_line >> itlb->page_shift;
     for (long page = first_page + 1; page <= end_page; page++) {
-        (*itlb_acc)++;
-        if (tlb_touch(m->itlb_entries, m->itlb_cap, page, itlb_miss) < 0)
-            return -1;
+        ch->itlb_acc++;
+        ch->itlb_miss += tlb_touch(itlb, page);
     }
-    *last_page = end_page;
-    for (long k = 0; k < count; k++) {
-        long line = (line_addr + k * line_bytes) >> m->l1i_shift;
-        if (touch_line(&m->l1i, &m->l2, ic, line, 2, 0) < 0)
-            return -1;
-    }
-    long l1i_run = ic->misses - miss_before;
+    m->last_instruction_page = end_page;
+    for (long k = 0; k < count; k++)
+        cache_access_line(l1i, (line_addr + k * line_bytes) >> l1i->line_shift,
+                          PORT_INSTRUCTION, 0);
+    long l1i_run = l1i->pend.misses[PORT_INSTRUCTION] - miss_before;
     if (l1i_run) {
-        long l2i_run = ic->fill_miss - fill_before;
-        *stall += (double)l1i_run * m->l1i_stall_cost
-                  + (double)l2i_run * m->l2i_stall_cost;
+        long l2i_run = m->l2->pend.misses[PORT_INSTRUCTION] - fill_before;
+        m->l1i_stall_cycles += (double)l1i_run * m->l1i_stall_cost
+                               + (double)l2i_run * m->l2i_stall_cost;
     }
-    return 0;
 }
 
-/* Fold the instruction-side counter/statistics deltas of one or more fetch
- * runs (the adds commute across runs, exactly like the per-call adds of
- * ``fetch_code_run``). */
-static int
-fold_fetch(Machine *m, const Counts *ic, long itlb_acc, long itlb_miss)
+/* ``data_read_strided``/``data_write_strided`` body: DTLB once per page-run
+ * of elements, L1D automaton per line.  Degenerate strides (<= 0) revisit
+ * the same element with one DTLB consultation each, which is what the
+ * scalar ``data_read`` loop does -- same totals, same state. */
+static void
+data_strided_impl(Machine *m, Charge *ch, long addr, long stride, long count,
+                  long size, int write)
 {
-    if (dict_add(m->user, k_IFU_IFETCH, ic->accesses) < 0) return -1;
-    if (dict_add(m->user, k_IFU_IFETCH_MISS, ic->misses) < 0) return -1;
-    if (dict_add(m->user, k_L2_IFETCH, ic->misses) < 0) return -1;
-    if (dict_add(m->user, k_L2_IFETCH_MISS, ic->fill_miss) < 0) return -1;
-    if (dict_add(m->user, k_ITLB_MISS, itlb_miss) < 0) return -1;
-    if (fold_cache(m->l1i_obj, 2, ic->accesses, ic->misses, ic->self_wb) < 0)
-        return -1;
-    if (fold_next(m->l2_obj, 2, ic) < 0) return -1;
-    if (fold_tlb(m->itlb_obj, itlb_acc, itlb_miss) < 0) return -1;
-    return 0;
-}
-
-/* ---------------------------------------------------------- data accesses */
-
-/* ``SimulatedProcessor.data_read_strided``/``data_write_strided`` body:
- * DTLB once per page-run of elements, L1D automaton per line.  Degenerate
- * strides (<= 0) fall back to one DTLB consultation per element, which is
- * what the scalar ``data_read`` loop does -- same totals, same state. */
-static int
-data_strided_impl(Machine *m, long addr, long stride, long count, long size,
-                  int write, Counts *dc, long *dtlb_acc, long *dtlb_miss)
-{
-    long span = (size > 1 ? size : 1) - 1;
-    int port = write ? 1 : 0;
+    long page_shift = m->dtlb->page_shift;
+    int port = write ? PORT_DATA_WRITE : PORT_DATA_READ;
     long position = 0;
+    ch->data_refs += count;
     while (position < count) {
-        /* Degenerate strides (<= 0) revisit the same element, exactly like
-         * the scalar fallback loop of the Python strided paths. */
         long element = stride > 0 ? addr + position * stride : addr;
         long run = 1;
         if (stride > 0) {
-            long page_end = ((element >> m->dtlb_shift) + 1) << m->dtlb_shift;
+            long page_end = ((element >> page_shift) + 1) << page_shift;
             run = (page_end - element + stride - 1) / stride;
             if (run > count - position)
                 run = count - position;
             if (run < 1)
                 run = 1;
         }
-        *dtlb_acc += run;
-        if (tlb_touch(m->dtlb_entries, m->dtlb_cap,
-                      element >> m->dtlb_shift, dtlb_miss) < 0)
-            return -1;
-        for (long r = 0; r < run; r++) {
-            long e = element + r * stride;
-            long first = e >> m->l1d_shift;
-            long last = (e + span) >> m->l1d_shift;
-            for (long line = first; line <= last; line++) {
-                if (touch_line(&m->l1d, &m->l2, dc, line, port, write) < 0)
-                    return -1;
-            }
-        }
+        ch->dtlb_acc += run;
+        ch->dtlb_miss += tlb_touch(m->dtlb, element >> page_shift);
+        cache_strided(m->l1d, element, stride, run, size, port, write);
         position += run;
     }
-    return 0;
 }
 
-/* Fold the data-side counter/statistics deltas (the counter adds of
- * ``data_read``/``data_read_strided``; fills to the L2 land on the data
- * read port, exactly as ``_apply_native`` routes them). */
-static int
-fold_data(Machine *m, const Counts *dc, long elements, long dtlb_acc,
-          long dtlb_miss, int port)
+/* ---------------------------------------------------------------- object */
+
+/* Take ``wrapper._native`` as a state object of ``type`` (new reference). */
+static PyObject *
+native_state_of(PyObject *wrapper, PyTypeObject *type)
 {
-    if (dict_add(m->user, k_DATA_MEM_REFS, elements) < 0) return -1;
-    if (dict_add(m->user, k_DTLB_MISS, dtlb_miss) < 0) return -1;
-    if (dc->misses) {
-        if (dict_add(m->user, k_DCU_LINES_IN, dc->misses) < 0) return -1;
-        if (dict_add(m->user, k_L2_DATA_RQSTS, dc->misses) < 0) return -1;
-        if (dict_add(m->user, k_L2_DATA_MISS,
-                     dc->fill_miss + dc->write_miss) < 0) return -1;
+    PyObject *state = PyObject_GetAttr(wrapper, s_native);
+    if (state == NULL)
+        return NULL;
+    if (Py_TYPE(state) != type) {
+        PyErr_Format(PyExc_TypeError,
+                     "%R holds no native %s: native and pure-Python automata "
+                     "are never mixed in one processor", wrapper, type->tp_name);
+        Py_DECREF(state);
+        return NULL;
     }
-    if (fold_cache(m->l1d_obj, port, dc->accesses, dc->misses, dc->self_wb) < 0)
-        return -1;
-    if (fold_next(m->l2_obj, 0, dc) < 0) return -1;
-    if (fold_tlb(m->dtlb_obj, dtlb_acc, dtlb_miss) < 0) return -1;
-    return 0;
+    return state;
 }
 
-/* ------------------------------------------------------ branch prediction */
-
-/* ``_BTBEntry.update``: saturate the 2-bit counter, shift the history. */
-static int
-entry_update(PyObject *entry, long history, long counter, int taken,
-             long history_mask)
+/* Machine(l1d, l1i, l2, dtlb, itlb, branch_unit, l1i_stall_cost,
+ *         l2i_stall_cost, user_counters, has_os, processor) */
+static PyObject *
+Machine_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
-    long updated = counter;
-    if (taken) {
-        if (counter < 3)
-            updated = counter + 1;
+    PyObject *l1d, *l1i, *l2, *dtlb, *itlb, *branch, *user, *processor;
+    double l1i_stall_cost, l2i_stall_cost;
+    int has_os;
+    if (check_no_keywords("Machine", kwargs) < 0
+            || !PyArg_ParseTuple(args, "OOOOOOddO!pO", &l1d, &l1i, &l2, &dtlb,
+                                 &itlb, &branch, &l1i_stall_cost,
+                                 &l2i_stall_cost, &PyDict_Type, &user,
+                                 &has_os, &processor))
+        return NULL;
+    Machine *m = (Machine *)type->tp_alloc(type, 0);
+    if (m == NULL)
+        return NULL;
+#define STATE(field, ctype, wrapper, type_object)                          \
+    (m->field = (ctype *)native_state_of((wrapper), &(type_object))) != NULL
+    if (!(STATE(l1d, CacheState, l1d, CacheStateType)
+            && STATE(l1i, CacheState, l1i, CacheStateType)
+            && STATE(l2, CacheState, l2, CacheStateType)
+            && STATE(dtlb, TLBState, dtlb, TLBStateType)
+            && STATE(itlb, TLBState, itlb, TLBStateType)
+            && STATE(btb, BTBState, branch, BTBStateType))) {
+        Py_DECREF(m);
+        return NULL;
     }
-    else if (counter > 0) {
-        updated = counter - 1;
+#undef STATE
+    if (m->l1d->next != m->l2 || m->l1i->next != m->l2) {
+        PyErr_SetString(PyExc_ValueError,
+                        "both L1 caches must fill from the given L2");
+        Py_DECREF(m);
+        return NULL;
     }
-    if (updated != counter) {
-        PyObject *counters = PyObject_GetAttr(entry, s_counters);
-        if (counters == NULL)
-            return -1;
-        PyObject *obj = PyLong_FromLong(updated);
-        if (obj == NULL) {
-            Py_DECREF(counters);
-            return -1;
+#define OWN(field, obj) do { Py_INCREF(obj); m->field = (obj); } while (0)
+    OWN(l1d_obj, l1d); OWN(l1i_obj, l1i); OWN(l2_obj, l2);
+    OWN(dtlb_obj, dtlb); OWN(itlb_obj, itlb); OWN(branch_obj, branch);
+    OWN(user, user);
+#undef OWN
+    m->l1i_stall_cost = l1i_stall_cost;
+    m->l2i_stall_cost = l2i_stall_cost;
+    m->has_os = has_os;
+    m->processor = processor;
+    m->last_instruction_page = -1;
+    return (PyObject *)m;
+}
+
+static void
+Machine_dealloc(PyObject *self)
+{
+    Machine *m = (Machine *)self;
+    Py_XDECREF(m->l1d); Py_XDECREF(m->l1i); Py_XDECREF(m->l2);
+    Py_XDECREF(m->dtlb); Py_XDECREF(m->itlb); Py_XDECREF(m->btb);
+    Py_XDECREF(m->l1d_obj); Py_XDECREF(m->l1i_obj); Py_XDECREF(m->l2_obj);
+    Py_XDECREF(m->dtlb_obj); Py_XDECREF(m->itlb_obj);
+    Py_XDECREF(m->branch_obj);
+    Py_XDECREF(m->user);
+    Py_TYPE(self)->tp_free(self);
+}
+
+/* charged_strided(addr, stride, count, size, write) --
+ * ``data_read_strided`` / ``data_write_strided`` (and their scalar
+ * ``data_read``/``data_write`` special case) including DTLB, caches and
+ * event counters; returns the L1D miss count. */
+static PyObject *
+Machine_charged_strided(Machine *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("charged_strided", nargs, 5) < 0)
+        return NULL;
+    long addr = PyLong_AsLong(args[0]);
+    long stride = PyLong_AsLong(args[1]);
+    long count = PyLong_AsLong(args[2]);
+    long size = PyLong_AsLong(args[3]);
+    long write = PyLong_AsLong(args[4]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (count <= 0)
+        return PyLong_FromLong(0);
+    Charge ch = {0};
+    data_strided_impl(m, &ch, addr, stride, count, size, write ? 1 : 0);
+    long misses = m->l1d->pend.misses[write ? PORT_DATA_WRITE : PORT_DATA_READ];
+    if (machine_fold(m, &ch) < 0)
+        return NULL;
+    return PyLong_FromLong(misses);
+}
+
+/* fetch_run(line_addr, count) -- ``fetch_code_run`` including the ITLB,
+ * front-end stall accumulation and counters; returns L1I misses. */
+static PyObject *
+Machine_fetch_run(Machine *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("fetch_run", nargs, 2) < 0)
+        return NULL;
+    long line_addr = PyLong_AsLong(args[0]);
+    long count = PyLong_AsLong(args[1]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (count <= 0)
+        return PyLong_FromLong(0);
+    Charge ch = {0};
+    fetch_run_impl(m, &ch, line_addr, count);
+    long misses = m->l1i->pend.misses[PORT_INSTRUCTION];
+    if (machine_fold(m, &ch) < 0)
+        return NULL;
+    return PyLong_FromLong(misses);
+}
+
+/* conjunct(address, outcomes) -- the per-row branch loop of
+ * ``visit_conjunct_batch``; returns (taken, mispredictions, btb_misses)
+ * for the caller's ``count_branches``. */
+static PyObject *
+Machine_conjunct(Machine *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("conjunct", nargs, 2) < 0)
+        return NULL;
+    long address = PyLong_AsLong(args[0]);
+    if (address == -1 && PyErr_Occurred())
+        return NULL;
+    PyObject *seq = PySequence_Fast(args[1], "outcomes must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(seq);
+    BranchDeltas bd = {0, 0, 0, 0, 0};
+    for (Py_ssize_t i = 0; i < count; i++) {
+        int taken = PyObject_IsTrue(PySequence_Fast_GET_ITEM(seq, i));
+        if (taken < 0) {
+            Py_DECREF(seq);
+            return NULL;
         }
-        PyList_SetItem(counters, history, obj);  /* steals */
-        Py_DECREF(counters);
+        btb_execute(m->btb, address, taken, 0, &bd);
     }
-    long new_history = ((history << 1) | (taken ? 1 : 0)) & history_mask;
-    return set_long_attr(entry, s_history, new_history);
+    Py_DECREF(seq);
+    if (fold_branch(m->branch_obj, &bd) < 0)
+        return NULL;
+    return Py_BuildValue("(lll)", bd.taken, bd.mispredictions, bd.btb_misses);
 }
 
-/* ``BranchPredictor.execute``; returns 1 mispredicted / 0 predicted /
- * -1 error, with the stats deltas accumulated into *bd. */
-static int
-branch_exec(Machine *m, long site_addr, int taken, int backward,
-            BranchDeltas *bd)
+static PyObject *Machine_context(Machine *m, PyObject *args);
+
+static PyMemberDef Machine_members[] = {
+    {"l1i_stall_cycles", T_DOUBLE, offsetof(Machine, l1i_stall_cycles), 0,
+     "Accumulated front-end stall cycles (IFU_MEM_STALL before rounding)."},
+    {"last_instruction_page", T_LONG, offsetof(Machine, last_instruction_page),
+     0, "Page of the last fetched instruction line (-1: none)."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyMethodDef Machine_methods[] = {
+    {"charged_strided", METHOD(Machine_charged_strided),
+     METH_FASTCALL,
+     "Charged strided data access (DTLB + caches + counters); returns misses."},
+    {"fetch_run", METHOD(Machine_fetch_run), METH_FASTCALL,
+     "Charged instruction-line run fetch (ITLB + L1I + counters); returns misses."},
+    {"conjunct", METHOD(Machine_conjunct), METH_FASTCALL,
+     "Per-row conjunct branch loop; returns (taken, mispredictions, btb_misses)."},
+    {"context", METHOD(Machine_context), METH_VARARGS,
+     "Bind an ExecutionContext's visit constants; returns a Context."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject MachineType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.hardware._cachesim.Machine",
+    .tp_basicsize = sizeof(Machine),
+    .tp_dealloc = Machine_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "One processor's native automata and charged operations.",
+    .tp_methods = Machine_methods,
+    .tp_members = Machine_members,
+    .tp_new = Machine_new,
+};
+
+/* ======================================================================= */
+/* Segment and Context: the executor's routine visit                        */
+/* ======================================================================= */
+
+typedef struct {
+    long kind, addr, weight;
+} Site;
+
+typedef struct {
+    PyObject_VAR_HEAD
+    long base, hot, cold, instructions, uops, data_refs;
+    long dep, fu, ild, total_stall, touches, bulk, bulk_taken, bulk_btb;
+    double bulk_expected;
+    Site sites[1];
+} Segment;
+
+static PyTypeObject SegmentType;
+
+typedef struct {
+    PyObject_HEAD
+    Machine *machine;      /* owned */
+    PyObject *site_state;  /* owned: the context's per-site state dict */
+    long ws_base, ws_stride, ws_size, cold_base, cold_pool, line_bytes;
+    /* Visit bookkeeping (``ExecutionContext._visit_counter`` and friends
+     * read and write these members). */
+    long visit_counter, cold_cursor, workspace_cursor;
+    double bulk_carry;
+} Context;
+
+static PyTypeObject ContextType;
+
+/* Machine.context(ws_base, ws_stride, ws_size, cold_base, cold_pool,
+ *                 site_state, line_bytes) -> Context */
+static PyObject *
+Machine_context(Machine *m, PyObject *args)
 {
-    bd->branches++;
-    if (taken)
-        bd->taken++;
-    long site = site_addr >> 4;
-    long set_index = site & m->btb_set_mask;
-    PyObject *ways = PyList_GET_ITEM(m->btb_sets, set_index);
-    Py_ssize_t n = PyList_GET_SIZE(ways);
-    Py_ssize_t found = -1;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int err = 0;
-        long tag = get_long_attr(PyList_GET_ITEM(ways, i), s_tag, &err);
-        if (err)
-            return -1;
-        if (tag == site) {
-            found = i;
+    PyObject *site_state;
+    long ws_base, ws_stride, ws_size, cold_base, cold_pool, line_bytes;
+    if (!PyArg_ParseTuple(args, "lllllO!l", &ws_base, &ws_stride, &ws_size,
+                          &cold_base, &cold_pool, &PyDict_Type, &site_state,
+                          &line_bytes))
+        return NULL;
+    if (ws_stride <= 0 || ws_stride >= ws_size || cold_pool <= 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "need 0 < workspace stride < size and a cold pool");
+        return NULL;
+    }
+    Context *c = (Context *)ContextType.tp_alloc(&ContextType, 0);
+    if (c == NULL)
+        return NULL;
+    Py_INCREF(m);
+    c->machine = m;
+    Py_INCREF(site_state);
+    c->site_state = site_state;
+    c->ws_base = ws_base;
+    c->ws_stride = ws_stride;
+    c->ws_size = ws_size;
+    c->cold_base = cold_base;
+    c->cold_pool = cold_pool;
+    c->line_bytes = line_bytes;
+    return (PyObject *)c;
+}
+
+static void
+Context_dealloc(PyObject *self)
+{
+    Context *c = (Context *)self;
+    Py_XDECREF(c->machine);
+    Py_XDECREF(c->site_state);
+    Py_TYPE(self)->tp_free(self);
+}
+
+/* segment(handle_tuple) -> Segment; the handle is pure scalars:
+ * (base, hot, cold, instructions, uops, data_refs, dep, fu, ild,
+ *  total_stall, touches, bulk, bulk_taken, bulk_expected, bulk_btb,
+ *  ((kind, address, weight), ...)) */
+static PyObject *
+Context_segment(Context *c, PyObject *seg)
+{
+    (void)c;
+    if (!PyTuple_Check(seg) || PyTuple_GET_SIZE(seg) != 16
+            || !PyTuple_Check(PyTuple_GET_ITEM(seg, 15))) {
+        PyErr_SetString(PyExc_TypeError, "segment handle must be a 16-tuple");
+        return NULL;
+    }
+    PyObject *sites = PyTuple_GET_ITEM(seg, 15);
+    Py_ssize_t n_sites = PyTuple_GET_SIZE(sites);
+    Segment *s = (Segment *)SegmentType.tp_alloc(&SegmentType, n_sites);
+    if (s == NULL)
+        return NULL;
+#define FIELD(i) PyLong_AsLong(PyTuple_GET_ITEM(seg, (i)))
+    s->base = FIELD(0); s->hot = FIELD(1); s->cold = FIELD(2);
+    s->instructions = FIELD(3); s->uops = FIELD(4); s->data_refs = FIELD(5);
+    s->dep = FIELD(6); s->fu = FIELD(7); s->ild = FIELD(8);
+    s->total_stall = FIELD(9); s->touches = FIELD(10); s->bulk = FIELD(11);
+    s->bulk_taken = FIELD(12);
+    s->bulk_expected = PyFloat_AsDouble(PyTuple_GET_ITEM(seg, 13));
+    s->bulk_btb = FIELD(14);
+#undef FIELD
+    for (Py_ssize_t i = 0; i < n_sites && !PyErr_Occurred(); i++) {
+        PyObject *site = PyTuple_GET_ITEM(sites, i);
+        if (!PyTuple_Check(site) || PyTuple_GET_SIZE(site) != 3) {
+            PyErr_SetString(PyExc_TypeError,
+                            "a branch site must be (kind, address, weight)");
             break;
         }
+        s->sites[i].kind = PyLong_AsLong(PyTuple_GET_ITEM(site, 0));
+        s->sites[i].addr = PyLong_AsLong(PyTuple_GET_ITEM(site, 1));
+        s->sites[i].weight = PyLong_AsLong(PyTuple_GET_ITEM(site, 2));
     }
-    int prediction;
-    if (found >= 0) {
-        bd->btb_hits++;
-        PyObject *entry = PyList_GET_ITEM(ways, found);
-        Py_INCREF(entry);  /* keep alive across the MRU move */
-        int err = 0;
-        long history = get_long_attr(entry, s_history, &err);
-        long counter = 0;
-        if (!err) {
-            PyObject *counters = PyObject_GetAttr(entry, s_counters);
-            if (counters == NULL) {
-                err = 1;
-            }
-            else {
-                counter = PyLong_AsLong(PyList_GET_ITEM(counters, history));
-                Py_DECREF(counters);
-                if (counter == -1 && PyErr_Occurred())
-                    err = 1;
-            }
-        }
-        if (err || (found > 0 && mru_move(ways, found) < 0)
-                || entry_update(entry, history, counter, taken,
-                                m->history_mask) < 0) {
-            Py_DECREF(entry);
-            return -1;
-        }
-        Py_DECREF(entry);
-        prediction = counter >= 2;
+    if (PyErr_Occurred()) {
+        Py_DECREF(s);
+        return NULL;
     }
-    else {
-        bd->btb_misses++;
-        prediction = m->static_backward ? backward : 0;
-        if (taken) {
-            PyObject *entry = PyObject_CallFunction(m->entry_class, "ll",
-                                                    site, m->history_bits);
-            if (entry == NULL)
-                return -1;
-            /* Fresh entry: history 0, counters[0] weakly taken (2). */
-            if (entry_update(entry, 0, 2, taken, m->history_mask) < 0
-                    || PyList_Insert(ways, 0, entry) < 0) {
-                Py_DECREF(entry);
-                return -1;
-            }
-            Py_DECREF(entry);
-            Py_ssize_t size = PyList_GET_SIZE(ways);
-            if (size > m->btb_assoc
-                    && PyList_SetSlice(ways, size - 1, size, NULL) < 0)
-                return -1;
-        }
+    return (PyObject *)s;
+}
+
+/* ``ExecutionContext._touch_workspace``: cyclic strided 4-byte reads with
+ * DTLB page-run bulking, one bulk run per wrap of the cursor. */
+static void
+workspace_impl(Machine *m, Charge *ch, Context *c, long touches)
+{
+    long cursor = c->workspace_cursor % c->ws_size;
+    while (touches > 0) {
+        long run = (c->ws_size - cursor + c->ws_stride - 1) / c->ws_stride;
+        if (run > touches)
+            run = touches;
+        data_strided_impl(m, ch, c->ws_base + cursor, c->ws_stride, run, 4, 0);
+        cursor = (cursor + run * c->ws_stride) % c->ws_size;
+        touches -= run;
     }
-    int mispredicted = prediction != (taken ? 1 : 0);
-    if (mispredicted)
-        bd->mispred++;
-    return mispredicted;
+    c->workspace_cursor = cursor;
 }
 
 /* ``ExecutionContext._pseudo_random_bit`` (Knuth multiplicative hash). */
@@ -908,609 +1556,219 @@ pseudo_random_bit(long visit_counter, long salt)
     return (int)((value >> 17) & 1UL);
 }
 
-/* ------------------------------------------------------ workspace touches */
-
-/* ``ExecutionContext._touch_workspace``: cyclic strided 4-byte reads with
- * DTLB page-run bulking.  Requires 0 < stride < size (the Python wrapper
- * falls back otherwise); produces the same totals and microarchitectural
- * state as both the span and the per-address charging loops. */
+/* Advance the per-site state of an alternating (kind 2) or rare (kind 3)
+ * branch site in the context's dict; returns the outcome, -1 on error. */
 static int
-workspace_impl(Machine *m, long base, long stride, long size, long touches,
-               long *cursor, Counts *dc, long *dtlb_acc, long *dtlb_miss)
+stateful_site_outcome(PyObject *site_state, long kind, long site_addr)
 {
-    long remaining = touches;
-    while (remaining > 0) {
-        long run = (size - *cursor + stride - 1) / stride;
-        if (run > remaining)
-            run = remaining;
-        if (data_strided_impl(m, base + *cursor, stride, run, 4, 0,
-                              dc, dtlb_acc, dtlb_miss) < 0)
-            return -1;
-        *cursor = (*cursor + run * stride) % size;
-        remaining -= run;
-    }
-    return 0;
-}
-
-/* ------------------------------------------------- packed constant blocks */
-
-/* The per-call state blocks are parsed ONCE into C structs wrapped in
- * capsules (``pack_machine``/``pack_ctx``/``pack_segment``): the hot entry
- * points then run with zero per-call unpacking.
- *
- * Ownership runs one way, processor -> capsule -> state tuple -> component
- * objects.  The machine box owns its source tuple, so the component
- * pointers parsed out of it can never dangle, and the tuple holds only
- * objects that do not refer back to the processor.  The processor itself is
- * *borrowed*: a capsule is not tracked by the cycle collector, so an owned
- * reference here would be a processor -> capsule -> processor cycle nobody
- * can break, and every session would live for the life of the process.  The
- * borrow cannot dangle because the processor owns the machine capsule, and
- * every context capsule is owned by a context that holds the processor. */
-
-static const char *MACHINE_CAPSULE = "repro._cachesim.machine";
-static const char *CTX_CAPSULE = "repro._cachesim.ctx";
-static const char *SEG_CAPSULE = "repro._cachesim.segment";
-
-typedef struct {
-    Machine m;
-    PyObject *owner;  /* the source state tuple, owned */
-} MachineBox;
-
-typedef struct {
-    Machine m;            /* copied out of the machine box */
-    PyObject *ctx;        /* borrowed: the context owns this capsule */
-    PyObject *site_state; /* borrowed: the context's _site_state dict */
-    long ws_base, ws_stride, ws_size, cold_base, cold_pool, line_bytes;
-    PyObject *owner;      /* the machine capsule, owned */
-} CtxBox;
-
-typedef struct {
-    long kind, addr, weight;
-} SiteC;
-
-typedef struct {
-    long base, hot, cold, instructions, uops, data_refs;
-    long dep, fu, ild, total_stall, touches, bulk, bulk_taken, bulk_btb;
-    double bulk_expected;
-    Py_ssize_t n_sites;
-    SiteC sites[];
-} SegBox;
-
-static void
-machine_capsule_free(PyObject *capsule)
-{
-    MachineBox *box = PyCapsule_GetPointer(capsule, MACHINE_CAPSULE);
-    if (box != NULL) {
-        Py_XDECREF(box->owner);
-        PyMem_Free(box);
-    }
-}
-
-static void
-ctx_capsule_free(PyObject *capsule)
-{
-    CtxBox *box = PyCapsule_GetPointer(capsule, CTX_CAPSULE);
-    if (box != NULL) {
-        Py_XDECREF(box->owner);
-        PyMem_Free(box);
-    }
-}
-
-static void
-seg_capsule_free(PyObject *capsule)
-{
-    SegBox *box = PyCapsule_GetPointer(capsule, SEG_CAPSULE);
-    PyMem_Free(box);
-}
-
-static Machine *
-machine_arg(PyObject *capsule)
-{
-    MachineBox *box = PyCapsule_GetPointer(capsule, MACHINE_CAPSULE);
-    return box == NULL ? NULL : &box->m;
-}
-
-/* pack_machine(state_tuple, processor) -> capsule; the processor is
- * borrowed (it owns the capsule), the tuple is owned. */
-static PyObject *
-cachesim_pack_machine(PyObject *module, PyObject *args)
-{
-    (void)module;
-    PyObject *state, *processor;
-    if (!PyArg_ParseTuple(args, "OO", &state, &processor))
-        return NULL;
-    MachineBox *box = PyMem_Malloc(sizeof(MachineBox));
-    if (box == NULL)
-        return PyErr_NoMemory();
-    if (unpack_machine(state, &box->m) < 0) {
-        PyMem_Free(box);
-        return NULL;
-    }
-    box->m.processor = processor;
-    Py_INCREF(state);
-    box->owner = state;
-    PyObject *capsule = PyCapsule_New(box, MACHINE_CAPSULE, machine_capsule_free);
-    if (capsule == NULL) {
-        Py_DECREF(state);
-        PyMem_Free(box);
-    }
-    return capsule;
-}
-
-/* pack_ctx(ctx, machine_capsule, ws_base, ws_stride, ws_size,
- *          cold_base, cold_pool, site_state, line_bytes) -> capsule */
-static PyObject *
-cachesim_pack_ctx(PyObject *module, PyObject *args)
-{
-    (void)module;
-    PyObject *ctx, *machine_capsule, *site_state;
-    long ws_base, ws_stride, ws_size, cold_base, cold_pool, line_bytes;
-    if (!PyArg_ParseTuple(args, "OOlllllOl", &ctx, &machine_capsule,
-                          &ws_base, &ws_stride, &ws_size, &cold_base,
-                          &cold_pool, &site_state, &line_bytes))
-        return NULL;
-    Machine *m = machine_arg(machine_capsule);
-    if (m == NULL)
-        return NULL;
-    CtxBox *box = PyMem_Malloc(sizeof(CtxBox));
-    if (box == NULL)
-        return PyErr_NoMemory();
-    box->m = *m;
-    box->ctx = ctx;
-    box->site_state = site_state;
-    box->ws_base = ws_base;
-    box->ws_stride = ws_stride;
-    box->ws_size = ws_size;
-    box->cold_base = cold_base;
-    box->cold_pool = cold_pool;
-    box->line_bytes = line_bytes;
-    Py_INCREF(machine_capsule);
-    box->owner = machine_capsule;
-    PyObject *capsule = PyCapsule_New(box, CTX_CAPSULE, ctx_capsule_free);
-    if (capsule == NULL) {
-        Py_DECREF(machine_capsule);
-        PyMem_Free(box);
-    }
-    return capsule;
-}
-
-/* pack_segment(handle_tuple) -> capsule; the handle is pure scalars. */
-static PyObject *
-cachesim_pack_segment(PyObject *module, PyObject *seg)
-{
-    (void)module;
-    if (!PyTuple_Check(seg) || PyTuple_GET_SIZE(seg) != 16) {
-        PyErr_SetString(PyExc_TypeError, "segment handle must be a 16-tuple");
-        return NULL;
-    }
-    PyObject *sites = PyTuple_GET_ITEM(seg, 15);
-    Py_ssize_t n_sites = PyTuple_GET_SIZE(sites);
-    SegBox *box = PyMem_Malloc(sizeof(SegBox) + n_sites * sizeof(SiteC));
-    if (box == NULL)
-        return PyErr_NoMemory();
-    box->base = PyLong_AsLong(PyTuple_GET_ITEM(seg, 0));
-    box->hot = PyLong_AsLong(PyTuple_GET_ITEM(seg, 1));
-    box->cold = PyLong_AsLong(PyTuple_GET_ITEM(seg, 2));
-    box->instructions = PyLong_AsLong(PyTuple_GET_ITEM(seg, 3));
-    box->uops = PyLong_AsLong(PyTuple_GET_ITEM(seg, 4));
-    box->data_refs = PyLong_AsLong(PyTuple_GET_ITEM(seg, 5));
-    box->dep = PyLong_AsLong(PyTuple_GET_ITEM(seg, 6));
-    box->fu = PyLong_AsLong(PyTuple_GET_ITEM(seg, 7));
-    box->ild = PyLong_AsLong(PyTuple_GET_ITEM(seg, 8));
-    box->total_stall = PyLong_AsLong(PyTuple_GET_ITEM(seg, 9));
-    box->touches = PyLong_AsLong(PyTuple_GET_ITEM(seg, 10));
-    box->bulk = PyLong_AsLong(PyTuple_GET_ITEM(seg, 11));
-    box->bulk_taken = PyLong_AsLong(PyTuple_GET_ITEM(seg, 12));
-    box->bulk_expected = PyFloat_AsDouble(PyTuple_GET_ITEM(seg, 13));
-    box->bulk_btb = PyLong_AsLong(PyTuple_GET_ITEM(seg, 14));
-    box->n_sites = n_sites;
-    for (Py_ssize_t i = 0; i < n_sites; i++) {
-        PyObject *site = PyTuple_GET_ITEM(sites, i);
-        box->sites[i].kind = PyLong_AsLong(PyTuple_GET_ITEM(site, 0));
-        box->sites[i].addr = PyLong_AsLong(PyTuple_GET_ITEM(site, 1));
-        box->sites[i].weight = PyLong_AsLong(PyTuple_GET_ITEM(site, 2));
-    }
-    if (PyErr_Occurred()) {
-        PyMem_Free(box);
-        return NULL;
-    }
-    PyObject *capsule = PyCapsule_New(box, SEG_CAPSULE, seg_capsule_free);
-    if (capsule == NULL)
-        PyMem_Free(box);
-    return capsule;
-}
-
-/* --------------------------------------------------------- entry points */
-
-/* charged_strided(machine, addr, stride, count, size, write)
- * -- ``SimulatedProcessor.data_read_strided`` / ``data_write_strided``
- * (and their scalar ``data_read``/``data_write`` special case) including
- * DTLB, caches and event counters; returns the L1D miss count. */
-static PyObject *
-cachesim_charged_strided(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)module;
-    if (nargs != 6) {
-        PyErr_SetString(PyExc_TypeError, "charged_strided takes 6 arguments");
-        return NULL;
-    }
-    Machine *m = machine_arg(args[0]);
-    long addr = PyLong_AsLong(args[1]);
-    long stride = PyLong_AsLong(args[2]);
-    long count = PyLong_AsLong(args[3]);
-    long size = PyLong_AsLong(args[4]);
-    long write = PyLong_AsLong(args[5]);
-    if (m == NULL || PyErr_Occurred())
-        return NULL;
-    if (count <= 0)
-        return PyLong_FromLong(0);
-    Counts dc = {0, 0, 0, 0, 0, 0, 0, 0};
-    long dtlb_acc = 0, dtlb_miss = 0;
-    if (data_strided_impl(m, addr, stride, count, size, write ? 1 : 0,
-                          &dc, &dtlb_acc, &dtlb_miss) < 0)
-        return NULL;
-    if (fold_data(m, &dc, count, dtlb_acc, dtlb_miss, write ? 1 : 0) < 0)
-        return NULL;
-    return PyLong_FromLong(dc.misses);
-}
-
-/* fetch_run(machine, line_addr, count) -- ``fetch_code_run`` including the
- * ITLB, front-end stall accumulation and counters; returns L1I misses. */
-static PyObject *
-cachesim_fetch_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)module;
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "fetch_run takes 3 arguments");
-        return NULL;
-    }
-    Machine *m = machine_arg(args[0]);
-    long line_addr = PyLong_AsLong(args[1]);
-    long count = PyLong_AsLong(args[2]);
-    if (m == NULL || PyErr_Occurred())
-        return NULL;
-    if (count <= 0)
-        return PyLong_FromLong(0);
-    int err = 0;
-    double stall = get_double_attr(m->processor, s_l1i_stall, &err);
-    long last_page = err ? 0 : get_long_attr(m->processor, s_last_page, &err);
-    if (err)
-        return NULL;
-    Counts ic = {0, 0, 0, 0, 0, 0, 0, 0};
-    long itlb_acc = 0, itlb_miss = 0;
-    if (fetch_run_impl(m, line_addr, count, &ic, &itlb_acc, &itlb_miss,
-                       &last_page, &stall) < 0)
-        return NULL;
-    if (set_long_attr(m->processor, s_last_page, last_page) < 0
-            || set_double_attr(m->processor, s_l1i_stall, stall) < 0
-            || fold_fetch(m, &ic, itlb_acc, itlb_miss) < 0)
-        return NULL;
-    return PyLong_FromLong(ic.misses);
-}
-
-/* conjunct(machine, address, outcomes) -- the per-row branch loop of
- * ``visit_conjunct_batch``; returns (taken, mispredictions, btb_misses). */
-static PyObject *
-cachesim_conjunct(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)module;
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "conjunct takes 3 arguments");
-        return NULL;
-    }
-    Machine *m = machine_arg(args[0]);
-    long address = PyLong_AsLong(args[1]);
-    PyObject *outcomes = args[2];
-    if (m == NULL || PyErr_Occurred())
-        return NULL;
-    PyObject *seq = PySequence_Fast(outcomes, "outcomes must be a sequence");
-    if (seq == NULL)
-        return NULL;
-    Py_ssize_t count = PySequence_Fast_GET_SIZE(seq);
-    BranchDeltas bd = {0, 0, 0, 0, 0};
-    long taken_count = 0, mispredictions = 0;
-    for (Py_ssize_t i = 0; i < count; i++) {
-        int taken = PyObject_IsTrue(PySequence_Fast_GET_ITEM(seq, i));
-        if (taken < 0) {
-            Py_DECREF(seq);
-            return NULL;
+    PyObject *key = PyLong_FromLong(site_addr);
+    if (key == NULL)
+        return -1;
+    PyObject *cur = PyDict_GetItemWithError(site_state, key);  /* borrowed */
+    long value = cur == NULL ? 0 : PyLong_AsLong(cur);
+    int rc = -1;
+    if (!PyErr_Occurred()) {
+        value = kind == 2 ? (value ^ 1) : value + 1;
+        PyObject *obj = PyLong_FromLong(value);
+        if (obj != NULL) {
+            rc = PyDict_SetItem(site_state, key, obj);
+            Py_DECREF(obj);
         }
-        int mispredicted = branch_exec(m, address, taken, 0, &bd);
-        if (mispredicted < 0) {
-            Py_DECREF(seq);
-            return NULL;
-        }
-        taken_count += taken;
-        mispredictions += mispredicted;
     }
-    Py_DECREF(seq);
-    if (fold_branch(m->branch_obj, &bd) < 0)
-        return NULL;
-    return Py_BuildValue("(lll)", taken_count, mispredictions, bd.btb_misses);
+    Py_DECREF(key);
+    if (rc < 0)
+        return -1;
+    return kind == 2 ? (value != 0) : (value % 64 == 0);
 }
 
-/* visit(ctx_capsule, segment_capsule, data_taken) -- one full
- * ``ExecutionContext._visit_segment``: hot + cold instruction fetch,
- * fused routine counters, workspace touches, branch sites, bulk branches.
+/* visit(segment, data_taken) -- one full ``ExecutionContext._visit_segment``:
+ * hot + cold instruction fetch, fused routine counters, the OS-clock hook,
+ * workspace touches, branch sites, bulk branches; one fold at the end.
  * Site kinds: 0 loop, 1 data, 2 alternating, 3 rare, 4 cold.
- * data_taken: -1 none / 0 false / 1 true. */
+ * data_taken: None (pseudo-random data branches), or the outcome. */
 static PyObject *
-cachesim_visit(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+Context_visit(Context *c, PyObject *const *args, Py_ssize_t nargs)
 {
-    (void)module;
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "visit takes 3 arguments");
+    if (check_nargs("visit", nargs, 2) < 0)
+        return NULL;
+    if (Py_TYPE(args[0]) != &SegmentType) {
+        PyErr_SetString(PyExc_TypeError, "visit expects a Segment");
         return NULL;
     }
-    CtxBox *cb = PyCapsule_GetPointer(args[0], CTX_CAPSULE);
-    if (cb == NULL)
+    const Segment *s = (const Segment *)args[0];
+    int data_taken = args[1] == Py_None ? -1 : PyObject_IsTrue(args[1]);
+    if (data_taken < 0 && args[1] != Py_None)
         return NULL;
-    SegBox *sb = PyCapsule_GetPointer(args[1], SEG_CAPSULE);
-    if (sb == NULL)
-        return NULL;
-    long data_taken = PyLong_AsLong(args[2]);
-    if (data_taken == -1 && PyErr_Occurred())
-        return NULL;
-    Machine *m = &cb->m;
-    PyObject *ctx = cb->ctx;
-    PyObject *site_state = cb->site_state;
-    long ws_base = cb->ws_base, ws_stride = cb->ws_stride;
-    long ws_size = cb->ws_size;
-    long cold_base = cb->cold_base, cold_pool = cb->cold_pool;
-    long line_bytes = cb->line_bytes;
-    long base = sb->base, hot_count = sb->hot, cold_count = sb->cold;
-    long instructions = sb->instructions, uops = sb->uops;
-    long data_refs = sb->data_refs;
-    long dep = sb->dep, fu = sb->fu, ild = sb->ild;
-    long total_stall = sb->total_stall, touches = sb->touches;
-    long bulk = sb->bulk, bulk_taken = sb->bulk_taken, bulk_btb = sb->bulk_btb;
-    double bulk_expected = sb->bulk_expected;
+    Machine *m = c->machine;
+    Charge ch = {0};
+    long visit_counter = ++c->visit_counter;
 
-    int err = 0;
-    long visit_counter = get_long_attr(ctx, s_visit_counter, &err) + 1;
-    if (err)
-        return NULL;
-
-    /* Instruction side: hot lines, then the cold-code slice. */
-    double stall = get_double_attr(m->processor, s_l1i_stall, &err);
-    long last_page = err ? 0 : get_long_attr(m->processor, s_last_page, &err);
-    if (err)
-        return NULL;
-    Counts ic = {0, 0, 0, 0, 0, 0, 0, 0};
-    long itlb_acc = 0, itlb_miss = 0;
-    if (fetch_run_impl(m, base, hot_count, &ic, &itlb_acc, &itlb_miss,
-                       &last_page, &stall) < 0)
-        return NULL;
-    if (cold_count) {
-        long cursor = get_long_attr(ctx, s_cold_cursor, &err);
-        if (err)
-            return NULL;
-        long run = cold_pool - cursor;
-        if (cold_count <= run) {
-            if (fetch_run_impl(m, cold_base + cursor * line_bytes, cold_count,
-                               &ic, &itlb_acc, &itlb_miss, &last_page,
-                               &stall) < 0)
-                return NULL;
-        }
-        else {
-            if (fetch_run_impl(m, cold_base + cursor * line_bytes, run,
-                               &ic, &itlb_acc, &itlb_miss, &last_page,
-                               &stall) < 0
-                    || fetch_run_impl(m, cold_base, cold_count - run,
-                                      &ic, &itlb_acc, &itlb_miss, &last_page,
-                                      &stall) < 0)
-                return NULL;
-        }
-        if (set_long_attr(ctx, s_cold_cursor,
-                          (cursor + cold_count) % cold_pool) < 0)
-            return NULL;
+    /* Instruction side: hot lines, then the cold-code slice (a rotating
+     * window of the cold pool; it may wrap once). */
+    fetch_run_impl(m, &ch, s->base, s->hot);
+    if (s->cold) {
+        long cursor = c->cold_cursor % c->cold_pool;
+        long run = c->cold_pool - cursor;
+        if (run > s->cold)
+            run = s->cold;
+        fetch_run_impl(m, &ch, c->cold_base + cursor * c->line_bytes, run);
+        fetch_run_impl(m, &ch, c->cold_base, s->cold - run);
+        c->cold_cursor = (cursor + s->cold) % c->cold_pool;
     }
-    if (set_long_attr(m->processor, s_last_page, last_page) < 0
-            || set_double_attr(m->processor, s_l1i_stall, stall) < 0
-            || fold_fetch(m, &ic, itlb_acc, itlb_miss) < 0)
-        return NULL;
 
     /* Fused retirement / bulk-reference / resource-stall counters
      * (``charge_routine``). */
-    if (dict_add(m->user, k_INST_RETIRED, instructions) < 0
-            || dict_add(m->user, k_INST_DECODED, instructions) < 0
-            || dict_add(m->user, k_UOPS_RETIRED, uops) < 0
-            || dict_add(m->user, k_DATA_MEM_REFS, data_refs) < 0
-            || dict_add(m->user, k_PARTIAL_RAT_STALLS, dep) < 0
-            || dict_add(m->user, k_FU_CONTENTION_STALLS, fu) < 0
-            || dict_add(m->user, k_ILD_STALL, ild) < 0
-            || dict_add(m->user, k_RESOURCE_STALLS, total_stall) < 0)
-        return NULL;
+    ch.instructions = s->instructions;
+    ch.uops = s->uops;
+    ch.data_refs = s->data_refs;
+    ch.dep_stall = s->dep;
+    ch.fu_stall = s->fu;
+    ch.ild_stall = s->ild;
+    ch.resource_stall = s->total_stall;
 
     /* The OS-interference hook of ``charge_routine``, at the same point of
      * the visit: the clock advances by the retired instructions and any
-     * interrupt that falls due is serviced in Python.  The handler mutates
-     * in place the L1I set lists and the ITLB OrderedDict borrowed here and
-     * rebinds ``_last_instruction_page``; every instruction-side local was
-     * written back and folded above, and nothing below reads one. */
+     * interrupt that falls due is serviced in Python, through the wrappers
+     * (``invalidate_fraction`` and the ITLB ``flush`` are one call each
+     * into the state objects used here).  The handler resets
+     * ``_last_instruction_page``, which is this Machine's member. */
     if (m->has_os) {
-        PyObject *retired = PyLong_FromLong(instructions);
+        PyObject *retired = PyLong_FromLong(s->instructions);
         if (retired == NULL)
-            return NULL;
+            goto fail;
         PyObject *r = PyObject_CallMethodObjArgs(m->processor,
                                                  s_advance_os_clock,
                                                  retired, NULL);
         Py_DECREF(retired);
         if (r == NULL)
-            return NULL;
+            goto fail;
         Py_DECREF(r);
     }
 
     /* Private working-set touches. */
-    if (touches > 0) {
-        long cursor = get_long_attr(ctx, s_workspace_cursor, &err);
-        if (err)
-            return NULL;
-        Counts dc = {0, 0, 0, 0, 0, 0, 0, 0};
-        long dtlb_acc = 0, dtlb_miss = 0;
-        if (workspace_impl(m, ws_base, ws_stride, ws_size, touches, &cursor,
-                           &dc, &dtlb_acc, &dtlb_miss) < 0)
-            return NULL;
-        if (set_long_attr(ctx, s_workspace_cursor, cursor) < 0
-                || fold_data(m, &dc, touches, dtlb_acc, dtlb_miss, 0) < 0)
-            return NULL;
-    }
+    workspace_impl(m, &ch, c, s->touches);
 
-    /* Branch sites. */
-    Py_ssize_t n_sites = sb->n_sites;
-    if (n_sites) {
-        BranchDeltas bd = {0, 0, 0, 0, 0};
-        long weight_branches = 0, weight_taken = 0, weight_mispred = 0;
-        for (Py_ssize_t i = 0; i < n_sites; i++) {
-            long kind = sb->sites[i].kind;
-            long site_addr = sb->sites[i].addr;
-            long weight = sb->sites[i].weight;
-            int taken;
-            long exec_addr = site_addr;
-            if (kind == 0) {  /* loop: always taken */
-                taken = 1;
-            }
-            else if (kind == 1) {  /* data-dependent */
-                taken = data_taken < 0 ? pseudo_random_bit(visit_counter,
-                                                           site_addr)
-                                       : (data_taken ? 1 : 0);
-            }
-            else if (kind == 2 || kind == 3) {  /* alternating / rare */
-                PyObject *key = PyLong_FromLong(site_addr);
-                if (key == NULL)
-                    return NULL;
-                PyObject *cur = PyDict_GetItemWithError(site_state, key);
-                if (cur == NULL && PyErr_Occurred()) {
-                    Py_DECREF(key);
-                    return NULL;
-                }
-                long state_value = cur == NULL ? 0 : PyLong_AsLong(cur);
-                state_value = kind == 2 ? (state_value ^ 1) : state_value + 1;
-                PyObject *obj = PyLong_FromLong(state_value);
-                int rc = obj == NULL ? -1
-                                     : PyDict_SetItem(site_state, key, obj);
-                Py_XDECREF(obj);
-                Py_DECREF(key);
-                if (rc < 0)
-                    return NULL;
-                taken = kind == 2 ? (state_value != 0)
-                                  : (state_value % 64 == 0);
-            }
-            else {  /* cold: the site address varies per visit */
-                long offset = (long)(((unsigned long)visit_counter
-                                      * HASH_CONSTANT) & 0x1FFFUL);
-                exec_addr = site_addr + 64 + (offset & ~0x3FL);
-                taken = pseudo_random_bit(visit_counter, exec_addr);
-            }
-            int mispredicted = branch_exec(m, exec_addr, taken,
-                                           kind == 0, &bd);
-            if (mispredicted < 0)
-                return NULL;
-            weight_branches += weight;
-            if (taken)
-                weight_taken += weight;
-            if (mispredicted)
-                weight_mispred += weight;
+    /* Branch sites: the predictor runs per site, the retirement counters
+     * carry the site weights. */
+    for (Py_ssize_t i = 0; i < Py_SIZE(s); i++) {
+        long kind = s->sites[i].kind;
+        long site_addr = s->sites[i].addr;
+        long weight = s->sites[i].weight;
+        long exec_addr = site_addr;
+        int taken;
+        if (kind == 0) {  /* loop: always taken */
+            taken = 1;
         }
-        if (weight_branches > 0) {
-            if (dict_add(m->user, k_BR_INST_RETIRED, weight_branches) < 0
-                    || dict_add(m->user, k_BR_TAKEN_RETIRED, weight_taken) < 0
-                    || dict_add(m->user, k_BR_MISS_PRED_RETIRED,
-                                weight_mispred) < 0
-                    || dict_add(m->user, k_BTB_MISSES, bd.btb_misses) < 0)
-                return NULL;
+        else if (kind == 1) {  /* data-dependent */
+            taken = data_taken < 0 ? pseudo_random_bit(visit_counter, site_addr)
+                                   : data_taken;
         }
-        if (fold_branch(m->branch_obj, &bd) < 0)
-            return NULL;
+        else if (kind == 2 || kind == 3) {  /* alternating / rare */
+            taken = stateful_site_outcome(c->site_state, kind, site_addr);
+            if (taken < 0)
+                goto fail;
+        }
+        else {  /* cold: the site address varies per visit */
+            long offset = (long)(((unsigned long)visit_counter
+                                  * HASH_CONSTANT) & 0x1FFFUL);
+            exec_addr = site_addr + 64 + (offset & ~0x3FL);
+            taken = pseudo_random_bit(visit_counter, exec_addr);
+        }
+        int mispredicted = btb_execute(m->btb, exec_addr, taken, kind == 0,
+                                       &ch.predictor);
+        ch.br_retired += weight;
+        if (taken)
+            ch.br_taken += weight;
+        if (mispredicted)
+            ch.br_mispredicted += weight;
     }
+    if (ch.br_retired > 0)  /* ``count_branches`` ignores a zero population */
+        ch.btb_misses = ch.predictor.btb_misses;
+    else
+        ch.br_retired = ch.br_taken = ch.br_mispredicted = 0;
 
     /* Bulk branch population (counters only; the predictor is untouched). */
-    if (bulk > 0) {
-        double carry = get_double_attr(ctx, s_bulk_carry, &err);
-        if (err)
-            return NULL;
-        double expected = bulk_expected + carry;
-        long bulk_mispred = (long)expected;  /* int(): truncation */
-        if (set_double_attr(ctx, s_bulk_carry,
-                            expected - (double)bulk_mispred) < 0)
-            return NULL;
-        if (dict_add(m->user, k_BR_INST_RETIRED, bulk) < 0
-                || dict_add(m->user, k_BR_TAKEN_RETIRED, bulk_taken) < 0
-                || dict_add(m->user, k_BR_MISS_PRED_RETIRED, bulk_mispred) < 0
-                || dict_add(m->user, k_BTB_MISSES, bulk_btb) < 0)
-            return NULL;
+    if (s->bulk > 0) {
+        double expected = s->bulk_expected + c->bulk_carry;
+        long bulk_mispredicted = (long)expected;  /* int(): truncation */
+        c->bulk_carry = expected - (double)bulk_mispredicted;
+        ch.br_retired += s->bulk;
+        ch.br_taken += s->bulk_taken;
+        ch.br_mispredicted += bulk_mispredicted;
+        ch.btb_misses += s->bulk_btb;
     }
 
-    if (set_long_attr(ctx, s_visit_counter, visit_counter) < 0)
+    if (machine_fold(m, &ch) < 0)
         return NULL;
     Py_RETURN_NONE;
+fail:
+    machine_discard_pending(m);
+    return NULL;
 }
 
-/* workspace(ctx_state, touches) -- ``_touch_workspace`` alone (the
- * vectorized loop-body churn of ``visit_batch``). */
+/* workspace(touches) -- ``_touch_workspace`` alone (the vectorized
+ * loop-body churn of ``visit_batch``). */
 static PyObject *
-cachesim_workspace(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+Context_workspace(Context *c, PyObject *arg)
 {
-    (void)module;
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "workspace takes 2 arguments");
-        return NULL;
-    }
-    CtxBox *cb = PyCapsule_GetPointer(args[0], CTX_CAPSULE);
-    if (cb == NULL)
-        return NULL;
-    long touches = PyLong_AsLong(args[1]);
+    long touches = PyLong_AsLong(arg);
     if (touches == -1 && PyErr_Occurred())
         return NULL;
-    if (touches <= 0)
-        Py_RETURN_NONE;
-    Machine *m = &cb->m;
-    int err = 0;
-    long cursor = get_long_attr(cb->ctx, s_workspace_cursor, &err);
-    if (err)
-        return NULL;
-    Counts dc = {0, 0, 0, 0, 0, 0, 0, 0};
-    long dtlb_acc = 0, dtlb_miss = 0;
-    if (workspace_impl(m, cb->ws_base, cb->ws_stride, cb->ws_size, touches,
-                       &cursor, &dc, &dtlb_acc, &dtlb_miss) < 0)
-        return NULL;
-    if (set_long_attr(cb->ctx, s_workspace_cursor, cursor) < 0
-            || fold_data(m, &dc, touches, dtlb_acc, dtlb_miss, 0) < 0)
+    Charge ch = {0};
+    workspace_impl(c->machine, &ch, c, touches);
+    if (machine_fold(c->machine, &ch) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
 
-static PyMethodDef cachesim_methods[] = {
-    {"strided", cachesim_strided, METH_VARARGS,
-     "Bulk strided access; returns counter deltas."},
-    {"lines", cachesim_lines, METH_VARARGS,
-     "Bulk line-run access; returns counter deltas."},
-    {"pack_machine", cachesim_pack_machine, METH_VARARGS,
-     "Parse a processor state tuple into a reusable capsule."},
-    {"pack_ctx", cachesim_pack_ctx, METH_VARARGS,
-     "Parse execution-context constants into a reusable capsule."},
-    {"pack_segment", cachesim_pack_segment, METH_O,
-     "Parse a code-segment handle tuple into a reusable capsule."},
-    {"charged_strided", (PyCFunction)(void (*)(void))cachesim_charged_strided,
-     METH_FASTCALL,
-     "Charged strided data access (DTLB + caches + counters); returns misses."},
-    {"fetch_run", (PyCFunction)(void (*)(void))cachesim_fetch_run,
-     METH_FASTCALL,
-     "Charged instruction-line run fetch (ITLB + L1I + counters); returns misses."},
-    {"conjunct", (PyCFunction)(void (*)(void))cachesim_conjunct, METH_FASTCALL,
-     "Per-row conjunct branch loop; returns (taken, mispredictions, btb_misses)."},
-    {"visit", (PyCFunction)(void (*)(void))cachesim_visit, METH_FASTCALL,
+static PyMemberDef Context_members[] = {
+    {"visit_counter", T_LONG, offsetof(Context, visit_counter), 0,
+     "Routine visits so far (seeds the pseudo-random branch outcomes)."},
+    {"cold_cursor", T_LONG, offsetof(Context, cold_cursor), 0,
+     "Next line of the cold-code pool."},
+    {"workspace_cursor", T_LONG, offsetof(Context, workspace_cursor), 0,
+     "Next byte offset of the cyclic workspace touches."},
+    {"bulk_carry", T_DOUBLE, offsetof(Context, bulk_carry), 0,
+     "Fractional remainder of the bulk-branch misprediction expectation."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyMethodDef Context_methods[] = {
+    {"segment", METHOD(Context_segment), METH_O,
+     "Parse a code-segment handle tuple into a Segment."},
+    {"visit", METHOD(Context_visit), METH_FASTCALL,
      "One full executor-routine visit (fetch, counters, workspace, branches)."},
-    {"workspace", (PyCFunction)(void (*)(void))cachesim_workspace, METH_FASTCALL,
+    {"workspace", METHOD(Context_workspace), METH_O,
      "Charged cyclic workspace touches (DTLB + caches + counters)."},
     {NULL, NULL, 0, NULL},
 };
 
+static PyTypeObject ContextType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.hardware._cachesim.Context",
+    .tp_basicsize = sizeof(Context),
+    .tp_dealloc = Context_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,  /* no tp_new: built by Machine.context */
+    .tp_doc = "One ExecutionContext's visit constants over a Machine.",
+    .tp_methods = Context_methods,
+    .tp_members = Context_members,
+};
+
+static PyTypeObject SegmentType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.hardware._cachesim.Segment",
+    .tp_basicsize = sizeof(Segment) - sizeof(Site),
+    .tp_itemsize = sizeof(Site),
+    .tp_flags = Py_TPFLAGS_DEFAULT,  /* no tp_new: built by Context.segment */
+    .tp_doc = "One code segment's visit constants (plain scalars).",
+};
+
+/* ================================================================ module */
+
 static struct PyModuleDef cachesim_module = {
     PyModuleDef_HEAD_INIT, "_cachesim",
-    "Native fast paths for the cache automaton and the charging loops.",
-    -1, cachesim_methods, NULL, NULL, NULL, NULL,
+    "Native hardware automata and charging fast paths.",
+    -1, NULL, NULL, NULL, NULL, NULL,
 };
 
 static int
@@ -1523,6 +1781,8 @@ init_interned(void)
             return -1;                                     \
     } while (0)
     INTERN(s_stats, "stats");
+    INTERN(s_native, "_native");
+    INTERN(s_next_level, "next_level");
     INTERN(s_accesses, "accesses");
     INTERN(s_misses, "misses");
     INTERN(s_writebacks, "writebacks");
@@ -1531,17 +1791,6 @@ init_interned(void)
     INTERN(s_mispredictions, "mispredictions");
     INTERN(s_btb_hits, "btb_hits");
     INTERN(s_btb_misses, "btb_misses");
-    INTERN(s_tag, "tag");
-    INTERN(s_history, "history");
-    INTERN(s_counters, "counters");
-    INTERN(s_move_to_end, "move_to_end");
-    INTERN(s_popitem, "popitem");
-    INTERN(s_visit_counter, "_visit_counter");
-    INTERN(s_cold_cursor, "_cold_cursor");
-    INTERN(s_workspace_cursor, "_workspace_cursor");
-    INTERN(s_bulk_carry, "_bulk_mispred_carry");
-    INTERN(s_l1i_stall, "_l1i_stall_cycles");
-    INTERN(s_last_page, "_last_instruction_page");
     INTERN(s_advance_os_clock, "_advance_os_clock");
     INTERN(k_IFU_IFETCH, "IFU_IFETCH");
     INTERN(k_IFU_IFETCH_MISS, "IFU_IFETCH_MISS");
@@ -1568,6 +1817,19 @@ init_interned(void)
     return 0;
 }
 
+static int
+add_type(PyObject *module, const char *name, PyTypeObject *type)
+{
+    if (PyType_Ready(type) < 0)
+        return -1;
+    Py_INCREF(type);
+    if (PyModule_AddObject(module, name, (PyObject *)type) < 0) {
+        Py_DECREF(type);
+        return -1;
+    }
+    return 0;
+}
+
 PyMODINIT_FUNC
 PyInit__cachesim(void)
 {
@@ -1575,6 +1837,12 @@ PyInit__cachesim(void)
     if (module == NULL)
         return NULL;
     if (init_interned() < 0
+            || add_type(module, "CacheState", &CacheStateType) < 0
+            || add_type(module, "TLBState", &TLBStateType) < 0
+            || add_type(module, "BTBState", &BTBStateType) < 0
+            || add_type(module, "Machine", &MachineType) < 0
+            || add_type(module, "Context", &ContextType) < 0
+            || add_type(module, "Segment", &SegmentType) < 0
             || PyModule_AddStringConstant(module, "source_hash",
                                           CACHESIM_SOURCE_HASH) < 0) {
         Py_DECREF(module);

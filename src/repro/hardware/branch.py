@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from . import cache as _cache  # home of the one ``_NATIVE`` switch
 from .specs import BranchSpec
 
 
@@ -93,16 +94,33 @@ class _BTBEntry:
 
 
 class BranchPredictor:
-    """Two-level adaptive predictor behind a set-associative BTB."""
+    """Two-level adaptive predictor behind a set-associative BTB.
 
-    __slots__ = ("spec", "_sets", "_set_mask", "_history_mask", "stats")
+    The state has one owner, decided at construction
+    (``repro.hardware.cache._NATIVE``): a ``_cachesim.BTBState`` (per way a
+    tag, a history register and a pattern table of two-bit counters; per
+    set an MRU order) in :attr:`_native` when the native module is loaded,
+    otherwise per-set lists of :class:`_BTBEntry` -- the reference the
+    native transitions are transcribed from.  :meth:`snapshot` is the
+    comparison surface between the two.
+    """
+
+    __slots__ = ("spec", "_sets", "_native", "_set_mask", "_history_mask", "stats")
 
     def __init__(self, spec: BranchSpec) -> None:
         self.spec = spec
         self._set_mask = spec.btb_sets - 1
         self._history_mask = (1 << spec.history_bits) - 1
-        # Each set is a list of entries ordered MRU first.
-        self._sets: List[List[_BTBEntry]] = [[] for _ in range(spec.btb_sets)]
+        native = _cache._NATIVE
+        if native is not None:
+            # ``_sets`` stays unset: the C side owns the state.
+            self._native = native.BTBState(
+                spec.btb_sets, spec.btb_associativity, spec.history_bits,
+                spec.static_backward_taken)
+        else:
+            self._native = None
+            # Each set is a list of entries ordered MRU first.
+            self._sets: List[List[_BTBEntry]] = [[] for _ in range(spec.btb_sets)]
         self.stats = BranchStats()
 
     # ------------------------------------------------------------------ API
@@ -131,6 +149,15 @@ class BranchPredictor:
         stats.branches += 1
         if taken:
             stats.taken += 1
+        if self._native is not None:
+            outcome = self._native.execute(site_addr, taken, backward)
+            if outcome & 2:
+                stats.btb_hits += 1
+            else:
+                stats.btb_misses += 1
+            if outcome & 1:
+                stats.mispredictions += 1
+            return bool(outcome & 1)
 
         site = site_addr >> 4  # branches are sparse; drop low bits for indexing
         set_index = site & self._set_mask
@@ -171,11 +198,23 @@ class BranchPredictor:
         return mispredicted
 
     # -------------------------------------------------------------- helpers
+    def snapshot(self) -> List[List[Tuple[int, int, Tuple[int, ...]]]]:
+        """Per set, most recently used first: ``(tag, history, counters)``."""
+        if self._native is not None:
+            return self._native.snapshot()
+        return [[(entry.tag, entry.history, tuple(entry.counters))
+                 for entry in ways] for ways in self._sets]
+
     def resident_entries(self) -> int:
+        if self._native is not None:
+            return self._native.resident_entries()
         return sum(len(ways) for ways in self._sets)
 
     def flush(self) -> None:
         """Clear all prediction state (used between unrelated experiments)."""
+        if self._native is not None:
+            self._native.flush()
+            return
         for ways in self._sets:
             ways.clear()
 

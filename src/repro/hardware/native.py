@@ -1,44 +1,66 @@
-"""Build-on-demand loader for the native cache-automaton fast path.
+"""Build-on-demand loader for the native hardware automata.
 
 ``repro.hardware.cache`` asks this module for the compiled ``_cachesim``
-extension (see ``_cachesim.c``).  The contract mirrors the repo's other
-fast paths: the native module is *optional* -- when a C toolchain or the
-Python headers are missing, or ``REPRO_NATIVE=0`` is set, every caller
-falls back to the pure-Python automaton, which remains the oracle the
-differential tests compare against.
+extension (see ``_cachesim.c``).  The native module is *optional* -- when a
+C toolchain or the Python headers are missing, or ``REPRO_NATIVE=0`` is
+set, every automaton is built as its pure-Python self, which remains the
+oracle the differential tests compare against.  The degradation is kept,
+and reported: :func:`load_status` says which of the outcomes happened and
+why, and the bench and trace records carry it in their headers.
 
 The extension is compiled lazily, once, with the interpreter's own
-headers.  The build is keyed by a hash of the C source: editing
-``_cachesim.c`` invalidates previously built artifacts, so a stale ``.so``
-can never masquerade as the current automaton.  Build products land next
-to the source when the checkout is writable (the common dev case) or in a
-per-source-hash temp directory otherwise; both locations are tried for
-loading.  Any failure at any stage degrades silently to ``None``.
+headers, ``$CC`` (default ``cc``) and ``-O2`` followed by ``$CFLAGS``.  The
+build is keyed by a hash of the C source, the compiler and the flags:
+editing ``_cachesim.c`` or changing the toolchain invalidates previously
+built artifacts, so neither a stale ``.so`` nor one built for another
+purpose (a sanitizer run, say) can masquerade as the current automaton.
+Build products land next to the source when the checkout is writable (the
+common dev case) or in a per-key temp directory otherwise; both locations
+are tried for loading.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.util
 import os
+import shlex
 import subprocess
 import sys
 import sysconfig
 import tempfile
-from typing import Optional
+from typing import Optional, Tuple
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_cachesim.c")
 
+_STALE = "unavailable: stale or unloadable build"  # compiled, would not load
 
-def _source_hash() -> str:
+
+def _toolchain() -> Tuple[str, Tuple[str, ...]]:
+    """``(compiler, extra flags)`` from ``$CC`` / ``$CFLAGS``."""
+    return (os.environ.get("CC", "cc"),
+            tuple(shlex.split(os.environ.get("CFLAGS", ""))))
+
+
+def _build_key() -> str:
+    compiler, flags = _toolchain()
+    digest = hashlib.sha1()
     with open(_SOURCE, "rb") as handle:
-        return hashlib.sha1(handle.read()).hexdigest()[:16]
+        digest.update(handle.read())
+    digest.update(repr((compiler, flags)).encode())
+    return digest.hexdigest()[:16]
 
 
-def _load_from(path: str, expected_hash: str) -> Optional[object]:
-    if not os.path.exists(path):
-        return None
+def _load_from(path: str, expected_key: str) -> Optional[object]:
     try:
+        with open(path, "rb") as handle:
+            # The key is compiled in as a string constant.  Checking the file
+            # keeps a stale build from being imported at all: the interpreter
+            # caches an extension by path, so once loaded it would shadow the
+            # rebuilt file for the rest of the process.
+            if expected_key.encode() not in handle.read():
+                return None
         spec = importlib.util.spec_from_file_location("repro.hardware._cachesim", path)
         if spec is None or spec.loader is None:
             return None
@@ -46,54 +68,104 @@ def _load_from(path: str, expected_hash: str) -> Optional[object]:
         spec.loader.exec_module(module)
     except Exception:
         return None
-    if getattr(module, "source_hash", "") != expected_hash:
+    if getattr(module, "source_hash", "") != expected_key:
         return None
     return module
 
 
-def _compile_into(directory: str, expected_hash: str) -> Optional[str]:
+def _compile_into(directory: str, key: str) -> Tuple[Optional[str], str]:
+    """Build into ``directory``; returns ``(path or None, failure status)``."""
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     target = os.path.join(directory, f"_cachesim{suffix}")
     include = sysconfig.get_paths()["include"]
-    compiler = os.environ.get("CC", "cc")
+    compiler, flags = _toolchain()
     scratch = target + f".build-{os.getpid()}"
-    command = [compiler, "-O2", "-fPIC", "-shared",
-               f"-DCACHESIM_SOURCE_HASH=\"{expected_hash}\"",
-               f"-I{include}", _SOURCE, "-o", scratch]
+    command = [compiler, "-O2", *flags, "-fPIC", "-shared",
+               f"-DCACHESIM_SOURCE_HASH=\"{key}\"",
+               f"-I{include}", _SOURCE, "-o", scratch, "-lm"]
     try:
         os.makedirs(directory, exist_ok=True)
-        subprocess.run(command, check=True, capture_output=True, timeout=120)
+        subprocess.run(command, check=True, capture_output=True, timeout=300)
         os.replace(scratch, target)  # atomic: concurrent builders race safely
-    except Exception:
-        try:
-            os.remove(scratch)
-        except OSError:
-            pass
-        return None
-    return target
-
-
-def load_native() -> Optional[object]:
-    """Return the compiled ``_cachesim`` module, building it if needed."""
-    if os.environ.get("REPRO_NATIVE", "1").lower() in ("0", "off", "no", "false"):
-        return None
+        return target, ""
+    except FileNotFoundError:
+        status = f"unavailable: no C compiler ({compiler})"
+    except subprocess.CalledProcessError as error:
+        stderr = error.stderr.decode(errors="replace").strip().splitlines()
+        status = "unavailable: compile failed: " + (stderr[0] if stderr else
+                                                    f"exit {error.returncode}")
+    except (OSError, subprocess.TimeoutExpired) as error:
+        status = f"unavailable: compile failed: {error}"
     try:
-        expected = _source_hash()
+        os.remove(scratch)
     except OSError:
-        return None
+        pass
+    return None, status
+
+
+@functools.lru_cache(maxsize=None)
+def _load() -> Tuple[Optional[object], str]:
+    """``(module or None, status)``; runs once per process."""
+    switch = os.environ.get("REPRO_NATIVE", "1")
+    if switch.lower() in ("0", "off", "no", "false"):
+        return None, f"disabled: REPRO_NATIVE={switch}"
+    try:
+        key = _build_key()
+    except OSError as error:
+        return None, f"unavailable: source not readable: {error}"
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     package_dir = os.path.dirname(_SOURCE)
     temp_dir = os.path.join(
         tempfile.gettempdir(),
-        f"repro-cachesim-{expected}-py{sys.version_info[0]}{sys.version_info[1]}")
+        f"repro-cachesim-{key}-py{sys.version_info[0]}{sys.version_info[1]}")
     for directory in (package_dir, temp_dir):
-        module = _load_from(os.path.join(directory, f"_cachesim{suffix}"), expected)
+        module = _load_from(os.path.join(directory, f"_cachesim{suffix}"), key)
         if module is not None:
-            return module
-    for directory in (package_dir, temp_dir):
-        built = _compile_into(directory, expected)
-        if built is not None:
-            module = _load_from(built, expected)
-            if module is not None:
-                return module
-    return None
+            return module, "loaded"
+    build_dir = package_dir if os.access(package_dir, os.W_OK) else temp_dir
+    built, failure = _compile_into(build_dir, key)
+    if built is None:
+        return None, failure
+    module = _load_from(built, key)
+    if module is None:
+        return None, _STALE
+    return module, "loaded"
+
+
+def load_native() -> Optional[object]:
+    """Return the compiled ``_cachesim`` module, building it if needed."""
+    return _load()[0]
+
+
+def load_status() -> str:
+    """Why :func:`load_native` returned what it did: ``"loaded"``,
+    ``"disabled: REPRO_NATIVE=0"``, ``"unavailable: no C compiler (cc)"``,
+    ``"unavailable: compile failed: <first line of stderr>"`` or
+    ``"unavailable: stale or unloadable build"``."""
+    return _load()[1]
+
+
+def delegated(holder: str, name: str) -> property:
+    """A scalar attribute with one owner: member ``name`` of the native
+    object in ``self.<holder>`` when there is one, the instance otherwise.
+
+    ``SimulatedProcessor`` and ``ExecutionContext`` keep the few scalars
+    their native charging objects advance on every call this way, so the C
+    side reads and writes plain struct members while the Python paths, the
+    interrupt handler and the tests keep using the attribute.  ``holder``
+    must be assigned before the attribute is first written.
+    """
+    own = "_own_" + name
+
+    def fget(self):
+        native = getattr(self, holder)
+        return getattr(self, own) if native is None else getattr(native, name)
+
+    def fset(self, value):
+        native = getattr(self, holder)
+        if native is None:
+            setattr(self, own, value)
+        else:
+            setattr(native, name, value)
+
+    return property(fget, fset)

@@ -30,10 +30,12 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .branch import BranchPredictor, _BTBEntry
-from .cache import CacheHierarchy, _NATIVE
+from . import cache as _cache  # home of the one ``_NATIVE`` switch
+from .branch import BranchPredictor
+from .cache import CacheHierarchy
 from .counters import EventCounters, MODE_SUP, MODE_USER, MODES
 from .memory import MainMemory
+from .native import delegated
 from .os_interference import OSInterference, OSInterferenceConfig
 from .pipeline import CycleBreakdown, CycleModel, OverlapModel
 from .specs import PENTIUM_II_XEON, ProcessorSpec
@@ -42,6 +44,12 @@ from .tlb import TLB
 
 class SimulatedProcessor:
     """Trace-driven model of the paper's Pentium II Xeon platform."""
+
+    #: Front-end scalars every instruction fetch advances: the accumulated
+    #: L1I stall cycles and the page of the last fetched line.  Members of
+    #: the native charging block when there is one.
+    _l1i_stall_cycles = delegated("_native_state", "l1i_stall_cycles")
+    _last_instruction_page = delegated("_native_state", "last_instruction_page")
 
     def __init__(self,
                  spec: ProcessorSpec = PENTIUM_II_XEON,
@@ -56,54 +64,33 @@ class SimulatedProcessor:
         self.os = OSInterference(os_interference) if os_interference else None
         self.cycle_model = CycleModel(spec, overlap)
         self.counters = EventCounters()
-
-        self._l1i_stall_cycles = 0.0
-        self._last_instruction_page = -1
         self._finalized = False
 
-        #: Constant block handed to the native charging fast paths
-        #: (``_cachesim.c``), pre-parsed into a C capsule so the per-call
-        #: cost is zero: the live microarchitectural state objects plus the
-        #: scalar geometry the C code needs to drive them.  Only *stable*
-        #: objects go in -- the per-component ``stats`` objects rebind on
-        #: ``reset_stats`` and are re-fetched through ``getattr`` on every
-        #: native call.  ``None`` (native module unavailable, or forced by a
-        #: differential test) keeps every charge on the pure-Python oracle
-        #: paths; the native paths are count- and state-identical by contract
-        #: (asserted by tests/test_native_charging.py).
+        #: The native charging block (``_cachesim.Machine``) or ``None``.
+        #: It owns references to the six automata's C state objects, to
+        #: their Python wrappers (whose ``stats`` objects rebind on
+        #: ``reset_stats`` and are fetched per call) and to the user counter
+        #: bank, holds the two front-end scalars, and runs whole charged
+        #: operations over them.  Built when the automata above were built
+        #: natively -- the same ``_NATIVE`` switch, read at the same moment,
+        #: so ownership is never mixed (the constructor refuses a
+        #: pure-Python automaton).  ``None`` keeps every charge on the
+        #: pure-Python paths below, which are count- and state-identical by
+        #: contract (tests/test_native_charging.py).
         #:
-        #: The state tuple must never contain the processor: the capsule owns
-        #: the tuple and is invisible to the cycle collector, so that would be
-        #: a cycle nobody can break.  ``self`` is passed separately and only
-        #: borrowed by the C side (ownership rule: ``_cachesim.c``, "packed
-        #: constant blocks").
-        self._native_state = (
-            _NATIVE.pack_machine(self._build_native_state(), self)
-            if _NATIVE is not None else None)
-
-    def _build_native_state(self):
-        caches = self.caches
-        l1d, l1i, l2 = caches.l1d, caches.l1i, caches.l2
-        dtlb, itlb = self.dtlb, self.itlb
-        branch_unit = self.branch_unit
-        spec = self.spec
-        return (
-            l1d, l1i, l2,
-            l1d._nargs, l1i._nargs, l2._nargs,
-            l1d._line_shift, l1i._line_shift,
-            dtlb, itlb, dtlb._entries, itlb._entries,
-            dtlb._page_shift, itlb._page_shift,
-            dtlb.spec.entries, itlb.spec.entries,
-            branch_unit, branch_unit._sets,
-            branch_unit._set_mask, branch_unit._history_mask,
-            1 if branch_unit.spec.static_backward_taken else 0,
-            branch_unit.spec.history_bits, branch_unit.spec.btb_associativity,
-            _BTBEntry,
+        #: The block only *borrows* the processor (it is not visible to the
+        #: cycle collector, so an owned reference would be a cycle nobody
+        #: can break); the processor owns the block, so the borrow cannot
+        #: outlive its target.
+        native = _cache._NATIVE
+        self._native_state = None if native is None else native.Machine(
+            self.caches.l1d, self.caches.l1i, self.caches.l2,
+            self.dtlb, self.itlb, self.branch_unit,
             float(spec.pipeline.l1i_fetch_stall_cycles),
             float(spec.memory.latency_cycles),
-            self.counters.user,
-            1 if self.os is not None else 0,
-        )
+            self.counters.user, self.os is not None, self)
+        self._l1i_stall_cycles = 0.0
+        self._last_instruction_page = -1
 
     # ------------------------------------------------------------ code side
     def fetch_code(self, line_addresses: Sequence[int]) -> int:
@@ -174,7 +161,7 @@ class SimulatedProcessor:
             # Native fast path: ITLB page transitions, L1I line touches,
             # stall accumulation and counter folds in one C call --
             # count- and state-identical to the loop below.
-            return _NATIVE.fetch_run(self._native_state, line_addr, count)
+            return self._native_state.fetch_run(line_addr, count)
         caches = self.caches
         counters = self.counters
         itlb = self.itlb
@@ -270,8 +257,7 @@ class SimulatedProcessor:
     def data_read(self, address: int, size: int = 4) -> int:
         """Simulated load; returns the number of L1D misses incurred."""
         if self._native_state is not None:
-            return _NATIVE.charged_strided(self._native_state, address, 0, 1,
-                                           size, 0)
+            return self._native_state.charged_strided(address, 0, 1, size, 0)
         user = self.counters.user
         user["DATA_MEM_REFS"] = user.get("DATA_MEM_REFS", 0) + 1
         dtlb_miss = self.dtlb.access(address)
@@ -291,8 +277,7 @@ class SimulatedProcessor:
     def data_write(self, address: int, size: int = 4) -> int:
         """Simulated store; returns the number of L1D misses incurred."""
         if self._native_state is not None:
-            return _NATIVE.charged_strided(self._native_state, address, 0, 1,
-                                           size, 1)
+            return self._native_state.charged_strided(address, 0, 1, size, 1)
         counters = self.counters
         counters.add("DATA_MEM_REFS", 1)
         dtlb_miss = self.dtlb.access(address)
@@ -354,8 +339,8 @@ class SimulatedProcessor:
         if self._native_state is not None:
             # Native fast path; covers the degenerate strides below too (the
             # C loop revisits the same element, like the scalar fallback).
-            return _NATIVE.charged_strided(self._native_state, address,
-                                           stride, count, size, 0)
+            return self._native_state.charged_strided(address, stride, count,
+                                                      size, 0)
         if count == 1 or stride <= 0:
             # Degenerate strides would revisit the same element; charge them
             # through the scalar path to keep the equivalence trivial.
@@ -401,8 +386,8 @@ class SimulatedProcessor:
         if count <= 0:
             return 0
         if self._native_state is not None:
-            return _NATIVE.charged_strided(self._native_state, address,
-                                           stride, count, size, 1)
+            return self._native_state.charged_strided(address, stride, count,
+                                                      size, 1)
         if count == 1 or stride <= 0:
             misses = 0
             for _ in range(max(count, 0)):

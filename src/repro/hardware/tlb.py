@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import List
 
+from . import cache as _cache  # home of the one ``_NATIVE`` switch
 from .specs import TLBSpec
 
 
@@ -44,19 +46,29 @@ class TLBStats:
 
 
 class TLB:
-    """A fully-associative (or pseudo-LRU set-free) TLB.
+    """A fully-associative LRU TLB.
 
     The Pentium II's TLBs are small enough that full associativity with true
-    LRU is an accurate and cheap model; an :class:`collections.OrderedDict`
-    provides O(1) LRU maintenance.
+    LRU is an accurate and cheap model.  The state has one owner, decided at
+    construction (``repro.hardware.cache._NATIVE``): a ``_cachesim.TLBState``
+    (an MRU-ordered page array) in :attr:`_native` when the native module is
+    loaded, otherwise an :class:`collections.OrderedDict` -- the reference
+    the native transitions are transcribed from.  :meth:`snapshot` is the
+    comparison surface between the two.
     """
 
-    __slots__ = ("spec", "_page_shift", "_entries", "stats")
+    __slots__ = ("spec", "_page_shift", "_entries", "_native", "stats")
 
     def __init__(self, spec: TLBSpec) -> None:
         self.spec = spec
         self._page_shift = spec.page_bytes.bit_length() - 1
-        self._entries: OrderedDict[int, None] = OrderedDict()
+        native = _cache._NATIVE
+        if native is not None:
+            # ``_entries`` stays unset: the C side owns the state.
+            self._native = native.TLBState(spec.entries, self._page_shift)
+        else:
+            self._native = None
+            self._entries: OrderedDict[int, None] = OrderedDict()
         self.stats = TLBStats()
 
     def page_number(self, addr: int) -> int:
@@ -64,49 +76,58 @@ class TLB:
 
     def access(self, addr: int) -> int:
         """Translate ``addr``; returns 1 on a TLB miss, 0 on a hit."""
-        page = addr >> self._page_shift
-        entries = self._entries
-        self.stats.accesses += 1
-        if page in entries:
-            entries.move_to_end(page)
-            return 0
-        self.stats.misses += 1
-        entries[page] = None
-        if len(entries) > self.spec.entries:
-            entries.popitem(last=False)
-        return 1
+        return self.access_bulk(addr, 1)
 
     def access_bulk(self, addr: int, count: int) -> int:
         """Translate ``count`` same-page accesses starting at ``addr`` in bulk.
 
-        The span-charging fast path issues one call per page a vector touches
-        instead of one per element.  The statistics and the LRU state end up
-        exactly as if :meth:`access` had been called ``count`` times with
-        addresses inside the page: ``count`` accesses, at most one miss, and
-        the page left in the MRU position.
+        Span charging issues one call per page a vector touches instead of
+        one per element.  The statistics and the LRU state end up exactly as
+        if :meth:`access` had been called ``count`` times with addresses
+        inside the page: ``count`` accesses, at most one miss, and the page
+        left in the MRU position.
         """
         if count <= 0:
             return 0
-        page = addr >> self._page_shift
-        entries = self._entries
         self.stats.accesses += count
+        if self._native is not None:
+            miss = self._native.touch(addr)
+        else:
+            miss = self._touch(addr >> self._page_shift)
+        self.stats.misses += miss
+        return miss
+
+    def _touch(self, page: int) -> int:
+        """One transition of the pure-Python automaton; 1 on a miss."""
+        entries = self._entries
         if page in entries:
             entries.move_to_end(page)
             return 0
-        self.stats.misses += 1
         entries[page] = None
         if len(entries) > self.spec.entries:
             entries.popitem(last=False)
         return 1
 
+    def snapshot(self) -> List[int]:
+        """Resident page numbers, least recently used first."""
+        if self._native is not None:
+            return self._native.snapshot()
+        return list(self._entries)
+
     def contains(self, addr: int) -> bool:
+        if self._native is not None:
+            return self._native.contains(addr)
         return (addr >> self._page_shift) in self._entries
 
     def resident_pages(self) -> int:
+        if self._native is not None:
+            return self._native.resident_pages()
         return len(self._entries)
 
     def flush(self) -> int:
         """Drop every translation (e.g. on a simulated context switch)."""
+        if self._native is not None:
+            return self._native.flush()
         dropped = len(self._entries)
         self._entries.clear()
         return dropped

@@ -156,13 +156,17 @@ class Planner:
         table = self.catalog.table(table_name)
         column = bounds.column.split(".")[-1]
         values = []
-        layout = table.layout
-        # Sample up to ~1000 records to bound planning cost on large tables.
+        decode_column = table.layout.decode_column
+        # Sample up to ~1000 records to bound planning cost on large tables:
+        # every ``step``-th live record in storage order.  Every page is
+        # still fetched, in order (the buffer pool sees the same requests as
+        # a full scan); only the sampled slots are decoded.
         step = max(table.heap.record_count // 1000, 1)
-        for position, entry in enumerate(table.heap.scan()):
-            if position % step:
-                continue
-            values.append(layout.decode_column(bytes(entry.page.record_view(entry.slot)), column))
+        position = 0  # storage-order index of the page's first live record
+        for page, slots in table.heap.scan_pages():
+            for slot in slots[-position % step::step]:
+                values.append(decode_column(bytes(page.record_view(slot)), column))
+            position += len(slots)
         if not values:
             return 1.0
         lo_data, hi_data = min(values), max(values)

@@ -10,8 +10,11 @@ measurement framework.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
+import repro.hardware.cache as cache_mod
 from repro.engine import Database, Session
 from repro.hardware import OSInterferenceConfig, SimulatedProcessor
 from repro.storage import Catalog
@@ -20,6 +23,30 @@ from repro.workloads import MicroWorkload, MicroWorkloadConfig
 
 #: Scale used by tests: ~600-row R, ~20-row S.
 TEST_SCALE = 1.0 / 2000.0
+
+
+@contextmanager
+def _hidden_native():
+    saved = cache_mod._NATIVE
+    cache_mod._NATIVE = None
+    try:
+        yield
+    finally:
+        cache_mod._NATIVE = saved
+
+
+@pytest.fixture(scope="session")
+def pure_python():
+    """``with pure_python(): ...`` hides the native module for the block.
+
+    Who owns an automaton's state is decided when it is constructed, from
+    the one ``repro.hardware.cache._NATIVE`` switch (what ``REPRO_NATIVE=0``
+    leaves ``None`` at import time).  A ``Cache``, ``TLB``,
+    ``BranchPredictor`` or ``SimulatedProcessor`` built inside the block is
+    therefore the pure-Python oracle, and stays one after the block ends.
+    Session-scoped (it holds no state), so Hypothesis tests may use it.
+    """
+    return _hidden_native
 
 
 @pytest.fixture(scope="session")

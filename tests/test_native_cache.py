@@ -1,26 +1,33 @@
-"""Differential tests: native cache automaton vs. the pure-Python oracle.
+"""Differential tests: the native hardware automata vs. the pure-Python oracle.
 
-``repro.hardware.cache`` routes ``access``/``access_strided``/``access_lines``
-through the compiled ``_cachesim`` extension when it is available.  The
-contract is total: the native automaton must leave the cache in the exact
-same state (per-set MRU order, dirty sets) and produce the exact same
-statistics (per-port accesses/misses, writebacks, at every level) as the
-pure-Python machine, for any interleaving of operations.  These tests
-replay random traces through both implementations and compare everything.
+With the compiled ``_cachesim`` extension loaded, ``Cache``, ``TLB`` and
+``BranchPredictor`` hold a C state object and delegate every method to it.
+The contract is total: the native automaton must leave the exact same state
+(per-set MRU order, dirty lines; LRU page order; BTB tags, histories and
+pattern tables) and produce the exact same statistics and return values as
+the pure-Python machine, for any interleaving of operations.  These tests
+replay random traces through both implementations and compare everything,
+through ``snapshot()`` -- the canonical shape both sides return.
 
-The pure-Python oracle is obtained by monkeypatching the module-level
-``_NATIVE`` handle to ``None`` -- the same switch ``REPRO_NATIVE=0`` flips
-at import time.
+The oracle is *constructed* with the native module hidden (the
+``pure_python`` fixture of ``conftest.py``): ownership of an automaton's
+state is decided at construction and never mixed, so an object built inside
+the block is pure Python for life -- the same thing ``REPRO_NATIVE=0``
+produces at import time.
 """
+
+import math
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
 import repro.hardware.cache as cache_mod
+from repro.hardware.branch import BranchPredictor
 from repro.hardware.cache import (Cache, CacheHierarchy, PORT_DATA_READ,
                                   PORT_DATA_WRITE, PORT_INSTRUCTION)
-from repro.hardware.specs import CacheSpec, PENTIUM_II_XEON
+from repro.hardware.specs import BranchSpec, CacheSpec, PENTIUM_II_XEON, TLBSpec
+from repro.hardware.tlb import TLB
 
 pytestmark = pytest.mark.skipif(
     cache_mod._NATIVE is None,
@@ -39,15 +46,29 @@ def tiny_hierarchy() -> CacheHierarchy:
 
 
 def full_state(cache: Cache):
-    return (
-        [list(lines) for lines in cache._sets],
-        [set(dirty) for dirty in cache._dirty],
-        dict(cache.stats.as_dict()),
-    )
+    sets, dirty = cache.snapshot()
+    return sets, dirty, dict(cache.stats.as_dict())
 
 
 def hierarchy_state(hier: CacheHierarchy):
     return tuple(full_state(c) for c in (hier.l1d, hier.l1i, hier.l2))
+
+
+def build_pair(pure_python, factory):
+    """``(native, oracle)`` from one factory; the oracle holds no C state."""
+    native = factory()
+    with pure_python():
+        oracle = factory()
+    return native, oracle
+
+
+def hierarchy_pair(pure_python, factory=tiny_hierarchy):
+    native, oracle = build_pair(pure_python, factory)
+    for cache in (native.l1d, native.l1i, native.l2):
+        assert cache._native is not None
+    for cache in (oracle.l1d, oracle.l1i, oracle.l2):
+        assert cache._native is None
+    return native, oracle
 
 
 # One trace step: (op, *args).  Addresses are kept small so sets collide.
@@ -64,56 +85,39 @@ _step = st.one_of(
 )
 
 
-def replay(hier: CacheHierarchy, trace) -> list:
-    """Run a trace against a hierarchy, returning every miss count observed."""
+def replay(hier: CacheHierarchy, trace, data_cache=None) -> list:
+    """Run a trace against a hierarchy, returning every miss count observed.
+
+    Data-port steps go to ``data_cache`` (default: the L1D).
+    """
+    data = hier.l1d if data_cache is None else data_cache
     observed = []
     for step in trace:
         op = step[0]
         if op == "access":
             _, addr, port, size, write = step
-            observed.append(hier.l1d.access(addr, port, size=size, write=write))
+            observed.append(data.access(addr, port, size=size, write=write))
         elif op == "strided":
             _, addr, stride, count, size, write = step
             port = PORT_DATA_WRITE if write else PORT_DATA_READ
             observed.append(
-                hier.l1d.access_strided(addr, stride, count, size, port, write=write))
+                data.access_strided(addr, stride, count, size, port, write=write))
         elif op == "lines":
             _, start, step_lines, count = step
-            line = hier.l1i._line_bytes if hasattr(hier.l1i, "_line_bytes") else 32
             addrs = range(start, start + count * step_lines * 32, step_lines * 32)
             observed.append(hier.l1i.access_lines(addrs, PORT_INSTRUCTION))
         elif op == "invalidate":
             _, fraction = step
-            observed.append(hier.l1d.invalidate_fraction(fraction))
+            observed.append(data.invalidate_fraction(fraction))
     return observed
-
-
-class _pure_python:
-    """Temporarily disable the native fast path (same switch as REPRO_NATIVE=0)."""
-
-    def __enter__(self):
-        self._saved = cache_mod._NATIVE
-        cache_mod._NATIVE = None
-
-    def __exit__(self, *exc):
-        cache_mod._NATIVE = self._saved
-        return False
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.lists(_step, min_size=1, max_size=60))
-def test_native_trace_matches_pure_python(trace):
-    native_hier = tiny_hierarchy()
-    native_misses = replay(native_hier, trace)
-    native_state = hierarchy_state(native_hier)
-
-    with _pure_python():
-        oracle_hier = tiny_hierarchy()
-        oracle_misses = replay(oracle_hier, trace)
-        oracle_state = hierarchy_state(oracle_hier)
-
-    assert native_misses == oracle_misses
-    assert native_state == oracle_state
+def test_native_trace_matches_pure_python(pure_python, trace):
+    native_hier, oracle_hier = hierarchy_pair(pure_python)
+    assert replay(native_hier, trace) == replay(oracle_hier, trace)
+    assert hierarchy_state(native_hier) == hierarchy_state(oracle_hier)
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,22 +126,19 @@ def test_native_trace_matches_pure_python(trace):
        st.integers(min_value=1, max_value=200),
        st.integers(min_value=1, max_value=32),
        st.booleans())
-def test_native_strided_matches_elementwise(addr, stride, count, size, write):
+def test_native_strided_matches_elementwise(pure_python, addr, stride, count,
+                                            size, write):
     """Bulk strided access equals ``count`` individual accesses, natively too."""
     port = PORT_DATA_WRITE if write else PORT_DATA_READ
-    bulk = tiny_hierarchy()
+    bulk, loop = hierarchy_pair(pure_python)
     bulk_misses = bulk.l1d.access_strided(addr, stride, count, size, port, write=write)
-
-    with _pure_python():
-        loop = tiny_hierarchy()
-        loop_misses = sum(loop.l1d.access(addr + i * stride, port, size=size, write=write)
-                          for i in range(count))
-
+    loop_misses = sum(loop.l1d.access(addr + i * stride, port, size=size, write=write)
+                      for i in range(count))
     assert bulk_misses == loop_misses
     assert hierarchy_state(bulk) == hierarchy_state(loop)
 
 
-def test_native_pentium_profile_smoke():
+def test_native_pentium_profile_smoke(pure_python):
     """The real Pentium II Xeon profile agrees natively vs. pure-Python."""
     def run(hier):
         for i in range(0, 4096, 8):
@@ -147,9 +148,277 @@ def test_native_pentium_profile_smoke():
         hier.l1i.access_lines(range(0, 128 * 32, 32), PORT_INSTRUCTION)
         return hierarchy_state(hier)
 
-    native = run(CacheHierarchy(PENTIUM_II_XEON.l1d, PENTIUM_II_XEON.l1i,
-                                PENTIUM_II_XEON.l2))
-    with _pure_python():
-        oracle = run(CacheHierarchy(PENTIUM_II_XEON.l1d, PENTIUM_II_XEON.l1i,
-                                    PENTIUM_II_XEON.l2))
-    assert native == oracle
+    native, oracle = hierarchy_pair(
+        pure_python, lambda: CacheHierarchy(PENTIUM_II_XEON.l1d, PENTIUM_II_XEON.l1i,
+                                            PENTIUM_II_XEON.l2))
+    assert run(native) == run(oracle)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_step, min_size=1, max_size=60))
+def test_write_through_l1_over_write_back_l2(pure_python, trace):
+    """Data traffic through the write-through L1 (the ``l1i`` spec) forwards
+    every write miss, and every eviction of a line dirtied by a write hit,
+    to the write-back L2 on its write port."""
+    native_hier, oracle_hier = hierarchy_pair(pure_python)
+    assert (replay(native_hier, trace, data_cache=native_hier.l1i)
+            == replay(oracle_hier, trace, data_cache=oracle_hier.l1i))
+    assert hierarchy_state(native_hier) == hierarchy_state(oracle_hier)
+
+
+def test_write_through_forwarding_is_exercised(pure_python):
+    native_hier, oracle_hier = hierarchy_pair(pure_python)
+    for hier in (native_hier, oracle_hier):
+        for i in range(64):
+            hier.l1i.access(i * 32, PORT_DATA_WRITE, size=4, write=True)
+        assert hier.l2.stats.accesses[PORT_DATA_WRITE] == 64
+        assert hier.l1i.stats.writebacks == 0
+    assert hierarchy_state(native_hier) == hierarchy_state(oracle_hier)
+
+
+def test_three_level_chain_matches(pure_python):
+    """The native recursion follows ``next_level`` to any depth, with each
+    level's events folded into that level's own statistics."""
+    def chain():
+        l3 = Cache(CacheSpec(name="l3", size_bytes=4096, line_bytes=32,
+                             associativity=4, write_back=True))
+        l2 = Cache(CacheSpec(name="l2", size_bytes=1024, line_bytes=32,
+                             associativity=2, write_back=True), next_level=l3)
+        return Cache(CacheSpec(name="l1", size_bytes=256, line_bytes=32,
+                               associativity=2, write_back=True), next_level=l2)
+
+    def levels(l1):
+        return [full_state(c) for c in (l1, l1.next_level, l1.next_level.next_level)]
+
+    native, oracle = build_pair(pure_python, chain)
+    for l1 in (native, oracle):
+        for i in range(600):
+            write = i % 3 == 0
+            l1.access_strided((i * 7919) % (1 << 14), 40, 5, 8,
+                              PORT_DATA_WRITE if write else PORT_DATA_READ, write)
+    assert levels(native) == levels(oracle)
+    assert native.next_level.next_level.stats.writebacks > 0
+
+
+def test_native_and_pure_python_levels_cannot_be_chained(pure_python):
+    spec = CacheSpec(name="c", size_bytes=512, line_bytes=32, associativity=2)
+    native_l2 = Cache(spec)
+    with pure_python():
+        oracle_l2 = Cache(spec)
+        with pytest.raises(ValueError, match="cannot be chained"):
+            Cache(spec, next_level=native_l2)
+    with pytest.raises(ValueError, match="cannot be chained"):
+        Cache(spec, next_level=oracle_l2)
+
+
+# ------------------------------------------------ contents and invalidation
+
+
+def test_contents_queries_and_invalidate_all_match(pure_python):
+    native_hier, oracle_hier = hierarchy_pair(pure_python)
+    probes = [i * 24 for i in range(400)]
+    for hier in (native_hier, oracle_hier):
+        hier.l1d.warm(range(0, 2048, 16))
+        assert hier.l1d.stats.total_accesses == 0       # warm-up counts nothing
+        for i in range(200):
+            hier.l1d.access((i * 52) % 4096, PORT_DATA_WRITE, size=8, write=i % 2 == 0)
+    assert ([native_hier.l1d.contains(a) for a in probes]
+            == [oracle_hier.l1d.contains(a) for a in probes])
+    assert ([native_hier.l2.contains(a) for a in probes]
+            == [oracle_hier.l2.contains(a) for a in probes])
+    assert native_hier.l1d.resident_lines() == oracle_hier.l1d.resident_lines() == 16
+    assert native_hier.l2.resident_lines() == oracle_hier.l2.resident_lines()
+    assert hierarchy_state(native_hier) == hierarchy_state(oracle_hier)
+    assert native_hier.l1d.invalidate_all() == oracle_hier.l1d.invalidate_all() == 16
+    assert native_hier.l1d.resident_lines() == 0
+    assert not any(native_hier.l1d.contains(a) for a in probes)
+    assert hierarchy_state(native_hier) == hierarchy_state(oracle_hier)
+
+
+_ASSOC = 4
+_FRACTIONS = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0)
+
+
+def one_set_pair(pure_python, resident: int):
+    """A one-set, 4-way cache pair holding ``resident`` lines, the
+    odd-numbered ones dirty."""
+    spec = CacheSpec(name="one_set", size_bytes=32 * _ASSOC, line_bytes=32,
+                     associativity=_ASSOC, write_back=True)
+    pair = build_pair(pure_python, lambda: Cache(spec))
+    for cache in pair:
+        for line in range(resident):
+            cache.access(line * 32, PORT_DATA_WRITE if line % 2 else PORT_DATA_READ,
+                         write=bool(line % 2))
+    return pair
+
+
+def assert_invalidation_matches(native, oracle, fraction):
+    resident = oracle.resident_lines()
+    assert native.invalidate_fraction(fraction) == oracle.invalidate_fraction(fraction)
+    assert full_state(native) == full_state(oracle)
+    sets, dirty = native.snapshot()
+    assert dirty[0] <= set(sets[0])          # victims' dirty bits went with them
+    if 0.0 < fraction < 1.0:
+        # Python's round() is half-to-even; lround or +0.5 would differ.
+        assert len(sets[0]) == int(round(resident * (1.0 - fraction)))
+
+
+@pytest.mark.parametrize("fraction", _FRACTIONS)
+@pytest.mark.parametrize("resident", range(_ASSOC + 1))
+def test_invalidate_fraction_rounds_half_to_even(pure_python, resident, fraction):
+    native, oracle = one_set_pair(pure_python, resident)
+    assert_invalidation_matches(native, oracle, fraction)
+
+
+def test_invalidate_fraction_half_keeps_even_counts(pure_python):
+    """The default ``l1i_flush_fraction = 0.5``: 1 line keeps 0, 3 keep 2."""
+    for resident, kept in ((1, 0), (2, 1), (3, 2), (4, 2)):
+        native, oracle = one_set_pair(pure_python, resident)
+        native.invalidate_fraction(0.5)
+        oracle.invalidate_fraction(0.5)
+        assert native.resident_lines() == oracle.resident_lines() == kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=_ASSOC),
+       st.floats(min_value=-0.5, max_value=1.5, allow_nan=False))
+def test_invalidate_fraction_matches_for_any_float(pure_python, resident, fraction):
+    native, oracle = one_set_pair(pure_python, resident)
+    assert_invalidation_matches(native, oracle, fraction)
+
+
+def test_invalidate_fraction_rejects_nan_on_both_sides(pure_python):
+    for cache in one_set_pair(pure_python, 3):
+        with pytest.raises(ValueError):
+            cache.invalidate_fraction(math.nan)
+        assert cache.resident_lines() == 3
+
+
+# ------------------------------------------------------------ TLB and BTB
+
+_TINY_TLB = TLBSpec(name="tiny", entries=4, page_bytes=4096)
+_TINY_BTB = BranchSpec(btb_entries=4, btb_associativity=2, history_bits=2)
+
+# 12 pages over 4 entries: LRU eviction on every example of any length.
+_tlb_addr = st.integers(min_value=0, max_value=12 * 4096 - 1)
+_tlb_step = st.one_of(
+    st.tuples(st.just("access"), _tlb_addr),
+    st.tuples(st.just("bulk"), _tlb_addr, st.integers(min_value=0, max_value=9)),
+    st.tuples(st.just("flush")),
+)
+
+
+def replay_tlb(tlb: TLB, trace) -> list:
+    observed = []
+    for step in trace:
+        if step[0] == "access":
+            observed.append(tlb.access(step[1]))
+        elif step[0] == "bulk":
+            observed.append(tlb.access_bulk(step[1], step[2]))
+        else:
+            observed.append(tlb.flush())
+        observed.append((tlb.resident_pages(), tlb.contains(step[1] if len(step) > 1 else 0)))
+    return observed
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_tlb_step, min_size=1, max_size=80))
+def test_tlb_trace_matches_pure_python(pure_python, trace):
+    native, oracle = build_pair(pure_python, lambda: TLB(_TINY_TLB))
+    assert native._native is not None and oracle._native is None
+    # Eight distinct pages up front: the 4-entry TLB evicts on every example.
+    trace = [("access", page * 4096) for page in range(8)] + trace
+    assert replay_tlb(native, trace) == replay_tlb(oracle, trace)
+    assert native.snapshot() == oracle.snapshot()
+    assert native.stats == oracle.stats
+    assert native.stats.misses >= 8
+
+
+# Sites 16 bytes apart map to consecutive predictor entries: 6 sites over
+# 2 sets x 2 ways evict, and runs of one outcome saturate the counters.
+_btb_step = st.one_of(
+    st.tuples(st.just("execute"), st.integers(0, 5), st.booleans(), st.booleans()),
+    st.tuples(st.just("run"), st.integers(0, 5), st.booleans(), st.integers(1, 6)),
+    st.tuples(st.just("flush")),
+)
+
+
+def replay_btb(unit: BranchPredictor, trace) -> list:
+    observed = []
+    for step in trace:
+        if step[0] == "execute":
+            _, site, taken, backward = step
+            observed.append(unit.execute(0x4000 + site * 16, taken, backward))
+        elif step[0] == "run":
+            _, site, taken, length = step
+            observed.extend(unit.execute(0x4000 + site * 16, taken)
+                            for _ in range(length))
+        else:
+            unit.flush()
+        observed.append(unit.resident_entries())
+    return observed
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_btb_step, min_size=1, max_size=80))
+def test_btb_trace_matches_pure_python(pure_python, trace):
+    native, oracle = build_pair(pure_python, lambda: BranchPredictor(_TINY_BTB))
+    assert native._native is not None and oracle._native is None
+    # Saturate one site upwards and downwards, then allocate three sites in
+    # one set (an eviction), whatever the drawn trace does.
+    trace = ([("run", 0, True, 6), ("run", 0, False, 6)]
+             + [("execute", site, True, False) for site in (0, 2, 4)] + trace)
+    assert replay_btb(native, trace) == replay_btb(oracle, trace)
+    assert native.snapshot() == oracle.snapshot()
+    assert native.stats == oracle.stats
+
+
+def test_btb_counters_saturate_and_ways_evict(pure_python):
+    native, oracle = build_pair(pure_python, lambda: BranchPredictor(_TINY_BTB))
+    for unit in (native, oracle):
+        for _ in range(8):
+            unit.execute(0x4000, True)
+        for site in (2, 4):                       # same set as site 0
+            unit.execute(0x4000 + site * 16, True)
+    assert native.snapshot() == oracle.snapshot()
+    ways = native.snapshot()[0]
+    assert [tag for tag, _, _ in ways] == [(0x4000 >> 4) + 4, (0x4000 >> 4) + 2]
+    assert native.resident_entries() == 2
+    for unit in (native, oracle):
+        unit.flush()
+        for _ in range(8):
+            unit.execute(0x4000, True)
+    (_, history, counters), = native.snapshot()[0]
+    assert history == 3 and max(counters) == 3    # saturated, not wrapped
+    assert native.snapshot() == oracle.snapshot()
+
+
+# ------------------------------------------------- a fallback is reported
+
+
+def fresh_load_status(monkeypatch, **env) -> str:
+    """``load_status()`` of a first load under ``env`` (the process-wide
+    result is cached; this runs the uncached loader)."""
+    from repro.hardware import native
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    return native._load.__wrapped__()[1]
+
+
+def test_load_status_names_what_happened(monkeypatch):
+    from repro.hardware import native
+    assert native.load_status() == "loaded"
+    assert native.load_native() is cache_mod._NATIVE
+    assert (fresh_load_status(monkeypatch, REPRO_NATIVE="0")
+            == "disabled: REPRO_NATIVE=0")
+    monkeypatch.delenv("REPRO_NATIVE")
+    # A different compiler or different flags are a different build key, so
+    # neither of these can pick up (or clobber) the .so this run loaded.
+    assert (fresh_load_status(monkeypatch, CC="no-such-compiler-on-path")
+            == "unavailable: no C compiler (no-such-compiler-on-path)")
+    monkeypatch.delenv("CC")
+    status = fresh_load_status(monkeypatch, CFLAGS="-include no_such_header_anywhere.h")
+    assert status.startswith("unavailable: compile failed: ")
+    assert "no_such_header_anywhere.h" in status
+    monkeypatch.delenv("CFLAGS")
+    assert native.load_native() is cache_mod._NATIVE      # the cached load stands

@@ -13,9 +13,12 @@ counter, cold/workspace cursors, bulk-misprediction carry, per-site state)
 must be byte-identical to the pure-Python code for any operation
 interleaving.
 
-The oracle side is obtained by clearing ``SimulatedProcessor._native_state``
-(and constructing the context afterwards, so ``ExecutionContext._native_ctx``
-stays ``None``) -- the same state ``REPRO_NATIVE=0`` produces at import time.
+The oracle side is *constructed* with the native module hidden (the
+``pure_python`` fixture of ``conftest.py``): its caches, TLBs and branch
+unit are the pure-Python automata, it builds no native charging block and
+its context stays on the Python path -- the same state ``REPRO_NATIVE=0``
+produces at import time.  States are compared through ``snapshot()``, the
+canonical shape both sides return.
 
 The contract covers the OS-interference model too: the native visit advances
 the interrupt clock at the same point ``charge_routine`` does and calls back
@@ -28,9 +31,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-import repro.execution.context as context_mod
 import repro.hardware.cache as cache_mod
-import repro.hardware.processor as processor_mod
 from repro.execution.context import ExecutionContext
 from repro.experiments import ExperimentConfig, ExperimentRunner
 from repro.hardware.os_interference import OSInterferenceConfig
@@ -53,18 +54,12 @@ def processor_state(proc: SimulatedProcessor):
     return {
         "user": dict(proc.counters.user),
         "sup": dict(proc.counters.sup),
-        "l1d": ([list(lines) for lines in caches.l1d._sets],
-                [set(d) for d in caches.l1d._dirty],
-                caches.l1d.stats.as_dict()),
-        "l1i": ([list(lines) for lines in caches.l1i._sets],
-                caches.l1i.stats.as_dict()),
-        "l2": ([list(lines) for lines in caches.l2._sets],
-               [set(d) for d in caches.l2._dirty],
-               caches.l2.stats.as_dict()),
-        "dtlb": (list(proc.dtlb._entries), proc.dtlb.stats.as_dict()),
-        "itlb": (list(proc.itlb._entries), proc.itlb.stats.as_dict()),
-        "btb": [[(e.tag, e.history, tuple(e.counters)) for e in ways]
-                for ways in proc.branch_unit._sets],
+        "l1d": (caches.l1d.snapshot(), caches.l1d.stats.as_dict()),
+        "l1i": (caches.l1i.snapshot(), caches.l1i.stats.as_dict()),
+        "l2": (caches.l2.snapshot(), caches.l2.stats.as_dict()),
+        "dtlb": (proc.dtlb.snapshot(), proc.dtlb.stats.as_dict()),
+        "itlb": (proc.itlb.snapshot(), proc.itlb.stats.as_dict()),
+        "btb": proc.branch_unit.snapshot(),
         "branch_stats": proc.branch_unit.stats.as_dict(),
         "stall": proc._l1i_stall_cycles,
         "last_page": proc._last_instruction_page,
@@ -91,22 +86,28 @@ def assert_states_identical(native, oracle):
         assert native[key] == oracle[key], f"{key} diverged"
 
 
-def processor_pair():
-    native = SimulatedProcessor()
-    oracle = SimulatedProcessor()
-    oracle._native_state = None
+def automata(proc: SimulatedProcessor):
+    caches = proc.caches
+    return (caches.l1d, caches.l1i, caches.l2, proc.dtlb, proc.itlb,
+            proc.branch_unit)
+
+
+def processor_pair(pure_python, os_interference=None):
+    native = SimulatedProcessor(os_interference=os_interference)
+    with pure_python():
+        oracle = SimulatedProcessor(os_interference=os_interference)
     assert native._native_state is not None
+    assert all(automaton._native is not None for automaton in automata(native))
+    assert oracle._native_state is None
+    assert all(automaton._native is None for automaton in automata(oracle))
     return native, oracle
 
 
-def context_pair(profile=SYSTEM_B, charge_mode="span", os_interference=None):
-    def build(force_python):
-        proc = SimulatedProcessor(os_interference=os_interference)
-        if force_python:
-            proc._native_state = None
-        return ExecutionContext(proc, profile, AddressSpace(),
-                                charge_mode=charge_mode)
-    native, oracle = build(False), build(True)
+def context_pair(pure_python, profile=SYSTEM_B, charge_mode="span",
+                 os_interference=None):
+    native, oracle = (
+        ExecutionContext(proc, profile, AddressSpace(), charge_mode=charge_mode)
+        for proc in processor_pair(pure_python, os_interference))
     assert native._native_ctx is not None and native.charging_path == "native"
     assert oracle._native_ctx is None
     assert oracle.charging_path == "python: no native module"
@@ -140,14 +141,14 @@ _proc_step = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_proc_step, min_size=1, max_size=60))
-def test_processor_charges_identical(trace):
-    native, oracle = processor_pair()
+def test_processor_charges_identical(pure_python, trace):
+    native, oracle = processor_pair(pure_python)
     assert replay_processor(native, trace) == replay_processor(oracle, trace)
     assert_states_identical(processor_state(native), processor_state(oracle))
 
 
-def test_degenerate_strides_match_scalar_loop():
-    native, oracle = processor_pair()
+def test_degenerate_strides_match_scalar_loop(pure_python):
+    native, oracle = processor_pair(pure_python)
     for proc in (native, oracle):
         proc.data_read_strided(0x4000, 0, 7, 4)      # stride 0: same element
         proc.data_read_strided(0x5000, -16, 5, 4)    # negative stride
@@ -156,8 +157,8 @@ def test_degenerate_strides_match_scalar_loop():
     assert_states_identical(processor_state(native), processor_state(oracle))
 
 
-def test_finalized_cycles_identical_after_mixed_traffic():
-    native, oracle = processor_pair()
+def test_finalized_cycles_identical_after_mixed_traffic(pure_python):
+    native, oracle = processor_pair(pure_python)
     for proc in (native, oracle):
         proc.fetch_code_run(0x1000, 24)
         proc.data_read_strided(0x80000, 8, 4096, 4)
@@ -208,8 +209,8 @@ _ctx_step = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_ctx_step, min_size=1, max_size=40))
-def test_context_visits_identical(trace):
-    native, oracle = context_pair()
+def test_context_visits_identical(pure_python, trace):
+    native, oracle = context_pair(pure_python)
     replay_context(native, trace)
     replay_context(oracle, trace)
     assert_states_identical(context_state(native), context_state(oracle))
@@ -217,10 +218,10 @@ def test_context_visits_identical(trace):
 
 @pytest.mark.parametrize("profile", [SYSTEM_A, SYSTEM_B],
                          ids=["system_a", "system_b"])
-def test_long_visit_sequence_identical(profile):
+def test_long_visit_sequence_identical(pure_python, profile):
     """Long enough to wrap the cold pool and the workspace, exercise every
     branch-site kind repeatedly and accumulate a non-trivial bulk carry."""
-    native, oracle = context_pair(profile)
+    native, oracle = context_pair(pure_python, profile)
     for ctx in (native, oracle):
         names = segment_names(ctx)
         for i in range(600):
@@ -232,10 +233,10 @@ def test_long_visit_sequence_identical(profile):
     assert_states_identical(context_state(native), context_state(oracle))
 
 
-def test_per_address_mode_stays_pure_python_and_equivalent():
+def test_per_address_mode_stays_pure_python_and_equivalent(pure_python):
     """``per_address`` charging never takes the native visit path, so the
     span-vs-per_address differential doubles as a native-vs-Python one."""
-    span, _ = context_pair(SYSTEM_B, charge_mode="span")
+    span, _ = context_pair(pure_python, SYSTEM_B, charge_mode="span")
     per_address = ExecutionContext(SimulatedProcessor(), SYSTEM_B,
                                    AddressSpace(), charge_mode="per_address")
     assert per_address._native_ctx is None
@@ -278,8 +279,8 @@ _os_step = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(_os_config, st.lists(_os_step, min_size=1, max_size=40))
-def test_os_interference_visits_identical(config, trace):
-    native, oracle = context_pair(os_interference=config)
+def test_os_interference_visits_identical(pure_python, config, trace):
+    native, oracle = context_pair(pure_python, os_interference=config)
     # Routine 0 (``query_setup``) retires more instructions than any drawn
     # interval several times over: one visit up front guarantees that
     # interrupts fire -- more than one inside that visit -- whatever the
@@ -296,7 +297,8 @@ def test_os_interference_visits_identical(config, trace):
 
 @pytest.mark.parametrize("flush_fraction", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("flush_itlb", [False, True])
-def test_several_interrupts_inside_one_native_visit(flush_fraction, flush_itlb):
+def test_several_interrupts_inside_one_native_visit(pure_python, flush_fraction,
+                                                    flush_itlb):
     """One visit whose retired instructions span several intervals services
     all of them at the hook (``fired > 1``), between the retirement fold and
     the workspace touches -- on both paths."""
@@ -307,7 +309,7 @@ def test_several_interrupts_inside_one_native_visit(flush_fraction, flush_itlb):
     config = OSInterferenceConfig(interval_instructions=instructions // 3,
                                   l1i_flush_fraction=flush_fraction,
                                   flush_itlb=flush_itlb)
-    native, oracle = context_pair(os_interference=config)
+    native, oracle = context_pair(pure_python, os_interference=config)
     for ctx in (native, oracle):
         ctx.visit(name)
         assert ctx.processor.os.interrupts == 3
@@ -339,8 +341,7 @@ def test_engine_counts_identical_under_default_os_model(os_runner, monkeypatch,
     for path in ("native", "python"):
         if path == "python":
             # What REPRO_NATIVE=0 leaves behind at import time.
-            for module in (cache_mod, processor_mod, context_mod):
-                monkeypatch.setattr(module, "_NATIVE", None)
+            monkeypatch.setattr(cache_mod, "_NATIVE", None)
         for label, query in queries.items():
             session = os_runner.grid_session(engine, "nsm", system_key=system_key)
             assert session.charging_path == (

@@ -213,3 +213,77 @@ class TestPlanner:
     def test_selection_query_requires_aggregates(self):
         with pytest.raises(ValueError):
             SelectionQuery(table="R", aggregates=())
+
+
+# ---------------------------------------------------------------------------
+# Selectivity estimation walks pages, decodes only the sample
+# ---------------------------------------------------------------------------
+def full_walk_estimate(table, bounds) -> float:
+    """The estimator as it was first written: a ``ScanEntry`` per live
+    record, every ``step``-th one decoded.  Kept here as the reference."""
+    column = bounds.column.split(".")[-1]
+    step = max(table.heap.record_count // 1000, 1)
+    values = [table.layout.decode_column(bytes(entry.page.record_view(entry.slot)), column)
+              for position, entry in enumerate(table.heap.scan())
+              if position % step == 0]
+    if not values:
+        return 1.0
+    lo_data, hi_data = min(values), max(values)
+    span = float(hi_data - lo_data) or 1.0
+    low = bounds.low if bounds.low is not None else lo_data
+    high = bounds.high if bounds.high is not None else hi_data
+    return max(min(max(float(high) - float(low), 0.0) / span, 1.0), 0.0)
+
+
+def estimator_cases():
+    pytest.importorskip("numpy")
+    from repro.workloads import MicroWorkload, MicroWorkloadConfig
+    from repro.workloads.tpcc import TPCCWorkload
+    from repro.workloads.tpcd import TPCDConfig, TPCDWorkload
+    micro = MicroWorkload(MicroWorkloadConfig(scale=1.0 / 400.0))
+    yield "R-nsm", micro.build(layout_style="nsm"), "R", "a2", micro.config.a2_domain
+    yield "R-pax", micro.build(layout_style="pax"), "R", "a2", micro.config.a2_domain
+    tpcd = TPCDWorkload(TPCDConfig(lineitem_rows=5000, orders_rows=500,
+                                   part_rows=200, supplier_rows=50))
+    yield "lineitem", tpcd.build(), "lineitem", "l_shipdate", 2400
+    tpcc = TPCCWorkload()
+    yield "customer", tpcc.build(), "customer", "c_balance", 50_000
+
+
+def test_page_walk_estimate_equals_full_walk_estimate():
+    import random
+    rng = random.Random(14)
+    for label, database, table_name, column, domain in estimator_cases():
+        table = database.table(table_name)
+        assert table.heap.record_count // 1000 > 1, f"{label}: sampling not exercised"
+        # Holes in the slot sequence: the sample is over *live* records.
+        for rid in [entry.rid for entry in table.heap.scan()][5:400:7]:
+            table.delete(rid)
+        planner = Planner(database.catalog, SYSTEM_B)
+        for _ in range(20):
+            low, high = sorted(rng.sample(range(-10, domain + 10), 2))
+            bounds = extract_range_bounds(range_predicate(column, low, high), column)
+            if rng.random() < 0.2:
+                bounds = extract_range_bounds(   # one-sided: the sample's own max
+                    Comparison(ComparisonOp.GT, ColumnRef(column), Const(low)), column)
+            assert (planner.estimate_selectivity(table_name, bounds)
+                    == full_walk_estimate(table, bounds)), label
+
+
+def test_page_walk_estimate_makes_the_same_buffer_pool_requests():
+    for label, database, table_name, column, domain in estimator_cases():
+        table = database.table(table_name)
+        pool = table.heap.buffer_pool
+        bounds = extract_range_bounds(range_predicate(column, 1, domain // 20), column)
+
+        def stats_delta(work):
+            before = pool.stats.as_dict()
+            work()
+            after = pool.stats.as_dict()
+            return {key: after[key] - before[key] for key in after if key != "hit_rate"}
+
+        walked = stats_delta(lambda: full_walk_estimate(table, bounds))
+        planner = Planner(database.catalog, SYSTEM_B)
+        estimated = stats_delta(lambda: planner.estimate_selectivity(table_name, bounds))
+        assert estimated == walked, label
+        assert estimated["fetches"] == table.heap.page_count
