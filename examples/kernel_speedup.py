@@ -5,11 +5,11 @@ compaction, gathers, hash-join bucket hashing, aggregate folds -- live in
 ``repro.execution.kernels`` behind a small ``Kernels`` interface with two
 interchangeable backends:
 
-* ``python`` -- the original pure-Python loops, zero dependencies, and the
-  oracle every other backend is differenced against;
-* ``array`` -- the same contracts on numpy (the optional ``fast`` extra),
-  with per-call fallbacks wherever vectorization could diverge (``None``
-  values, magnitudes past 2**53, non-integer hash keys).
+* ``python`` -- the original pure-Python loops, the oracle every other
+  backend is differenced against;
+* ``array`` -- the same contracts on numpy (what the default ``"auto"``
+  means), with per-call fallbacks wherever vectorization could diverge
+  (``None`` values, magnitudes past 2**53, non-integer hash keys).
 
 The backends sit *behind the count-identity wall*: kernels only ever see
 plain data, never the simulated processor, so every cache visit, TLB walk
@@ -22,9 +22,8 @@ the charging plane in C (DESIGN.md, "Kernels behind the count-identity
 wall") the microbenchmark's batches are small and its kernels light, so
 numpy's fixed per-call list-to-array conversion cost often outweighs its
 per-element win and ``python`` comes out ahead; the array backend earns
-its keep as batches grow and kernels get heavier.  The grid benchmark
-(``scripts/run_bench.py``) records the resolved backend per cell and
-gates both backends cycle-identical on every run.
+its keep as batches grow and kernels get heavier.  The backend identity
+wall is ``tests/test_kernels.py``; this example is the wall-clock side.
 
 This example runs the microbenchmark's sequential range selection and its
 equijoin under ``kernel_backend="python"`` and ``"array"`` at two batch
@@ -39,7 +38,6 @@ Run with::
 import time
 
 from repro.engine import Session
-from repro.execution.kernels import array_kernels_available
 from repro.systems import SYSTEM_B
 from repro.workloads.micro import MicroWorkload
 
@@ -56,11 +54,6 @@ def run(workload, query, backend, batch_size):
 
 
 def main() -> None:
-    if not array_kernels_available():
-        print("numpy is not installed; install the fast extra "
-              "(pip install -e .[fast]) to compare backends.")
-        return
-
     workload = MicroWorkload()  # default scale: R = 6,000 rows, S = 200
     queries = [("10% sequential selection",
                 workload.sequential_range_selection()),

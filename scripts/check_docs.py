@@ -15,7 +15,9 @@ documentation that drifts from the tree should break CI, which is the point
 of the docs job.  So does any ``scripts/...``, ``examples/...`` or top-level
 ``*.md`` path named anywhere in README.md, DESIGN.md or the text of a
 ``src/repro/**/*.py`` file (docstrings and comments alike) that is not in
-the tree.  Exit status: 0 when every check passes.
+the tree.  And so does README's "Execution knobs" table when its rows are
+not exactly the fields of ``repro.query.plans.ExecutionConfig`` -- the one
+declaration of every knob.  Exit status: 0 when every check passes.
 
 Usage::
 
@@ -24,6 +26,7 @@ Usage::
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import os
 import py_compile
@@ -33,6 +36,10 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(REPO, "README.md")
+
+sys.path.insert(0, os.path.join(REPO, "src"))
+
+from repro.query.plans import ExecutionConfig  # noqa: E402
 
 #: Matches the script/example path tokens inside quoted commands.
 PATH_PATTERN = re.compile(r"\b((?:scripts|examples)/[\w./-]+\.(?:py|sh))\b")
@@ -102,6 +109,19 @@ def dangling_references():
                        f"which does not exist")
 
 
+def knob_table_errors(text: str):
+    """Yield an error when README's "Execution knobs" table does not list
+    exactly ``ExecutionConfig``'s fields (two knobs may share a row)."""
+    section = text.split("## Execution knobs", 1)[-1].split("\n## ", 1)[0]
+    listed = sorted(
+        name for line in section.splitlines() if line.startswith("| `")
+        for name in re.findall(r"`(\w+)`", line.split("|")[1]))
+    declared = sorted(field.name for field in dataclasses.fields(ExecutionConfig))
+    if listed != declared:
+        yield (f"README's Execution knobs table lists {listed}, "
+               f"ExecutionConfig declares {declared}")
+
+
 def main() -> int:
     with open(README) as handle:
         text = handle.read()
@@ -121,6 +141,7 @@ def main() -> int:
         errors.extend(command_errors)
         print(f"[{'FAIL' if command_errors else 'ok':>4}] {command}")
     errors.extend(dangling_references())
+    errors.extend(knob_table_errors(text))
     if errors:
         print("\ndocs check FAILED:")
         for error in errors:

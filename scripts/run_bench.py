@@ -132,13 +132,6 @@ SWEEP_RECORD_SIZE = 200
 #: The configuration whose wall clock the perf acceptance criteria track.
 HEADLINE = ("vectorized", "pax", "SRS")
 
-#: Kernel backend(s) each grid cell is measured under.  Cells record the
-#: *requested* knob value (plus the backend it resolved to), so a baseline
-#: recorded with numpy installed still gates a numpy-less run: ``auto``
-#: matches ``auto`` and the simulated cycles are backend-identical by
-#: design.  Old baselines without the field compare as ``auto`` cells.
-DEFAULT_KERNEL_BACKENDS = ("auto",)
-
 
 def make_runner(scale: Optional[float], parallelism: int = 1,
                 grid_workers: int = 1) -> ExperimentRunner:
@@ -181,37 +174,37 @@ class BenchCell(NamedTuple):
     baselines, and what the runner builds and measures for it."""
 
     #: ``engine`` (an engine, or the ``serving``/``tpc``/``sweep`` family),
-    #: ``layout``, ``query``, ``adaptivity``, ``kernel_backend``.
+    #: ``layout``, ``query``, ``adaptivity``.
     labels: Dict[str, str]
     #: For serving cells, only the build the server serves over.
     cell: Cell
 
 
 def grid_cells(micro: MicroWorkloadConfig,
-               kernel_backends: Tuple[str, ...] = DEFAULT_KERNEL_BACKENDS,
                cells_filter: Optional[str] = None) -> List[BenchCell]:
     """The 12 engine x layout x query cells plus the adaptivity,
     memory-budget, concurrent-serving, TPC (``tpc/*``) and sweep-point
-    (``sweep/*``) cells, each measured per kernel backend.
-    ``cells_filter`` keeps only the cells whose display name
-    (``engine/layout/query[/adaptivity][/backend]``) matches the glob."""
+    (``sweep/*``) cells.  ``cells_filter`` keeps only the cells whose
+    display name (``engine/layout/query[/adaptivity]``) matches the glob."""
     table: List[Tuple[str, str, str, str, Cell]] = []
     for engine in ENGINES:
         for layout in LAYOUTS:
             for kind in QUERY_KINDS:
                 table.append((engine, layout, kind, "off",
-                              Cell(engine=engine, layout=layout, query=kind)))
+                              Cell(layout=layout, query=kind,
+                                   knobs={"engine": engine})))
     for kind in ADAPTIVE_KINDS:
         for layout in LAYOUTS:
             for mode in ADAPTIVE_MODES:
                 table.append(("vectorized", layout, kind, mode,
                               adaptive_cell(kind, layout, mode)))
-    vectorized = Cell(engine="vectorized")
+    vectorized = Cell(knobs={"engine": "vectorized"})
     for layout in LAYOUTS:
         for kind in BUDGET_KINDS:
-            table.append(("vectorized", layout, kind, "off", replace(
-                vectorized, layout=layout, query="SJB", parallelism=1,
-                memory_budget_bytes=budget_for(kind, micro.s_bytes))))
+            table.append(("vectorized", layout, kind, "off", Cell(
+                layout=layout, query="SJB", knobs={
+                    "engine": "vectorized", "parallelism": 1,
+                    "memory_budget_bytes": budget_for(kind, micro.s_bytes)})))
     for layout in LAYOUTS:
         for kind in SERVING_KINDS:
             table.append(("serving", layout, kind, "off", Cell(layout=layout)))
@@ -225,9 +218,7 @@ def grid_cells(micro: MicroWorkloadConfig,
         table.append(("sweep", layout, "RS-200", "off", replace(
             vectorized, layout=layout, record_size=SWEEP_RECORD_SIZE)))
     cells = [BenchCell({"engine": engine, "layout": layout, "query": kind,
-                        "adaptivity": adaptivity, "kernel_backend": backend},
-                       replace(cell, kernel_backend=backend))
-             for backend in kernel_backends
+                        "adaptivity": adaptivity}, cell)
              for engine, layout, kind, adaptivity, cell in table]
     if cells_filter:
         cells = [cell for cell in cells
@@ -241,8 +232,8 @@ class Run(NamedTuple):
     seconds: float
     counters: EventCounters
     rows: object
-    #: Cell-family-specific fields of the point (resolved backend, spill
-    #: I/O, serving report, ...).
+    #: Cell-family-specific fields of the point (charging path, spill I/O,
+    #: serving report, ...).
     extras: dict
 
 
@@ -253,10 +244,9 @@ def run_query_cell(runner: ExperimentRunner, cell: Cell, profile: bool) -> Run:
         start = time.perf_counter()
         result = runner.execute(cell, session)
         seconds = time.perf_counter() - start
-        extras = {"resolved_kernel_backend": session.context.kernels.name,
-                  "charging_path": session.charging_path}
+        extras = {"charging_path": session.charging_path}
         if cell.query == "SJB":
-            extras["memory_budget_bytes"] = cell.memory_budget_bytes
+            extras["memory_budget_bytes"] = session.execution.memory_budget_bytes
             extras["io_stats"] = dict(session.context.io_stats)
     if profile:
         # The measured execute() includes the cell's warm-up runs (their
@@ -281,12 +271,11 @@ def run_serving_cell(runner: ExperimentRunner, labels: Dict[str, str]) -> Run:
     server = runner.serving_server(
         labels["layout"], max_concurrency=8 if concurrent else 1,
         plan_cache=concurrent, result_cache=concurrent,
-        shared_scans=concurrent, kernel_backend=labels["kernel_backend"])
+        shared_scans=concurrent)
     start = time.perf_counter()
     report = run_open_loop(server, trace)
     seconds = time.perf_counter() - start
     return Run(seconds, report.counters, report.total_rows, {
-        "resolved_kernel_backend": labels["kernel_backend"],
         "charging_path": server.charging_path,
         "serving": {
             "max_concurrency": 8 if concurrent else 1,
@@ -344,14 +333,13 @@ def merged_grid_counters(points: List[dict]) -> EventCounters:
     return total
 
 
-def _cell_key(point: dict) -> Tuple[str, str, str, str, str]:
-    """Identity of one grid cell; old baselines without the adaptivity
-    (resp. kernel_backend) field compare as ``"off"`` (resp. ``"auto"``)
-    cells -- the backend key records the *requested* knob, so a baseline
-    recorded with numpy installed still matches a numpy-less run."""
+def _cell_key(point: dict) -> Tuple[str, str, str, str]:
+    """Identity of one grid cell; old baselines without the adaptivity field
+    compare as ``"off"`` cells.  A baseline's ``kernel_backend`` field (the
+    grid was once replicated per backend) is ignored: cycles are
+    backend-identical, which is ``tests/test_kernels.py``'s wall to hold."""
     return (point["engine"], point["layout"], point["query"],
-            point.get("adaptivity", "off"),
-            point.get("kernel_backend", "auto"))
+            point.get("adaptivity", "off"))
 
 
 def _cell_name(point: dict) -> str:
@@ -359,9 +347,6 @@ def _cell_name(point: dict) -> str:
     adaptivity = point.get("adaptivity", "off")
     if adaptivity != "off":
         name += f"/{adaptivity}"
-    backend = point.get("kernel_backend", "auto")
-    if backend != "auto":
-        name += f"/{backend}"
     return name
 
 
@@ -377,18 +362,11 @@ def adaptivity_summary(points: List[dict]) -> Dict[str, dict]:
     ``"<kind>/<layout>"``.
     """
     by_key = {_cell_key(p): p for p in points}
-    backends = list(dict.fromkeys(p.get("kernel_backend", "auto")
-                                  for p in points))
     summary: Dict[str, dict] = {}
     for kind in ADAPTIVE_KINDS:
         for layout in LAYOUTS:
-            for backend in backends:
-                static = by_key.get(("vectorized", layout, kind, "static",
-                                     backend))
-                greedy = by_key.get(("vectorized", layout, kind, "greedy",
-                                     backend))
-                if static is not None and greedy is not None:
-                    break
+            static = by_key.get(("vectorized", layout, kind, "static"))
+            greedy = by_key.get(("vectorized", layout, kind, "greedy"))
             if static is None or greedy is None:
                 continue
             label = layout if kind == "ACS" else f"{kind}/{layout}"
@@ -416,17 +394,10 @@ def serving_summary(points: List[dict]) -> Dict[str, dict]:
     cache/shared-scan hit counts recorded as evidence of *why*.
     """
     by_key = {_cell_key(p): p for p in points}
-    backends = list(dict.fromkeys(p.get("kernel_backend", "auto")
-                                  for p in points))
     summary: Dict[str, dict] = {}
     for layout in LAYOUTS:
-        for backend in backends:
-            serial = by_key.get(("serving", layout, "SRV-serial", "off",
-                                 backend))
-            concurrent = by_key.get(("serving", layout, "SRV-8", "off",
-                                     backend))
-            if serial is not None and concurrent is not None:
-                break
+        serial = by_key.get(("serving", layout, "SRV-serial", "off"))
+        concurrent = by_key.get(("serving", layout, "SRV-8", "off"))
         if serial is None or concurrent is None:
             continue
         serial_srv = serial["serving"]
@@ -463,12 +434,10 @@ def budget_identity_violations(points: List[dict]) -> List[str]:
     and are gated only against their own baselines by ``--compare-to``.
     """
     by_key = {_cell_key(p): p for p in points}
-    backends = dict.fromkeys(p.get("kernel_backend", "auto") for p in points)
     violations: List[str] = []
-    pairs = [(layout, backend) for layout in LAYOUTS for backend in backends]
-    for layout, backend in pairs:
-        inf = by_key.get(("vectorized", layout, "SJB-inf", "off", backend))
-        plain = by_key.get(("vectorized", layout, "SJ", "off", backend))
+    for layout in LAYOUTS:
+        inf = by_key.get(("vectorized", layout, "SJB-inf", "off"))
+        plain = by_key.get(("vectorized", layout, "SJ", "off"))
         if inf is None or plain is None:
             continue
         if inf["cycles"] != plain["cycles"]:
@@ -584,27 +553,20 @@ def main() -> int:
     parser.add_argument("--out-dir", default=None,
                         help="directory for BENCH_<stamp>.json "
                              "(default: benchmarks/results/, gitignored)")
-    parser.add_argument("--kernel-backends", default="auto",
-                        help="comma-separated kernel_backend values each grid "
-                             "cell is measured under (auto, python, array; "
-                             "default: auto)")
     parser.add_argument("--profile", action="store_true",
                         help="record a per-cell wall breakdown (session setup "
                              "vs measured execute) in each cell and print it")
     parser.add_argument("--cells", default=None, metavar="GLOB",
                         help="measure only the grid cells whose name "
-                             "(engine/layout/query[/adaptivity][/backend]) "
+                             "(engine/layout/query[/adaptivity]) "
                              "matches this glob, e.g. 'serving/*' or "
                              "'*/pax/SRS' (default: all cells)")
     args = parser.parse_args()
-    kernel_backends = tuple(
-        backend.strip() for backend in args.kernel_backends.split(",")
-        if backend.strip()) or DEFAULT_KERNEL_BACKENDS
 
     grid_start = time.perf_counter()
     runner = make_runner(args.scale, parallelism=args.parallelism,
                          grid_workers=args.grid_workers)
-    cells = grid_cells(runner.config.micro, kernel_backends, args.cells)
+    cells = grid_cells(runner.config.micro, args.cells)
     if not cells:
         print(f"no grid cells match --cells {args.cells!r}")
         return 1
@@ -661,7 +623,6 @@ def main() -> int:
         "system": SYSTEM_B.key,
         "grid_workers": args.grid_workers,
         "parallelism": args.parallelism,
-        "kernel_backends": list(kernel_backends),
         "grid_wall_seconds": round(grid_wall, 3),
         "db_build_seconds": round(build_seconds, 3),
         "db_builds": len(builds),

@@ -81,7 +81,7 @@ def main(argv=None) -> int:
 
     runner = ExperimentRunner(ExperimentConfig(
         micro=MicroWorkloadConfig(scale=args.scale), os_interference=False))
-    session = runner.grid_session(args.engine, args.layout,
+    session = runner.grid_session(engine=args.engine, layout=args.layout,
                                   parallelism=args.workers,
                                   tracing=args.tracing)
     query = build_query(runner.micro_workload, args.query)

@@ -11,11 +11,8 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # The engine is dependency-free: without numpy the execution kernels fall
-    # back to their pure-Python backend (identical results, slower wall
-    # clock) and workload dataset generation raises a clear error.  The
-    # `fast` extra enables the array kernel backend and dataset generation.
-    install_requires=[],
-    extras_require={"fast": ["numpy>=1.24"]},
+    # Every dataset is drawn from numpy's PCG64 stream and the vectorized
+    # engine's kernels compute with it.
+    install_requires=["numpy>=1.24"],
     python_requires=">=3.10",
 )

@@ -22,7 +22,6 @@ from ..analysis.metrics import QueryMetrics, compute_metrics
 from ..execution.code_layout import CodeLayout
 from ..execution.context import ExecutionContext
 from ..execution.executor import execute_plan, execute_update
-from ..execution.kernels import resolve_kernels
 from ..execution.parallel import ParallelExecution
 from ..hardware.counters import EventCounters
 from ..hardware.os_interference import OSInterferenceConfig
@@ -32,10 +31,9 @@ from ..hardware.specs import PENTIUM_II_XEON, ProcessorSpec
 from ..adaptive import AdaptiveExecution
 from ..query.planner import Planner
 from ..observability import Tracer
-from ..query.plans import (ADAPTIVITY_OFF, CHARGE_SPAN, DEFAULT_BATCH_SIZE,
-                           ENGINE_TUPLE, KERNEL_BACKEND_AUTO, TRACING_OFF,
-                           ExecutionConfig, LogicalQuery, PhysicalPlan,
-                           UpdatePlan, UpdateQuery, describe_plan)
+from ..query.plans import (ENGINE_TUPLE, ExecutionConfig, LogicalQuery,
+                           PhysicalPlan, UpdatePlan, describe_plan,
+                           execution_config)
 from ..systems.profile import SystemProfile
 from .database import Database
 
@@ -83,103 +81,38 @@ class Session:
                  spec: ProcessorSpec = PENTIUM_II_XEON,
                  os_interference: Optional[OSInterferenceConfig] = OSInterferenceConfig(),
                  overlap: Optional[OverlapModel] = None,
-                 engine: str = ENGINE_TUPLE,
-                 batch_size: int = DEFAULT_BATCH_SIZE,
-                 charge_mode: str = CHARGE_SPAN,
-                 parallelism: int = 1,
-                 parallel_backend: str = "process",
-                 morsel_pages: Optional[int] = None,
-                 adaptivity: str = ADAPTIVITY_OFF,
-                 adaptive_joins: bool = False,
-                 adaptive_batching: bool = False,
-                 memory_budget_bytes: Optional[int] = None,
-                 kernel_backend: str = KERNEL_BACKEND_AUTO,
-                 tracing: str = TRACING_OFF) -> None:
-        """``parallelism=N`` (N > 1) enables the morsel-parallel exchange
-        for vectorized sequential scans: page morsels are produced by N
-        workers (``parallel_backend="process"`` forks a pool inheriting the
-        database; ``"inline"`` runs the same machinery in-process) and their
-        charge tapes are replayed in canonical order, so result rows and
-        every simulated hardware count are identical to ``parallelism=1``.
-
-        ``adaptivity`` selects the runtime-adaptation mode
-        (:mod:`repro.adaptive`): ``"off"`` (default, bit-identical to
-        previous releases), ``"static"`` (adaptive charging, planner
-        decisions -- the experiments' control arm), ``"greedy"`` (adapt
-        every enabled decision from observations) or ``"epsilon"`` (greedy
-        with deterministic exploration of conjunct orders).  Multi-conjunct
-        filter reordering is active under any non-``off`` mode;
-        ``adaptive_joins=True`` additionally lets the vectorized hash join
-        flip its build/probe sides when observed cardinalities contradict
-        the planner, and ``adaptive_batching=True`` lets vectorized
-        sequential scans resize their vectors within the bounded ladder
-        from observed L1D miss pressure.  Result rows are identical in
-        every combination.
-
-        ``memory_budget_bytes`` caps the vectorized hash join's working
-        memory: a build side that does not fit is hash-partitioned into
-        spill partitions through a capacity-limited buffer pool
-        (grace/hybrid), whose page traffic is charged via the context's
-        I/O cost model.  ``None`` (default) keeps the fully memory-resident
-        join, bit-identical to previous releases; result rows, row order
-        and column order are identical at every budget.
-
-        ``kernel_backend`` selects the data-plane kernel implementation the
-        vectorized operators compute with (:mod:`repro.execution.kernels`):
-        ``"python"`` (pure-Python loops, zero dependencies), ``"array"``
-        (numpy bulk operations; requires the ``[fast]`` extra) or ``"auto"``
-        (default: ``array`` when numpy is importable, else ``python`` with
-        a one-time warning).  Kernels only transform plain data -- they
-        never touch the simulated hardware -- so result rows, row/column
-        order and every simulated count are identical across backends; only
-        host wall-clock time differs.
-
-        ``tracing`` selects the query-tracing mode
-        (:mod:`repro.observability`): ``"off"`` (default) bypasses the
-        subsystem structurally; ``"spans"`` brackets every operator pull
-        and planner/setup phase in a counter span and attaches the
-        resulting trace tree to :attr:`QueryResult.trace`; ``"full"``
-        additionally records per-pull host timings, per-morsel replay
-        subspans and spill-I/O subspans.  Tracing only reads hardware
-        snapshots between charges, so result rows and every simulated
-        count are identical in all three modes.
+                 execution: Optional[ExecutionConfig] = None,
+                 **knobs) -> None:
+        """The execution knobs (``engine=``, ``batch_size=``,
+        ``parallelism=``, ``adaptivity=``, ``memory_budget_bytes=``,
+        ``tracing=``, ...) are the fields of
+        :class:`~repro.query.plans.ExecutionConfig` -- named, defaulted,
+        validated and documented there -- given as keywords, as one
+        ``execution`` value, or as a value plus keyword overrides.
         """
         self.database = database
         self.profile = profile
         self.spec = spec
+        #: The execution configuration plans are planned for and run under.
+        execution = self.execution = execution_config(execution, **knobs)
         self.processor = SimulatedProcessor(spec, os_interference=os_interference,
                                             overlap=overlap)
-        self.planner = Planner(database.catalog, profile,
-                               execution=ExecutionConfig(engine=engine,
-                                                         batch_size=batch_size,
-                                                         charge_mode=charge_mode,
-                                                         workers=max(parallelism, 1),
-                                                         morsel_pages=morsel_pages,
-                                                         adaptivity=adaptivity,
-                                                         adaptive_joins=adaptive_joins,
-                                                         adaptive_batching=adaptive_batching,
-                                                         memory_budget_bytes=memory_budget_bytes,
-                                                         kernel_backend=kernel_backend,
-                                                         tracing=tracing))
-        self.tracing = tracing
+        self.planner = Planner(database.catalog, profile)
         self.code_layout = CodeLayout(profile, database.address_space)
         self.context = ExecutionContext(self.processor, profile,
                                         database.address_space,
                                         code_layout=self.code_layout,
-                                        charge_mode=charge_mode,
-                                        kernels=resolve_kernels(kernel_backend))
-        self.context.memory_budget_bytes = memory_budget_bytes
+                                        execution=execution)
         self.adaptive: Optional[AdaptiveExecution] = None
-        if adaptivity != ADAPTIVITY_OFF:
-            self.adaptive = AdaptiveExecution(adaptivity,
-                                              join_sides=adaptive_joins,
-                                              batch_sizing=adaptive_batching)
+        if execution.is_adaptive:
+            self.adaptive = AdaptiveExecution(execution.adaptivity,
+                                              join_sides=execution.adaptive_joins,
+                                              batch_sizing=execution.adaptive_batching)
             self.context.adaptive = self.adaptive
         self.parallel: Optional[ParallelExecution] = None
-        if parallelism > 1:
-            self.parallel = ParallelExecution(database, parallelism,
-                                              backend=parallel_backend,
-                                              morsel_pages=morsel_pages)
+        if execution.is_parallel:
+            self.parallel = ParallelExecution(database, execution.parallelism,
+                                              morsel_pages=execution.morsel_pages)
             self.context.parallel = self.parallel
 
     def close(self) -> None:
@@ -192,11 +125,6 @@ class Session:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    @property
-    def execution(self) -> ExecutionConfig:
-        """The execution configuration plans are planned for and run under."""
-        return self.planner.execution
 
     @property
     def charging_path(self) -> str:
@@ -308,9 +236,10 @@ class Session:
         the structural bypass: no tracer object ever exists, and the hot
         paths only check ``ctx.tracer is None``.
         """
-        if self.tracing == TRACING_OFF:
+        if not self.execution.is_traced:
             return None
-        tracer = Tracer(self.context, self.spec, self.tracing, label=label)
+        tracer = Tracer(self.context, self.spec, self.execution.tracing,
+                        label=label)
         self.context.tracer = tracer
         tracer.open_root()
         return tracer
@@ -322,14 +251,12 @@ class Session:
 
     def _run_plan(self, plan: PhysicalPlan) -> List[Dict[str, object]]:
         if isinstance(plan, UpdatePlan):
-            updated = execute_update(plan, self.database.catalog, self.context,
-                                     execution=self.execution)
+            updated = execute_update(plan, self.database.catalog, self.context)
             if self.parallel is not None:
                 # The forked workers hold a pre-update database snapshot.
                 self.parallel.invalidate_snapshot()
             return [{"updated": updated}]
-        return execute_plan(plan, self.database.catalog, self.context,
-                            execution=self.execution)
+        return execute_plan(plan, self.database.catalog, self.context)
 
     def _invocation_delta(self, before: Dict[str, int]) -> Dict[str, int]:
         """Routine invocations charged since the ``before`` snapshot."""
@@ -352,14 +279,13 @@ class Session:
             plan = self.plan(statement)
             if isinstance(plan, UpdatePlan):
                 execute_update(plan, self.database.catalog, self.context,
-                               charge_setup=False, execution=self.execution)
+                               charge_setup=False)
                 if self.parallel is not None:
                     # Invalidate immediately: a later statement of this very
                     # transaction may scan the table the update just changed.
                     self.parallel.invalidate_snapshot()
             else:
-                execute_plan(plan, self.database.catalog, self.context,
-                             execution=self.execution)
+                execute_plan(plan, self.database.catalog, self.context)
         return len(statements)
 
     def measure(self) -> Tuple[EventCounters, ExecutionBreakdown, QueryMetrics]:

@@ -29,13 +29,13 @@ Operators interact with it through a handful of calls:
 
 The context also owns two cross-cutting concerns of the columnar engine:
 
-* **Span charging** (``charge_mode="span"``, the default): column-vector
-  reads, full-record sweeps and workspace churn reach the simulated
-  hardware as bulk strided operations instead of per-address probes.  The
-  bulk paths are count-identical to the ``per_address`` mode -- same
-  cache/TLB hits and misses, same LRU evolution -- they only make the
-  *simulator* several times faster (the differential harness asserts the
-  equivalence on every plan shape).
+* **Span charging**: column-vector reads, full-record sweeps, page
+  transfers and workspace churn reach the simulated hardware as bulk
+  strided operations.  Each is count-identical to the per-element loads it
+  stands for -- same cache/TLB hits and misses, same LRU evolution -- and
+  only makes the *simulator* faster; ``tests/oracle.py`` keeps the
+  per-element loops as ``PerAddressContext`` and the differential harness
+  asserts the equivalence on every plan shape.
 * **Memoized plan resolution**: ``columns_for_table``/``index_for`` cache
   schema-subset and index lookups per context, so operators that are
   re-instantiated per batch (block nested-loop inners) do not re-resolve.
@@ -48,7 +48,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..hardware.native import delegated
 from ..hardware.processor import SimulatedProcessor
-from ..query.plans import CHARGE_MODES, CHARGE_SPAN
+from ..query.plans import ExecutionConfig
 from ..storage.address_space import AddressSpace
 from ..storage.catalog import Table
 from ..storage.heapfile import ScanEntry
@@ -57,7 +57,7 @@ from ..systems.profile import (ACCESS_FIELDS_ONLY, BRANCH_KIND_ALTERNATING,
                                BRANCH_KIND_COLD, BRANCH_KIND_DATA, BRANCH_KIND_LOOP,
                                BRANCH_KIND_RARE, SystemProfile)
 from .code_layout import CodeLayout, CodeSegment, LINE_BYTES
-from .kernels import PYTHON_KERNELS
+from .kernels import resolve_kernels
 from .resolve import _columns_for_table, _index_for
 
 #: Knuth multiplicative-hash constant used for deterministic pseudo-random
@@ -104,28 +104,20 @@ class ExecutionContext:
                  profile: SystemProfile,
                  address_space: AddressSpace,
                  code_layout: Optional[CodeLayout] = None,
-                 charge_mode: str = CHARGE_SPAN,
-                 kernels=None) -> None:
-        if charge_mode not in CHARGE_MODES:
-            raise ValueError(f"unknown charge mode {charge_mode!r}; "
-                             f"expected one of {CHARGE_MODES}")
+                 execution: Optional[ExecutionConfig] = None) -> None:
         self.processor = processor
         self.profile = profile
         self.address_space = address_space
         self.layout = code_layout or CodeLayout(profile, address_space)
+        #: The execution knobs the executor runs plans under -- the same
+        #: frozen object the session holds (engine, batch geometry, join
+        #: memory budget, ...).
+        self.execution = execution or ExecutionConfig()
         #: Data-plane kernel backend (:mod:`repro.execution.kernels`) the
         #: vectorized operators compute with.  Kernels never charge the
         #: simulated hardware -- they only transform plain data -- so the
-        #: choice is invisible to every simulated counter.  ``None`` (the
-        #: default) selects the pure-Python backend.
-        self.kernels = kernels if kernels is not None else PYTHON_KERNELS
-        #: ``span`` presents vector touches to the hardware as bulk
-        #: operations; ``per_address`` probes one address at a time.  Both
-        #: modes generate the same trace, so every cache/TLB hit and miss
-        #: count is identical -- span charging is a simulator fast path, not
-        #: a model change (asserted by the differential harness).
-        self.charge_mode = charge_mode
-        self._span_charging = charge_mode == CHARGE_SPAN
+        #: choice is invisible to every simulated counter.
+        self.kernels = resolve_kernels(self.execution.kernel_backend)
 
         # Private working set (cycled through on every routine invocation).
         self.workspace_base = address_space.allocate("workspace", profile.workspace_bytes,
@@ -179,16 +171,12 @@ class ExecutionContext:
         #: previous releases.
         self.adaptive = None
 
-        #: Join working-memory budget in bytes (``None`` = unlimited), set by
-        #: the session from ``ExecutionConfig.memory_budget_bytes``.  When
-        #: set, the vectorized hash join runs its grace/hybrid spilling path
-        #: and charges page traffic through :meth:`page_io_out` /
-        #: :meth:`page_io_in`; ``None`` leaves every code path bit-identical
-        #: to previous releases.
-        self.memory_budget_bytes: Optional[int] = None
-        #: Cumulative simulated page-transfer counters (all spill pools).
+        #: Cumulative simulated page-transfer counters (all spill pools),
+        #: plus the spill partitions the hash join built in memory *over*
+        #: its budget because the recursion cap left it no other choice.
         self.io_stats: Dict[str, int] = {"page_reads": 0, "page_writes": 0,
-                                         "bytes_read": 0, "bytes_written": 0}
+                                         "bytes_read": 0, "bytes_written": 0,
+                                         "budget_overruns": 0}
 
         # Lazily allocated instruction block holding the synthetic branch
         # sites of adaptive conjunct evaluations (never allocated on the
@@ -214,14 +202,12 @@ class ExecutionContext:
         # Python code (asserted by tests/test_native_charging.py), the
         # OS-interference hook included (the C visit calls back into
         # ``SimulatedProcessor._advance_os_clock``).  Eligible when the
-        # processor was built natively (it holds a charging block), span
-        # charging is on (``per_address`` stays a pure-Python oracle of the
-        # span contract) and the workspace geometry is non-degenerate;
-        # :attr:`charging_path` reports which of these decided.  Segment
-        # handles (plain-data views of ``CodeSegment``) are built lazily per
-        # operation; ``False`` marks a segment whose cold slice wraps the
-        # whole pool (Python fallback, counted in
-        # :attr:`python_segment_visits`).
+        # processor was built natively (it holds a charging block) and the
+        # workspace geometry is non-degenerate; :attr:`charging_path`
+        # reports which of these decided.  Segment handles (plain-data views
+        # of ``CodeSegment``) are built lazily per operation; ``False`` marks
+        # a segment whose cold slice wraps the whole pool (Python fallback,
+        # counted in :attr:`python_segment_visits`).
         self._segment_handles: Dict[str, object] = {}
         self._native_ctx = None
         #: Routine visits of a native-path context that nevertheless ran the
@@ -230,9 +216,7 @@ class ExecutionContext:
         native_state = getattr(processor, "_native_state", None)
         if native_state is None:
             self._charging_path = "python: no native module"
-        elif not self._span_charging:
-            self._charging_path = "python: per_address charge mode"
-        elif not 0 < self._workspace_stride < self._workspace_size:
+        elif not self._workspace_stride < self._workspace_size:
             self._charging_path = "python: degenerate workspace geometry"
         else:
             self._charging_path = "native"
@@ -397,10 +381,7 @@ class ExecutionContext:
         """Current simulated L1 data-cache miss total (all ports).
 
         The adaptive batch-size decision samples this around a scan batch's
-        charges; the delta is the batch's L1D pressure.  Span and
-        per-address charging produce identical miss counts by contract, so
-        the observed pressure -- and therefore every downstream sizing
-        decision -- is charge-mode independent.  A morsel worker's
+        charges; the delta is the batch's L1D pressure.  A morsel worker's
         :class:`~repro.execution.parallel.TapeRecorder` returns ``None``
         (it drives no hardware); pressure is then observed by the parent at
         tape-replay time instead.
@@ -499,12 +480,11 @@ class ExecutionContext:
         """Charge ``touches`` cyclic private-working-set reads.
 
         The executor strides a 4-byte read through its workspace region on
-        every routine (and loop-body) iteration.  Under span charging a run
-        of touches is presented to the hardware as one strided bulk read per
-        wrap of the cyclic cursor -- count-identical to issuing the reads
-        one :meth:`~repro.hardware.processor.SimulatedProcessor.data_read`
-        at a time, which is exactly what the ``per_address`` mode still
-        does.
+        every routine (and loop-body) iteration.  A run of touches is
+        presented to the hardware as one strided bulk read per wrap of the
+        cyclic cursor -- count-identical to issuing the reads one
+        :meth:`~repro.hardware.processor.SimulatedProcessor.data_read` at a
+        time.
         """
         if touches <= 0:
             return
@@ -515,19 +495,13 @@ class ExecutionContext:
         stride = self._workspace_stride
         size = self._workspace_size
         cursor = self._workspace_cursor
-        if self._span_charging and touches > 1 and 0 < stride < size:
-            base = self.workspace_base
-            remaining = touches
-            while remaining:
-                run = min(remaining, (size - cursor + stride - 1) // stride)
-                processor.data_read_strided(base + cursor, stride, run, 4)
-                cursor = (cursor + run * stride) % size
-                remaining -= run
-            self._workspace_cursor = cursor
-            return
-        for _ in range(touches):
-            processor.data_read(self.workspace_base + cursor, 4)
-            cursor = (cursor + stride) % size
+        base = self.workspace_base
+        remaining = touches
+        while remaining:
+            run = min(remaining, (size - cursor + stride - 1) // stride)
+            processor.data_read_strided(base + cursor, stride, run, 4)
+            cursor = (cursor + run * stride) % size
+            remaining -= run
         self._workspace_cursor = cursor
 
     def _native_segment_handle(self, segment: CodeSegment):
@@ -606,9 +580,8 @@ class ExecutionContext:
     # BufferPool`).  A transfer runs the buffer-manager code path once (the
     # same ``page_boundary`` segment a scan charges when it crosses into a
     # new page) and then moves the page's cache lines to/from the ``disk``
-    # region address.  Span charging presents the read side as one strided
-    # bulk operation -- count-identical to the per-line loop ``per_address``
-    # still takes; the write side has no bulk primitive, so both modes loop.
+    # region address, as one strided bulk operation -- count-identical to
+    # a per-line loop.
 
     def page_io_out(self, address: int, nbytes: int) -> None:
         """Charge one page write-back to the backing store at ``address``."""
@@ -623,12 +596,7 @@ class ExecutionContext:
     def _page_io_out(self, address: int, nbytes: int) -> None:
         self.visit("page_boundary")
         lines = (nbytes + LINE_BYTES - 1) // LINE_BYTES
-        if self._span_charging and lines > 1:
-            self.processor.data_write_strided(address, LINE_BYTES, lines, LINE_BYTES)
-        else:
-            processor = self.processor
-            for offset in range(0, nbytes, LINE_BYTES):
-                processor.data_write(address + offset, LINE_BYTES)
+        self.processor.data_write_strided(address, LINE_BYTES, lines, LINE_BYTES)
         self.io_stats["page_writes"] += 1
         self.io_stats["bytes_written"] += nbytes
 
@@ -645,12 +613,7 @@ class ExecutionContext:
     def _page_io_in(self, address: int, nbytes: int) -> None:
         self.visit("page_boundary")
         lines = (nbytes + LINE_BYTES - 1) // LINE_BYTES
-        if self._span_charging and lines > 1:
-            self.processor.data_read_strided(address, LINE_BYTES, lines, LINE_BYTES)
-        else:
-            processor = self.processor
-            for offset in range(0, nbytes, LINE_BYTES):
-                processor.data_read(address + offset, LINE_BYTES)
+        self.processor.data_read_strided(address, LINE_BYTES, lines, LINE_BYTES)
         self.io_stats["page_reads"] += 1
         self.io_stats["bytes_read"] += nbytes
 
@@ -731,25 +694,18 @@ class ExecutionContext:
         selected slots, so a sparse selection does not touch the cache lines
         of filtered-out rows.  On an NSM page the engine must still stride
         record by record, issuing one field-sized load per slot -- the
-        layout, not the operator, determines the access pattern.
-
-        Under span charging (:attr:`charge_mode` ``"span"``) each
-        consecutive-slot run reaches the hardware as one bulk strided read;
-        ``per_address`` mode issues the very same element loads one at a
-        time.  Both produce identical hit/miss counts by construction.
+        layout, not the operator, determines the access pattern.  Either
+        way each consecutive-slot run reaches the hardware as one bulk
+        strided read, count-identical to its element loads one at a time.
         """
         if not slots:
             return []
         offset, width = layout.field_slice(column)
         processor = self.processor
         if getattr(page, "columnar", False):
-            if self._span_charging:
-                for run in _consecutive_runs(slots):
-                    address, _span_bytes = page.column_span(column, run)
-                    processor.data_read_strided(address, width, len(run), width)
-            else:
-                for slot in slots:
-                    processor.data_read(page.field_address(slot, offset), width)
+            for run in _consecutive_runs(slots):
+                address, _span_bytes = page.column_span(column, run)
+                processor.data_read_strided(address, width, len(run), width)
             return page.column_values(column, slots)
         self._charge_nsm_stride(page, slots, offset, width, layout.record_size)
         field_offset, code, _width = layout.column_codecs[column]
@@ -771,9 +727,9 @@ class ExecutionContext:
         systems on NSM pages sweep every record once per group (slot
         parsing / record copy) -- exactly the per-record traffic the tuple
         engine charges per ``read_fields`` call, so the engine switch does
-        not silently change a system's data-stall profile.  Under span
-        charging the full-record sweep of a consecutive-slot run is one
-        contiguous bulk read.
+        not silently change a system's data-stall profile.  The
+        full-record sweep of a consecutive-slot run is one contiguous bulk
+        read.
         """
         if not slots or not columns:
             return {column: [] for column in columns}
@@ -801,26 +757,21 @@ class ExecutionContext:
                            width: int, record_size: int) -> None:
         """Charge one ``width``-byte load at ``offset`` into each slot's record.
 
-        Span mode presents each consecutive-slot run as one bulk read
-        strided by the (fixed) record size; the per-address mode -- and any
-        run whose records turn out not to be evenly spaced -- issues the
-        loads individually.
+        Each consecutive-slot run is one bulk read strided by the (fixed)
+        record size; a run whose records turn out not to be evenly spaced
+        issues the loads individually.
         """
         processor = self.processor
-        if self._span_charging:
-            for run in _consecutive_runs(slots):
-                base = page.slot_address(run[0])
-                count = len(run)
-                if count > 1 and (page.slot_address(run[-1]) - base
-                                  != (count - 1) * record_size):
-                    for slot in run:
-                        processor.data_read(page.slot_address(slot) + offset, width)
-                else:
-                    processor.data_read_strided(base + offset, record_size,
-                                                count, width)
-            return
-        for slot in slots:
-            processor.data_read(page.slot_address(slot) + offset, width)
+        for run in _consecutive_runs(slots):
+            base = page.slot_address(run[0])
+            count = len(run)
+            if count > 1 and (page.slot_address(run[-1]) - base
+                              != (count - 1) * record_size):
+                for slot in run:
+                    processor.data_read(page.slot_address(slot) + offset, width)
+            else:
+                processor.data_read_strided(base + offset, record_size,
+                                            count, width)
 
     # ------------------------------------------------------------- workspace
     def allocate_workspace(self, size: int, alignment: int = 64) -> int:

@@ -10,10 +10,10 @@ results".
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..query.expressions import Aggregate
-from ..query.plans import (AggregatePlan, ExecutionConfig, HashJoinPlan,
+from ..query.plans import (AggregatePlan, HashJoinPlan,
                            IndexNestedLoopJoinPlan, IndexPointLookupPlan,
                            IndexRangeScanPlan, JoinPlan, NestedLoopJoinPlan,
                            PhysicalPlan, ScanPlan, SeqScanPlan, UpdatePlan)
@@ -105,19 +105,19 @@ def build_plan(plan: PhysicalPlan, catalog: Catalog, ctx: ExecutionContext) -> O
     raise ExecutorError(f"unknown plan node {plan!r}")
 
 
-def execute_plan(plan: PhysicalPlan, catalog: Catalog, ctx: ExecutionContext,
-                 execution: Optional[ExecutionConfig] = None) -> List[Row]:
+def execute_plan(plan: PhysicalPlan, catalog: Catalog,
+                 ctx: ExecutionContext) -> List[Row]:
     """Execute a read-only plan and return its result rows.
 
-    ``execution`` selects the engine: the default tuple-at-a-time iterators
-    above, or the batch-at-a-time operators of
+    ``ctx.execution`` selects the engine: the default tuple-at-a-time
+    iterators above, or the batch-at-a-time operators of
     :mod:`repro.execution.vectorized`.  Both engines run the *same* plan
     and return identical rows; they differ in how the work is charged to
     the simulated hardware.
     """
-    if execution is not None and execution.is_vectorized:
+    if ctx.execution.is_vectorized:
         from .vectorized import execute_plan_vectorized  # deferred: module imports us
-        return execute_plan_vectorized(plan, catalog, ctx, execution)
+        return execute_plan_vectorized(plan, catalog, ctx)
     tracer = ctx.tracer
     if tracer is None:
         ctx.visit("query_setup")
@@ -132,8 +132,7 @@ def execute_plan(plan: PhysicalPlan, catalog: Catalog, ctx: ExecutionContext,
 
 
 def execute_update(plan: UpdatePlan, catalog: Catalog, ctx: ExecutionContext,
-                   charge_setup: bool = True,
-                   execution: Optional[ExecutionConfig] = None) -> int:
+                   charge_setup: bool = True) -> int:
     """Execute a point-update plan; returns the number of rows updated.
 
     The OLTP workload charges one ``txn_overhead`` per transaction itself (a
@@ -148,11 +147,11 @@ def execute_update(plan: UpdatePlan, catalog: Catalog, ctx: ExecutionContext,
         else:
             ctx.visit("query_setup")
     table = catalog.table(plan.lookup.table)
-    if execution is not None and execution.is_vectorized:
+    if ctx.execution.is_vectorized:
         from .vectorized import build_vectorized_scan  # deferred: module imports us
         lookup: Operator = build_vectorized_scan(
             plan.lookup, catalog, ctx, table.schema.column_names(),
-            batch_size=execution.batch_size,
+            batch_size=ctx.execution.batch_size,
             allow_exchange=False)  # updates mutate the heap: stay serial
     else:
         lookup = build_scan(plan.lookup, catalog, ctx,

@@ -7,18 +7,16 @@ harness proves invisible.  This package splits that data work out of the
 vectorized operators into a :class:`~.python_backend.PythonKernels`
 interface with two backends:
 
-* ``python`` -- the original pure-Python loops, extracted verbatim.  Zero
-  dependencies; the oracle every other backend is diffed against.
-* ``array`` -- the same contracts on numpy (an optional extra:
-  ``pip install repro-ailamaki99[fast]``), with per-call fallback to the
+* ``python`` -- the original pure-Python loops, extracted verbatim: the
+  oracle every other backend is diffed against, and the per-call fallback
+  base class of the array backend.
+* ``array`` -- the same contracts on numpy, with per-call fallback to the
   oracle whenever vectorized execution could change a value, a type or an
   order (``None`` vectors, mixed dtypes, magnitudes past 2**53, ...).
 
-Backends are selected by the ``kernel_backend`` knob on
-:class:`~repro.query.plans.ExecutionConfig` / ``Session`` and threaded to
-operators via ``ExecutionContext.kernels``.  ``auto`` (the default) picks
-``array`` when numpy is importable and degrades to ``python`` -- with a
-one-time warning -- when it is not.
+Backends are selected by the ``kernel_backend`` field of
+:class:`~repro.query.plans.ExecutionConfig` and reach operators as
+``ExecutionContext.kernels``.  ``auto`` (the default) is ``array``.
 
 Kernels receive and return plain Python data and never see an execution
 context, so the charging calls cannot move: rows, row order, column order
@@ -28,78 +26,28 @@ by ``tests/test_kernels.py`` on every planner-producible plan shape).
 
 from __future__ import annotations
 
-import warnings
-from typing import Optional
-
 from ...query.plans import (KERNEL_BACKEND_ARRAY, KERNEL_BACKEND_AUTO,
                             KERNEL_BACKEND_PYTHON, KERNEL_BACKENDS)
+from .array_backend import ArrayKernels
 from .python_backend import PYTHON_KERNELS, PythonKernels, spill_partition_of
 
 __all__ = [
     "KERNEL_BACKEND_AUTO", "KERNEL_BACKEND_PYTHON", "KERNEL_BACKEND_ARRAY",
-    "KERNEL_BACKENDS", "PYTHON_KERNELS", "PythonKernels", "Kernels",
-    "array_kernels_available", "resolve_kernels", "spill_partition_of",
+    "KERNEL_BACKENDS", "PYTHON_KERNELS", "ARRAY_KERNELS", "PythonKernels",
+    "ArrayKernels", "Kernels", "resolve_kernels", "spill_partition_of",
 ]
 
 #: The interface type: any backend is substitutable for the Python one.
 Kernels = PythonKernels
 
-_ARRAY_KERNELS: Optional[PythonKernels] = None
-_ARRAY_IMPORT_ERROR: Optional[BaseException] = None
-_WARNED_FALLBACK = False
-
-
-def _load_array_kernels() -> Optional[PythonKernels]:
-    global _ARRAY_KERNELS, _ARRAY_IMPORT_ERROR
-    if _ARRAY_KERNELS is None and _ARRAY_IMPORT_ERROR is None:
-        try:
-            import numpy
-        except Exception as exc:  # ImportError, broken install, ...
-            _ARRAY_IMPORT_ERROR = exc
-            return None
-        from .array_backend import ArrayKernels
-        _ARRAY_KERNELS = ArrayKernels(numpy)
-    return _ARRAY_KERNELS
-
-
-def array_kernels_available() -> bool:
-    """True when numpy is importable (the ``array`` backend can be used)."""
-    return _load_array_kernels() is not None
+ARRAY_KERNELS = ArrayKernels()
 
 
 def resolve_kernels(backend: str = KERNEL_BACKEND_AUTO) -> PythonKernels:
-    """Return the kernel implementation for a ``kernel_backend`` knob value.
-
-    ``"python"`` and ``"array"`` select explicitly (``"array"`` raises a
-    clear error when numpy is missing); ``"auto"`` prefers ``array`` and
-    degrades to ``python`` with a one-time :class:`RuntimeWarning`.
-    """
-    global _WARNED_FALLBACK
+    """The kernel implementation for a ``kernel_backend`` knob value."""
     if backend == KERNEL_BACKEND_PYTHON:
         return PYTHON_KERNELS
-    if backend == KERNEL_BACKEND_ARRAY:
-        kernels = _load_array_kernels()
-        if kernels is None:
-            raise RuntimeError(
-                "kernel_backend='array' requires numpy, which is not "
-                "installed (import failed with: "
-                f"{_ARRAY_IMPORT_ERROR!r}).  Install the optional extra "
-                "with `pip install -e .[fast]`, or use "
-                "kernel_backend='auto' to fall back to the pure-Python "
-                "kernels.")
-        return kernels
-    if backend == KERNEL_BACKEND_AUTO:
-        kernels = _load_array_kernels()
-        if kernels is not None:
-            return kernels
-        if not _WARNED_FALLBACK:
-            _WARNED_FALLBACK = True
-            warnings.warn(
-                "numpy is not installed; kernel_backend='auto' is falling "
-                "back to the pure-Python kernels (results are identical, "
-                "only wall-clock speed differs).  Install the optional "
-                "extra with `pip install -e .[fast]` for the array "
-                "backend.", RuntimeWarning, stacklevel=2)
-        return PYTHON_KERNELS
+    if backend in (KERNEL_BACKEND_ARRAY, KERNEL_BACKEND_AUTO):
+        return ARRAY_KERNELS
     raise ValueError(f"unknown kernel backend {backend!r}; "
                      f"expected one of {KERNEL_BACKENDS}")

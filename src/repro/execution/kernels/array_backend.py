@@ -29,7 +29,9 @@ key -- falls back.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
+
+import numpy as np
 
 from .python_backend import PythonKernels
 
@@ -46,20 +48,16 @@ class ArrayKernels(PythonKernels):
 
     name = "array"
 
-    def __init__(self, np_module) -> None:
-        self._np = np_module
-        np = np_module
-        self._compare_funcs = {
-            "<": np.less, "<=": np.less_equal, "=": np.equal,
-            "<>": np.not_equal, ">=": np.greater_equal, ">": np.greater,
-        }
+    _compare_funcs = {
+        "<": np.less, "<=": np.less_equal, "=": np.equal,
+        "<>": np.not_equal, ">=": np.greater_equal, ">": np.greater,
+    }
 
     # ----------------------------------------------------------- dtype guard
     def _comparable_array(self, vector: Sequence):
         """Array view of a value vector, or ``None`` when vectorized
         comparisons could differ from the oracle (object dtype, or float
         dtype whose magnitudes reach the int-coercion rounding range)."""
-        np = self._np
         try:
             arr = np.asarray(vector)
         except Exception:
@@ -93,7 +91,6 @@ class ArrayKernels(PythonKernels):
         """
         if not isinstance(constant, float):
             return True
-        np = self._np
         return not bool((np.abs(arr.astype(np.int64, copy=False))
                          >= 2 ** 53).any())
 
@@ -124,7 +121,6 @@ class ArrayKernels(PythonKernels):
             if arr is not None and (arr.dtype.kind not in "ui"
                                     or (self._int_exact(arr, low)
                                         and self._int_exact(arr, high))):
-                np = self._np
                 try:
                     low_ok = arr >= low if include_low else arr > low
                     high_ok = arr <= high if include_high else arr < high
@@ -137,7 +133,6 @@ class ArrayKernels(PythonKernels):
                                            include_low, include_high)
 
     def and_masks(self, masks: Sequence[Sequence[bool]]) -> List[bool]:
-        np = self._np
         try:
             block = np.asarray(masks, dtype=bool)
         except Exception:
@@ -145,7 +140,6 @@ class ArrayKernels(PythonKernels):
         return np.logical_and.reduce(block, axis=0).tolist()
 
     def or_masks(self, masks: Sequence[Sequence[bool]]) -> List[bool]:
-        np = self._np
         try:
             block = np.asarray(masks, dtype=bool)
         except Exception:
@@ -153,17 +147,14 @@ class ArrayKernels(PythonKernels):
         return np.logical_or.reduce(block, axis=0).tolist()
 
     def not_mask(self, mask: Sequence[bool]) -> List[bool]:
-        np = self._np
         return np.logical_not(np.asarray(mask, dtype=bool)).tolist()
 
     # ----------------------------------------------------- selection vectors
     def compact(self, mask: Sequence[bool]) -> List[int]:
-        np = self._np
         return np.flatnonzero(np.asarray(mask, dtype=bool)).tolist()
 
     def select(self, positions: Sequence[int],
                outcomes: Sequence[bool]) -> List[int]:
-        np = self._np
         pos = np.asarray(positions, dtype=np.intp)
         keep = np.asarray(outcomes, dtype=bool)
         return pos[keep].tolist()
@@ -172,7 +163,6 @@ class ArrayKernels(PythonKernels):
     def gather(self, vector: Sequence, positions: Sequence[int]) -> List:
         # An object array moves PyObject pointers in C: every value (ints,
         # floats, strings, None, anything) passes through bit-identical.
-        np = self._np
         try:
             arr = np.empty(len(vector), dtype=object)
             arr[:] = vector
@@ -183,7 +173,6 @@ class ArrayKernels(PythonKernels):
     # --------------------------------------------------------------- hashing
     def _hash_array(self, keys: Sequence):
         """int64 array equal to ``[hash(k) for k in keys]``, or ``None``."""
-        np = self._np
         try:
             arr = np.asarray(keys)
         except Exception:
@@ -215,7 +204,6 @@ class ArrayKernels(PythonKernels):
         hashes = self._hash_array(keys)
         if hashes is None:
             return PythonKernels.spill_partitions(self, keys, level, count)
-        np = self._np
         # Two's-complement view == Python's ``& 0xFFFF...F`` of a (possibly
         # negative) hash; uint64 arithmetic wraps mod 2**64 like the masks.
         mixed = hashes.view(np.uint64).copy()
@@ -228,7 +216,6 @@ class ArrayKernels(PythonKernels):
 
     # ----------------------------------------------------------- aggregation
     def fold(self, state, vector: Sequence) -> None:
-        np = self._np
         try:
             arr = np.asarray(vector)
         except Exception:

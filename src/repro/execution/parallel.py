@@ -26,17 +26,16 @@ serial-equivalent by splitting the two:
   yielding the batch downstream.  The real processor therefore observes the
   exact same interleaving of scan charges and downstream-operator charges
   as a serial run: rows, cache/TLB hit and miss counts, branch outcomes and
-  the final cycle breakdown are *bit-identical* to ``workers=1`` -- by
+  the final cycle breakdown are *bit-identical* to ``parallelism=1`` -- by
   construction, independent of how many workers raced to produce the tapes
   (``tests/test_parallel_execution.py`` asserts this for every
-  planner-producible plan shape, both layouts and both charge modes).
+  planner-producible plan shape and both layouts).
 
-Backends: ``process`` fans morsels out to a fork-based
-:class:`~concurrent.futures.ProcessPoolExecutor` (workers inherit the
-database snapshot through fork, so nothing but the small task descriptors
-and tapes crosses the process boundary); ``inline`` runs the same
-morsel/tape machinery in-process (deterministic fallback when fork is
-unavailable, and the default under test).  Worker-local statistics objects
+Where the platform can fork (:func:`fork_available`), morsels fan out to a
+fork-based :class:`~concurrent.futures.ProcessPoolExecutor` (workers inherit
+the database snapshot through fork, so nothing but the small task
+descriptors and tapes crosses the process boundary); where it cannot, the
+same morsel/tape machinery runs in-process.  Worker-local statistics objects
 (:class:`~repro.hardware.counters.EventCounters`,
 :class:`~repro.hardware.cache.CacheStats`,
 :class:`~repro.hardware.tlb.TLBStats`,
@@ -51,7 +50,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..query.plans import CHARGE_SPAN
 from ..systems.profile import SystemProfile
 from .kernels import PYTHON_KERNELS
 
@@ -127,15 +125,12 @@ class TapeRecorder:
 
     It deliberately does **not** allocate anything from an address space and
     owns no simulated hardware -- constructing one has no side effects on
-    shared state, which is what makes the ``inline`` backend byte-identical
+    shared state, which is what makes the in-process pipeline byte-identical
     too.
     """
 
-    def __init__(self, profile: SystemProfile,
-                 charge_mode: str = CHARGE_SPAN) -> None:
+    def __init__(self, profile: SystemProfile) -> None:
         self.profile = profile
-        self.charge_mode = charge_mode
-        self._span_charging = charge_mode == CHARGE_SPAN
         self.ops: List[ChargeOp] = []
         self.processor = _TapeProcessor(self.ops)
         self.rows_produced = 0
@@ -147,8 +142,7 @@ class TapeRecorder:
         self.adaptive = None
         #: Data-plane kernels for the worker's operators.  Kernel choice is
         #: invisible to results and charges, so workers always use the
-        #: dependency-free Python backend (a forked worker need not re-probe
-        #: numpy).
+        #: Python backend.
         self.kernels = PYTHON_KERNELS
 
     # -- charge recording ---------------------------------------------------
@@ -205,9 +199,9 @@ class TapeRecorder:
         return taken
 
     # -- data access (delegated to the real implementations) ---------------
-    # The real ExecutionContext methods only use self.processor,
-    # self.profile and self._span_charging, so they run unmodified against
-    # the recording processor and return the decoded data values.
+    # The real ExecutionContext methods only use self.processor and
+    # self.profile, so they run unmodified against the recording processor
+    # and return the decoded data values.
     from .context import ExecutionContext as _Ctx
     read_column_batch = _Ctx.read_column_batch
     read_column_group_batch = _Ctx.read_column_group_batch
@@ -271,7 +265,6 @@ class MorselSpec:
     next_operation: str
     batch_size: int
     count_records: bool
-    charge_mode: str
     profile: SystemProfile
     #: Adaptivity mode and manager snapshot (policy state + stats observed
     #: so far) this morsel starts from; ``"off"``/``None`` for the static
@@ -317,7 +310,7 @@ def _run_scan_morsel(spec: MorselSpec) -> MorselResult:
 def _run_scan_morsel_on(database, spec: MorselSpec) -> MorselResult:
     from .vectorized import VecSeqScanOperator
     table = database.catalog.table(spec.table)
-    recorder = TapeRecorder(spec.profile, spec.charge_mode)
+    recorder = TapeRecorder(spec.profile)
     if spec.adaptivity != "off":
         from ..adaptive import AdaptiveExecution
         recorder.adaptive = AdaptiveExecution.from_snapshot(spec.adaptive_state)
@@ -341,25 +334,18 @@ def _run_scan_morsel_on(database, spec: MorselSpec) -> MorselResult:
 class ParallelExecution:
     """Morsel scheduler bound to one database.
 
-    ``workers`` is the degree of parallelism; ``backend`` is ``"process"``
-    (fork-based pool; falls back to ``"inline"`` where fork is unavailable)
-    or ``"inline"`` (same morsel pipeline, executed in-process).  Results
-    are always consumed in canonical morsel order, so the backend choice --
-    and any racing between pool workers -- cannot influence a single
-    simulated count.
+    ``workers`` is the degree of parallelism.  Morsels run on a fork-based
+    pool where the platform can fork and through the same pipeline
+    in-process where it cannot.  Results are always consumed in canonical
+    morsel order, so neither that nor any racing between pool workers can
+    influence a single simulated count.
     """
 
-    def __init__(self, database, workers: int, backend: str = "process",
+    def __init__(self, database, workers: int,
                  morsel_pages: Optional[int] = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        if backend not in ("process", "inline"):
-            raise ValueError(f"unknown parallel backend {backend!r}")
-        if backend == "process" and not fork_available():
-            backend = "inline"
         self.database = database
         self.workers = workers
-        self.backend = backend
+        self.forks = fork_available()
         self.morsel_pages = morsel_pages
         self._pool = None
         self._pool_stale = False
@@ -390,7 +376,8 @@ class ParallelExecution:
         """Mark the forked database snapshot stale (after any update).
 
         The next morsel dispatch re-forks the pool so workers see current
-        data.  The inline backend always reads live data and ignores this.
+        data.  The in-process pipeline always reads live data and ignores
+        this.
         """
         self._pool_stale = True
 
@@ -426,7 +413,7 @@ class ParallelExecution:
         """Execute morsels, yielding results in submission (canonical) order."""
         if not specs:
             return
-        if self.backend == "inline" or len(specs) == 1:
+        if not self.forks or len(specs) == 1:
             database = self.database
             for spec in specs:
                 yield _run_scan_morsel_on(database, spec)
@@ -461,8 +448,8 @@ class SharedScanCoordinator:
     """One admission round's shared-scan registry.
 
     Concurrent queries whose plans contain the *same* sequential-scan leaf
-    (same table, predicate, output columns, batch size, charge mode and
-    profile) attach to one in-flight morsel stream: the first attachment
+    (same table, predicate, output columns, batch size and profile) attach
+    to one in-flight morsel stream: the first attachment
     runs the scan's data work once against a :class:`TapeRecorder` (one
     whole-table morsel), and every attachment — including the first —
     consumes the recording through a :class:`SharedScanReplayOperator` that
@@ -495,7 +482,7 @@ class SharedScanCoordinator:
         """Return a replay operator for this scan, recording it on first use."""
         key = (table.name, repr(predicate), tuple(output_columns),
                next_operation, int(batch_size), bool(count_records),
-               ctx.charge_mode, ctx.profile.key)
+               ctx.profile.key)
         recording = self._recordings.get(key)
         if recording is None:
             spec = MorselSpec(table=table.name, page_start=0,
@@ -505,7 +492,6 @@ class SharedScanCoordinator:
                               next_operation=next_operation,
                               batch_size=int(batch_size),
                               count_records=count_records,
-                              charge_mode=ctx.charge_mode,
                               profile=ctx.profile)
             result = _run_scan_morsel_on(self.database, spec)
             recording = RecordedScan(result.batches, result.trailing_ops)
@@ -611,7 +597,6 @@ class VecExchangeOperator:
                           next_operation=self.next_operation,
                           batch_size=batch_size or self.batch_size,
                           count_records=self.count_records,
-                          charge_mode=self.ctx.charge_mode,
                           profile=self.ctx.profile,
                           adaptivity=adaptivity,
                           adaptive_state=adaptive_state)

@@ -52,14 +52,13 @@ from ..index.btree import BTreeIndex
 from ..storage.buffer_pool import BACKING_REGION, BufferPool
 from ..storage.page import DEFAULT_PAGE_SIZE
 from ..query.expressions import Aggregate, AggregateState, Expression
-from ..query.plans import (KERNEL_BACKEND_AUTO, AggregatePlan, ExecutionConfig,
-                           HashJoinPlan, IndexNestedLoopJoinPlan,
-                           IndexPointLookupPlan, IndexRangeScanPlan, JoinPlan,
-                           NestedLoopJoinPlan, PhysicalPlan, ScanPlan,
-                           SeqScanPlan, UpdatePlan)
+from ..query.plans import (AggregatePlan, HashJoinPlan,
+                           IndexNestedLoopJoinPlan, IndexPointLookupPlan,
+                           IndexRangeScanPlan, JoinPlan, NestedLoopJoinPlan,
+                           PhysicalPlan, ScanPlan, SeqScanPlan, UpdatePlan)
 from ..storage.catalog import Catalog, Table
 from .context import ExecutionContext
-from .kernels import PYTHON_KERNELS, resolve_kernels, spill_partition_of
+from .kernels import PYTHON_KERNELS, spill_partition_of
 from .operators import HashJoinOperator, OperatorError, Row
 from .resolve import ExecutorError
 
@@ -658,7 +657,7 @@ class VecHashJoinOperator(VectorOperator):
     the static plan's output -- same rows, same probe-major order, same
     dict-merge column order (see :meth:`_adaptive_batches`).
 
-    When the context carries a ``memory_budget_bytes``, the operator runs
+    When ``ctx.execution`` sets a ``memory_budget_bytes``, the operator runs
     its grace/hybrid spilling path instead (:meth:`_spill_batches`): both
     inputs are hash-partitioned, as many partitions as fit the budget stay
     resident, the rest spill through a budget-sized buffer pool and are
@@ -703,7 +702,7 @@ class VecHashJoinOperator(VectorOperator):
         self.build_row_bytes = max(build_row_bytes, 1)
 
     def batches(self) -> Iterator[ColumnBatch]:
-        budget = getattr(self.ctx, "memory_budget_bytes", None)
+        budget = self.ctx.execution.memory_budget_bytes
         if budget is not None:
             # The budgeted path subsumes the join-side decision: the build
             # side's footprint is governed by partitioning, not by flipping,
@@ -1192,14 +1191,15 @@ class VecHashJoinOperator(VectorOperator):
         again with the next level's salt (both sides rewritten through the
         spill pool, charged); at :data:`_MAX_SPILL_DEPTH` the partition is
         built in memory regardless -- recursion that deep means one
-        duplicate-heavy key no amount of partitioning can split.
+        duplicate-heavy key no amount of partitioning can split -- and the
+        overrun is counted in ``ctx.io_stats["budget_overruns"]``.
         """
         ctx = self.ctx
         kernels = ctx.kernels
         entry_bytes = self.ENTRY_BYTES
         row_bytes = self.build_row_bytes
-        footprint = len(build_rows) * row_bytes
-        if footprint > budget and level < _MAX_SPILL_DEPTH and len(build_rows) > 1:
+        over_budget = len(build_rows) * row_bytes > budget
+        if over_budget and level < _MAX_SPILL_DEPTH and len(build_rows) > 1:
             fanout = max(plan_partition_count(len(build_rows), row_bytes, budget), 2)
             sub_build: List[Optional[_SpillFile]] = [None] * fanout
             sub_probe: List[Optional[_SpillFile]] = [None] * fanout
@@ -1234,6 +1234,8 @@ class VecHashJoinOperator(VectorOperator):
                                      build_key_index, probe_key_index,
                                      level + 1, budget, pool, pairs)
             return
+        if over_budget:
+            ctx.io_stats["budget_overruns"] += 1
 
         buckets = max(len(build_rows), 16)
         area = ctx.allocate_workspace(buckets * entry_bytes)
@@ -1545,8 +1547,7 @@ def build_vectorized_plan(plan: PhysicalPlan, catalog: Catalog, ctx: ExecutionCo
 
 
 def execute_plan_vectorized(plan: PhysicalPlan, catalog: Catalog,
-                            ctx: ExecutionContext,
-                            execution: Optional[ExecutionConfig] = None) -> List[Row]:
+                            ctx: ExecutionContext) -> List[Row]:
     """Execute a read-only plan batch-at-a-time and return its result rows.
 
     Dataflow is columnar end-to-end; rows are materialized only here, at
@@ -1554,15 +1555,8 @@ def execute_plan_vectorized(plan: PhysicalPlan, catalog: Catalog,
     byte-identical row dicts.  Charges the same single ``query_setup`` as
     the tuple engine -- parsing and optimisation are per query, not per
     engine -- so the harness can also assert identical setup counts.
-
-    An explicit ``execution.kernel_backend`` (``python``/``array``) is
-    resolved onto the context here; ``auto`` defers to whatever the
-    context already carries (the session resolves ``auto`` at
-    construction), so a context wired with specific kernels keeps them.
     """
-    batch_size = execution.batch_size if execution is not None else 256
-    if execution is not None and execution.kernel_backend != KERNEL_BACKEND_AUTO:
-        ctx.kernels = resolve_kernels(execution.kernel_backend)
+    batch_size = ctx.execution.batch_size
     tracer = ctx.tracer
     if tracer is None:
         ctx.visit("query_setup")

@@ -361,7 +361,7 @@ def tpcd_matrix(runner: ExperimentRunner,
         for engine in engines:
             for n in workers:
                 result = runner.tpcd_grid_result(layout, system_key=system_key,
-                                                 engine=engine, workers=n)
+                                                 engine=engine, parallelism=n)
                 arm = engine if n == 1 else f"{engine}/w{n}"
                 per_arm[arm] = {
                     "cycles": float(result.breakdown.total_cycles),
@@ -401,7 +401,7 @@ def tpcc_matrix(runner: ExperimentRunner,
         for engine in engines:
             for n in workers:
                 result = runner.tpcc_grid_result(layout, system_key=system_key,
-                                                 engine=engine, workers=n)
+                                                 engine=engine, parallelism=n)
                 shares = result.breakdown.shares()
                 memory_shares = result.breakdown.memory_shares()
                 arm = engine if n == 1 else f"{engine}/w{n}"

@@ -47,6 +47,7 @@ from ..execution.parallel import fork_available
 from ..hardware.counters import EventCounters
 from ..hardware.os_interference import OSInterferenceConfig
 from ..hardware.specs import PENTIUM_II_XEON, ProcessorSpec
+from ..query.plans import ExecutionConfig
 from ..systems.profile import SystemProfile
 from ..systems.vendors import ALL_SYSTEMS, oltp_variant, system_by_key
 from ..workloads.micro import MicroWorkload, MicroWorkloadConfig
@@ -86,32 +87,32 @@ class Cell:
     ``tpcd`` or ``tpcc`` -- and thereby what runs: a micro ``query`` at
     ``selectivity``, the 17-query TPC-D suite, or the TPC-C transaction mix
     (OLTP profile variant, configured transaction count, 10% warm-up).
-    ``None`` knobs keep the session's (or, for ``parallelism``, the
-    config's) default.  ``warmup_offset`` warms up with the same query kind
-    over a key window shifted by that fraction of the domain instead of
-    with the measured query itself.
+    ``warmup_offset`` warms up with the same query kind over a key window
+    shifted by that fraction of the domain instead of with the measured
+    query itself.
+
+    ``knobs`` are the cell's overrides of the session's execution knobs
+    (:class:`~repro.query.plans.ExecutionConfig` fields): give a mapping,
+    it is held as sorted ``(name, value)`` pairs.  A knob left out -- or
+    given as ``None`` -- keeps the runner's default, which is
+    ``ExecutionConfig``'s except that ``parallelism`` defaults to
+    ``ExperimentConfig.parallelism``.
     """
 
     dataset: str = "micro"
     layout: str = "nsm"
     system: str = "B"
-    engine: str = "tuple"
     query: str = "SRS"
     selectivity: Optional[float] = None
     record_size: Optional[int] = None
     warmup_runs: int = 0
     warmup_offset: Optional[float] = None
-    adaptivity: str = "off"
-    adaptive_joins: bool = False
-    adaptive_batching: bool = False
-    parallelism: Optional[int] = None
-    batch_size: Optional[int] = None
-    memory_budget_bytes: Optional[int] = None
-    charge_mode: Optional[str] = None
-    kernel_backend: Optional[str] = None
-    tracing: Optional[str] = None
+    knobs: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "knobs", tuple(sorted(
+            (name, value) for name, value in dict(self.knobs).items()
+            if value is not None)))
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}; "
                              f"expected one of {DATASETS}")
@@ -121,9 +122,9 @@ class Cell:
         object.__setattr__(self, "system", self.system.upper())
 
 
-#: The adaptivity experiment's three workloads, as cell fields; the decision
-#: switch named here is enabled for every non-``off`` mode, so ``static`` is
-#: the control arm (adaptive charging, planner decisions).
+#: The adaptivity experiment's three workloads, as ``(cell fields, knobs)``;
+#: the decision switch named here is enabled for every non-``off`` mode, so
+#: ``static`` is the control arm (adaptive charging, planner decisions).
 #:
 #: * ``ACS`` -- skewed-conjunct selection: runtime conjunct reordering;
 #: * ``AJS`` -- skewed join (build side pinned to the 30x larger R, a
@@ -133,11 +134,11 @@ class Cell:
 #: * ``ABS`` -- 50% selection with a deliberately too-small configured
 #:   vector: runtime batch sizing walks the bounded ladder from observed
 #:   L1D pressure.
-ADAPTIVE_KINDS: Dict[str, Dict] = {
-    "ACS": {"query": "ACS"},
-    "AJS": {"query": "AJS", "adaptive_joins": True, "warmup_runs": 1},
-    "ABS": {"query": "SRS", "selectivity": 0.5, "adaptive_batching": True,
-            "batch_size": 32},
+ADAPTIVE_KINDS: Dict[str, Tuple[Dict, Dict]] = {
+    "ACS": ({"query": "ACS"}, {}),
+    "AJS": ({"query": "AJS", "warmup_runs": 1}, {"adaptive_joins": True}),
+    "ABS": ({"query": "SRS", "selectivity": 0.5},
+            {"adaptive_batching": True, "batch_size": 32}),
 }
 
 
@@ -149,13 +150,13 @@ def adaptive_cell(kind: str, layout: str, adaptivity: str,
     ``adaptivity="off"`` promises bit-identity to serial), so adaptive arms
     are pinned to a serial session to keep their cycles deterministic.
     """
-    knobs = dict(ADAPTIVE_KINDS[kind])
-    adaptive = adaptivity != "off"
-    for switch in ("adaptive_joins", "adaptive_batching"):
-        knobs[switch] = adaptive and knobs.get(switch, False)
-    return Cell(layout=layout, system=system, engine="vectorized",
-                adaptivity=adaptivity, parallelism=1 if adaptive else None,
-                **knobs)
+    fields, knobs = ADAPTIVE_KINDS[kind]
+    knobs = dict(knobs, engine="vectorized", adaptivity=adaptivity)
+    if adaptivity == "off":
+        knobs.update(adaptive_joins=None, adaptive_batching=None)
+    else:
+        knobs["parallelism"] = 1
+    return Cell(layout=layout, system=system, knobs=knobs, **fields)
 
 
 def _env_scale(default: float) -> float:
@@ -185,7 +186,7 @@ class ExperimentConfig:
     selectivity_points: Tuple[float, ...] = SELECTIVITY_POINTS
     record_size_points: Tuple[int, ...] = RECORD_SIZE_POINTS
     record_size_systems: Tuple[str, ...] = ("C", "D")
-    #: Morsel parallelism inside each measured session (the ``workers=N``
+    #: Morsel parallelism inside each measured session (the ``parallelism=N``
     #: exchange; simulated counts are identical for every N by design).
     parallelism: int = 1
     #: Process-level parallelism across independent cells: ``map_cells``
@@ -317,19 +318,11 @@ class ExperimentRunner:
         profile = system_by_key(cell.system)
         if cell.dataset == "tpcc":
             profile = oltp_variant(profile)
-        knobs = {name: getattr(cell, name)
-                 for name in ("batch_size", "memory_budget_bytes",
-                              "charge_mode", "kernel_backend", "tracing")
-                 if getattr(cell, name) is not None}
+        execution = ExecutionConfig(**{"parallelism": self.config.parallelism,
+                                       **dict(cell.knobs)})
         return Session(build.database, profile, spec=self.config.spec,
                        os_interference=self.config.os_config(),
-                       engine=cell.engine,
-                       parallelism=(self.config.parallelism
-                                    if cell.parallelism is None
-                                    else cell.parallelism),
-                       adaptivity=cell.adaptivity,
-                       adaptive_joins=cell.adaptive_joins,
-                       adaptive_batching=cell.adaptive_batching, **knobs)
+                       execution=execution)
 
     def execute(self, cell: Cell, session: Session
                 ) -> Union[QueryResult, TPCCResult]:
@@ -405,7 +398,8 @@ class ExperimentRunner:
         """
         if record_size == self.config.micro.record_size:
             record_size = None
-        cell = Cell(layout=layout, system=system_key, engine=engine, query=kind,
+        cell = Cell(layout=layout, system=system_key, query=kind,
+                    knobs={"engine": engine},
                     selectivity=(self.config.selectivity if selectivity is None
                                  else selectivity),
                     record_size=record_size,
@@ -446,64 +440,46 @@ class ExperimentRunner:
                 for system in systems for size in record_sizes}
 
     def tpcd_grid_result(self, layout: str, system_key: str = "B",
-                         engine: str = "vectorized",
-                         charge_mode: Optional[str] = None,
-                         workers: int = 1,
-                         kernel_backend: Optional[str] = None,
-                         adaptivity: str = "off") -> QueryResult:
+                         **knobs) -> QueryResult:
         """The 17-query TPC-D suite (averaged, label ``"TPC-D"``), one
-        engine-matrix arm.  Counts are identical across charge modes, worker
-        counts and backends by design; engines differ (that is the ablation).
+        engine-matrix arm: vectorized and serial unless ``knobs`` say
+        otherwise, joins adaptive whenever ``adaptivity`` is on.  Counts are
+        identical across worker counts and kernel backends by design;
+        engines differ (that is the ablation).
         """
-        return self.measure(Cell(
-            dataset="tpcd", layout=layout, system=system_key, engine=engine,
-            charge_mode=charge_mode, parallelism=workers,
-            kernel_backend=kernel_backend, adaptivity=adaptivity,
-            adaptive_joins=(adaptivity != "off")))
+        knobs = {"engine": "vectorized", "parallelism": 1, **knobs}
+        if knobs.get("adaptivity", "off") != "off":
+            knobs.setdefault("adaptive_joins", True)
+        return self.measure(Cell(dataset="tpcd", layout=layout,
+                                 system=system_key, knobs=knobs))
 
     def tpcc_grid_result(self, layout: str, system_key: str = "B",
-                         engine: str = "vectorized",
-                         charge_mode: Optional[str] = None,
-                         workers: int = 1,
-                         kernel_backend: Optional[str] = None) -> TPCCResult:
-        """The TPC-C mix, one engine-matrix arm: every arm measures the
-        freshly built table contents no matter which update-heavy arms ran
-        before it."""
+                         **knobs) -> TPCCResult:
+        """The TPC-C mix, one engine-matrix arm (vectorized and serial
+        unless ``knobs`` say otherwise): every arm measures the freshly
+        built table contents no matter which update-heavy arms ran before
+        it."""
         return self.measure(Cell(
-            dataset="tpcc", layout=layout, system=system_key, engine=engine,
-            charge_mode=charge_mode, parallelism=workers,
-            kernel_backend=kernel_backend))
+            dataset="tpcc", layout=layout, system=system_key,
+            knobs={"engine": "vectorized", "parallelism": 1, **knobs}))
 
-    def grid_session(self, engine: str, layout: str,
-                     system_key: str = "B",
-                     adaptivity: str = "off",
-                     parallelism: Optional[int] = None,
-                     adaptive_joins: bool = False,
-                     adaptive_batching: bool = False,
-                     batch_size: Optional[int] = None,
-                     memory_budget_bytes: Optional[int] = None,
-                     kernel_backend: Optional[str] = None,
-                     tracing: Optional[str] = None) -> Session:
+    def grid_session(self, layout: str, system_key: str = "B",
+                     **knobs) -> Session:
         """A checkpoint-restored session against the microbenchmark build,
-        for callers that drive their own queries (see :meth:`session`)."""
-        return self.session(Cell(
-            layout=layout, system=system_key, engine=engine,
-            adaptivity=adaptivity, parallelism=parallelism,
-            adaptive_joins=adaptive_joins, adaptive_batching=adaptive_batching,
-            batch_size=batch_size, memory_budget_bytes=memory_budget_bytes,
-            kernel_backend=kernel_backend, tracing=tracing))
+        for callers that drive their own queries (see :meth:`session`);
+        ``knobs`` as in :class:`Cell`."""
+        return self.session(Cell(layout=layout, system=system_key,
+                                 knobs=knobs))
 
     def serving_server(self, layout: str, *, system_key: str = "B",
                        max_concurrency: int = 8,
                        plan_cache: bool = True,
                        result_cache: bool = True,
                        shared_scans: bool = True,
-                       engine: str = "vectorized",
-                       memory_budget_bytes: Optional[int] = None,
-                       kernel_backend: Optional[str] = None,
-                       tracing: Optional[str] = None):
+                       **knobs):
         """A serving :class:`~repro.serving.server.Server` over the cached
-        grid build for ``layout``.
+        grid build for ``layout``; ``knobs`` (``None`` = default) are the
+        server's execution knobs.
 
         The server restores the build's checkpoint before every query it
         serves, so — like :meth:`session` — serving cells measure against
@@ -514,18 +490,14 @@ class ExperimentRunner:
         """
         from ..serving import Server
         database, checkpoint = self.grid_database(layout)
-        kwargs = {}
-        if kernel_backend is not None:
-            kwargs["kernel_backend"] = kernel_backend
-        if tracing is not None:
-            kwargs["tracing"] = tracing
         return Server(database, checkpoint, system_by_key(system_key),
                       spec=self.config.spec,
                       os_interference=self.config.os_config(),
                       max_concurrency=max_concurrency,
                       plan_cache=plan_cache, result_cache=result_cache,
-                      shared_scans=shared_scans, engine=engine,
-                      memory_budget_bytes=memory_budget_bytes, **kwargs)
+                      shared_scans=shared_scans,
+                      **{name: value for name, value in knobs.items()
+                         if value is not None})
 
     # -------------------------------------------------------------- helpers
     def selected_records(self, selectivity: Optional[float] = None) -> int:

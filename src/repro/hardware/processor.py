@@ -103,39 +103,30 @@ class SimulatedProcessor:
         l1i_fetch_stall_cycles`, and one that also misses the L2 additionally
         pays the full memory latency.
         """
-        caches = self.caches
-        counters = self.counters
         itlb = self.itlb
         page_shift = itlb._page_shift
         last_page = self._last_instruction_page
         itlb_misses = 0
-        l2 = caches.l2
-        l2i_misses_before = l2.stats.misses[2]
-
         # The ITLB is consulted only when the fetch stream changes page; the
-        # line fetches themselves go to the L1I in one bulk call (the
-        # instruction side of the span-charging fast path -- count-identical
-        # to fetching line by line).
+        # line fetches themselves go to the L1I in one bulk call.
         for line_addr in line_addresses:
             page = line_addr >> page_shift
             if page != last_page:
                 itlb_misses += itlb.access(line_addr)
                 last_page = page
         self._last_instruction_page = last_page
-        l1i_misses = caches.fetch_lines(line_addresses)
-
+        l2 = self.caches.l2
+        l2i_misses_before = l2.stats.misses[2]
+        l1i_misses = self.caches.fetch_lines(line_addresses)
         l2i_misses = l2.stats.misses[2] - l2i_misses_before
-        n_lines = len(line_addresses)
-        # Counter-bank updates are inlined (bypassing EventCounters.add's
-        # per-call validation) on the simulator's hottest paths.
-        user = counters.user
-        user["IFU_IFETCH"] = user.get("IFU_IFETCH", 0) + n_lines
+        user = self.counters.user
+        user["IFU_IFETCH"] = user.get("IFU_IFETCH", 0) + len(line_addresses)
         if l1i_misses:
             user["IFU_IFETCH_MISS"] = user.get("IFU_IFETCH_MISS", 0) + l1i_misses
             user["L2_IFETCH"] = user.get("L2_IFETCH", 0) + l1i_misses
-            stall = (l1i_misses * self.spec.pipeline.l1i_fetch_stall_cycles
-                     + l2i_misses * self.spec.memory.latency_cycles)
-            self._l1i_stall_cycles += stall
+            self._l1i_stall_cycles += (
+                l1i_misses * self.spec.pipeline.l1i_fetch_stall_cycles
+                + l2i_misses * self.spec.memory.latency_cycles)
         if l2i_misses:
             user["L2_IFETCH_MISS"] = user.get("L2_IFETCH_MISS", 0) + l2i_misses
         if itlb_misses:
@@ -148,57 +139,18 @@ class SimulatedProcessor:
 
         Code segments are contiguous by construction (hot code is one run,
         cold code rotates through a contiguous pool), so this is the shape
-        of every executor code fetch.  Count-identical to
-        :meth:`fetch_code` over the expanded line tuple -- the ITLB is
-        consulted once per page *transition* (at the first line of each new
-        page) and the L1I once per line -- but the ITLB work collapses to
-        O(pages) and no line tuple is materialised (the cache iterates a
-        ``range``).
+        of every executor code fetch: ITLB page transitions, L1I line
+        touches, stall accumulation and counter folds in one C call.
+        Count- and state-identical to :meth:`fetch_code` over the expanded
+        line sequence, which is its pure-Python reference.
         """
         if count <= 0:
             return 0
         if self._native_state is not None:
-            # Native fast path: ITLB page transitions, L1I line touches,
-            # stall accumulation and counter folds in one C call --
-            # count- and state-identical to the loop below.
             return self._native_state.fetch_run(line_addr, count)
-        caches = self.caches
-        counters = self.counters
-        itlb = self.itlb
-        page_shift = itlb._page_shift
-        line_bytes = caches.l1i.spec.line_bytes
-        last_page = self._last_instruction_page
-        itlb_misses = 0
-        first_page = line_addr >> page_shift
-        last_line = line_addr + (count - 1) * line_bytes
-        # One ITLB consultation per page the run moves onto, issued at the
-        # address of the first line inside that page (exactly what the
-        # per-line loop of :meth:`fetch_code` does for an ascending run).
-        if first_page != last_page:
-            itlb_misses += itlb.access(line_addr)
-        for page in range(first_page + 1, (last_line >> page_shift) + 1):
-            itlb_misses += itlb.access(page << page_shift)
-        self._last_instruction_page = last_line >> page_shift
-
-        l2 = caches.l2
-        l2i_misses_before = l2.stats.misses[2]
-        l1i_misses = caches.fetch_lines(
+        line_bytes = self.caches.l1i.spec.line_bytes
+        return self.fetch_code(
             range(line_addr, line_addr + count * line_bytes, line_bytes))
-
-        l2i_misses = l2.stats.misses[2] - l2i_misses_before
-        user = counters.user
-        user["IFU_IFETCH"] = user.get("IFU_IFETCH", 0) + count
-        if l1i_misses:
-            user["IFU_IFETCH_MISS"] = user.get("IFU_IFETCH_MISS", 0) + l1i_misses
-            user["L2_IFETCH"] = user.get("L2_IFETCH", 0) + l1i_misses
-            stall = (l1i_misses * self.spec.pipeline.l1i_fetch_stall_cycles
-                     + l2i_misses * self.spec.memory.latency_cycles)
-            self._l1i_stall_cycles += stall
-        if l2i_misses:
-            user["L2_IFETCH_MISS"] = user.get("L2_IFETCH_MISS", 0) + l2i_misses
-        if itlb_misses:
-            user["ITLB_MISS"] = user.get("ITLB_MISS", 0) + itlb_misses
-        return l1i_misses
 
     def retire(self, instructions: int, uops: int = 0, mode: str = MODE_USER) -> None:
         """Retire ``instructions`` x86 instructions (``uops`` micro-operations).
@@ -258,41 +210,13 @@ class SimulatedProcessor:
         """Simulated load; returns the number of L1D misses incurred."""
         if self._native_state is not None:
             return self._native_state.charged_strided(address, 0, 1, size, 0)
-        user = self.counters.user
-        user["DATA_MEM_REFS"] = user.get("DATA_MEM_REFS", 0) + 1
-        dtlb_miss = self.dtlb.access(address)
-        if dtlb_miss:
-            user["DTLB_MISS"] = user.get("DTLB_MISS", 0) + dtlb_miss
-        l2 = self.caches.l2
-        l2_data_misses_before = l2.stats.misses[0] + l2.stats.misses[1]
-        misses = self.caches.read(address, size)
-        if misses:
-            user["DCU_LINES_IN"] = user.get("DCU_LINES_IN", 0) + misses
-            user["L2_DATA_RQSTS"] = user.get("L2_DATA_RQSTS", 0) + misses
-            l2_misses = (l2.stats.misses[0] + l2.stats.misses[1]) - l2_data_misses_before
-            if l2_misses:
-                user["L2_DATA_MISS"] = user.get("L2_DATA_MISS", 0) + l2_misses
-        return misses
+        return self._data_access(address, 0, 1, size, False)
 
     def data_write(self, address: int, size: int = 4) -> int:
         """Simulated store; returns the number of L1D misses incurred."""
         if self._native_state is not None:
             return self._native_state.charged_strided(address, 0, 1, size, 1)
-        counters = self.counters
-        counters.add("DATA_MEM_REFS", 1)
-        dtlb_miss = self.dtlb.access(address)
-        if dtlb_miss:
-            counters.add("DTLB_MISS", dtlb_miss)
-        l2 = self.caches.l2
-        l2_data_misses_before = l2.stats.misses[0] + l2.stats.misses[1]
-        misses = self.caches.write(address, size)
-        if misses:
-            counters.add("DCU_LINES_IN", misses)
-            counters.add("L2_DATA_RQSTS", misses)
-            l2_misses = (l2.stats.misses[0] + l2.stats.misses[1]) - l2_data_misses_before
-            if l2_misses:
-                counters.add("L2_DATA_MISS", l2_misses)
-        return misses
+        return self._data_access(address, 0, 1, size, True)
 
     def data_read_span(self, address: int, size: int, refs: Optional[int] = None) -> int:
         """Streaming load of a contiguous span; returns the L1D misses incurred.
@@ -334,44 +258,10 @@ class SimulatedProcessor:
         address order.  The DTLB is updated once per page-run of elements
         (charging every element access), the caches once per call.
         """
-        if count <= 0:
-            return 0
         if self._native_state is not None:
-            # Native fast path; covers the degenerate strides below too (the
-            # C loop revisits the same element, like the scalar fallback).
             return self._native_state.charged_strided(address, stride, count,
                                                       size, 0)
-        if count == 1 or stride <= 0:
-            # Degenerate strides would revisit the same element; charge them
-            # through the scalar path to keep the equivalence trivial.
-            misses = 0
-            for _ in range(max(count, 0)):
-                misses += self.data_read(address, size)
-            return misses
-        user = self.counters.user
-        user["DATA_MEM_REFS"] = user.get("DATA_MEM_REFS", 0) + count
-        dtlb = self.dtlb
-        page_shift = dtlb._page_shift
-        dtlb_misses = 0
-        position = 0
-        while position < count:
-            element = address + position * stride
-            page_end = ((element >> page_shift) + 1) << page_shift
-            run = min(count - position, (page_end - element + stride - 1) // stride)
-            dtlb_misses += dtlb.access_bulk(element, run)
-            position += run
-        if dtlb_misses:
-            user["DTLB_MISS"] = user.get("DTLB_MISS", 0) + dtlb_misses
-        l2 = self.caches.l2
-        l2_data_misses_before = l2.stats.misses[0] + l2.stats.misses[1]
-        misses = self.caches.read_strided(address, stride, count, size)
-        if misses:
-            user["DCU_LINES_IN"] = user.get("DCU_LINES_IN", 0) + misses
-            user["L2_DATA_RQSTS"] = user.get("L2_DATA_RQSTS", 0) + misses
-            l2_misses = (l2.stats.misses[0] + l2.stats.misses[1]) - l2_data_misses_before
-            if l2_misses:
-                user["L2_DATA_MISS"] = user.get("L2_DATA_MISS", 0) + l2_misses
-        return misses
+        return self._data_access(address, stride, count, size, False)
 
     def data_write_strided(self, address: int, stride: int, count: int,
                            size: int = 4) -> int:
@@ -383,16 +273,23 @@ class SimulatedProcessor:
         counts, LRU/dirty evolution and counter values to ``count``
         individual :meth:`data_write` calls in ascending address order.
         """
-        if count <= 0:
-            return 0
         if self._native_state is not None:
             return self._native_state.charged_strided(address, stride, count,
                                                       size, 1)
-        if count == 1 or stride <= 0:
-            misses = 0
-            for _ in range(max(count, 0)):
-                misses += self.data_write(address, size)
-            return misses
+        return self._data_access(address, stride, count, size, True)
+
+    def _data_access(self, address: int, stride: int, count: int, size: int,
+                     write: bool) -> int:
+        """Pure-Python reference of the native ``charged_strided``, which
+        the four public data-access methods call when there is one:
+        ``count`` ``size``-byte loads or stores ``stride`` bytes apart (a
+        stride <= 0 revisits one element).  The DTLB is updated once per
+        page-run of elements, the caches once per call, the counters folded
+        once -- count- and state-identical to element-at-a-time charging.
+        """
+        if count <= 0:
+            return 0
+        stride = max(stride, 0)
         user = self.counters.user
         user["DATA_MEM_REFS"] = user.get("DATA_MEM_REFS", 0) + count
         dtlb = self.dtlb
@@ -401,15 +298,19 @@ class SimulatedProcessor:
         position = 0
         while position < count:
             element = address + position * stride
-            page_end = ((element >> page_shift) + 1) << page_shift
-            run = min(count - position, (page_end - element + stride - 1) // stride)
+            run = count - position
+            if stride:
+                page_end = ((element >> page_shift) + 1) << page_shift
+                run = min(run, (page_end - element + stride - 1) // stride)
             dtlb_misses += dtlb.access_bulk(element, run)
             position += run
         if dtlb_misses:
             user["DTLB_MISS"] = user.get("DTLB_MISS", 0) + dtlb_misses
-        l2 = self.caches.l2
+        caches = self.caches
+        l2 = caches.l2
         l2_data_misses_before = l2.stats.misses[0] + l2.stats.misses[1]
-        misses = self.caches.write_strided(address, stride, count, size)
+        access = caches.write_strided if write else caches.read_strided
+        misses = access(address, stride, count, size)
         if misses:
             user["DCU_LINES_IN"] = user.get("DCU_LINES_IN", 0) + misses
             user["L2_DATA_RQSTS"] = user.get("L2_DATA_RQSTS", 0) + misses

@@ -22,7 +22,7 @@ from typing import Optional, Protocol, Tuple
 from ..storage.catalog import Catalog
 from .expressions import (Between, Comparison, ComparisonOp, ColumnRef, Const,
                           Expression)
-from .plans import (AggregatePlan, ExecutionConfig, HashJoinPlan,
+from .plans import (AggregatePlan, HashJoinPlan,
                     IndexNestedLoopJoinPlan, IndexPointLookupPlan,
                     IndexRangeScanPlan, JoinQuery, LogicalQuery,
                     NestedLoopJoinPlan, PhysicalPlan, ScanPlan,
@@ -103,18 +103,15 @@ def extract_range_bounds(predicate: Expression, column_name: str) -> Optional[Ra
 class Planner:
     """Lower logical queries to physical plans for one catalog + policy.
 
-    ``execution`` records the engine choice (tuple vs vectorized) and batch
-    geometry the produced plans are intended to run under; the session reads
-    it back when dispatching plans to the executor.  It does not influence
-    plan *shape*: both engines execute identical plans, which is what makes
-    the engines differentially testable.
+    The execution knobs do not influence plan *shape*: both engines execute
+    identical plans, which is what makes the engines differentially
+    testable.
     """
 
-    def __init__(self, catalog: Catalog, policy: Optional[PlannerPolicy] = None,
-                 execution: Optional[ExecutionConfig] = None) -> None:
+    def __init__(self, catalog: Catalog,
+                 policy: Optional[PlannerPolicy] = None) -> None:
         self.catalog = catalog
         self.policy = policy or DefaultPolicy()
-        self.execution = execution or ExecutionConfig()
 
     # ---------------------------------------------------------------- entry
     def plan(self, query: LogicalQuery) -> PhysicalPlan:

@@ -16,7 +16,7 @@ an index scan on the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 from .expressions import Aggregate, Expression
@@ -35,17 +35,6 @@ ENGINES = (ENGINE_TUPLE, ENGINE_VECTORIZED)
 #: Records processed per batch by the vectorized engine.  Sized so a batch
 #: of one column (a few KB) fits comfortably in the 16 KB L1 D-cache.
 DEFAULT_BATCH_SIZE = 256
-
-#: How the execution layer presents vector touches to the simulated
-#: hardware.  ``span`` charges a column-vector (or workspace-churn) touch as
-#: a handful of bulk set-level operations; ``per_address`` probes the caches
-#: one address at a time.  The two are *count-identical* by contract (the
-#: differential harness asserts identical cache/TLB hit+miss counts); span
-#: charging only exists to make the simulator itself several times faster.
-CHARGE_SPAN = "span"
-CHARGE_PER_ADDRESS = "per_address"
-
-CHARGE_MODES = (CHARGE_SPAN, CHARGE_PER_ADDRESS)
 
 #: Runtime adaptivity of multi-conjunct filter evaluation (the
 #: :mod:`repro.adaptive` subsystem).  ``off`` bypasses the adaptive path
@@ -66,12 +55,11 @@ ADAPTIVITY_MODES = (ADAPTIVITY_OFF, ADAPTIVITY_STATIC, ADAPTIVITY_GREEDY,
 
 #: Which data-plane kernel implementation the vectorized operators run
 #: (:mod:`repro.execution.kernels`).  ``python`` is the original pure-Python
-#: loops (zero dependencies, the differential oracle); ``array`` is the
-#: numpy-backed backend (optional extra, raises if numpy is missing);
-#: ``auto`` (the default) prefers ``array`` and degrades to ``python`` with
-#: a one-time warning.  Kernels only touch data -- rows, row order, column
-#: order and every simulated hardware count are identical across backends
-#: by contract (the charging calls never move).
+#: loops (the differential oracle); ``array`` is the numpy backend, and
+#: ``auto`` (the default) is another spelling of it.  Kernels only touch
+#: data -- rows, row order, column order and every simulated hardware count
+#: are identical across backends by contract (the charging calls never
+#: move).
 KERNEL_BACKEND_AUTO = "auto"
 KERNEL_BACKEND_PYTHON = "python"
 KERNEL_BACKEND_ARRAY = "array"
@@ -95,30 +83,39 @@ TRACING_MODES = (TRACING_OFF, TRACING_SPANS, TRACING_FULL)
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How physical plans are executed: engine choice, batch geometry and
-    hardware-charging mode.
+    """Every execution knob: its name, default, validation and meaning.
+
+    This is the one declaration.  ``Session``, ``Server`` and the
+    ``ExperimentRunner`` entry points take these fields as keywords (or one
+    ``execution=`` value), build this object from them unchanged -- so an
+    unknown or invalid knob fails here, at construction, with the same
+    error everywhere -- and pass the frozen value on; the
+    :class:`~repro.execution.context.ExecutionContext` holds the same
+    object.  README's "Execution knobs" table is checked against these
+    fields by ``scripts/check_docs.py``.
 
     The planner produces the *same* physical plans for both engines -- the
     plan describes access paths and join algorithms, and the engine decides
     whether the operator tree iterates tuple-at-a-time or batch-at-a-time.
     Keeping the switch in a config object (rather than in the plan nodes)
     is what lets the differential harness replay one plan under both
-    engines and diff the results.  ``charge_mode`` likewise selects how the
-    very same trace of simulated memory touches reaches the cache models
-    (bulk spans vs individual probes) without changing a single modelled
-    event.
+    engines and diff the results.
     """
 
+    #: Tuple-at-a-time Volcano iteration (what the paper's four systems do)
+    #: or batch-at-a-time vectorized execution (see :data:`ENGINES`).
     engine: str = ENGINE_TUPLE
+    #: Records per batch of the vectorized engine.
     batch_size: int = DEFAULT_BATCH_SIZE
-    charge_mode: str = CHARGE_SPAN
     #: Degree of morsel parallelism for vectorized sequential scans.  1 (the
     #: default) is the serial engine, byte-identical to previous releases;
-    #: N > 1 fans page morsels out to workers whose charge tapes are
-    #: replayed in canonical order, so results *and* simulated hardware
-    #: counts stay identical to ``workers=1`` (the differential harness
-    #: asserts this per plan shape).
-    workers: int = 1
+    #: N > 1 fans page morsels out to workers (a forked pool inheriting the
+    #: database where the platform can fork, the same pipeline in-process
+    #: where it cannot) whose charge tapes are replayed in canonical order,
+    #: so results *and* simulated hardware counts stay identical to
+    #: ``parallelism=1`` (the differential harness asserts this per plan
+    #: shape).
+    parallelism: int = 1
     #: Pages per morsel for the exchange operator (``None`` = derived from
     #: the table size and worker count).
     morsel_pages: Optional[int] = None
@@ -166,11 +163,8 @@ class ExecutionConfig:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.charge_mode not in CHARGE_MODES:
-            raise ValueError(f"unknown charge mode {self.charge_mode!r}; "
-                             f"expected one of {CHARGE_MODES}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be at least 1")
         if self.morsel_pages is not None and self.morsel_pages < 1:
             raise ValueError("morsel_pages must be at least 1 when set")
         if self.adaptivity not in ADAPTIVITY_MODES:
@@ -215,15 +209,24 @@ class ExecutionConfig:
 
     @property
     def is_parallel(self) -> bool:
-        return self.workers > 1
-
-    @property
-    def uses_span_charging(self) -> bool:
-        return self.charge_mode == CHARGE_SPAN
+        return self.parallelism > 1
 
     @property
     def is_traced(self) -> bool:
         return self.tracing != TRACING_OFF
+
+
+def execution_config(execution: Optional[ExecutionConfig] = None,
+                     **knobs) -> ExecutionConfig:
+    """The config a caller's ``execution=`` value and/or knob keywords name.
+
+    The keywords go to :class:`ExecutionConfig` unchanged, so an unknown
+    knob is the dataclass's own ``TypeError`` and an invalid one its
+    ``ValueError``, whichever entry point the caller used.
+    """
+    if execution is None:
+        return ExecutionConfig(**knobs)
+    return replace(execution, **knobs) if knobs else execution
 
 
 # --------------------------------------------------------------------------

@@ -53,9 +53,8 @@ from ..hardware.counters import EventCounters
 from ..hardware.os_interference import OSInterferenceConfig
 from ..hardware.specs import PENTIUM_II_XEON, ProcessorSpec
 from ..observability import TraceNode
-from ..query.plans import (CHARGE_SPAN, DEFAULT_BATCH_SIZE,
-                           KERNEL_BACKEND_AUTO, TRACING_MODES, TRACING_OFF,
-                           LogicalQuery, UpdateQuery)
+from ..query.plans import (ENGINE_VECTORIZED, ExecutionConfig, LogicalQuery,
+                           UpdateQuery, execution_config)
 from ..systems.profile import SystemProfile
 from .cache import PlanCache, ResultCache, normalize_query, query_tables
 
@@ -90,9 +89,10 @@ class QueryOutcome:
 
 
 class ServingFuture:
-    """Handle for a submitted query; resolves when its round is served."""
+    """Handle for a submitted query; resolves when its round is served --
+    to an :attr:`outcome`, or to the :attr:`error` the query raised."""
 
-    __slots__ = ("_server", "index", "query", "label", "outcome")
+    __slots__ = ("_server", "index", "query", "label", "outcome", "error")
 
     def __init__(self, server: "Server", index: int, query: LogicalQuery,
                  label: str) -> None:
@@ -101,16 +101,20 @@ class ServingFuture:
         self.query = query
         self.label = label
         self.outcome: Optional[QueryOutcome] = None
+        self.error: Optional[Exception] = None
 
     def done(self) -> bool:
-        return self.outcome is not None
+        return self.outcome is not None or self.error is not None
 
     def result(self) -> QueryOutcome:
-        """The outcome, serving queued rounds until this query completes."""
-        while self.outcome is None:
+        """The outcome, serving queued rounds until this query completes;
+        re-raises the query's own exception if it failed."""
+        while not self.done():
             served, _ = self._server.step()
             if not served:
                 raise RuntimeError("future cannot resolve: server queue idle")
+        if self.error is not None:
+            raise self.error
         return self.outcome
 
 
@@ -195,6 +199,8 @@ class ServerStats:
 
     submitted: int = 0
     completed: int = 0
+    #: Queries whose execution raised; their futures re-raise the error.
+    failed: int = 0
     rounds: int = 0
     plan_cache_hits: int = 0
     result_cache_hits: int = 0
@@ -216,7 +222,7 @@ class ServerStats:
 
     def as_dict(self) -> dict:
         return {"submitted": self.submitted, "completed": self.completed,
-                "rounds": self.rounds,
+                "failed": self.failed, "rounds": self.rounds,
                 "plan_cache_hits": self.plan_cache_hits,
                 "result_cache_hits": self.result_cache_hits,
                 "shared_scan_recordings": self.shared_scan_recordings,
@@ -243,8 +249,11 @@ class Server:
     ``max_concurrency`` bounds how many queued queries one admission round
     serves (and how many logical-session spill namespaces exist);
     ``plan_cache``/``result_cache``/``shared_scans`` toggle the three
-    performance layers independently.  The remaining knobs configure the
-    per-query measurement sessions exactly as :class:`Session` would.
+    performance layers independently.  The execution knobs of the per-query
+    measurement sessions (an ``execution`` value and/or the keyword fields
+    of :class:`~repro.query.plans.ExecutionConfig`, validated here, at
+    construction) are :class:`Session`'s, except that the serving layer's
+    engine defaults to ``"vectorized"`` (shared scans need it).
     """
 
     def __init__(self, database: Database, checkpoint: Dict[str, int],
@@ -254,30 +263,20 @@ class Server:
                  plan_cache: bool = True,
                  result_cache: bool = True,
                  shared_scans: bool = True,
-                 engine: str = "vectorized",
-                 batch_size: int = DEFAULT_BATCH_SIZE,
-                 charge_mode: str = CHARGE_SPAN,
-                 memory_budget_bytes: Optional[int] = None,
-                 kernel_backend: str = KERNEL_BACKEND_AUTO,
                  os_interference: Optional[OSInterferenceConfig] = None,
-                 tracing: str = TRACING_OFF) -> None:
+                 execution: Optional[ExecutionConfig] = None,
+                 **knobs) -> None:
         if max_concurrency < 1:
             raise ValueError("max_concurrency must be at least 1")
-        if tracing not in TRACING_MODES:
-            raise ValueError(f"unknown tracing mode {tracing!r}; "
-                             f"expected one of {TRACING_MODES}")
+        if execution is None:
+            knobs.setdefault("engine", ENGINE_VECTORIZED)
+        self.execution = execution_config(execution, **knobs)
         self.database = database
         self.checkpoint = dict(checkpoint)
         self.profile = profile
         self.spec = spec
         self.max_concurrency = max_concurrency
-        self.engine = engine
-        self.batch_size = batch_size
-        self.charge_mode = charge_mode
-        self.memory_budget_bytes = memory_budget_bytes
-        self.kernel_backend = kernel_backend
         self.os_interference = os_interference
-        self.tracing = tracing
         self.plan_cache: Optional[PlanCache] = PlanCache() if plan_cache else None
         self.result_cache: Optional[ResultCache] = (ResultCache()
                                                     if result_cache else None)
@@ -314,8 +313,9 @@ class Server:
     def step(self) -> Tuple[List[ServingFuture], float]:
         """Serve one admission round (≤ ``max_concurrency`` queued queries).
 
-        Returns the served futures and the round's host wall-clock seconds.
-        An empty queue returns ``([], 0.0)``.
+        Returns the served futures -- each resolved to an outcome or to
+        the error its query raised -- and the round's host wall-clock
+        seconds.  An empty queue returns ``([], 0.0)``.
         """
         if not self._queue:
             return [], 0.0
@@ -326,7 +326,17 @@ class Server:
         coordinator = (SharedScanCoordinator(self.database)
                        if self.shared_scans else None)
         for future in admitted:
-            self._serve_one(future, coordinator)
+            try:
+                self._serve_one(future, coordinator)
+            except Exception as error:
+                # A failing query is that query's outcome, not the round's:
+                # the other admitted futures are served and the round is
+                # logged as any other.  Epochs and caches only change after
+                # a successful execution and an update's lookup never
+                # records a shared scan, so a failed update left nothing
+                # behind.
+                future.error = error
+                self.stats.failed += 1
         if coordinator is not None:
             self.stats.shared_scan_recordings += coordinator.recordings
             self.stats.shared_scan_reuses += coordinator.reuses
@@ -362,11 +372,7 @@ class Server:
         self.database.address_space.restore(self.checkpoint)
         session = Session(self.database, self.profile, spec=self.spec,
                           os_interference=self.os_interference,
-                          engine=self.engine, batch_size=self.batch_size,
-                          charge_mode=self.charge_mode,
-                          memory_budget_bytes=self.memory_budget_bytes,
-                          kernel_backend=self.kernel_backend,
-                          tracing=self.tracing)
+                          execution=self.execution)
         slot = index % self.max_concurrency
         namespace = f"disk.s{slot}"
         region = self.database.address_space.ensure_region(namespace)
@@ -494,7 +500,7 @@ class Server:
             counters, self.spec, label=f"{self.profile.key}:{label}")
         metrics = compute_metrics(counters, self.spec)
         trace = None
-        if self.tracing != TRACING_OFF:
+        if self.execution.is_traced:
             # A hit never runs operators, so the trace is a single
             # phase-level span covering the charged probe cost.
             trace = TraceNode.leaf("result_cache_probe", counters)
@@ -502,6 +508,6 @@ class Server:
             system=self.profile.key, label=label,
             plan_description="ResultCache hit\n" + entry.plan_description,
             rows=rows, counters=counters, breakdown=breakdown,
-            metrics=metrics, engine=self.engine,
+            metrics=metrics, engine=self.execution.engine,
             routine_invocations=dict(invocations), trace=trace)
         return QueryOutcome(result=result, result_cached=True)

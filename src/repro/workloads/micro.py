@@ -32,12 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Tuple
 
+from numpy.random import default_rng
+
 from ..engine.database import Database
 from ..query.expressions import (ColumnRef, Comparison, ComparisonOp, Const,
                                  avg, conjunction, range_predicate)
 from ..query.plans import JoinQuery, SelectionQuery
 from ..storage.schema import ColumnType
-from ._rng import default_rng
 
 #: The paper's row counts and value domain (scale == 1.0).
 PAPER_R_ROWS = 1_200_000

@@ -195,8 +195,9 @@ def run_open_loop(server, trace: Sequence[TraceItem]) -> ServingReport:
             latency = clock - item.arrival_seconds
             latencies.append(latency)
             class_latencies.setdefault(item.class_key, []).append(latency)
-            counters.merge(future.outcome.result.counters)
-            total_rows += len(future.outcome.rows)
+            outcome = future.result()  # re-raises a failed query's error
+            counters.merge(outcome.result.counters)
+            total_rows += len(outcome.rows)
         completed += len(served)
     stats = server.stats.as_dict()
     server_classes = stats.get("classes", {})

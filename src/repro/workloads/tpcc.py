@@ -28,12 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from numpy.random import default_rng
+
 from ..engine.database import Database
 from ..engine.session import Session
 from ..query.expressions import avg, equals
 from ..query.plans import LogicalQuery, SelectionQuery, UpdateQuery
 from ..storage.schema import ColumnType
-from ._rng import default_rng
 
 #: Rows per warehouse at scale 1.0 (the TPC-C sizing rules).
 PAPER_CUSTOMER_ROWS = 30_000

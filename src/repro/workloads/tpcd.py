@@ -28,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from numpy.random import default_rng
+
 from ..engine.database import Database
 from ..query.expressions import avg, count_star, range_predicate
 from ..query.plans import JoinQuery, LogicalQuery, SelectionQuery
 from ..storage.schema import ColumnType
-from ._rng import default_rng
 
 #: Scale of the paper's TPC-D run in bytes (100 MB); the default synthetic
 #: scale keeps the same >L2 relationship at a fraction of the size.

@@ -10,11 +10,12 @@ measurement framework.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
 import repro.hardware.cache as cache_mod
+from oracle import per_address_sessions
 from repro.engine import Database, Session
 from repro.hardware import OSInterferenceConfig, SimulatedProcessor
 from repro.storage import Catalog
@@ -47,6 +48,19 @@ def pure_python():
     Session-scoped (it holds no state), so Hypothesis tests may use it.
     """
     return _hidden_native
+
+
+@pytest.fixture
+def charging(charge_mode):
+    """For a test parametrized over ``charge_mode``: ``with charging(): ...``
+    makes every ``Session`` constructed inside the block charge the
+    simulated hardware through :class:`oracle.PerAddressContext` when the
+    mode is ``"per_address"`` -- one probe per address on the pure-Python
+    visit path, the reference the production bulk charging must match count
+    for count -- and is a no-op for ``"span"`` (production charging).  A
+    session keeps its context after the block ends.
+    """
+    return per_address_sessions if charge_mode == "per_address" else nullcontext
 
 
 @pytest.fixture(scope="session")

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import pickle
 import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import in_process_morsels
 from repro.adaptive import (AdaptiveExecution, EpsilonGreedyPolicy,
                             GreedyRankPolicy, RuntimeStatsCollector,
                             StaticPolicy, conjunct_key, flatten_conjuncts,
@@ -78,14 +80,18 @@ def hardware_counts(processor) -> dict:
 
 
 def run_query(query, adaptivity=None, layout="nsm", workers=1,
-              charge_mode="span", batch_size=64, seed=42):
-    """Execute one query; return (rows, hardware counts, invocations, session)."""
+              charging=nullcontext, batch_size=64, seed=42):
+    """Execute one query; return (rows, hardware counts, invocations, session).
+
+    ``charging`` is ``nullcontext`` (production bulk charging) or the
+    ``charging`` fixture's per-address oracle."""
     db = build_database(layout_style=layout, seed=seed)
     kwargs = {} if adaptivity is None else {"adaptivity": adaptivity}
-    session = Session(db, SYSTEM_B, os_interference=None, engine="vectorized",
-                      batch_size=batch_size, charge_mode=charge_mode,
-                      parallelism=workers, parallel_backend="inline",
-                      morsel_pages=1 if workers > 1 else None, **kwargs)
+    with charging(), in_process_morsels():
+        session = Session(db, SYSTEM_B, os_interference=None,
+                          engine="vectorized", batch_size=batch_size,
+                          parallelism=workers,
+                          morsel_pages=1 if workers > 1 else None, **kwargs)
     result = session.execute(query, warmup_runs=0)
     session.processor.finalize()
     counts = hardware_counts(session.processor)
@@ -120,11 +126,11 @@ def test_off_identical_to_unconfigured_engine(shape, layout):
 
 @pytest.mark.parametrize("charge_mode", ("span", "per_address"))
 @pytest.mark.parametrize("workers", (1, 3))
-def test_off_identical_across_workers_and_charge_modes(workers, charge_mode):
+def test_off_identical_across_workers_and_charge_modes(workers, charging):
     query = multi_conjunct_query()
-    baseline = run_query(query, adaptivity=None, charge_mode=charge_mode)
+    baseline = run_query(query, adaptivity=None)
     off = run_query(query, adaptivity="off", workers=workers,
-                    charge_mode=charge_mode)
+                    charging=charging)
     assert off[:3] == baseline[:3]
 
 

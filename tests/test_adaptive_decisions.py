@@ -25,9 +25,11 @@ PR 4 conjunct-reordering contracts):
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
+from oracle import in_process_morsels
 from repro.adaptive import (AdaptiveExecution, GreedyRankPolicy,
                             RuntimeStatsCollector, StaticPolicy,
                             greedy_batch_size, greedy_flip_join)
@@ -80,18 +82,20 @@ def hardware_counts(processor) -> dict:
 
 
 def run_query(query, adaptivity=None, layout="nsm", workers=1,
-              charge_mode="span", batch_size=64, seed=42, warmup_runs=0,
+              charging=nullcontext, batch_size=64, seed=42, warmup_runs=0,
               **session_kwargs):
     """Execute one query; return (rows, hardware counts, invocations, session
-    collector snapshot)."""
+    collector snapshot).  ``charging`` is ``nullcontext`` (production bulk
+    charging) or the ``charging`` fixture's per-address oracle."""
     db = build_database(layout_style=layout, seed=seed)
     kwargs = dict(session_kwargs)
     if adaptivity is not None:
         kwargs["adaptivity"] = adaptivity
-    session = Session(db, SYSTEM_B, os_interference=None, engine="vectorized",
-                      batch_size=batch_size, charge_mode=charge_mode,
-                      parallelism=workers, parallel_backend="inline",
-                      morsel_pages=1 if workers > 1 else None, **kwargs)
+    with charging(), in_process_morsels():
+        session = Session(db, SYSTEM_B, os_interference=None,
+                          engine="vectorized", batch_size=batch_size,
+                          parallelism=workers,
+                          morsel_pages=1 if workers > 1 else None, **kwargs)
     result = session.execute(query, warmup_runs=warmup_runs)
     session.processor.finalize()
     counts = hardware_counts(session.processor)
@@ -125,11 +129,11 @@ def test_off_identical_to_unconfigured_engine_on_joins(shape, layout):
 @pytest.mark.parametrize("charge_mode", ("span", "per_address"))
 @pytest.mark.parametrize("workers", (1, 3))
 def test_off_join_identical_across_workers_and_charge_modes(workers,
-                                                            charge_mode):
+                                                            charging):
     query = WRONG_SIDE_JOIN
-    baseline = run_query(query, adaptivity=None, charge_mode=charge_mode)
+    baseline = run_query(query, adaptivity=None)
     off = run_query(query, adaptivity="off", workers=workers,
-                    charge_mode=charge_mode)
+                    charging=charging)
     assert off[:3] == baseline[:3]
 
 
@@ -188,13 +192,13 @@ def bare_join_rows(layout, seed, manager=None):
     return the materialized row dicts in output order."""
     db = build_database(layout_style=layout, seed=seed)
     plan = Planner(db.catalog, SYSTEM_B).plan(WRONG_SIDE_JOIN).input
-    ctx = ExecutionContext(SimulatedProcessor(), SYSTEM_B, db.address_space)
+    ctx = ExecutionContext(
+        SimulatedProcessor(), SYSTEM_B, db.address_space,
+        execution=ExecutionConfig(engine="vectorized", batch_size=64,
+                                  adaptivity="greedy" if manager else "off"))
     if manager is not None:
         ctx.adaptive = manager
-    return execute_plan(plan, db.catalog, ctx,
-                        execution=ExecutionConfig(engine="vectorized",
-                                                  batch_size=64,
-                                                  adaptivity="greedy" if manager else "off"))
+    return execute_plan(plan, db.catalog, ctx)
 
 
 @pytest.mark.parametrize("layout", ("nsm", "pax"))
@@ -240,11 +244,11 @@ def test_warm_flip_uses_historical_cardinalities():
 
 
 @pytest.mark.parametrize("charge_mode", ("span", "per_address"))
-def test_flip_decision_is_charge_mode_independent(charge_mode):
+def test_flip_decision_is_charge_mode_independent(charging):
     reference = run_query(WRONG_SIDE_JOIN, adaptivity="greedy",
-                          adaptive_joins=True, charge_mode="span")
+                          adaptive_joins=True)
     other = run_query(WRONG_SIDE_JOIN, adaptivity="greedy",
-                      adaptive_joins=True, charge_mode=charge_mode)
+                      adaptive_joins=True, charging=charging)
     assert other[:3] == reference[:3]
 
 
@@ -335,13 +339,12 @@ def test_adaptive_batching_rows_identical(layout, size):
 
 
 @pytest.mark.parametrize("charge_mode", ("span", "per_address"))
-def test_batch_sizing_is_charge_mode_independent(charge_mode):
+def test_batch_sizing_is_charge_mode_independent(charging):
     reference = run_query(scan_query(), adaptivity="greedy",
-                          adaptive_batching=True, batch_size=16,
-                          charge_mode="span")
+                          adaptive_batching=True, batch_size=16)
     other = run_query(scan_query(), adaptivity="greedy",
                       adaptive_batching=True, batch_size=16,
-                      charge_mode=charge_mode)
+                      charging=charging)
     assert other[:3] == reference[:3]
 
 

@@ -109,10 +109,10 @@ def build_db(rows, layout_style="nsm"):
 def run_engines(db, plan, batch_size=256):
     results = {}
     for engine in ("tuple", "vectorized"):
-        ctx = ExecutionContext(SimulatedProcessor(), SYSTEM_B, db.address_space)
-        execution = (ExecutionConfig(engine="vectorized", batch_size=batch_size)
-                     if engine == "vectorized" else None)
-        results[engine] = execute_plan(plan, db.catalog, ctx, execution=execution)
+        ctx = ExecutionContext(
+            SimulatedProcessor(), SYSTEM_B, db.address_space,
+            execution=ExecutionConfig(engine=engine, batch_size=batch_size))
+        results[engine] = execute_plan(plan, db.catalog, ctx)
     assert results["vectorized"] == results["tuple"]
     return results["tuple"]
 

@@ -53,7 +53,7 @@ def _reference(class_key):
     cached = _REFERENCE.get(class_key)
     if cached is None:
         runner = _fresh_runner()  # brand-new build for this class alone
-        session = runner.grid_session("vectorized", "nsm")
+        session = runner.grid_session(engine="vectorized", layout="nsm")
         result = session.execute(_query_for(runner.micro_workload, class_key),
                                  warmup_runs=0)
         cached = (result.rows, result.counters.as_dict())

@@ -30,8 +30,9 @@ def make_catalog(with_index: bool = False) -> Catalog:
     return catalog
 
 
-def make_context(catalog) -> ExecutionContext:
-    return ExecutionContext(SimulatedProcessor(), SYSTEM_B, catalog.address_space)
+def make_context(catalog, engine: str = "tuple") -> ExecutionContext:
+    return ExecutionContext(SimulatedProcessor(), SYSTEM_B, catalog.address_space,
+                            execution=ExecutionConfig(engine=engine))
 
 
 class TestMissingIndex:
@@ -64,11 +65,10 @@ class TestUnknownTable:
 
     def test_vectorized_engine_raises_the_same_error(self):
         catalog = make_catalog()
-        ctx = make_context(catalog)
+        ctx = make_context(catalog, engine="vectorized")
         plan = SeqScanPlan(table="ghost", predicate=None)
         with pytest.raises(CatalogError, match="ghost"):
-            execute_plan(plan, catalog, ctx,
-                         execution=ExecutionConfig(engine="vectorized"))
+            execute_plan(plan, catalog, ctx)
 
     def test_aggregate_over_unknown_table(self):
         catalog = make_catalog()

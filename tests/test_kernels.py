@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.engine import Database, Session
 from repro.execution import ExecutionContext, execute_plan
-from repro.execution.kernels import (PYTHON_KERNELS, array_kernels_available,
+from repro.execution.kernels import (ARRAY_KERNELS, PYTHON_KERNELS,
                                      resolve_kernels, spill_partition_of)
 from repro.hardware import SimulatedProcessor
 from repro.query import (ExecutionConfig, JoinQuery, Planner, SelectionQuery,
@@ -44,11 +44,6 @@ from repro.query.plans import (IndexPointLookupPlan, IndexRangeScanPlan,
                                SeqScanPlan)
 from repro.storage.schema import ColumnType
 from repro.systems import SYSTEM_B
-
-pytestmark = pytest.mark.skipif(
-    not array_kernels_available(),
-    reason="numpy not installed; the array backend cannot be differenced")
-
 
 def array_kernels():
     return resolve_kernels("array")
@@ -318,11 +313,12 @@ def context_state(ctx: ExecutionContext):
 
 
 def run_with_backend(db: Database, plan, backend: str, batch_size: int = 64):
-    ctx = ExecutionContext(SimulatedProcessor(), SYSTEM_B, db.address_space,
-                           kernels=resolve_kernels(backend))
-    rows = execute_plan(plan, db.catalog, ctx,
-                        execution=ExecutionConfig(engine="vectorized",
-                                                  batch_size=batch_size))
+    ctx = ExecutionContext(
+        SimulatedProcessor(), SYSTEM_B, db.address_space,
+        execution=ExecutionConfig(engine="vectorized", batch_size=batch_size,
+                                  kernel_backend=backend))
+    assert ctx.kernels.name == backend
+    rows = execute_plan(plan, db.catalog, ctx)
     return rows, context_state(ctx)
 
 
@@ -389,8 +385,8 @@ def test_adaptive_conjuncts_are_backend_identical(adaptivity):
 # ---------------------------------------------------------------------------
 def test_resolve_kernels_explicit_backends():
     assert resolve_kernels("python") is PYTHON_KERNELS
-    assert resolve_kernels("array").name == "array"
-    assert resolve_kernels("auto").name in ("python", "array")
+    assert resolve_kernels("array") is ARRAY_KERNELS
+    assert resolve_kernels("auto") is ARRAY_KERNELS
     with pytest.raises(ValueError):
         resolve_kernels("simd")
 

@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.hardware.cache as cache_mod
+from oracle import PerAddressContext
 from repro.execution.context import ExecutionContext
 from repro.experiments import ExperimentConfig, ExperimentRunner
 from repro.hardware.os_interference import OSInterferenceConfig
@@ -103,10 +104,9 @@ def processor_pair(pure_python, os_interference=None):
     return native, oracle
 
 
-def context_pair(pure_python, profile=SYSTEM_B, charge_mode="span",
-                 os_interference=None):
+def context_pair(pure_python, profile=SYSTEM_B, os_interference=None):
     native, oracle = (
-        ExecutionContext(proc, profile, AddressSpace(), charge_mode=charge_mode)
+        ExecutionContext(proc, profile, AddressSpace())
         for proc in processor_pair(pure_python, os_interference))
     assert native._native_ctx is not None and native.charging_path == "native"
     assert oracle._native_ctx is None
@@ -234,11 +234,11 @@ def test_long_visit_sequence_identical(pure_python, profile):
 
 
 def test_per_address_mode_stays_pure_python_and_equivalent(pure_python):
-    """``per_address`` charging never takes the native visit path, so the
-    span-vs-per_address differential doubles as a native-vs-Python one."""
-    span, _ = context_pair(pure_python, SYSTEM_B, charge_mode="span")
-    per_address = ExecutionContext(SimulatedProcessor(), SYSTEM_B,
-                                   AddressSpace(), charge_mode="per_address")
+    """The per-address oracle never takes the native visit path, so the
+    bulk-vs-per-address differential doubles as a native-vs-Python one."""
+    span, _ = context_pair(pure_python, SYSTEM_B)
+    per_address = PerAddressContext(SimulatedProcessor(), SYSTEM_B,
+                                    AddressSpace())
     assert per_address._native_ctx is None
     for ctx in (span, per_address):
         names = segment_names(ctx)
@@ -252,9 +252,8 @@ def test_per_address_mode_stays_pure_python_and_equivalent(pure_python):
 
 
 def test_per_address_mode_reports_its_reason():
-    ctx = ExecutionContext(SimulatedProcessor(), SYSTEM_B, AddressSpace(),
-                           charge_mode="per_address")
-    assert ctx.charging_path == "python: per_address charge mode"
+    ctx = PerAddressContext(SimulatedProcessor(), SYSTEM_B, AddressSpace())
+    assert ctx.charging_path == "python: per-address oracle"
     with pytest.raises(AttributeError):
         ctx.charging_path = "native"  # provenance, not a knob
 
@@ -343,7 +342,8 @@ def test_engine_counts_identical_under_default_os_model(os_runner, monkeypatch,
             # What REPRO_NATIVE=0 leaves behind at import time.
             monkeypatch.setattr(cache_mod, "_NATIVE", None)
         for label, query in queries.items():
-            session = os_runner.grid_session(engine, "nsm", system_key=system_key)
+            session = os_runner.grid_session(engine=engine, layout="nsm",
+                                             system_key=system_key)
             assert session.charging_path == (
                 "native" if path == "native" else "python: no native module")
             result = session.execute(query, warmup_runs=0)

@@ -18,9 +18,11 @@ and per-node *self* deltas sum back to the root for every event except
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
+from oracle import in_process_morsels
 from repro.engine import Session
 from repro.observability import (Tracer, chrome_trace, chrome_trace_json,
                                  render_trace, trace_to_dict)
@@ -34,17 +36,21 @@ TRACED_MODES = ("spans", "full")
 
 
 def run_traced(shape: str, tracing: str, layout: str = "nsm",
-               charge_mode: str = "span", parallelism: int = 1,
+               charging=nullcontext, parallelism: int = 1,
                morsel_pages=None, memory_budget_bytes=None):
-    """Execute one plan shape and return rows/counts/invocations + trace."""
+    """Execute one plan shape and return rows/counts/invocations + trace.
+
+    ``charging`` is ``nullcontext`` (production bulk charging) or the
+    ``charging`` fixture's per-address oracle."""
     query, policy = PLAN_SHAPES[shape]()
     profile = policy if hasattr(policy, "key") else SYSTEM_B
     db = build_database(layout_style=layout)
-    session = Session(db, profile, os_interference=None, engine="vectorized",
-                      charge_mode=charge_mode, parallelism=parallelism,
-                      parallel_backend="inline", morsel_pages=morsel_pages,
-                      memory_budget_bytes=memory_budget_bytes,
-                      tracing=tracing)
+    with charging(), in_process_morsels():
+        session = Session(db, profile, os_interference=None,
+                          engine="vectorized", parallelism=parallelism,
+                          morsel_pages=morsel_pages,
+                          memory_budget_bytes=memory_budget_bytes,
+                          tracing=tracing)
     if not hasattr(policy, "key"):
         session.planner.policy = policy
     result = session.execute(query, warmup_runs=0)
@@ -75,10 +81,10 @@ def test_tracing_identical_every_plan_shape(shape, layout):
 
 
 @pytest.mark.parametrize("charge_mode", ("span", "per_address"))
-def test_tracing_identical_under_both_charge_modes(charge_mode):
-    baseline = run_traced("agg_seq_scan", "off", charge_mode=charge_mode)
+def test_tracing_identical_under_both_charge_modes(charging):
+    baseline = run_traced("agg_seq_scan", "off")
     for mode in TRACED_MODES:
-        traced = run_traced("agg_seq_scan", mode, charge_mode=charge_mode)
+        traced = run_traced("agg_seq_scan", mode, charging=charging)
         assert traced["rows"] == baseline["rows"]
         assert traced["counts"] == baseline["counts"]
 

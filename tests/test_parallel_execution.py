@@ -15,11 +15,13 @@ commutative under ``merge()``.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import in_process_morsels
 from repro.engine import Database, Session
 from repro.execution.parallel import (ParallelExecution, TapeRecorder,
                                       VecExchangeOperator, fork_available,
@@ -95,16 +97,19 @@ def hardware_counts(processor: SimulatedProcessor) -> dict:
 
 
 def run_shape(shape: str, parallelism: int, layout: str = "nsm",
-              charge_mode: str = "span", backend: str = "inline",
+              charging=nullcontext, morsels=in_process_morsels,
               morsel_pages=None, batch_size: int = 64):
+    """``charging`` is ``nullcontext`` (production bulk charging) or the
+    per-address oracle; ``morsels`` the in-process pipeline (the default
+    under test: no pool per session) or ``nullcontext`` (what the platform
+    gives -- a forked pool where it can fork)."""
     query, policy = PLAN_SHAPES[shape]()
     profile = policy if hasattr(policy, "key") else SYSTEM_B
     db = build_database(layout_style=layout)
-    session = Session(db, profile if hasattr(policy, "key") else SYSTEM_B,
-                      os_interference=None, engine="vectorized",
-                      batch_size=batch_size, charge_mode=charge_mode,
-                      parallelism=parallelism, parallel_backend=backend,
-                      morsel_pages=morsel_pages)
+    with charging(), morsels():
+        session = Session(db, profile, os_interference=None,
+                          engine="vectorized", batch_size=batch_size,
+                          parallelism=parallelism, morsel_pages=morsel_pages)
     if not hasattr(policy, "key"):
         session.planner.policy = policy
     result = session.execute(query, warmup_runs=0)
@@ -127,9 +132,9 @@ def test_workers_identical_to_serial_every_plan_shape(shape, layout):
 
 
 @pytest.mark.parametrize("charge_mode", ("span", "per_address"))
-def test_workers_identical_under_both_charge_modes(charge_mode):
-    serial = run_shape("agg_seq_scan", 1, charge_mode=charge_mode)
-    parallel = run_shape("agg_seq_scan", 3, charge_mode=charge_mode,
+def test_workers_identical_under_both_charge_modes(charging):
+    serial = run_shape("agg_seq_scan", 1)
+    parallel = run_shape("agg_seq_scan", 3, charging=charging,
                          morsel_pages=2)
     assert parallel[:2] == serial[:2]
 
@@ -144,7 +149,7 @@ def test_workers_identical_at_odd_batch_sizes(batch_size):
 @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
 def test_process_backend_identical_to_serial():
     serial = run_shape("hash_join", 1)
-    parallel = run_shape("hash_join", 3, backend="process", morsel_pages=2)
+    parallel = run_shape("hash_join", 3, morsels=nullcontext, morsel_pages=2)
     assert parallel[0] == serial[0]
     assert parallel[1] == serial[1]
 
@@ -154,8 +159,8 @@ def test_process_backend_sees_updates_between_queries():
     """An update invalidates the forked snapshot; the next exchange re-forks."""
     db = build_database()
     with Session(db, SYSTEM_B, os_interference=None, engine="vectorized",
-                 parallelism=2, parallel_backend="process",
-                 morsel_pages=2) as session:
+                 parallelism=2, morsel_pages=2) as session:
+        assert session.parallel.forks
         query = SelectionQuery(table="S", aggregates=(avg("a3"), count_star()))
         before = session.execute(query, warmup_runs=0).rows
         session.execute(UpdateQuery(table="S", key_column="a1", key_value=1,
@@ -189,7 +194,8 @@ def test_workers_one_uses_plain_scan_operator():
 def test_exchange_on_empty_table_yields_nothing():
     db = Database()
     db.create_table("E", [("a1", ColumnType.INT32)])
-    parallel = ParallelExecution(db, 2, backend="inline")
+    with in_process_morsels():
+        parallel = ParallelExecution(db, 2)
     from repro.execution.context import ExecutionContext
     from repro.storage.address_space import AddressSpace
     ctx = ExecutionContext(SimulatedProcessor(), SYSTEM_B, db.address_space)
@@ -213,24 +219,20 @@ def test_partition_pages_covers_and_orders():
 _SERIAL_CACHE = {}
 
 
-def _serial_reference(layout, charge_mode):
-    key = (layout, charge_mode)
-    if key not in _SERIAL_CACHE:
-        _SERIAL_CACHE[key] = run_shape("agg_seq_scan", 1, layout=layout,
-                                       charge_mode=charge_mode)
-    return _SERIAL_CACHE[key]
+def _serial_reference(layout):
+    if layout not in _SERIAL_CACHE:
+        _SERIAL_CACHE[layout] = run_shape("agg_seq_scan", 1, layout=layout)
+    return _SERIAL_CACHE[layout]
 
 
 @settings(max_examples=12, deadline=None)
 @given(morsel_pages=st.integers(min_value=1, max_value=64),
        workers=st.integers(min_value=2, max_value=5),
-       layout=st.sampled_from(("nsm", "pax")),
-       charge_mode=st.sampled_from(("span", "per_address")))
-def test_any_morsel_partitioning_matches_serial(morsel_pages, workers, layout,
-                                                charge_mode):
-    serial = _serial_reference(layout, charge_mode)
+       layout=st.sampled_from(("nsm", "pax")))
+def test_any_morsel_partitioning_matches_serial(morsel_pages, workers, layout):
+    serial = _serial_reference(layout)
     parallel = run_shape("agg_seq_scan", workers, layout=layout,
-                         charge_mode=charge_mode, morsel_pages=morsel_pages)
+                         morsel_pages=morsel_pages)
     assert parallel[0] == serial[0]
     assert parallel[1] == serial[1]
     assert parallel[2] == serial[2]

@@ -213,11 +213,12 @@ _SCAN_CATALOG = _scan_catalog()
 
 def _run_engines(plan, batch_size):
     rows = {}
-    for execution in (None, ExecutionConfig(engine="vectorized", batch_size=batch_size)):
-        ctx = ExecutionContext(SimulatedProcessor(os_interference=None), SYSTEM_B,
-                               _SCAN_CATALOG.address_space)
-        name = "vectorized" if execution else "tuple"
-        rows[name] = execute_plan(plan, _SCAN_CATALOG, ctx, execution=execution)
+    for engine in ("tuple", "vectorized"):
+        ctx = ExecutionContext(
+            SimulatedProcessor(os_interference=None), SYSTEM_B,
+            _SCAN_CATALOG.address_space,
+            execution=ExecutionConfig(engine=engine, batch_size=batch_size))
+        rows[engine] = execute_plan(plan, _SCAN_CATALOG, ctx)
     return rows
 
 

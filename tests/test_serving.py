@@ -20,9 +20,12 @@ results can never be served.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
+from repro.query import SelectionQuery, count_star, range_predicate
 from repro.query.plans import UpdateQuery
 from repro.serving import PlanCache, ResultCache, Server, normalize_query
 from repro.systems import system_by_key
@@ -44,7 +47,7 @@ def solo_results(runner, queries):
     """Reference measurements: one fresh solo session per query."""
     results = []
     for query in queries:
-        session = runner.grid_session("vectorized", "nsm")
+        session = runner.grid_session(engine="vectorized", layout="nsm")
         results.append(session.execute(query, warmup_runs=0))
     return results
 
@@ -147,7 +150,8 @@ class TestSpillNamespaces:
         workload = runner.micro_workload
         budget = max(runner.config.micro.s_bytes // 2, 1)
         solo = runner.grid_session(
-            "vectorized", "nsm", memory_budget_bytes=budget).execute(
+            engine="vectorized", layout="nsm",
+            memory_budget_bytes=budget).execute(
             workload.over_budget_join(), warmup_runs=0)
         assert solo.rows  # the join actually produced something
         server = make_server(runner, max_concurrency=4, result_cache=False,
@@ -251,7 +255,7 @@ class TestCaches:
         assert server.stats.shared_scan_reuses == 0
         assert after.outcome.rows != before.outcome.rows
         # Rows must equal a solo session against the (now updated) build.
-        reference = runner.grid_session("vectorized", "nsm").execute(
+        reference = runner.grid_session(engine="vectorized", layout="nsm").execute(
             query, warmup_runs=0)
         assert after.outcome.rows == reference.rows
         # The new-epoch cache entry was fed post-update rows, not stale ones.
@@ -434,6 +438,74 @@ class TestServingTelemetry:
         runner = tiny_runner()
         with pytest.raises(ValueError):
             make_server(runner, tracing="everything")
+
+
+# ---------------------------------------------------------------------------
+# A failing query is its own outcome, not the round's
+# ---------------------------------------------------------------------------
+class TestFailingQueries:
+    def poisoned(self):
+        return SelectionQuery(table="R", aggregates=(count_star(),),
+                              predicate=range_predicate("no_such_column", 1, 2),
+                              label="POISON")
+
+    def test_round_survives_a_failing_query(self):
+        runner = tiny_runner()
+        workload = runner.micro_workload
+        selects = [workload.sequential_range_selection(),
+                   workload.sequential_range_selection(0.5)]
+        clean = make_server(runner)
+        reference = [clean.submit(query) for query in selects]
+        clean.run_until_idle()
+
+        server = make_server(runner)
+        first = server.submit(selects[0])
+        poisoned = server.submit(self.poisoned())
+        second = server.submit(selects[1])
+        served, _ = server.step()  # one admission round serves all three
+        assert served == [first, poisoned, second]
+        assert all(future.done() for future in served)
+        for future, expected in zip((first, second), reference):
+            assert future.result().rows == expected.outcome.rows
+            assert (future.outcome.result.counters.as_dict()
+                    == expected.outcome.result.counters.as_dict())
+        with pytest.raises(Exception, match="no_such_column") as raised:
+            poisoned.result()
+        assert raised.value is poisoned.error
+        stats = server.stats
+        assert (stats.submitted, stats.completed, stats.failed) == (3, 2, 1)
+        assert stats.rounds == 1 and len(stats.round_log) == 1
+        assert stats.round_log[0].admitted == 3
+        assert stats.queue_depth_series == [(0, 3)]
+        assert (stats.shared_scan_recordings
+                == clean.stats.shared_scan_recordings)
+        # The server that survived the fault serves the next submission.
+        again = server.submit(selects[0])
+        assert again.result().rows == reference[0].outcome.rows
+        assert server.stats.rounds == 2
+
+    def test_failing_update_changes_nothing(self):
+        runner = tiny_runner()
+        query = runner.micro_workload.sequential_range_selection()
+        server = make_server(runner)
+        before = server.submit(query).result()
+        broken = server.submit(UpdateQuery(
+            table="R", key_column="a2", key_value=1,
+            set_column="no_such_column", set_value=1, label="UPD"))
+        with pytest.raises(Exception, match="no_such_column"):
+            broken.result()
+        assert server.stats.failed == 1 and server.stats.updates == 0
+        assert server.stats.epochs == {}
+        cached = server.submit(query).result()
+        assert cached.result_cached and cached.rows == before.rows
+
+    def test_open_loop_driver_reraises_the_query_error(self):
+        runner = tiny_runner()
+        trace = build_trace(runner.micro_workload,
+                            ServingTraceConfig(queries=3))
+        trace[1] = replace(trace[1], query=self.poisoned())
+        with pytest.raises(Exception, match="no_such_column"):
+            run_open_loop(make_server(runner), trace)
 
 
 # ---------------------------------------------------------------------------

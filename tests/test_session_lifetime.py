@@ -55,7 +55,7 @@ def live_processors() -> int:
 @pytest.mark.parametrize("engine", ["tuple", "vectorized"])
 def test_dropped_session_is_freed_by_reference_count(runner, collector_off, engine):
     query = runner.micro_workload.sequential_range_selection()
-    session = runner.grid_session(engine, "nsm")
+    session = runner.grid_session(engine=engine, layout="nsm")
     result = session.execute(query, warmup_runs=0)
     assert result.rows
     references = [weakref.ref(session), weakref.ref(session.context),
@@ -70,7 +70,7 @@ def test_fifty_sessions_leave_no_objects_behind(runner):
 
     def open_and_drop(count):
         for _ in range(count):
-            session = runner.grid_session("vectorized", "nsm")
+            session = runner.grid_session(engine="vectorized", layout="nsm")
             session.execute(query, warmup_runs=0)
             session.close()
         del session

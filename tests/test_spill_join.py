@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import PerAddressContext, in_process_morsels
 from repro.adaptive.policy import (MAX_PARTITIONS, AdaptivePolicy,
                                    GreedyRankPolicy, plan_partition_count)
 from repro.adaptive.stats import RuntimeStatsCollector
@@ -50,7 +51,9 @@ BUILD_BYTES = S_ROWS * 100
 
 
 def build_database(layout_style: str = "nsm", seed: int = 7,
-                   s_rows: int = S_ROWS) -> Database:
+                   s_rows: int = S_ROWS, s_key=None) -> Database:
+    """``s_key`` gives every S row that one join key (an unsplittable build
+    side) instead of the unique ``1..s_rows``."""
     db = Database()
     columns = [("a1", ColumnType.INT32), ("a2", ColumnType.INT32),
                ("a3", ColumnType.INT32)]
@@ -59,8 +62,8 @@ def build_database(layout_style: str = "nsm", seed: int = 7,
     rng = random.Random(seed)
     db.load("R", [(i + 1, rng.randint(1, KEY_DOMAIN), rng.randint(0, 9_999))
                   for i in range(R_ROWS)])
-    db.load("S", [(i + 1, rng.randint(1, KEY_DOMAIN), rng.randint(0, 9_999))
-                  for i in range(s_rows)])
+    db.load("S", [(s_key or i + 1, rng.randint(1, KEY_DOMAIN),
+                   rng.randint(0, 9_999)) for i in range(s_rows)])
     return db
 
 
@@ -71,17 +74,15 @@ def join_plan_for(db: Database) -> HashJoinPlan:
 
 
 def run_join(layout: str, budget, batch_size: int = 64,
-             charge_mode: str = "span", seed: int = 7):
-    """One spilling-join execution on a fresh seeded database."""
-    db = build_database(layout, seed=seed)
-    ctx = ExecutionContext(SimulatedProcessor(), SYSTEM_B, db.address_space,
-                           charge_mode=charge_mode)
-    ctx.memory_budget_bytes = budget
-    rows = execute_plan(join_plan_for(db), db.catalog, ctx,
-                        execution=ExecutionConfig(engine="vectorized",
-                                                  batch_size=batch_size,
-                                                  charge_mode=charge_mode,
-                                                  memory_budget_bytes=budget))
+             context=ExecutionContext, seed: int = 7, db=None):
+    """One spilling-join execution on a fresh seeded database (``context``
+    is the production context or the per-address oracle)."""
+    db = db or build_database(layout, seed=seed)
+    ctx = context(SimulatedProcessor(), SYSTEM_B, db.address_space,
+                  execution=ExecutionConfig(engine="vectorized",
+                                            batch_size=batch_size,
+                                            memory_budget_bytes=budget))
+    rows = execute_plan(join_plan_for(db), db.catalog, ctx)
     return rows, ctx
 
 
@@ -128,14 +129,36 @@ class TestBudgetSweepIdentity:
         assert spilled_rows == tuple_rows == baselines["nsm"]
 
 
+class TestBudgetOverruns:
+    """A partition no re-partitioning can shrink is built over budget at
+    the recursion cap -- and counted, not silent."""
+
+    @pytest.mark.parametrize("layout", ["nsm", "pax"])
+    def test_all_equal_build_keys_report_the_overrun(self, layout):
+        in_memory, ctx = run_join(layout, None,
+                                  db=build_database(layout, s_key=7))
+        assert in_memory and ctx.io_stats["budget_overruns"] == 0
+        rows, ctx = run_join(layout, BUILD_BYTES // 2,
+                             db=build_database(layout, s_key=7))
+        assert rows == in_memory
+        assert ctx.io_stats["budget_overruns"] >= 1
+
+    @pytest.mark.parametrize("layout", ["nsm", "pax"])
+    def test_half_budget_shape_reports_none(self, layout):
+        _, ctx = run_join(layout, BUILD_BYTES // 2)
+        assert ctx.io_stats["page_writes"] > 0
+        assert ctx.io_stats["budget_overruns"] == 0
+
+
 class TestChargeModeIdentity:
     """Span charging must stay a pure simulator optimisation under spilling."""
 
     @pytest.mark.parametrize("budget", [BUILD_BYTES // 2, 350])
     def test_span_and_per_address_agree(self, budget):
         outcomes = {}
-        for mode in ("per_address", "span"):
-            rows, ctx = run_join("pax", budget, charge_mode=mode)
+        for mode, context in (("per_address", PerAddressContext),
+                              ("span", ExecutionContext)):
+            rows, ctx = run_join("pax", budget, context=context)
             processor = ctx.processor
             processor.finalize()
             snap = processor.caches.snapshot()
@@ -169,10 +192,10 @@ class TestMorselWorkers:
         results = {}
         for workers in (1, 2):
             db = build_database("pax")
-            session = Session(db, SYSTEM_B, os_interference=None,
-                              engine="vectorized", parallelism=workers,
-                              parallel_backend="inline",
-                              memory_budget_bytes=budget)
+            with in_process_morsels():
+                session = Session(db, SYSTEM_B, os_interference=None,
+                                  engine="vectorized", parallelism=workers,
+                                  memory_budget_bytes=budget)
             results[workers] = session.execute(JOIN_QUERY).rows
         assert results[2] == results[1]
 
@@ -182,7 +205,8 @@ class TestMorselWorkers:
                           engine="vectorized",
                           memory_budget_bytes=BUILD_BYTES // 2)
         result = session.execute(JOIN_QUERY)
-        assert session.context.memory_budget_bytes == BUILD_BYTES // 2
+        assert session.context.execution is session.execution
+        assert session.execution.memory_budget_bytes == BUILD_BYTES // 2
         assert session.context.io_stats["page_reads"] > 0
         assert result.rows[0]["count(*)"] > 0
 
@@ -222,8 +246,10 @@ class TestHashAreaResize:
 
     def _run(self, estimate, budget=None):
         db = build_database("nsm", s_rows=self.S_BIG)
-        ctx = ExecutionContext(SimulatedProcessor(), SYSTEM_B, db.address_space)
-        ctx.memory_budget_bytes = budget
+        ctx = ExecutionContext(
+            SimulatedProcessor(), SYSTEM_B, db.address_space,
+            execution=ExecutionConfig(engine="vectorized",
+                                      memory_budget_bytes=budget))
         op = _make_join_op(db, ctx, build_row_estimate=estimate)
         order, cols = _drain_columns(op)
         return order, cols, ctx

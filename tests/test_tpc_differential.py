@@ -5,16 +5,16 @@ The contract mirrors the microbenchmark differential suite
 
 * **Rows are engine-independent.**  Every TPC-D query and every TPC-C
   statement (selections *and* updates) returns row-for-row identical
-  results under the tuple and vectorized engines, at every charge mode,
-  worker count and kernel backend.  Across engines the ``query_setup``
-  charge counts also match (the PR 1 contract); the *hardware* counts
-  differ across engines by design -- that difference IS the engine
-  ablation.
+  results under the tuple and vectorized engines, under bulk and
+  per-address charging, at every worker count and kernel backend.  Across
+  engines the ``query_setup`` charge counts also match (the PR 1
+  contract); the *hardware* counts differ across engines by design --
+  that difference IS the engine ablation.
 * **Counts are identical across the identity walls.**  For a fixed engine,
-  the simulated event counters are bit-identical across
-  ``charge_mode="per_address"`` vs ``"span"``, ``workers`` 1 vs 4, and the
-  python vs array kernel backends -- each is a simulator implementation
-  choice, never a model change.
+  the simulated event counters are bit-identical across production (span)
+  charging vs the per-address oracle (``oracle.PerAddressContext``),
+  ``parallelism`` 1 vs 4, and the python vs array kernel backends -- each
+  is a simulator implementation choice, never a model change.
 
 Everything measures on the warmed TPC grids (one build per layout,
 checkpoints restored per arm), so the suite doubles as the regression test
@@ -24,10 +24,13 @@ mutate pages in place and rely on the data checkpoint.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
+from oracle import per_address_sessions
 from repro.engine.session import Session
-from repro.experiments.runner import ExperimentConfig, ExperimentRunner
+from repro.experiments.runner import Cell, ExperimentConfig, ExperimentRunner
 from repro.systems.vendors import oltp_variant, system_by_key
 from repro.workloads.micro import MicroWorkloadConfig
 from repro.workloads.tpcc import TPCCConfig
@@ -35,17 +38,11 @@ from repro.workloads.tpcd import TPCDConfig
 
 TXNS = 8
 ENGINES = ("tuple", "vectorized")
-CHARGE_MODES = ("per_address", "span")
+#: How an arm's sessions charge: through the per-address oracle or the
+#: production (span) context.
+CHARGING = {"per_address": per_address_sessions, "span": nullcontext}
 WORKER_COUNTS = (1, 4)
 KERNEL_BACKENDS = ("python", "array")
-
-
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-        return True
-    except ImportError:
-        return False
 
 
 def make_runner() -> ExperimentRunner:
@@ -63,19 +60,15 @@ def runner() -> ExperimentRunner:
     return make_runner()
 
 
-def backends():
-    return KERNEL_BACKENDS if _numpy_available() else ("python",)
-
-
 # ---------------------------------------------------------------- TPC-D rows
 def _tpcd_session(runner, engine, charge_mode="span", workers=1,
                   kernel_backend="auto", layout="nsm") -> Session:
     database, checkpoint = runner.tpcd_grid_database(layout)
     database.address_space.restore(checkpoint)
-    return Session(database, system_by_key("B"), spec=runner.config.spec,
-                   os_interference=None, engine=engine,
-                   charge_mode=charge_mode, parallelism=workers,
-                   kernel_backend=kernel_backend)
+    with CHARGING[charge_mode]():
+        return Session(database, system_by_key("B"), spec=runner.config.spec,
+                       os_interference=None, engine=engine,
+                       parallelism=workers, kernel_backend=kernel_backend)
 
 
 def _tpcd_rows_and_setups(runner, **session_knobs):
@@ -98,9 +91,9 @@ def test_tpcd_rows_identical_across_matrix(runner, layout):
     assert all(rows for rows in reference_rows), \
         "every TPC-D query aggregates to at least one row"
     for engine in ENGINES:
-        for charge_mode in CHARGE_MODES:
+        for charge_mode in CHARGING:
             for workers in WORKER_COUNTS:
-                for backend in backends():
+                for backend in KERNEL_BACKENDS:
                     rows, setups = _tpcd_rows_and_setups(
                         runner, engine=engine, charge_mode=charge_mode,
                         workers=workers, kernel_backend=backend,
@@ -115,19 +108,19 @@ def test_tpcd_rows_identical_across_matrix(runner, layout):
 
 # -------------------------------------------------------------- TPC-D counts
 def test_tpcd_counts_identical_across_walls(runner):
-    """Charge mode, workers and kernel backend never change the counts."""
+    """Bulk charging, workers and kernel backend never change the counts:
+    every production arm equals the serial per-address oracle."""
     for engine in ENGINES:
-        reference = runner.tpcd_grid_result(
-            "nsm", engine=engine, charge_mode="per_address").counters.as_dict()
-        for charge_mode in CHARGE_MODES:
-            for workers in WORKER_COUNTS:
-                for backend in backends():
-                    arm = runner.tpcd_grid_result(
-                        "nsm", engine=engine, charge_mode=charge_mode,
-                        workers=workers, kernel_backend=backend)
-                    assert arm.counters.as_dict() == reference, (
-                        f"counts diverged: {engine}/{charge_mode}"
-                        f"/w{workers}/{backend}")
+        cell = Cell(dataset="tpcd", knobs={"engine": engine})
+        with per_address_sessions(), runner.session(cell) as session:
+            reference = runner.execute(cell, session).counters.as_dict()
+        for workers in WORKER_COUNTS:
+            for backend in KERNEL_BACKENDS:
+                arm = runner.tpcd_grid_result(
+                    "nsm", engine=engine, parallelism=workers,
+                    kernel_backend=backend)
+                assert arm.counters.as_dict() == reference, (
+                    f"counts diverged: {engine}/w{workers}/{backend}")
 
 
 def test_tpcd_engines_differ_in_counts_by_design(runner):
@@ -154,10 +147,12 @@ def _tpcc_statement_rows(runner, engine, charge_mode="span", workers=1,
     database.data_restore(data)
     rows = []
     setups = 0
-    with Session(database, oltp_variant(system_by_key("B")),
-                 spec=runner.config.spec, os_interference=None,
-                 engine=engine, charge_mode=charge_mode, parallelism=workers,
-                 kernel_backend=kernel_backend) as session:
+    with CHARGING[charge_mode]():
+        session = Session(database, oltp_variant(system_by_key("B")),
+                          spec=runner.config.spec, os_interference=None,
+                          engine=engine, parallelism=workers,
+                          kernel_backend=kernel_backend)
+    with session:
         for txn in workload.transactions(TXNS, seed=1234):
             for statement in txn.statements:
                 result = session.execute(statement, warmup_runs=0)
@@ -173,9 +168,9 @@ def test_tpcc_rows_identical_across_matrix(runner, layout):
     assert any(row == [{"updated": 1}] for row in reference_rows), \
         "the mix must contain applied updates"
     for engine in ENGINES:
-        for charge_mode in CHARGE_MODES:
+        for charge_mode in CHARGING:
             for workers in WORKER_COUNTS:
-                for backend in backends():
+                for backend in KERNEL_BACKENDS:
                     rows, setups = _tpcc_statement_rows(
                         runner, engine=engine, charge_mode=charge_mode,
                         workers=workers, kernel_backend=backend,
@@ -195,10 +190,12 @@ def _tpcc_counters(runner, engine, charge_mode="span", workers=1,
     database, workload, checkpoint, data = runner.tpcc_grid_database(layout)
     database.address_space.restore(checkpoint)
     database.data_restore(data)
-    with Session(database, oltp_variant(system_by_key("B")),
-                 spec=runner.config.spec, os_interference=None,
-                 engine=engine, charge_mode=charge_mode, parallelism=workers,
-                 kernel_backend=kernel_backend) as session:
+    with CHARGING[charge_mode]():
+        session = Session(database, oltp_variant(system_by_key("B")),
+                          spec=runner.config.spec, os_interference=None,
+                          engine=engine, parallelism=workers,
+                          kernel_backend=kernel_backend)
+    with session:
         counters, _, _, executed = workload.run(
             session, transactions=TXNS, warmup_transactions=2)
     assert executed == TXNS
@@ -208,9 +205,9 @@ def _tpcc_counters(runner, engine, charge_mode="span", workers=1,
 def test_tpcc_counts_identical_across_walls(runner):
     for engine in ENGINES:
         reference = _tpcc_counters(runner, engine, charge_mode="per_address")
-        for charge_mode in CHARGE_MODES:
+        for charge_mode in CHARGING:
             for workers in WORKER_COUNTS:
-                for backend in backends():
+                for backend in KERNEL_BACKENDS:
                     arm = _tpcc_counters(runner, engine,
                                          charge_mode=charge_mode,
                                          workers=workers,

@@ -10,9 +10,9 @@ and identical ``query_setup`` charge counts.  Batch sizes of 1 (degenerate:
 every batch is one record), a prime (batches straddle page boundaries
 unevenly) and the default 256 are exercised throughout.
 
-The charge-mode half replays the same plans under ``charge_mode="span"``
-(bulk strided cache/TLB operations, the simulation fast path) and
-``charge_mode="per_address"`` (one probe per address, the reference) on
+The charging half replays the same plans through the production context
+(bulk strided cache/TLB operations, the simulation fast path) and through
+``oracle.PerAddressContext`` (one probe per address, the reference) on
 identically seeded databases and asserts *identical* cache and TLB hit+miss
 counts, identical event counters and identical result rows -- span charging
 must be a pure simulator optimisation, never a model change.
@@ -24,6 +24,7 @@ import random
 
 import pytest
 
+from oracle import PerAddressContext, in_process_morsels
 from repro.engine import Database, Session
 from repro.execution import ExecutionContext, execute_plan, execute_update
 from repro.hardware import SimulatedProcessor
@@ -64,18 +65,19 @@ def database() -> Database:
     return build_database()
 
 
-def make_context(db: Database, profile=SYSTEM_B) -> ExecutionContext:
-    return ExecutionContext(SimulatedProcessor(), profile, db.address_space)
+def make_context(db: Database, profile=SYSTEM_B, engine: str = "tuple",
+                 batch_size: int = 256) -> ExecutionContext:
+    return ExecutionContext(
+        SimulatedProcessor(), profile, db.address_space,
+        execution=ExecutionConfig(engine=engine, batch_size=batch_size))
 
 
 def run_both(db: Database, plan, batch_size: int, profile=SYSTEM_B):
     """Execute one plan under both engines; assert the differential contract."""
     ctx_tuple = make_context(db, profile)
-    ctx_vec = make_context(db, profile)
+    ctx_vec = make_context(db, profile, "vectorized", batch_size)
     rows_tuple = execute_plan(plan, db.catalog, ctx_tuple)
-    rows_vec = execute_plan(plan, db.catalog, ctx_vec,
-                            execution=ExecutionConfig(engine="vectorized",
-                                                      batch_size=batch_size))
+    rows_vec = execute_plan(plan, db.catalog, ctx_vec)
     assert rows_vec == rows_tuple
     assert (ctx_vec.op_invocations.get("query_setup")
             == ctx_tuple.op_invocations.get("query_setup") == 1)
@@ -185,13 +187,11 @@ def test_update_produces_identical_table_state(batch_size):
     results = {}
     for engine in ("tuple", "vectorized"):
         db = build_database()
-        ctx = make_context(db)
+        ctx = make_context(db, engine=engine, batch_size=batch_size)
         plan = Planner(db.catalog, SYSTEM_B).plan(UpdateQuery(
             table="S", key_column="a1", key_value=11,
             set_column="a3", set_value=-5))
-        execution = (ExecutionConfig(engine="vectorized", batch_size=batch_size)
-                     if engine == "vectorized" else None)
-        updated = execute_update(plan, db.catalog, ctx, execution=execution)
+        updated = execute_update(plan, db.catalog, ctx)
         table = db.table("S")
         contents = [table.heap.read_values(e.rid) for e in table.heap.scan()]
         results[engine] = (updated, contents, ctx.op_invocations.get("query_setup"))
@@ -252,9 +252,10 @@ def test_parallel_workers_match_serial_engine(layout_style):
     outcomes = {}
     for workers in (1, 3):
         db = build_database(layout_style=layout_style)
-        session = Session(db, SYSTEM_B, os_interference=None,
-                          engine="vectorized", parallelism=workers,
-                          parallel_backend="inline", morsel_pages=1)
+        with in_process_morsels():
+            session = Session(db, SYSTEM_B, os_interference=None,
+                              engine="vectorized", parallelism=workers,
+                              morsel_pages=1)
         result = session.execute(SelectionQuery(
             table="R", aggregates=(avg("a3"), count_star()),
             predicate=range_predicate("a2", 10, 40)), warmup_runs=0)
@@ -283,22 +284,22 @@ def hardware_counts(processor: SimulatedProcessor) -> dict:
 
 def run_charge_modes(plan_factory, layout_style: str, engine: str = "vectorized",
                      batch_size: int = 256, profile=SYSTEM_B):
-    """Execute one plan under both charge modes on identically seeded
-    databases; assert identical rows and identical hardware counts."""
+    """Execute one plan through the per-address oracle and the production
+    (span) context on identically seeded databases; assert identical rows
+    and identical hardware counts."""
     outcomes = {}
-    for mode in ("per_address", "span"):
+    for mode, context in (("per_address", PerAddressContext),
+                          ("span", ExecutionContext)):
         db = build_database(layout_style=layout_style)
         processor = SimulatedProcessor()
-        ctx = ExecutionContext(processor, profile, db.address_space,
-                               charge_mode=mode)
+        ctx = context(processor, profile, db.address_space,
+                      execution=ExecutionConfig(engine=engine,
+                                                batch_size=batch_size))
         plan = plan_factory(db)
-        execution = ExecutionConfig(engine=engine, batch_size=batch_size,
-                                    charge_mode=mode)
         if isinstance(plan, UpdatePlan):
-            rows = [{"updated": execute_update(plan, db.catalog, ctx,
-                                               execution=execution)}]
+            rows = [{"updated": execute_update(plan, db.catalog, ctx)}]
         else:
-            rows = execute_plan(plan, db.catalog, ctx, execution=execution)
+            rows = execute_plan(plan, db.catalog, ctx)
         processor.finalize()
         outcomes[mode] = (rows, hardware_counts(processor))
     rows_span, counts_span = outcomes["span"]
