@@ -44,6 +44,7 @@ The context also owns two cross-cutting concerns of the columnar engine:
 from __future__ import annotations
 
 import struct
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..hardware.native import delegated
@@ -125,9 +126,6 @@ class ExecutionContext:
         self._workspace_size = profile.workspace_bytes
         self._workspace_stride = profile.workspace_touch_stride
 
-        # Per-site state for alternating / rare branches.
-        self._site_state: Dict[int, int] = {}
-
         self.rows_produced = 0
 
         #: Optional morsel-parallel executor
@@ -183,35 +181,30 @@ class ExecutionContext:
         # ``off`` path, so legacy address layouts are untouched).
         self._conjunct_sites_base: Optional[int] = None
 
-        # Routine-invocation counts: one entry per interpreted call.  A
-        # batched call (:meth:`visit_batch`) counts once however many
-        # records it covers -- the whole point of vectorization is that the
-        # invocation count stops scaling with the record count.
-        self.op_invocations: Dict[str, int] = {}
-
         # Memoized plan-resolution results (column subsets and index
         # lookups).  The vectorized block nested-loop join re-instantiates
         # its inner operator once per outer batch, so without the cache the
         # schema set/loop work of ``_columns_for_table`` re-runs per batch.
         self._columns_cache: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, ...]] = {}
         self._index_cache: Dict[Tuple[str, str], object] = {}
+        # ``read_fields`` plans, one per (layout, columns), not per record.
+        self._field_plans: Dict[Tuple[int, Tuple[str, ...]], tuple] = {}
 
-        # Native visit fast path (``_cachesim.c``): the whole of
-        # ``_visit_segment`` / ``_touch_workspace`` runs as one C call over
-        # the processor's native automata, count- and state-identical to the
-        # Python code (asserted by tests/test_native_charging.py), the
-        # OS-interference hook included (the C visit calls back into
-        # ``SimulatedProcessor._advance_os_clock``).  Eligible when the
-        # processor was built natively (it holds a charging block) and the
-        # workspace geometry is non-degenerate; :attr:`charging_path`
-        # reports which of these decided.  Segment handles (plain-data views
-        # of ``CodeSegment``) are built lazily per operation; ``False`` marks
-        # a segment whose cold slice wraps the whole pool (Python fallback,
-        # counted in :attr:`python_segment_visits`).
-        self._segment_handles: Dict[str, object] = {}
+        # Native visit fast path (``_cachesim.c``): a whole routine visit
+        # (and ``_touch_workspace``) is one C call, count- and
+        # state-identical to the Python code (tests/test_native_charging.py),
+        # the OS-interference hook included.  Eligible when the processor
+        # holds a charging block and the workspace geometry is
+        # non-degenerate; :attr:`charging_path` reports which decided.  The
+        # per-visit state has one owner either way: the native context and
+        # its segments, or the attributes of this object.
         self._native_ctx = None
-        #: Routine visits of a native-path context that nevertheless ran the
-        #: Python ``_visit_segment`` (degenerate cold-pool geometry).
+        #: The native segment of every operation visited so far.
+        self._segments: Dict[str, object] = {}
+        self._own_site_state: Dict[int, int] = {}
+        self._own_invocations: Dict[str, int] = {}
+        #: Routine visits that ran the Python ``_visit_segment``: every one
+        #: on a Python-path context, none on a native one.
         self.python_segment_visits = 0
         native_state = getattr(processor, "_native_state", None)
         if native_state is None:
@@ -224,7 +217,7 @@ class ExecutionContext:
                 self.workspace_base,
                 self._workspace_stride, self._workspace_size,
                 self.layout.cold_pool_base, self.layout.cold_pool_lines,
-                self._site_state, LINE_BYTES)
+                LINE_BYTES)
         self._visit_counter = 0
         self._cold_cursor = 0
         self._workspace_cursor = 0
@@ -236,6 +229,23 @@ class ExecutionContext:
         ``"native"`` or ``"python: <reason>"``.  Decided once, at
         construction; read-only (fast-path provenance, not a knob)."""
         return self._charging_path
+
+    @property
+    def op_invocations(self) -> Mapping[str, int]:
+        """Routine invocations, one per interpreted call: a batched call
+        (:meth:`visit_batch`) counts once however many records it covers.
+        Read-only on a native context, whose segments keep the counts."""
+        if self._native_ctx is None:
+            return self._own_invocations
+        return MappingProxyType({operation: segment.invocations
+                                 for operation, segment in self._segments.items()})
+
+    @property
+    def _site_state(self) -> Mapping[int, int]:
+        """Alternating / rare branch-site state (a native context keeps it)."""
+        if self._native_ctx is None:
+            return self._own_site_state
+        return MappingProxyType(self._native_ctx.site_state())
 
     # ------------------------------------------------------------ resolution
     def columns_for_table(self, table: Table, columns: Sequence[str]) -> Tuple[str, ...]:
@@ -260,10 +270,11 @@ class ExecutionContext:
     def visit(self, operation: str, data_taken: Optional[bool] = None,
               repeat: int = 1) -> None:
         """Charge ``repeat`` invocations of ``operation`` to the processor."""
-        segment = self.layout.segment(operation)
-        self.op_invocations[operation] = self.op_invocations.get(operation, 0) + repeat
-        for _ in range(repeat):
-            self._visit_segment(segment, data_taken)
+        native = self._segments.get(operation) or self._native_segment(operation)
+        if native is not None:
+            native.visit(data_taken, repeat)
+        else:
+            self._visit_python(operation, data_taken, repeat)
 
     def visit_batch(self, operation: str, count: int) -> None:
         """Charge ``count`` record-iterations of ``operation`` run as one batch.
@@ -284,9 +295,12 @@ class ExecutionContext:
         """
         if count <= 0:
             return
+        native = self._segments.get(operation) or self._native_segment(operation)
+        if native is not None:
+            native.visit(None, 1)
+        else:
+            self._visit_python(operation, None, 1)
         segment = self.layout.segment(operation)
-        self.op_invocations[operation] = self.op_invocations.get(operation, 0) + 1
-        self._visit_segment(segment, None)
         iterations = count - 1
         if iterations <= 0:
             return
@@ -342,13 +356,9 @@ class ExecutionContext:
         address = base + ((site & 0xFF) << 4)
         native_state = getattr(self.processor, "_native_state", None)
         if native_state is not None:
-            # Native per-row branch loop (predictor state, stats and
-            # counter folds identical to the Python loop below).
-            taken, mispredictions, btb_misses = native_state.conjunct(
-                address, outcomes)
-            self.processor.count_branches(count, taken=taken,
-                                          mispredictions=mispredictions,
-                                          btb_misses=btb_misses)
+            # The per-row branch loop and its ``count_branches`` in C
+            # (predictor state and counts identical to the loop below).
+            taken, mispredictions = native_state.conjunct(address, outcomes)
         else:
             branch_unit = self.processor.branch_unit
             btb_before = branch_unit.stats.btb_misses
@@ -395,17 +405,17 @@ class ExecutionContext:
     def snapshot_invocations(self) -> Dict[str, int]:
         return dict(self.op_invocations)
 
+    def _visit_python(self, operation: str, data_taken: Optional[bool],
+                      repeat: int) -> None:
+        """:meth:`visit` of a context with no native one."""
+        segment = self.layout.segment(operation)
+        counts = self._own_invocations
+        counts[operation] = counts.get(operation, 0) + repeat
+        self.python_segment_visits += repeat
+        for _ in range(repeat):
+            self._visit_segment(segment, data_taken)
+
     def _visit_segment(self, segment: CodeSegment, data_taken: Optional[bool]) -> None:
-        ctx_state = self._native_ctx
-        if ctx_state is not None:
-            handle = self._segment_handles.get(segment.name)
-            if handle is None:
-                handle = self._native_segment_handle(segment)
-                self._segment_handles[segment.name] = handle
-            if handle is not False:
-                ctx_state.visit(handle, data_taken)
-                return
-            self.python_segment_visits += 1
         processor = self.processor
         self._visit_counter += 1
 
@@ -445,7 +455,7 @@ class ExecutionContext:
         self._touch_workspace(segment.workspace_touches)
 
         # Branch sites.  The predictor is exercised per site; the retirement
-        # counters are folded into one bulk update per segment visit.
+        # counters take one bulk update per segment visit.
         if segment.branch_sites:
             branch_unit = processor.branch_unit
             btb_before = branch_unit.stats.btb_misses
@@ -504,31 +514,31 @@ class ExecutionContext:
             remaining -= run
         self._workspace_cursor = cursor
 
-    def _native_segment_handle(self, segment: CodeSegment):
-        """Plain-data view of ``segment`` for the native visit fast path.
+    def _native_segment(self, operation: str):
+        """Bind ``operation``'s native segment -- its visit constants, its
+        invocation count and its ``visit`` entry point -- on first visit;
+        ``None`` on a context that visits in Python.
 
-        ``False`` marks a segment the native path must not handle (its cold
-        slice wraps the whole pool, which takes the generic per-line fetch).
         The bulk-branch misprediction expectation is pre-multiplied: the
         product is the same float the Python path computes each visit, so
         the fractional carry evolves bit-identically.
         """
-        cold = segment.cold_lines_per_visit
-        if cold and cold >= self.layout.cold_pool_lines:
-            return False
+        if self._native_ctx is None:
+            return None
+        segment = self.layout.segment(operation)
         stall_ints = segment.stall_ints
-        profile = self.profile
         bulk = segment.bulk_branches
         sites = tuple((_NATIVE_KIND_CODES[site.kind], site.address, site.weight)
                       for site in segment.branch_sites)
-        return self._native_ctx.segment(
-            (segment.base_address, len(segment.hot_lines), cold,
+        return self._segments.setdefault(operation, self._native_ctx.segment(
+            (segment.base_address, len(segment.hot_lines),
+             segment.cold_lines_per_visit,
              segment.instructions, segment.uops, segment.data_refs,
              stall_ints[0], stall_ints[1], stall_ints[2], stall_ints[3],
              segment.workspace_touches, bulk, segment.bulk_taken,
-             bulk * profile.bulk_branch_misprediction_rate,
-             int(round(bulk * profile.bulk_branch_btb_miss_rate)),
-             sites))
+             bulk * self.profile.bulk_branch_misprediction_rate,
+             int(round(bulk * self.profile.bulk_branch_btb_miss_rate)),
+             sites)))
 
     def _next_cold_lines(self, count: int) -> Tuple[int, ...]:
         base = self.layout.cold_pool_base
@@ -548,12 +558,12 @@ class ExecutionContext:
                 return self._pseudo_random_bit(site.address), site.address
             return bool(data_taken), site.address
         if kind == BRANCH_KIND_ALTERNATING:
-            state = self._site_state.get(site.address, 0) ^ 1
-            self._site_state[site.address] = state
+            state = self._own_site_state.get(site.address, 0) ^ 1
+            self._own_site_state[site.address] = state
             return bool(state), site.address
         if kind == BRANCH_KIND_RARE:
-            state = self._site_state.get(site.address, 0) + 1
-            self._site_state[site.address] = state
+            state = self._own_site_state.get(site.address, 0) + 1
+            self._own_site_state[site.address] = state
             return (state % 64) == 0, site.address
         # Cold: the site address varies from visit to visit (different call
         # sites / indirect targets), so the BTB essentially never hits.
@@ -585,13 +595,16 @@ class ExecutionContext:
 
     def page_io_out(self, address: int, nbytes: int) -> None:
         """Charge one page write-back to the backing store at ``address``."""
+        self._traced_io("spill_write", self._page_io_out, address, nbytes)
+
+    def _traced_io(self, name: str, transfer, address: int, nbytes: int) -> None:
         tracer = self.tracer
         if tracer is not None and tracer.full:
-            with tracer.span("spill_write", kind="io"):
-                self._page_io_out(address, nbytes)
-            tracer.io_event("spill_write", nbytes)
-            return
-        self._page_io_out(address, nbytes)
+            with tracer.span(name, kind="io"):
+                transfer(address, nbytes)
+            tracer.io_event(name, nbytes)
+        else:
+            transfer(address, nbytes)
 
     def _page_io_out(self, address: int, nbytes: int) -> None:
         self.visit("page_boundary")
@@ -602,13 +615,7 @@ class ExecutionContext:
 
     def page_io_in(self, address: int, nbytes: int) -> None:
         """Charge one page reload from the backing store at ``address``."""
-        tracer = self.tracer
-        if tracer is not None and tracer.full:
-            with tracer.span("spill_read", kind="io"):
-                self._page_io_in(address, nbytes)
-            tracer.io_event("spill_read", nbytes)
-            return
-        self._page_io_in(address, nbytes)
+        self._traced_io("spill_read", self._page_io_in, address, nbytes)
 
     def _page_io_in(self, address: int, nbytes: int) -> None:
         self.visit("page_boundary")
@@ -626,33 +633,32 @@ class ExecutionContext:
         the whole record (slot parsing / record copy), which is what drives
         their higher L2 data-miss counts per record.
         """
+        key = (id(layout), columns if type(columns) is tuple else tuple(columns))
+        plan = self._field_plans.get(key)
+        if plan is None or plan[0] is not layout:
+            plan = self._field_plans[key] = self._field_plan(layout, key[1])
+        _, loads, decoders = plan
         processor = self.processor
-        columnar = getattr(entry.page, "columnar", False)
-        if self.profile.record_access_style == ACCESS_FIELDS_ONLY:
-            for column in columns:
-                offset, width = layout.field_slice(column)
-                if columnar:
-                    processor.data_read(entry.page.field_address(entry.slot, offset), width)
-                else:
-                    processor.data_read(entry.address + offset, width)
-        elif columnar:
-            # "Full record" access on a PAX page touches every minipage slice
-            # of the record -- the values are scattered, there is no single
-            # contiguous sweep to issue.
-            self._touch_pax_record(entry, layout, processor.data_read)
-        else:
-            processor.data_read(entry.address, layout.record_size)
         page, slot = entry.page, entry.slot
-        if columnar:
+        if getattr(page, "columnar", False):
+            if loads is None:
+                self._touch_record(entry, layout, processor.data_read)
+            else:
+                for offset, width in loads:
+                    processor.data_read(page.field_address(slot, offset), width)
             # PAX rows are not contiguous; decode straight from the
             # minipages instead of materialising an NSM record image.
             return {column: page.column_values(column, (slot,))[0]
-                    for column in columns}
+                    for column in key[1]}
+        if loads is None:
+            processor.data_read(entry.address, layout.record_size)
+        else:
+            # One charged call: the same addresses, in the same order, as a
+            # ``data_read`` per field.
+            processor.data_read_fields(entry.address, loads)
         view = page.record_view(slot)
-        codecs = layout.column_codecs
         out = {}
-        for column in columns:
-            offset, code, width = codecs[column]
+        for column, offset, code, width in decoders:
             if code is None:
                 raw = bytes(view[offset:offset + width])
                 out[column] = raw.rstrip(b"\x00").decode(errors="replace")
@@ -660,24 +666,32 @@ class ExecutionContext:
                 out[column] = struct.unpack_from(code, view, offset)[0]
         return out
 
+    def _field_plan(self, layout: RecordLayout, columns: Tuple[str, ...]) -> tuple:
+        """``(layout, loads, decoders)`` of :meth:`read_fields`: the
+        ``(offset, width)`` loads of a ``fields_only`` system (``None``:
+        the whole record is swept) and one ``(column, offset, struct code or
+        None for CHAR, width)`` decoder per column."""
+        fields_only = self.profile.record_access_style == ACCESS_FIELDS_ONLY
+        loads = tuple(map(layout.field_slice, columns)) if fields_only else None
+        codecs = layout.column_codecs
+        return layout, loads, tuple((column,) + codecs[column] for column in columns)
+
     def read_record(self, entry: ScanEntry, layout: RecordLayout) -> Tuple:
         """Access the full record and decode every column (OLTP paths)."""
-        if getattr(entry.page, "columnar", False):
-            self._touch_pax_record(entry, layout, self.processor.data_read)
-        else:
-            self.processor.data_read(entry.address, layout.record_size)
+        self._touch_record(entry, layout, self.processor.data_read)
         return layout.decode(bytes(entry.page.record_view(entry.slot)))
 
     def write_record(self, entry: ScanEntry, layout: RecordLayout) -> None:
         """Simulate the store traffic of an in-place record update."""
-        if getattr(entry.page, "columnar", False):
-            self._touch_pax_record(entry, layout, self.processor.data_write)
-        else:
-            self.processor.data_write(entry.address, layout.record_size)
+        self._touch_record(entry, layout, self.processor.data_write)
 
-    def _touch_pax_record(self, entry: ScanEntry, layout: RecordLayout, access) -> None:
-        """Issue one access per minipage slice of a PAX record."""
+    def _touch_record(self, entry: ScanEntry, layout: RecordLayout, access) -> None:
+        """Touch a whole record: one sweep on an NSM page; on a PAX page the
+        values are scattered, so one access per minipage slice."""
         page = entry.page
+        if not getattr(page, "columnar", False):
+            access(entry.address, layout.record_size)
+            return
         for index, column in enumerate(layout.schema):
             access(page.field_address(entry.slot, layout.offsets[index]),
                    column.byte_width)

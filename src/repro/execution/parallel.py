@@ -199,16 +199,16 @@ class TapeRecorder:
         return taken
 
     # -- data access (delegated to the real implementations) ---------------
-    # The real ExecutionContext methods only use self.processor and
+    # These ExecutionContext methods only use self.processor and
     # self.profile, so they run unmodified against the recording processor
-    # and return the decoded data values.
+    # and return the decoded data values.  (``read_fields`` keeps per-context
+    # plans and is not part of a scan's surface.)
     from .context import ExecutionContext as _Ctx
     read_column_batch = _Ctx.read_column_batch
     read_column_group_batch = _Ctx.read_column_group_batch
-    read_fields = _Ctx.read_fields
     read_record = _Ctx.read_record
     _charge_nsm_stride = _Ctx._charge_nsm_stride
-    _touch_pax_record = _Ctx._touch_pax_record
+    _touch_record = _Ctx._touch_record
     del _Ctx
 
 

@@ -1,48 +1,55 @@
 /* Native hardware automata and charging fast paths.
  *
- * Ownership rule: each automaton has exactly one owner of its state,
- * decided once, when the Python object is constructed.  With this module
- * loaded, ``repro.hardware.cache.Cache``, ``tlb.TLB`` and
- * ``branch.BranchPredictor`` each hold one of the state objects defined
- * here and delegate every method to it; without it they are the pure-Python
- * automata (the oracle of the differential suites and the fallback).  The
- * two are never mixed: nothing in this file reads or writes a Python
- * container on a state-transition path.
+ * Ownership rule: everything a charged operation reads, changes or counts
+ * has exactly one owner, decided once, when the Python object is
+ * constructed.  With this module loaded, ``repro.hardware.cache.Cache``,
+ * ``tlb.TLB`` and ``branch.BranchPredictor`` each hold one of the state
+ * objects defined here and delegate every method to it; without it they are
+ * the pure-Python automata (the oracle of the differential suites and the
+ * fallback).  The two are never mixed: a charged operation
+ * (``Segment.visit``, ``Context.workspace``, ``Machine.charged_strided`` /
+ * ``charged_fields`` / ``fetch_run`` / ``conjunct``) touches no Python
+ * object beyond parsing its arguments and building its return value.
  *
  *   CacheState   int64 tags[num_sets * assoc], MRU first within a set; one
  *                dirty byte per way; a fill count per set; an owned
- *                reference to the next level's CacheState.
- *   TLBState     an MRU-ordered page array of ``entries`` slots.
+ *                reference to the next level's CacheState; its statistics
+ *                (per-port accesses and misses, write-backs, invalidations).
+ *   TLBState     an MRU-ordered page array of ``entries`` slots; accesses
+ *                and misses.
  *   BTBState     per way a tag, a history register and 1 << history_bits
- *                two-bit counters; per set an MRU-ordered array of way slots.
- *   Machine      one processor's automata plus what a charging call folds
- *                into: owned references to the six state objects, to their
- *                Python wrappers (the ``stats`` holders) and to the user
- *                counter bank; the two front-end scalars every fetch
- *                advances; the processor itself is only borrowed.
- *   Context      one ExecutionContext's visit constants and visit
- *                bookkeeping (visit counter, cursors, carry) over a Machine.
- *   Segment      one code segment's visit constants (plain scalars).
+ *                two-bit counters; per set an MRU-ordered array of way
+ *                slots; the predictor's five statistics.
+ *   Machine      one processor's six automata, its user-mode event-counter
+ *                bank (a ``long`` per event of ``EVENTS``), the two
+ *                front-end scalars every fetch advances and the
+ *                OS-interference clock; the processor is only borrowed.
+ *   Context      one ExecutionContext's visit constants and bookkeeping
+ *                (visit counter, cursors, carry, the state of the
+ *                alternating / rare branch sites) over a Machine.
+ *   Segment      one code segment's visit constants, its invocation count
+ *                and its ``visit`` entry point over a Context.
  *
- * Why nothing dangles: a state object is reference counted like any Python
- * object, a level owns its next level, a Machine owns its six states and a
- * Context owns its Machine, so the arrays live as long as anything can
- * reach them and are freed in ``tp_dealloc``.  No cycle exists: a next
- * level must exist before the level above it, a state never refers to its
- * wrapper, and the one back reference (Machine -> processor, for the
- * OS-clock callback) is borrowed -- the processor owns its Machine, so the
- * borrow cannot outlive its target.
+ * Python reads and writes through: a wrapper's ``stats`` is a view of the
+ * members below, ``EventCounters.user`` of a native processor a view of the
+ * Machine's bank (``counter`` / ``set_counter`` / ``counters`` / ``add``),
+ * the scalars ``native.delegated`` properties over struct members.  Events
+ * are counted where they happen, so there is nothing to fold when an
+ * operation ends and nothing to discard when the interrupt handler -- the
+ * one call back into Python, made only on a visit in which an interrupt
+ * fires -- raises.
+ *
+ * Why nothing dangles: a level owns its next level, a Machine its six
+ * states, a Context its Machine and a Segment its Context, so the arrays
+ * live as long as anything can reach them and are freed in ``tp_dealloc``.
+ * No cycle exists: nothing here refers to a Python wrapper, and the one back
+ * reference (Machine -> processor, for the interrupt handler) is borrowed
+ * from the object that owns the Machine.
  *
  * Every transition is a transcription of the Python reference (``cache.py``
- * ``_access_line``, ``tlb.py`` ``access``, ``branch.py``
- * ``execute``); ``snapshot()`` returns the canonical Python shape of a
- * state and is the only surface the differential tests compare.
- *
- * Statistics stay in the Python ``stats`` objects.  A cache level counts
- * the events of one call in its ``pend`` block, exactly where the Python
- * code increments ``stats``, and the entry point folds the block into
- * ``wrapper.stats`` before it returns (the adds commute, so once per call
- * changes no total).
+ * ``_access_line``, ``tlb.py`` ``access_bulk``, ``branch.py`` ``execute``,
+ * ``os_interference.py`` ``note_instructions``); ``snapshot()`` and the
+ * statistics are the surface the differential tests compare.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -62,21 +69,36 @@
 #define PORT_INSTRUCTION 2
 #define HASH_CONSTANT 2654435761UL
 
-/* Interned attribute / counter-key strings (created at module init). */
-static PyObject *s_stats, *s_native, *s_next_level;
-static PyObject *s_accesses, *s_misses, *s_writebacks;
-static PyObject *s_branches, *s_taken, *s_mispredictions, *s_btb_hits, *s_btb_misses;
-static PyObject *s_advance_os_clock;
-static PyObject *k_IFU_IFETCH, *k_IFU_IFETCH_MISS, *k_L2_IFETCH, *k_L2_IFETCH_MISS;
-static PyObject *k_ITLB_MISS, *k_INST_RETIRED, *k_INST_DECODED, *k_UOPS_RETIRED;
-static PyObject *k_DATA_MEM_REFS, *k_PARTIAL_RAT_STALLS, *k_FU_CONTENTION_STALLS;
-static PyObject *k_ILD_STALL, *k_RESOURCE_STALLS, *k_DTLB_MISS, *k_DCU_LINES_IN;
-static PyObject *k_L2_DATA_RQSTS, *k_L2_DATA_MISS, *k_BR_INST_RETIRED;
-static PyObject *k_BR_TAKEN_RETIRED, *k_BR_MISS_PRED_RETIRED, *k_BTB_MISSES;
+/* The event vocabulary (``counters.EVENT_NAMES``, in that order; exported as
+ * ``EVENT_NAMES`` so the two lists can be compared). */
+#define EVENTS(X)                                                          \
+    X(CPU_CLK_UNHALTED) X(INST_RETIRED) X(UOPS_RETIRED) X(INST_DECODED)    \
+    X(DATA_MEM_REFS) X(DCU_LINES_IN) X(IFU_IFETCH) X(IFU_IFETCH_MISS)      \
+    X(IFU_MEM_STALL) X(ILD_STALL) X(L2_RQSTS) X(L2_DATA_RQSTS)             \
+    X(L2_IFETCH) X(L2_LINES_IN) X(L2_DATA_MISS) X(L2_IFETCH_MISS)          \
+    X(ITLB_MISS) X(DTLB_MISS) X(BR_INST_RETIRED) X(BR_TAKEN_RETIRED)       \
+    X(BR_MISS_PRED_RETIRED) X(BTB_MISSES) X(RESOURCE_STALLS)               \
+    X(PARTIAL_RAT_STALLS) X(FU_CONTENTION_STALLS) X(BUS_TRAN_MEM)          \
+    X(BUS_DRDY_CLOCKS) X(MEMORY_LATENCY_CYCLES) X(OS_INTERRUPTS)           \
+    X(RECORDS_PROCESSED)
+
+#define X(name) EV_##name,
+enum { EVENTS(X) N_EVENTS };
+#undef X
+#define X(name) #name,
+static const char *const event_names[N_EVENTS] = { EVENTS(X) };
+#undef X
+_Static_assert(N_EVENTS <= 64, "Machine.assigned holds one bit per event");
+
+static PyObject *event_index;  /* interned event name -> bank index */
+static PyObject *event_key[N_EVENTS];  /* the names, interned */
+static PyObject *s_service_interrupts;
 
 /* Method-table cast through ``void (*)(void)``: the functions below take
  * their own object type as ``self`` (quiet under -Wcast-function-type). */
 #define METHOD(function) ((PyCFunction)(void (*)(void))(function))
+/* A struct member Python reads and writes under the member's own name. */
+#define MEMBER(type, name, kind, doc) {#name, kind, offsetof(type, name), 0, doc}
 
 /* ------------------------------------------------------ argument helpers */
 
@@ -112,106 +134,9 @@ check_geometry(const char *what, long value, long limit)
     return -1;
 }
 
-/* ------------------------------------------------------------ fold helpers */
-
-static int
-dict_add(PyObject *d, PyObject *key, long delta)
-{
-    if (!delta)
-        return 0;
-    PyObject *cur = PyDict_GetItemWithError(d, key);  /* borrowed */
-    if (cur == NULL && PyErr_Occurred())
-        return -1;
-    long value = delta;
-    if (cur != NULL) {
-        value += PyLong_AsLong(cur);
-        if (PyErr_Occurred())
-            return -1;
-    }
-    PyObject *obj = PyLong_FromLong(value);
-    if (obj == NULL)
-        return -1;
-    int rc = PyDict_SetItem(d, key, obj);
-    Py_DECREF(obj);
-    return rc;
-}
-
-static long
-get_long_attr(PyObject *obj, PyObject *name, int *err)
-{
-    PyObject *v = PyObject_GetAttr(obj, name);
-    if (v == NULL) { *err = 1; return 0; }
-    long out = PyLong_AsLong(v);
-    Py_DECREF(v);
-    if (out == -1 && PyErr_Occurred()) { *err = 1; return 0; }
-    return out;
-}
-
-static int
-set_long_attr(PyObject *obj, PyObject *name, long value)
-{
-    PyObject *v = PyLong_FromLong(value);
-    if (v == NULL)
-        return -1;
-    int rc = PyObject_SetAttr(obj, name, v);
-    Py_DECREF(v);
-    return rc;
-}
-
-static int
-attr_add_long(PyObject *obj, PyObject *name, long delta)
-{
-    if (!delta)
-        return 0;
-    int err = 0;
-    long cur = get_long_attr(obj, name, &err);
-    if (err)
-        return -1;
-    return set_long_attr(obj, name, cur + delta);
-}
-
-/* ``stats.<name>[port] += delta`` for port 0..2 of a per-port list. */
-static int
-port_list_add(PyObject *stats, PyObject *name, const long *deltas)
-{
-    if (!deltas[0] && !deltas[1] && !deltas[2])
-        return 0;
-    PyObject *list = PyObject_GetAttr(stats, name);
-    if (list == NULL)
-        return -1;
-    int rc = -1;
-    if (!PyList_Check(list) || PyList_GET_SIZE(list) < 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "cache statistics must be per-port lists of three");
-        goto done;
-    }
-    for (int port = 0; port < 3; port++) {
-        if (!deltas[port])
-            continue;
-        long cur = PyLong_AsLong(PyList_GET_ITEM(list, port));
-        if (cur == -1 && PyErr_Occurred())
-            goto done;
-        PyObject *obj = PyLong_FromLong(cur + deltas[port]);
-        if (obj == NULL)
-            goto done;
-        PyList_SetItem(list, port, obj);  /* steals obj */
-    }
-    rc = 0;
-done:
-    Py_DECREF(list);
-    return rc;
-}
-
 /* ======================================================================= */
 /* Cache level                                                              */
 /* ======================================================================= */
-
-/* Events of the call in progress, per port as ``CacheStats`` keeps them. */
-typedef struct {
-    long accesses[3];
-    long misses[3];
-    long writebacks;
-} Pending;
 
 typedef struct CacheState {
     PyObject_HEAD
@@ -221,7 +146,9 @@ typedef struct CacheState {
     long num_sets, set_mask, assoc, line_shift;
     int write_back;
     struct CacheState *next;  /* owned; NULL on the last level */
-    Pending pend;
+    /* Cumulative statistics, per port as ``CacheStats`` keeps them; counted
+     * exactly where the Python code increments ``stats``. */
+    long accesses[3], misses[3], writebacks, invalidations;
 } CacheState;
 
 static PyTypeObject CacheStateType;
@@ -260,7 +187,7 @@ set_probe(int64_t *tags, uint8_t *dirty, long n, int64_t line)
 static int
 cache_access_line(CacheState *c, int64_t line, int port, int write)
 {
-    c->pend.accesses[port]++;
+    c->accesses[port]++;
     long set_index = (long)(line & c->set_mask);
     int64_t *tags = c->tags + set_index * c->assoc;
     uint8_t *dirty = c->dirty + set_index * c->assoc;
@@ -270,7 +197,7 @@ cache_access_line(CacheState *c, int64_t line, int port, int write)
             dirty[0] = 1;
         return 0;
     }
-    c->pend.misses[port]++;
+    c->misses[port]++;
     CacheState *next = c->next;
     if (next != NULL)
         /* Fill request: a read regardless of the original direction
@@ -281,7 +208,7 @@ cache_access_line(CacheState *c, int64_t line, int port, int write)
     if (n >= c->assoc) {
         n--;
         if (dirty[n]) {
-            c->pend.writebacks++;
+            c->writebacks++;
             if (next != NULL)  /* the write-back installs the line there */
                 cache_access_line(next, tags[n], PORT_DATA_WRITE, 1);
         }
@@ -298,65 +225,23 @@ cache_access_line(CacheState *c, int64_t line, int port, int write)
 }
 
 /* ``count`` elements of ``size`` bytes, ``stride`` apart, every line each
- * element spans, in ascending order (``Cache.access_strided``). */
-static void
+ * element spans, in ascending order (``Cache.access_strided``); returns this
+ * level's misses. */
+static long
 cache_strided(CacheState *c, long addr, long stride, long count, long size,
               int port, int write)
 {
     long span = (size > 1 ? size : 1) - 1;
     long shift = c->line_shift;
     long element = addr;
+    long before = c->misses[port];
     for (long k = 0; k < count; k++) {
         long last = (element + span) >> shift;
         for (long line = element >> shift; line <= last; line++)
             cache_access_line(c, line, port, write);
         element += stride;
     }
-}
-
-/* Fold one level's pending events into ``wrapper.stats`` (a ``CacheStats``;
- * fetched per call, ``reset_stats`` rebinds it). */
-static int
-cache_fold_into(CacheState *c, PyObject *wrapper)
-{
-    Pending p = c->pend;
-    memset(&c->pend, 0, sizeof(Pending));
-    PyObject *stats = PyObject_GetAttr(wrapper, s_stats);
-    if (stats == NULL)
-        return -1;
-    int rc = 0;
-    if (port_list_add(stats, s_accesses, p.accesses) < 0
-            || port_list_add(stats, s_misses, p.misses) < 0
-            || attr_add_long(stats, s_writebacks, p.writebacks) < 0)
-        rc = -1;
-    Py_DECREF(stats);
-    return rc;
-}
-
-/* Fold a whole chain: level k's events into the ``stats`` of the k-th
- * wrapper along ``wrapper.next_level``.  Events of a level whose wrapper is
- * gone are dropped with it. */
-static int
-cache_fold_chain(CacheState *c, PyObject *wrapper)
-{
-    int rc = 0;
-    Py_INCREF(wrapper);
-    for (; c != NULL; c = c->next) {
-        if (rc < 0 || wrapper == Py_None) {
-            memset(&c->pend, 0, sizeof(Pending));
-            continue;
-        }
-        rc = cache_fold_into(c, wrapper);
-        if (rc == 0 && c->next != NULL) {
-            PyObject *below = PyObject_GetAttr(wrapper, s_next_level);
-            if (below == NULL)
-                rc = -1;
-            else
-                Py_SETREF(wrapper, below);
-        }
-    }
-    Py_DECREF(wrapper);
-    return rc;
+    return c->misses[port] - before;
 }
 
 static int
@@ -433,52 +318,47 @@ CacheState_dealloc(PyObject *self)
     Py_TYPE(self)->tp_free(self);
 }
 
-/* strided(wrapper, addr, stride, count, size, port, write) -> misses */
+/* strided(addr, stride, count, size, port, write) -> misses */
 static PyObject *
 CacheState_strided(CacheState *c, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_nargs("strided", nargs, 7) < 0)
+    if (check_nargs("strided", nargs, 6) < 0)
         return NULL;
-    long addr = PyLong_AsLong(args[1]);
-    long stride = PyLong_AsLong(args[2]);
-    long count = PyLong_AsLong(args[3]);
-    long size = PyLong_AsLong(args[4]);
-    if (PyErr_Occurred())
-        return NULL;
-    int port = port_arg(args[5]);
-    int write = PyObject_IsTrue(args[6]);
-    if (port < 0 || write < 0)
-        return NULL;
-    cache_strided(c, addr, stride, count, size, port, write);
-    long misses = c->pend.misses[port];
-    if (cache_fold_chain(c, args[0]) < 0)
-        return NULL;
-    return PyLong_FromLong(misses);
-}
-
-/* lines(wrapper, start_addr, step, count, port, write) -> misses
- * -- ``count`` line touches at byte addresses ``start + k * step``. */
-static PyObject *
-CacheState_lines(CacheState *c, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (check_nargs("lines", nargs, 6) < 0)
-        return NULL;
-    long addr = PyLong_AsLong(args[1]);
-    long step = PyLong_AsLong(args[2]);
-    long count = PyLong_AsLong(args[3]);
+    long addr = PyLong_AsLong(args[0]);
+    long stride = PyLong_AsLong(args[1]);
+    long count = PyLong_AsLong(args[2]);
+    long size = PyLong_AsLong(args[3]);
     if (PyErr_Occurred())
         return NULL;
     int port = port_arg(args[4]);
     int write = PyObject_IsTrue(args[5]);
     if (port < 0 || write < 0)
         return NULL;
+    return PyLong_FromLong(cache_strided(c, addr, stride, count, size, port,
+                                         write));
+}
+
+/* lines(start_addr, step, count, port, write) -> misses
+ * -- ``count`` line touches at byte addresses ``start + k * step``. */
+static PyObject *
+CacheState_lines(CacheState *c, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("lines", nargs, 5) < 0)
+        return NULL;
+    long addr = PyLong_AsLong(args[0]);
+    long step = PyLong_AsLong(args[1]);
+    long count = PyLong_AsLong(args[2]);
+    if (PyErr_Occurred())
+        return NULL;
+    int port = port_arg(args[3]);
+    int write = PyObject_IsTrue(args[4]);
+    if (port < 0 || write < 0)
+        return NULL;
+    long misses = 0;
     for (long k = 0; k < count; k++) {
-        cache_access_line(c, addr >> c->line_shift, port, write);
+        misses += cache_access_line(c, addr >> c->line_shift, port, write);
         addr += step;
     }
-    long misses = c->pend.misses[port];
-    if (cache_fold_chain(c, args[0]) < 0)
-        return NULL;
     return PyLong_FromLong(misses);
 }
 
@@ -519,6 +399,7 @@ cache_invalidate_all(CacheState *c)
 {
     long dropped = cache_resident(c);
     memset(c->fill, 0, (size_t)c->num_sets * sizeof(int32_t));
+    c->invalidations += dropped;
     return dropped;
 }
 
@@ -557,6 +438,7 @@ CacheState_invalidate_fraction(CacheState *c, PyObject *arg)
         dropped += n - keep;
         c->fill[s] = (int32_t)keep;  /* the victims' dirty bits go with them */
     }
+    c->invalidations += dropped;
     return PyLong_FromLong(dropped);
 }
 
@@ -598,20 +480,62 @@ fail:
 
 static PyMethodDef CacheState_methods[] = {
     {"strided", METHOD(CacheState_strided), METH_FASTCALL,
-     "Bulk strided access; folds statistics, returns this level's misses."},
+     "Bulk strided access; returns this level's misses."},
     {"lines", METHOD(CacheState_lines), METH_FASTCALL,
-     "Bulk line-run access; folds statistics, returns this level's misses."},
+     "Bulk line-run access; returns this level's misses."},
     {"contains", METHOD(CacheState_contains), METH_O,
      "True when the line holding the address is resident."},
     {"resident_lines", METHOD(CacheState_resident_lines), METH_NOARGS,
      "Number of resident lines."},
     {"invalidate_all", METHOD(CacheState_invalidate_all), METH_NOARGS,
-     "Drop every line; returns how many."},
+     "Drop every line; counts and returns how many."},
     {"invalidate_fraction", METHOD(CacheState_invalidate_fraction), METH_O,
-     "Drop the LRU share of every set; returns how many lines."},
+     "Drop the LRU share of every set; counts and returns how many lines."},
     {"snapshot", METHOD(CacheState_snapshot), METH_NOARGS,
      "(MRU-ordered line lists, dirty sets), one entry per set."},
     {NULL, NULL, 0, NULL},
+};
+
+/* The per-port statistics (``accesses`` / ``misses``) read as a 3-tuple --
+ * an item assignment into it raises instead of being lost -- and are
+ * assigned as any sequence of three; ``closure`` is the array's offset. */
+static PyObject *
+CacheState_get_ports(CacheState *c, void *closure)
+{
+    const long *ports = (const long *)((char *)c + (size_t)closure);
+    return Py_BuildValue("(lll)", ports[0], ports[1], ports[2]);
+}
+
+static int
+CacheState_set_ports(CacheState *c, PyObject *value, void *closure)
+{
+    long ports[3];
+    if (value == NULL) {
+        PyErr_SetString(PyExc_TypeError, "statistics cannot be deleted");
+        return -1;
+    }
+    PyObject *triple = PySequence_Tuple(value);
+    int ok = triple != NULL && PyArg_ParseTuple(
+        triple, "lll;per-port statistics are three integers",
+        &ports[0], &ports[1], &ports[2]);
+    Py_XDECREF(triple);
+    if (ok)
+        memcpy((char *)c + (size_t)closure, ports, sizeof(ports));
+    return ok ? 0 : -1;
+}
+
+static PyGetSetDef CacheState_getset[] = {
+    {"accesses", (getter)CacheState_get_ports, (setter)CacheState_set_ports,
+     "Accesses per port.", (void *)offsetof(CacheState, accesses)},
+    {"misses", (getter)CacheState_get_ports, (setter)CacheState_set_ports,
+     "Misses per port.", (void *)offsetof(CacheState, misses)},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyMemberDef CacheState_members[] = {
+    MEMBER(CacheState, writebacks, T_LONG, "Dirty victims written back."),
+    MEMBER(CacheState, invalidations, T_LONG, "Lines dropped by invalidation."),
+    {NULL, 0, 0, 0, NULL},
 };
 
 static PyTypeObject CacheStateType = {
@@ -620,8 +544,10 @@ static PyTypeObject CacheStateType = {
     .tp_basicsize = sizeof(CacheState),
     .tp_dealloc = CacheState_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Flat-array state of one set-associative LRU cache level.",
+    .tp_doc = "Flat-array state and statistics of one set-associative LRU cache level.",
     .tp_methods = CacheState_methods,
+    .tp_members = CacheState_members,
+    .tp_getset = CacheState_getset,
     .tp_new = CacheState_new,
 };
 
@@ -633,14 +559,17 @@ typedef struct {
     PyObject_HEAD
     int64_t *pages;  /* MRU first */
     long fill, capacity, page_shift;
+    long accesses, misses;  /* cumulative statistics (``TLBStats``) */
 } TLBState;
 
 static PyTypeObject TLBStateType;
 
-/* One ``TLB.access`` transition; returns 1 on a miss. */
+/* ``TLB.access_bulk``: ``count`` same-page accesses are ``count``
+ * consultations, one transition and at most one miss; returns 1 on a miss. */
 static inline int
-tlb_touch(TLBState *t, int64_t page)
+tlb_access(TLBState *t, int64_t page, long count)
 {
+    t->accesses += count;
     int64_t *pages = t->pages;
     long n = t->fill;
     if (n && pages[0] == page)
@@ -656,6 +585,7 @@ tlb_touch(TLBState *t, int64_t page)
         t->fill = ++n;  /* else the LRU entry falls off the end */
     memmove(pages + 1, pages, (size_t)(n - 1) * sizeof(int64_t));
     pages[0] = page;
+    t->misses++;
     return 1;
 }
 
@@ -694,14 +624,17 @@ TLBState_dealloc(PyObject *self)
     Py_TYPE(self)->tp_free(self);
 }
 
-/* touch(addr) -> 1 on a miss, 0 on a hit */
+/* access(addr, count) -> 1 on a miss, 0 on a hit (``count`` >= 1) */
 static PyObject *
-TLBState_touch(TLBState *t, PyObject *arg)
+TLBState_access(TLBState *t, PyObject *const *args, Py_ssize_t nargs)
 {
-    long addr = PyLong_AsLong(arg);
-    if (addr == -1 && PyErr_Occurred())
+    if (check_nargs("access", nargs, 2) < 0)
         return NULL;
-    return PyLong_FromLong(tlb_touch(t, addr >> t->page_shift));
+    long addr = PyLong_AsLong(args[0]);
+    long count = PyLong_AsLong(args[1]);
+    if (PyErr_Occurred())
+        return NULL;
+    return PyLong_FromLong(tlb_access(t, addr >> t->page_shift, count));
 }
 
 static PyObject *
@@ -755,8 +688,8 @@ TLBState_snapshot(TLBState *t, PyObject *ignored)
 }
 
 static PyMethodDef TLBState_methods[] = {
-    {"touch", METHOD(TLBState_touch), METH_O,
-     "Translate an address; returns 1 on a miss."},
+    {"access", METHOD(TLBState_access), METH_FASTCALL,
+     "Translate `count` same-page accesses; returns 1 on a miss."},
     {"contains", METHOD(TLBState_contains), METH_O,
      "True when the page holding the address is resident."},
     {"resident_pages", METHOD(TLBState_resident_pages), METH_NOARGS,
@@ -768,14 +701,21 @@ static PyMethodDef TLBState_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+static PyMemberDef TLBState_members[] = {
+    MEMBER(TLBState, accesses, T_LONG, "Consultations."),
+    MEMBER(TLBState, misses, T_LONG, "Misses."),
+    {NULL, 0, 0, 0, NULL},
+};
+
 static PyTypeObject TLBStateType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.hardware._cachesim.TLBState",
     .tp_basicsize = sizeof(TLBState),
     .tp_dealloc = TLBState_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "MRU-ordered page array of one fully associative LRU TLB.",
+    .tp_doc = "MRU-ordered page array and statistics of one fully associative LRU TLB.",
     .tp_methods = TLBState_methods,
+    .tp_members = TLBState_members,
     .tp_new = TLBState_new,
 };
 
@@ -792,13 +732,11 @@ typedef struct {
     int32_t *fill;      /* per set: resident ways; they occupy slots 0..fill-1 */
     long num_sets, set_mask, assoc, history_bits, history_mask;
     int static_backward;
+    /* Cumulative statistics (``BranchStats``). */
+    long branches, taken, mispredictions, btb_hits, btb_misses;
 } BTBState;
 
 static PyTypeObject BTBStateType;
-
-typedef struct {
-    long branches, taken, mispredictions, btb_hits, btb_misses;
-} BranchDeltas;
 
 /* ``_BTBEntry.update``: saturate the two-bit counter, shift the history. */
 static inline void
@@ -818,11 +756,10 @@ btb_update(BTBState *b, long slot, int taken)
 
 /* ``BranchPredictor.execute``; returns 1 when mispredicted. */
 static int
-btb_execute(BTBState *b, long site_addr, int taken, int backward,
-            BranchDeltas *bd)
+btb_execute(BTBState *b, long site_addr, int taken, int backward)
 {
-    bd->branches++;
-    bd->taken += taken;
+    b->branches++;
+    b->taken += taken;
     int64_t site = site_addr >> 4;
     long set_index = (long)(site & b->set_mask);
     int32_t *order = b->order + set_index * b->assoc;
@@ -833,7 +770,7 @@ btb_execute(BTBState *b, long site_addr, int taken, int backward,
     while (i < n && b->tags[base + order[i]] != site)
         i++;
     if (i < n) {
-        bd->btb_hits++;
+        b->btb_hits++;
         int32_t way = order[i];
         long slot = base + way;
         prediction = b->counters[(slot << b->history_bits)
@@ -843,7 +780,7 @@ btb_execute(BTBState *b, long site_addr, int taken, int backward,
         btb_update(b, slot, taken);
     }
     else {
-        bd->btb_misses++;
+        b->btb_misses++;
         prediction = b->static_backward ? backward : 0;
         if (taken) {
             /* Only taken branches allocate; a full set recycles its LRU
@@ -867,7 +804,7 @@ btb_execute(BTBState *b, long site_addr, int taken, int backward,
         }
     }
     int mispredicted = prediction != taken;
-    bd->mispredictions += mispredicted;
+    b->mispredictions += mispredicted;
     return mispredicted;
 }
 
@@ -924,7 +861,7 @@ BTBState_dealloc(PyObject *self)
     Py_TYPE(self)->tp_free(self);
 }
 
-/* execute(site_addr, taken, backward) -> bit 0 mispredicted, bit 1 BTB hit */
+/* execute(site_addr, taken, backward) -> True when mispredicted */
 static PyObject *
 BTBState_execute(BTBState *b, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -937,9 +874,7 @@ BTBState_execute(BTBState *b, PyObject *const *args, Py_ssize_t nargs)
     int backward = PyObject_IsTrue(args[2]);
     if (taken < 0 || backward < 0)
         return NULL;
-    BranchDeltas bd = {0, 0, 0, 0, 0};
-    int mispredicted = btb_execute(b, site_addr, taken, backward, &bd);
-    return PyLong_FromLong(mispredicted | (bd.btb_hits ? 2 : 0));
+    return PyBool_FromLong(btb_execute(b, site_addr, taken, backward));
 }
 
 static PyObject *
@@ -1004,7 +939,7 @@ fail:
 
 static PyMethodDef BTBState_methods[] = {
     {"execute", METHOD(BTBState_execute), METH_FASTCALL,
-     "Execute one branch; bit 0 mispredicted, bit 1 BTB hit."},
+     "Execute one branch; True when mispredicted."},
     {"resident_entries", METHOD(BTBState_resident_entries), METH_NOARGS,
      "Number of allocated BTB entries."},
     {"flush", METHOD(BTBState_flush), METH_NOARGS,
@@ -1014,19 +949,29 @@ static PyMethodDef BTBState_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+static PyMemberDef BTBState_members[] = {
+    MEMBER(BTBState, branches, T_LONG, NULL),
+    MEMBER(BTBState, taken, T_LONG, NULL),
+    MEMBER(BTBState, mispredictions, T_LONG, NULL),
+    MEMBER(BTBState, btb_hits, T_LONG, NULL),
+    MEMBER(BTBState, btb_misses, T_LONG, NULL),
+    {NULL, 0, 0, 0, NULL},
+};
+
 static PyTypeObject BTBStateType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.hardware._cachesim.BTBState",
     .tp_basicsize = sizeof(BTBState),
     .tp_dealloc = BTBState_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Two-level adaptive predictor state behind a set-associative BTB.",
+    .tp_doc = "Two-level adaptive predictor state and statistics behind a set-associative BTB.",
     .tp_methods = BTBState_methods,
+    .tp_members = BTBState_members,
     .tp_new = BTBState_new,
 };
 
 /* ======================================================================= */
-/* Machine: one processor's automata and the charged operations over them   */
+/* Machine: one processor's automata, counters, clock and charged operations */
 /* ======================================================================= */
 
 typedef struct {
@@ -1034,175 +979,76 @@ typedef struct {
     CacheState *l1d, *l1i, *l2;  /* owned */
     TLBState *dtlb, *itlb;       /* owned */
     BTBState *btb;               /* owned */
-    /* The Python wrappers, owned: their ``stats`` objects rebind on
-     * ``reset_stats`` and are fetched per call. */
-    PyObject *l1d_obj, *l1i_obj, *l2_obj, *dtlb_obj, *itlb_obj, *branch_obj;
-    PyObject *user;              /* counters.user dict, owned */
     double l1i_stall_cost, l2i_stall_cost;
-    int has_os;                  /* an OS-interference model is attached */
     PyObject *processor;         /* borrowed: the processor owns this object */
+    /* The user-mode bank (``EventCounters.user`` is a view of it).  A key is
+     * present, as in the dict it stands for, once it was counted: the value
+     * is non-zero, or Python assigned it (one ``assigned`` bit per event). */
+    long user[N_EVENTS];
+    uint64_t assigned;
     /* Front-end scalars (``SimulatedProcessor._l1i_stall_cycles`` /
      * ``_last_instruction_page`` read and write these members). */
     double l1i_stall_cycles;
     long last_instruction_page;
+    /* The OS-interference clock (``OSInterference._since_last`` /
+     * ``interrupts`` read and write these members); interval 0: no model. */
+    long os_interval, os_since_last, os_interrupts;
 } Machine;
 
 static PyTypeObject MachineType;
 
-/* What one charged operation adds up before it folds, beside the cache
- * events pending in the three levels: TLB consultations, the predictor's
- * statistics, and the event counters that do not derive from those. */
-typedef struct {
-    long itlb_acc, itlb_miss, dtlb_acc, dtlb_miss;
-    BranchDeltas predictor;
-    long data_refs;
-    long instructions, uops, dep_stall, fu_stall, ild_stall, resource_stall;
-    long br_retired, br_taken, br_mispredicted, btb_misses;
-} Charge;
-
-static int
-fold_tlb(PyObject *tlb_obj, long accesses, long misses)
-{
-    if (!accesses && !misses)
-        return 0;
-    PyObject *stats = PyObject_GetAttr(tlb_obj, s_stats);
-    if (stats == NULL)
-        return -1;
-    int rc = 0;
-    if (attr_add_long(stats, s_accesses, accesses) < 0
-            || attr_add_long(stats, s_misses, misses) < 0)
-        rc = -1;
-    Py_DECREF(stats);
-    return rc;
-}
-
-static int
-fold_branch(PyObject *branch_obj, const BranchDeltas *bd)
-{
-    if (!bd->branches)
-        return 0;
-    PyObject *stats = PyObject_GetAttr(branch_obj, s_stats);
-    if (stats == NULL)
-        return -1;
-    int rc = 0;
-    if (attr_add_long(stats, s_branches, bd->branches) < 0
-            || attr_add_long(stats, s_taken, bd->taken) < 0
-            || attr_add_long(stats, s_mispredictions, bd->mispredictions) < 0
-            || attr_add_long(stats, s_btb_hits, bd->btb_hits) < 0
-            || attr_add_long(stats, s_btb_misses, bd->btb_misses) < 0)
-        rc = -1;
-    Py_DECREF(stats);
-    return rc;
-}
-
-/* A charged operation that raised folds nothing; the next one must still
- * start from empty pending blocks. */
-static void
-machine_discard_pending(Machine *m)
-{
-    memset(&m->l1d->pend, 0, sizeof(Pending));
-    memset(&m->l1i->pend, 0, sizeof(Pending));
-    memset(&m->l2->pend, 0, sizeof(Pending));
-}
-
-/* Fold one charged operation, once: the event counters (those of the
- * caches read off the pending blocks -- the L2's per-port misses split
- * instruction fills from data traffic, exactly as the Python code's
- * ``l2.stats.misses`` deltas do), then each automaton's statistics.  Every
- * add commutes with everything the Python side does in between, the
- * OS-interrupt handler included (it touches the supervisor bank, the
- * ``invalidations`` statistic and the state objects), so folding at the end
- * of the operation changes no total. */
-static int
-machine_fold(Machine *m, const Charge *ch)
-{
-    const Pending *l1d = &m->l1d->pend, *l1i = &m->l1i->pend, *l2 = &m->l2->pend;
-    long l1i_misses = l1i->misses[PORT_INSTRUCTION];
-    long l1d_misses = l1d->misses[PORT_DATA_READ] + l1d->misses[PORT_DATA_WRITE];
-    PyObject *user = m->user;
-    if (dict_add(user, k_IFU_IFETCH, l1i->accesses[PORT_INSTRUCTION]) < 0
-            || dict_add(user, k_IFU_IFETCH_MISS, l1i_misses) < 0
-            || dict_add(user, k_L2_IFETCH, l1i_misses) < 0
-            || dict_add(user, k_L2_IFETCH_MISS, l2->misses[PORT_INSTRUCTION]) < 0
-            || dict_add(user, k_ITLB_MISS, ch->itlb_miss) < 0
-            || dict_add(user, k_INST_RETIRED, ch->instructions) < 0
-            || dict_add(user, k_INST_DECODED, ch->instructions) < 0
-            || dict_add(user, k_UOPS_RETIRED, ch->uops) < 0
-            || dict_add(user, k_DATA_MEM_REFS, ch->data_refs) < 0
-            || dict_add(user, k_PARTIAL_RAT_STALLS, ch->dep_stall) < 0
-            || dict_add(user, k_FU_CONTENTION_STALLS, ch->fu_stall) < 0
-            || dict_add(user, k_ILD_STALL, ch->ild_stall) < 0
-            || dict_add(user, k_RESOURCE_STALLS, ch->resource_stall) < 0
-            || dict_add(user, k_DTLB_MISS, ch->dtlb_miss) < 0
-            || dict_add(user, k_DCU_LINES_IN, l1d_misses) < 0
-            || dict_add(user, k_L2_DATA_RQSTS, l1d_misses) < 0
-            || dict_add(user, k_L2_DATA_MISS, l2->misses[PORT_DATA_READ]
-                                             + l2->misses[PORT_DATA_WRITE]) < 0
-            || dict_add(user, k_BR_INST_RETIRED, ch->br_retired) < 0
-            || dict_add(user, k_BR_TAKEN_RETIRED, ch->br_taken) < 0
-            || dict_add(user, k_BR_MISS_PRED_RETIRED, ch->br_mispredicted) < 0
-            || dict_add(user, k_BTB_MISSES, ch->btb_misses) < 0
-            || cache_fold_into(m->l1i, m->l1i_obj) < 0
-            || cache_fold_into(m->l1d, m->l1d_obj) < 0
-            || cache_fold_into(m->l2, m->l2_obj) < 0
-            || fold_tlb(m->itlb_obj, ch->itlb_acc, ch->itlb_miss) < 0
-            || fold_tlb(m->dtlb_obj, ch->dtlb_acc, ch->dtlb_miss) < 0
-            || fold_branch(m->branch_obj, &ch->predictor) < 0) {
-        machine_discard_pending(m);
-        return -1;
-    }
-    return 0;
-}
-
 /* ``SimulatedProcessor.fetch_code_run``: ITLB per page transition, one L1I
  * line touch per line, per-run front-end stall accumulation (the stall is
  * added per run with misses: the float-accumulation order of the Python
- * code). */
-static void
-fetch_run_impl(Machine *m, Charge *ch, long line_addr, long count)
+ * code); returns the L1I misses. */
+static long
+fetch_run_impl(Machine *m, long line_addr, long count)
 {
     if (count <= 0)
-        return;
+        return 0;
     CacheState *l1i = m->l1i;
     TLBState *itlb = m->itlb;
     long line_bytes = 1L << l1i->line_shift;
     long first_page = line_addr >> itlb->page_shift;
     long last_line = line_addr + (count - 1) * line_bytes;
-    long miss_before = l1i->pend.misses[PORT_INSTRUCTION];
-    long fill_before = m->l2->pend.misses[PORT_INSTRUCTION];
-    if (first_page != m->last_instruction_page) {
-        ch->itlb_acc++;
-        ch->itlb_miss += tlb_touch(itlb, first_page);
-    }
+    long miss_before = l1i->misses[PORT_INSTRUCTION];
+    long fill_before = m->l2->misses[PORT_INSTRUCTION];
+    if (first_page != m->last_instruction_page)
+        m->user[EV_ITLB_MISS] += tlb_access(itlb, first_page, 1);
     long end_page = last_line >> itlb->page_shift;
-    for (long page = first_page + 1; page <= end_page; page++) {
-        ch->itlb_acc++;
-        ch->itlb_miss += tlb_touch(itlb, page);
-    }
+    for (long page = first_page + 1; page <= end_page; page++)
+        m->user[EV_ITLB_MISS] += tlb_access(itlb, page, 1);
     m->last_instruction_page = end_page;
     for (long k = 0; k < count; k++)
         cache_access_line(l1i, (line_addr + k * line_bytes) >> l1i->line_shift,
                           PORT_INSTRUCTION, 0);
-    long l1i_run = l1i->pend.misses[PORT_INSTRUCTION] - miss_before;
+    m->user[EV_IFU_IFETCH] += count;
+    long l1i_run = l1i->misses[PORT_INSTRUCTION] - miss_before;
     if (l1i_run) {
-        long l2i_run = m->l2->pend.misses[PORT_INSTRUCTION] - fill_before;
+        long l2i_run = m->l2->misses[PORT_INSTRUCTION] - fill_before;
         m->l1i_stall_cycles += (double)l1i_run * m->l1i_stall_cost
                                + (double)l2i_run * m->l2i_stall_cost;
+        m->user[EV_IFU_IFETCH_MISS] += l1i_run;
+        m->user[EV_L2_IFETCH] += l1i_run;
+        m->user[EV_L2_IFETCH_MISS] += l2i_run;
     }
+    return l1i_run;
 }
 
 /* ``data_read_strided``/``data_write_strided`` body: DTLB once per page-run
- * of elements, L1D automaton per line.  Degenerate strides (<= 0) revisit
- * the same element with one DTLB consultation each, which is what the
- * scalar ``data_read`` loop does -- same totals, same state. */
-static void
-data_strided_impl(Machine *m, Charge *ch, long addr, long stride, long count,
-                  long size, int write)
+ * of elements, L1D automaton per line; returns the L1D misses.  Degenerate
+ * strides (<= 0) revisit the same element with one DTLB consultation each,
+ * as the scalar ``data_read`` loop does -- same totals, same state. */
+static long
+data_strided_impl(Machine *m, long addr, long stride, long count, long size,
+                  int write)
 {
     long page_shift = m->dtlb->page_shift;
     int port = write ? PORT_DATA_WRITE : PORT_DATA_READ;
-    long position = 0;
-    ch->data_refs += count;
+    long position = 0, misses = 0;
+    long fill_before = m->l2->misses[PORT_DATA_READ]
+                       + m->l2->misses[PORT_DATA_WRITE];
+    m->user[EV_DATA_MEM_REFS] += count;
     while (position < count) {
         long element = stride > 0 ? addr + position * stride : addr;
         long run = 1;
@@ -1214,75 +1060,56 @@ data_strided_impl(Machine *m, Charge *ch, long addr, long stride, long count,
             if (run < 1)
                 run = 1;
         }
-        ch->dtlb_acc += run;
-        ch->dtlb_miss += tlb_touch(m->dtlb, element >> page_shift);
-        cache_strided(m->l1d, element, stride, run, size, port, write);
+        m->user[EV_DTLB_MISS] += tlb_access(m->dtlb, element >> page_shift, run);
+        misses += cache_strided(m->l1d, element, stride, run, size, port, write);
         position += run;
     }
+    if (misses) {
+        m->user[EV_DCU_LINES_IN] += misses;
+        m->user[EV_L2_DATA_RQSTS] += misses;
+        m->user[EV_L2_DATA_MISS] += m->l2->misses[PORT_DATA_READ]
+                                    + m->l2->misses[PORT_DATA_WRITE]
+                                    - fill_before;
+    }
+    return misses;
 }
 
 /* ---------------------------------------------------------------- object */
 
-/* Take ``wrapper._native`` as a state object of ``type`` (new reference). */
-static PyObject *
-native_state_of(PyObject *wrapper, PyTypeObject *type)
-{
-    PyObject *state = PyObject_GetAttr(wrapper, s_native);
-    if (state == NULL)
-        return NULL;
-    if (Py_TYPE(state) != type) {
-        PyErr_Format(PyExc_TypeError,
-                     "%R holds no native %s: native and pure-Python automata "
-                     "are never mixed in one processor", wrapper, type->tp_name);
-        Py_DECREF(state);
-        return NULL;
-    }
-    return state;
-}
-
-/* Machine(l1d, l1i, l2, dtlb, itlb, branch_unit, l1i_stall_cost,
- *         l2i_stall_cost, user_counters, has_os, processor) */
+/* Machine(l1d, l1i, l2, dtlb, itlb, btb, l1i_stall_cost, l2i_stall_cost,
+ *         os_interval_instructions, processor) -- the six *state* objects: a
+ * pure-Python automaton has none to give, so the two are never mixed. */
 static PyObject *
 Machine_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
-    PyObject *l1d, *l1i, *l2, *dtlb, *itlb, *branch, *user, *processor;
+    CacheState *l1d, *l1i, *l2;
+    TLBState *dtlb, *itlb;
+    BTBState *btb;
+    PyObject *processor;
     double l1i_stall_cost, l2i_stall_cost;
-    int has_os;
+    long os_interval;
     if (check_no_keywords("Machine", kwargs) < 0
-            || !PyArg_ParseTuple(args, "OOOOOOddO!pO", &l1d, &l1i, &l2, &dtlb,
-                                 &itlb, &branch, &l1i_stall_cost,
-                                 &l2i_stall_cost, &PyDict_Type, &user,
-                                 &has_os, &processor))
+            || !PyArg_ParseTuple(args, "O!O!O!O!O!O!ddlO", &CacheStateType, &l1d,
+                                 &CacheStateType, &l1i, &CacheStateType, &l2,
+                                 &TLBStateType, &dtlb, &TLBStateType, &itlb,
+                                 &BTBStateType, &btb, &l1i_stall_cost,
+                                 &l2i_stall_cost, &os_interval, &processor))
         return NULL;
+    if (l1d->next != l2 || l1i->next != l2 || os_interval < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "both L1 caches must fill from the given L2, and the "
+                        "interrupt interval cannot be negative");
+        return NULL;
+    }
     Machine *m = (Machine *)type->tp_alloc(type, 0);
     if (m == NULL)
         return NULL;
-#define STATE(field, ctype, wrapper, type_object)                          \
-    (m->field = (ctype *)native_state_of((wrapper), &(type_object))) != NULL
-    if (!(STATE(l1d, CacheState, l1d, CacheStateType)
-            && STATE(l1i, CacheState, l1i, CacheStateType)
-            && STATE(l2, CacheState, l2, CacheStateType)
-            && STATE(dtlb, TLBState, dtlb, TLBStateType)
-            && STATE(itlb, TLBState, itlb, TLBStateType)
-            && STATE(btb, BTBState, branch, BTBStateType))) {
-        Py_DECREF(m);
-        return NULL;
-    }
-#undef STATE
-    if (m->l1d->next != m->l2 || m->l1i->next != m->l2) {
-        PyErr_SetString(PyExc_ValueError,
-                        "both L1 caches must fill from the given L2");
-        Py_DECREF(m);
-        return NULL;
-    }
-#define OWN(field, obj) do { Py_INCREF(obj); m->field = (obj); } while (0)
-    OWN(l1d_obj, l1d); OWN(l1i_obj, l1i); OWN(l2_obj, l2);
-    OWN(dtlb_obj, dtlb); OWN(itlb_obj, itlb); OWN(branch_obj, branch);
-    OWN(user, user);
+#define OWN(field) do { Py_INCREF(field); m->field = field; } while (0)
+    OWN(l1d); OWN(l1i); OWN(l2); OWN(dtlb); OWN(itlb); OWN(btb);
 #undef OWN
     m->l1i_stall_cost = l1i_stall_cost;
     m->l2i_stall_cost = l2i_stall_cost;
-    m->has_os = has_os;
+    m->os_interval = os_interval;
     m->processor = processor;
     m->last_instruction_page = -1;
     return (PyObject *)m;
@@ -1294,17 +1121,12 @@ Machine_dealloc(PyObject *self)
     Machine *m = (Machine *)self;
     Py_XDECREF(m->l1d); Py_XDECREF(m->l1i); Py_XDECREF(m->l2);
     Py_XDECREF(m->dtlb); Py_XDECREF(m->itlb); Py_XDECREF(m->btb);
-    Py_XDECREF(m->l1d_obj); Py_XDECREF(m->l1i_obj); Py_XDECREF(m->l2_obj);
-    Py_XDECREF(m->dtlb_obj); Py_XDECREF(m->itlb_obj);
-    Py_XDECREF(m->branch_obj);
-    Py_XDECREF(m->user);
     Py_TYPE(self)->tp_free(self);
 }
 
-/* charged_strided(addr, stride, count, size, write) --
- * ``data_read_strided`` / ``data_write_strided`` (and their scalar
- * ``data_read``/``data_write`` special case) including DTLB, caches and
- * event counters; returns the L1D miss count. */
+/* charged_strided(addr, stride, count, size, write) -- ``data_read_strided``
+ * / ``data_write_strided`` (and their scalar special case) including DTLB,
+ * caches and event counters; returns the L1D miss count. */
 static PyObject *
 Machine_charged_strided(Machine *m, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1319,11 +1141,32 @@ Machine_charged_strided(Machine *m, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     if (count <= 0)
         return PyLong_FromLong(0);
-    Charge ch = {0};
-    data_strided_impl(m, &ch, addr, stride, count, size, write ? 1 : 0);
-    long misses = m->l1d->pend.misses[write ? PORT_DATA_WRITE : PORT_DATA_READ];
-    if (machine_fold(m, &ch) < 0)
+    return PyLong_FromLong(data_strided_impl(m, addr, stride, count, size,
+                                             write ? 1 : 0));
+}
+
+/* charged_fields(base, ((offset, width), ...)) -- the field loads of one
+ * record: ``data_read(base + offset, width)`` per field, in order; returns
+ * the L1D miss count. */
+static PyObject *
+Machine_charged_fields(Machine *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("charged_fields", nargs, 2) < 0)
         return NULL;
+    long base = PyLong_AsLong(args[0]);
+    if (base == -1 && PyErr_Occurred())
+        return NULL;
+    if (!PyTuple_Check(args[1])) {
+        PyErr_SetString(PyExc_TypeError, "fields must be a tuple of pairs");
+        return NULL;
+    }
+    long misses = 0;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(args[1]); i++) {
+        long offset, width;
+        if (!PyArg_ParseTuple(PyTuple_GET_ITEM(args[1], i), "ll", &offset, &width))
+            return NULL;
+        misses += data_strided_impl(m, base + offset, 0, 1, width, 0);
+    }
     return PyLong_FromLong(misses);
 }
 
@@ -1338,19 +1181,12 @@ Machine_fetch_run(Machine *m, PyObject *const *args, Py_ssize_t nargs)
     long count = PyLong_AsLong(args[1]);
     if (PyErr_Occurred())
         return NULL;
-    if (count <= 0)
-        return PyLong_FromLong(0);
-    Charge ch = {0};
-    fetch_run_impl(m, &ch, line_addr, count);
-    long misses = m->l1i->pend.misses[PORT_INSTRUCTION];
-    if (machine_fold(m, &ch) < 0)
-        return NULL;
-    return PyLong_FromLong(misses);
+    return PyLong_FromLong(fetch_run_impl(m, line_addr, count));
 }
 
 /* conjunct(address, outcomes) -- the per-row branch loop of
- * ``visit_conjunct_batch``; returns (taken, mispredictions, btb_misses)
- * for the caller's ``count_branches``. */
+ * ``visit_conjunct_batch`` and its ``count_branches``; returns
+ * (taken, mispredictions) for the adaptive collector. */
 static PyObject *
 Machine_conjunct(Machine *m, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1363,39 +1199,146 @@ Machine_conjunct(Machine *m, PyObject *const *args, Py_ssize_t nargs)
     if (seq == NULL)
         return NULL;
     Py_ssize_t count = PySequence_Fast_GET_SIZE(seq);
-    BranchDeltas bd = {0, 0, 0, 0, 0};
+    long taken_count = 0, mispredictions = 0;
+    long btb_before = m->btb->btb_misses;
     for (Py_ssize_t i = 0; i < count; i++) {
         int taken = PyObject_IsTrue(PySequence_Fast_GET_ITEM(seq, i));
-        if (taken < 0) {
-            Py_DECREF(seq);
-            return NULL;
-        }
-        btb_execute(m->btb, address, taken, 0, &bd);
+        if (taken < 0)
+            break;
+        taken_count += taken;
+        mispredictions += btb_execute(m->btb, address, taken, 0);
     }
     Py_DECREF(seq);
-    if (fold_branch(m->branch_obj, &bd) < 0)
+    if (PyErr_Occurred())
         return NULL;
-    return Py_BuildValue("(lll)", bd.taken, bd.mispredictions, bd.btb_misses);
+    m->user[EV_BR_INST_RETIRED] += count;
+    m->user[EV_BR_TAKEN_RETIRED] += taken_count;
+    m->user[EV_BR_MISS_PRED_RETIRED] += mispredictions;
+    m->user[EV_BTB_MISSES] += m->btb->btb_misses - btb_before;
+    return Py_BuildValue("(ll)", taken_count, mispredictions);
+}
+
+/* ----------------------------------------------- the user bank, from Python */
+
+/* Bank index of an event name; -1 when it is not one, with ``KeyError`` set
+ * if it is ``required`` to be. */
+static int
+event_of(PyObject *name, int required)
+{
+    PyObject *index = PyDict_GetItemWithError(event_index, name);  /* borrowed */
+    if (index != NULL)
+        return (int)PyLong_AsLong(index);
+    if (required && !PyErr_Occurred())
+        PyErr_SetObject(PyExc_KeyError, name);
+    return -1;
+}
+
+static inline int
+counter_present(const Machine *m, int event)
+{
+    return m->user[event] != 0 || (m->assigned >> event) & 1;
+}
+
+/* add(event, delta) -- ``bank[event] = bank.get(event, 0) + delta``, the
+ * write every Python-side counter update of a native processor goes
+ * through. */
+static PyObject *
+Machine_add(Machine *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("add", nargs, 2) < 0)
+        return NULL;
+    int event = event_of(args[0], 1);
+    long delta = PyLong_AsLong(args[1]);
+    if (event < 0 || (delta == -1 && PyErr_Occurred()))
+        return NULL;
+    m->user[event] += delta;
+    m->assigned |= (uint64_t)1 << event;
+    Py_RETURN_NONE;
+}
+
+/* counter(event, default) -> the count, or ``default`` for an absent key. */
+static PyObject *
+Machine_counter(Machine *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("counter", nargs, 2) < 0)
+        return NULL;
+    int event = event_of(args[0], 0);
+    if (event < 0 && PyErr_Occurred())
+        return NULL;
+    if (event < 0 || !counter_present(m, event))
+        return Py_NewRef(args[1]);
+    return PyLong_FromLong(m->user[event]);
+}
+
+/* set_counter(event, value) -- assign a count; ``None`` deletes the key. */
+static PyObject *
+Machine_set_counter(Machine *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("set_counter", nargs, 2) < 0)
+        return NULL;
+    int event = event_of(args[0], 1);
+    if (event < 0)
+        return NULL;
+    if (args[1] == Py_None) {
+        m->user[event] = 0;
+        m->assigned &= ~((uint64_t)1 << event);
+        Py_RETURN_NONE;
+    }
+    long value = PyLong_AsLong(args[1]);
+    if (value == -1 && PyErr_Occurred())
+        return NULL;
+    m->user[event] = value;
+    m->assigned |= (uint64_t)1 << event;
+    Py_RETURN_NONE;
+}
+
+/* counters() -> a new ``{event: count}`` dict of the present keys. */
+static PyObject *
+Machine_counters(Machine *m, PyObject *ignored)
+{
+    (void)ignored;
+    PyObject *out = PyDict_New();
+    for (int event = 0; out != NULL && event < N_EVENTS; event++) {
+        if (!counter_present(m, event))
+            continue;
+        PyObject *value = PyLong_FromLong(m->user[event]);
+        if (value == NULL || PyDict_SetItem(out, event_key[event], value) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(value);
+    }
+    return out;
 }
 
 static PyObject *Machine_context(Machine *m, PyObject *args);
 
 static PyMemberDef Machine_members[] = {
-    {"l1i_stall_cycles", T_DOUBLE, offsetof(Machine, l1i_stall_cycles), 0,
-     "Accumulated front-end stall cycles (IFU_MEM_STALL before rounding)."},
-    {"last_instruction_page", T_LONG, offsetof(Machine, last_instruction_page),
-     0, "Page of the last fetched instruction line (-1: none)."},
+    MEMBER(Machine, l1i_stall_cycles, T_DOUBLE,
+           "Accumulated front-end stall cycles (IFU_MEM_STALL before rounding)."),
+    MEMBER(Machine, last_instruction_page, T_LONG,
+           "Page of the last fetched instruction line (-1: none)."),
+    MEMBER(Machine, os_since_last, T_LONG,
+           "User instructions retired since the last interrupt."),
+    MEMBER(Machine, os_interrupts, T_LONG, "Interrupts fired so far."),
     {NULL, 0, 0, 0, NULL},
 };
 
 static PyMethodDef Machine_methods[] = {
-    {"charged_strided", METHOD(Machine_charged_strided),
-     METH_FASTCALL,
+    {"charged_strided", METHOD(Machine_charged_strided), METH_FASTCALL,
      "Charged strided data access (DTLB + caches + counters); returns misses."},
+    {"charged_fields", METHOD(Machine_charged_fields), METH_FASTCALL,
+     "Charged field loads of one record; returns misses."},
     {"fetch_run", METHOD(Machine_fetch_run), METH_FASTCALL,
      "Charged instruction-line run fetch (ITLB + L1I + counters); returns misses."},
     {"conjunct", METHOD(Machine_conjunct), METH_FASTCALL,
-     "Per-row conjunct branch loop; returns (taken, mispredictions, btb_misses)."},
+     "Charged per-row conjunct branch loop; returns (taken, mispredictions)."},
+    {"add", METHOD(Machine_add), METH_FASTCALL,
+     "Add to one user-mode event counter."},
+    {"counter", METHOD(Machine_counter), METH_FASTCALL,
+     "One user-mode event count, or the default when the key is absent."},
+    {"set_counter", METHOD(Machine_set_counter), METH_FASTCALL,
+     "Assign one user-mode event count; None deletes the key."},
+    {"counters", METHOD(Machine_counters), METH_NOARGS,
+     "A new dict of the user-mode event counts present."},
     {"context", METHOD(Machine_context), METH_VARARGS,
      "Bind an ExecutionContext's visit constants; returns a Context."},
     {NULL, NULL, 0, NULL},
@@ -1407,22 +1350,46 @@ static PyTypeObject MachineType = {
     .tp_basicsize = sizeof(Machine),
     .tp_dealloc = Machine_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "One processor's native automata and charged operations.",
+    .tp_doc = "One processor's native automata, counter bank, clock and charged operations.",
     .tp_methods = Machine_methods,
     .tp_members = Machine_members,
     .tp_new = Machine_new,
 };
 
 /* ======================================================================= */
-/* Segment and Context: the executor's routine visit                        */
+/* Context and Segment: the executor's routine visit                        */
 /* ======================================================================= */
+
+/* State of one alternating / rare branch site, keyed by its address as in
+ * ``ExecutionContext._site_state``; present there once ``touched``. */
+typedef struct {
+    long addr, state;
+    int touched;
+} SiteState;
+
+typedef struct {
+    PyObject_HEAD
+    Machine *machine;      /* owned */
+    long ws_base, ws_stride, ws_size, cold_base, cold_pool, line_bytes;
+    /* Visit bookkeeping (``ExecutionContext._visit_counter`` and friends
+     * read and write these members). */
+    long visit_counter, cold_cursor, workspace_cursor;
+    double bulk_carry;
+    SiteState *sites;      /* grows as segments with stateful sites bind */
+    long n_sites;
+} Context;
+
+static PyTypeObject ContextType;
 
 typedef struct {
     long kind, addr, weight;
+    long slot;  /* index into the context's ``sites`` (kinds 2 and 3) */
 } Site;
 
 typedef struct {
     PyObject_VAR_HEAD
+    Context *context;  /* owned */
+    long invocations;  /* ``ExecutionContext.op_invocations[operation]`` */
     long base, hot, cold, instructions, uops, data_refs;
     long dep, fu, ild, total_stall, touches, bulk, bulk_taken, bulk_btb;
     double bulk_expected;
@@ -1431,48 +1398,28 @@ typedef struct {
 
 static PyTypeObject SegmentType;
 
-typedef struct {
-    PyObject_HEAD
-    Machine *machine;      /* owned */
-    PyObject *site_state;  /* owned: the context's per-site state dict */
-    long ws_base, ws_stride, ws_size, cold_base, cold_pool, line_bytes;
-    /* Visit bookkeeping (``ExecutionContext._visit_counter`` and friends
-     * read and write these members). */
-    long visit_counter, cold_cursor, workspace_cursor;
-    double bulk_carry;
-} Context;
-
-static PyTypeObject ContextType;
-
 /* Machine.context(ws_base, ws_stride, ws_size, cold_base, cold_pool,
- *                 site_state, line_bytes) -> Context */
+ *                 line_bytes) -> Context */
 static PyObject *
 Machine_context(Machine *m, PyObject *args)
 {
-    PyObject *site_state;
-    long ws_base, ws_stride, ws_size, cold_base, cold_pool, line_bytes;
-    if (!PyArg_ParseTuple(args, "lllllO!l", &ws_base, &ws_stride, &ws_size,
-                          &cold_base, &cold_pool, &PyDict_Type, &site_state,
-                          &line_bytes))
-        return NULL;
-    if (ws_stride <= 0 || ws_stride >= ws_size || cold_pool <= 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "need 0 < workspace stride < size and a cold pool");
-        return NULL;
-    }
     Context *c = (Context *)ContextType.tp_alloc(&ContextType, 0);
     if (c == NULL)
         return NULL;
     Py_INCREF(m);
     c->machine = m;
-    Py_INCREF(site_state);
-    c->site_state = site_state;
-    c->ws_base = ws_base;
-    c->ws_stride = ws_stride;
-    c->ws_size = ws_size;
-    c->cold_base = cold_base;
-    c->cold_pool = cold_pool;
-    c->line_bytes = line_bytes;
+    if (!PyArg_ParseTuple(args, "llllll", &c->ws_base, &c->ws_stride,
+                          &c->ws_size, &c->cold_base, &c->cold_pool,
+                          &c->line_bytes)) {
+        Py_DECREF(c);
+        return NULL;
+    }
+    if (c->ws_stride <= 0 || c->ws_stride >= c->ws_size || c->cold_pool <= 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "need 0 < workspace stride < size and a cold pool");
+        Py_DECREF(c);
+        return NULL;
+    }
     return (PyObject *)c;
 }
 
@@ -1481,8 +1428,38 @@ Context_dealloc(PyObject *self)
 {
     Context *c = (Context *)self;
     Py_XDECREF(c->machine);
-    Py_XDECREF(c->site_state);
+    PyMem_Free(c->sites);
     Py_TYPE(self)->tp_free(self);
+}
+
+/* Slot of the site at ``addr`` in the context's table (appended on first
+ * sight); -1 with an exception set when memory runs out. */
+static long
+context_site_slot(Context *c, long addr)
+{
+    for (long i = 0; i < c->n_sites; i++) {
+        if (c->sites[i].addr == addr)
+            return i;
+    }
+    SiteState *grown = PyMem_Realloc(c->sites,
+                                     (size_t)(c->n_sites + 1) * sizeof(SiteState));
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    c->sites = grown;
+    grown[c->n_sites] = (SiteState){addr, 0, 0};
+    return c->n_sites++;
+}
+
+/* ``_site_outcome`` of an alternating (kind 2) or rare (kind 3) site. */
+static inline int
+stateful_site_outcome(SiteState *site, long kind)
+{
+    site->touched = 1;
+    if (kind == 2)
+        return (int)(site->state ^= 1);
+    return ++site->state % 64 == 0;
 }
 
 /* segment(handle_tuple) -> Segment; the handle is pure scalars:
@@ -1492,7 +1469,6 @@ Context_dealloc(PyObject *self)
 static PyObject *
 Context_segment(Context *c, PyObject *seg)
 {
-    (void)c;
     if (!PyTuple_Check(seg) || PyTuple_GET_SIZE(seg) != 16
             || !PyTuple_Check(PyTuple_GET_ITEM(seg, 15))) {
         PyErr_SetString(PyExc_TypeError, "segment handle must be a 16-tuple");
@@ -1503,25 +1479,19 @@ Context_segment(Context *c, PyObject *seg)
     Segment *s = (Segment *)SegmentType.tp_alloc(&SegmentType, n_sites);
     if (s == NULL)
         return NULL;
-#define FIELD(i) PyLong_AsLong(PyTuple_GET_ITEM(seg, (i)))
-    s->base = FIELD(0); s->hot = FIELD(1); s->cold = FIELD(2);
-    s->instructions = FIELD(3); s->uops = FIELD(4); s->data_refs = FIELD(5);
-    s->dep = FIELD(6); s->fu = FIELD(7); s->ild = FIELD(8);
-    s->total_stall = FIELD(9); s->touches = FIELD(10); s->bulk = FIELD(11);
-    s->bulk_taken = FIELD(12);
-    s->bulk_expected = PyFloat_AsDouble(PyTuple_GET_ITEM(seg, 13));
-    s->bulk_btb = FIELD(14);
-#undef FIELD
+    Py_INCREF(c);
+    s->context = c;
+    PyArg_ParseTuple(seg, "llllllllllllldlO", &s->base, &s->hot, &s->cold,
+                     &s->instructions, &s->uops, &s->data_refs, &s->dep, &s->fu,
+                     &s->ild, &s->total_stall, &s->touches, &s->bulk,
+                     &s->bulk_taken, &s->bulk_expected, &s->bulk_btb, &sites);
     for (Py_ssize_t i = 0; i < n_sites && !PyErr_Occurred(); i++) {
-        PyObject *site = PyTuple_GET_ITEM(sites, i);
-        if (!PyTuple_Check(site) || PyTuple_GET_SIZE(site) != 3) {
-            PyErr_SetString(PyExc_TypeError,
-                            "a branch site must be (kind, address, weight)");
+        Site *site = &s->sites[i];
+        if (!PyArg_ParseTuple(PyTuple_GET_ITEM(sites, i), "lll", &site->kind,
+                              &site->addr, &site->weight))
             break;
-        }
-        s->sites[i].kind = PyLong_AsLong(PyTuple_GET_ITEM(site, 0));
-        s->sites[i].addr = PyLong_AsLong(PyTuple_GET_ITEM(site, 1));
-        s->sites[i].weight = PyLong_AsLong(PyTuple_GET_ITEM(site, 2));
+        if (site->kind == 2 || site->kind == 3)
+            site->slot = context_site_slot(c, site->addr);
     }
     if (PyErr_Occurred()) {
         Py_DECREF(s);
@@ -1530,17 +1500,37 @@ Context_segment(Context *c, PyObject *seg)
     return (PyObject *)s;
 }
 
+/* site_state() -> a new ``{address: state}`` dict of the touched sites. */
+static PyObject *
+Context_site_state(Context *c, PyObject *ignored)
+{
+    (void)ignored;
+    PyObject *out = PyDict_New();
+    for (long i = 0; out != NULL && i < c->n_sites; i++) {
+        if (!c->sites[i].touched)
+            continue;
+        PyObject *addr = PyLong_FromLong(c->sites[i].addr);
+        PyObject *state = PyLong_FromLong(c->sites[i].state);
+        if (addr == NULL || state == NULL || PyDict_SetItem(out, addr, state) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(addr);
+        Py_XDECREF(state);
+    }
+    return out;
+}
+
 /* ``ExecutionContext._touch_workspace``: cyclic strided 4-byte reads with
  * DTLB page-run bulking, one bulk run per wrap of the cursor. */
 static void
-workspace_impl(Machine *m, Charge *ch, Context *c, long touches)
+workspace_impl(Context *c, long touches)
 {
     long cursor = c->workspace_cursor % c->ws_size;
     while (touches > 0) {
         long run = (c->ws_size - cursor + c->ws_stride - 1) / c->ws_stride;
         if (run > touches)
             run = touches;
-        data_strided_impl(m, ch, c->ws_base + cursor, c->ws_stride, run, 4, 0);
+        data_strided_impl(c->machine, c->ws_base + cursor, c->ws_stride, run,
+                          4, 0);
         cursor = (cursor + run * c->ws_stride) % c->ws_size;
         touches -= run;
     }
@@ -1556,100 +1546,87 @@ pseudo_random_bit(long visit_counter, long salt)
     return (int)((value >> 17) & 1UL);
 }
 
-/* Advance the per-site state of an alternating (kind 2) or rare (kind 3)
- * branch site in the context's dict; returns the outcome, -1 on error. */
+/* One full ``ExecutionContext._visit_segment``, every event counted where
+ * it happens.  Site kinds: 0 loop, 1 data, 2 alternating, 3 rare, 4 cold.
+ * data_taken: -1 (pseudo-random data branches), or the outcome.  Returns -1
+ * when the interrupt handler raised: the visit stops there, as the Python
+ * one does, with everything before the hook counted. */
 static int
-stateful_site_outcome(PyObject *site_state, long kind, long site_addr)
+visit_segment(Segment *s, int data_taken)
 {
-    PyObject *key = PyLong_FromLong(site_addr);
-    if (key == NULL)
-        return -1;
-    PyObject *cur = PyDict_GetItemWithError(site_state, key);  /* borrowed */
-    long value = cur == NULL ? 0 : PyLong_AsLong(cur);
-    int rc = -1;
-    if (!PyErr_Occurred()) {
-        value = kind == 2 ? (value ^ 1) : value + 1;
-        PyObject *obj = PyLong_FromLong(value);
-        if (obj != NULL) {
-            rc = PyDict_SetItem(site_state, key, obj);
-            Py_DECREF(obj);
-        }
-    }
-    Py_DECREF(key);
-    if (rc < 0)
-        return -1;
-    return kind == 2 ? (value != 0) : (value % 64 == 0);
-}
-
-/* visit(segment, data_taken) -- one full ``ExecutionContext._visit_segment``:
- * hot + cold instruction fetch, fused routine counters, the OS-clock hook,
- * workspace touches, branch sites, bulk branches; one fold at the end.
- * Site kinds: 0 loop, 1 data, 2 alternating, 3 rare, 4 cold.
- * data_taken: None (pseudo-random data branches), or the outcome. */
-static PyObject *
-Context_visit(Context *c, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (check_nargs("visit", nargs, 2) < 0)
-        return NULL;
-    if (Py_TYPE(args[0]) != &SegmentType) {
-        PyErr_SetString(PyExc_TypeError, "visit expects a Segment");
-        return NULL;
-    }
-    const Segment *s = (const Segment *)args[0];
-    int data_taken = args[1] == Py_None ? -1 : PyObject_IsTrue(args[1]);
-    if (data_taken < 0 && args[1] != Py_None)
-        return NULL;
+    Context *c = s->context;
     Machine *m = c->machine;
-    Charge ch = {0};
+    long *user = m->user;
     long visit_counter = ++c->visit_counter;
 
     /* Instruction side: hot lines, then the cold-code slice (a rotating
      * window of the cold pool; it may wrap once). */
-    fetch_run_impl(m, &ch, s->base, s->hot);
+    fetch_run_impl(m, s->base, s->hot);
     if (s->cold) {
         long cursor = c->cold_cursor % c->cold_pool;
-        long run = c->cold_pool - cursor;
-        if (run > s->cold)
-            run = s->cold;
-        fetch_run_impl(m, &ch, c->cold_base + cursor * c->line_bytes, run);
-        fetch_run_impl(m, &ch, c->cold_base, s->cold - run);
+        if (s->cold < c->cold_pool) {
+            long run = c->cold_pool - cursor;
+            if (run > s->cold)
+                run = s->cold;
+            fetch_run_impl(m, c->cold_base + cursor * c->line_bytes, run);
+            fetch_run_impl(m, c->cold_base, s->cold - run);
+        }
+        else {
+            /* The slice wraps the whole pool: ``fetch_code`` over its lines,
+             * repeated ones included, with one stall accumulation. */
+            double stall = m->l1i_stall_cycles;
+            long l1i_before = m->l1i->misses[PORT_INSTRUCTION];
+            long l2i_before = m->l2->misses[PORT_INSTRUCTION];
+            for (long k = 0; k < s->cold; k++)
+                fetch_run_impl(m, c->cold_base + (cursor + k) % c->cold_pool
+                                                 * c->line_bytes, 1);
+            long l1i_run = m->l1i->misses[PORT_INSTRUCTION] - l1i_before;
+            if (l1i_run)
+                m->l1i_stall_cycles = stall + ((double)l1i_run * m->l1i_stall_cost
+                    + (double)(m->l2->misses[PORT_INSTRUCTION] - l2i_before)
+                      * m->l2i_stall_cost);
+        }
         c->cold_cursor = (cursor + s->cold) % c->cold_pool;
     }
 
-    /* Fused retirement / bulk-reference / resource-stall counters
-     * (``charge_routine``). */
-    ch.instructions = s->instructions;
-    ch.uops = s->uops;
-    ch.data_refs = s->data_refs;
-    ch.dep_stall = s->dep;
-    ch.fu_stall = s->fu;
-    ch.ild_stall = s->ild;
-    ch.resource_stall = s->total_stall;
+    /* ``charge_routine``: retirement, bulk references, resource stalls. */
+    user[EV_INST_RETIRED] += s->instructions;
+    user[EV_INST_DECODED] += s->instructions;
+    user[EV_UOPS_RETIRED] += s->uops;
+    user[EV_DATA_MEM_REFS] += s->data_refs;
+    user[EV_PARTIAL_RAT_STALLS] += s->dep;
+    user[EV_FU_CONTENTION_STALLS] += s->fu;
+    user[EV_ILD_STALL] += s->ild;
+    user[EV_RESOURCE_STALLS] += s->total_stall;
 
     /* The OS-interference hook of ``charge_routine``, at the same point of
-     * the visit: the clock advances by the retired instructions and any
-     * interrupt that falls due is serviced in Python, through the wrappers
-     * (``invalidate_fraction`` and the ITLB ``flush`` are one call each
-     * into the state objects used here).  The handler resets
-     * ``_last_instruction_page``, which is this Machine's member. */
-    if (m->has_os) {
-        PyObject *retired = PyLong_FromLong(s->instructions);
-        if (retired == NULL)
-            goto fail;
-        PyObject *r = PyObject_CallMethodObjArgs(m->processor,
-                                                 s_advance_os_clock,
-                                                 retired, NULL);
-        Py_DECREF(retired);
-        if (r == NULL)
-            goto fail;
-        Py_DECREF(r);
+     * the visit (``OSInterference.note_instructions``).  Only when an
+     * interrupt falls due is the handler entered, in Python; its
+     * ``invalidate_fraction``, ITLB ``flush`` and ``_last_instruction_page``
+     * act on the state objects and the member used here. */
+    if (m->os_interval && s->instructions > 0) {
+        m->os_since_last += s->instructions;
+        long fired = m->os_since_last / m->os_interval;
+        if (fired) {
+            m->os_since_last -= fired * m->os_interval;
+            m->os_interrupts += fired;
+            PyObject *count = PyLong_FromLong(fired);
+            PyObject *r = count == NULL ? NULL : PyObject_CallMethodObjArgs(
+                m->processor, s_service_interrupts, count, NULL);
+            Py_XDECREF(count);
+            if (r == NULL)
+                return -1;
+            Py_DECREF(r);
+        }
     }
 
     /* Private working-set touches. */
-    workspace_impl(m, &ch, c, s->touches);
+    workspace_impl(c, s->touches);
 
     /* Branch sites: the predictor runs per site, the retirement counters
      * carry the site weights. */
+    long retired = 0, taken_weight = 0, mispredicted_weight = 0;
+    long btb_before = m->btb->btb_misses;
     for (Py_ssize_t i = 0; i < Py_SIZE(s); i++) {
         long kind = s->sites[i].kind;
         long site_addr = s->sites[i].addr;
@@ -1664,9 +1641,7 @@ Context_visit(Context *c, PyObject *const *args, Py_ssize_t nargs)
                                    : data_taken;
         }
         else if (kind == 2 || kind == 3) {  /* alternating / rare */
-            taken = stateful_site_outcome(c->site_state, kind, site_addr);
-            if (taken < 0)
-                goto fail;
+            taken = stateful_site_outcome(&c->sites[s->sites[i].slot], kind);
         }
         else {  /* cold: the site address varies per visit */
             long offset = (long)(((unsigned long)visit_counter
@@ -1674,36 +1649,60 @@ Context_visit(Context *c, PyObject *const *args, Py_ssize_t nargs)
             exec_addr = site_addr + 64 + (offset & ~0x3FL);
             taken = pseudo_random_bit(visit_counter, exec_addr);
         }
-        int mispredicted = btb_execute(m->btb, exec_addr, taken, kind == 0,
-                                       &ch.predictor);
-        ch.br_retired += weight;
+        int mispredicted = btb_execute(m->btb, exec_addr, taken, kind == 0);
+        retired += weight;
         if (taken)
-            ch.br_taken += weight;
+            taken_weight += weight;
         if (mispredicted)
-            ch.br_mispredicted += weight;
+            mispredicted_weight += weight;
     }
-    if (ch.br_retired > 0)  /* ``count_branches`` ignores a zero population */
-        ch.btb_misses = ch.predictor.btb_misses;
-    else
-        ch.br_retired = ch.br_taken = ch.br_mispredicted = 0;
+    if (retired > 0) {  /* ``count_branches`` ignores a zero population */
+        user[EV_BR_INST_RETIRED] += retired;
+        user[EV_BR_TAKEN_RETIRED] += taken_weight;
+        user[EV_BR_MISS_PRED_RETIRED] += mispredicted_weight;
+        user[EV_BTB_MISSES] += m->btb->btb_misses - btb_before;
+    }
 
     /* Bulk branch population (counters only; the predictor is untouched). */
     if (s->bulk > 0) {
         double expected = s->bulk_expected + c->bulk_carry;
         long bulk_mispredicted = (long)expected;  /* int(): truncation */
         c->bulk_carry = expected - (double)bulk_mispredicted;
-        ch.br_retired += s->bulk;
-        ch.br_taken += s->bulk_taken;
-        ch.br_mispredicted += bulk_mispredicted;
-        ch.btb_misses += s->bulk_btb;
+        user[EV_BR_INST_RETIRED] += s->bulk;
+        user[EV_BR_TAKEN_RETIRED] += s->bulk_taken;
+        user[EV_BR_MISS_PRED_RETIRED] += bulk_mispredicted;
+        user[EV_BTB_MISSES] += s->bulk_btb;
     }
+    return 0;
+}
 
-    if (machine_fold(m, &ch) < 0)
+/* visit(data_taken, repeat) -- ``ExecutionContext.visit``: count ``repeat``
+ * invocations, then run that many visits (data_taken: None or a truth
+ * value). */
+static PyObject *
+Segment_visit(Segment *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("visit", nargs, 2) < 0)
         return NULL;
+    int data_taken = args[0] == Py_None ? -1 : PyObject_IsTrue(args[0]);
+    if (data_taken < 0 && args[0] != Py_None)
+        return NULL;
+    long repeat = PyLong_AsLong(args[1]);
+    if (repeat == -1 && PyErr_Occurred())
+        return NULL;
+    s->invocations += repeat;
+    while (repeat-- > 0) {
+        if (visit_segment(s, data_taken) < 0)
+            return NULL;
+    }
     Py_RETURN_NONE;
-fail:
-    machine_discard_pending(m);
-    return NULL;
+}
+
+static void
+Segment_dealloc(PyObject *self)
+{
+    Py_XDECREF(((Segment *)self)->context);
+    Py_TYPE(self)->tp_free(self);
 }
 
 /* workspace(touches) -- ``_touch_workspace`` alone (the vectorized
@@ -1714,32 +1713,28 @@ Context_workspace(Context *c, PyObject *arg)
     long touches = PyLong_AsLong(arg);
     if (touches == -1 && PyErr_Occurred())
         return NULL;
-    Charge ch = {0};
-    workspace_impl(c->machine, &ch, c, touches);
-    if (machine_fold(c->machine, &ch) < 0)
-        return NULL;
+    workspace_impl(c, touches);
     Py_RETURN_NONE;
 }
 
 static PyMemberDef Context_members[] = {
-    {"visit_counter", T_LONG, offsetof(Context, visit_counter), 0,
-     "Routine visits so far (seeds the pseudo-random branch outcomes)."},
-    {"cold_cursor", T_LONG, offsetof(Context, cold_cursor), 0,
-     "Next line of the cold-code pool."},
-    {"workspace_cursor", T_LONG, offsetof(Context, workspace_cursor), 0,
-     "Next byte offset of the cyclic workspace touches."},
-    {"bulk_carry", T_DOUBLE, offsetof(Context, bulk_carry), 0,
-     "Fractional remainder of the bulk-branch misprediction expectation."},
+    MEMBER(Context, visit_counter, T_LONG,
+           "Routine visits so far (seeds the pseudo-random branch outcomes)."),
+    MEMBER(Context, cold_cursor, T_LONG, "Next line of the cold-code pool."),
+    MEMBER(Context, workspace_cursor, T_LONG,
+           "Next byte offset of the cyclic workspace touches."),
+    MEMBER(Context, bulk_carry, T_DOUBLE,
+           "Fractional remainder of the bulk-branch misprediction expectation."),
     {NULL, 0, 0, 0, NULL},
 };
 
 static PyMethodDef Context_methods[] = {
     {"segment", METHOD(Context_segment), METH_O,
      "Parse a code-segment handle tuple into a Segment."},
-    {"visit", METHOD(Context_visit), METH_FASTCALL,
-     "One full executor-routine visit (fetch, counters, workspace, branches)."},
     {"workspace", METHOD(Context_workspace), METH_O,
      "Charged cyclic workspace touches (DTLB + caches + counters)."},
+    {"site_state", METHOD(Context_site_state), METH_NOARGS,
+     "A new {address: state} dict of the touched stateful sites."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1749,9 +1744,21 @@ static PyTypeObject ContextType = {
     .tp_basicsize = sizeof(Context),
     .tp_dealloc = Context_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,  /* no tp_new: built by Machine.context */
-    .tp_doc = "One ExecutionContext's visit constants over a Machine.",
+    .tp_doc = "One ExecutionContext's visit constants and bookkeeping over a Machine.",
     .tp_methods = Context_methods,
     .tp_members = Context_members,
+};
+
+static PyMemberDef Segment_members[] = {
+    MEMBER(Segment, invocations, T_LONG,
+           "Interpreted invocations of the operation charged so far."),
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyMethodDef Segment_methods[] = {
+    {"visit", METHOD(Segment_visit), METH_FASTCALL,
+     "Count and run full routine visits (fetch, counters, workspace, branches)."},
+    {NULL, NULL, 0, NULL},
 };
 
 static PyTypeObject SegmentType = {
@@ -1759,8 +1766,11 @@ static PyTypeObject SegmentType = {
     .tp_name = "repro.hardware._cachesim.Segment",
     .tp_basicsize = sizeof(Segment) - sizeof(Site),
     .tp_itemsize = sizeof(Site),
+    .tp_dealloc = Segment_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,  /* no tp_new: built by Context.segment */
-    .tp_doc = "One code segment's visit constants (plain scalars).",
+    .tp_doc = "One code segment's visit constants and invocation count over a Context.",
+    .tp_methods = Segment_methods,
+    .tp_members = Segment_members,
 };
 
 /* ================================================================ module */
@@ -1771,50 +1781,32 @@ static struct PyModuleDef cachesim_module = {
     -1, NULL, NULL, NULL, NULL, NULL,
 };
 
-static int
-init_interned(void)
+/* ``EVENT_NAMES`` (returned, new reference) and the ``event_index`` the
+ * bank methods look names up in; interned, so a lookup is a pointer hit. */
+static PyObject *
+init_events(void)
 {
-#define INTERN(var, text)                                  \
-    do {                                                   \
-        (var) = PyUnicode_InternFromString(text);          \
-        if ((var) == NULL)                                 \
-            return -1;                                     \
-    } while (0)
-    INTERN(s_stats, "stats");
-    INTERN(s_native, "_native");
-    INTERN(s_next_level, "next_level");
-    INTERN(s_accesses, "accesses");
-    INTERN(s_misses, "misses");
-    INTERN(s_writebacks, "writebacks");
-    INTERN(s_branches, "branches");
-    INTERN(s_taken, "taken");
-    INTERN(s_mispredictions, "mispredictions");
-    INTERN(s_btb_hits, "btb_hits");
-    INTERN(s_btb_misses, "btb_misses");
-    INTERN(s_advance_os_clock, "_advance_os_clock");
-    INTERN(k_IFU_IFETCH, "IFU_IFETCH");
-    INTERN(k_IFU_IFETCH_MISS, "IFU_IFETCH_MISS");
-    INTERN(k_L2_IFETCH, "L2_IFETCH");
-    INTERN(k_L2_IFETCH_MISS, "L2_IFETCH_MISS");
-    INTERN(k_ITLB_MISS, "ITLB_MISS");
-    INTERN(k_INST_RETIRED, "INST_RETIRED");
-    INTERN(k_INST_DECODED, "INST_DECODED");
-    INTERN(k_UOPS_RETIRED, "UOPS_RETIRED");
-    INTERN(k_DATA_MEM_REFS, "DATA_MEM_REFS");
-    INTERN(k_PARTIAL_RAT_STALLS, "PARTIAL_RAT_STALLS");
-    INTERN(k_FU_CONTENTION_STALLS, "FU_CONTENTION_STALLS");
-    INTERN(k_ILD_STALL, "ILD_STALL");
-    INTERN(k_RESOURCE_STALLS, "RESOURCE_STALLS");
-    INTERN(k_DTLB_MISS, "DTLB_MISS");
-    INTERN(k_DCU_LINES_IN, "DCU_LINES_IN");
-    INTERN(k_L2_DATA_RQSTS, "L2_DATA_RQSTS");
-    INTERN(k_L2_DATA_MISS, "L2_DATA_MISS");
-    INTERN(k_BR_INST_RETIRED, "BR_INST_RETIRED");
-    INTERN(k_BR_TAKEN_RETIRED, "BR_TAKEN_RETIRED");
-    INTERN(k_BR_MISS_PRED_RETIRED, "BR_MISS_PRED_RETIRED");
-    INTERN(k_BTB_MISSES, "BTB_MISSES");
-#undef INTERN
-    return 0;
+    PyObject *names = PyTuple_New(N_EVENTS);
+    event_index = PyDict_New();
+    s_service_interrupts = PyUnicode_InternFromString("_service_interrupts");
+    if (names == NULL || event_index == NULL || s_service_interrupts == NULL)
+        goto fail;
+    for (int event = 0; event < N_EVENTS; event++) {
+        PyObject *name = PyUnicode_InternFromString(event_names[event]);
+        PyObject *index = PyLong_FromLong(event);
+        event_key[event] = name;  /* borrowed from ``names``, which the module keeps */
+        if (name != NULL)
+            PyTuple_SET_ITEM(names, event, name);  /* steals name */
+        int rc = name == NULL || index == NULL
+            ? -1 : PyDict_SetItem(event_index, name, index);
+        Py_XDECREF(index);
+        if (rc < 0)
+            goto fail;
+    }
+    return names;
+fail:
+    Py_XDECREF(names);
+    return NULL;
 }
 
 static int
@@ -1836,8 +1828,14 @@ PyInit__cachesim(void)
     PyObject *module = PyModule_Create(&cachesim_module);
     if (module == NULL)
         return NULL;
-    if (init_interned() < 0
-            || add_type(module, "CacheState", &CacheStateType) < 0
+    PyObject *names = init_events();
+    if (names == NULL
+            || PyModule_AddObject(module, "EVENT_NAMES", names) < 0) {
+        Py_XDECREF(names);
+        Py_DECREF(module);
+        return NULL;
+    }
+    if (add_type(module, "CacheState", &CacheStateType) < 0
             || add_type(module, "TLBState", &TLBStateType) < 0
             || add_type(module, "BTBState", &BTBStateType) < 0
             || add_type(module, "Machine", &MachineType) < 0

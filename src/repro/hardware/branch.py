@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import cache as _cache  # home of the one ``_NATIVE`` switch
+from .native import stats_view
 from .specs import BranchSpec
 
 
@@ -93,16 +94,22 @@ class _BTBEntry:
         self.history = ((self.history << 1) | (1 if taken else 0)) & history_mask
 
 
+#: :attr:`BranchPredictor.stats` of a natively built predictor: a view of
+#: the five counts its ``_cachesim.BTBState`` keeps.
+_NativeBranchStats = stats_view(BranchStats)
+
+
 class BranchPredictor:
     """Two-level adaptive predictor behind a set-associative BTB.
 
-    The state has one owner, decided at construction
+    The state and the statistics have one owner, decided at construction
     (``repro.hardware.cache._NATIVE``): a ``_cachesim.BTBState`` (per way a
     tag, a history register and a pattern table of two-bit counters; per
-    set an MRU order) in :attr:`_native` when the native module is loaded,
-    otherwise per-set lists of :class:`_BTBEntry` -- the reference the
-    native transitions are transcribed from.  :meth:`snapshot` is the
-    comparison surface between the two.
+    set an MRU order; the five counts) in :attr:`_native` when the native
+    module is loaded, :attr:`stats` being a view of it; otherwise per-set
+    lists of :class:`_BTBEntry` and a plain :class:`BranchStats` -- the
+    reference the native transitions are transcribed from.
+    :meth:`snapshot` is the comparison surface between the two.
     """
 
     __slots__ = ("spec", "_sets", "_native", "_set_mask", "_history_mask", "stats")
@@ -117,11 +124,12 @@ class BranchPredictor:
             self._native = native.BTBState(
                 spec.btb_sets, spec.btb_associativity, spec.history_bits,
                 spec.static_backward_taken)
+            self.stats = _NativeBranchStats(self._native)
         else:
             self._native = None
             # Each set is a list of entries ordered MRU first.
             self._sets: List[List[_BTBEntry]] = [[] for _ in range(spec.btb_sets)]
-        self.stats = BranchStats()
+            self.stats = BranchStats()
 
     # ------------------------------------------------------------------ API
     def execute(self, site_addr: int, taken: bool, backward: bool = False) -> bool:
@@ -145,19 +153,12 @@ class BranchPredictor:
         bool
             ``True`` when the branch was mispredicted.
         """
+        if self._native is not None:
+            return self._native.execute(site_addr, taken, backward)
         stats = self.stats
         stats.branches += 1
         if taken:
             stats.taken += 1
-        if self._native is not None:
-            outcome = self._native.execute(site_addr, taken, backward)
-            if outcome & 2:
-                stats.btb_hits += 1
-            else:
-                stats.btb_misses += 1
-            if outcome & 1:
-                stats.mispredictions += 1
-            return bool(outcome & 1)
 
         site = site_addr >> 4  # branches are sparse; drop low bits for indexing
         set_index = site & self._set_mask
@@ -219,7 +220,10 @@ class BranchPredictor:
             ways.clear()
 
     def reset_stats(self) -> None:
-        self.stats = BranchStats()
+        if self._native is not None:
+            self.stats.reset()
+        else:
+            self.stats = BranchStats()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"BranchPredictor(BTB {self.spec.btb_entries} entries, "

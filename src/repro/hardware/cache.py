@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .native import load_native
+from .native import load_native, stats_view
 from .specs import CacheSpec
 
 #: The compiled ``_cachesim`` module or ``None``: the one switch every
@@ -142,14 +142,26 @@ class CacheStats:
         return out
 
 
+class _NativeCacheStats(stats_view(CacheStats)):
+    """:attr:`Cache.stats` of a natively built level: a view of the counts
+    its ``_cachesim.CacheState`` keeps (see :func:`.native.stats_view`)."""
+
+    def add_bulk(self, port: int, accesses: int, misses: int = 0) -> None:
+        for name, count in (("accesses", accesses), ("misses", misses)):
+            ports = list(getattr(self, name))
+            ports[port] += count
+            setattr(self, name, ports)
+
+
 class Cache:
     """A single level of set-associative, LRU, optionally write-back cache.
 
-    The state has exactly one owner, decided here at construction and never
-    mixed afterwards.  With the native module loaded it is a
-    ``_cachesim.CacheState`` (flat tag array, MRU first within a set; a
-    dirty byte per way; a fill count per set; a pointer to the next level's
-    state) held in :attr:`_native`, and every method delegates to it.
+    The state and the statistics have exactly one owner, decided here at
+    construction and never mixed afterwards.  With the native module loaded
+    it is a ``_cachesim.CacheState`` (flat tag array, MRU first within a
+    set; a dirty byte per way; a fill count per set; a pointer to the next
+    level's state; the per-port counts) held in :attr:`_native`: every
+    method delegates to it and :attr:`stats` is a view of its counts.
     Without it this class *is* the automaton: each set is a small list of
     line numbers ordered from most- to least-recently used, with the dirty
     lines of a set in a parallel ``set`` -- the reference the native
@@ -170,7 +182,6 @@ class Cache:
         self._set_mask = spec.num_sets - 1
         self._assoc = spec.associativity
         self._write_back = spec.write_back
-        self.stats = CacheStats()
         native = _NATIVE
         if next_level is not None and (next_level._native is None) != (native is None):
             raise ValueError(f"{spec.name}: native and pure-Python cache levels "
@@ -180,8 +191,10 @@ class Cache:
             self._native = native.CacheState(
                 spec.num_sets, self._assoc, self._line_shift, self._write_back,
                 next_level._native if next_level is not None else None)
+            self.stats = _NativeCacheStats(self._native)
         else:
             self._native = None
+            self.stats = CacheStats()
             # Each set: list of line numbers, index 0 == MRU.
             self._sets: List[List[int]] = [[] for _ in range(spec.num_sets)]
             # Dirty lines per set (write-back bookkeeping).
@@ -211,7 +224,7 @@ class Cache:
     def access_line(self, line_addr: int, port: int, write: bool = False) -> int:
         """Access a single, already line-aligned address."""
         if self._native is not None:
-            return self._native.lines(self, line_addr, 0, 1, port, write)
+            return self._native.lines(line_addr, 0, 1, port, write)
         return self._access_line(line_addr >> self._line_shift, port, write)
 
     def access_strided(self, addr: int, stride: int, count: int, size: int,
@@ -228,7 +241,7 @@ class Cache:
         if count <= 0:
             return 0
         if self._native is not None:
-            return self._native.strided(self, addr, stride, count, size, port, write)
+            return self._native.strided(addr, stride, count, size, port, write)
         shift = self._line_shift
         span = max(size, 1) - 1
         misses = 0
@@ -246,7 +259,7 @@ class Cache:
         Equivalent to calling :meth:`access_line` per address in order.
         """
         if self._native is not None and type(line_addresses) is range:
-            return self._native.lines(self, line_addresses.start, line_addresses.step,
+            return self._native.lines(line_addresses.start, line_addresses.step,
                                       len(line_addresses), port, write)
         return sum(self.access_line(line_addr, port, write)
                    for line_addr in line_addresses)
@@ -326,13 +339,12 @@ class Cache:
     def invalidate_all(self) -> int:
         """Invalidate every line; returns the number of lines dropped."""
         if self._native is not None:
-            dropped = self._native.invalidate_all()
-        else:
-            dropped = self.resident_lines()
-            for ways in self._sets:
-                ways.clear()
-            for dirty in self._dirty:
-                dirty.clear()
+            return self._native.invalidate_all()  # counts its invalidations
+        dropped = self.resident_lines()
+        for ways in self._sets:
+            ways.clear()
+        for dirty in self._dirty:
+            dirty.clear()
         self.stats.invalidations += dropped
         return dropped
 
@@ -352,17 +364,16 @@ class Cache:
         if fraction >= 1.0:
             return self.invalidate_all()
         if self._native is not None:
-            dropped = self._native.invalidate_fraction(fraction)
-        else:
-            dropped = 0
-            for ways, dirty in zip(self._sets, self._dirty):
-                if not ways:
-                    continue
-                keep = int(round(len(ways) * (1.0 - fraction)))
-                victims = ways[keep:]
-                del ways[keep:]
-                dirty.difference_update(victims)
-                dropped += len(victims)
+            return self._native.invalidate_fraction(fraction)
+        dropped = 0
+        for ways, dirty in zip(self._sets, self._dirty):
+            if not ways:
+                continue
+            keep = int(round(len(ways) * (1.0 - fraction)))
+            victims = ways[keep:]
+            del ways[keep:]
+            dirty.difference_update(victims)
+            dropped += len(victims)
         self.stats.invalidations += dropped
         return dropped
 
@@ -391,7 +402,10 @@ class Cache:
                 self.next_level.stats.writebacks = next_saved
 
     def reset_stats(self) -> None:
-        self.stats = CacheStats()
+        if self._native is not None:
+            self.stats.reset()
+        else:
+            self.stats = CacheStats()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"Cache({self.name}, {self.spec.size_bytes // 1024}KB, "

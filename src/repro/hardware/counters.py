@@ -17,10 +17,19 @@ Event names follow Intel's mnemonics where one exists (``INST_RETIRED``,
 ``BR_MISS_PRED_RETIRED``, ``IFU_MEM_STALL`` ...), with a few explicit
 simulator-only extensions (e.g. ``L2_DATA_MISS`` instead of deriving it from
 ``L2_LINES_IN`` minus instruction fills).
+
+A bank is a mapping from event name to count.  The supervisor bank, and both
+banks of every snapshot, are plain dicts.  The user bank of a *live* native
+processor is a :class:`NativeBank`: the counts are a ``long`` array in the
+processor's ``_cachesim.Machine``, which the charged operations increment in
+C, and the mapping reads and writes that array -- one store, so there is
+nothing to synchronise and :meth:`EventCounters.snapshot` (a dict copy) is
+the only way to hold counts still.
 """
 
 from __future__ import annotations
 
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
@@ -82,6 +91,51 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+class NativeBank(MutableMapping):
+    """The user-mode bank of a native processor, as the dict it stands for.
+
+    Every read presents the C counts of the moment and every write lands in
+    them; a key is present once it was counted or assigned, exactly as in
+    the pure-Python processor's dict, and an assignment to a name outside
+    the vocabulary raises ``KeyError`` (it would have nowhere to land).
+    """
+
+    __slots__ = ("_machine",)
+
+    def __init__(self, machine) -> None:
+        self._machine = machine
+
+    def __getitem__(self, event: str) -> int:
+        count = self._machine.counter(event, None)
+        if count is None:
+            raise KeyError(event)
+        return count
+
+    def get(self, event: str, default=None):
+        return self._machine.counter(event, default)
+
+    def __setitem__(self, event: str, count: int) -> None:
+        self._machine.set_counter(event, count)
+
+    def __delitem__(self, event: str) -> None:
+        self[event]  # KeyError when absent, as for a dict
+        self._machine.set_counter(event, None)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._machine.counters())
+
+    def __len__(self) -> int:
+        return len(self._machine.counters())
+
+    def copy(self) -> Dict[str, int]:
+        """The present counts as a new dict (what ``dict.copy`` returns)."""
+        return self._machine.counters()
+
+    def clear(self) -> None:
+        for event in self._machine.counters():
+            self._machine.set_counter(event, None)
+
+
 @dataclass
 class EventCounters:
     """A register file of named event counters, split by execution mode.
@@ -134,8 +188,9 @@ class EventCounters:
 
     # ------------------------------------------------------------ combining
     def snapshot(self) -> "EventCounters":
-        """A deep copy usable as an immutable measurement result."""
-        return EventCounters(user=dict(self.user), sup=dict(self.sup))
+        """A deep copy usable as an immutable measurement result; it never
+        aliases a live bank."""
+        return EventCounters(user=self.user.copy(), sup=self.sup.copy())
 
     def diff(self, earlier: "EventCounters") -> "EventCounters":
         """Counts accumulated since ``earlier`` (both from the same run)."""

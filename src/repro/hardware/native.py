@@ -21,6 +21,7 @@ are tried for loading.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import importlib.util
@@ -169,3 +170,33 @@ def delegated(holder: str, name: str) -> property:
             setattr(native, name, value)
 
     return property(fget, fset)
+
+
+def stats_view(base: type) -> type:
+    """A subclass of the statistics dataclass ``base`` whose fields are the
+    same-named members of a native state object.
+
+    The C automaton counts its own events, so an automaton built natively
+    has one set of statistics and ``wrapper.stats`` is this view of it:
+    every field read presents the C value, every field assignment lands in
+    C, and the derived properties and ``as_dict`` of ``base`` work
+    unchanged on top.  Per-port fields read as tuples, so an item assignment
+    into one raises instead of updating a copy.  ``reset()`` zeroes the
+    members; equality is by value, against views and plain instances alike.
+    """
+    def field(name: str) -> property:
+        return property(lambda self: getattr(self._state, name),
+                        lambda self, value: setattr(self._state, name, value))
+
+    def bind(self, state) -> None:
+        self.__dict__["_state"] = state
+
+    def equal(self, other):
+        if not isinstance(other, base):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    namespace = {spec.name: field(spec.name) for spec in dataclasses.fields(base)}
+    namespace.update(__init__=bind, reset=base.__init__, __eq__=equal,
+                     __hash__=None, __doc__=f"Native view of {base.__name__}.")
+    return type("Native" + base.__name__, (base,), namespace)

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .native import delegated
+
 
 @dataclass
 class OSInterferenceConfig:
@@ -50,19 +52,30 @@ class OSInterferenceConfig:
 class OSInterference:
     """Stateful periodic-interrupt generator attached to a processor.
 
-    The clock has one driver, ``SimulatedProcessor._advance_os_clock``,
-    which ``retire``, ``charge_routine`` and the native routine visit
-    (``_cachesim.c``) all call with the user instructions they retired; the
-    handler it invokes when :meth:`note_instructions` reports interrupts due
-    stays in Python on every charging path.
+    The clock -- the instructions retired since the last interrupt and the
+    interrupts fired so far -- has one owner: members of the processor's
+    native charging block (``_cachesim.Machine``) when there is one, this
+    object otherwise (:func:`~repro.hardware.native.delegated`).  It
+    advances in two places that are transcriptions of each other:
+    :meth:`note_instructions`, which ``SimulatedProcessor.retire`` and
+    ``charge_routine`` call, and the native routine visit, which does the
+    same arithmetic on the same members in C and enters Python -- the
+    processor's interrupt handler -- only on a visit in which an interrupt
+    fires.  A disabled configuration attaches no model at all: the
+    processor treats it as ``os_interference=None``.
     """
 
-    __slots__ = ("config", "_since_last", "interrupts")
+    _since_last = delegated("_native", "os_since_last")
+    interrupts = delegated("_native", "os_interrupts")
 
-    def __init__(self, config: OSInterferenceConfig | None = None) -> None:
+    def __init__(self, config: OSInterferenceConfig | None = None,
+                 native=None) -> None:
         self.config = config or OSInterferenceConfig()
-        self._since_last = 0
-        self.interrupts = 0
+        if self.config.enabled and self.config.interval_instructions <= 0:
+            raise ValueError("interval_instructions must be positive, got "
+                             f"{self.config.interval_instructions}")
+        self._native = native
+        self.reset()
 
     def note_instructions(self, count: int) -> int:
         """Account ``count`` retired user instructions.
@@ -72,12 +85,13 @@ class OSInterference:
         """
         if not self.config.enabled or count <= 0:
             return 0
-        self._since_last += count
+        since_last = self._since_last + count
         interval = self.config.interval_instructions
-        fired = self._since_last // interval
+        fired = since_last // interval
         if fired:
-            self._since_last -= fired * interval
+            since_last -= fired * interval
             self.interrupts += fired
+        self._since_last = since_last
         return int(fired)
 
     def reset(self) -> None:

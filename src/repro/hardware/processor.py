@@ -8,7 +8,8 @@ records:
 
 * :meth:`fetch_code` -- instruction-cache line fetches for a code path,
 * :meth:`retire` -- retired instruction / micro-operation accounting,
-* :meth:`data_read` / :meth:`data_write` -- simulated loads and stores,
+* :meth:`data_read` / :meth:`data_write` -- simulated loads and stores
+  (:meth:`data_read_fields`: the field loads of one record in one call),
 * :meth:`data_read_strided` / :meth:`data_read_span` -- bulk element loads
   (the span-charging fast path for columnar batches: count-identical to
   per-address :meth:`data_read` calls, several times cheaper to simulate),
@@ -24,16 +25,26 @@ Calling :meth:`finalize` assembles the ground-truth cycle count
 (``CPU_CLK_UNHALTED``) from the accumulated events using the
 :class:`~repro.hardware.pipeline.CycleModel` and returns an immutable counter
 snapshot that the measurement (emon) and analysis layers consume.
+
+Everything a charge counts has one owner.  A natively built processor's
+``_cachesim.Machine`` holds the user-mode counter bank, the OS-interference
+clock and the front-end scalars beside the automata (which keep their own
+statistics), and its charged operations run to completion in C.  Python
+reads through (``counters.user`` is a :class:`~.counters.NativeBank`, each
+``stats`` a view, the scalars ``delegated`` properties) and every method
+below writes through ``_count`` -- ``Machine.add`` there,
+``EventCounters.add`` on a pure-Python processor: never two stores to merge.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+import functools
+from typing import Iterable, Optional, Sequence, Tuple
 
 from . import cache as _cache  # home of the one ``_NATIVE`` switch
 from .branch import BranchPredictor
 from .cache import CacheHierarchy
-from .counters import EventCounters, MODE_SUP, MODE_USER, MODES
+from .counters import EventCounters, MODE_SUP, MODE_USER, MODES, NativeBank
 from .memory import MainMemory
 from .native import delegated
 from .os_interference import OSInterference, OSInterferenceConfig
@@ -61,34 +72,36 @@ class SimulatedProcessor:
         self.itlb = TLB(spec.itlb)
         self.branch_unit = BranchPredictor(spec.branch)
         self.memory = MainMemory(spec.memory, line_bytes=spec.l2.line_bytes)
-        self.os = OSInterference(os_interference) if os_interference else None
         self.cycle_model = CycleModel(spec, overlap)
         self.counters = EventCounters()
         self._finalized = False
+        # A disabled model is no model: it must cost and count nothing.
+        if os_interference is not None and not os_interference.enabled:
+            os_interference = None
 
-        #: The native charging block (``_cachesim.Machine``) or ``None``.
-        #: It owns references to the six automata's C state objects, to
-        #: their Python wrappers (whose ``stats`` objects rebind on
-        #: ``reset_stats`` and are fetched per call) and to the user counter
-        #: bank, holds the two front-end scalars, and runs whole charged
-        #: operations over them.  Built when the automata above were built
-        #: natively -- the same ``_NATIVE`` switch, read at the same moment,
-        #: so ownership is never mixed (the constructor refuses a
-        #: pure-Python automaton).  ``None`` keeps every charge on the
-        #: pure-Python paths below, which are count- and state-identical by
-        #: contract (tests/test_native_charging.py).
-        #:
-        #: The block only *borrows* the processor (it is not visible to the
-        #: cycle collector, so an owned reference would be a cycle nobody
-        #: can break); the processor owns the block, so the borrow cannot
-        #: outlive its target.
+        #: The native charging block (``_cachesim.Machine``) or ``None``:
+        #: built from the C state objects of the automata above (the same
+        #: ``_NATIVE`` switch, read at the same moment), so ownership is
+        #: never mixed.  ``None`` keeps every charge on the pure-Python
+        #: paths below, count- and state-identical by contract
+        #: (tests/test_native_charging.py).  The block only *borrows* the
+        #: processor (an owned reference would be a cycle the collector
+        #: cannot see); the processor owns the block, so the borrow holds.
         native = _cache._NATIVE
-        self._native_state = None if native is None else native.Machine(
-            self.caches.l1d, self.caches.l1i, self.caches.l2,
-            self.dtlb, self.itlb, self.branch_unit,
+        self._native_state = machine = None if native is None else native.Machine(
+            self.caches.l1d._native, self.caches.l1i._native,
+            self.caches.l2._native, self.dtlb._native, self.itlb._native,
+            self.branch_unit._native,
             float(spec.pipeline.l1i_fetch_stall_cycles),
             float(spec.memory.latency_cycles),
-            self.counters.user, self.os is not None, self)
+            os_interference.interval_instructions if os_interference else 0,
+            self)
+        if machine is not None:
+            self.counters.user = NativeBank(machine)
+        #: ``_count(event, n)`` adds to a user-mode counter, in its one store.
+        self._count = self.counters.add if machine is None else machine.add
+        self.os = (OSInterference(os_interference, machine)
+                   if os_interference else None)
         self._l1i_stall_cycles = 0.0
         self._last_instruction_page = -1
 
@@ -119,18 +132,18 @@ class SimulatedProcessor:
         l2i_misses_before = l2.stats.misses[2]
         l1i_misses = self.caches.fetch_lines(line_addresses)
         l2i_misses = l2.stats.misses[2] - l2i_misses_before
-        user = self.counters.user
-        user["IFU_IFETCH"] = user.get("IFU_IFETCH", 0) + len(line_addresses)
+        count = self._count
+        count("IFU_IFETCH", len(line_addresses))
         if l1i_misses:
-            user["IFU_IFETCH_MISS"] = user.get("IFU_IFETCH_MISS", 0) + l1i_misses
-            user["L2_IFETCH"] = user.get("L2_IFETCH", 0) + l1i_misses
+            count("IFU_IFETCH_MISS", l1i_misses)
+            count("L2_IFETCH", l1i_misses)
             self._l1i_stall_cycles += (
                 l1i_misses * self.spec.pipeline.l1i_fetch_stall_cycles
                 + l2i_misses * self.spec.memory.latency_cycles)
         if l2i_misses:
-            user["L2_IFETCH_MISS"] = user.get("L2_IFETCH_MISS", 0) + l2i_misses
+            count("L2_IFETCH_MISS", l2i_misses)
         if itlb_misses:
-            user["ITLB_MISS"] = user.get("ITLB_MISS", 0) + itlb_misses
+            count("ITLB_MISS", itlb_misses)
         return l1i_misses
 
     def fetch_code_run(self, line_addr: int, count: int) -> int:
@@ -139,8 +152,7 @@ class SimulatedProcessor:
 
         Code segments are contiguous by construction (hot code is one run,
         cold code rotates through a contiguous pool), so this is the shape
-        of every executor code fetch: ITLB page transitions, L1I line
-        touches, stall accumulation and counter folds in one C call.
+        of every executor code fetch; one C call on a native processor.
         Count- and state-identical to :meth:`fetch_code` over the expanded
         line sequence, which is its pure-Python reference.
         """
@@ -162,16 +174,13 @@ class SimulatedProcessor:
             return
         if uops <= 0:
             uops = int(round(instructions * self.spec.pipeline.uops_per_instruction))
-        counters = self.counters
-        if mode == MODE_USER:
-            bank = counters.user
-        elif mode == MODE_SUP:
-            bank = counters.sup
-        else:
+        if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        bank["INST_RETIRED"] = bank.get("INST_RETIRED", 0) + instructions
-        bank["INST_DECODED"] = bank.get("INST_DECODED", 0) + instructions
-        bank["UOPS_RETIRED"] = bank.get("UOPS_RETIRED", 0) + uops
+        count = (self._count if mode == MODE_USER
+                 else functools.partial(self.counters.add, mode=mode))
+        count("INST_RETIRED", instructions)
+        count("INST_DECODED", instructions)
+        count("UOPS_RETIRED", uops)
         if self.os is not None and mode == MODE_USER:
             self._advance_os_clock(instructions)
 
@@ -187,21 +196,20 @@ class SimulatedProcessor:
         construction -- the counter adds commute, so fusing them changes no
         totals.  This is the executor's per-routine-visit path.
         """
-        user = self.counters.user
-        user["INST_RETIRED"] = user.get("INST_RETIRED", 0) + instructions
-        user["INST_DECODED"] = user.get("INST_DECODED", 0) + instructions
-        user["UOPS_RETIRED"] = user.get("UOPS_RETIRED", 0) + uops
+        count = self._count
+        count("INST_RETIRED", instructions)
+        count("INST_DECODED", instructions)
+        count("UOPS_RETIRED", uops)
         if data_refs:
-            user["DATA_MEM_REFS"] = user.get("DATA_MEM_REFS", 0) + data_refs
+            count("DATA_MEM_REFS", data_refs)
         if total_stall:
             if dep_stall:
-                user["PARTIAL_RAT_STALLS"] = user.get("PARTIAL_RAT_STALLS", 0) + dep_stall
+                count("PARTIAL_RAT_STALLS", dep_stall)
             if fu_stall:
-                user["FU_CONTENTION_STALLS"] = \
-                    user.get("FU_CONTENTION_STALLS", 0) + fu_stall
+                count("FU_CONTENTION_STALLS", fu_stall)
             if ild_stall:
-                user["ILD_STALL"] = user.get("ILD_STALL", 0) + ild_stall
-            user["RESOURCE_STALLS"] = user.get("RESOURCE_STALLS", 0) + total_stall
+                count("ILD_STALL", ild_stall)
+            count("RESOURCE_STALLS", total_stall)
         if self.os is not None:
             self._advance_os_clock(instructions)
 
@@ -211,6 +219,14 @@ class SimulatedProcessor:
         if self._native_state is not None:
             return self._native_state.charged_strided(address, 0, 1, size, 0)
         return self._data_access(address, 0, 1, size, False)
+
+    def data_read_fields(self, base: int, fields: Tuple[Tuple[int, int], ...]) -> int:
+        """Load the ``(offset, width)`` fields of the record at ``base``:
+        one :meth:`data_read` per field, in order; returns the L1D misses."""
+        if self._native_state is not None:
+            return self._native_state.charged_fields(base, fields)
+        return sum(self._data_access(base + offset, 0, 1, width, False)
+                   for offset, width in fields)
 
     def data_write(self, address: int, size: int = 4) -> int:
         """Simulated store; returns the number of L1D misses incurred."""
@@ -241,7 +257,7 @@ class SimulatedProcessor:
         if refs is not None and refs > line_count:
             # Extra element loads are line hits by construction; account the
             # references (and the L1D accesses) without re-probing.
-            self.counters.add("DATA_MEM_REFS", refs - line_count)
+            self._count("DATA_MEM_REFS", refs - line_count)
             self.caches.l1d.stats.add_bulk(0, refs - line_count)
         return misses
 
@@ -281,17 +297,16 @@ class SimulatedProcessor:
     def _data_access(self, address: int, stride: int, count: int, size: int,
                      write: bool) -> int:
         """Pure-Python reference of the native ``charged_strided``, which
-        the four public data-access methods call when there is one:
-        ``count`` ``size``-byte loads or stores ``stride`` bytes apart (a
-        stride <= 0 revisits one element).  The DTLB is updated once per
-        page-run of elements, the caches once per call, the counters folded
-        once -- count- and state-identical to element-at-a-time charging.
+        the public data-access methods call when there is one: ``count``
+        ``size``-byte loads or stores ``stride`` bytes apart (a stride <= 0
+        revisits one element).  The DTLB is updated once per page-run of
+        elements, the caches once per call -- count- and state-identical to
+        element-at-a-time charging.
         """
         if count <= 0:
             return 0
         stride = max(stride, 0)
-        user = self.counters.user
-        user["DATA_MEM_REFS"] = user.get("DATA_MEM_REFS", 0) + count
+        self._count("DATA_MEM_REFS", count)
         dtlb = self.dtlb
         page_shift = dtlb._page_shift
         dtlb_misses = 0
@@ -305,18 +320,18 @@ class SimulatedProcessor:
             dtlb_misses += dtlb.access_bulk(element, run)
             position += run
         if dtlb_misses:
-            user["DTLB_MISS"] = user.get("DTLB_MISS", 0) + dtlb_misses
+            self._count("DTLB_MISS", dtlb_misses)
         caches = self.caches
         l2 = caches.l2
         l2_data_misses_before = l2.stats.misses[0] + l2.stats.misses[1]
         access = caches.write_strided if write else caches.read_strided
         misses = access(address, stride, count, size)
         if misses:
-            user["DCU_LINES_IN"] = user.get("DCU_LINES_IN", 0) + misses
-            user["L2_DATA_RQSTS"] = user.get("L2_DATA_RQSTS", 0) + misses
+            self._count("DCU_LINES_IN", misses)
+            self._count("L2_DATA_RQSTS", misses)
             l2_misses = (l2.stats.misses[0] + l2.stats.misses[1]) - l2_data_misses_before
             if l2_misses:
-                user["L2_DATA_MISS"] = user.get("L2_DATA_MISS", 0) + l2_misses
+                self._count("L2_DATA_MISS", l2_misses)
         return misses
 
     def count_data_refs(self, count: int) -> None:
@@ -329,22 +344,16 @@ class SimulatedProcessor:
         counter, so they are accounted in bulk.
         """
         if count > 0:
-            user = self.counters.user
-            user["DATA_MEM_REFS"] = user.get("DATA_MEM_REFS", 0) + count
+            self._count("DATA_MEM_REFS", count)
 
     # ---------------------------------------------------------- branch side
     def branch(self, site_address: int, taken: bool, backward: bool = False) -> bool:
         """Execute one dynamically simulated branch site visit."""
         btb_misses_before = self.branch_unit.stats.btb_misses
         mispredicted = self.branch_unit.execute(site_address, taken, backward)
-        counters = self.counters
-        counters.add("BR_INST_RETIRED", 1)
-        if taken:
-            counters.add("BR_TAKEN_RETIRED", 1)
-        if mispredicted:
-            counters.add("BR_MISS_PRED_RETIRED", 1)
-        if self.branch_unit.stats.btb_misses != btb_misses_before:
-            counters.add("BTB_MISSES", 1)
+        self.count_branches(
+            1, taken=int(bool(taken)), mispredictions=int(mispredicted),
+            btb_misses=self.branch_unit.stats.btb_misses - btb_misses_before)
         return mispredicted
 
     def count_branches(self, count: int, taken: int = 0, mispredictions: int = 0,
@@ -359,53 +368,43 @@ class SimulatedProcessor:
         """
         if count <= 0:
             return
-        user = self.counters.user
-        user["BR_INST_RETIRED"] = user.get("BR_INST_RETIRED", 0) + count
+        self._count("BR_INST_RETIRED", count)
         if taken:
-            user["BR_TAKEN_RETIRED"] = user.get("BR_TAKEN_RETIRED", 0) + taken
+            self._count("BR_TAKEN_RETIRED", taken)
         if mispredictions:
-            user["BR_MISS_PRED_RETIRED"] = \
-                user.get("BR_MISS_PRED_RETIRED", 0) + mispredictions
+            self._count("BR_MISS_PRED_RETIRED", mispredictions)
         if btb_misses:
-            user["BTB_MISSES"] = user.get("BTB_MISSES", 0) + btb_misses
+            self._count("BTB_MISSES", btb_misses)
 
     # -------------------------------------------------------- resource side
     def add_resource_stalls(self, dependency_cycles: float = 0.0,
                             functional_unit_cycles: float = 0.0,
                             ild_cycles: float = 0.0) -> None:
         """Charge resource-related stall cycles (TDEP, TFU, TILD)."""
-        user = self.counters.user
         total = 0
-        if dependency_cycles > 0:
-            cycles = int(round(dependency_cycles))
-            user["PARTIAL_RAT_STALLS"] = user.get("PARTIAL_RAT_STALLS", 0) + cycles
-            total += cycles
-        if functional_unit_cycles > 0:
-            cycles = int(round(functional_unit_cycles))
-            user["FU_CONTENTION_STALLS"] = user.get("FU_CONTENTION_STALLS", 0) + cycles
-            total += cycles
-        if ild_cycles > 0:
-            cycles = int(round(ild_cycles))
-            user["ILD_STALL"] = user.get("ILD_STALL", 0) + cycles
-            total += cycles
+        for event, cycles in (("PARTIAL_RAT_STALLS", dependency_cycles),
+                              ("FU_CONTENTION_STALLS", functional_unit_cycles),
+                              ("ILD_STALL", ild_cycles)):
+            if cycles > 0:
+                cycles = int(round(cycles))
+                self._count(event, cycles)
+                total += cycles
         if total:
-            user["RESOURCE_STALLS"] = user.get("RESOURCE_STALLS", 0) + total
+            self._count("RESOURCE_STALLS", total)
 
     # ------------------------------------------------------------- progress
     def record_done(self, count: int = 1) -> None:
         """Mark ``count`` records as processed."""
         if count > 0:
-            self.counters.add("RECORDS_PROCESSED", count)
+            self._count("RECORDS_PROCESSED", count)
 
     # ------------------------------------------------------------ OS model
     def _advance_os_clock(self, instructions: int) -> None:
         """Advance the OS-interference clock by ``instructions`` retired user
-        instructions and service every interrupt that falls due.
-
-        The one place the clock moves: :meth:`retire`, :meth:`charge_routine`
-        and the native routine visit (``_cachesim.c`` calls back here after
-        its fused retirement counters, before the workspace touches) all go
-        through it.  Requires an attached OS model.
+        instructions and service every interrupt that falls due (for
+        :meth:`retire` and :meth:`charge_routine`; the native routine visit
+        moves the same clock in C, where ``charge_routine`` sits, and enters
+        :meth:`_service_interrupts` only when one fires).  Requires a model.
         """
         fired = self.os.note_instructions(instructions)
         if fired:
@@ -441,12 +440,9 @@ class SimulatedProcessor:
         """
         counters = self.counters
         # Derived counters are recomputed from scratch on every call.
-        counters.user.pop("IFU_MEM_STALL", None)
-        counters.user.pop("CPU_CLK_UNHALTED", None)
-        counters.user.pop("BUS_TRAN_MEM", None)
-        counters.user.pop("MEMORY_LATENCY_CYCLES", None)
-        counters.user.pop("L2_RQSTS", None)
-        counters.user.pop("L2_LINES_IN", None)
+        for event in ("IFU_MEM_STALL", "CPU_CLK_UNHALTED", "BUS_TRAN_MEM",
+                      "MEMORY_LATENCY_CYCLES", "L2_RQSTS", "L2_LINES_IN"):
+            counters.user.pop(event, None)
 
         counters.add("IFU_MEM_STALL", int(round(self._l1i_stall_cycles)))
 
@@ -484,23 +480,13 @@ class SimulatedProcessor:
 
     def reset(self) -> None:
         """Reset all statistics and microarchitectural state."""
-        self.caches.reset_stats()
-        self.caches.l1d.invalidate_all()
-        self.caches.l1i.invalidate_all()
-        self.caches.l2.invalidate_all()
+        self.reset_counters()
+        for cache in (self.caches.l1d, self.caches.l1i, self.caches.l2):
+            cache.invalidate_all()
         self.dtlb.flush()
-        self.dtlb.reset_stats()
         self.itlb.flush()
-        self.itlb.reset_stats()
         self.branch_unit.flush()
-        self.branch_unit.reset_stats()
-        self.memory.reset_stats()
-        if self.os is not None:
-            self.os.reset()
-        self.counters.reset()
-        self._l1i_stall_cycles = 0.0
         self._last_instruction_page = -1
-        self._finalized = False
 
     def reset_counters(self) -> None:
         """Reset statistics but keep cache/TLB/BTB contents (warm measurement).

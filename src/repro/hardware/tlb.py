@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List
 
 from . import cache as _cache  # home of the one ``_NATIVE`` switch
+from .native import stats_view
 from .specs import TLBSpec
 
 
@@ -45,16 +46,23 @@ class TLBStats:
         return {"accesses": self.accesses, "misses": self.misses, "miss_rate": self.miss_rate}
 
 
+#: :attr:`TLB.stats` of a natively built TLB: a view of the two counts its
+#: ``_cachesim.TLBState`` keeps.
+_NativeTLBStats = stats_view(TLBStats)
+
+
 class TLB:
     """A fully-associative LRU TLB.
 
     The Pentium II's TLBs are small enough that full associativity with true
-    LRU is an accurate and cheap model.  The state has one owner, decided at
-    construction (``repro.hardware.cache._NATIVE``): a ``_cachesim.TLBState``
-    (an MRU-ordered page array) in :attr:`_native` when the native module is
-    loaded, otherwise an :class:`collections.OrderedDict` -- the reference
-    the native transitions are transcribed from.  :meth:`snapshot` is the
-    comparison surface between the two.
+    LRU is an accurate and cheap model.  The state and the statistics have
+    one owner, decided at construction (``repro.hardware.cache._NATIVE``): a
+    ``_cachesim.TLBState`` (an MRU-ordered page array and its two counts) in
+    :attr:`_native` when the native module is loaded, :attr:`stats` being a
+    view of it; otherwise an :class:`collections.OrderedDict` and a plain
+    :class:`TLBStats` -- the reference the native transitions are
+    transcribed from.  :meth:`snapshot` is the comparison surface between
+    the two.
     """
 
     __slots__ = ("spec", "_page_shift", "_entries", "_native", "stats")
@@ -66,10 +74,11 @@ class TLB:
         if native is not None:
             # ``_entries`` stays unset: the C side owns the state.
             self._native = native.TLBState(spec.entries, self._page_shift)
+            self.stats = _NativeTLBStats(self._native)
         else:
             self._native = None
             self._entries: OrderedDict[int, None] = OrderedDict()
-        self.stats = TLBStats()
+            self.stats = TLBStats()
 
     def page_number(self, addr: int) -> int:
         return addr >> self._page_shift
@@ -89,11 +98,10 @@ class TLB:
         """
         if count <= 0:
             return 0
-        self.stats.accesses += count
         if self._native is not None:
-            miss = self._native.touch(addr)
-        else:
-            miss = self._touch(addr >> self._page_shift)
+            return self._native.access(addr, count)
+        self.stats.accesses += count
+        miss = self._touch(addr >> self._page_shift)
         self.stats.misses += miss
         return miss
 
@@ -133,7 +141,10 @@ class TLB:
         return dropped
 
     def reset_stats(self) -> None:
-        self.stats = TLBStats()
+        if self._native is not None:
+            self.stats.reset()
+        else:
+            self.stats = TLBStats()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"TLB({self.spec.name}, {self.spec.entries} entries, {self.spec.page_bytes}B pages)"

@@ -78,15 +78,17 @@ class CounterSnapshot:
 def capture_snapshot(ctx) -> CounterSnapshot:
     """Snapshot the context's simulated hardware state without touching it.
 
-    Works identically under python and native charging: the native fast
-    path charges into the *live* counter banks (the C state holds a
-    reference to the same dicts), and snapshots only ever happen between
-    Python-level operator calls, never inside one C call.
+    Works identically under python and native charging.  A native processor
+    keeps the user bank, the L2 statistics and the stall accumulator in C;
+    every read here goes through to the values of the moment (``copy()`` of
+    the bank is a fresh dict, never an alias of it), and a snapshot only
+    ever happens between Python-level operator calls, never inside one
+    charged operation.
     """
     processor = ctx.processor
     counters = processor.counters
     l2 = processor.caches.l2.stats
-    return CounterSnapshot(dict(counters.user), dict(counters.sup),
+    return CounterSnapshot(counters.user.copy(), counters.sup.copy(),
                            processor._l1i_stall_cycles,
                            l2.total_accesses, l2.total_misses, l2.writebacks,
                            dict(ctx.io_stats), ctx.rows_produced,
