@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Wall-clock + simulated-cycle benchmark of the Figure 5.1-style queries.
+"""Simulated-cycle grid of the Figure 5.1-style queries, and its gate.
 
 Measures a table of grid cells, each one
 :class:`~repro.experiments.runner.Cell` handed to the shared
@@ -26,11 +26,12 @@ and layout, restore the post-build checkpoint, fresh session, execute):
 and emits a ``BENCH_<stamp>.json`` into ``benchmarks/results/`` (gitignored;
 override with ``--out-dir``) recording, per cell:
 
-* ``wall_seconds`` -- best-of-``--repeat`` wall-clock time of the measured
-  execution (the *simulator's* speed, which is what caps how large a
-  Figure 5.1/5.2 grid we can afford),
 * ``cycles`` -- simulated ``CPU_CLK_UNHALTED`` (the *modelled* speed, which
-  must not change when the simulator gets faster), and
+  must not change when the simulator gets faster) -- what this script gates,
+* ``wall_seconds`` -- best-of-``--repeat`` wall-clock time of the measured
+  execution, recorded as data only: host-time claims are made with
+  ``bench/run.py`` + ``bench/compare.py`` (medians, spread, bounds), never
+  from single samples of 3-400 ms cells, and
 * ``charging_path`` -- which routine-charging implementation the cell's
   sessions ran (``"native"`` or ``"python: <reason>"``; fast-path provenance).
 
@@ -46,11 +47,10 @@ fork-based process pool (``--grid-workers``).  ``--parallelism N``
 additionally runs each vectorized cell through the morsel-parallel exchange;
 simulated cycles are identical for every N by design.
 
-``--compare-to`` embeds a previous BENCH json, prints a per-cell delta
-table, and acts as a **regression gate**: the exit status is non-zero when
-any cell's simulated cycles differ from the baseline, a baseline cell was
-not measured, or a wall clock regresses by more than ``--tolerance``
-(default 0.20 = 20%).
+``--compare-to`` embeds a previous BENCH json, prints a per-cell cycle
+table, and acts as the **cycle gate**: the exit status is non-zero when any
+cell's simulated cycles differ from the baseline or a baseline cell was not
+measured.
 
 Usage::
 
@@ -128,9 +128,6 @@ TPC_KINDS = ("TPCD", "TPCC")
 #: ``RS-200`` (the 200-byte record-size point, its own warmed build).
 SWEEP_KINDS = ("SEL-50", "RS-200")
 SWEEP_RECORD_SIZE = 200
-
-#: The configuration whose wall clock the perf acceptance criteria track.
-HEADLINE = ("vectorized", "pax", "SRS")
 
 
 def make_runner(scale: Optional[float], parallelism: int = 1,
@@ -237,9 +234,8 @@ class Run(NamedTuple):
     extras: dict
 
 
-def run_query_cell(runner: ExperimentRunner, cell: Cell, profile: bool) -> Run:
+def run_query_cell(runner: ExperimentRunner, cell: Cell) -> Run:
     """Restore, open a session, execute: one run of a query/suite/mix cell."""
-    setup_start = time.perf_counter()
     with runner.session(cell) as session:
         start = time.perf_counter()
         result = runner.execute(cell, session)
@@ -248,13 +244,6 @@ def run_query_cell(runner: ExperimentRunner, cell: Cell, profile: bool) -> Run:
         if cell.query == "SJB":
             extras["memory_budget_bytes"] = session.execution.memory_budget_bytes
             extras["io_stats"] = dict(session.context.io_stats)
-    if profile:
-        # The measured execute() includes the cell's warm-up runs (their
-        # count is recorded so the share is interpretable).
-        extras["profile"] = {
-            "session_setup_seconds": round(start - setup_start, 6),
-            "execute_seconds": round(seconds, 6),
-            "warmup_runs": cell.warmup_runs}
     if cell.dataset == "tpcc":
         extras["transactions"] = result.transactions
         return Run(seconds, result.counters, [], extras)
@@ -294,7 +283,7 @@ def run_serving_cell(runner: ExperimentRunner, labels: Dict[str, str]) -> Run:
 
 
 def measure_cell(runner: ExperimentRunner, bench_cell: BenchCell,
-                 repeat: int = 1, profile: bool = False) -> dict:
+                 repeat: int = 1) -> dict:
     """Best-of-``repeat`` wall clock of one cell, as a BENCH point.
 
     Every run starts from the build's post-build checkpoint, so run N is
@@ -308,7 +297,7 @@ def measure_cell(runner: ExperimentRunner, bench_cell: BenchCell,
         if labels["engine"] == "serving":
             run = run_serving_cell(runner, labels)
         else:
-            run = run_query_cell(runner, cell, profile)
+            run = run_query_cell(runner, cell)
         cycles = run.counters.get("CPU_CLK_UNHALTED")
         if best is not None and (
                 cycles != best.counters.get("CPU_CLK_UNHALTED")
@@ -455,66 +444,39 @@ def budget_identity_violations(points: List[dict]) -> List[str]:
 # Regression gate
 # ---------------------------------------------------------------------------
 def compare_to_baseline(points: List[dict], baseline: dict,
-                        tolerance: Optional[float],
                         cells_filter: Optional[str] = None
-                        ) -> Tuple[List[str], List[str], Dict[str, dict]]:
-    """Per-cell delta table plus gate violations.
+                        ) -> Tuple[List[str], List[str]]:
+    """Per-cell cycle table plus gate violations.
 
     A violation is raised when a cell's simulated cycles differ from the
-    baseline (the model changed), its wall clock regressed by more than
-    ``tolerance`` (fractional; 0.2 = +20%), or a baseline cell was not
-    measured at all (a cell dropped from the table must not pass the gate;
-    under ``cells_filter`` only the baseline cells the glob selects are
-    required).  ``tolerance=None`` disables the wall gate (used when cells
-    were measured concurrently, where per-cell wall clocks are not
-    comparable to a serial baseline); cycles always gate.  Cells absent
-    from the baseline are reported but never gate.
+    baseline (the model changed) or a baseline cell was not measured at all
+    (a cell dropped from the table must not pass the gate; under
+    ``cells_filter`` only the baseline cells the glob selects are
+    required).  Cells absent from the baseline are reported but never gate.
+    Wall seconds are in both records as data and are not compared here.
     """
     baseline_points = {_cell_key(c): c for c in baseline.get("configs", ())}
     measured = {_cell_key(point) for point in points}
-    lines = [f"{'cell':>30s} {'wall before':>12s} {'wall after':>11s} "
-             f"{'wall_speedup_vs_baseline':>24s}  cycles"]
+    lines = [f"{'cell':>30s} {'cycles':>16s}  vs baseline"]
     violations: List[str] = []
-    speedups: Dict[str, dict] = {}
     for point in points:
-        key = _cell_key(point)
         name = _cell_name(point)
-        before = baseline_points.get(key)
+        before = baseline_points.get(_cell_key(point))
         if before is None:
-            lines.append(f"{name:>30s} {'-':>12s} {point['wall_seconds']:>11.3f} "
-                         f"{'new':>24s}  {point['cycles']:,}")
-            continue
-        wall_before = before["wall_seconds"]
-        wall_after = point["wall_seconds"]
-        speedup = (wall_before / wall_after) if wall_after else None
-        cycles_match = before["cycles"] == point["cycles"]
-        cycle_note = "identical" if cycles_match else (
-            f"CHANGED {before['cycles']:,} -> {point['cycles']:,}")
-        speedup_note = (f"{speedup:>23.2f}x" if speedup is not None
-                        else f"{'-':>24s}")
-        lines.append(f"{name:>30s} {wall_before:>12.3f} {wall_after:>11.3f} "
-                     f"{speedup_note}  {cycle_note}")
-        speedups[name] = {
-            "before_wall_seconds": wall_before,
-            "after_wall_seconds": wall_after,
-            "speedup": round(speedup, 3) if speedup else None,
-            "wall_speedup_vs_baseline": round(speedup, 3) if speedup else None,
-            "cycles_before": before["cycles"],
-            "cycles_after": point["cycles"],
-        }
-        if not cycles_match:
+            note = "new"
+        elif before["cycles"] == point["cycles"]:
+            note = "identical"
+        else:
+            note = f"CHANGED from {before['cycles']:,}"
             violations.append(f"{name}: simulated cycles changed "
                               f"({before['cycles']:,} -> {point['cycles']:,})")
-        if tolerance is not None and wall_after > wall_before * (1.0 + tolerance):
-            violations.append(
-                f"{name}: wall clock regressed {wall_after:.3f}s vs "
-                f"{wall_before:.3f}s (> {tolerance:.0%} tolerance)")
+        lines.append(f"{name:>30s} {point['cycles']:>16,}  {note}")
     for key, before in baseline_points.items():
         name = _cell_name(before)
         if key not in measured and (
                 cells_filter is None or fnmatch.fnmatchcase(name, cells_filter)):
             violations.append(f"{name}: in the baseline but not measured")
-    return lines, violations, speedups
+    return lines, violations
 
 
 def git_revision() -> str:
@@ -530,17 +492,15 @@ def git_revision() -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3,
-                        help="runs per configuration; best wall clock is kept")
+                        help="runs per configuration (cycles and rows must "
+                             "repeat exactly; the best wall clock is recorded)")
     parser.add_argument("--scale", type=float, default=None,
                         help="microbenchmark scale override (default: workload default)")
     parser.add_argument("--label", default="",
                         help="free-form label recorded in the json (e.g. 'PR 1 baseline')")
     parser.add_argument("--compare-to", default=None, metavar="BENCH.json",
-                        help="embed a previous BENCH json, print the per-cell delta "
+                        help="embed a previous BENCH json, print the per-cell cycle "
                              "table and gate on it (non-zero exit on violation)")
-    parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed fractional wall-clock regression per cell "
-                             "before the gate fails (default 0.20 = 20%%)")
     parser.add_argument("--grid-workers", type=int, default=1,
                         help="process-level parallelism across grid cells "
                              "(fork-based; 1 = serial)")
@@ -553,9 +513,6 @@ def main() -> int:
     parser.add_argument("--out-dir", default=None,
                         help="directory for BENCH_<stamp>.json "
                              "(default: benchmarks/results/, gitignored)")
-    parser.add_argument("--profile", action="store_true",
-                        help="record a per-cell wall breakdown (session setup "
-                             "vs measured execute) in each cell and print it")
     parser.add_argument("--cells", default=None, metavar="GLOB",
                         help="measure only the grid cells whose name "
                              "(engine/layout/query[/adaptivity]) "
@@ -577,8 +534,8 @@ def main() -> int:
     build_seconds = time.perf_counter() - build_start
 
     points = runner.map_cells(
-        lambda runner, bench_cell: measure_cell(
-            runner, bench_cell, args.repeat, args.profile), cells)
+        lambda runner, bench_cell: measure_cell(runner, bench_cell,
+                                                args.repeat), cells)
     for point in points:
         line = (f"{_cell_name(point):>26}: {point['wall_seconds']:.3f}s wall, "
                 f"{point['cycles']:,} simulated cycles, "
@@ -595,12 +552,6 @@ def main() -> int:
             line += (f", budget={budget if budget is not None else 'inf'}, "
                      f"{point['io_stats']['page_reads']} page reads, "
                      f"{point['io_stats']['page_writes']} page writes")
-        if "profile" in point:
-            breakdown = point["profile"]
-            line += (f" [setup {breakdown['session_setup_seconds']:.3f}s, "
-                     f"execute {breakdown['execute_seconds']:.3f}s"
-                     + (f" incl. {breakdown['warmup_runs']} warmup"
-                        if breakdown["warmup_runs"] else "") + "]")
         print(line)
     grid_wall = time.perf_counter() - grid_start
 
@@ -627,8 +578,6 @@ def main() -> int:
         "db_build_seconds": round(build_seconds, 3),
         "db_builds": len(builds),
         "grid_total_cycles": totals.get("CPU_CLK_UNHALTED"),
-        "headline": {"engine": HEADLINE[0], "layout": HEADLINE[1],
-                     "query": HEADLINE[2]},
         "adaptivity": adaptivity_summary(configs),
         "serving": serving_summary(configs),
         "configs": configs,
@@ -665,36 +614,20 @@ def main() -> int:
         with open(args.compare_to) as handle:
             baseline = json.load(handle)
         report["baseline"] = baseline
-        # Concurrently measured cells share the machine, so their wall
-        # clocks are not comparable to a serial baseline; gate cycles only.
-        tolerance = args.tolerance if args.grid_workers <= 1 else None
-        if tolerance is None:
-            print("\n(grid_workers > 1: wall-clock gate disabled, "
-                  "cycles still gated)")
-        lines, violations, speedups = compare_to_baseline(
-            configs, baseline, tolerance, cells_filter=args.cells)
-        report["speedups"] = speedups
+        lines, violations = compare_to_baseline(configs, baseline,
+                                                cells_filter=args.cells)
         report["gate_violations"] = violations
         print()
         for line in lines:
             print(line)
-        headline_key = "/".join(HEADLINE)
-        if headline_key in speedups:
-            print(f"\nheadline {headline_key}: "
-                  f"{speedups[headline_key]['speedup']}x wall-clock speedup")
-        if "grid_wall_seconds" in baseline:
-            before = baseline["grid_wall_seconds"]
-            print(f"grid end-to-end: {before:.3f}s -> {grid_wall:.3f}s "
-                  f"({before / grid_wall:.2f}x)" if grid_wall else "")
         if violations:
-            print("\nREGRESSION GATE FAILED:")
+            print("\nCYCLE GATE FAILED:")
             for violation in violations:
                 print(f"  - {violation}")
             exit_code = 1
-        elif tolerance is None:
-            print("\nregression gate passed (cycles identical; wall not gated)")
         else:
-            print(f"\nregression gate passed (tolerance {tolerance:.0%})")
+            print("\ncycle gate passed (every baseline cell measured, "
+                  "cycles identical)")
 
     stamp = time.strftime("%Y%m%d-%H%M%S")
     out_dir = args.out_dir or os.path.join(

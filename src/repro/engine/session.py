@@ -111,8 +111,7 @@ class Session:
             self.context.adaptive = self.adaptive
         self.parallel: Optional[ParallelExecution] = None
         if execution.is_parallel:
-            self.parallel = ParallelExecution(database, execution.parallelism,
-                                              morsel_pages=execution.morsel_pages)
+            self.parallel = ParallelExecution(database, execution.parallelism)
             self.context.parallel = self.parallel
 
     def close(self) -> None:

@@ -3,8 +3,10 @@
 Two engines share the executor's plans: the tuple-at-a-time Volcano
 iterators in :mod:`.operators` (what the paper's systems do) and the
 batch-at-a-time operators in :mod:`.vectorized` (the amortised
-interpretation path).  ``execute_plan``/``execute_update`` dispatch on an
-:class:`~repro.query.plans.ExecutionConfig`.
+interpretation path).  :mod:`.executor` is the one plan -> operator builder:
+``build_scan``/``build_join``/``build_plan`` (and ``execute_plan``/
+``execute_update`` on top of them) pick the operator family from the
+context's :class:`~repro.query.plans.ExecutionConfig`.
 """
 
 from .code_layout import BranchSite, CodeLayout, CodeSegment, LINE_BYTES
@@ -19,9 +21,7 @@ from .vectorized import (ColumnBatch, VecFilterOperator, VecHashJoinOperator,
                          VecIndexNestedLoopJoinOperator,
                          VecIndexPointLookupOperator, VecIndexRangeScanOperator,
                          VecNestedLoopJoinOperator, VecScalarAggregateOperator,
-                         VecSeqScanOperator, VectorOperator, merge_gather,
-                         build_vectorized_join, build_vectorized_plan,
-                         build_vectorized_scan, execute_plan_vectorized)
+                         VecSeqScanOperator, VectorOperator, merge_gather)
 
 __all__ = [
     "BranchSite", "CodeLayout", "CodeSegment", "LINE_BYTES",
@@ -35,6 +35,4 @@ __all__ = [
     "VecIndexNestedLoopJoinOperator", "VecIndexPointLookupOperator",
     "VecIndexRangeScanOperator", "VecNestedLoopJoinOperator",
     "VecScalarAggregateOperator", "VecSeqScanOperator", "merge_gather",
-    "build_vectorized_join", "build_vectorized_plan", "build_vectorized_scan",
-    "execute_plan_vectorized",
 ]

@@ -106,6 +106,7 @@ class IndexRangeScanOperator(Operator):
                  index: BTreeIndex,
                  ctx: ExecutionContext,
                  low, high,
+                 key_column: str,
                  include_low: bool = False,
                  include_high: bool = False,
                  residual_predicate: Optional[Expression] = None,
@@ -115,6 +116,8 @@ class IndexRangeScanOperator(Operator):
         self.ctx = ctx
         self.low = low
         self.high = high
+        #: Name the index key is emitted under (the indexed column).
+        self.key_column = key_column.split(".")[-1]
         self.include_low = include_low
         self.include_high = include_high
         self.residual_predicate = residual_predicate
@@ -143,7 +146,7 @@ class IndexRangeScanOperator(Operator):
 
             ctx.visit("rid_fetch")
             entry = table.heap.fetch(match.rid)
-            row: Row = {self.index.name.split("_")[1] if "_" in self.index.name else "key": match.key}
+            row: Row = {self.key_column: match.key}
             if self.fetch_columns:
                 row.update(ctx.read_fields(entry, layout, self.fetch_columns))
             qualifies = True

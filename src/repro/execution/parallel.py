@@ -52,6 +52,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..systems.profile import SystemProfile
 from .kernels import PYTHON_KERNELS
+from .vectorized import ColumnBatch, VecSeqScanOperator, VectorOperator
 
 __all__ = [
     "ChargeOp", "TapeRecorder", "MorselSpec", "MorselResult",
@@ -250,6 +251,21 @@ def replay_tape(ops: Sequence[ChargeOp], ctx) -> None:
             raise ValueError(f"unknown tape op {op!r}")
 
 
+def _tape_replayer(ctx, span_name: str):
+    """``replay(ops)`` for one operator's tape segments.  Under
+    ``tracing="full"`` every replay is a subspan: the tape *is* the span's
+    charge record, replayed in canonical order inside the operator's open
+    pull span, so attribution is exact."""
+    tracer = getattr(ctx, "tracer", None)
+    if tracer is None or not tracer.full:
+        return lambda ops: replay_tape(ops, ctx)
+
+    def replay(ops):
+        with tracer.span(span_name, kind="replay"):
+            replay_tape(ops, ctx)
+    return replay
+
+
 # ---------------------------------------------------------------------------
 # Morsels
 # ---------------------------------------------------------------------------
@@ -308,7 +324,6 @@ def _run_scan_morsel(spec: MorselSpec) -> MorselResult:
 
 
 def _run_scan_morsel_on(database, spec: MorselSpec) -> MorselResult:
-    from .vectorized import VecSeqScanOperator
     table = database.catalog.table(spec.table)
     recorder = TapeRecorder(spec.profile)
     if spec.adaptivity != "off":
@@ -341,12 +356,10 @@ class ParallelExecution:
     influence a single simulated count.
     """
 
-    def __init__(self, database, workers: int,
-                 morsel_pages: Optional[int] = None) -> None:
+    def __init__(self, database, workers: int) -> None:
         self.database = database
         self.workers = workers
         self.forks = fork_available()
-        self.morsel_pages = morsel_pages
         self._pool = None
         self._pool_stale = False
 
@@ -403,8 +416,6 @@ class ParallelExecution:
 
     # -- scheduling ---------------------------------------------------------
     def default_morsel_pages(self, page_count: int) -> int:
-        if self.morsel_pages is not None:
-            return max(self.morsel_pages, 1)
         # Aim for a few morsels per worker so stragglers even out, without
         # drowning in per-morsel dispatch overhead.
         return max(1, -(-page_count // (self.workers * 4)))
@@ -518,7 +529,7 @@ class SharedScanCoordinator:
         return len(stale)
 
 
-class SharedScanReplayOperator:
+class SharedScanReplayOperator(VectorOperator):
     """Feeds one query's operator tree from a :class:`RecordedScan`.
 
     Indistinguishable from the serial
@@ -534,37 +545,18 @@ class SharedScanReplayOperator:
         self.ctx = ctx
 
     def batches(self):
-        from .vectorized import ColumnBatch
-        ctx = self.ctx
-        tracer = getattr(ctx, "tracer", None)
-        if tracer is not None and tracer.full:
-            # Per-batch replay subspans: the tape *is* the span's charge
-            # record, replayed in canonical order inside this operator's
-            # open pull span, so attribution is exact.
-            def _replay(ops):
-                with tracer.span("shared_scan_replay", kind="replay"):
-                    replay_tape(ops, ctx)
-        else:
-            def _replay(ops):
-                replay_tape(ops, ctx)
+        replay = _tape_replayer(self.ctx, "shared_scan_replay")
         for columns, length, ops in self.recording.batches:
-            _replay(ops)
+            replay(ops)
             yield ColumnBatch(columns, length)
         if self.recording.trailing_ops:
-            _replay(self.recording.trailing_ops)
-
-    def rows(self):
-        for batch in self.batches():
-            yield from batch.to_rows()
-
-    def __iter__(self):
-        return self.rows()
+            replay(self.recording.trailing_ops)
 
 
 # ---------------------------------------------------------------------------
 # The exchange operator
 # ---------------------------------------------------------------------------
-class VecExchangeOperator:
+class VecExchangeOperator(VectorOperator):
     """Partitions a sequential scan into page morsels and merges the
     workers' batches (and their charge tapes) back in canonical order.
 
@@ -602,20 +594,11 @@ class VecExchangeOperator:
                           adaptive_state=adaptive_state)
 
     def batches(self):
-        from .vectorized import ColumnBatch
         parallel = self.parallel
         ctx = self.ctx
-        tracer = getattr(ctx, "tracer", None)
-        if tracer is not None and tracer.full:
-            # Workers record span deltas on their charge tapes; the parent
-            # replays each tape here, in canonical morsel order, inside
-            # this operator's open pull span -- one subspan per replay.
-            def _replay(ops):
-                with tracer.span("morsel_replay", kind="replay"):
-                    replay_tape(ops, ctx)
-        else:
-            def _replay(ops):
-                replay_tape(ops, ctx)
+        # Workers record their charges on tapes; the parent replays each
+        # tape here, in canonical morsel order.
+        _replay = _tape_replayer(ctx, "morsel_replay")
         page_count = self.table.heap.page_count
         morsel_pages = parallel.default_morsel_pages(page_count)
         spans = partition_pages(page_count, morsel_pages)
@@ -680,10 +663,3 @@ class VecExchangeOperator:
             if batch_sizing:
                 current_size = max(int(manager.policy.batch_size(
                     pressure_key, current_size, manager.collector)), 1)
-
-    def rows(self):
-        for batch in self.batches():
-            yield from batch.to_rows()
-
-    def __iter__(self):
-        return self.rows()

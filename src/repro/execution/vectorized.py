@@ -15,9 +15,13 @@ column name to value vector.  Scans read columns straight out of the page
 into vectors, filters compute selection index lists and gather, joins gather
 matching positions from both sides, and aggregates fold whole vectors.  Row
 dictionaries exist only at the result boundary
-(:meth:`VectorOperator.rows` / :func:`execute_plan_vectorized` late
-materialization), which is where the differential harness diffs them against
-the tuple engine.
+(:meth:`VectorOperator.rows`, drained by
+:func:`~repro.execution.executor.execute_plan`: late materialization), which
+is where the differential harness diffs them against the tuple engine.
+
+This module holds the operators only: which operator a plan node becomes is
+decided in :mod:`repro.execution.executor`, and nothing here imports it or
+:mod:`repro.execution.parallel`.
 
 Design rules:
 
@@ -45,6 +49,8 @@ from __future__ import annotations
 
 import pickle
 
+from bisect import bisect_left
+from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..adaptive.policy import plan_partition_count
@@ -52,15 +58,10 @@ from ..index.btree import BTreeIndex
 from ..storage.buffer_pool import BACKING_REGION, BufferPool
 from ..storage.page import DEFAULT_PAGE_SIZE
 from ..query.expressions import Aggregate, AggregateState, Expression
-from ..query.plans import (AggregatePlan, HashJoinPlan,
-                           IndexNestedLoopJoinPlan, IndexPointLookupPlan,
-                           IndexRangeScanPlan, JoinPlan, NestedLoopJoinPlan,
-                           PhysicalPlan, ScanPlan, SeqScanPlan, UpdatePlan)
-from ..storage.catalog import Catalog, Table
+from ..storage.catalog import Table
 from .context import ExecutionContext
-from .kernels import PYTHON_KERNELS, spill_partition_of
+from .kernels import PYTHON_KERNELS
 from .operators import HashJoinOperator, OperatorError, Row
-from .resolve import ExecutorError
 
 __all__ = [
     "ColumnBatch", "merge_gather",
@@ -68,8 +69,6 @@ __all__ = [
     "VecIndexRangeScanOperator", "VecIndexPointLookupOperator",
     "VecHashJoinOperator", "VecNestedLoopJoinOperator",
     "VecIndexNestedLoopJoinOperator", "VecScalarAggregateOperator",
-    "build_vectorized_scan", "build_vectorized_join", "build_vectorized_plan",
-    "execute_plan_vectorized",
 ]
 
 
@@ -134,6 +133,21 @@ class ColumnBatch:
                             for name, vector in self.columns.items()},
                            len(positions))
 
+    def extend(self, batch: "ColumnBatch") -> None:
+        """Append ``batch``'s rows in place: a growing column block (the
+        hashed or cached side of a join).  The first non-empty batch fixes
+        the column order and its vectors are copied, so the block never
+        aliases a vector its producer (or a shared-scan recording) owns."""
+        if not len(batch):
+            return
+        if not self.columns:
+            self.columns = {name: list(vector)
+                            for name, vector in batch.columns.items()}
+        else:
+            for name, vector in batch.columns.items():
+                self.columns[name].extend(vector)
+        self.length += len(batch)
+
 
 def merge_gather(left: ColumnBatch, left_positions: Sequence[int],
                  right: ColumnBatch, right_positions: Sequence[int],
@@ -157,25 +171,51 @@ def merge_gather(left: ColumnBatch, left_positions: Sequence[int],
     return ColumnBatch(out, len(left_positions))
 
 
+#: The ``(page, slots)`` runs one scan vector covers, in scan order.
+Segments = Sequence[Tuple[object, Sequence[int]]]
+#: Matched ``(global probe position, global build position)`` pairs of a join.
+Pairs = List[Tuple[int, int]]
+
+
+def _joined(ctx: ExecutionContext, left: ColumnBatch, left_positions: Sequence[int],
+            right: ColumnBatch, right_positions: Sequence[int]) -> ColumnBatch:
+    """Charge and assemble one joined batch (:func:`merge_gather` order)."""
+    ctx.visit_batch("join_output", len(left_positions))
+    ctx.row_produced(len(left_positions))
+    return merge_gather(left, left_positions, right, right_positions,
+                        ctx.kernels)
+
+
 def _chunked(items: Sequence, size: int) -> Iterator[Sequence]:
     for start in range(0, len(items), size):
         yield items[start:start + size]
 
 
-def _concat_batches(batches: Iterator[ColumnBatch]) -> ColumnBatch:
-    """Concatenate a stream of batches into one (build/inner-side caching)."""
-    columns: Dict[str, List] = {}
-    length = 0
-    for batch in batches:
-        if not len(batch):
-            continue
-        if not columns:
-            columns = {name: list(vector) for name, vector in batch.columns.items()}
-        else:
-            for name, vector in batch.columns.items():
-                columns[name].extend(vector)
-        length += len(batch)
-    return ColumnBatch(columns, length)
+def _select(ctx: ExecutionContext, predicate: Expression,
+            columns: Dict[str, List], count: int, conjuncts=None) -> List[int]:
+    """Selection vector of ``predicate`` over one batch, charged.
+
+    ``conjuncts`` is the context's adaptive manager when it applies to this
+    predicate (a multi-conjunct conjunction under ``adaptivity != "off"``):
+    the conjuncts are then evaluated -- and charged -- one by one in policy
+    order with short-circuit selection vectors.  Otherwise the predicate is
+    one columnar evaluation and one amortised ``predicate`` visit.
+    """
+    if conjuncts is not None:
+        mask = conjuncts.evaluate_batch(ctx, predicate, columns, count)
+    else:
+        mask = predicate.evaluate_batch(columns, count, ctx.kernels)
+        ctx.visit_batch("predicate", count)
+    return ctx.kernels.compact(mask)
+
+
+def _conjunct_manager(ctx, predicate: Optional[Expression]):
+    """The context's adaptive manager if it reorders ``predicate``'s
+    conjuncts, else ``None`` (no manager attached, or not a conjunction)."""
+    manager = getattr(ctx, "adaptive", None)
+    if manager is not None and manager.applies(predicate):
+        return manager
+    return None
 
 
 class VectorOperator:
@@ -230,173 +270,118 @@ class VecSeqScanOperator(VectorOperator):
                                                     if c not in predicate_columns)
 
     def batches(self) -> Iterator[ColumnBatch]:
-        ctx = self.ctx
-        table = self.table
-        layout = table.layout
-        predicate = self.predicate
-        names = self.predicate_columns
-        # Micro-adaptive conjunct reordering engages only when a manager is
-        # attached (``adaptivity != "off"``) *and* the predicate is a
-        # multi-conjunct conjunction; otherwise the static path below is
-        # untouched (bit-identical to previous releases).  When the manager
-        # additionally enables batch sizing, the scan switches to the
-        # cross-page accumulation path whose vector size walks the bounded
-        # ladder (the conjunct evaluator composes with it unchanged).
-        manager = getattr(ctx, "adaptive", None)
-        adaptive = manager
-        if adaptive is not None and not adaptive.applies(predicate):
-            adaptive = None
-        if manager is not None and manager.batch_sizing:
-            yield from self._adaptive_batches(manager, adaptive)
-            return
-        if self.page_range is not None:
-            pages = table.heap.scan_pages(*self.page_range)
-        else:
-            pages = table.heap.scan_pages()
-        kernels = ctx.kernels
-        for page, slots in pages:
-            ctx.visit("page_boundary")
-            for chunk in _chunked(slots, self.batch_size):
-                count = len(chunk)
-                ctx.visit_batch(self.next_operation, count)
-                columns = ctx.read_column_group_batch(page, layout, chunk, names)
-                if predicate is not None:
-                    if adaptive is not None:
-                        mask = adaptive.evaluate_batch(ctx, predicate,
-                                                       columns, count)
-                    else:
-                        mask = predicate.evaluate_batch(columns, count,
-                                                        kernels)
-                    selected = kernels.compact(mask)
-                    if adaptive is None:
-                        ctx.visit_batch("predicate", count)
-                    out_columns = {name: kernels.gather(vector, selected)
-                                   for name, vector in columns.items()}
-                else:
-                    selected = None
-                    # read_column_group_batch returns fresh vectors per
-                    # chunk, so they can be emitted (and extended) directly.
-                    out_columns = columns
-                out_count = count if selected is None else len(selected)
-                if self.extra_columns and out_count:
-                    selected_slots = (list(chunk) if selected is None
-                                      else kernels.gather(chunk, selected))
-                    out_columns.update(ctx.read_column_group_batch(
-                        page, layout, selected_slots, self.extra_columns))
-                ctx.row_produced(out_count)
-                if self.count_records:
-                    ctx.record_done(count)
-                yield ColumnBatch(out_columns, out_count)
+        """One loop over ``(page, slots)`` segments, one emit step.
 
-    def _adaptive_batches(self, manager, conjuncts) -> Iterator[ColumnBatch]:
-        """Batch-size-adaptive scan: accumulate slot runs across pages into
-        vectors of the policy-chosen size.
-
-        Unlike the static path, whose chunks never span a page (so the
-        configured batch size is silently capped at the page's slot count),
-        this path gathers ``(page, slots)`` segments until the current
-        target size is reached -- the working set of a batch is therefore
-        really under the policy's control.  After each batch the simulated
-        L1D miss delta is observed into the collector at the batch's size
-        rung and the policy picks the next size from the bounded ladder.
-        Inside a morsel worker the context exposes no hardware
-        (``l1d_misses() is None``): the worker keeps the spec's fixed size
-        and the parent observes the pressure at tape-replay time instead,
-        re-deciding between waves -- so serial charging and replayed
-        charging observe the same signal exactly once.
+        Without batch sizing every segment is flushed on its own: vectors
+        never span a page, so the configured batch size is silently capped
+        at the page's slot count.  When the context's adaptive manager
+        enables batch sizing, segments accumulate across pages until the
+        current target size is reached -- the working set of a batch is
+        then really under the policy's control.  After each such batch the
+        simulated L1D miss delta is observed into the collector at the
+        batch's size rung and the policy picks the next size from the
+        bounded ladder.  Inside a morsel worker the context exposes no
+        hardware (``l1d_misses() is None``): the worker keeps the spec's
+        fixed size and the parent observes the pressure at tape-replay time
+        instead, re-deciding between waves -- so serial charging and
+        replayed charging observe the same signal exactly once.
         """
         ctx = self.ctx
-        table = self.table
-        layout = table.layout
-        predicate = self.predicate
-        names = self.predicate_columns
-        kernels = ctx.kernels
-        policy = manager.policy
-        collector = manager.collector
-        pressure_key = f"scan:{table.name}"
+        # Micro-adaptive conjunct reordering engages only when a manager is
+        # attached (``adaptivity != "off"``) *and* the predicate is a
+        # multi-conjunct conjunction; it composes with batch sizing
+        # unchanged.  With neither, the charge sequence is bit-identical to
+        # previous releases.
+        manager = getattr(ctx, "adaptive", None)
+        conjuncts = _conjunct_manager(ctx, self.predicate)
+        sizing = manager is not None and manager.batch_sizing
+        pressure_key = f"scan:{self.table.name}"
         size = max(int(self.batch_size), 1)
         pending: List[Tuple[object, Sequence[int]]] = []
         pending_rows = 0
 
-        def flush() -> Optional[ColumnBatch]:
+        def flush() -> ColumnBatch:
             nonlocal pending, pending_rows, size
-            if not pending_rows:
-                return None
-            count = pending_rows
-            rung = size
-            before = ctx.l1d_misses()
-            ctx.visit_batch(self.next_operation, count)
-            columns: Dict[str, List] = {name: [] for name in names}
-            for page, slots in pending:
-                part = ctx.read_column_group_batch(page, layout, slots, names)
-                for name in names:
-                    columns[name].extend(part[name])
-            if predicate is not None:
-                if conjuncts is not None:
-                    mask = conjuncts.evaluate_batch(ctx, predicate, columns,
-                                                    count)
-                else:
-                    mask = predicate.evaluate_batch(columns, count, kernels)
-                    ctx.visit_batch("predicate", count)
-                selected = kernels.compact(mask)
-                out_columns = {name: kernels.gather(vector, selected)
-                               for name, vector in columns.items()}
-            else:
-                selected = None
-                out_columns = columns
-            out_count = count if selected is None else len(selected)
-            if self.extra_columns and out_count:
-                positions = selected if selected is not None else range(count)
-                extra: Dict[str, List] = {name: [] for name in self.extra_columns}
-                cursor = 0
-                offset = 0
-                positions = list(positions)
-                for page, slots in pending:
-                    upper = offset + len(slots)
-                    segment_slots = []
-                    while cursor < len(positions) and positions[cursor] < upper:
-                        segment_slots.append(slots[positions[cursor] - offset])
-                        cursor += 1
-                    if segment_slots:
-                        part = ctx.read_column_group_batch(
-                            page, layout, segment_slots, self.extra_columns)
-                        for name in self.extra_columns:
-                            extra[name].extend(part[name])
-                    offset = upper
-                out_columns.update(extra)
-            ctx.row_produced(out_count)
-            if self.count_records:
-                ctx.record_done(count)
+            before = ctx.l1d_misses() if sizing else None
+            batch = self._emit(pending, pending_rows, conjuncts)
             if before is not None:
-                collector.observe_pressure(pressure_key, rung, count,
+                collector = manager.collector
+                collector.observe_pressure(pressure_key, size, pending_rows,
                                            ctx.l1d_misses() - before)
-                size = max(int(policy.batch_size(pressure_key, rung,
-                                                 collector)), 1)
+                size = max(int(manager.policy.batch_size(pressure_key, size,
+                                                         collector)), 1)
             pending = []
             pending_rows = 0
-            return ColumnBatch(out_columns, out_count)
+            return batch
 
-        if self.page_range is not None:
-            pages = table.heap.scan_pages(*self.page_range)
-        else:
-            pages = table.heap.scan_pages()
-        for page, slots in pages:
+        for page, slots in self.table.heap.scan_pages(*(self.page_range or ())):
             ctx.visit("page_boundary")
             start = 0
             total = len(slots)
             while start < total:
                 take = min(size - pending_rows, total - start)
-                if take > 0:
-                    pending.append((page, slots[start:start + take]))
-                    pending_rows += take
-                    start += take
-                if pending_rows >= size:
-                    batch = flush()
-                    if batch is not None:
-                        yield batch
-        batch = flush()
-        if batch is not None:
-            yield batch
+                pending.append((page, slots[start:start + take]))
+                pending_rows += take
+                start += take
+                if pending_rows >= size or not sizing:
+                    yield flush()
+        if pending_rows:
+            yield flush()
+
+    def _read(self, segments: Segments, names: Sequence[str]) -> Dict[str, List]:
+        """Read ``names`` for every ``(page, slots)`` segment, concatenated.
+        ``read_column_group_batch`` returns fresh vectors per call, so the
+        first segment's can be extended (and emitted) directly."""
+        ctx = self.ctx
+        layout = self.table.layout
+        columns: Dict[str, List] = {}
+        for index, (page, slots) in enumerate(segments):
+            part = ctx.read_column_group_batch(page, layout, slots, names)
+            if not index:
+                columns = part
+            else:
+                for name in names:
+                    columns[name].extend(part[name])
+        return columns
+
+    def _emit(self, segments: Segments, count: int, conjuncts) -> ColumnBatch:
+        """Charge, read, filter and project one vector of ``count`` slots
+        spread over ``segments``: one amortised ``next_operation`` visit,
+        the predicate columns, the selection, then the output columns of
+        the qualifying slots only."""
+        ctx = self.ctx
+        kernels = ctx.kernels
+        ctx.visit_batch(self.next_operation, count)
+        columns = self._read(segments, self.predicate_columns)
+        selected = None
+        out_count = count
+        if self.predicate is not None:
+            selected = _select(ctx, self.predicate, columns, count, conjuncts)
+            columns = {name: kernels.gather(vector, selected)
+                       for name, vector in columns.items()}
+            out_count = len(selected)
+        if self.extra_columns and out_count:
+            if selected is not None:
+                # Map the selected vector positions back to slots, segment
+                # by segment (``selected`` ascends, segments are in order).
+                qualifying = []
+                offset = cursor = 0
+                for page, slots in segments:
+                    upper = offset + len(slots)
+                    end = bisect_left(selected, upper, cursor)
+                    if end > cursor:
+                        local = selected[cursor:end]
+                        if offset:
+                            local = [position - offset for position in local]
+                        qualifying.append((page, kernels.gather(slots, local)))
+                    cursor = end
+                    offset = upper
+                segments = qualifying
+            columns.update(self._read(segments, self.extra_columns))
+        ctx.row_produced(out_count)
+        if self.count_records:
+            ctx.record_done(count)
+        return ColumnBatch(columns, out_count)
 
 
 class VecFilterOperator(VectorOperator):
@@ -415,26 +400,55 @@ class VecFilterOperator(VectorOperator):
 
     def batches(self) -> Iterator[ColumnBatch]:
         ctx = self.ctx
-        kernels = ctx.kernels
         predicate = self.predicate
-        adaptive = getattr(ctx, "adaptive", None)
-        if adaptive is not None and not adaptive.applies(predicate):
-            adaptive = None
+        conjuncts = _conjunct_manager(ctx, predicate)
         for batch in self.child.batches():
             if not len(batch):
                 yield batch
                 continue
-            if adaptive is not None:
-                mask = adaptive.evaluate_batch(ctx, predicate, batch.columns,
-                                               len(batch))
-            else:
-                mask = predicate.evaluate_batch(batch.columns, len(batch),
-                                                kernels)
-                ctx.visit_batch("predicate", len(batch))
-            selected = kernels.compact(mask)
-            kept = batch.gather(selected, kernels)
+            selected = _select(ctx, predicate, batch.columns, len(batch),
+                               conjuncts)
+            kept = batch.gather(selected, ctx.kernels)
             ctx.row_produced(len(kept))
             yield kept
+
+
+def _charge_descent(ctx: ExecutionContext, index: BTreeIndex, key,
+                    visit: bool = True) -> int:
+    """Charge one root-to-leaf descent for ``key``; returns its step count.
+
+    The node and entry loads are issued per step.  ``visit=False`` leaves
+    the amortised ``index_descend_node`` invocation to the caller (the
+    index nested-loop join issues one per outer batch, after the loads).
+    """
+    steps = list(index.descend(key))
+    if visit:
+        ctx.visit_batch("index_descend_node", len(steps))
+    for step in steps:
+        ctx.read_address(step.node_address, 8)
+        ctx.read_address(step.entry_address, 16)
+    return len(steps)
+
+
+def _fetch_leaf_chunk(ctx: ExecutionContext, table: Table, chunk: Sequence,
+                      columns: Sequence[str]) -> Dict[str, List]:
+    """Advance over one chunk of leaf matches and fetch ``columns`` of the
+    heap records they point to: one amortised ``leaf_advance`` and one
+    ``rid_fetch`` invocation per chunk, the entry loads and record reads
+    per match."""
+    count = len(chunk)
+    ctx.visit_batch("leaf_advance", count)
+    for match in chunk:
+        ctx.read_address(match.entry_address, 16)
+    ctx.visit_batch("rid_fetch", count)
+    vectors: Dict[str, List] = {name: [] for name in columns}
+    if columns:
+        layout = table.layout
+        for match in chunk:
+            fields = ctx.read_fields(table.heap.fetch(match.rid), layout, columns)
+            for name in columns:
+                vectors[name].append(fields[name])
+    return vectors
 
 
 class VecIndexRangeScanOperator(VectorOperator):
@@ -445,6 +459,7 @@ class VecIndexRangeScanOperator(VectorOperator):
                  index: BTreeIndex,
                  ctx: ExecutionContext,
                  low, high,
+                 key_column: str,
                  include_low: bool = False,
                  include_high: bool = False,
                  residual_predicate: Optional[Expression] = None,
@@ -455,6 +470,8 @@ class VecIndexRangeScanOperator(VectorOperator):
         self.ctx = ctx
         self.low = low
         self.high = high
+        #: Name the index key is emitted under (the indexed column).
+        self.key_column = key_column.split(".")[-1]
         self.include_low = include_low
         self.include_high = include_high
         self.residual_predicate = residual_predicate
@@ -468,44 +485,22 @@ class VecIndexRangeScanOperator(VectorOperator):
 
     def batches(self) -> Iterator[ColumnBatch]:
         ctx = self.ctx
-        table = self.table
-        layout = table.layout
-        key_column = (self.index.name.split("_")[1]
-                      if "_" in self.index.name else "key")
-
-        descent_key = self.low if self.low is not None else self.high
-        steps = list(self.index.descend(descent_key))
-        ctx.visit_batch("index_descend_node", len(steps))
-        for step in steps:
-            ctx.read_address(step.node_address, 8)
-            ctx.read_address(step.entry_address, 16)
-
+        _charge_descent(ctx, self.index,
+                        self.low if self.low is not None else self.high)
         matches = list(self.index.range_search(self.low, self.high,
                                                include_low=self.include_low,
                                                include_high=self.include_high))
         residual = self.residual_predicate
         for chunk in _chunked(matches, self.batch_size):
             count = len(chunk)
-            ctx.visit_batch("leaf_advance", count)
-            for match in chunk:
-                ctx.read_address(match.entry_address, 16)
-            ctx.visit_batch("rid_fetch", count)
-            columns: Dict[str, List] = {key_column: [match.key for match in chunk]}
-            if self.fetch_columns:
-                vectors: Dict[str, List] = {name: [] for name in self.fetch_columns}
-                for match in chunk:
-                    entry = table.heap.fetch(match.rid)
-                    fields = ctx.read_fields(entry, layout, self.fetch_columns)
-                    for name in self.fetch_columns:
-                        vectors[name].append(fields[name])
-                columns.update(vectors)
+            columns: Dict[str, List] = {self.key_column: [match.key
+                                                          for match in chunk]}
+            columns.update(_fetch_leaf_chunk(ctx, self.table, chunk,
+                                             self.fetch_columns))
             batch = ColumnBatch(columns, count)
             if residual is not None:
-                kernels = ctx.kernels
-                mask = residual.evaluate_batch(batch.columns, count, kernels)
-                selected = kernels.compact(mask)
-                ctx.visit_batch("predicate", count)
-                batch = batch.gather(selected, kernels)
+                batch = batch.gather(_select(ctx, residual, columns, count),
+                                     ctx.kernels)
             ctx.row_produced(len(batch))
             ctx.record_done(count)
             yield batch
@@ -526,32 +521,15 @@ class VecIndexPointLookupOperator(VectorOperator):
 
     def batches(self) -> Iterator[ColumnBatch]:
         ctx = self.ctx
-        layout = self.table.layout
-        steps = list(self.index.descend(self.value))
-        ctx.visit_batch("index_descend_node", len(steps))
-        for step in steps:
-            ctx.read_address(step.node_address, 8)
-            ctx.read_address(step.entry_address, 16)
+        _charge_descent(ctx, self.index, self.value)
         matches = list(self.index.range_search(self.value, self.value,
                                                include_low=True, include_high=True))
         columns = tuple(self.output_columns or self.table.schema.column_names())
         for chunk in _chunked(matches, self.batch_size):
-            count = len(chunk)
-            ctx.visit_batch("leaf_advance", count)
-            for match in chunk:
-                ctx.read_address(match.entry_address, 16)
-            ctx.visit_batch("rid_fetch", count)
-            vectors: Dict[str, List] = {name: [] for name in columns}
-            rids: List = []
-            for match in chunk:
-                entry = self.table.heap.fetch(match.rid)
-                fields = ctx.read_fields(entry, layout, columns)
-                for name in columns:
-                    vectors[name].append(fields[name])
-                rids.append(match.rid)
-            vectors["__rid__"] = rids
-            ctx.row_produced(count)
-            yield ColumnBatch(vectors, count)
+            vectors = _fetch_leaf_chunk(ctx, self.table, chunk, columns)
+            vectors["__rid__"] = [match.rid for match in chunk]
+            ctx.row_produced(len(chunk))
+            yield ColumnBatch(vectors, len(chunk))
         ctx.record_done()
 
 
@@ -561,25 +539,6 @@ class VecIndexPointLookupOperator(VectorOperator):
 #: is pathologically skewed (every level hashed the same key together) and
 #: further partitioning cannot split it.
 _MAX_SPILL_DEPTH = 4
-
-
-#: Deterministic spill-partition assignment, salted by recursion level.
-#: The canonical implementation now lives in the kernels package (it is one
-#: of the data-plane contracts both backends must reproduce bit-for-bit);
-#: this alias keeps the historical name for the scalar call sites here.
-_spill_partition_of = spill_partition_of
-
-
-def _column_index(names: Sequence[str], column: str) -> int:
-    """Position of ``column`` in ``names`` (qualified or unqualified)."""
-    names = list(names)
-    if column in names:
-        return names.index(column)
-    short = column.split(".")[-1]
-    for position, name in enumerate(names):
-        if name.split(".")[-1] == short:
-            return position
-    raise OperatorError(f"columns {names} have no column {column!r}")
 
 
 class _SpillFile:
@@ -642,6 +601,104 @@ class _SpillFile:
         return records
 
 
+#: Bytes charged per hash-table bucket (the tuple engine's entry size).
+_ENTRY_BYTES = HashJoinOperator.ENTRY_BYTES
+
+
+class _BucketArea:
+    """The charged bucket array of one hashed join side.
+
+    Owns the workspace allocation, its bucket count and the number of
+    resident entries.  Every bucket store and load of the hash join -- the
+    in-memory build, a flipped probe side, the resident partitions of the
+    budgeted join and each spilled partition -- is charged here, so every
+    hashed side is sized, addressed and re-sized the same way.
+    """
+
+    __slots__ = ("ctx", "buckets", "base", "count")
+
+    def __init__(self, ctx: ExecutionContext, buckets: int) -> None:
+        self.ctx = ctx
+        self.buckets = buckets
+        self.base = ctx.allocate_workspace(buckets * _ENTRY_BYTES)
+        self.count = 0
+
+    def addresses(self, keys: Sequence) -> List[int]:
+        """Bucket address of every key, hashed in bulk at the current size."""
+        base = self.base
+        return [base + bucket * _ENTRY_BYTES for bucket
+                in self.ctx.kernels.bucket_indices(keys, self.buckets)]
+
+    def _charge(self, access: Callable[[int, int], None], keys: Sequence) -> None:
+        for address in self.addresses(keys):
+            access(address, _ENTRY_BYTES)
+
+    def store(self, keys: Sequence, resident: Callable[[], Sequence]) -> None:
+        """Charge the bucket store of one key vector.
+
+        ``resident()`` returns the keys stored so far (asked for only when
+        the area must double).  A vector that cannot trigger a resize is
+        hashed at once; the per-key charge is the same either way.
+        """
+        if self.count + len(keys) > self.buckets:
+            for key in keys:
+                self.store_one(key, resident)
+        else:
+            self._charge(self.ctx.write_address, keys)
+            self.count += len(keys)
+
+    def store_one(self, key, resident: Callable[[], Sequence]) -> None:
+        """Charge one bucket store, doubling the area first if it is full."""
+        if self.count == self.buckets:
+            # Observed cardinality exceeds the sizing estimate:
+            # reconcile by doubling (and re-charging) the area.
+            self._double(resident())
+        self.ctx.write_address(
+            self.base + (hash(key) % self.buckets) * _ENTRY_BYTES, _ENTRY_BYTES)
+        self.count += 1
+
+    def _double(self, keys: Sequence) -> None:
+        """Grow the bucket array past the planner's estimate and re-charge.
+
+        The observed cardinality has reached ``buckets`` (the sizing
+        estimate), so the charged footprint no longer matches reality: keep
+        hashing into the undersized area and the simulated working set --
+        and its cache behaviour -- would stay estimate-shaped however large
+        the input.  Mirror of a hash table's load-factor doubling: allocate
+        a doubled area and re-charge the rehash of every resident key.
+        """
+        self.buckets = max(self.buckets * 2, 16)
+        self.base = self.ctx.allocate_workspace(self.buckets * _ENTRY_BYTES)
+        if keys:
+            self.ctx.visit_batch("hash_build", len(keys))
+            self._charge(self.ctx.write_address, keys)
+
+    def load(self, keys: Sequence) -> None:
+        """Charge the bucket load of one key vector."""
+        self._charge(self.ctx.read_address, keys)
+
+    def load_one(self, address: int) -> None:
+        """Charge one bucket load at an address from :meth:`addresses`."""
+        self.ctx.read_address(address, _ENTRY_BYTES)
+
+
+class _Positions(dict):
+    """Hash-table payload: join key -> row positions, in insertion order."""
+
+    __slots__ = ()
+
+    def add(self, key, position: int) -> None:
+        self.setdefault(key, []).append(position)
+
+    def matches(self, keys: Sequence) -> Iterator[Tuple[int, List[int]]]:
+        """``(offset, positions)`` for every key of the vector that has any."""
+        get = self.get
+        for offset, key in enumerate(keys):
+            found = get(key)
+            if found:
+                yield offset, found
+
+
 class VecHashJoinOperator(VectorOperator):
     """Columnar hash join: the build side is concatenated into one columnar
     block whose hash table maps key -> row positions; each probe batch turns
@@ -655,7 +712,7 @@ class VecHashJoinOperator(VectorOperator):
     the probe input becomes the hash-table side and the (larger) build input
     is streamed through it.  The flip recombines matched pairs into exactly
     the static plan's output -- same rows, same probe-major order, same
-    dict-merge column order (see :meth:`_adaptive_batches`).
+    dict-merge column order (see :meth:`_emit_pairs`).
 
     When ``ctx.execution`` sets a ``memory_budget_bytes``, the operator runs
     its grace/hybrid spilling path instead (:meth:`_spill_batches`): both
@@ -666,8 +723,6 @@ class VecHashJoinOperator(VectorOperator):
     row-, order- and column-identical to the in-memory join at every
     budget.
     """
-
-    ENTRY_BYTES = HashJoinOperator.ENTRY_BYTES
 
     def __init__(self,
                  probe: VectorOperator,
@@ -701,260 +756,144 @@ class VecHashJoinOperator(VectorOperator):
         #: partition-count decision reason about.
         self.build_row_bytes = max(build_row_bytes, 1)
 
+    # ------------------------------------------------------- shared pieces
+    def _hash_batch(self, batch: ColumnBatch, column: str, block: ColumnBatch,
+                    area: _BucketArea, table: _Positions) -> None:
+        """Ingest one batch into a hashed side: one amortised ``hash_build``
+        invocation, the rows appended to ``block``, one bucket store per key
+        and the key -> position entries."""
+        self.ctx.visit_batch("hash_build", len(batch))
+        base = len(block)
+        block.extend(batch)
+        keys = batch.vector(column)
+        area.store(keys, lambda: block.vector(column)[:area.count])
+        for position, key in enumerate(keys, base):
+            table.add(key, position)
+
+    def _emit_pairs(self, pairs: Pairs, build_block: ColumnBatch,
+                    probe_block: ColumnBatch) -> Iterator[ColumnBatch]:
+        """Recombination: emit matched ``(global probe position, global
+        build position)`` pairs as the streaming join would have.
+
+        The streaming in-memory join emits its pairs ordered
+        lexicographically by exactly that tuple -- probe batches stream in
+        order, and each probe row's matches come back in build insertion
+        order (per-partition spill files preserve insertion order too).  So
+        however the matches were found -- build rows streamed through a
+        flipped table, partitions joined one by one -- collecting every
+        pair and sorting restores the static row order, while
+        ``merge_gather`` with the build block on the left restores the
+        static dict-merge column order.
+        """
+        pairs.sort()
+        for chunk in _chunked(pairs, self.batch_size):
+            yield _joined(self.ctx, build_block, [pair[1] for pair in chunk],
+                          probe_block, [pair[0] for pair in chunk])
+
+    # ------------------------------------------------------ in-memory join
     def batches(self) -> Iterator[ColumnBatch]:
-        budget = self.ctx.execution.memory_budget_bytes
+        """Ingest the build side; stream the probe side through it -- or,
+        after a flip, hash the probe side and stream the build side.
+
+        ``flip_join`` is consulted only when a join-side manager is
+        attached; without one (and under the never-flipping ``static``
+        policy, whose collector observations are free) the charge sequence
+        is the planner's join exactly, so ``adaptivity="static"`` with
+        ``adaptive_joins=True`` is the cycle-identical control arm.
+        """
+        ctx = self.ctx
+        manager = getattr(ctx, "adaptive", None)
+        budget = ctx.execution.memory_budget_bytes
         if budget is not None:
             # The budgeted path subsumes the join-side decision: the build
             # side's footprint is governed by partitioning, not by flipping,
             # so the adaptive manager contributes its partition_count policy
             # and cardinality statistics rather than flip_join.
-            yield from self._spill_batches(budget, getattr(self.ctx, "adaptive", None))
+            yield from self._spill_batches(budget, manager)
             return
-        adaptive = getattr(self.ctx, "adaptive", None)
-        if adaptive is not None and not adaptive.join_sides:
-            adaptive = None
-        if adaptive is None:
-            yield from self._static_batches()
-        else:
-            yield from self._adaptive_batches(adaptive)
+        if manager is not None and not manager.join_sides:
+            manager = None
+        collector = manager.collector if manager is not None else None
 
-    def _resize_hash_area(self, buckets: int, keys: Sequence) -> Tuple[int, int]:
-        """Grow the bucket array past the planner's estimate and re-charge.
-
-        The observed build cardinality has reached ``buckets`` (the sizing
-        estimate), so the charged footprint no longer matches reality: keep
-        hashing into the undersized area and the simulated working set --
-        and its cache behaviour -- would stay estimate-shaped however large
-        the input.  Mirror of a hash table's load-factor doubling: allocate
-        a doubled area and re-charge the rehash of every resident key.
-        Returns ``(new_buckets, new_area)``.
-        """
-        ctx = self.ctx
-        entry_bytes = self.ENTRY_BYTES
-        new_buckets = max(buckets * 2, 16)
-        new_area = ctx.allocate_workspace(new_buckets * entry_bytes)
-        if keys:
-            ctx.visit_batch("hash_build", len(keys))
-            for bucket in ctx.kernels.bucket_indices(keys, new_buckets):
-                ctx.write_address(new_area + bucket * entry_bytes, entry_bytes)
-        return new_buckets, new_area
-
-    def _static_batches(self) -> Iterator[ColumnBatch]:
-        ctx = self.ctx
-        kernels = ctx.kernels
-        hash_area = ctx.allocate_workspace(self.build_row_estimate * self.ENTRY_BYTES)
-        buckets = self.build_row_estimate
-        entry_bytes = self.ENTRY_BYTES
-
-        build_columns: Dict[str, List] = {}
-        build_count = 0
-        build_keys: List = []
-        hash_table: Dict[object, List[int]] = {}
-        for batch in self.build.batches():
-            if not len(batch):
-                continue
-            ctx.visit_batch("hash_build", len(batch))
-            if not build_columns:
-                build_columns = {name: list(vector)
-                                 for name, vector in batch.columns.items()}
-            else:
-                for name, vector in batch.columns.items():
-                    build_columns[name].extend(vector)
-            keys = batch.vector(self.build_column)
-            if build_count + len(keys) <= buckets:
-                # No mid-batch resize possible: hash the whole key vector at
-                # once.  The per-key charge below is untouched.
-                for key, bucket in zip(keys, kernels.bucket_indices(keys, buckets)):
-                    ctx.write_address(hash_area + bucket * entry_bytes, entry_bytes)
-                    hash_table.setdefault(key, []).append(build_count)
-                    build_keys.append(key)
-                    build_count += 1
-                continue
-            for key in keys:
-                if build_count == buckets:
-                    # Observed cardinality exceeds the sizing estimate:
-                    # reconcile by doubling (and re-charging) the area.
-                    buckets, hash_area = self._resize_hash_area(buckets, build_keys)
-                bucket_address = hash_area + (hash(key) % buckets) * entry_bytes
-                ctx.write_address(bucket_address, entry_bytes)
-                hash_table.setdefault(key, []).append(build_count)
-                build_keys.append(key)
-                build_count += 1
-        build_block = ColumnBatch(build_columns, build_count)
-
-        for batch in self.probe.batches():
-            if not len(batch):
-                continue
-            ctx.visit_batch("hash_probe", len(batch))
-            build_positions: List[int] = []
-            probe_positions: List[int] = []
-            probe_keys = batch.vector(self.probe_column)
-            buckets_of = kernels.bucket_indices(probe_keys, buckets)
-            for position, key in enumerate(probe_keys):
-                bucket_address = hash_area + buckets_of[position] * entry_bytes
-                ctx.read_address(bucket_address, entry_bytes)
-                matches = hash_table.get(key)
-                if not matches:
-                    continue
-                build_positions.extend(matches)
-                probe_positions.extend([position] * len(matches))
-            ctx.visit_batch("join_output", len(build_positions))
-            ctx.row_produced(len(build_positions))
-            yield merge_gather(build_block, build_positions, batch, probe_positions,
-                               kernels)
-
-    def _adaptive_batches(self, manager) -> Iterator[ColumnBatch]:
-        """Join-side-adaptive execution: ingest, observe, possibly flip.
-
-        The unflipped branch charges exactly like :meth:`_static_batches`
-        (plus free collector observations), so ``adaptivity="static"`` with
-        ``adaptive_joins=True`` is the cycle-identical control arm.  The
-        flipped branch recombines the static output exactly: the static
-        join emits pairs ordered lexicographically by (global probe
-        position, build insertion position) -- probe batches stream in
-        order, and each probe row's matches come back in build insertion
-        order -- so collecting every (probe position, build position) match
-        of the flipped orientation and sorting restores the static row
-        order, while ``merge_gather`` keeps the build block on the left for
-        the static dict-merge column order.
-        """
-        from itertools import chain
-
-        ctx = self.ctx
-        kernels = ctx.kernels
-        policy = manager.policy
-        collector = manager.collector
-        hash_area = ctx.allocate_workspace(self.build_row_estimate * self.ENTRY_BYTES)
-        buckets = self.build_row_estimate
-        entry_bytes = self.ENTRY_BYTES
-
-        build_columns: Dict[str, List] = {}
-        build_count = 0
-        hash_table: Dict[object, List[int]] = {}
-        flipped = False
-        pending: Optional[ColumnBatch] = None
+        area = _BucketArea(ctx, self.build_row_estimate)
+        build_block = ColumnBatch.empty()
+        table = _Positions()
         build_iter = self.build.batches()
+        pending: Optional[ColumnBatch] = None
         for batch in build_iter:
             if not len(batch):
                 continue
-            if policy.flip_join(self.build_key, self.probe_key,
-                                self.probe_row_estimate, build_count,
-                                collector):
-                flipped = True
+            if manager is not None and manager.policy.flip_join(
+                    self.build_key, self.probe_key, self.probe_row_estimate,
+                    len(build_block), collector):
                 pending = batch
                 break
-            ctx.visit_batch("hash_build", len(batch))
-            if not build_columns:
-                build_columns = {name: list(vector)
-                                 for name, vector in batch.columns.items()}
-            else:
-                for name, vector in batch.columns.items():
-                    build_columns[name].extend(vector)
-            keys = batch.vector(self.build_column)
-            for key, bucket in zip(keys, kernels.bucket_indices(keys, buckets)):
-                ctx.write_address(hash_area + bucket * entry_bytes, entry_bytes)
-                hash_table.setdefault(key, []).append(build_count)
-                build_count += 1
+            self._hash_batch(batch, self.build_column, build_block, area, table)
 
-        if not flipped:
-            collector.observe_cardinality(self.build_key, build_count)
-            build_block = ColumnBatch(build_columns, build_count)
+        if pending is None:
+            if collector is not None:
+                collector.observe_cardinality(self.build_key, len(build_block))
             probe_rows = 0
             for batch in self.probe.batches():
                 if not len(batch):
                     continue
                 probe_rows += len(batch)
                 ctx.visit_batch("hash_probe", len(batch))
+                keys = batch.vector(self.probe_column)
+                area.load(keys)
                 build_positions: List[int] = []
                 probe_positions: List[int] = []
-                probe_keys = batch.vector(self.probe_column)
-                buckets_of = kernels.bucket_indices(probe_keys, buckets)
-                for position, key in enumerate(probe_keys):
-                    bucket_address = hash_area + buckets_of[position] * entry_bytes
-                    ctx.read_address(bucket_address, entry_bytes)
-                    matches = hash_table.get(key)
-                    if not matches:
-                        continue
-                    build_positions.extend(matches)
-                    probe_positions.extend([position] * len(matches))
-                ctx.visit_batch("join_output", len(build_positions))
-                ctx.row_produced(len(build_positions))
-                yield merge_gather(build_block, build_positions, batch,
-                                   probe_positions, kernels)
-            collector.observe_cardinality(self.probe_key, probe_rows)
+                for position, found in table.matches(keys):
+                    build_positions.extend(found)
+                    probe_positions.extend([position] * len(found))
+                yield _joined(ctx, build_block, build_positions, batch,
+                              probe_positions)
+            if collector is not None:
+                collector.observe_cardinality(self.probe_key, probe_rows)
             return
 
         # -- flipped: the probe input becomes the hash-table side ----------
-        flip_buckets = self.probe_row_estimate
-        flip_area = ctx.allocate_workspace(flip_buckets * entry_bytes)
-        probe_columns: Dict[str, List] = {}
-        probe_count = 0
-        flip_table: Dict[object, List[int]] = {}
+        flip_area = _BucketArea(ctx, self.probe_row_estimate)
+        probe_block = ColumnBatch.empty()
+        flip_table = _Positions()
         for batch in self.probe.batches():
-            if not len(batch):
-                continue
-            ctx.visit_batch("hash_build", len(batch))
-            if not probe_columns:
-                probe_columns = {name: list(vector)
-                                 for name, vector in batch.columns.items()}
-            else:
-                for name, vector in batch.columns.items():
-                    probe_columns[name].extend(vector)
-            keys = batch.vector(self.probe_column)
-            for key, bucket in zip(keys, kernels.bucket_indices(keys, flip_buckets)):
-                ctx.write_address(flip_area + bucket * entry_bytes, entry_bytes)
-                flip_table.setdefault(key, []).append(probe_count)
-                probe_count += 1
-        collector.observe_cardinality(self.probe_key, probe_count)
-        probe_block = ColumnBatch(probe_columns, probe_count)
+            if len(batch):
+                self._hash_batch(batch, self.probe_column, probe_block,
+                                 flip_area, flip_table)
+        collector.observe_cardinality(self.probe_key, len(probe_block))
 
-        pairs: List[Tuple[int, int]] = []
+        pairs: Pairs = []
 
         def stream_lookups(keys: Sequence, base: int) -> None:
             ctx.visit_batch("hash_probe", len(keys))
-            buckets_of = kernels.bucket_indices(keys, flip_buckets)
-            for offset, key in enumerate(keys):
-                bucket_address = flip_area + buckets_of[offset] * entry_bytes
-                ctx.read_address(bucket_address, entry_bytes)
-                matches = flip_table.get(key)
-                if matches:
-                    build_position = base + offset
-                    pairs.extend((probe_position, build_position)
-                                 for probe_position in matches)
+            flip_area.load(keys)
+            for offset, found in flip_table.matches(keys):
+                pairs.extend((probe_position, base + offset)
+                             for probe_position in found)
 
         # Build rows ingested before the flip were wasted hash-build work --
         # the honest cost of a late flip; they stay in the block and are
         # streamed through the flipped table first, in insertion order.
-        if build_count:
-            stream_lookups(
-                ColumnBatch(build_columns, build_count).vector(self.build_column), 0)
+        if len(build_block):
+            stream_lookups(build_block.vector(self.build_column), 0)
         for batch in chain((pending,), build_iter):
-            if batch is None or not len(batch):
+            if not len(batch):
                 continue
-            base = build_count
-            if not build_columns:
-                build_columns = {name: list(vector)
-                                 for name, vector in batch.columns.items()}
-            else:
-                for name, vector in batch.columns.items():
-                    build_columns[name].extend(vector)
-            build_count += len(batch)
+            base = len(build_block)
+            build_block.extend(batch)
             stream_lookups(batch.vector(self.build_column), base)
-        collector.observe_cardinality(self.build_key, build_count)
-        build_block = ColumnBatch(build_columns, build_count)
-
-        # Recombination: sorting the matched pairs restores the static
-        # probe-major row order exactly (see the method docstring).
-        pairs.sort()
-        for chunk in _chunked(pairs, self.batch_size):
-            probe_positions = [pair[0] for pair in chunk]
-            build_positions = [pair[1] for pair in chunk]
-            ctx.visit_batch("join_output", len(chunk))
-            ctx.row_produced(len(chunk))
-            yield merge_gather(build_block, build_positions, probe_block,
-                               probe_positions, kernels)
+        collector.observe_cardinality(self.build_key, len(build_block))
+        yield from self._emit_pairs(pairs, build_block, probe_block)
 
     # ----------------------------------------------- grace/hybrid spilling
+    def _spill_file(self, files: List[Optional[_SpillFile]], index: int,
+                    pool: Callable[[], BufferPool]) -> _SpillFile:
+        """The spill file of partition ``index``, created on first use."""
+        handle = files[index]
+        if handle is None:
+            handle = files[index] = _SpillFile(pool(), self.build_row_bytes)
+        return handle
+
     def _spill_batches(self, budget: int, manager) -> Iterator[ColumnBatch]:
         """Memory-budgeted execution: partition, spill, join, recombine.
 
@@ -977,18 +916,12 @@ class VecHashJoinOperator(VectorOperator):
           still exceeds the budget is recursively re-partitioned with a
           level-salted hash (bounded by ``_MAX_SPILL_DEPTH``).
 
-        Identity argument: every match is collected as a (global probe
-        position, global build position) pair; the static join emits pairs
-        ordered lexicographically by exactly that tuple (probe batches
-        stream in order; each probe row's matches come back in build
-        insertion order, and per-partition spill files preserve insertion
-        order), so sorting the collected pairs restores the static row
-        order, and ``merge_gather`` with the build block on the left
-        restores the static dict-merge column order.
+        Every match is collected as a (global probe position, global build
+        position) pair and emitted through :meth:`_emit_pairs`, which
+        carries the identity argument.
         """
         ctx = self.ctx
         kernels = ctx.kernels
-        entry_bytes = self.ENTRY_BYTES
         row_bytes = self.build_row_bytes
         collector = manager.collector if manager is not None else None
         if manager is not None:
@@ -1021,41 +954,36 @@ class VecHashJoinOperator(VectorOperator):
                 self.spill_pool = spill_pool
             return spill_pool
 
-        def spill_file(files: List[Optional[_SpillFile]], index: int) -> _SpillFile:
-            handle = files[index]
-            if handle is None:
-                handle = files[index] = _SpillFile(pool(), row_bytes)
-            return handle
-
-        hash_area = ctx.allocate_workspace(self.build_row_estimate * entry_bytes)
-        buckets = self.build_row_estimate
+        area = _BucketArea(ctx, self.build_row_estimate)
 
         # ---- build ingest: resident tables + spill files ----
-        build_columns: Dict[str, List] = {}
-        build_count = 0
+        build_block = ColumnBatch.empty()
         resident = partitions
         resident_bytes = 0
-        resident_count = 0
         resident_keys: List[List] = [[] for _ in range(partitions)]
-        resident_tables: List[Optional[Dict[object, List[int]]]] = [
-            {} for _ in range(partitions)]
+        resident_tables: List[Optional[_Positions]] = [
+            _Positions() for _ in range(partitions)]
         resident_rows: List[List[int]] = [[] for _ in range(partitions)]
         build_files: List[Optional[_SpillFile]] = [None] * partitions
         probe_files: List[Optional[_SpillFile]] = [None] * partitions
 
-        def row_values(columns: Dict[str, List], position: int) -> Tuple:
-            return tuple(vector[position] for vector in columns.values())
+        def row_values(block: ColumnBatch, position: int) -> Tuple:
+            return tuple(vector[position] for vector in block.columns.values())
+
+        def keys_in_area() -> List:
+            return [key for part_keys in resident_keys[:resident]
+                    for key in part_keys]
 
         def demote_one() -> None:
             """Spill the highest-numbered resident partition (destaging)."""
-            nonlocal resident, resident_bytes, resident_count
+            nonlocal resident, resident_bytes
             resident -= 1
             victim = resident
-            handle = spill_file(build_files, victim)
+            handle = self._spill_file(build_files, victim, pool)
             for position in resident_rows[victim]:
-                handle.append(ctx, position, row_values(build_columns, position))
+                handle.append(ctx, position, row_values(build_block, position))
             resident_bytes -= len(resident_rows[victim]) * row_bytes
-            resident_count -= len(resident_rows[victim])
+            area.count -= len(resident_rows[victim])
             resident_tables[victim] = None
             resident_rows[victim] = []
             resident_keys[victim] = []
@@ -1064,126 +992,95 @@ class VecHashJoinOperator(VectorOperator):
             if not len(batch):
                 continue
             ctx.visit_batch("hash_build", len(batch))
-            if not build_columns:
-                build_columns = {name: list(vector)
-                                 for name, vector in batch.columns.items()}
-            else:
-                for name, vector in batch.columns.items():
-                    build_columns[name].extend(vector)
+            base = len(build_block)
+            build_block.extend(batch)
             keys = batch.vector(self.build_column)
             # Partition count is fixed for the whole ingest, so the
             # level-0 partition of every key can be assigned in bulk; the
-            # bucket hash below cannot (the resident area may resize
-            # mid-batch).
+            # bucket hash cannot (the resident area may resize mid-batch).
             parts = kernels.spill_partitions(keys, 0, partitions)
-            for key, part in zip(keys, parts):
+            for position, (key, part) in enumerate(zip(keys, parts), base):
                 if part < resident:
-                    if resident_count == buckets:
-                        buckets, hash_area = self._resize_hash_area(
-                            buckets,
-                            [k for part_keys in resident_keys[:resident]
-                             for k in part_keys])
-                    bucket_address = hash_area + (hash(key) % buckets) * entry_bytes
-                    ctx.write_address(bucket_address, entry_bytes)
-                    resident_tables[part].setdefault(key, []).append(build_count)
-                    resident_rows[part].append(build_count)
+                    area.store_one(key, keys_in_area)
+                    resident_tables[part].add(key, position)
+                    resident_rows[part].append(position)
                     resident_keys[part].append(key)
-                    resident_count += 1
                     resident_bytes += row_bytes
                     while resident_bytes > budget and resident > 0:
                         demote_one()
                 else:
-                    spill_file(build_files, part).append(
-                        ctx, build_count, row_values(build_columns, build_count))
-                build_count += 1
+                    self._spill_file(build_files, part, pool).append(
+                        ctx, position, row_values(build_block, position))
         if collector is not None:
-            collector.observe_cardinality(self.build_key, build_count)
+            collector.observe_cardinality(self.build_key, len(build_block))
         # The resident set is frozen from here on: demotions during the
         # probe phase would lose matches already probed against the table.
-        del resident_keys
 
         # ---- probe ingest: probe resident partitions, spill the rest ----
-        probe_columns: Dict[str, List] = {}
-        probe_count = 0
-        pairs: List[Tuple[int, int]] = []
+        probe_block = ColumnBatch.empty()
+        pairs: Pairs = []
         for batch in self.probe.batches():
             if not len(batch):
                 continue
             ctx.visit_batch("hash_probe", len(batch))
-            if not probe_columns:
-                probe_columns = {name: list(vector)
-                                 for name, vector in batch.columns.items()}
-            else:
-                for name, vector in batch.columns.items():
-                    probe_columns[name].extend(vector)
+            base = len(probe_block)
+            probe_block.extend(batch)
             keys = batch.vector(self.probe_column)
             # Both the partition count and (resident set frozen) the bucket
             # count are fixed during the probe phase: assign and hash in
             # bulk.
             parts = kernels.spill_partitions(keys, 0, partitions)
-            buckets_of = kernels.bucket_indices(keys, buckets)
+            addresses = area.addresses(keys)
             for offset, (key, part) in enumerate(zip(keys, parts)):
+                position = base + offset
                 if part < resident:
-                    bucket_address = hash_area + buckets_of[offset] * entry_bytes
-                    ctx.read_address(bucket_address, entry_bytes)
-                    matches = resident_tables[part].get(key)
-                    if matches:
-                        pairs.extend((probe_count, build_position)
-                                     for build_position in matches)
+                    area.load_one(addresses[offset])
+                    found = resident_tables[part].get(key)
+                    if found:
+                        pairs.extend((position, build_position)
+                                     for build_position in found)
                 else:
                     handle = build_files[part]
                     # A probe row of a build-empty partition cannot match;
                     # the build phase's partition sizes are known, so grace
                     # joins skip its spill write.
                     if handle is not None and handle.row_count:
-                        spill_file(probe_files, part).append(
-                            ctx, probe_count,
-                            row_values(probe_columns, probe_count))
-                probe_count += 1
+                        self._spill_file(probe_files, part, pool).append(
+                            ctx, position, row_values(probe_block, position))
         if collector is not None:
-            collector.observe_cardinality(self.probe_key, probe_count)
+            collector.observe_cardinality(self.probe_key, len(probe_block))
 
         # ---- join the spilled partitions, ascending index ----
-        probe_key_index: Optional[int] = None
-        build_key_index: Optional[int] = None
-        if build_columns:
-            build_key_index = _column_index(tuple(build_columns), self.build_column)
-        if probe_columns:
-            probe_key_index = _column_index(tuple(probe_columns), self.probe_column)
-        for part in range(resident, partitions):
-            build_handle = build_files[part]
-            probe_handle = probe_files[part]
+        if len(build_block) and len(probe_block):
+            # A spilled record's values are in its block's column order.
+            self._join_spilled(
+                build_files[resident:], probe_files[resident:],
+                list(build_block.columns).index(self.build_column),
+                list(probe_block.columns).index(self.probe_column),
+                level=1, budget=budget, pool=pool, pairs=pairs)
+        yield from self._emit_pairs(pairs, build_block, probe_block)
+
+    def _join_spilled(self, build_files: Sequence[Optional[_SpillFile]],
+                      probe_files: Sequence[Optional[_SpillFile]],
+                      build_key_index: int, probe_key_index: int, level: int,
+                      budget: int, pool: Callable[[], BufferPool],
+                      pairs: Pairs) -> None:
+        """Join every partition that has rows on both sides, in order."""
+        for build_handle, probe_handle in zip(build_files, probe_files):
             if build_handle is None or probe_handle is None:
                 continue
             if not build_handle.row_count or not probe_handle.row_count:
                 continue
-            self._join_partition(build_handle.read_all(ctx),
-                                 probe_handle.read_all(ctx),
+            self._join_partition(build_handle.read_all(self.ctx),
+                                 probe_handle.read_all(self.ctx),
                                  build_key_index, probe_key_index,
-                                 level=1, budget=budget, pool=pool,
-                                 pairs=pairs)
+                                 level, budget, pool, pairs)
 
-        # ---- recombination: sorted pairs restore the static order ----
-        build_block = ColumnBatch(build_columns, build_count)
-        probe_block = ColumnBatch(probe_columns, probe_count)
-        pairs.sort()
-        for chunk in _chunked(pairs, self.batch_size):
-            probe_positions = [pair[0] for pair in chunk]
-            build_positions = [pair[1] for pair in chunk]
-            ctx.visit_batch("join_output", len(chunk))
-            ctx.row_produced(len(chunk))
-            yield merge_gather(build_block, build_positions, probe_block,
-                               probe_positions, kernels)
-
-    def _join_partition(self,
-                        build_rows: List[Tuple[int, Tuple]],
+    def _join_partition(self, build_rows: List[Tuple[int, Tuple]],
                         probe_rows: List[Tuple[int, Tuple]],
-                        build_key_index: int,
-                        probe_key_index: int,
-                        level: int,
-                        budget: int,
-                        pool: Callable[[], BufferPool],
-                        pairs: List[Tuple[int, int]]) -> None:
+                        build_key_index: int, probe_key_index: int, level: int,
+                        budget: int, pool: Callable[[], BufferPool],
+                        pairs: Pairs) -> None:
         """Join one spilled partition, re-partitioning if it overflows.
 
         ``build_rows`` / ``probe_rows`` are ``(global position, values)``
@@ -1196,65 +1093,41 @@ class VecHashJoinOperator(VectorOperator):
         """
         ctx = self.ctx
         kernels = ctx.kernels
-        entry_bytes = self.ENTRY_BYTES
         row_bytes = self.build_row_bytes
+        build_keys = [values[build_key_index] for _, values in build_rows]
+        probe_keys = [values[probe_key_index] for _, values in probe_rows]
         over_budget = len(build_rows) * row_bytes > budget
         if over_budget and level < _MAX_SPILL_DEPTH and len(build_rows) > 1:
             fanout = max(plan_partition_count(len(build_rows), row_bytes, budget), 2)
             sub_build: List[Optional[_SpillFile]] = [None] * fanout
             sub_probe: List[Optional[_SpillFile]] = [None] * fanout
-            build_parts = kernels.spill_partitions(
-                [values[build_key_index] for _, values in build_rows],
-                level, fanout)
+            build_parts = kernels.spill_partitions(build_keys, level, fanout)
             for (position, values), part in zip(build_rows, build_parts):
-                handle = sub_build[part]
-                if handle is None:
-                    handle = sub_build[part] = _SpillFile(pool(), row_bytes)
-                handle.append(ctx, position, values)
-            probe_parts = kernels.spill_partitions(
-                [values[probe_key_index] for _, values in probe_rows],
-                level, fanout)
+                self._spill_file(sub_build, part, pool).append(
+                    ctx, position, values)
+            probe_parts = kernels.spill_partitions(probe_keys, level, fanout)
             for (position, values), part in zip(probe_rows, probe_parts):
-                build_handle = sub_build[part]
-                if build_handle is None or not build_handle.row_count:
-                    continue
-                handle = sub_probe[part]
-                if handle is None:
-                    handle = sub_probe[part] = _SpillFile(pool(), row_bytes)
-                handle.append(ctx, position, values)
-            for part in range(fanout):
-                build_handle = sub_build[part]
-                probe_handle = sub_probe[part]
-                if build_handle is None or probe_handle is None:
-                    continue
-                if not build_handle.row_count or not probe_handle.row_count:
-                    continue
-                self._join_partition(build_handle.read_all(ctx),
-                                     probe_handle.read_all(ctx),
-                                     build_key_index, probe_key_index,
-                                     level + 1, budget, pool, pairs)
+                if sub_build[part] is not None:
+                    self._spill_file(sub_probe, part, pool).append(
+                        ctx, position, values)
+            self._join_spilled(sub_build, sub_probe, build_key_index,
+                               probe_key_index, level + 1, budget, pool, pairs)
             return
         if over_budget:
             ctx.io_stats["budget_overruns"] += 1
 
-        buckets = max(len(build_rows), 16)
-        area = ctx.allocate_workspace(buckets * entry_bytes)
-        table: Dict[object, List[int]] = {}
+        area = _BucketArea(ctx, max(len(build_rows), 16))
+        table = _Positions()
         ctx.visit_batch("hash_build", len(build_rows))
-        build_keys = [values[build_key_index] for _, values in build_rows]
-        for (position, values), bucket in zip(
-                build_rows, kernels.bucket_indices(build_keys, buckets)):
-            ctx.write_address(area + bucket * entry_bytes, entry_bytes)
-            table.setdefault(values[build_key_index], []).append(position)
+        area.store(build_keys, lambda: build_keys[:area.count])
+        for (position, _), key in zip(build_rows, build_keys):
+            table.add(key, position)
         ctx.visit_batch("hash_probe", len(probe_rows))
-        probe_keys = [values[probe_key_index] for _, values in probe_rows]
-        for (position, values), bucket in zip(
-                probe_rows, kernels.bucket_indices(probe_keys, buckets)):
-            ctx.read_address(area + bucket * entry_bytes, entry_bytes)
-            matches = table.get(values[probe_key_index])
-            if matches:
-                pairs.extend((position, build_position)
-                             for build_position in matches)
+        area.load(probe_keys)
+        for offset, found in table.matches(probe_keys):
+            position = probe_rows[offset][0]
+            pairs.extend((position, build_position)
+                         for build_position in found)
 
 
 class VecNestedLoopJoinOperator(VectorOperator):
@@ -1279,7 +1152,9 @@ class VecNestedLoopJoinOperator(VectorOperator):
         for outer_batch in self.outer.batches():
             if not len(outer_batch):
                 continue
-            inner_block = _concat_batches(self.inner_factory().batches())
+            inner_block = ColumnBatch.empty()
+            for inner_batch in self.inner_factory().batches():
+                inner_block.extend(inner_batch)
             inner_keys = (inner_block.vector(self.inner_column)
                           if len(inner_block) else [])
             inner_count = len(inner_block)
@@ -1294,10 +1169,8 @@ class VecNestedLoopJoinOperator(VectorOperator):
                     if inner_key == outer_key:
                         inner_positions.append(inner_position)
                         outer_positions.append(outer_position)
-            ctx.visit_batch("join_output", len(inner_positions))
-            ctx.row_produced(len(inner_positions))
-            yield merge_gather(inner_block, inner_positions,
-                               outer_batch, outer_positions, ctx.kernels)
+            yield _joined(ctx, inner_block, inner_positions, outer_batch,
+                          outer_positions)
 
 
 class VecIndexNestedLoopJoinOperator(VectorOperator):
@@ -1333,10 +1206,8 @@ class VecIndexNestedLoopJoinOperator(VectorOperator):
             inner_vectors: Dict[str, List] = {name: [] for name in inner_names}
             for outer_position, key in enumerate(
                     outer_batch.vector(self.outer_column)):
-                for step in self.inner_index.descend(key):
-                    descend_steps += 1
-                    ctx.read_address(step.node_address, 8)
-                    ctx.read_address(step.entry_address, 16)
+                descend_steps += _charge_descent(ctx, self.inner_index, key,
+                                                 visit=False)
                 matched = False
                 for match in self.inner_index.range_search(key, key,
                                                            include_low=True,
@@ -1356,12 +1227,10 @@ class VecIndexNestedLoopJoinOperator(VectorOperator):
             ctx.visit_batch("index_descend_node", descend_steps)
             ctx.visit_batch("leaf_advance", leaf_advances)
             ctx.visit_batch("rid_fetch", rid_fetches)
-            ctx.visit_batch("join_output", len(outer_positions))
-            ctx.row_produced(len(outer_positions))
             joined_count = len(outer_positions)
-            yield merge_gather(outer_batch, outer_positions,
-                               ColumnBatch(inner_vectors, joined_count),
-                               range(joined_count), ctx.kernels)
+            yield _joined(ctx, outer_batch, outer_positions,
+                          ColumnBatch(inner_vectors, joined_count),
+                          range(joined_count))
 
 
 class VecScalarAggregateOperator(VectorOperator):
@@ -1399,172 +1268,3 @@ class VecScalarAggregateOperator(VectorOperator):
                 ctx.write_address(address, 8)
         yield ColumnBatch({agg.label: [state.result()]
                            for agg, state in zip(self.aggregates, states)}, 1)
-
-
-# ---------------------------------------------------------------------------
-# Plan -> vectorized operator tree
-# ---------------------------------------------------------------------------
-def build_vectorized_scan(plan: ScanPlan, catalog: Catalog, ctx: ExecutionContext,
-                          output_columns: Sequence[str] = (),
-                          next_operation: str = "scan_next",
-                          batch_size: int = 256,
-                          allow_exchange: bool = True) -> VectorOperator:
-    """Instantiate a scan plan node into a vectorized operator.
-
-    When the context carries a morsel-parallel executor (``ctx.parallel``,
-    threaded from the session's ``parallelism`` knob), sequential scans are
-    wrapped in a :class:`~repro.execution.parallel.VecExchangeOperator`,
-    which partitions the heap into page morsels, produces the batches in
-    workers and replays their charge tapes in canonical order -- results
-    and simulated counts stay bit-identical to the serial operator.
-    ``allow_exchange=False`` pins a scan to the serial path (rescanned
-    nested-loop inners, update lookups).
-
-    When the context instead carries a shared-scan coordinator
-    (``ctx.shared_scans``, attached by the serving layer for one admission
-    round), sequential scans attach to the round's recorded morsel stream
-    for their signature: the scan's data work runs once per round and its
-    charge tapes are replayed into each attached query's own context --
-    again count-identical to the serial operator.  Sharing steps aside for
-    adaptive or morsel-parallel contexts (their scan charges depend on
-    per-context runtime state) and for ``allow_exchange=False`` scans.
-    """
-    if isinstance(plan, SeqScanPlan):
-        table = catalog.table(plan.table)
-        shared = getattr(ctx, "shared_scans", None)
-        if (allow_exchange and shared is not None
-                and getattr(ctx, "adaptive", None) is None
-                and getattr(ctx, "parallel", None) is None):
-            return shared.attach(table, ctx, plan.predicate,
-                                 ctx.columns_for_table(table, output_columns),
-                                 next_operation, batch_size)
-        parallel = getattr(ctx, "parallel", None)
-        if allow_exchange and parallel is not None and parallel.workers > 1:
-            from .parallel import VecExchangeOperator  # deferred: imports us
-            return VecExchangeOperator(
-                table, ctx, parallel, predicate=plan.predicate,
-                output_columns=ctx.columns_for_table(table, output_columns),
-                next_operation=next_operation, batch_size=batch_size)
-        return VecSeqScanOperator(table, ctx, predicate=plan.predicate,
-                                  output_columns=ctx.columns_for_table(table, output_columns),
-                                  next_operation=next_operation,
-                                  batch_size=batch_size)
-    if isinstance(plan, IndexRangeScanPlan):
-        table = catalog.table(plan.table)
-        index = ctx.index_for(table, plan.column)
-        return VecIndexRangeScanOperator(
-            table, index, ctx, low=plan.low, high=plan.high,
-            include_low=plan.include_low, include_high=plan.include_high,
-            residual_predicate=plan.residual_predicate,
-            output_columns=ctx.columns_for_table(table, output_columns),
-            batch_size=batch_size)
-    if isinstance(plan, IndexPointLookupPlan):
-        table = catalog.table(plan.table)
-        index = ctx.index_for(table, plan.column)
-        return VecIndexPointLookupOperator(
-            table, index, ctx, value=plan.value,
-            output_columns=ctx.columns_for_table(table, output_columns),
-            batch_size=batch_size)
-    raise ExecutorError(f"unknown scan plan {plan!r}")
-
-
-def build_vectorized_join(plan: JoinPlan, catalog: Catalog, ctx: ExecutionContext,
-                          output_columns: Sequence[str] = (),
-                          batch_size: int = 256) -> VectorOperator:
-    """Instantiate a join plan node into a vectorized operator."""
-    if isinstance(plan, HashJoinPlan):
-        probe_columns = list(output_columns) + [plan.probe_column]
-        build_columns = list(output_columns) + [plan.build_column]
-        probe = build_vectorized_scan(plan.probe, catalog, ctx, probe_columns,
-                                      batch_size=batch_size)
-        build = build_vectorized_scan(plan.build, catalog, ctx, build_columns,
-                                      batch_size=batch_size)
-        build_table_name = getattr(plan.build, "table", None)
-        probe_table_name = getattr(plan.probe, "table", None)
-        estimate = catalog.table(build_table_name).row_count if build_table_name else 1024
-        probe_estimate = (catalog.table(probe_table_name).row_count
-                          if probe_table_name else 1024)
-        build_row_bytes = (catalog.table(build_table_name).layout.record_size
-                           if build_table_name else 64)
-        return VecHashJoinOperator(
-            probe, build, plan.probe_column, plan.build_column, ctx,
-            build_row_estimate=max(estimate, 16),
-            probe_row_estimate=max(probe_estimate, 16),
-            build_key=f"card:{build_table_name or plan.build_column}",
-            probe_key=f"card:{probe_table_name or plan.probe_column}",
-            batch_size=batch_size,
-            build_row_bytes=build_row_bytes)
-    if isinstance(plan, NestedLoopJoinPlan):
-        outer_columns = list(output_columns) + [plan.outer_column]
-        inner_columns = list(output_columns) + [plan.inner_column]
-        outer = build_vectorized_scan(plan.outer, catalog, ctx, outer_columns,
-                                      batch_size=batch_size)
-
-        def inner_factory() -> VectorOperator:
-            # The inner side is re-instantiated once per outer batch; keep
-            # it on the serial path (per-batch morsel dispatch would cost
-            # more than the rescan it parallelises).
-            return build_vectorized_scan(plan.inner, catalog, ctx, inner_columns,
-                                         next_operation="inner_scan_next",
-                                         batch_size=batch_size,
-                                         allow_exchange=False)
-
-        return VecNestedLoopJoinOperator(outer, inner_factory, plan.outer_column,
-                                         plan.inner_column, ctx)
-    if isinstance(plan, IndexNestedLoopJoinPlan):
-        outer_columns = list(output_columns) + [plan.outer_column]
-        outer = build_vectorized_scan(plan.outer, catalog, ctx, outer_columns,
-                                      batch_size=batch_size)
-        inner_table = catalog.table(plan.inner_table)
-        inner_index = ctx.index_for(inner_table, plan.inner_column)
-        return VecIndexNestedLoopJoinOperator(
-            outer, inner_table, inner_index, plan.outer_column, ctx,
-            inner_output_columns=ctx.columns_for_table(inner_table, output_columns))
-    raise ExecutorError(f"unknown join plan {plan!r}")
-
-
-def build_vectorized_plan(plan: PhysicalPlan, catalog: Catalog, ctx: ExecutionContext,
-                          batch_size: int = 256) -> VectorOperator:
-    """Instantiate any physical plan into its vectorized operator tree."""
-    if isinstance(plan, AggregatePlan):
-        agg_columns = [agg.column for agg in plan.aggregates if agg.column is not None]
-        if isinstance(plan.input, (HashJoinPlan, NestedLoopJoinPlan,
-                                   IndexNestedLoopJoinPlan)):
-            child = build_vectorized_join(plan.input, catalog, ctx, agg_columns,
-                                          batch_size=batch_size)
-        else:
-            child = build_vectorized_scan(plan.input, catalog, ctx, agg_columns,
-                                          batch_size=batch_size)
-        return VecScalarAggregateOperator(child, plan.aggregates, ctx)
-    if isinstance(plan, (SeqScanPlan, IndexRangeScanPlan, IndexPointLookupPlan)):
-        return build_vectorized_scan(plan, catalog, ctx, batch_size=batch_size)
-    if isinstance(plan, (HashJoinPlan, NestedLoopJoinPlan, IndexNestedLoopJoinPlan)):
-        return build_vectorized_join(plan, catalog, ctx, batch_size=batch_size)
-    if isinstance(plan, UpdatePlan):
-        raise ExecutorError("UpdatePlan is executed via execute_update(), "
-                            "not build_vectorized_plan()")
-    raise ExecutorError(f"unknown plan node {plan!r}")
-
-
-def execute_plan_vectorized(plan: PhysicalPlan, catalog: Catalog,
-                            ctx: ExecutionContext) -> List[Row]:
-    """Execute a read-only plan batch-at-a-time and return its result rows.
-
-    Dataflow is columnar end-to-end; rows are materialized only here, at
-    the session result boundary, so the differential harness still sees
-    byte-identical row dicts.  Charges the same single ``query_setup`` as
-    the tuple engine -- parsing and optimisation are per query, not per
-    engine -- so the harness can also assert identical setup counts.
-    """
-    batch_size = ctx.execution.batch_size
-    tracer = ctx.tracer
-    if tracer is None:
-        ctx.visit("query_setup")
-        operator = build_vectorized_plan(plan, catalog, ctx, batch_size=batch_size)
-        return list(operator.rows())
-    with tracer.span("query_setup"):
-        ctx.visit("query_setup")
-    with tracer.span("build_plan"):
-        operator = build_vectorized_plan(plan, catalog, ctx, batch_size=batch_size)
-    tracer.instrument(operator)
-    return list(operator.rows())

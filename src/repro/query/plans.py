@@ -116,9 +116,6 @@ class ExecutionConfig:
     #: ``parallelism=1`` (the differential harness asserts this per plan
     #: shape).
     parallelism: int = 1
-    #: Pages per morsel for the exchange operator (``None`` = derived from
-    #: the table size and worker count).
-    morsel_pages: Optional[int] = None
     #: Runtime-adaptation mode (see :data:`ADAPTIVITY_MODES`).  Selects the
     #: decision policy; conjunct reordering is active whenever the mode is
     #: not ``off``, the two decisions below opt in separately.
@@ -165,8 +162,6 @@ class ExecutionConfig:
             raise ValueError("batch_size must be at least 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
-        if self.morsel_pages is not None and self.morsel_pages < 1:
-            raise ValueError("morsel_pages must be at least 1 when set")
         if self.adaptivity not in ADAPTIVITY_MODES:
             raise ValueError(f"unknown adaptivity mode {self.adaptivity!r}; "
                              f"expected one of {ADAPTIVITY_MODES}")

@@ -102,3 +102,22 @@ def in_process_morsels():
         yield
     finally:
         parallel_mod.fork_available = saved
+
+
+@contextmanager
+def morsel_pages(pages):
+    """Exchanges that run inside the block cut their scans into morsels of
+    ``pages`` pages instead of the size derived from page count and workers
+    (``None``: leave the derivation alone) -- a test's way to pin one
+    particular partitioning.  Partitioning happens when the exchange is
+    pulled, so the block must cover the execution, not the construction."""
+    if pages is None:
+        yield
+        return
+    saved = parallel_mod.ParallelExecution.default_morsel_pages
+    parallel_mod.ParallelExecution.default_morsel_pages = (
+        lambda self, page_count: max(pages, 1))
+    try:
+        yield
+    finally:
+        parallel_mod.ParallelExecution.default_morsel_pages = saved

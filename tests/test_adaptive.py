@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import in_process_morsels
+from oracle import in_process_morsels, morsel_pages
 from repro.adaptive import (AdaptiveExecution, EpsilonGreedyPolicy,
                             GreedyRankPolicy, RuntimeStatsCollector,
                             StaticPolicy, conjunct_key, flatten_conjuncts,
@@ -90,9 +90,9 @@ def run_query(query, adaptivity=None, layout="nsm", workers=1,
     with charging(), in_process_morsels():
         session = Session(db, SYSTEM_B, os_interference=None,
                           engine="vectorized", batch_size=batch_size,
-                          parallelism=workers,
-                          morsel_pages=1 if workers > 1 else None, **kwargs)
-    result = session.execute(query, warmup_runs=0)
+                          parallelism=workers, **kwargs)
+    with morsel_pages(1):
+        result = session.execute(query, warmup_runs=0)
     session.processor.finalize()
     counts = hardware_counts(session.processor)
     invocations = dict(session.context.op_invocations)

@@ -29,7 +29,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from oracle import in_process_morsels
+from oracle import in_process_morsels, morsel_pages
 from repro.adaptive import (AdaptiveExecution, GreedyRankPolicy,
                             RuntimeStatsCollector, StaticPolicy,
                             greedy_batch_size, greedy_flip_join)
@@ -94,9 +94,9 @@ def run_query(query, adaptivity=None, layout="nsm", workers=1,
     with charging(), in_process_morsels():
         session = Session(db, SYSTEM_B, os_interference=None,
                           engine="vectorized", batch_size=batch_size,
-                          parallelism=workers,
-                          morsel_pages=1 if workers > 1 else None, **kwargs)
-    result = session.execute(query, warmup_runs=warmup_runs)
+                          parallelism=workers, **kwargs)
+    with morsel_pages(1):
+        result = session.execute(query, warmup_runs=warmup_runs)
     session.processor.finalize()
     counts = hardware_counts(session.processor)
     invocations = dict(session.context.op_invocations)

@@ -136,15 +136,12 @@ def test_duplicate_output_columns_across_join_sides_match_tuple_engine():
                         build=SeqScanPlan(table="S", predicate=None),
                         probe_column="a2", build_column="a1")
     # Request the ambiguous unqualified column from both sides.
-    from repro.execution import build_vectorized_join, build_join
+    from repro.execution import build_join
     out = {}
     for engine in ("tuple", "vectorized"):
-        ctx = ExecutionContext(SimulatedProcessor(), SYSTEM_B, db.address_space)
-        if engine == "tuple":
-            operator = build_join(plan, db.catalog, ctx, output_columns=["a3"])
-        else:
-            operator = build_vectorized_join(plan, db.catalog, ctx,
-                                             output_columns=["a3"])
+        ctx = ExecutionContext(SimulatedProcessor(), SYSTEM_B, db.address_space,
+                               execution=ExecutionConfig(engine=engine))
+        operator = build_join(plan, db.catalog, ctx, output_columns=["a3"])
         out[engine] = list(operator.rows())
     assert out["tuple"] == out["vectorized"]
     assert out["tuple"], "the join must produce rows for this check to bite"

@@ -60,7 +60,7 @@ def test_cell_carries_knobs_as_one_value():
 
 def test_the_knob_has_one_name():
     assert "parallelism" in KNOBS and "workers" not in KNOBS
-    assert len(KNOBS) == 10
+    assert len(KNOBS) == 9
 
 
 # ------------------------------------------------------------------ (b)

@@ -22,7 +22,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from oracle import in_process_morsels
+from oracle import in_process_morsels, morsel_pages as pin_morsel_pages
 from repro.engine import Session
 from repro.observability import (Tracer, chrome_trace, chrome_trace_json,
                                  render_trace, trace_to_dict)
@@ -48,12 +48,12 @@ def run_traced(shape: str, tracing: str, layout: str = "nsm",
     with charging(), in_process_morsels():
         session = Session(db, profile, os_interference=None,
                           engine="vectorized", parallelism=parallelism,
-                          morsel_pages=morsel_pages,
                           memory_budget_bytes=memory_budget_bytes,
                           tracing=tracing)
     if not hasattr(policy, "key"):
         session.planner.policy = policy
-    result = session.execute(query, warmup_runs=0)
+    with pin_morsel_pages(morsel_pages):
+        result = session.execute(query, warmup_runs=0)
     session.processor.finalize()
     counts = hardware_counts(session.processor)
     invocations = dict(session.context.op_invocations)

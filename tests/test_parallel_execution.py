@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import in_process_morsels
+from oracle import in_process_morsels, morsel_pages as pin_morsel_pages
 from repro.engine import Database, Session
 from repro.execution.parallel import (ParallelExecution, TapeRecorder,
                                       VecExchangeOperator, fork_available,
@@ -109,10 +109,11 @@ def run_shape(shape: str, parallelism: int, layout: str = "nsm",
     with charging(), morsels():
         session = Session(db, profile, os_interference=None,
                           engine="vectorized", batch_size=batch_size,
-                          parallelism=parallelism, morsel_pages=morsel_pages)
+                          parallelism=parallelism)
     if not hasattr(policy, "key"):
         session.planner.policy = policy
-    result = session.execute(query, warmup_runs=0)
+    with pin_morsel_pages(morsel_pages):
+        result = session.execute(query, warmup_runs=0)
     session.processor.finalize()
     counts = hardware_counts(session.processor)
     invocations = dict(session.context.op_invocations)
@@ -159,7 +160,7 @@ def test_process_backend_sees_updates_between_queries():
     """An update invalidates the forked snapshot; the next exchange re-forks."""
     db = build_database()
     with Session(db, SYSTEM_B, os_interference=None, engine="vectorized",
-                 parallelism=2, morsel_pages=2) as session:
+                 parallelism=2) as session, pin_morsel_pages(2):
         assert session.parallel.forks
         query = SelectionQuery(table="S", aggregates=(avg("a3"), count_star()))
         before = session.execute(query, warmup_runs=0).rows
@@ -183,10 +184,10 @@ def test_workers_one_uses_plain_scan_operator():
     session = Session(db, SYSTEM_B, os_interference=None, engine="vectorized",
                       parallelism=1)
     assert session.context.parallel is None
-    from repro.execution.vectorized import build_vectorized_scan
+    from repro.execution import build_scan
     from repro.query.plans import SeqScanPlan
-    operator = build_vectorized_scan(SeqScanPlan(table="R", predicate=None),
-                                     db.catalog, session.context)
+    operator = build_scan(SeqScanPlan(table="R", predicate=None),
+                          db.catalog, session.context)
     assert isinstance(operator, VecSeqScanOperator)
     session.close()
 

@@ -27,16 +27,19 @@ from hypothesis import strategies as st
 from oracle import PerAddressContext, in_process_morsels
 from repro.adaptive.policy import (MAX_PARTITIONS, AdaptivePolicy,
                                    GreedyRankPolicy, plan_partition_count)
+from repro.adaptive import AdaptiveExecution
 from repro.adaptive.stats import RuntimeStatsCollector
 from repro.engine import Database, Session
-from repro.execution import ExecutionContext, execute_plan
-from repro.execution.vectorized import VecHashJoinOperator, build_vectorized_scan
+from repro.execution import ExecutionContext, build_scan, execute_plan
+from repro.execution.vectorized import VecHashJoinOperator
 from repro.hardware import SimulatedProcessor
 from repro.query import ExecutionConfig, JoinQuery, Planner, count_star
 from repro.query.planner import DefaultPolicy
 from repro.query.plans import HashJoinPlan
 from repro.storage.schema import ColumnType
 from repro.systems import SYSTEM_B
+
+from test_parallel_execution import hardware_counts
 
 R_ROWS = 108
 S_ROWS = 12
@@ -225,32 +228,49 @@ def _drain_columns(op):
     return order, cols
 
 
-def _make_join_op(db, ctx, build_row_estimate, batch_size=32):
+def _make_join_op(db, ctx, build_row_estimate, probe_row_estimate=R_ROWS):
     plan = join_plan_for(db)
-    probe = build_vectorized_scan(plan.probe, db.catalog, ctx,
-                                  [plan.probe_column], batch_size=batch_size)
-    build = build_vectorized_scan(plan.build, db.catalog, ctx,
-                                  [plan.build_column], batch_size=batch_size)
+    probe = build_scan(plan.probe, db.catalog, ctx, [plan.probe_column])
+    build = build_scan(plan.build, db.catalog, ctx, [plan.build_column])
     return VecHashJoinOperator(probe, build, plan.probe_column,
                                plan.build_column, ctx,
                                build_row_estimate=build_row_estimate,
-                               probe_row_estimate=R_ROWS,
-                               batch_size=batch_size, build_row_bytes=100)
+                               probe_row_estimate=probe_row_estimate,
+                               batch_size=ctx.execution.batch_size,
+                               build_row_bytes=100)
+
+
+class _FlipOnSecondBuildBatch(AdaptivePolicy):
+    """Policy stub: abandon the planner's sides once a build batch is in."""
+
+    def flip_join(self, build_key, probe_key, probe_estimate,
+                  seen_build_rows, stats):
+        return seen_build_rows > 0
 
 
 class TestHashAreaResize:
     """Observed build cardinality beyond the estimate doubles (and
-    re-charges) the hash area instead of silently under-modelling it."""
+    re-charges) the hash area instead of silently under-modelling it --
+    for every hashed side: the planner's build side whether or not a
+    join-side manager is attached, and the probe side after a flip."""
 
     S_BIG = 40   # build side larger than the deliberate estimate of 16
 
-    def _run(self, estimate, budget=None):
+    def _run(self, estimate, budget=None, probe_estimate=R_ROWS,
+             adaptivity="off", policy=None):
         db = build_database("nsm", s_rows=self.S_BIG)
         ctx = ExecutionContext(
             SimulatedProcessor(), SYSTEM_B, db.address_space,
-            execution=ExecutionConfig(engine="vectorized",
-                                      memory_budget_bytes=budget))
-        op = _make_join_op(db, ctx, build_row_estimate=estimate)
+            execution=ExecutionConfig(engine="vectorized", batch_size=32,
+                                      memory_budget_bytes=budget,
+                                      adaptivity=adaptivity,
+                                      adaptive_joins=adaptivity != "off"))
+        if adaptivity != "off":
+            ctx.adaptive = AdaptiveExecution(adaptivity, join_sides=True)
+            if policy is not None:
+                ctx.adaptive.policy = policy
+        op = _make_join_op(db, ctx, build_row_estimate=estimate,
+                           probe_row_estimate=probe_estimate)
         order, cols = _drain_columns(op)
         return order, cols, ctx
 
@@ -269,6 +289,42 @@ class TestHashAreaResize:
         order_exact, cols_exact, _ = self._run(estimate=self.S_BIG)
         assert cols_small == cols_exact
         assert order_small == order_exact
+
+    def test_static_control_arm_resizes_exactly_like_off(self):
+        """``adaptivity="static"`` + ``adaptive_joins`` never flips, so it
+        must stay the cycle-identical control arm when the build side
+        outgrows its estimate too (it used to skip the resize)."""
+        order_off, cols_off, ctx_off = self._run(estimate=16)
+        order_static, cols_static, ctx_static = self._run(
+            estimate=16, adaptivity="static")
+        order_exact, cols_exact, _ = self._run(estimate=self.S_BIG)
+        assert cols_static == cols_off == cols_exact
+        assert order_static == order_off == order_exact
+        assert ctx_static.op_invocations == ctx_off.op_invocations
+        assert (ctx_static.processor.finalize().get("CPU_CLK_UNHALTED")
+                == ctx_off.processor.finalize().get("CPU_CLK_UNHALTED"))
+        assert (hardware_counts(ctx_static.processor)
+                == hardware_counts(ctx_off.processor))
+
+    def test_flipped_join_resizes_the_probe_side_table(self):
+        """A flip on the second build batch hashes the probe side instead;
+        its area is sized by the probe estimate and must double past it."""
+        order_exact, cols_exact, _ = self._run(estimate=self.S_BIG)
+        order_small, cols_small, ctx_small = self._run(
+            estimate=16, probe_estimate=16, adaptivity="static",
+            policy=_FlipOnSecondBuildBatch())
+        order_twin, cols_twin, ctx_twin = self._run(
+            estimate=self.S_BIG, adaptivity="static",
+            policy=_FlipOnSecondBuildBatch())
+        assert cols_small == cols_twin == cols_exact
+        assert order_small == order_twin == order_exact
+        # Both runs flipped (the probe side was hashed, the rest of the
+        # build side streamed) ...
+        assert ctx_twin.op_invocations["hash_build"] > 1
+        assert ctx_twin.op_invocations["hash_probe"] >= 2
+        # ... and the under-estimated one re-charged its rehashes.
+        assert (ctx_small.op_invocations["hash_build"]
+                > ctx_twin.op_invocations["hash_build"])
 
 
 # ---------------------------------------------------------------------------

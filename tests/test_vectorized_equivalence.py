@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from oracle import PerAddressContext, in_process_morsels
+from oracle import PerAddressContext, in_process_morsels, morsel_pages
 from repro.engine import Database, Session
 from repro.execution import ExecutionContext, execute_plan, execute_update
 from repro.hardware import SimulatedProcessor
@@ -125,6 +125,27 @@ def test_index_range_scan_with_residual_predicate(database, batch_size):
                               residual_predicate=range_predicate("a3", 1000, 9000))
     rows, _, _ = run_both(database, plan, batch_size)
     assert all(1000 < row["a3"] < 9000 for row in rows)
+
+
+@pytest.mark.parametrize("residual_on_key", (False, True))
+def test_index_range_scan_names_its_key_by_the_indexed_column(residual_on_key):
+    """The key is emitted under the plan's column, not a fragment of the
+    index name: ``line_item_l_ship_date_idx`` used to yield rows keyed
+    ``"item"`` (``lineitem.l_shipdate`` -> ``"l"``) under both engines."""
+    db = Database()
+    db.create_table("line_item", [("l_order_key", ColumnType.INT32),
+                                  ("l_ship_date", ColumnType.INT32)],
+                    record_size=100)
+    db.load("line_item", [(i, (i * 7) % 50) for i in range(200)])
+    db.create_index("line_item", "l_ship_date")
+    residual = range_predicate("l_ship_date", 10, 30) if residual_on_key else None
+    plan = IndexRangeScanPlan(table="line_item", column="l_ship_date",
+                              low=0, high=40, residual_predicate=residual)
+    rows, _, _ = run_both(db, plan, batch_size=7)
+    expected = sorted(key for key in ((i * 7) % 50 for i in range(200))
+                      if (10 < key < 30 if residual_on_key else 0 < key < 40))
+    assert [row["l_ship_date"] for row in rows] == expected
+    assert all(list(row) == ["l_ship_date"] for row in rows)
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
@@ -254,11 +275,11 @@ def test_parallel_workers_match_serial_engine(layout_style):
         db = build_database(layout_style=layout_style)
         with in_process_morsels():
             session = Session(db, SYSTEM_B, os_interference=None,
-                              engine="vectorized", parallelism=workers,
-                              morsel_pages=1)
-        result = session.execute(SelectionQuery(
-            table="R", aggregates=(avg("a3"), count_star()),
-            predicate=range_predicate("a2", 10, 40)), warmup_runs=0)
+                              engine="vectorized", parallelism=workers)
+        with morsel_pages(1):
+            result = session.execute(SelectionQuery(
+                table="R", aggregates=(avg("a3"), count_star()),
+                predicate=range_predicate("a2", 10, 40)), warmup_runs=0)
         outcomes[workers] = (result.rows,
                              result.counters.get("CPU_CLK_UNHALTED"),
                              hardware_counts(session.processor))
