@@ -15,7 +15,9 @@ documentation that drifts from the tree should break CI, which is the point
 of the docs job.  So does any ``scripts/...``, ``examples/...`` or top-level
 ``*.md`` path named anywhere in README.md, DESIGN.md or the text of a
 ``src/repro/**/*.py`` file (docstrings and comments alike) that is not in
-the tree.  And so does README's "Execution knobs" table when its rows are
+the tree, and any ``:mod:`` / ``:class:`` / ``:func:`` target in a
+``src/repro`` source that does not resolve to a module or an attribute of
+one.  And so does README's "Execution knobs" table when its rows are
 not exactly the fields of ``repro.query.plans.ExecutionConfig`` -- the one
 declaration of every knob.  Exit status: 0 when every check passes.
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import glob
+import importlib
 import os
 import py_compile
 import re
@@ -45,6 +48,9 @@ from repro.query.plans import ExecutionConfig  # noqa: E402
 PATH_PATTERN = re.compile(r"\b((?:scripts|examples)/[\w./-]+\.(?:py|sh))\b")
 #: Matches a top-level markdown file name (not one inside a directory).
 MARKDOWN_PATTERN = re.compile(r"(?<![\w/.-])([\w-]+\.md)\b")
+#: Matches the target of a ``:mod:`` / ``:class:`` / ``:func:`` role (which
+#: may wrap across a line break inside a docstring or a comment block).
+ROLE_PATTERN = re.compile(r":(?:mod|class|func):`~?([^`]+)`")
 
 
 def fenced_blocks(text: str):
@@ -109,6 +115,48 @@ def dangling_references():
                        f"which does not exist")
 
 
+def role_target_resolves(target: str, module: str, package: str) -> bool:
+    """Whether a role target names something importable: an absolute dotted
+    path, one relative to the naming file's ``package`` (leading dot), or a
+    bare name in the naming ``module``'s own namespace."""
+    if target.startswith("."):
+        target = package + target
+    elif "." not in target:
+        target = f"{module}.{target}"
+    parts = target.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for name in parts[cut:]:
+                found = getattr(found, name)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def dangling_roles():
+    """Yield error strings for ``:mod:`` / ``:class:`` / ``:func:`` targets
+    in ``src/repro`` sources that resolve to nothing."""
+    source_root = os.path.join(REPO, "src")
+    for path in sorted(glob.glob(os.path.join(source_root, "repro", "**", "*.py"),
+                                 recursive=True)):
+        module = os.path.relpath(path, source_root)[:-3].replace(os.sep, ".")
+        package = module.rsplit(".", 1)[0]
+        if module.endswith(".__init__"):
+            module = package
+        with open(path) as handle:
+            targets = {re.sub(r"[\s#]+", "", target)
+                       for target in ROLE_PATTERN.findall(handle.read())}
+        for target in sorted(targets):
+            if not role_target_resolves(target, module, package):
+                yield (f"{os.path.relpath(path, REPO)} references {target}, "
+                       f"which does not resolve")
+
+
 def knob_table_errors(text: str):
     """Yield an error when README's "Execution knobs" table does not list
     exactly ``ExecutionConfig``'s fields (two knobs may share a row)."""
@@ -141,6 +189,7 @@ def main() -> int:
         errors.extend(command_errors)
         print(f"[{'FAIL' if command_errors else 'ok':>4}] {command}")
     errors.extend(dangling_references())
+    errors.extend(dangling_roles())
     errors.extend(knob_table_errors(text))
     if errors:
         print("\ndocs check FAILED:")

@@ -22,7 +22,8 @@ Operators interact with it through a handful of calls:
     record-access style, and decode the requested column values.
 
 ``read_address(addr, size)`` / ``write_address(addr, size)``
-    Raw data accesses for index nodes, hash buckets and similar structures.
+    Raw data accesses for index nodes, hash buckets and similar structures
+    (``read_addresses`` / ``write_addresses``: a vector of them, one call).
 
 ``record_done()``
     Mark a record boundary (per-record metrics, OS-interrupt pacing).
@@ -583,6 +584,14 @@ class ExecutionContext:
     def write_address(self, address: int, size: int = 4) -> None:
         """Simulated store to an arbitrary structure."""
         self.processor.data_write(address, size)
+
+    def read_addresses(self, addresses: Sequence[int], size: int = 4) -> None:
+        """:meth:`read_address` of every address, in order, as one charge."""
+        self.processor.data_read_scattered(addresses, size)
+
+    def write_addresses(self, addresses: Sequence[int], size: int = 4) -> None:
+        """:meth:`write_address` of every address, in order, as one charge."""
+        self.processor.data_write_scattered(addresses, size)
 
     # ------------------------------------------------------------- page I/O
     # The buffer pool's simulated backing store charges page transfers here

@@ -47,8 +47,6 @@ Design rules:
 
 from __future__ import annotations
 
-import pickle
-
 from bisect import bisect_left
 from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -56,7 +54,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..adaptive.policy import plan_partition_count
 from ..index.btree import BTreeIndex
 from ..storage.buffer_pool import BACKING_REGION, BufferPool
-from ..storage.page import DEFAULT_PAGE_SIZE
+from ..storage.page import (DEFAULT_PAGE_SIZE, PAGE_HEADER_BYTES,
+                            records_per_page)
 from ..query.expressions import Aggregate, AggregateState, Expression
 from ..storage.catalog import Table
 from .context import ExecutionContext
@@ -541,64 +540,102 @@ class VecIndexPointLookupOperator(VectorOperator):
 _MAX_SPILL_DEPTH = 4
 
 
+class _SpillBlock:
+    """One pool page of a spill file: the global positions and one value run
+    per column of the (at most ``_SpillFile.capacity``) rows it holds."""
+
+    __slots__ = ("page_number", "base_address", "positions", "columns", "dirty")
+
+    def __init__(self, page_number: int, base_address: int) -> None:
+        self.page_number = page_number
+        self.base_address = base_address
+        self.positions: List[int] = []
+        self.columns: Dict[str, List] = {}
+        self.dirty = False
+
+
 class _SpillFile:
-    """Append-only run of pickled ``(position, values)`` records.
+    """Append-only run of spilled rows, held as column-run blocks.
 
     One spill partition side (build or probe) of the memory-budgeted hash
-    join.  Records flow through a capacity-limited :class:`BufferPool`, so
+    join.  Its pages belong to a capacity-limited :class:`BufferPool`, so
     writing and reading them exercises the pool's real eviction/reload path
     and every page transfer is charged through the context's I/O cost
-    model.  Each record is zero-padded to the source table's nominal record
-    size (``pickle.loads`` stops at the pickle's STOP opcode, so padding is
-    ignored on read-back): the spilled *bytes* match the row footprint the
-    budget reasons about, not the pickle encoding's whims.
+    model.  A row occupies ``record_bytes`` -- the source table's nominal
+    record size, the footprint the budget reasons about, whatever its
+    projection -- so a block holds what a slotted page of such records holds
+    (:func:`~repro.storage.page.records_per_page`) and row ``i`` of a block
+    is charged at that record's slot address.
 
-    Pages are pinned only for the duration of one append or one page read,
-    so at most one frame is pinned at any instant and the join works with a
-    pool as small as a single page (it just faults -- honestly -- on every
-    other access).
+    Data moves per run, charges stay per row (DESIGN.md says why the
+    interleaving must): :meth:`charge_append` issues one row's pool touch
+    and slot store where the join's per-row schedule puts them, and
+    :meth:`flush` then moves the charged rows into the blocks a column run
+    at a time, reaching them through ``peek_page`` wherever they now live.
+    No page stays pinned between calls, so the join works with a pool as
+    small as a single page (it just faults -- honestly -- on every other
+    access).
     """
 
-    __slots__ = ("pool", "record_bytes", "page_numbers", "_current", "row_count")
+    __slots__ = ("pool", "record_bytes", "capacity", "page_numbers",
+                 "row_count", "pending")
 
     def __init__(self, pool: BufferPool, record_bytes: int) -> None:
         self.pool = pool
         self.record_bytes = max(record_bytes, 1)
+        self.capacity = records_per_page(pool.page_size, self.record_bytes)
         self.page_numbers: List[int] = []
-        self._current: Optional[int] = None
         self.row_count = 0
+        #: Source offsets of the rows charged since the last :meth:`flush`.
+        self.pending: List[int] = []
 
-    def append(self, ctx: ExecutionContext, position: int, values: Tuple) -> None:
-        """Append one record, charging the slot store (and any page I/O)."""
-        payload = pickle.dumps((position, values), protocol=pickle.HIGHEST_PROTOCOL)
-        if len(payload) < self.record_bytes:
-            payload = payload.ljust(self.record_bytes, b"\0")
-        page = None
-        if self._current is not None:
-            page = self.pool.fetch_page(self._current, pin=True)
-            if not page.has_room_for(len(payload)):
-                self.pool.unpin(self._current)
-                page = None
-        if page is None:
-            page = self.pool.allocate_page(pin=True)
+    def charge_append(self, ctx: ExecutionContext, offset: int) -> None:
+        """Charge the append of source row ``offset``: touch the current
+        page (any page I/O), allocate the next when it is full, dirty it,
+        store the slot.  The row's data follows at the next flush."""
+        slot = self.row_count % self.capacity
+        if self.page_numbers:
+            page = self.pool.fetch_page(self.page_numbers[-1])
+        if slot == 0:
+            page = self.pool.allocate_page(_SpillBlock)
             self.page_numbers.append(page.page_number)
-            self._current = page.page_number
-        slot = page.insert(payload)
-        ctx.write_address(page.slot_address(slot), len(payload))
-        self.pool.unpin(page.page_number)
+        page.dirty = True
+        ctx.write_address(page.base_address + PAGE_HEADER_BYTES
+                          + slot * self.record_bytes, self.record_bytes)
         self.row_count += 1
+        self.pending.append(offset)
 
-    def read_all(self, ctx: ExecutionContext) -> List[Tuple[int, Tuple]]:
-        """Read back every record in append order, charging per record."""
-        records: List[Tuple[int, Tuple]] = []
+    def flush(self, positions: Sequence[int], columns: Dict[str, List]) -> None:
+        """Move the pending rows into the blocks: row ``offset`` of the
+        ``columns`` vectors, whose global position is ``positions[offset]``."""
+        pending = self.pending
+        stored = self.row_count - len(pending)
+        while stored < self.row_count:
+            block = self.pool.peek_page(self.page_numbers[stored // self.capacity])
+            start = stored - self.row_count + len(pending)
+            take = pending[start:start + self.capacity - len(block.positions)]
+            stored += len(take)
+            block.positions.extend([positions[offset] for offset in take])
+            for name, vector in columns.items():
+                block.columns.setdefault(name, []).extend(
+                    [vector[offset] for offset in take])
+        pending.clear()
+
+    def read_all(self, ctx: ExecutionContext) -> Tuple[List[int], ColumnBatch]:
+        """Read every row back in append order, charging per record:
+        ``(global positions, rows)``."""
+        positions: List[int] = []
+        rows = ColumnBatch.empty()
+        size = self.record_bytes
         for page_number in self.page_numbers:
-            page = self.pool.fetch_page(page_number, pin=True)
-            for slot in page.live_slots():
-                record = bytes(page.record_view(slot))
-                ctx.read_address(page.slot_address(slot), len(record))
-                records.append(pickle.loads(record))
+            block = self.pool.fetch_page(page_number, pin=True)
+            first = block.base_address + PAGE_HEADER_BYTES
+            for slot in range(len(block.positions)):
+                ctx.read_address(first + slot * size, size)
+            positions.extend(block.positions)
+            rows.extend(ColumnBatch(block.columns, len(block.positions)))
             self.pool.unpin(page_number)
-        return records
+        return positions, rows
 
 
 #: Bytes charged per hash-table bucket (the tuple engine's entry size).
@@ -629,9 +666,9 @@ class _BucketArea:
         return [base + bucket * _ENTRY_BYTES for bucket
                 in self.ctx.kernels.bucket_indices(keys, self.buckets)]
 
-    def _charge(self, access: Callable[[int, int], None], keys: Sequence) -> None:
-        for address in self.addresses(keys):
-            access(address, _ENTRY_BYTES)
+    def _charge(self, access: Callable[[Sequence[int], int], None],
+                keys: Sequence) -> None:
+        access(self.addresses(keys), _ENTRY_BYTES)
 
     def store(self, keys: Sequence, resident: Callable[[], Sequence]) -> None:
         """Charge the bucket store of one key vector.
@@ -644,7 +681,7 @@ class _BucketArea:
             for key in keys:
                 self.store_one(key, resident)
         else:
-            self._charge(self.ctx.write_address, keys)
+            self._charge(self.ctx.write_addresses, keys)
             self.count += len(keys)
 
     def store_one(self, key, resident: Callable[[], Sequence]) -> None:
@@ -671,11 +708,11 @@ class _BucketArea:
         self.base = self.ctx.allocate_workspace(self.buckets * _ENTRY_BYTES)
         if keys:
             self.ctx.visit_batch("hash_build", len(keys))
-            self._charge(self.ctx.write_address, keys)
+            self._charge(self.ctx.write_addresses, keys)
 
     def load(self, keys: Sequence) -> None:
         """Charge the bucket load of one key vector."""
-        self._charge(self.ctx.read_address, keys)
+        self._charge(self.ctx.read_addresses, keys)
 
     def load_one(self, address: int) -> None:
         """Charge one bucket load at an address from :meth:`addresses`."""
@@ -717,7 +754,8 @@ class VecHashJoinOperator(VectorOperator):
     When ``ctx.execution`` sets a ``memory_budget_bytes``, the operator runs
     its grace/hybrid spilling path instead (:meth:`_spill_batches`): both
     inputs are hash-partitioned, as many partitions as fit the budget stay
-    resident, the rest spill through a budget-sized buffer pool and are
+    resident, the rest spill through a budget-sized buffer pool -- charged
+    row by row, moved a column run at a time (:class:`_SpillFile`) -- and are
     joined partition by partition (recursively re-partitioning overflows).
     The recombination argument is the same as the flip's, so the output is
     row-, order- and column-identical to the in-memory join at every
@@ -755,6 +793,9 @@ class VecHashJoinOperator(VectorOperator):
         #: table's record size when known) -- what the memory budget and the
         #: partition-count decision reason about.
         self.build_row_bytes = max(build_row_bytes, 1)
+        #: Deepest spill level joined so far (0: nothing spilled; 1: level-0
+        #: partitions; above: re-partitioned; the cap is _MAX_SPILL_DEPTH).
+        self.spill_depth = 0
 
     # ------------------------------------------------------- shared pieces
     def _hash_batch(self, batch: ColumnBatch, column: str, block: ColumnBatch,
@@ -786,9 +827,17 @@ class VecHashJoinOperator(VectorOperator):
         static dict-merge column order.
         """
         pairs.sort()
-        for chunk in _chunked(pairs, self.batch_size):
-            yield _joined(self.ctx, build_block, [pair[1] for pair in chunk],
-                          probe_block, [pair[0] for pair in chunk])
+        ctx = self.ctx
+        # One gather over every pair; the charges stay per emitted batch.
+        joined = merge_gather(build_block, [pair[1] for pair in pairs],
+                              probe_block, [pair[0] for pair in pairs],
+                              ctx.kernels)
+        for start in range(0, len(pairs), self.batch_size):
+            count = min(self.batch_size, len(pairs) - start)
+            ctx.visit_batch("join_output", count)
+            ctx.row_produced(count)
+            yield ColumnBatch({name: vector[start:start + count] for name, vector
+                               in joined.columns.items()}, count)
 
     # ------------------------------------------------------ in-memory join
     def batches(self) -> Iterator[ColumnBatch]:
@@ -886,13 +935,10 @@ class VecHashJoinOperator(VectorOperator):
         yield from self._emit_pairs(pairs, build_block, probe_block)
 
     # ----------------------------------------------- grace/hybrid spilling
-    def _spill_file(self, files: List[Optional[_SpillFile]], index: int,
-                    pool: Callable[[], BufferPool]) -> _SpillFile:
-        """The spill file of partition ``index``, created on first use."""
-        handle = files[index]
-        if handle is None:
-            handle = files[index] = _SpillFile(pool(), self.build_row_bytes)
-        return handle
+    def _spill_files(self, count: int) -> List[_SpillFile]:
+        """One (still empty, pageless) spill file per partition."""
+        return [_SpillFile(self.spill_pool, self.build_row_bytes)
+                for _ in range(count)]
 
     def _spill_batches(self, budget: int, manager) -> Iterator[ColumnBatch]:
         """Memory-budgeted execution: partition, spill, join, recombine.
@@ -907,7 +953,9 @@ class VecHashJoinOperator(VectorOperator):
           ingest, charged exactly like the static join; the rest append
           their rows to per-partition spill files through a buffer pool
           whose capacity *is* the budget, so every page it cannot hold is a
-          charged eviction/reload;
+          charged eviction/reload (each row's append is charged where it
+          falls in the vector; the vector's spilled rows then move into
+          their files' blocks as column runs);
         * if ingest observes more resident bytes than the budget allows,
           the highest-numbered resident partition is demoted -- its rows
           are spilled and its table dropped -- until the budget holds
@@ -933,26 +981,15 @@ class VecHashJoinOperator(VectorOperator):
                                               row_bytes, budget)
         partitions = max(partitions, 1)
 
-        spill_pool: Optional[BufferPool] = None
-
-        def pool() -> BufferPool:
-            # Created lazily so a budget the input fits under allocates
-            # nothing and charges nothing beyond the static join's work.
-            nonlocal spill_pool
-            if spill_pool is None:
-                page_size = DEFAULT_PAGE_SIZE
-                # Concurrent logical sessions spill into private backing
-                # namespaces (ctx.disk_namespace, set by the serving layer)
-                # so their backing-store pages cannot collide; solo sessions
-                # keep the shared "disk" region.
-                backing = getattr(ctx, "disk_namespace", None) or BACKING_REGION
-                spill_pool = BufferPool(ctx.address_space, region="workspace",
-                                        page_size=page_size,
-                                        capacity_pages=max(budget // page_size, 1),
-                                        io=ctx,
-                                        backing_region=backing)
-                self.spill_pool = spill_pool
-            return spill_pool
+        # The pool's capacity *is* the budget.  Neither it nor an empty file
+        # allocates or charges anything until a row is appended.  Concurrent
+        # logical sessions spill into private backing namespaces
+        # (ctx.disk_namespace, set by the serving layer) so their
+        # backing-store pages cannot collide; solo sessions keep "disk".
+        self.spill_pool = BufferPool(
+            ctx.address_space, region="workspace", page_size=DEFAULT_PAGE_SIZE,
+            capacity_pages=max(budget // DEFAULT_PAGE_SIZE, 1), io=ctx,
+            backing_region=getattr(ctx, "disk_namespace", None) or BACKING_REGION)
 
         area = _BucketArea(ctx, self.build_row_estimate)
 
@@ -964,11 +1001,8 @@ class VecHashJoinOperator(VectorOperator):
         resident_tables: List[Optional[_Positions]] = [
             _Positions() for _ in range(partitions)]
         resident_rows: List[List[int]] = [[] for _ in range(partitions)]
-        build_files: List[Optional[_SpillFile]] = [None] * partitions
-        probe_files: List[Optional[_SpillFile]] = [None] * partitions
-
-        def row_values(block: ColumnBatch, position: int) -> Tuple:
-            return tuple(vector[position] for vector in block.columns.values())
+        build_files = self._spill_files(partitions)
+        probe_files = self._spill_files(partitions)
 
         def keys_in_area() -> List:
             return [key for part_keys in resident_keys[:resident]
@@ -979,9 +1013,10 @@ class VecHashJoinOperator(VectorOperator):
             nonlocal resident, resident_bytes
             resident -= 1
             victim = resident
-            handle = self._spill_file(build_files, victim, pool)
+            handle = build_files[victim]
             for position in resident_rows[victim]:
-                handle.append(ctx, position, row_values(build_block, position))
+                handle.charge_append(ctx, position)
+            handle.flush(range(len(build_block)), build_block.columns)
             resident_bytes -= len(resident_rows[victim]) * row_bytes
             area.count -= len(resident_rows[victim])
             resident_tables[victim] = None
@@ -999,18 +1034,19 @@ class VecHashJoinOperator(VectorOperator):
             # level-0 partition of every key can be assigned in bulk; the
             # bucket hash cannot (the resident area may resize mid-batch).
             parts = kernels.spill_partitions(keys, 0, partitions)
-            for position, (key, part) in enumerate(zip(keys, parts), base):
+            for offset, (key, part) in enumerate(zip(keys, parts)):
                 if part < resident:
                     area.store_one(key, keys_in_area)
-                    resident_tables[part].add(key, position)
-                    resident_rows[part].append(position)
+                    resident_tables[part].add(key, base + offset)
+                    resident_rows[part].append(base + offset)
                     resident_keys[part].append(key)
                     resident_bytes += row_bytes
                     while resident_bytes > budget and resident > 0:
                         demote_one()
                 else:
-                    self._spill_file(build_files, part, pool).append(
-                        ctx, position, row_values(build_block, position))
+                    build_files[part].charge_append(ctx, offset)
+            for handle in build_files:
+                handle.flush(range(base, base + len(batch)), batch.columns)
         if collector is not None:
             collector.observe_cardinality(self.build_key, len(build_block))
         # The resident set is frozen from here on: demotions during the
@@ -1032,100 +1068,87 @@ class VecHashJoinOperator(VectorOperator):
             parts = kernels.spill_partitions(keys, 0, partitions)
             addresses = area.addresses(keys)
             for offset, (key, part) in enumerate(zip(keys, parts)):
-                position = base + offset
                 if part < resident:
                     area.load_one(addresses[offset])
                     found = resident_tables[part].get(key)
                     if found:
-                        pairs.extend((position, build_position)
+                        pairs.extend((base + offset, build_position)
                                      for build_position in found)
-                else:
-                    handle = build_files[part]
+                elif build_files[part].row_count:
                     # A probe row of a build-empty partition cannot match;
                     # the build phase's partition sizes are known, so grace
                     # joins skip its spill write.
-                    if handle is not None and handle.row_count:
-                        self._spill_file(probe_files, part, pool).append(
-                            ctx, position, row_values(probe_block, position))
+                    probe_files[part].charge_append(ctx, offset)
+            for handle in probe_files:
+                handle.flush(range(base, base + len(batch)), batch.columns)
         if collector is not None:
             collector.observe_cardinality(self.probe_key, len(probe_block))
 
         # ---- join the spilled partitions, ascending index ----
         if len(build_block) and len(probe_block):
-            # A spilled record's values are in its block's column order.
-            self._join_spilled(
-                build_files[resident:], probe_files[resident:],
-                list(build_block.columns).index(self.build_column),
-                list(probe_block.columns).index(self.probe_column),
-                level=1, budget=budget, pool=pool, pairs=pairs)
+            self._join_spilled(build_files[resident:], probe_files[resident:],
+                               level=1, budget=budget, pairs=pairs)
         yield from self._emit_pairs(pairs, build_block, probe_block)
 
-    def _join_spilled(self, build_files: Sequence[Optional[_SpillFile]],
-                      probe_files: Sequence[Optional[_SpillFile]],
-                      build_key_index: int, probe_key_index: int, level: int,
-                      budget: int, pool: Callable[[], BufferPool],
-                      pairs: Pairs) -> None:
+    def _join_spilled(self, build_files: Sequence[_SpillFile],
+                      probe_files: Sequence[_SpillFile], level: int,
+                      budget: int, pairs: Pairs) -> None:
         """Join every partition that has rows on both sides, in order."""
         for build_handle, probe_handle in zip(build_files, probe_files):
-            if build_handle is None or probe_handle is None:
-                continue
-            if not build_handle.row_count or not probe_handle.row_count:
-                continue
-            self._join_partition(build_handle.read_all(self.ctx),
-                                 probe_handle.read_all(self.ctx),
-                                 build_key_index, probe_key_index,
-                                 level, budget, pool, pairs)
+            if build_handle.row_count and probe_handle.row_count:
+                self._join_partition(*build_handle.read_all(self.ctx),
+                                     *probe_handle.read_all(self.ctx),
+                                     level, budget, pairs)
 
-    def _join_partition(self, build_rows: List[Tuple[int, Tuple]],
-                        probe_rows: List[Tuple[int, Tuple]],
-                        build_key_index: int, probe_key_index: int, level: int,
-                        budget: int, pool: Callable[[], BufferPool],
-                        pairs: Pairs) -> None:
+    def _join_partition(self, build_positions: List[int], build_rows: ColumnBatch,
+                        probe_positions: List[int], probe_rows: ColumnBatch,
+                        level: int, budget: int, pairs: Pairs) -> None:
         """Join one spilled partition, re-partitioning if it overflows.
 
-        ``build_rows`` / ``probe_rows`` are ``(global position, values)``
-        records in insertion order.  A build side over budget is fanned out
-        again with the next level's salt (both sides rewritten through the
-        spill pool, charged); at :data:`_MAX_SPILL_DEPTH` the partition is
-        built in memory regardless -- recursion that deep means one
+        Each side is its rows (insertion order) and their global positions.
+        A build side over budget is fanned out again with the next level's
+        salt (both sides rewritten through the spill pool, charged per row,
+        moved per run); at :data:`_MAX_SPILL_DEPTH` the partition is built
+        in memory regardless -- recursion that deep means one
         duplicate-heavy key no amount of partitioning can split -- and the
         overrun is counted in ``ctx.io_stats["budget_overruns"]``.
         """
         ctx = self.ctx
         kernels = ctx.kernels
         row_bytes = self.build_row_bytes
-        build_keys = [values[build_key_index] for _, values in build_rows]
-        probe_keys = [values[probe_key_index] for _, values in probe_rows]
-        over_budget = len(build_rows) * row_bytes > budget
-        if over_budget and level < _MAX_SPILL_DEPTH and len(build_rows) > 1:
-            fanout = max(plan_partition_count(len(build_rows), row_bytes, budget), 2)
-            sub_build: List[Optional[_SpillFile]] = [None] * fanout
-            sub_probe: List[Optional[_SpillFile]] = [None] * fanout
-            build_parts = kernels.spill_partitions(build_keys, level, fanout)
-            for (position, values), part in zip(build_rows, build_parts):
-                self._spill_file(sub_build, part, pool).append(
-                    ctx, position, values)
-            probe_parts = kernels.spill_partitions(probe_keys, level, fanout)
-            for (position, values), part in zip(probe_rows, probe_parts):
-                if sub_build[part] is not None:
-                    self._spill_file(sub_probe, part, pool).append(
-                        ctx, position, values)
-            self._join_spilled(sub_build, sub_probe, build_key_index,
-                               probe_key_index, level + 1, budget, pool, pairs)
+        self.spill_depth = max(self.spill_depth, level)
+        build_keys = build_rows.vector(self.build_column)
+        probe_keys = probe_rows.vector(self.probe_column)
+        over_budget = len(build_keys) * row_bytes > budget
+        if over_budget and level < _MAX_SPILL_DEPTH and len(build_keys) > 1:
+            fanout = max(plan_partition_count(len(build_keys), row_bytes, budget), 2)
+            sub_build = self._spill_files(fanout)
+            sub_probe = self._spill_files(fanout)
+            for files, keys, positions, rows in (
+                    (sub_build, build_keys, build_positions, build_rows),
+                    (sub_probe, probe_keys, probe_positions, probe_rows)):
+                for offset, part in enumerate(
+                        kernels.spill_partitions(keys, level, fanout)):
+                    # A probe row of a build-empty sub-partition is dropped.
+                    if files is sub_build or sub_build[part].row_count:
+                        files[part].charge_append(ctx, offset)
+                for handle in files:
+                    handle.flush(positions, rows.columns)
+            self._join_spilled(sub_build, sub_probe, level + 1, budget, pairs)
             return
         if over_budget:
             ctx.io_stats["budget_overruns"] += 1
 
-        area = _BucketArea(ctx, max(len(build_rows), 16))
+        area = _BucketArea(ctx, max(len(build_keys), 16))
         table = _Positions()
-        ctx.visit_batch("hash_build", len(build_rows))
+        ctx.visit_batch("hash_build", len(build_keys))
         area.store(build_keys, lambda: build_keys[:area.count])
-        for (position, _), key in zip(build_rows, build_keys):
+        for position, key in zip(build_positions, build_keys):
             table.add(key, position)
-        ctx.visit_batch("hash_probe", len(probe_rows))
+        ctx.visit_batch("hash_probe", len(probe_keys))
         area.load(probe_keys)
         for offset, found in table.matches(probe_keys):
-            position = probe_rows[offset][0]
+            position = probe_positions[offset]
             pairs.extend((position, build_position)
                          for build_position in found)
 

@@ -8,7 +8,8 @@
  * the pure-Python automata (the oracle of the differential suites and the
  * fallback).  The two are never mixed: a charged operation
  * (``Segment.visit``, ``Context.workspace``, ``Machine.charged_strided`` /
- * ``charged_fields`` / ``fetch_run`` / ``conjunct``) touches no Python
+ * ``charged_fields`` / ``charged_addresses`` / ``fetch_run`` / ``conjunct``)
+ * touches no Python
  * object beyond parsing its arguments and building its return value.
  *
  *   CacheState   int64 tags[num_sets * assoc], MRU first within a set; one
@@ -1170,6 +1171,44 @@ Machine_charged_fields(Machine *m, PyObject *const *args, Py_ssize_t nargs)
     return PyLong_FromLong(misses);
 }
 
+/* charged_addresses(addresses, size, write) -- one ``data_read(address,
+ * size)`` (``data_write`` when ``write``) per address of the sequence, in
+ * order; returns the L1D miss count.  Every address is converted before the
+ * first is charged, so a bad element raises with the machine untouched. */
+static PyObject *
+Machine_charged_addresses(Machine *m, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("charged_addresses", nargs, 3) < 0)
+        return NULL;
+    long size = PyLong_AsLong(args[1]);
+    long write = PyLong_AsLong(args[2]);
+    if (PyErr_Occurred())
+        return NULL;
+    PyObject *seq = PySequence_Fast(args[0], "addresses must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(seq);
+    long *addresses = PyMem_Malloc((size_t)(count ? count : 1) * sizeof(long));
+    if (addresses == NULL) {
+        Py_DECREF(seq);
+        return PyErr_NoMemory();
+    }
+    for (Py_ssize_t i = 0; i < count; i++) {
+        addresses[i] = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (addresses[i] == -1 && PyErr_Occurred()) {
+            PyMem_Free(addresses);
+            Py_DECREF(seq);
+            return NULL;
+        }
+    }
+    Py_DECREF(seq);
+    long misses = 0;
+    for (Py_ssize_t i = 0; i < count; i++)
+        misses += data_strided_impl(m, addresses[i], 0, 1, size, write ? 1 : 0);
+    PyMem_Free(addresses);
+    return PyLong_FromLong(misses);
+}
+
 /* fetch_run(line_addr, count) -- ``fetch_code_run`` including the ITLB,
  * front-end stall accumulation and counters; returns L1I misses. */
 static PyObject *
@@ -1327,6 +1366,8 @@ static PyMethodDef Machine_methods[] = {
      "Charged strided data access (DTLB + caches + counters); returns misses."},
     {"charged_fields", METHOD(Machine_charged_fields), METH_FASTCALL,
      "Charged field loads of one record; returns misses."},
+    {"charged_addresses", METHOD(Machine_charged_addresses), METH_FASTCALL,
+     "Charged scalar access per address of a sequence; returns misses."},
     {"fetch_run", METHOD(Machine_fetch_run), METH_FASTCALL,
      "Charged instruction-line run fetch (ITLB + L1I + counters); returns misses."},
     {"conjunct", METHOD(Machine_conjunct), METH_FASTCALL,

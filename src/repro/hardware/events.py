@@ -142,7 +142,8 @@ class Trace:
 
 
 def replay(trace: Iterable[TraceEvent], processor) -> None:
-    """Replay ``trace`` onto ``processor`` (a :class:`SimulatedProcessor`)."""
+    """Replay ``trace`` onto ``processor`` (a
+    :class:`~repro.hardware.processor.SimulatedProcessor`)."""
     for event in trace:
         if isinstance(event, CodeFetch):
             processor.fetch_code(event.line_addresses)

@@ -22,7 +22,7 @@ overlap model for the stall classes the paper identifies as overlappable
 * a fraction of dependency/functional-unit stalls can be hidden behind memory
   stalls.
 
-The analysis layer (:mod:`repro.analysis.formulae`) independently recomputes
+The analysis layer (:mod:`repro.analysis.breakdown`) independently recomputes
 the per-component estimates exactly the way the paper does from the counters
 (miss counts times penalty constants, "actual" stall counters for the rest);
 tests cross-check that the estimated components bound the simulated total the

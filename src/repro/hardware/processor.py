@@ -13,6 +13,8 @@ records:
 * :meth:`data_read_strided` / :meth:`data_read_span` -- bulk element loads
   (the span-charging fast path for columnar batches: count-identical to
   per-address :meth:`data_read` calls, several times cheaper to simulate),
+* :meth:`data_read_scattered` / :meth:`data_write_scattered` -- one scalar
+  access per address of a vector, in one call (a key vector's hash buckets),
 * :meth:`count_data_refs` -- bulk accounting for references that stay in L1D,
 * :meth:`branch` / :meth:`count_branches` -- dynamic branch sites and the bulk
   branch population they represent,
@@ -39,6 +41,7 @@ below writes through ``_count`` -- ``Machine.add`` there,
 from __future__ import annotations
 
 import functools
+from operator import index
 from typing import Iterable, Optional, Sequence, Tuple
 
 from . import cache as _cache  # home of the one ``_NATIVE`` switch
@@ -293,6 +296,22 @@ class SimulatedProcessor:
             return self._native_state.charged_strided(address, stride, count,
                                                       size, 1)
         return self._data_access(address, stride, count, size, True)
+
+    def data_read_scattered(self, addresses: Sequence[int], size: int = 4,
+                            write: bool = False) -> int:
+        """One :meth:`data_read` (:meth:`data_write` when ``write``) of
+        ``size`` bytes per address, in order, as one charged call -- a key
+        vector's hash buckets; returns the L1D misses.  A non-integer
+        address or size raises before anything is charged."""
+        if self._native_state is not None:
+            return self._native_state.charged_addresses(addresses, size, write)
+        addresses, size = [index(address) for address in addresses], index(size)
+        return sum(self._data_access(address, 0, 1, size, write)
+                   for address in addresses)
+
+    def data_write_scattered(self, addresses: Sequence[int], size: int = 4) -> int:
+        """The store-side twin of :meth:`data_read_scattered`."""
+        return self.data_read_scattered(addresses, size, True)
 
     def _data_access(self, address: int, stride: int, count: int, size: int,
                      write: bool) -> int:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .buffer_pool import BufferPool
-from .page import PageError, PaxPage, RecordId, SlottedPage
+from .page import (PAGE_HEADER_BYTES, PageError, PaxPage, RecordId, SlottedPage,
+                   records_per_page)
 from .schema import RecordLayout
 
 
@@ -134,11 +135,10 @@ class HeapFile:
     @property
     def records_per_page(self) -> int:
         """Capacity of one page for this layout (used by cost estimates)."""
-        from .page import PAGE_HEADER_BYTES, SLOT_ENTRY_BYTES
-        usable = self.buffer_pool.page_size - PAGE_HEADER_BYTES
+        page_size = self.buffer_pool.page_size
         if self.page_style == PAGE_STYLE_PAX:
-            return max(usable // self.layout.record_size, 1)
-        return max(usable // (self.layout.record_size + SLOT_ENTRY_BYTES), 1)
+            return max((page_size - PAGE_HEADER_BYTES) // self.layout.record_size, 1)
+        return max(records_per_page(page_size, self.layout.record_size), 1)
 
     def data_bytes(self) -> int:
         """Bytes of record payload stored (working-set size of a full scan)."""

@@ -29,6 +29,13 @@ PAGE_HEADER_BYTES = 24
 SLOT_ENTRY_BYTES = 4
 
 
+def records_per_page(page_size: int, record_bytes: int) -> int:
+    """Equal-size records a slotted page accepts (each costs its bytes plus a
+    slot entry); record ``i`` then starts ``PAGE_HEADER_BYTES + i *
+    record_bytes`` into the page."""
+    return (page_size - PAGE_HEADER_BYTES) // (record_bytes + SLOT_ENTRY_BYTES)
+
+
 class PageError(RuntimeError):
     """Raised on invalid page operations (overflow, bad slot, ...)."""
 

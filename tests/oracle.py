@@ -1,4 +1,5 @@
-"""The per-address charging oracle (and the in-process morsel pipeline).
+"""The per-address charging oracle, the pickled spill file (and the
+in-process morsel pipeline).
 
 Production charging is bulk: :class:`~repro.execution.context.
 ExecutionContext` presents column-vector reads, full-record sweeps, page
@@ -7,21 +8,30 @@ operations.  The contract is that each bulk operation is count-identical --
 same cache/TLB hits and misses, same LRU evolution -- to the element loads
 it stands for, issued one at a time in ascending order.
 
-:class:`PerAddressContext` is that reference: the same context with the five
+:class:`PerAddressContext` is that reference: the same context with the six
 bulk charging sites replaced by their per-element loops, on the pure-Python
 routine-visit path (so a bulk-vs-per-address differential doubles as a
 native-vs-Python one).  It is a test oracle, installed by the
 ``charging`` fixture in ``conftest.py`` the way ``pure_python`` hides the
 native module; no production code can select it.
+
+:class:`PickledSpillFile` is the spilling join's page format before
+column-run blocks: one pickled, record-size-padded row per slot of a real
+:class:`~repro.storage.page.SlottedPage`.  ``pickled_spill_files()`` puts it
+in place of the block file, so a differential run checks the blocks'
+geometry (rows per page, slot addresses) against pages that really accept
+the records, and their values against a pickle round trip.
 """
 
 from __future__ import annotations
 
+import pickle
 from contextlib import contextmanager
-from typing import Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import repro.engine.session as session_mod
 import repro.execution.parallel as parallel_mod
+import repro.execution.vectorized as vectorized_mod
 from repro.execution.code_layout import LINE_BYTES
 from repro.execution.context import ExecutionContext
 from repro.storage.schema import RecordLayout
@@ -50,6 +60,14 @@ class PerAddressContext(ExecutionContext):
             processor.data_read(self.workspace_base + cursor, 4)
             cursor = (cursor + stride) % size
         self._workspace_cursor = cursor
+
+    def read_addresses(self, addresses: Sequence[int], size: int = 4) -> None:
+        for address in addresses:
+            self.processor.data_read(address, size)
+
+    def write_addresses(self, addresses: Sequence[int], size: int = 4) -> None:
+        for address in addresses:
+            self.processor.data_write(address, size)
 
     def _page_io_out(self, address: int, nbytes: int) -> None:
         self.visit("page_boundary")
@@ -89,6 +107,92 @@ def per_address_sessions():
         yield
     finally:
         session_mod.ExecutionContext = saved
+
+
+class PickledSpillFile:
+    """``vectorized._SpillFile`` as a run of pickled ``(position, values)``
+    records on slotted pages (what it was before column-run blocks).
+
+    The join charges a row (:meth:`charge_append`) before it hands over the
+    row's values (:meth:`flush`), so the charge inserts a zero record of
+    ``record_bytes`` -- through the page's own ``has_room_for`` / ``insert``
+    / ``slot_address``, pinned as the pickled file pinned it -- and the
+    values overwrite it in place, padded to the same size, without touching
+    the pool or the dirty mark the charge left.  A row whose pickle is
+    longer than ``record_bytes`` has no such slot: that is the one designed
+    difference of the block file and the oracle refuses it.
+    """
+
+    def __init__(self, pool, record_bytes: int) -> None:
+        self.pool = pool
+        self.record_bytes = max(record_bytes, 1)
+        self.page_numbers: List[int] = []
+        self._current = None
+        self.row_count = 0
+        #: ``(source offset, page number, slot)`` of rows charged, not stored.
+        self._pending: List[Tuple[int, int, int]] = []
+        self._names: Tuple[str, ...] = ()
+
+    def charge_append(self, ctx, offset: int) -> None:
+        payload = bytes(self.record_bytes)
+        page = None
+        if self._current is not None:
+            page = self.pool.fetch_page(self._current, pin=True)
+            if not page.has_room_for(len(payload)):
+                self.pool.unpin(self._current)
+                page = None
+        if page is None:
+            page = self.pool.allocate_page(pin=True)
+            self.page_numbers.append(page.page_number)
+            self._current = page.page_number
+        slot = page.insert(payload)
+        ctx.write_address(page.slot_address(slot), len(payload))
+        self.pool.unpin(page.page_number)
+        self.row_count += 1
+        self._pending.append((offset, page.page_number, slot))
+
+    def flush(self, positions: Sequence[int], columns: Dict[str, List]) -> None:
+        if self._pending:
+            self._names = tuple(columns)
+        for offset, page_number, slot in self._pending:
+            values = tuple(vector[offset] for vector in columns.values())
+            payload = pickle.dumps((positions[offset], values),
+                                   protocol=pickle.HIGHEST_PROTOCOL)
+            assert len(payload) <= self.record_bytes, "pickle outgrew the slot"
+            page = self.pool.peek_page(page_number)
+            dirty = page.dirty
+            page.update_in_place(slot, payload.ljust(self.record_bytes, b"\0"))
+            page.dirty = dirty
+        self._pending = []
+
+    def read_all(self, ctx):
+        assert not self._pending, "rows charged but never stored"
+        records = []
+        for page_number in self.page_numbers:
+            page = self.pool.fetch_page(page_number, pin=True)
+            for slot in page.live_slots():
+                record = bytes(page.record_view(slot))
+                ctx.read_address(page.slot_address(slot), len(record))
+                records.append(pickle.loads(record))
+            self.pool.unpin(page_number)
+        vectors = list(zip(*(values for _, values in records)))
+        return ([position for position, _ in records],
+                vectorized_mod.ColumnBatch(
+                    {name: list(vector) for name, vector
+                     in zip(self._names, vectors)}, len(records)))
+
+
+@contextmanager
+def pickled_spill_files():
+    """Memory-budgeted joins that run inside the block spill through
+    :class:`PickledSpillFile` (files are created during execution, so the
+    block must cover it)."""
+    saved = vectorized_mod._SpillFile
+    vectorized_mod._SpillFile = PickledSpillFile
+    try:
+        yield
+    finally:
+        vectorized_mod._SpillFile = saved
 
 
 @contextmanager

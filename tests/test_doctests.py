@@ -10,6 +10,8 @@ repo-wide.
 from __future__ import annotations
 
 import doctest
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +30,23 @@ def test_adaptive_doctests_pass(module):
     assert failures == 0
     if module is not repro.adaptive:  # the package docstring has no examples
         assert tested > 0, f"{module.__name__} lost its runnable examples"
+
+
+def test_docstring_roles_resolve():
+    """``scripts/check_docs.py`` follows every ``:mod:`` / ``:class:`` /
+    ``:func:`` target of a ``src/repro`` docstring to something importable
+    (``hardware/pipeline.py`` pointed at a module that never existed)."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "check_docs.py"
+    spec = importlib.util.spec_from_file_location("check_docs", path)
+    check_docs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_docs)
+    resolves = check_docs.role_target_resolves
+    home = ("repro.hardware.pipeline", "repro.hardware")
+    assert resolves("repro.analysis.breakdown", *home)
+    assert resolves("repro.analysis.breakdown.ExecutionBreakdown", *home)
+    assert resolves(".counters.NativeBank", *home)
+    assert resolves("CycleModel", *home)
+    assert not resolves("repro.analysis.formulae", *home)
+    assert not resolves(".counters.NoSuchBank", *home)
+    assert not resolves("NoSuchModel", *home)
+    assert list(check_docs.dangling_roles()) == []

@@ -2,7 +2,8 @@
 
 Beyond the cache automaton (tests/test_native_cache.py), the compiled
 ``_cachesim`` extension carries whole *charging* operations: the processor's
-charged data/instruction accesses (``charged_strided``/``fetch_run``), the
+charged data/instruction accesses (``charged_strided``/``charged_addresses``
+/``fetch_run``), the
 executor's full routine visit (``visit``: hot/cold fetch, fused counters,
 workspace churn, branch sites, bulk branches), workspace touches and the
 adaptive conjunct branch loop (``conjunct``).  The contract is total: every
@@ -136,6 +137,10 @@ _proc_step = st.one_of(
     st.tuples(st.just("data_read_span"), _addr, st.integers(1, 512),
               st.integers(1, 64)),
     st.tuples(st.just("fetch_code_run"), _addr, st.integers(0, 40)),
+    st.tuples(st.just("data_read_scattered"), st.lists(_addr, max_size=24),
+              st.integers(1, 64)),
+    st.tuples(st.just("data_write_scattered"), st.lists(_addr, max_size=24),
+              st.integers(1, 64)),
 )
 
 
@@ -192,6 +197,10 @@ def replay_context(ctx: ExecutionContext, trace):
         elif op == "write":
             _, address, size = step
             ctx.write_address(address, size)
+        elif op == "scattered":
+            _, addresses, size = step
+            ctx.read_addresses(addresses, size)
+            ctx.write_addresses(addresses[::-1], size)
         else:  # conjunct
             _, which, site, outcomes = step
             ctx.visit_conjunct_batch(names[which % len(names)],
@@ -273,6 +282,8 @@ _os_step = st.one_of(
     _ctx_step,
     st.tuples(st.just("read"), _addr, st.integers(1, 64)),
     st.tuples(st.just("write"), _addr, st.integers(1, 64)),
+    st.tuples(st.just("scattered"), st.lists(_addr, max_size=16),
+              st.integers(1, 64)),
 )
 
 

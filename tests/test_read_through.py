@@ -20,6 +20,7 @@ The oracle is built with the native module hidden (``pure_python`` in
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -412,3 +413,59 @@ def test_read_fields_plan_charges_what_per_field_loads_charge(profile, layout_st
     assert len(planned._field_plans) == 3
     assert_states_identical(processor_state(planned.processor),
                             processor_state(reference))
+
+
+# ------------------------------------------------- a vector of addresses, once
+
+
+def address_vector(seed: int = 11):
+    """Random addresses over 64 KB, plus repeats, plus addresses a few bytes
+    short of a page boundary (every size above 3 crosses it)."""
+    rng = random.Random(seed)
+    addresses = [0x70000 + rng.randrange(1 << 16) for _ in range(300)]
+    addresses += addresses[:40]
+    addresses += [0x70000 + page * 4096 - 3 for page in range(1, 9)]
+    rng.shuffle(addresses)
+    return addresses
+
+
+@pytest.mark.parametrize("size", [1, 16, 33, 100],
+                         ids=["byte", "entry", "line-straddling", "record"])
+@pytest.mark.parametrize("os_interference", [
+    None, OSInterferenceConfig(interval_instructions=400)], ids=["os-off", "os-on"])
+def test_an_address_vector_charges_what_the_per_address_loop_charges(
+        os_interference, size):
+    """``read_addresses`` / ``write_addresses`` (one native call per key
+    vector of a hash join) leave every cache, TLB and counter where the
+    ``read_address`` / ``write_address`` loop leaves them -- on whichever
+    charging path this interpreter runs (``REPRO_NATIVE=0`` included)."""
+    bulk, loop = (
+        ExecutionContext(SimulatedProcessor(os_interference=os_interference),
+                         SYSTEM_B, AddressSpace()) for _ in range(2))
+    addresses = address_vector()
+    for ctx in (bulk, loop):
+        ctx.visit(segment_names(ctx)[0])     # interrupts fire when modelled
+    bulk.read_addresses(addresses, size)
+    bulk.write_addresses(addresses[::-1], size)
+    bulk.read_addresses([], size)
+    for address in addresses:
+        loop.read_address(address, size)
+    for address in reversed(addresses):
+        loop.write_address(address, size)
+    assert_states_identical(context_state(bulk), context_state(loop))
+    assert (bulk.processor.finalize().as_dict()
+            == loop.processor.finalize().as_dict())
+
+
+@pytest.mark.parametrize("bad", [[0x1000, "x"], [0x1000, 2.5], [0x1000, None], 7],
+                         ids=["str", "float", "none", "not-a-sequence"])
+def test_a_bad_address_vector_raises_before_anything_is_charged(bad):
+    ctx = ExecutionContext(SimulatedProcessor(), SYSTEM_B, AddressSpace())
+    ctx.write_addresses([0x2000, 0x2040], 8)
+    before = context_state(ctx)
+    for charge in (ctx.read_addresses, ctx.write_addresses):
+        with pytest.raises(TypeError):
+            charge(bad, 8)
+        with pytest.raises(TypeError):
+            charge([0x1000], "8")
+    assert_states_identical(context_state(ctx), before)

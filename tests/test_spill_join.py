@@ -14,28 +14,42 @@ Also covered here: the hash-area resize when the observed build
 cardinality exceeds the planner's estimate (satellite of the same PR), the
 ``partition_count`` policy decision, and the config-level validation of
 the budget knob.
+
+The spill file holds column-run blocks; ``TestSpillBlocksMatchPickledOracle``
+runs the same joins through the pickled slotted-page file it replaced
+(``oracle.PickledSpillFile``) and requires identical rows, counters, I/O and
+pool statistics, and ``TestRobustnessLadder`` measures the positional
+demotion rule on a skewed build without judging it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from contextlib import nullcontext
+from itertools import count, takewhile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import PerAddressContext, in_process_morsels
+import repro.execution.vectorized as vectorized_mod
+from oracle import (PerAddressContext, in_process_morsels, per_address_sessions,
+                    pickled_spill_files)
 from repro.adaptive.policy import (MAX_PARTITIONS, AdaptivePolicy,
                                    GreedyRankPolicy, plan_partition_count)
 from repro.adaptive import AdaptiveExecution
 from repro.adaptive.stats import RuntimeStatsCollector
 from repro.engine import Database, Session
 from repro.execution import ExecutionContext, build_scan, execute_plan
+from repro.execution.kernels import spill_partition_of
 from repro.execution.vectorized import VecHashJoinOperator
 from repro.hardware import SimulatedProcessor
 from repro.query import ExecutionConfig, JoinQuery, Planner, count_star
 from repro.query.planner import DefaultPolicy
 from repro.query.plans import HashJoinPlan
+from repro.storage.buffer_pool import BufferPool
 from repro.storage.schema import ColumnType
 from repro.systems import SYSTEM_B
 
@@ -54,9 +68,11 @@ BUILD_BYTES = S_ROWS * 100
 
 
 def build_database(layout_style: str = "nsm", seed: int = 7,
-                   s_rows: int = S_ROWS, s_key=None) -> Database:
+                   s_rows: int = S_ROWS, s_key=None,
+                   r_rows: int = R_ROWS) -> Database:
     """``s_key`` gives every S row that one join key (an unsplittable build
-    side) instead of the unique ``1..s_rows``."""
+    side) instead of the unique ``1..s_rows``; a callable maps the row
+    index to its key (duplicate-heavy or skewed builds)."""
     db = Database()
     columns = [("a1", ColumnType.INT32), ("a2", ColumnType.INT32),
                ("a3", ColumnType.INT32)]
@@ -64,8 +80,9 @@ def build_database(layout_style: str = "nsm", seed: int = 7,
     db.create_table("S", columns, record_size=100, layout_style=layout_style)
     rng = random.Random(seed)
     db.load("R", [(i + 1, rng.randint(1, KEY_DOMAIN), rng.randint(0, 9_999))
-                  for i in range(R_ROWS)])
-    db.load("S", [(s_key or i + 1, rng.randint(1, KEY_DOMAIN),
+                  for i in range(r_rows)])
+    key_of = s_key if callable(s_key) else (lambda i: s_key or i + 1)
+    db.load("S", [(key_of(i), rng.randint(1, KEY_DOMAIN),
                    rng.randint(0, 9_999)) for i in range(s_rows)])
     return db
 
@@ -177,6 +194,163 @@ class TestChargeModeIdentity:
         assert rows_span == rows_ref
         assert counts_span == counts_ref
         assert io_span == io_ref
+
+
+# ---------------------------------------------------------------------------
+# Column-run blocks vs the pickled slotted-page file they replaced
+# ---------------------------------------------------------------------------
+#: A build side larger than one spill page, so "one page" is a real budget
+#: (and a probe side larger still, so the planner keeps building on S).
+BIG_S_ROWS = 180
+BIG_R_ROWS = 400
+BIG_BUILD_BYTES = BIG_S_ROWS * 100
+PAGE = 8192
+
+BUILDS = {
+    "unique": None,
+    # Three keys of 60 rows (6,000 bytes) each: a level-0 partition that
+    # holds two of them is re-partitioned at half the footprint, and below
+    # one key's footprint the recursion runs into its cap.
+    "duplicate-heavy": lambda i: 1 + i % 3,
+}
+
+
+@pytest.fixture
+def spill_pools(monkeypatch):
+    """Every buffer pool a budgeted join creates while the test runs."""
+    pools = []
+
+    def recording(*args, **kwargs):
+        pools.append(BufferPool(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(vectorized_mod, "BufferPool", recording)
+    return pools
+
+
+def measure_join(layout, budget, batch_size, s_key, pools,
+                 charging=nullcontext):
+    """Everything one budgeted join produces and charges."""
+    del pools[:]
+    db = build_database(layout, s_rows=BIG_S_ROWS, s_key=s_key,
+                        r_rows=BIG_R_ROWS)
+    with charging():
+        session = Session(db, SYSTEM_B, os_interference=None,
+                          engine="vectorized", batch_size=batch_size,
+                          memory_budget_bytes=budget)
+    ctx = session.context
+    rows = execute_plan(join_plan_for(db), db.catalog, ctx)
+    counters = ctx.processor.finalize().as_dict()
+    outcome = {"rows": rows, "cycles": counters["CPU_CLK_UNHALTED"],
+               "counters": counters, "hardware": hardware_counts(ctx.processor),
+               "io": dict(ctx.io_stats),
+               "pools": [pool.stats.as_dict() for pool in pools]}
+    session.close()
+    return outcome
+
+
+class TestSpillBlocksMatchPickledOracle:
+    @pytest.mark.parametrize("charging", [nullcontext, per_address_sessions],
+                             ids=["production", "per-address"])
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    @pytest.mark.parametrize("batch_size", [7, 256])
+    @pytest.mark.parametrize("budget", [
+        None, 2 * BIG_BUILD_BYTES, BIG_BUILD_BYTES, BIG_BUILD_BYTES // 2,
+        BIG_BUILD_BYTES // 4, PAGE], ids=["inf", "2x", "1x", "0.5x", "0.25x",
+                                          "one-page"])
+    @pytest.mark.parametrize("layout", ["nsm", "pax"])
+    def test_blocks_and_pickled_pages_agree(self, spill_pools, layout, budget,
+                                            batch_size, build, charging):
+        blocks = measure_join(layout, budget, batch_size, BUILDS[build],
+                              spill_pools, charging)
+        with pickled_spill_files():
+            pickled = measure_join(layout, budget, batch_size, BUILDS[build],
+                                   spill_pools, charging)
+        for key in blocks:   # rows and their order first: the clearest diff
+            assert blocks[key] == pickled[key], f"{key} diverged"
+        if budget is not None and budget < BIG_BUILD_BYTES:
+            assert blocks["pools"] and blocks["pools"][0]["page_writes"] > 0
+
+    def test_the_duplicate_heavy_build_recurses_to_the_cap(self, spill_pools):
+        """The ladder above is only a re-partitioning test if it re-partitions."""
+        outcome = measure_join("nsm", BIG_BUILD_BYTES // 4, 256,
+                               BUILDS["duplicate-heavy"], spill_pools)
+        assert outcome["io"]["budget_overruns"] >= 1
+
+
+class TestSpilledRowFootprint:
+    """The one designed difference from the pickled file: a spilled row is
+    charged at ``record_bytes`` whatever its projection holds -- the pickled
+    file charged a row whose pickle outgrew the slot at the pickle's size."""
+
+    ROW_BYTES = 8     # < the pickle of a (position, (a1, a2, a3)) record
+
+    def _run(self, budget):
+        class Recording(ExecutionContext):
+            writes = None
+
+            def write_address(self, address, size=4):
+                self.writes.append((address, size))
+                super().write_address(address, size)
+
+        db = build_database("nsm", s_rows=BIG_S_ROWS, r_rows=BIG_R_ROWS)
+        ctx = Recording(SimulatedProcessor(), SYSTEM_B, db.address_space,
+                        execution=ExecutionConfig(engine="vectorized",
+                                                  batch_size=64,
+                                                  memory_budget_bytes=budget))
+        ctx.writes = []
+        plan = join_plan_for(db)
+        columns = ["a1", "a2", "a3"]
+        op = VecHashJoinOperator(
+            build_scan(plan.probe, db.catalog, ctx, columns),
+            build_scan(plan.build, db.catalog, ctx, columns),
+            plan.probe_column, plan.build_column, ctx,
+            build_row_estimate=BIG_S_ROWS, probe_row_estimate=BIG_R_ROWS,
+            batch_size=64, build_row_bytes=self.ROW_BYTES)
+        return list(op.rows()), ctx, getattr(op, "spill_pool", None)
+
+    def test_wide_projection_spills_at_record_bytes(self):
+        reference, _, pool = self._run(None)
+        assert reference and pool is None
+        for budget in (BIG_S_ROWS * self.ROW_BYTES // 2, 64, self.ROW_BYTES):
+            rows, ctx, pool = self._run(budget)
+            assert rows == reference
+            pages = {pool.peek_page(number).base_address
+                     for number in takewhile(pool.page_exists, count())}
+            sizes = {size for address, size in ctx.writes
+                     if address & ~(PAGE - 1) in pages}
+            assert sizes == {self.ROW_BYTES}
+            assert ctx.io_stats["page_writes"] > 0
+
+
+class TestRobustnessLadder:
+    """``examples/spill_join.py``'s budget x skew grid: a measurement of the
+    positional demotion rule, not a judgement of it -- the rows must not
+    change and the numbers must be reproducible; what they should be is
+    the victim-policy question ROADMAP item 3 leaves open."""
+
+    @pytest.fixture(scope="class")
+    def example(self):
+        path = Path(__file__).resolve().parent.parent / "examples" / "spill_join.py"
+        spec = importlib.util.spec_from_file_location("spill_join_example", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_the_skewed_build_ends_on_its_smallest_partition(self, example):
+        keys = example.ladder_build_keys("skewed", 180, 5, random.Random(1))
+        sizes = [0] * 5
+        for key in keys:
+            sizes[spill_partition_of(key, 0, 5)] += 1
+        assert sizes == sorted(sizes, reverse=True) and sizes[-1] < sizes[0]
+
+    def test_rows_hold_and_the_numbers_repeat(self, example):
+        # ladder_cell itself asserts row identity with the in-memory join.
+        first = example.robustness_ladder(s_rows=180, r_rows=300)
+        assert first == example.robustness_ladder(s_rows=180, r_rows=300)
+        assert {cell["skew"] for cell in first} == {"uniform", "skewed"}
+        assert any(cell["page_writes"] for cell in first)
+        assert all(0 <= cell["max_depth"] <= 4 for cell in first)
 
 
 @given(budget=st.integers(min_value=64, max_value=4 * BUILD_BYTES),

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.storage.address_space import AddressSpace, AddressSpaceError
-from repro.storage.page import PAGE_HEADER_BYTES, PageError, RecordId, SlottedPage
+from repro.storage.page import (PAGE_HEADER_BYTES, PageError, RecordId,
+                                SlottedPage, records_per_page)
 from repro.storage.schema import (Column, ColumnType, RecordLayout, Schema, SchemaError,
                                   microbenchmark_schema)
 
@@ -163,3 +164,31 @@ class TestSlottedPage:
             page.insert(b"z" * 50)
             assert page.free_space() < previous
             previous = page.free_space()
+
+
+class TestRecordsPerPage:
+    """``records_per_page`` is the one statement of how many equal-size
+    records a slotted page takes and where record ``i`` starts: the heap
+    file's cost estimate and the spilling join's column-run blocks (which
+    charge a row at the slot address such a record would have, without
+    building the record) both rely on it matching a real page."""
+
+    @pytest.mark.parametrize("page_size", [256, 512, 8192])
+    def test_formula_matches_what_a_real_page_accepts(self, page_size):
+        base = 0x4000_0000
+        for record_bytes in range(1, page_size):
+            page = SlottedPage(0, base, page_size)
+            record = bytes(record_bytes)
+            accepted = 0
+            while page.has_room_for(record_bytes):
+                slot = page.insert(record)
+                assert (page.slot_address(slot)
+                        == base + PAGE_HEADER_BYTES + slot * record_bytes)
+                accepted += 1
+            assert accepted == records_per_page(page_size, record_bytes), record_bytes
+            if not accepted:      # every larger record is refused too
+                assert records_per_page(page_size, page_size) == 0
+                break
+
+    def test_the_microbenchmark_record(self):
+        assert records_per_page(8192, 100) == 78
