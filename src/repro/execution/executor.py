@@ -233,15 +233,14 @@ def execute_update(plan: UpdatePlan, catalog: Catalog, ctx: ExecutionContext,
         apply_cm.__enter__()
     updated = 0
     try:
-        set_position = table.schema.index_of(plan.set_column)
+        table.schema.index_of(plan.set_column)  # raises before any row is touched
         for row in lookup.rows():
             rid = row["__rid__"]
-            values = list(table.heap.read_values(rid))
-            values[set_position] = plan.set_value
+            # The charge is a whole-record store (what the modelled systems
+            # do); the data plane writes the one field that changes.
             ctx.visit("update_record")
-            entry = table.heap.fetch(rid)
-            ctx.write_record(entry, table.layout)
-            table.update(rid, values)
+            ctx.write_record(table.heap.fetch(rid), table.layout)
+            table.update_field(rid, plan.set_column, plan.set_value)
             updated += 1
             ctx.record_done()
     finally:

@@ -367,6 +367,35 @@ class BTreeIndex:
             node = node.children[0]  # type: ignore[union-attr]
         return node  # type: ignore[return-value]
 
+    # ----------------------------------------------------------- statistics
+    def key_bounds(self) -> Optional[Tuple[object, object]]:
+        """``(smallest, largest)`` live key; ``None`` on an empty index.
+
+        Two descents, no heap access: the planner's column statistics.
+        Deletion is lazy, so the leaves at either end may have been emptied;
+        the leftmost descent then follows the leaf chain to the first leaf
+        that still holds a key, and the rightmost one backs up through the
+        parents' earlier children (leaves have no previous-leaf link).
+        """
+        if not self._entry_count:
+            return None
+        first: Optional[_LeafNode] = self._leftmost_leaf()
+        while not first.keys:
+            first = first.next_leaf
+        last = self._last_live_leaf(self._root)
+        assert last is not None
+        return first.keys[0], last.keys[-1]
+
+    def _last_live_leaf(self, node: _Node) -> Optional[_LeafNode]:
+        """Rightmost leaf below ``node`` that still holds a key."""
+        if node.is_leaf:
+            return node if node.keys else None  # type: ignore[return-value]
+        for child in reversed(node.children):  # type: ignore[union-attr]
+            leaf = self._last_live_leaf(child)
+            if leaf is not None:
+                return leaf
+        return None
+
     # ------------------------------------------------------------ validation
     def keys_in_order(self) -> List:
         """All keys in leaf order (ascending); used by property tests."""

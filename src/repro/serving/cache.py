@@ -10,14 +10,15 @@ exact, and a re-submitted query after an update re-plans and re-executes
 against current data.
 
 The plan cache is a pure host-side optimisation: the planner never touches
-the simulated hardware (its selectivity estimate samples the heap directly),
-so serving a cached plan changes no simulated count — only the wall-clock
-cost of planning disappears.  The result cache *does* change the simulated
-story, deliberately: a hit charges a small cache-probe cost instead of the
-query's full execution (see ``Server._serve_hit``), which is the modelled
-behaviour of a semantic result cache in front of the engine.  Rows returned
-from the cache are copied on the way in and on the way out, so callers can
-never corrupt a cached result.
+the simulated hardware (its selectivity estimate reads the two ends of the
+column's index, no heap page and no execution context), so serving a cached
+plan changes no simulated count — only the wall-clock cost of planning, about
+ten microseconds a plan, disappears.  The result cache *does* change the
+simulated story, deliberately: a hit charges a small cache-probe cost instead
+of the query's full execution (see ``Server._serve_hit``), which is the
+modelled behaviour of a semantic result cache in front of the engine.  Rows
+returned from the cache are copied on the way in and on the way out, so
+callers can never corrupt a cached result.
 """
 
 from __future__ import annotations

@@ -56,20 +56,29 @@ class Table:
 
     def update(self, rid: RecordId, values: Sequence) -> None:
         """Update a row in place, maintaining indexes on changed keys."""
-        if self.indexes:
-            old_values = self.heap.read_values(rid)
-            for column_name, index in self.indexes.items():
-                position = self.schema.index_of(column_name)
-                if old_values[position] != values[position]:
-                    index.delete(old_values[position], rid)
-                    index.insert(values[position], rid)
+        for column_name in self.indexes:
+            self._move_index_entry(rid, column_name,
+                                   values[self.schema.index_of(column_name)])
         self.heap.update(rid, values)
 
+    def update_field(self, rid: RecordId, column_name: str, value) -> None:
+        """Update one column of a row in place; only an index on that column
+        can need maintenance, and only then is the old value decoded."""
+        if column_name in self.indexes:
+            self._move_index_entry(rid, column_name, value)
+        self.heap.update_field(rid, column_name, value)
+
+    def _move_index_entry(self, rid: RecordId, column_name: str, new_key) -> None:
+        """Re-key ``rid`` in the index on ``column_name`` if its key changes."""
+        old_key = self.heap.read_field(rid, column_name)
+        if old_key != new_key:
+            index = self.indexes[column_name]
+            index.delete(old_key, rid)
+            index.insert(new_key, rid)
+
     def delete(self, rid: RecordId) -> None:
-        if self.indexes:
-            old_values = self.heap.read_values(rid)
-            for column_name, index in self.indexes.items():
-                index.delete(old_values[self.schema.index_of(column_name)], rid)
+        for column_name, index in self.indexes.items():
+            index.delete(self.heap.read_field(rid, column_name), rid)
         self.heap.delete(rid)
 
     # -------------------------------------------------------------- queries

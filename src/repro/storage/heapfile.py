@@ -97,6 +97,15 @@ class HeapFile:
         page = self._page(rid.page_number)
         page.update_in_place(rid.slot, self.layout.encode(values))
 
+    def update_field(self, rid: RecordId, column: str, value) -> None:
+        """Overwrite one column of the record at ``rid`` where it lies: at
+        the slot's field offset on an NSM page, in the column's minipage on
+        a PAX page.  The page bytes end up as :meth:`update` of the whole
+        record with that one value changed would leave them."""
+        offset = self.layout.offset_of(column)
+        self.fetch(rid).page.write_field(
+            rid.slot, offset, self.layout.encode_column(column, value))
+
     def _page_for_insert(self, record_size: int) -> SlottedPage:
         page = self._current_page
         if page is None or not page.has_room_for(record_size):
@@ -224,6 +233,13 @@ class HeapFile:
         """Decode the full record at ``rid`` (convenience/tests)."""
         entry = self.fetch(rid)
         return self.layout.decode(bytes(entry.page.record_view(entry.slot)))
+
+    def read_field(self, rid: RecordId, column: str):
+        """Decode one column of the record at ``rid``."""
+        page = self.fetch(rid).page
+        if page.columnar:
+            return page.column_values(column, (rid.slot,))[0]
+        return self.layout.decode_column(bytes(page.record_view(rid.slot)), column)
 
     def __len__(self) -> int:
         return self._record_count

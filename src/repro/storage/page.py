@@ -133,6 +133,18 @@ class SlottedPage:
         self._buffer[offset:offset + length] = record_bytes
         self.dirty = True
 
+    def write_field(self, slot: int, field_offset: int, field_bytes: bytes) -> None:
+        """Overwrite ``field_bytes`` at record-relative ``field_offset``: the
+        single-field form of :meth:`update_in_place`."""
+        self._check_slot(slot)
+        if not 0 <= field_offset <= self._lengths[slot] - len(field_bytes):
+            raise PageError(
+                f"page {self.page_number}: {len(field_bytes)} bytes at offset "
+                f"{field_offset} fall outside the {self._lengths[slot]}-byte record")
+        position = self._offsets[slot] + field_offset
+        self._buffer[position:position + len(field_bytes)] = field_bytes
+        self.dirty = True
+
     # --------------------------------------------------------------- access
     def record_bytes(self, slot: int) -> bytes:
         self._check_slot(slot)
@@ -206,8 +218,7 @@ class PaxPage:
     columnar = True
 
     __slots__ = ("page_number", "page_size", "base_address", "layout",
-                 "capacity", "_buffer", "_live", "_minipage_offsets",
-                 "_padding_offset", "dirty")
+                 "capacity", "_buffer", "_live", "_geometry", "dirty")
 
     def __init__(self, page_number: int, base_address: int, layout,
                  page_size: int = DEFAULT_PAGE_SIZE) -> None:
@@ -223,13 +234,17 @@ class PaxPage:
         self.capacity = capacity
         self._buffer = bytearray(page_size)
         self._live: List[bool] = []
-        offsets = []
+        # ``(minipage_offset, record_offset, width)`` per column, in schema
+        # order, plus one minipage for the anonymous filler when the layout
+        # pads.
+        geometry = []
         cursor = PAGE_HEADER_BYTES
-        for column in layout.schema:
-            offsets.append(cursor)
+        for record_offset, column in zip(layout.offsets, layout.schema):
+            geometry.append((cursor, record_offset, column.byte_width))
             cursor += column.byte_width * capacity
-        self._minipage_offsets = tuple(offsets)
-        self._padding_offset = cursor  # minipage for the anonymous filler
+        if layout.padding_bytes:
+            geometry.append((cursor, layout.packed_size, layout.padding_bytes))
+        self._geometry = tuple(geometry)
         self.dirty = False
 
     # ------------------------------------------------------------ capacity
@@ -279,21 +294,33 @@ class PaxPage:
         self._scatter(slot, record_bytes)
         self.dirty = True
 
+    def write_field(self, slot: int, field_offset: int, field_bytes: bytes) -> None:
+        """Overwrite ``field_bytes`` at record-relative ``field_offset``, in
+        the minipage that owns it -- no gather, no scatter."""
+        self._check_slot(slot)
+        minipage, start, width = self._minipage_of(field_offset)
+        if field_offset + len(field_bytes) > start + width:
+            raise PageError(
+                f"page {self.page_number}: {len(field_bytes)} bytes at offset "
+                f"{field_offset} cross a minipage boundary")
+        position = minipage + slot * width + (field_offset - start)
+        self._buffer[position:position + len(field_bytes)] = field_bytes
+        self.dirty = True
+
     def _scatter(self, slot: int, record_bytes: bytes) -> None:
         buffer = self._buffer
-        for offset, field_offset, width in self._column_geometry():
+        for offset, field_offset, width in self._geometry:
             position = offset + slot * width
             buffer[position:position + width] = \
                 record_bytes[field_offset:field_offset + width]
 
-    def _column_geometry(self):
-        """``(minipage_offset, record_offset, width)`` per column (+ padding)."""
-        layout = self.layout
-        for index, column in enumerate(layout.schema):
-            yield self._minipage_offsets[index], layout.offsets[index], column.byte_width
-        padding = layout.padding_bytes
-        if padding:
-            yield self._padding_offset, layout.packed_size, padding
+    def _minipage_of(self, field_offset: int) -> Tuple[int, int, int]:
+        """The ``_geometry`` entry whose record range holds ``field_offset``."""
+        for entry in self._geometry:
+            if entry[1] <= field_offset < entry[1] + entry[2]:
+                return entry
+        raise PageError(f"field offset {field_offset} outside the "
+                        f"{self.layout.record_size}-byte record")
 
     # --------------------------------------------------------------- access
     def record_bytes(self, slot: int) -> bytes:
@@ -301,7 +328,7 @@ class PaxPage:
         self._check_slot(slot)
         out = bytearray(self.layout.record_size)
         buffer = self._buffer
-        for offset, field_offset, width in self._column_geometry():
+        for offset, field_offset, width in self._geometry:
             position = offset + slot * width
             out[field_offset:field_offset + width] = buffer[position:position + width]
         return bytes(out)
@@ -313,8 +340,8 @@ class PaxPage:
     def slot_address(self, slot: int) -> int:
         """Virtual address of the record's first column value."""
         self._check_slot(slot)
-        first = self.layout.schema.columns[0]
-        return self.base_address + self._minipage_offsets[0] + slot * first.byte_width
+        minipage, _, width = self._geometry[0]
+        return self.base_address + minipage + slot * width
 
     def field_address(self, slot: int, field_offset: int) -> int:
         """Virtual address of record-relative byte ``field_offset``.
@@ -323,35 +350,23 @@ class PaxPage:
         ``field_offset`` of record ``slot`` lives in the minipage of the
         column whose ``[offset, offset + width)`` range contains it.
         """
-        layout = self.layout
-        for index, column in enumerate(layout.schema):
-            start = layout.offsets[index]
-            width = column.byte_width
-            if start <= field_offset < start + width:
-                return (self.base_address + self._minipage_offsets[index]
-                        + slot * width + (field_offset - start))
-        if layout.packed_size <= field_offset < layout.record_size:
-            padding = layout.padding_bytes
-            return (self.base_address + self._padding_offset
-                    + slot * padding + (field_offset - layout.packed_size))
-        raise PageError(f"field offset {field_offset} outside the "
-                        f"{layout.record_size}-byte record")
+        minipage, start, width = self._minipage_of(field_offset)
+        return self.base_address + minipage + slot * width + (field_offset - start)
 
     # ------------------------------------------------------------- columnar
     def column_address(self, column_name: str) -> int:
         """Virtual address of the first value in a column's minipage."""
         index = self.layout.schema.index_of(column_name)
-        return self.base_address + self._minipage_offsets[index]
+        return self.base_address + self._geometry[index][0]
 
     def column_span(self, column_name: str, slots: Sequence[int]) -> Tuple[int, int]:
         """``(address, bytes)`` of the minipage range covering ``slots``."""
         if not slots:
             return self.column_address(column_name), 0
         index = self.layout.schema.index_of(column_name)
-        width = self.layout.schema.columns[index].byte_width
+        minipage, _, width = self._geometry[index]
         first, last = min(slots), max(slots)
-        address = (self.base_address + self._minipage_offsets[index]
-                   + first * width)
+        address = self.base_address + minipage + first * width
         return address, (last - first + 1) * width
 
     def column_values(self, column_name: str, slots: Sequence[int]) -> List:
@@ -359,8 +374,7 @@ class PaxPage:
         layout = self.layout
         index = layout.schema.index_of(column_name)
         column = layout.schema.columns[index]
-        base = self._minipage_offsets[index]
-        width = column.byte_width
+        base, _, width = self._geometry[index]
         buffer = self._buffer
         from .schema import ColumnType  # local import: schema also feeds layouts
         if column.type is ColumnType.CHAR:

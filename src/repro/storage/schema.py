@@ -141,12 +141,12 @@ class RecordLayout:
                 f"record_size {size} is smaller than the packed column width {packed}")
         return cls(schema=schema, record_size=size, offsets=tuple(offsets))
 
-    @property
+    @cached_property
     def packed_size(self) -> int:
         last = self.schema.columns[-1]
         return self.offsets[-1] + last.byte_width
 
-    @property
+    @cached_property
     def padding_bytes(self) -> int:
         return self.record_size - self.packed_size
 
@@ -174,6 +174,7 @@ class RecordLayout:
         return codecs
 
     # ------------------------------------------------------------ encoding
+    @cached_property
     def _struct_format(self) -> str:
         parts = ["<"]
         for column in self.schema:
@@ -188,22 +189,28 @@ class RecordLayout:
         if len(values) != len(self.schema):
             raise SchemaError(
                 f"expected {len(self.schema)} values, got {len(values)}")
-        prepared = []
-        for column, value in zip(self.schema, values):
-            if column.type is ColumnType.CHAR:
-                raw = value.encode() if isinstance(value, str) else bytes(value)
-                prepared.append(raw[:column.byte_width].ljust(column.byte_width, b"\x00"))
-            else:
-                prepared.append(value)
-        packed = struct.pack(self._struct_format(), *prepared)
+        prepared = [_char_bytes(value, column.byte_width)
+                    if column.type is ColumnType.CHAR else value
+                    for column, value in zip(self.schema, values)]
+        packed = struct.pack(self._struct_format, *prepared)
         return packed.ljust(self.record_size, b"\x00")
+
+    def encode_column(self, column_name: str, value) -> bytes:
+        """One column's bytes, exactly as :meth:`encode` lays them down."""
+        codec = self.column_codecs.get(column_name)
+        if codec is None:
+            self.schema.index_of(column_name)  # raises SchemaError
+        _offset, code, width = codec
+        if code is None:
+            return _char_bytes(value, width)
+        return struct.pack(code, value)
 
     def decode(self, data: bytes) -> Tuple:
         """Deserialise a record previously produced by :meth:`encode`."""
         if len(data) < self.packed_size:
             raise SchemaError(
                 f"record buffer of {len(data)} bytes is shorter than packed size {self.packed_size}")
-        values = struct.unpack_from(self._struct_format(), data)
+        values = struct.unpack_from(self._struct_format, data)
         out = []
         for column, value in zip(self.schema, values):
             if column.type is ColumnType.CHAR:
@@ -222,6 +229,12 @@ class RecordLayout:
             raw = data[offset:offset + width]
             return raw.rstrip(b"\x00").decode(errors="replace")
         return struct.unpack_from(code, data, offset)[0]
+
+
+def _char_bytes(value, width: int) -> bytes:
+    """A CHAR value truncated / NUL-padded to its fixed width."""
+    raw = value.encode() if isinstance(value, str) else bytes(value)
+    return raw[:width].ljust(width, b"\x00")
 
 
 def microbenchmark_schema(record_size: int = 100, name: str = "R") -> Tuple[Schema, RecordLayout]:

@@ -1,5 +1,6 @@
-"""The per-address charging oracle, the pickled spill file (and the
-in-process morsel pipeline).
+"""The per-address charging oracle, the pickled spill file, the heap-walk
+selectivity sampler, the read-modify-write point update (and the in-process
+morsel pipeline).
 
 Production charging is bulk: :class:`~repro.execution.context.
 ExecutionContext` presents column-vector reads, full-record sweeps, page
@@ -21,6 +22,18 @@ column-run blocks: one pickled, record-size-padded row per slot of a real
 in place of the block file, so a differential run checks the blocks'
 geometry (rows per page, slot addresses) against pages that really accept
 the records, and their values against a pickle round trip.
+
+:func:`heap_walk_estimate` is the planner's selectivity estimate as it was
+before column statistics came from the index: a walk of every heap page that
+decodes every ``record_count // 1000``-th live record for a min and a max.
+The index gives the exact extremes, so the two *estimates* may differ in the
+last digits; what must agree is every plan decision taken from them.
+
+:func:`read_modify_write_update` is the point update's data plane before
+``Table.update_field``: decode the whole record, change one value, re-encode
+and rewrite all of it.  ``read_modify_write_updates()`` puts it in place of
+the single-field write, so a differential run checks page bytes, index
+contents and every simulated count against it.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ import repro.execution.parallel as parallel_mod
 import repro.execution.vectorized as vectorized_mod
 from repro.execution.code_layout import LINE_BYTES
 from repro.execution.context import ExecutionContext
+from repro.storage.catalog import Table
 from repro.storage.schema import RecordLayout
 
 
@@ -193,6 +207,48 @@ def pickled_spill_files():
         yield
     finally:
         vectorized_mod._SpillFile = saved
+
+
+def heap_walk_estimate(table, bounds) -> float:
+    """Uniform selectivity of ``bounds`` from a sampled walk of the heap."""
+    column = bounds.column.split(".")[-1]
+    step = max(table.heap.record_count // 1000, 1)
+    values = [table.layout.decode_column(
+                  bytes(entry.page.record_view(entry.slot)), column)
+              for position, entry in enumerate(table.heap.scan())
+              if position % step == 0]
+    if not values:
+        return 1.0
+    lo_data, hi_data = min(values), max(values)
+    span = float(hi_data - lo_data) or 1.0
+    low = bounds.low if bounds.low is not None else lo_data
+    high = bounds.high if bounds.high is not None else hi_data
+    return max(min(max(float(high) - float(low), 0.0) / span, 1.0), 0.0)
+
+
+def read_modify_write_update(table: Table, rid, column_name: str, value) -> None:
+    """``Table.update_field`` as gather, modify, index upkeep, scatter."""
+    values = list(table.heap.read_values(rid))
+    values[table.schema.index_of(column_name)] = value
+    if table.indexes:
+        old_values = table.heap.read_values(rid)
+        for indexed, index in table.indexes.items():
+            position = table.schema.index_of(indexed)
+            if old_values[position] != values[position]:
+                index.delete(old_values[position], rid)
+                index.insert(values[position], rid)
+    table.heap.update(rid, values)
+
+
+@contextmanager
+def read_modify_write_updates():
+    """Point updates executed inside the block rewrite the whole record."""
+    saved = Table.update_field
+    Table.update_field = read_modify_write_update
+    try:
+        yield
+    finally:
+        Table.update_field = saved
 
 
 @contextmanager

@@ -164,3 +164,35 @@ class TestDelete:
         index.bulk_load((i, rid(i)) for i in range(10))
         assert index.delete(99) == 0
         assert len(index) == 10
+
+
+class TestKeyBounds:
+    def test_empty_index_has_no_bounds(self):
+        index = make_index()
+        assert index.key_bounds() is None
+        index.bulk_load([])
+        assert index.key_bounds() is None
+
+    def test_bounds_are_first_and_last_key(self):
+        index = make_index(leaf_capacity=4, internal_capacity=4)
+        index.bulk_load((i % 37 + 5, rid(i)) for i in range(200))
+        assert index.height > 2
+        assert index.key_bounds() == (5, 41)
+        index.insert(2, rid(900))
+        index.insert(99, rid(901))
+        assert index.key_bounds() == (2, 99)
+
+    def test_bounds_step_over_leaves_emptied_at_either_end(self):
+        index = make_index(leaf_capacity=4, internal_capacity=4)
+        index.bulk_load((i, rid(i)) for i in range(100))
+        for key in list(range(0, 30)) + list(range(60, 100)):
+            assert index.delete(key) == 1
+        # Lazy deletion: the emptied leaves are still linked at both ends.
+        assert index.node_count > 25 and len(index) == 30
+        assert index.key_bounds() == (30, 59)
+        for key in range(30, 60):
+            index.delete(key)
+        assert index.key_bounds() is None
+        index.insert(7, rid(7))
+        assert index.key_bounds() == (7, 7)
+        index.check_invariants()

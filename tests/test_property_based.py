@@ -178,6 +178,70 @@ def test_btree_delete_removes_exactly_the_key(keys):
     assert index.keys_in_order() == survivors
 
 
+_KEY = st.integers(min_value=0, max_value=40)
+_BTREE_STEP = st.one_of(
+    st.tuples(st.just("insert"), _KEY),
+    st.tuples(st.just("delete"), _KEY),              # every entry under the key
+    st.tuples(st.just("delete_one"), _KEY),          # one duplicate of the key
+    st.tuples(st.just("drain_low"), st.integers(1, 12)),   # empties left leaves
+    st.tuples(st.just("drain_high"), st.integers(1, 12)),  # empties right leaves
+    st.tuples(st.just("clear"), st.just(0)),
+    st.tuples(st.just("bulk_load"), st.lists(_KEY, max_size=40)))
+
+
+@SETTINGS
+@given(initial=st.lists(_KEY, max_size=60),
+       steps=st.lists(_BTREE_STEP, max_size=40))
+def test_btree_key_bounds_are_the_extremes_of_the_live_keys(initial, steps):
+    """Deletion is lazy (emptied leaves stay linked): the two descents must
+    step over them, at either end, down to an index emptied entirely."""
+    index = BTreeIndex("p", AddressSpace(), leaf_capacity=4, internal_capacity=4)
+    next_rid = iter(range(10_000))
+    live = {}  # rid -> key
+
+    def add(keys, bulk):
+        entries = [(key, RecordId(0, next(next_rid))) for key in keys]
+        if bulk:
+            index.bulk_load(entries)
+        else:
+            for key, rid in entries:
+                index.insert(key, rid)
+        live.update((rid, key) for key, rid in entries)
+
+    def remove(rids):
+        for rid in rids:
+            assert index.delete(live.pop(rid), rid) == 1
+
+    def check():
+        keys = index.keys_in_order()
+        assert sorted(live.values()) == keys
+        assert index.key_bounds() == ((keys[0], keys[-1]) if keys else None)
+        index.check_invariants()
+
+    add(initial, bulk=True)
+    check()
+    for action, argument in steps:
+        by_key = sorted(live, key=lambda rid: (live[rid], rid.slot))
+        if action == "insert":
+            add([argument], bulk=False)
+        elif action == "delete":
+            doomed = [rid for rid in by_key if live[rid] == argument]
+            assert index.delete(argument) == len(doomed)
+            for rid in doomed:
+                del live[rid]
+        elif action == "delete_one":
+            remove([rid for rid in by_key if live[rid] == argument][:1])
+        elif action == "drain_low":
+            remove(by_key[:argument])
+        elif action == "drain_high":
+            remove(by_key[-argument:])
+        elif action == "clear":
+            remove(by_key)
+        elif not live:                      # bulk_load needs an empty index
+            add(argument, bulk=True)
+        check()
+
+
 # ---------------------------------------------------------------------------
 # Predicate semantics match the planner's bounds
 # ---------------------------------------------------------------------------

@@ -216,74 +216,121 @@ class TestPlanner:
 
 
 # ---------------------------------------------------------------------------
-# Selectivity estimation walks pages, decodes only the sample
+# Selectivity estimation reads the two ends of the index, never the heap
 # ---------------------------------------------------------------------------
-def full_walk_estimate(table, bounds) -> float:
-    """The estimator as it was first written: a ``ScanEntry`` per live
-    record, every ``step``-th one decoded.  Kept here as the reference."""
-    column = bounds.column.split(".")[-1]
-    step = max(table.heap.record_count // 1000, 1)
-    values = [table.layout.decode_column(bytes(entry.page.record_view(entry.slot)), column)
-              for position, entry in enumerate(table.heap.scan())
-              if position % step == 0]
-    if not values:
-        return 1.0
-    lo_data, hi_data = min(values), max(values)
-    span = float(hi_data - lo_data) or 1.0
-    low = bounds.low if bounds.low is not None else lo_data
-    high = bounds.high if bounds.high is not None else hi_data
-    return max(min(max(float(high) - float(low), 0.0) / span, 1.0), 0.0)
-
-
-def estimator_cases():
-    pytest.importorskip("numpy")
+def planned_selections():
+    """``(label, database, index-eligible selections)`` for everything the
+    repository plans through an index: the micro ``IRS`` (measured and
+    warm-up windows) at every selectivity-sweep point, the TPC-D suite and
+    the statements of a seeded TPC-C stream, on NSM and PAX pages."""
     from repro.workloads import MicroWorkload, MicroWorkloadConfig
+    from repro.workloads.sweeps import SELECTIVITY_POINTS
     from repro.workloads.tpcc import TPCCWorkload
     from repro.workloads.tpcd import TPCDConfig, TPCDWorkload
     micro = MicroWorkload(MicroWorkloadConfig(scale=1.0 / 400.0))
-    yield "R-nsm", micro.build(layout_style="nsm"), "R", "a2", micro.config.a2_domain
-    yield "R-pax", micro.build(layout_style="pax"), "R", "a2", micro.config.a2_domain
     tpcd = TPCDWorkload(TPCDConfig(lineitem_rows=5000, orders_rows=500,
                                    part_rows=200, supplier_rows=50))
-    yield "lineitem", tpcd.build(), "lineitem", "l_shipdate", 2400
     tpcc = TPCCWorkload()
-    yield "customer", tpcc.build(), "customer", "c_balance", 50_000
+    for layout in ("nsm", "pax"):
+        database = micro.build(layout_style=layout)
+        micro.create_selection_index(database)
+        yield f"micro-{layout}", database, [
+            micro.indexed_range_selection(selectivity, offset)
+            for selectivity in SELECTIVITY_POINTS + (micro.config.selectivity,)
+            for offset in (0.0, 1.0)]
+        yield f"tpcd-{layout}", tpcd.build(layout_style=layout), tpcd.queries()
+        yield f"tpcc-{layout}", tpcc.build(layout_style=layout), [
+            statement for txn in tpcc.transactions(60, seed=11)
+            for statement in txn.statements]
 
 
-def test_page_walk_estimate_equals_full_walk_estimate():
-    import random
-    rng = random.Random(14)
-    for label, database, table_name, column, domain in estimator_cases():
-        table = database.table(table_name)
-        assert table.heap.record_count // 1000 > 1, f"{label}: sampling not exercised"
-        # Holes in the slot sequence: the sample is over *live* records.
-        for rid in [entry.rid for entry in table.heap.scan()][5:400:7]:
+def index_eligible(database, query) -> bool:
+    return (isinstance(query, SelectionQuery)
+            and query.prefer_index_on is not None
+            and database.table(query.table).index_on(query.prefer_index_on) is not None)
+
+
+def test_index_decisions_equal_the_heap_walk_oracle():
+    from oracle import heap_walk_estimate
+    from repro.systems import ALL_SYSTEMS
+    from repro.systems.vendors import oltp_variant
+    policies = tuple(ALL_SYSTEMS) + (oltp_variant(SYSTEM_B),)
+    for label, database, queries in planned_selections():
+        queries = [query for query in queries if index_eligible(database, query)]
+        assert queries, f"{label}: nothing index-eligible"
+        tables = [database.table(name)
+                  for name in sorted({query.table for query in queries})]
+        assert all(table.heap.record_count // 1000 > 1 for table in tables), \
+            f"{label}: the oracle's sampling is not exercised"
+
+        def check(stage):
+            bounds = [extract_range_bounds(query.predicate, query.prefer_index_on)
+                      for query in queries]
+            estimates = [heap_walk_estimate(database.table(query.table), bound)
+                         for query, bound in zip(queries, bounds)]
+            taken = 0
+            for policy in policies:
+                planner = Planner(database.catalog, policy)
+                for query, estimate in zip(queries, estimates):
+                    expected = (policy.uses_index_for_range_selection
+                                and estimate <= policy.index_selectivity_threshold)
+                    chosen = isinstance(planner.plan(query).input,
+                                        IndexRangeScanPlan)
+                    assert chosen == expected, (label, stage, policy.name, query)
+                    taken += chosen
+            return taken
+
+        assert check("built"), f"{label}: no selection took the index"
+        # Holes in the slot sequence: the extremes are over *live* records.
+        for table in tables:
+            for rid in [entry.rid for entry in table.heap.scan()][5:400:7]:
+                table.delete(rid)
+        check("after deletes")
+
+
+def test_planning_a_selection_fetches_no_heap_page():
+    for label, database, queries in planned_selections():
+        planner = Planner(database.catalog, SYSTEM_B)
+        pools = (database.catalog.heap_pool, database.catalog.index_pool)
+        before = [pool.stats.as_dict() for pool in pools]
+        planned = [planner.plan(query) for query in queries]
+        assert any(isinstance(plan.input, IndexRangeScanPlan)
+                   for plan in planned if isinstance(plan, AggregatePlan)), label
+        assert [pool.stats.as_dict() for pool in pools] == before, label
+
+
+class TestIndexStatistics:
+    def bounds(self, low=0, high=11):
+        return extract_range_bounds(range_predicate("a2", low, high), "a2")
+
+    def test_estimate_uses_the_exact_extremes(self):
+        planner = Planner(build_catalog(), SYSTEM_B)   # a2 in [1, 100]
+        assert planner.estimate_selectivity("R", self.bounds(0, 11)) == 11 / 99
+        one_sided = extract_range_bounds(
+            Comparison(ComparisonOp.GT, ColumnRef("a2"), Const(90)), "a2")
+        assert planner.estimate_selectivity("R", one_sided) == 10 / 99
+        assert planner.estimate_selectivity("R", self.bounds(-50, 500)) == 1.0
+        assert planner.estimate_selectivity("R", self.bounds(7, 3)) == 0.0
+
+    def test_empty_table_and_emptied_index_estimate_one(self):
+        catalog = build_catalog(rows=0)
+        planner = Planner(catalog, SYSTEM_B)
+        assert planner.estimate_selectivity("R", self.bounds()) == 1.0
+        table = catalog.table("R")
+        rids = [table.insert((i, i + 1, i)) for i in range(5)]
+        assert planner.estimate_selectivity("R", self.bounds(0, 3)) == 3 / 4
+        for rid in rids:
             table.delete(rid)
-        planner = Planner(database.catalog, SYSTEM_B)
-        for _ in range(20):
-            low, high = sorted(rng.sample(range(-10, domain + 10), 2))
-            bounds = extract_range_bounds(range_predicate(column, low, high), column)
-            if rng.random() < 0.2:
-                bounds = extract_range_bounds(   # one-sided: the sample's own max
-                    Comparison(ComparisonOp.GT, ColumnRef(column), Const(low)), column)
-            assert (planner.estimate_selectivity(table_name, bounds)
-                    == full_walk_estimate(table, bounds)), label
+        assert planner.estimate_selectivity("R", self.bounds(0, 3)) == 1.0
 
+    def test_single_valued_column_has_unit_span(self):
+        catalog = build_catalog(rows=0)
+        catalog.table("R").insert_many((i, 7, i) for i in range(4))
+        planner = Planner(catalog, SYSTEM_B)
+        assert planner.estimate_selectivity("R", self.bounds(6, 8)) == 1.0
+        assert planner.estimate_selectivity("R", self.bounds(7, 7)) == 0.0
 
-def test_page_walk_estimate_makes_the_same_buffer_pool_requests():
-    for label, database, table_name, column, domain in estimator_cases():
-        table = database.table(table_name)
-        pool = table.heap.buffer_pool
-        bounds = extract_range_bounds(range_predicate(column, 1, domain // 20), column)
-
-        def stats_delta(work):
-            before = pool.stats.as_dict()
-            work()
-            after = pool.stats.as_dict()
-            return {key: after[key] - before[key] for key in after if key != "hit_rate"}
-
-        walked = stats_delta(lambda: full_walk_estimate(table, bounds))
-        planner = Planner(database.catalog, SYSTEM_B)
-        estimated = stats_delta(lambda: planner.estimate_selectivity(table_name, bounds))
-        assert estimated == walked, label
-        assert estimated["fetches"] == table.heap.page_count
+    def test_a_column_without_an_index_has_no_statistics(self):
+        planner = Planner(build_catalog(with_index=False), SYSTEM_B)
+        with pytest.raises(PlannerError, match="no statistics for R.a2"):
+            planner.estimate_selectivity("R", self.bounds())
