@@ -19,7 +19,9 @@ Operators interact with it through a handful of calls:
 
 ``read_fields(entry, layout, columns)`` / ``read_record(entry, layout)``
     Issue the data-side accesses for a record according to the profile's
-    record-access style, and decode the requested column values.
+    record-access style, and decode the requested column values
+    (``field_loads(page, layout, columns)``: the same accesses, charge only,
+    for a scan that decodes the page it holds itself).
 
 ``read_address(addr, size)`` / ``write_address(addr, size)``
     Raw data accesses for index nodes, hash buckets and similar structures
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import struct
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..hardware.native import delegated
 from ..hardware.processor import SimulatedProcessor
@@ -54,6 +56,7 @@ from ..query.plans import ExecutionConfig
 from ..storage.address_space import AddressSpace
 from ..storage.catalog import Table
 from ..storage.heapfile import ScanEntry
+from ..storage.page import decode_values
 from ..storage.schema import RecordLayout
 from ..systems.profile import (ACCESS_FIELDS_ONLY, BRANCH_KIND_ALTERNATING,
                                BRANCH_KIND_COLD, BRANCH_KIND_DATA, BRANCH_KIND_LOOP,
@@ -642,29 +645,19 @@ class ExecutionContext:
         the whole record (slot parsing / record copy), which is what drives
         their higher L2 data-miss counts per record.
         """
-        key = (id(layout), columns if type(columns) is tuple else tuple(columns))
-        plan = self._field_plans.get(key)
-        if plan is None or plan[0] is not layout:
-            plan = self._field_plans[key] = self._field_plan(layout, key[1])
-        _, loads, decoders = plan
+        _, columns, nsm_loads, pax_loads, decoders = self._plan(layout, columns)
         processor = self.processor
         page, slot = entry.page, entry.slot
         if getattr(page, "columnar", False):
-            if loads is None:
-                self._touch_record(entry, layout, processor.data_read)
-            else:
-                for offset, width in loads:
-                    processor.data_read(page.field_address(slot, offset), width)
+            for offset, width in pax_loads:
+                processor.data_read(page.field_address(slot, offset), width)
             # PAX rows are not contiguous; decode straight from the
             # minipages instead of materialising an NSM record image.
             return {column: page.column_values(column, (slot,))[0]
-                    for column in key[1]}
-        if loads is None:
-            processor.data_read(entry.address, layout.record_size)
-        else:
-            # One charged call: the same addresses, in the same order, as a
-            # ``data_read`` per field.
-            processor.data_read_fields(entry.address, loads)
+                    for column in columns}
+        # One charged call: the same addresses, in the same order, as a
+        # ``data_read`` per load.
+        processor.data_read_fields(entry.address, nsm_loads)
         view = page.record_view(slot)
         out = {}
         for column, offset, code, width in decoders:
@@ -675,15 +668,52 @@ class ExecutionContext:
                 out[column] = struct.unpack_from(code, view, offset)[0]
         return out
 
+    def field_loads(self, page, layout: RecordLayout,
+                    columns: Sequence[str]) -> Callable[[int], None]:
+        """The charge half of :meth:`read_fields`, bound to one page.
+
+        Returns ``load(slot)``, which issues exactly the loads
+        :meth:`read_fields` issues for the record in ``slot`` -- the same
+        addresses and widths, in the same order, as one charged call -- and
+        decodes nothing.  A scan that holds the page decodes its values a
+        page at a time itself and calls this per record, in Volcano order;
+        binding once per page and column set keeps the plan lookup and the
+        address arithmetic off the per-record path.
+        """
+        _, _, nsm_loads, pax_loads, _ = self._plan(layout, columns)
+        read = self.processor.data_read_fields
+        if getattr(page, "columnar", False):
+            # Each load is a whole column (or filler) slice, so it sits at
+            # ``width`` bytes per slot in its minipage.
+            firsts = tuple((page.field_address(0, offset), width)
+                           for offset, width in pax_loads)
+            return lambda slot: read(0, tuple((first + slot * width, width)
+                                              for first, width in firsts))
+        addresses = page.slot_addresses()
+        return lambda slot: read(addresses[slot], nsm_loads)
+
+    def _plan(self, layout: RecordLayout, columns: Sequence[str]) -> tuple:
+        """The memoized :meth:`_field_plan` of ``(layout, columns)``."""
+        key = (id(layout), columns if type(columns) is tuple else tuple(columns))
+        plan = self._field_plans.get(key)
+        if plan is None or plan[0] is not layout:
+            plan = self._field_plans[key] = self._field_plan(layout, key[1])
+        return plan
+
     def _field_plan(self, layout: RecordLayout, columns: Tuple[str, ...]) -> tuple:
-        """``(layout, loads, decoders)`` of :meth:`read_fields`: the
-        ``(offset, width)`` loads of a ``fields_only`` system (``None``:
-        the whole record is swept) and one ``(column, offset, struct code or
-        None for CHAR, width)`` decoder per column."""
-        fields_only = self.profile.record_access_style == ACCESS_FIELDS_ONLY
-        loads = tuple(map(layout.field_slice, columns)) if fields_only else None
+        """``(layout, columns, nsm_loads, pax_loads, decoders)``: the
+        ``(offset, width)`` loads of one record on an NSM and on a PAX page
+        -- the requested fields on a ``fields_only`` system; on a
+        ``full_record`` one the whole record, as one sweep on NSM and one
+        load per minipage slice on PAX -- and one ``(column, offset, struct
+        code or None for CHAR, width)`` decoder per column."""
+        if self.profile.record_access_style == ACCESS_FIELDS_ONLY:
+            nsm_loads = pax_loads = tuple(map(layout.field_slice, columns))
+        else:
+            nsm_loads, pax_loads = ((0, layout.record_size),), layout.slices
         codecs = layout.column_codecs
-        return layout, loads, tuple((column,) + codecs[column] for column in columns)
+        return (layout, columns, nsm_loads, pax_loads,
+                tuple((column,) + codecs[column] for column in columns))
 
     def read_record(self, entry: ScanEntry, layout: RecordLayout) -> Tuple:
         """Access the full record and decode every column (OLTP paths)."""
@@ -701,12 +731,8 @@ class ExecutionContext:
         if not getattr(page, "columnar", False):
             access(entry.address, layout.record_size)
             return
-        for index, column in enumerate(layout.schema):
-            access(page.field_address(entry.slot, layout.offsets[index]),
-                   column.byte_width)
-        if layout.padding_bytes:
-            access(page.field_address(entry.slot, layout.packed_size),
-                   layout.padding_bytes)
+        for offset, width in layout.slices:
+            access(page.field_address(entry.slot, offset), width)
 
     def read_column_batch(self, page, layout: RecordLayout, slots: Sequence[int],
                           column: str) -> list:
@@ -729,15 +755,9 @@ class ExecutionContext:
             for run in _consecutive_runs(slots):
                 address, _span_bytes = page.column_span(column, run)
                 processor.data_read_strided(address, width, len(run), width)
-            return page.column_values(column, slots)
-        self._charge_nsm_stride(page, slots, offset, width, layout.record_size)
-        field_offset, code, _width = layout.column_codecs[column]
-        if code is not None:
-            return page.field_values(field_offset, code, slots)
-        packed = layout.packed_size
-        decode = layout.decode_column
-        return [decode(bytes(page.record_view(slot)[:packed]), column)
-                for slot in slots]
+        else:
+            self._charge_nsm_stride(page, slots, offset, width, layout.record_size)
+        return decode_values(page, layout, column, slots)
 
     def read_column_group_batch(self, page, layout: RecordLayout,
                                 slots: Sequence[int],

@@ -29,12 +29,14 @@ from __future__ import annotations
 from ...query.plans import (KERNEL_BACKEND_ARRAY, KERNEL_BACKEND_AUTO,
                             KERNEL_BACKEND_PYTHON, KERNEL_BACKENDS)
 from .array_backend import ArrayKernels
-from .python_backend import PYTHON_KERNELS, PythonKernels, spill_partition_of
+from .python_backend import (PYTHON_KERNELS, PythonKernels, key_hash,
+                             spill_partition_of)
 
 __all__ = [
     "KERNEL_BACKEND_AUTO", "KERNEL_BACKEND_PYTHON", "KERNEL_BACKEND_ARRAY",
     "KERNEL_BACKENDS", "PYTHON_KERNELS", "ARRAY_KERNELS", "PythonKernels",
-    "ArrayKernels", "Kernels", "resolve_kernels", "spill_partition_of",
+    "ArrayKernels", "Kernels", "key_hash", "resolve_kernels",
+    "spill_partition_of",
 ]
 
 #: The interface type: any backend is substitutable for the Python one.

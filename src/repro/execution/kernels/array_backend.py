@@ -172,7 +172,8 @@ class ArrayKernels(PythonKernels):
 
     # --------------------------------------------------------------- hashing
     def _hash_array(self, keys: Sequence):
-        """int64 array equal to ``[hash(k) for k in keys]``, or ``None``."""
+        """int64 array equal to ``[key_hash(k) for k in keys]`` (which is
+        ``hash(k)`` for an integer key), or ``None``."""
         try:
             arr = np.asarray(keys)
         except Exception:

@@ -17,21 +17,44 @@ in wall-clock time.
 
 from __future__ import annotations
 
+import zlib
 from typing import List, Optional, Sequence
 
-__all__ = ["PythonKernels", "PYTHON_KERNELS", "spill_partition_of"]
+__all__ = ["PythonKernels", "PYTHON_KERNELS", "key_hash", "spill_partition_of"]
+
+#: ``key_hash(None)``: any constant will do, as long as it is one.
+_NONE_HASH = 0x6E6F6E65
+
+
+def key_hash(key) -> int:
+    """The hash every join bucket and spill partition is chosen by.
+
+    ``hash(key)`` for numbers (and anything else), which CPython computes
+    the same way in every process; ``zlib.crc32`` of the bytes for ``str``
+    and ``bytes`` keys, and a constant for ``None``, whose ``hash`` depends
+    on ``PYTHONHASHSEED`` or on an object address -- so a ``CHAR``-key
+    join charges the same buckets in every process.
+    """
+    kind = type(key)
+    if kind is str:
+        return zlib.crc32(key.encode("utf-8", "surrogatepass"))
+    if kind is bytes:
+        return zlib.crc32(key)
+    if key is None:
+        return _NONE_HASH
+    return hash(key)
 
 
 def spill_partition_of(key, level: int, count: int) -> int:
     """Deterministic spill-partition assignment, salted by recursion level.
 
-    Runs ``hash(key)`` through a splitmix-style finalizer so the partition
-    choice is decorrelated both from the ``hash(key) % buckets`` bucket
+    Runs :func:`key_hash` through a splitmix-style finalizer so the partition
+    choice is decorrelated both from the ``key_hash(key) % buckets`` bucket
     choice (otherwise every resident partition would populate only a slice
     of the shared bucket array) and across recursion levels (otherwise a
     re-partitioned overflow would land every row in one sub-partition).
     """
-    mixed = (hash(key) ^ ((level + 1) * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
+    mixed = (key_hash(key) ^ ((level + 1) * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
     mixed = ((mixed ^ (mixed >> 33)) * 0xFF51AFD7ED558CCD) & 0xFFFFFFFFFFFFFFFF
     mixed ^= mixed >> 33
     return mixed % count
@@ -93,8 +116,8 @@ class PythonKernels:
 
     # --------------------------------------------------------------- hashing
     def bucket_indices(self, keys: Sequence, buckets: int) -> List[int]:
-        """``hash(key) % buckets`` per key (hash-join bucket choice)."""
-        return [hash(key) % buckets for key in keys]
+        """``key_hash(key) % buckets`` per key (hash-join bucket choice)."""
+        return [key_hash(key) % buckets for key in keys]
 
     def spill_partitions(self, keys: Sequence, level: int,
                          count: int) -> List[int]:

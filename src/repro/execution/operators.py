@@ -3,11 +3,14 @@
 Each operator produces rows as dictionaries keyed by unqualified column name
 and charges the execution context for the routines it runs: fetching the next
 record from a page, evaluating the predicate, probing the hash table, fetching
-a record by rid, and so on.  The actual relational work (reading bytes from
-slotted pages, maintaining hash tables, walking B+-tree leaves) is performed
-for real -- the query answers come out of the same code that generates the
-hardware trace, so a wrong simulation shows up as a wrong query result in the
-tests.
+a record by rid, and so on -- one record at a time, in Volcano order.  The
+actual relational work (decoding page bytes, maintaining hash tables, walking
+B+-tree leaves) is performed for real -- the query answers come out of the
+same code that generates the hardware trace, so a wrong simulation shows up
+as a wrong query result in the tests.  The data work need not follow the
+charges' grain: the sequential scan decodes and qualifies the page it holds
+at once and then charges its records one by one, while the index paths
+fetch by rid, one record per charge.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 from ..index.btree import BTreeIndex
 from ..query.expressions import Aggregate, AggregateState, Expression
 from ..storage.catalog import Table
-from ..storage.page import RecordId
+from ..storage.page import decode_values
 from .context import ExecutionContext
+from .kernels import key_hash
 
 Row = Dict[str, object]
 
@@ -48,11 +52,22 @@ class Operator:
 
 
 class SeqScanOperator(Operator):
-    """Sequential scan with an optional filter predicate.
+    """Sequential scan with an optional filter predicate, NSM or PAX.
 
+    The data plane runs a page at a time: the scan decodes the predicate
+    columns of every live slot of the page it holds, qualifies them, and
+    decodes the output columns of the qualifying slots -- no per-record
+    fetch, no per-record decode.  The charge plane stays per record, in
+    Volcano order: ``next_operation``, the predicate-field loads, the
+    ``predicate`` visit with its outcome, the output-field loads of a
+    qualifying record, then ``record_done`` (when ``count_records``).
     ``next_operation`` selects which profiled routine is charged per record
     (the inner side of a nested-loop join uses the cheaper
     ``inner_scan_next`` path, everything else uses ``scan_next``).
+
+    A page is decoded and qualified before anything is charged for it, so a
+    predicate that raises does so when its page is decoded: the pages
+    before it are fully charged, its own page not at all.
     """
 
     def __init__(self,
@@ -74,27 +89,47 @@ class SeqScanOperator(Operator):
 
     def rows(self) -> Iterator[Row]:
         ctx = self.ctx
-        table = self.table
-        layout = table.layout
+        visit = ctx.visit
+        layout = self.table.layout
         predicate = self.predicate
-        for page, slots in table.heap.scan_pages():
-            ctx.visit("page_boundary")
-            for slot in slots:
-                ctx.visit(self.next_operation)
-                entry = table.heap.fetch(RecordId(page.page_number, slot))
-                row: Row = {}
-                if self.predicate_columns:
-                    row.update(ctx.read_fields(entry, layout, self.predicate_columns))
-                qualifies = True
+        names, extras = self.predicate_columns, self.extra_columns
+        next_operation = self.next_operation
+        count_records = self.count_records
+        for page, slots in self.table.heap.scan_pages():
+            if not slots:
+                # Nothing to bind or decode: a bad column raises at a record.
+                visit("page_boundary")
+                continue
+            # Data plane, uncharged: the page's values and outcomes.
+            load = ctx.field_loads(page, layout, names) if names else None
+            rows: List[Row] = [
+                dict(zip(names, values)) for values in
+                zip(*[decode_values(page, layout, name, slots) for name in names])
+            ] if names else [{} for _ in slots]
+            outcomes = ([bool(predicate.evaluate(row)) for row in rows]
+                        if predicate is not None else [True] * len(slots))
+            load_extras = extra_values = None
+            if extras:
+                qualifying = [slot for slot, passed in zip(slots, outcomes) if passed]
+                if qualifying:
+                    load_extras = ctx.field_loads(page, layout, extras)
+                    extra_values = zip(*[decode_values(page, layout, name, qualifying)
+                                         for name in extras])
+            # Charge plane: per record, in Volcano order.
+            visit("page_boundary")
+            for slot, row, qualifies in zip(slots, rows, outcomes):
+                visit(next_operation)
+                if load is not None:
+                    load(slot)
                 if predicate is not None:
-                    qualifies = bool(predicate.evaluate(row))
-                    ctx.visit("predicate", data_taken=qualifies)
+                    visit("predicate", data_taken=qualifies)
                 if qualifies:
-                    if self.extra_columns:
-                        row.update(ctx.read_fields(entry, layout, self.extra_columns))
+                    if load_extras is not None:
+                        load_extras(slot)
+                        row.update(zip(extras, next(extra_values)))
                     ctx.row_produced()
                     yield row
-                if self.count_records:
+                if count_records:
                     ctx.record_done()
 
 
@@ -222,14 +257,14 @@ class HashJoinOperator(Operator):
         for row in self.build.rows():
             key = row_value(row, self.build_column)
             ctx.visit("hash_build")
-            bucket_address = hash_area + (hash(key) % buckets) * self.ENTRY_BYTES
+            bucket_address = hash_area + (key_hash(key) % buckets) * self.ENTRY_BYTES
             ctx.write_address(bucket_address, self.ENTRY_BYTES)
             hash_table.setdefault(key, []).append(row)
 
         # Probe phase.
         for row in self.probe.rows():
             key = row_value(row, self.probe_column)
-            bucket_address = hash_area + (hash(key) % buckets) * self.ENTRY_BYTES
+            bucket_address = hash_area + (key_hash(key) % buckets) * self.ENTRY_BYTES
             ctx.read_address(bucket_address, self.ENTRY_BYTES)
             matches = hash_table.get(key)
             ctx.visit("hash_probe", data_taken=matches is not None)

@@ -59,7 +59,7 @@ from ..storage.page import (DEFAULT_PAGE_SIZE, PAGE_HEADER_BYTES,
 from ..query.expressions import Aggregate, AggregateState, Expression
 from ..storage.catalog import Table
 from .context import ExecutionContext
-from .kernels import PYTHON_KERNELS
+from .kernels import PYTHON_KERNELS, key_hash
 from .operators import HashJoinOperator, OperatorError, Row
 
 __all__ = [
@@ -691,7 +691,7 @@ class _BucketArea:
             # reconcile by doubling (and re-charging) the area.
             self._double(resident())
         self.ctx.write_address(
-            self.base + (hash(key) % self.buckets) * _ENTRY_BYTES, _ENTRY_BYTES)
+            self.base + (key_hash(key) % self.buckets) * _ENTRY_BYTES, _ENTRY_BYTES)
         self.count += 1
 
     def _double(self, keys: Sequence) -> None:

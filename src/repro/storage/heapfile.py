@@ -207,10 +207,12 @@ class HeapFile:
                    stop: Optional[int] = None) -> Iterator[Tuple[SlottedPage, List[int]]]:
         """Iterate page-at-a-time: ``(page, [live slots])``.
 
-        The executor uses this form so it can charge the per-page buffer-pool
-        management code path once per page boundary crossing (one of the
-        candidate explanations in Section 5.2.2 for the record-size effect on
-        L1 instruction misses).
+        Both engines' sequential scans use this form.  Each page is fetched
+        from the buffer pool once, and the scan decodes the values it needs
+        straight off the page it holds (no per-record :meth:`fetch`); it
+        charges the per-page buffer-pool management code path once per page
+        boundary crossing (one of the candidate explanations in Section
+        5.2.2 for the record-size effect on L1 instruction misses).
 
         ``start``/``stop`` restrict the iteration to a ``[start, stop)``
         slice of the heap's page sequence (the morsel-parallel exchange's
@@ -222,7 +224,7 @@ class HeapFile:
             yield page, list(page.live_slots())
 
     def fetch(self, rid: RecordId) -> ScanEntry:
-        """Fetch one record by rid (index access path)."""
+        """Fetch one record by rid (the index access paths and updates)."""
         page = self._page(rid.page_number)
         if not page.is_live(rid.slot):
             raise HeapFileError(f"record {rid} is deleted")

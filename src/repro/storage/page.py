@@ -10,7 +10,8 @@ whose L2 behaviour Section 5.2.1 analyses.
 Every page is assigned a stable, page-aligned virtual address by the buffer
 pool; :meth:`SlottedPage.slot_address` and :meth:`SlottedPage.field_address`
 translate a slot (and field offset) into the address the execution engine
-presents to the simulated processor.
+presents to the simulated processor.  :func:`decode_values` reads one
+column of many slots off either page organisation.
 """
 
 from __future__ import annotations
@@ -175,6 +176,12 @@ class SlottedPage:
         """Virtual address of byte ``field_offset`` within the record."""
         return self.slot_address(slot) + field_offset
 
+    def slot_addresses(self) -> List[int]:
+        """:meth:`slot_address` of every slot, indexed by slot (tombstones
+        included, unchecked): one list per page for a scan over its slots."""
+        base = self.base_address
+        return [base + offset for offset in self._offsets]
+
     def live_slots(self) -> Iterator[int]:
         for slot, length in enumerate(self._lengths):
             if length >= 0:
@@ -239,11 +246,9 @@ class PaxPage:
         # pads.
         geometry = []
         cursor = PAGE_HEADER_BYTES
-        for record_offset, column in zip(layout.offsets, layout.schema):
-            geometry.append((cursor, record_offset, column.byte_width))
-            cursor += column.byte_width * capacity
-        if layout.padding_bytes:
-            geometry.append((cursor, layout.packed_size, layout.padding_bytes))
+        for record_offset, width in layout.slices:
+            geometry.append((cursor, record_offset, width))
+            cursor += width * capacity
         self._geometry = tuple(geometry)
         self.dirty = False
 
@@ -412,3 +417,19 @@ class PaxPage:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"PaxPage(#{self.page_number}, {self.live_records}/{self.capacity} "
                 f"records, {len(self.layout.schema)} minipages)")
+
+
+def decode_values(page, layout, column: str, slots: Sequence[int]) -> List:
+    """``column``'s values for the live ``slots`` of an NSM or PAX page, in
+    slot order: one minipage decode on PAX, one ``unpack_from`` per value on
+    NSM, and on NSM one record-prefix copy per value for ``CHAR``.  Pure
+    data work -- nothing reaches the simulated hardware."""
+    if page.columnar:
+        return page.column_values(column, slots)
+    offset, code, _width = layout.column_codecs[column]
+    if code is not None:
+        return page.field_values(offset, code, slots)
+    packed = layout.packed_size
+    decode = layout.decode_column
+    return [decode(bytes(page.record_view(slot)[:packed]), column)
+            for slot in slots]

@@ -150,6 +150,17 @@ class RecordLayout:
     def padding_bytes(self) -> int:
         return self.record_size - self.packed_size
 
+    @cached_property
+    def slices(self) -> Tuple[Tuple[int, int], ...]:
+        """``(offset, width)`` of every column in declaration order, then of
+        the filler when the layout pads: the record cut at its field
+        boundaries (one PAX minipage per slice)."""
+        slices = [(offset, column.byte_width)
+                  for offset, column in zip(self.offsets, self.schema)]
+        if self.padding_bytes:
+            slices.append((self.packed_size, self.padding_bytes))
+        return tuple(slices)
+
     def offset_of(self, column_name: str) -> int:
         return self.offsets[self.schema.index_of(column_name)]
 

@@ -1,6 +1,6 @@
 """The per-address charging oracle, the pickled spill file, the heap-walk
-selectivity sampler, the read-modify-write point update (and the in-process
-morsel pipeline).
+selectivity sampler, the read-modify-write point update, the per-record
+fetching scan (and the in-process morsel pipeline).
 
 Production charging is bulk: :class:`~repro.execution.context.
 ExecutionContext` presents column-vector reads, full-record sweeps, page
@@ -34,20 +34,29 @@ last digits; what must agree is every plan decision taken from them.
 and rewrite all of it.  ``read_modify_write_updates()`` puts it in place of
 the single-field write, so a differential run checks page bytes, index
 contents and every simulated count against it.
+
+:func:`per_record_fetch_rows` is the tuple engine's sequential scan before
+it read the page it holds: every record fetched by rid through the buffer
+pool, then charged and decoded by ``ExecutionContext.read_fields`` one
+record at a time.  ``per_record_fetch_scans()`` puts it in place of
+``SeqScanOperator.rows``, so a differential run checks rows, their order and
+every simulated count against it.
 """
 
 from __future__ import annotations
 
 import pickle
 from contextlib import contextmanager
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import repro.engine.session as session_mod
 import repro.execution.parallel as parallel_mod
 import repro.execution.vectorized as vectorized_mod
 from repro.execution.code_layout import LINE_BYTES
 from repro.execution.context import ExecutionContext
+from repro.execution.operators import SeqScanOperator
 from repro.storage.catalog import Table
+from repro.storage.page import RecordId
 from repro.storage.schema import RecordLayout
 
 
@@ -249,6 +258,46 @@ def read_modify_write_updates():
         yield
     finally:
         Table.update_field = saved
+
+
+def per_record_fetch_rows(self: SeqScanOperator) -> Iterator[Dict[str, object]]:
+    """``SeqScanOperator.rows`` as a fetch, a charge and a decode per record."""
+    ctx = self.ctx
+    table = self.table
+    layout = table.layout
+    predicate = self.predicate
+    for page, slots in table.heap.scan_pages():
+        ctx.visit("page_boundary")
+        for slot in slots:
+            ctx.visit(self.next_operation)
+            entry = table.heap.fetch(RecordId(page.page_number, slot))
+            row: Dict[str, object] = {}
+            if self.predicate_columns:
+                row.update(ctx.read_fields(entry, layout, self.predicate_columns))
+            qualifies = True
+            if predicate is not None:
+                qualifies = bool(predicate.evaluate(row))
+                ctx.visit("predicate", data_taken=qualifies)
+            if qualifies:
+                if self.extra_columns:
+                    row.update(ctx.read_fields(entry, layout, self.extra_columns))
+                ctx.row_produced()
+                yield row
+            if self.count_records:
+                ctx.record_done()
+
+
+@contextmanager
+def per_record_fetch_scans():
+    """Tuple-engine sequential scans pulled inside the block fetch, charge
+    and decode record by record (the generator is created when the scan is
+    pulled, so the block must cover the execution)."""
+    saved = SeqScanOperator.rows
+    SeqScanOperator.rows = per_record_fetch_rows
+    try:
+        yield
+    finally:
+        SeqScanOperator.rows = saved
 
 
 @contextmanager

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.engine import Database, Session
 from repro.execution import ExecutionContext, execute_plan
-from repro.execution.kernels import (ARRAY_KERNELS, PYTHON_KERNELS,
+from repro.execution.kernels import (ARRAY_KERNELS, PYTHON_KERNELS, key_hash,
                                      resolve_kernels, spill_partition_of)
 from repro.hardware import SimulatedProcessor
 from repro.query import (ExecutionConfig, JoinQuery, Planner, SelectionQuery,
@@ -163,7 +163,7 @@ def test_select_matches_oracle(data, outcomes):
 @settings(max_examples=150, deadline=None)
 @given(keys=vectors, buckets=st.integers(min_value=1, max_value=2**40))
 def test_bucket_indices_match_python_hash(keys, buckets):
-    expected = [hash(key) % buckets for key in keys]
+    expected = [key_hash(key) % buckets for key in keys]
     assert PYTHON_KERNELS.bucket_indices(keys, buckets) == expected
     assert array_kernels().bucket_indices(keys, buckets) == expected
 

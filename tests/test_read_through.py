@@ -34,6 +34,7 @@ from repro.hardware.processor import SimulatedProcessor
 from repro.observability.spans import capture_snapshot
 from repro.storage import Catalog, microbenchmark_schema
 from repro.storage.address_space import AddressSpace
+from repro.storage.page import RecordId
 from repro.systems import SYSTEM_B, SYSTEM_C
 from test_native_charging import (_ctx_step, _os_config, assert_states_identical,
                                   context_pair, context_state, processor_pair,
@@ -413,6 +414,34 @@ def test_read_fields_plan_charges_what_per_field_loads_charge(profile, layout_st
     assert len(planned._field_plans) == 3
     assert_states_identical(processor_state(planned.processor),
                             processor_state(reference))
+
+
+@pytest.mark.parametrize("layout_style", ["nsm", "pax"])
+@pytest.mark.parametrize("profile", [SYSTEM_B, SYSTEM_C],
+                         ids=["fields_only", "full_record"])
+def test_field_loads_charge_what_read_fields_charges(profile, layout_style):
+    """The page-bound, charge-only half of ``read_fields``: bound once per
+    page and column set, the same state as ``read_fields`` per record
+    (tombstoned slots skipped, a padded PAX record swept slice by slice)."""
+    catalog = Catalog()
+    schema, _ = microbenchmark_schema(100, "R")
+    table = catalog.create_table("R", schema, record_size=100,
+                                 layout_style=layout_style)
+    for i in range(300):
+        rid = table.insert((i, i % 50 + 1, i * 2))
+        if i % 7 == 5:
+            table.delete(rid)
+    bound = ExecutionContext(SimulatedProcessor(), profile, catalog.address_space)
+    reference = ExecutionContext(SimulatedProcessor(), profile, catalog.address_space)
+    for number, (page, slots) in enumerate(table.heap.scan_pages()):
+        columns = (("a2", "a3"), ("a1",), ("a3", "a1", "a2"))[number % 3]
+        load = bound.field_loads(page, table.layout, columns)
+        for slot in slots:
+            load(slot)
+            entry = table.heap.fetch(RecordId(page.page_number, slot))
+            reference.read_fields(entry, table.layout, columns)
+    assert_states_identical(processor_state(bound.processor),
+                            processor_state(reference.processor))
 
 
 # ------------------------------------------------- a vector of addresses, once
