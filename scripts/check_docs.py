@@ -15,9 +15,11 @@ documentation that drifts from the tree should break CI, which is the point
 of the docs job.  So does any ``scripts/...``, ``examples/...`` or top-level
 ``*.md`` path named anywhere in README.md, DESIGN.md or the text of a
 ``src/repro/**/*.py`` file (docstrings and comments alike) that is not in
-the tree, and any ``:mod:`` / ``:class:`` / ``:func:`` target in a
-``src/repro`` source that does not resolve to a module or an attribute of
-one.  And so does README's "Execution knobs" table when its rows are
+the tree, and any ``:mod:`` / ``:class:`` / ``:func:`` / ``:meth:`` /
+``:attr:`` / ``:data:`` target in a ``src/repro`` source that does not
+resolve to a module or an attribute of one (looked up as Sphinx looks it
+up: in the enclosing class, then the module, then as an absolute path).
+And so does README's "Execution knobs" table when its rows are
 not exactly the fields of ``repro.query.plans.ExecutionConfig`` -- the one
 declaration of every knob.  Exit status: 0 when every check passes.
 
@@ -28,14 +30,17 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import glob
 import importlib
+import inspect
 import os
 import py_compile
 import re
 import subprocess
 import sys
+import textwrap
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(REPO, "README.md")
@@ -48,9 +53,9 @@ from repro.query.plans import ExecutionConfig  # noqa: E402
 PATH_PATTERN = re.compile(r"\b((?:scripts|examples)/[\w./-]+\.(?:py|sh))\b")
 #: Matches a top-level markdown file name (not one inside a directory).
 MARKDOWN_PATTERN = re.compile(r"(?<![\w/.-])([\w-]+\.md)\b")
-#: Matches the target of a ``:mod:`` / ``:class:`` / ``:func:`` role (which
-#: may wrap across a line break inside a docstring or a comment block).
-ROLE_PATTERN = re.compile(r":(?:mod|class|func):`~?([^`]+)`")
+#: Matches the text of a cross-reference role (which may wrap across a line
+#: break inside a docstring or a comment block).
+ROLE_PATTERN = re.compile(r":(?:mod|class|func|meth|attr|data):`([^`]+)`")
 
 
 def fenced_blocks(text: str):
@@ -115,32 +120,86 @@ def dangling_references():
                        f"which does not exist")
 
 
-def role_target_resolves(target: str, module: str, package: str) -> bool:
-    """Whether a role target names something importable: an absolute dotted
-    path, one relative to the naming file's ``package`` (leading dot), or a
-    bare name in the naming ``module``'s own namespace."""
-    if target.startswith("."):
-        target = package + target
-    elif "." not in target:
-        target = f"{module}.{target}"
-    parts = target.split(".")
+def role_target(text: str) -> str:
+    """The target a role's text names: the ``<...>`` part of the ``title
+    <target>`` form, without line breaks, comment markers and a leading
+    ``~``."""
+    text = text.strip()
+    if text.endswith(">") and "<" in text:
+        text = text[text.rindex("<") + 1:-1]
+    return re.sub(r"\s+(?:#:?\s*)?", "", text).lstrip("~")
+
+
+def instance_attribute(cls: type, name: str) -> bool:
+    """Whether instances of ``cls`` carry ``name`` that the class itself
+    does not: a dataclass field without a default, or an assignment to
+    ``self.<name>`` in the body of ``cls`` or of a base.  (A ``__slots__``
+    entry is a class attribute already.)"""
+    if name in getattr(cls, "__dataclass_fields__", {}):
+        return True
+    for klass in cls.__mro__:
+        try:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(klass)))
+        except (OSError, TypeError):
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == name
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                return True
+    return False
+
+
+def dotted_path_resolves(path: str) -> bool:
+    """Whether an absolute dotted path names a module, an attribute of one,
+    or an instance attribute of a class."""
+    parts = path.split(".")
     for cut in range(len(parts), 0, -1):
         try:
             found = importlib.import_module(".".join(parts[:cut]))
         except ImportError:
             continue
-        try:
-            for name in parts[cut:]:
+        for position, name in enumerate(parts[cut:], cut + 1):
+            try:
                 found = getattr(found, name)
-        except AttributeError:
-            return False
+            except AttributeError:
+                return (position == len(parts) and isinstance(found, type)
+                        and instance_attribute(found, name))
         return True
     return False
 
 
+def role_target_resolves(target: str, module: str, package: str,
+                         classes: tuple = ()) -> bool:
+    """Whether a role target names something importable, searched as Sphinx
+    searches: a leading dot is relative to the naming file's ``package``;
+    otherwise the target is tried in each enclosing class of ``classes``
+    (qualified names, innermost first), then in the naming ``module``, then
+    -- when dotted -- as an absolute path."""
+    if target.startswith("."):
+        return dotted_path_resolves(package + target)
+    candidates = [f"{module}.{cls}.{target}" for cls in classes]
+    candidates.append(f"{module}.{target}")
+    if "." in target:
+        candidates.append(target)
+    return any(dotted_path_resolves(candidate) for candidate in candidates)
+
+
+def class_spans(tree: ast.AST, prefix: str = ""):
+    """Yield ``(first line, last line, qualified name)`` of every class."""
+    for node in ast.iter_child_nodes(tree):
+        name = prefix
+        if isinstance(node, ast.ClassDef):
+            name = f"{prefix}{node.name}"
+            yield node.lineno, node.end_lineno, name
+            name += "."
+        yield from class_spans(node, name)
+
+
 def dangling_roles():
-    """Yield error strings for ``:mod:`` / ``:class:`` / ``:func:`` targets
-    in ``src/repro`` sources that resolve to nothing."""
+    """Yield error strings for role targets in ``src/repro`` sources that
+    resolve to nothing."""
     source_root = os.path.join(REPO, "src")
     for path in sorted(glob.glob(os.path.join(source_root, "repro", "**", "*.py"),
                                  recursive=True)):
@@ -149,10 +208,17 @@ def dangling_roles():
         if module.endswith(".__init__"):
             module = package
         with open(path) as handle:
-            targets = {re.sub(r"[\s#]+", "", target)
-                       for target in ROLE_PATTERN.findall(handle.read())}
-        for target in sorted(targets):
-            if not role_target_resolves(target, module, package):
+            text = handle.read()
+        spans = list(class_spans(ast.parse(text)))
+        references = set()
+        for match in ROLE_PATTERN.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            enclosing = sorted((span for span in spans
+                                if span[0] <= line <= span[1]), reverse=True)
+            references.add((role_target(match.group(1)),
+                            tuple(name for _, _, name in enclosing)))
+        for target, classes in sorted(references):
+            if not role_target_resolves(target, module, package, classes):
                 yield (f"{os.path.relpath(path, REPO)} references {target}, "
                        f"which does not resolve")
 

@@ -30,10 +30,10 @@ records three families of observations, all keyed by stable strings:
   adaptive batch-size ladder climbs.
 
 Everything is plain integer counters: collectors pickle compactly across
-the morsel process boundary and :meth:`merge` is commutative (sums only),
-exactly like the PR 3 worker-telemetry types (``EventCounters``,
-``CacheStats``, ``TLBStats``, ``BranchStats``), so tape replay order cannot
-change what a policy eventually sees.
+the morsel process boundary and :meth:`~RuntimeStatsCollector.merge` is
+commutative (sums only), exactly like the morsel workers' telemetry types
+(``EventCounters``, ``CacheStats``, ``TLBStats``, ``BranchStats``), so tape
+replay order cannot change what a policy eventually sees.
 
 >>> collector = RuntimeStatsCollector()
 >>> collector.observe_batch("a2 < 10", rows_in=256, rows_passed=16)

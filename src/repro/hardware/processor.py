@@ -6,25 +6,34 @@ model, the OS-interference model and the hardware event counters, and it
 exposes the narrow method API the execution engine drives while processing
 records:
 
-* :meth:`fetch_code` -- instruction-cache line fetches for a code path,
-* :meth:`retire` -- retired instruction / micro-operation accounting,
-* :meth:`data_read` / :meth:`data_write` -- simulated loads and stores
-  (:meth:`data_read_fields`: the field loads of one record in one call),
-* :meth:`data_read_strided` / :meth:`data_read_span` -- bulk element loads
-  (the span-charging fast path for columnar batches: count-identical to
-  per-address :meth:`data_read` calls, several times cheaper to simulate),
-* :meth:`data_read_scattered` / :meth:`data_write_scattered` -- one scalar
-  access per address of a vector, in one call (a key vector's hash buckets),
-* :meth:`count_data_refs` -- bulk accounting for references that stay in L1D,
-* :meth:`branch` / :meth:`count_branches` -- dynamic branch sites and the bulk
-  branch population they represent,
-* :meth:`add_resource_stalls` -- dependency / functional-unit / decoder stall
-  cycles charged by the execution cost model,
-* :meth:`record_done` -- record boundaries (per-record metrics, OS interrupt
-  pacing).
+* :meth:`~SimulatedProcessor.fetch_code` -- instruction-cache line fetches
+  for a code path,
+* :meth:`~SimulatedProcessor.retire` -- retired instruction /
+  micro-operation accounting,
+* :meth:`~SimulatedProcessor.data_read` /
+  :meth:`~SimulatedProcessor.data_write` -- simulated loads and stores
+  (:meth:`~SimulatedProcessor.data_read_fields`: the field loads of one
+  record in one call),
+* :meth:`~SimulatedProcessor.data_read_strided` /
+  :meth:`~SimulatedProcessor.data_read_span` -- bulk element loads (the
+  span-charging fast path for columnar batches: count-identical to
+  per-address ``data_read`` calls, several times cheaper to simulate),
+* :meth:`~SimulatedProcessor.data_read_scattered` /
+  :meth:`~SimulatedProcessor.data_write_scattered` -- one scalar access per
+  address of a vector, in one call (a key vector's hash buckets),
+* :meth:`~SimulatedProcessor.count_data_refs` -- bulk accounting for
+  references that stay in L1D,
+* :meth:`~SimulatedProcessor.branch` /
+  :meth:`~SimulatedProcessor.count_branches` -- dynamic branch sites and the
+  bulk branch population they represent,
+* :meth:`~SimulatedProcessor.add_resource_stalls` -- dependency /
+  functional-unit / decoder stall cycles charged by the execution cost
+  model,
+* :meth:`~SimulatedProcessor.record_done` -- record boundaries (per-record
+  metrics, OS interrupt pacing).
 
-Calling :meth:`finalize` assembles the ground-truth cycle count
-(``CPU_CLK_UNHALTED``) from the accumulated events using the
+Calling :meth:`~SimulatedProcessor.finalize` assembles the ground-truth
+cycle count (``CPU_CLK_UNHALTED``) from the accumulated events using the
 :class:`~repro.hardware.pipeline.CycleModel` and returns an immutable counter
 snapshot that the measurement (emon) and analysis layers consume.
 
@@ -115,9 +124,9 @@ class SimulatedProcessor:
         The ITLB is consulted whenever the fetch stream moves to a different
         page.  Per-miss front-end stall cycles accumulate into the
         ``IFU_MEM_STALL`` counter ("actual stall time" in Table 4.2): an L1I
-        miss satisfied by the L2 costs :attr:`PipelineSpec.
-        l1i_fetch_stall_cycles`, and one that also misses the L2 additionally
-        pays the full memory latency.
+        miss satisfied by the L2 costs :attr:`~repro.hardware.specs.
+        PipelineSpec.l1i_fetch_stall_cycles`, and one that also misses the
+        L2 additionally pays the full memory latency.
         """
         itlb = self.itlb
         page_shift = itlb._page_shift

@@ -41,10 +41,11 @@ from ..hardware.counters import EventCounters
 __all__ = ["CounterSnapshot", "DERIVED_EVENTS", "capture_snapshot",
            "synthesize_counters"]
 
-#: Events :meth:`SimulatedProcessor.finalize` derives rather than
-#: accumulates.  Raw-bank deltas skip them defensively (they only appear in
-#: the live bank if someone called ``finalize()`` mid-run) and synthesis
-#: recomputes them from the snapshot's hardware statistics.
+#: Events :meth:`~repro.hardware.processor.SimulatedProcessor.finalize`
+#: derives rather than accumulates.  Raw-bank deltas skip them defensively
+#: (they only appear in the live bank if someone called ``finalize()``
+#: mid-run) and synthesis recomputes them from the snapshot's hardware
+#: statistics.
 DERIVED_EVENTS: Tuple[str, ...] = (
     "IFU_MEM_STALL", "CPU_CLK_UNHALTED", "BUS_TRAN_MEM",
     "MEMORY_LATENCY_CYCLES", "L2_RQSTS", "L2_LINES_IN",

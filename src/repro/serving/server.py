@@ -43,10 +43,10 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from ..analysis.breakdown import ExecutionBreakdown
-from ..analysis.metrics import compute_metrics
+from ..analysis.metrics import QueryMetrics, compute_metrics
 from ..engine.database import Database
 from ..engine.session import QueryResult, Session
 from ..execution.parallel import SharedScanCoordinator
@@ -57,6 +57,7 @@ from ..observability import TraceNode
 from ..query.plans import (ENGINE_VECTORIZED, ExecutionConfig, LogicalQuery,
                            UpdateQuery, execution_config)
 from ..systems.profile import SystemProfile
+from ..workloads.serving import percentile
 from .cache import PlanCache, ResultCache, normalize_query, query_tables
 
 __all__ = ["Server", "ServingFuture", "QueryOutcome", "ServerStats"]
@@ -65,6 +66,21 @@ __all__ = ["Server", "ServingFuture", "QueryOutcome", "ServerStats"]
 _PROBE_ENTRY_BYTES = 64
 #: Bytes of the entry actually read on a hit (key hash + rows pointer).
 _PROBE_READ_BYTES = 16
+
+
+class _ProbeCharge(NamedTuple):
+    """The finished parts of every result-cache hit serving one row count.
+
+    Built once by :meth:`Server._probe_charge`.  The mutable parts are
+    templates a hit copies; only :attr:`metrics`, a frozen dataclass, is
+    handed out as is.
+    """
+
+    counters: EventCounters
+    components: Dict[str, float]
+    total_cycles: float
+    metrics: QueryMetrics
+    invocations: Dict[str, int]
 
 
 @dataclass
@@ -119,13 +135,6 @@ class ServingFuture:
         return self.outcome
 
 
-def _nearest_rank(values: List[float], fraction: float) -> float:
-    """Nearest-rank percentile over a non-empty list (no interpolation)."""
-    ordered = sorted(values)
-    rank = max(int(-(-fraction * len(ordered) // 1)), 1)  # ceil, >= 1
-    return ordered[rank - 1]
-
-
 def _service_histogram(values: List[float]) -> Dict[str, int]:
     """Power-of-two bucket counts over service seconds (keys are upper
     bounds like ``"<2^-10s"``), deterministic and JSON-friendly."""
@@ -163,9 +172,9 @@ class ClassStats:
                "plan_cache_hits": self.plan_cache_hits,
                "shared_scan_rides": self.shared_scan_rides}
         if self.service_seconds:
-            out["service_p50"] = round(_nearest_rank(self.service_seconds, 0.50), 6)
-            out["service_p95"] = round(_nearest_rank(self.service_seconds, 0.95), 6)
-            out["service_p99"] = round(_nearest_rank(self.service_seconds, 0.99), 6)
+            out["service_p50"] = round(percentile(self.service_seconds, 0.50), 6)
+            out["service_p95"] = round(percentile(self.service_seconds, 0.95), 6)
+            out["service_p99"] = round(percentile(self.service_seconds, 0.99), 6)
             out["service_histogram"] = _service_histogram(self.service_seconds)
         return out
 
@@ -286,9 +295,10 @@ class Server:
         self._queue: Deque[ServingFuture] = deque()
         self._submitted = 0
         #: Memoized probe charge per cached-result row count; the probe
-        #: simulation is deterministic, so re-running it per hit would only
-        #: burn wall time producing identical counters.
-        self._probe_memo: Dict[int, Tuple[dict, dict]] = {}
+        #: simulation is deterministic, so re-running it -- or re-deriving
+        #: its breakdown and metrics -- per hit would only burn wall time
+        #: producing identical results.
+        self._probe_memo: Dict[int, _ProbeCharge] = {}
         #: :attr:`Session.charging_path` of the sessions this server builds
         #: (``None`` until the first result-cache miss builds one).
         self.charging_path: Optional[str] = None
@@ -457,14 +467,18 @@ class Server:
             class_stats.shared_scan_rides += 1
         class_stats.service_seconds.append(future.outcome.service_seconds)
 
-    def _probe_charge(self, row_count: int) -> Tuple[dict, dict]:
-        """Counters and invocations of one cache probe serving ``row_count`` rows.
+    def _probe_charge(self, row_count: int) -> _ProbeCharge:
+        """The finished charge of one cache probe serving ``row_count`` rows.
 
         The probe runs against restored addresses on a cold simulated
         processor, so its counts are a pure function of the row count for a
-        fixed server configuration; the first probe of each row count runs
-        the real simulation and later probes reuse the (bit-identical)
-        memoized counters without paying the session-construction wall cost.
+        fixed server configuration.  The first probe of each row count runs
+        the real simulation and derives from its counters everything a hit
+        reports: a counter template holding all 30 events (zeros included,
+        as a hit has always reported them), the Table 4.2 breakdown's
+        components and total, the metrics and the routine invocations.
+        Later probes reuse that memo without paying the session
+        construction or the formulae again.
         """
         memo = self._probe_memo.get(row_count)
         if memo is not None:
@@ -477,9 +491,13 @@ class Server:
         ctx.read_address(probe, _PROBE_READ_BYTES)
         if row_count:
             ctx.row_produced(row_count)
-        counters = session.processor.finalize()
-        memo = (counters.as_dict(),
-                session._invocation_delta(invocations_before))
+        template = EventCounters.from_dict(session.processor.finalize().as_dict())
+        breakdown = ExecutionBreakdown.from_counters(template, self.spec)
+        memo = _ProbeCharge(
+            counters=template, components=breakdown.components,
+            total_cycles=breakdown.total_cycles,
+            metrics=compute_metrics(template, self.spec),
+            invocations=session._invocation_delta(invocations_before))
         self._probe_memo[row_count] = memo
         return memo
 
@@ -489,17 +507,22 @@ class Server:
         A hit's charged work is the modelled probe: the query-setup routine,
         one read of the cache directory entry, and the per-row result
         delivery — simulated on a fresh cold processor against restored
-        addresses (memoized per row count, see :meth:`_probe_charge`).  The
-        returned :class:`QueryResult` is shaped exactly like an executed
+        addresses and memoized per row count, breakdown and metrics
+        included (see :meth:`_probe_charge`).  A hit copies the memo's
+        counters, components and invocations, so nothing mutable is shared
+        between two hits or with the memo; the frozen metrics are shared.
+        The returned :class:`QueryResult` is shaped exactly like an executed
         one, so drivers aggregate hits and misses uniformly.
         """
         rows = entry.rows
-        counter_dict, invocations = self._probe_charge(len(rows))
-        counters = EventCounters.from_dict(counter_dict)
+        template, components, total_cycles, metrics, invocations = \
+            self._probe_charge(len(rows))
+        counters = template.snapshot()
         label = future.label
-        breakdown = ExecutionBreakdown.from_counters(
-            counters, self.spec, label=f"{self.profile.key}:{label}")
-        metrics = compute_metrics(counters, self.spec)
+        breakdown = ExecutionBreakdown(
+            components=dict(components), total_cycles=total_cycles,
+            counters=template.snapshot(),
+            label=f"{self.profile.key}:{label}")
         trace = None
         if self.execution.is_traced:
             # A hit never runs operators, so the trace is a single

@@ -14,9 +14,10 @@ data-loss trap:
   region of the :class:`~repro.storage.address_space.AddressSpace`); dirty
   victims charge a page write through the optional ``io`` cost model before
   they leave the pool;
-* :meth:`fetch_page` transparently reloads a faulted page from the backing
-  store as a charged page read -- the strict :class:`BufferPoolError` is
-  reserved for page numbers that were never allocated;
+* :meth:`~BufferPool.fetch_page` transparently reloads a faulted page from
+  the backing store as a charged page read -- the strict
+  :class:`BufferPoolError` is reserved for page numbers that were never
+  allocated;
 * each frame receives a stable, page-aligned simulated virtual address from
   the ``heap`` (or ``index``, or ``workspace``) region, which is what ties
   the logical DBMS objects to the cache simulation; backing-store copies get

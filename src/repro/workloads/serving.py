@@ -162,9 +162,9 @@ def run_open_loop(server, trace: Sequence[TraceItem]) -> ServingReport:
     """Drive ``server`` with ``trace`` under the open-loop virtual clock.
 
     Queries are submitted the moment the virtual clock reaches their arrival
-    instant; each :meth:`Server.step` round advances the clock by its
-    measured wall-clock service time; a query completes at the virtual time
-    its round ends.  When the queue drains before the next arrival, the
+    instant; each :meth:`~repro.serving.server.Server.step` round advances
+    the clock by its measured wall-clock service time; a query completes at
+    the virtual time its round ends.  When the queue drains before the next arrival, the
     clock jumps forward to that arrival (the server idles).
     """
     items = sorted(trace, key=lambda item: (item.arrival_seconds, item.index))

@@ -1,6 +1,7 @@
 """The per-address charging oracle, the pickled spill file, the heap-walk
 selectivity sampler, the read-modify-write point update, the per-record
-fetching scan (and the in-process morsel pipeline).
+fetching scan, the per-hit result rebuild (and the in-process morsel
+pipeline).
 
 Production charging is bulk: :class:`~repro.execution.context.
 ExecutionContext` presents column-vector reads, full-record sweeps, page
@@ -41,6 +42,11 @@ pool, then charged and decoded by ``ExecutionContext.read_fields`` one
 record at a time.  ``per_record_fetch_scans()`` puts it in place of
 ``SeqScanOperator.rows``, so a differential run checks rows, their order and
 every simulated count against it.
+
+:func:`rebuilt_hit_result` is a result-cache hit as the server built it
+before the probe memo held finished parts: the memoized counters
+re-validated into a fresh ``EventCounters``, then the Table 4.2 breakdown
+and the metrics derived from them again, on every hit.
 """
 
 from __future__ import annotations
@@ -52,9 +58,14 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import repro.engine.session as session_mod
 import repro.execution.parallel as parallel_mod
 import repro.execution.vectorized as vectorized_mod
+from repro.analysis.breakdown import ExecutionBreakdown
+from repro.analysis.metrics import compute_metrics
+from repro.engine.session import QueryResult
 from repro.execution.code_layout import LINE_BYTES
 from repro.execution.context import ExecutionContext
 from repro.execution.operators import SeqScanOperator
+from repro.hardware.counters import EventCounters
+from repro.observability import TraceNode
 from repro.storage.catalog import Table
 from repro.storage.page import RecordId
 from repro.storage.schema import RecordLayout
@@ -298,6 +309,26 @@ def per_record_fetch_scans():
         yield
     finally:
         SeqScanOperator.rows = saved
+
+
+def rebuilt_hit_result(server, future, entry) -> QueryResult:
+    """The :class:`QueryResult` a hit of ``future`` on the cached ``entry``
+    had: ``from_dict(as_dict)``, ``from_counters``, ``compute_metrics``."""
+    charge = server._probe_charge(len(entry.rows))
+    counters = EventCounters.from_dict(charge.counters.as_dict())
+    label = future.label
+    breakdown = ExecutionBreakdown.from_counters(
+        counters, server.spec, label=f"{server.profile.key}:{label}")
+    metrics = compute_metrics(counters, server.spec)
+    trace = None
+    if server.execution.is_traced:
+        trace = TraceNode.leaf("result_cache_probe", counters)
+    return QueryResult(
+        system=server.profile.key, label=label,
+        plan_description="ResultCache hit\n" + entry.plan_description,
+        rows=entry.rows, counters=counters, breakdown=breakdown,
+        metrics=metrics, engine=server.execution.engine,
+        routine_invocations=dict(charge.invocations), trace=trace)
 
 
 @contextmanager

@@ -34,8 +34,10 @@ def test_adaptive_doctests_pass(module):
 
 def test_docstring_roles_resolve():
     """``scripts/check_docs.py`` follows every ``:mod:`` / ``:class:`` /
-    ``:func:`` target of a ``src/repro`` docstring to something importable
-    (``hardware/pipeline.py`` pointed at a module that never existed)."""
+    ``:func:`` / ``:meth:`` / ``:attr:`` / ``:data:`` target of a
+    ``src/repro`` docstring to something importable (``hardware/pipeline.py``
+    pointed at a module that never existed; ``workloads/serving.py`` at a
+    ``Server.step`` its module never imports)."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "check_docs.py"
     spec = importlib.util.spec_from_file_location("check_docs", path)
     check_docs = importlib.util.module_from_spec(spec)
@@ -49,4 +51,28 @@ def test_docstring_roles_resolve():
     assert not resolves("repro.analysis.formulae", *home)
     assert not resolves(".counters.NoSuchBank", *home)
     assert not resolves("NoSuchModel", *home)
+    # Sphinx's order: the enclosing class, then the module, then absolute.
+    server = ("repro.serving.server", "repro.serving")
+    assert resolves("_probe_charge", *server, ("Server",))
+    assert not resolves("_probe_charge", *server)
+    assert resolves("Server.step", *server)
+    assert not resolves("Server.step", "repro.workloads.serving",
+                        "repro.workloads")
+    assert resolves("repro.serving.server.Server.step", *home)
+    # Instance attributes: a ``self.<name> =``, a dataclass field without a
+    # default, a ``__slots__`` entry.
+    assert resolves("stats", *server, ("Server",))
+    assert resolves("repro.engine.session.QueryResult.rows", *home)
+    assert resolves("ServingFuture.outcome", *server)
+    assert resolves("PipelineSpec.l1i_fetch_stall_cycles",
+                    "repro.hardware.specs", "repro.hardware")
+    assert not resolves("PipelineSpec.l1i_fetch_stall_cycles", *home)
+    assert not resolves("no_such_attribute", *server, ("Server",))
+    # The role text: ``title <target>``, ``~`` and line wraps.
+    target = check_docs.role_target
+    assert target("the round <~repro.serving.server.\n    Server.step>") \
+        == "repro.serving.server.Server.step"
+    assert target("~Server.step") == "Server.step"
+    assert target("~repro.hardware.specs.\n    #: PipelineSpec") \
+        == "repro.hardware.specs.PipelineSpec"
     assert list(check_docs.dangling_roles()) == []

@@ -28,6 +28,7 @@ from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.query import SelectionQuery, count_star, range_predicate
 from repro.query.plans import UpdateQuery
 from repro.serving import PlanCache, ResultCache, Server, normalize_query
+from repro.serving.server import ClassStats
 from repro.systems import system_by_key
 from repro.workloads import (MicroWorkloadConfig, ServingTraceConfig,
                              build_trace, percentile, run_open_loop)
@@ -318,6 +319,19 @@ class TestOpenLoopDriver:
         assert percentile(values, 0.20) == 1.0
         with pytest.raises(ValueError):
             percentile([], 0.5)
+
+    def test_class_stats_service_percentiles_are_nearest_rank(self):
+        """``ClassStats`` reports service times through the same
+        nearest-rank ``percentile`` the open-loop report uses."""
+        twenty = ClassStats(completed=20, service_seconds=[
+            n / 1000 for n in range(20, 0, -1)]).as_dict()
+        assert (twenty["service_p50"], twenty["service_p95"],
+                twenty["service_p99"]) == (0.010, 0.019, 0.020)
+        one = ClassStats(completed=1, service_seconds=[0.25]).as_dict()
+        assert (one["service_p50"], one["service_p95"],
+                one["service_p99"]) == (0.25, 0.25, 0.25)
+        assert percentile([0.3, 0.1, 0.2], 1.0) == 0.3
+        assert percentile([0.25], 1.0) == 0.25
 
     def test_open_loop_cycles_independent_of_wall_timing(self):
         """Total simulated cycles must not depend on how wall-clock noise
