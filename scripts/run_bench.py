@@ -31,14 +31,11 @@ override with ``--out-dir``) recording, per cell:
 * ``wall_seconds`` -- best-of-``--repeat`` wall-clock time of the measured
   execution, recorded as data only: host-time claims are made with
   ``bench/run.py`` + ``bench/compare.py`` (medians, spread, bounds), never
-  from single samples of 3-400 ms cells, and
-* ``charging_path`` -- which routine-charging implementation the cell's
-  sessions ran (``"native"`` or ``"python: <reason>"``; fast-path provenance).
+  from single samples of 3-400 ms cells.
 
-The record's header carries ``native_status`` once: whether the native
-hardware automata loaded and, when they did not, why
-(``repro.hardware.native.load_status()``) -- so a record full of
-``"python: no native module"`` cells says what to fix.
+The record's header carries ``native_status`` once
+(``repro.hardware.native.load_status()``, ``"loaded"`` in any run that got
+this far: the native hardware automata are required).
 
 Every repeat restores the cell's build to its post-build checkpoint, so run
 N is bit-identical to run 1 (and to a run against a freshly built database)
@@ -229,8 +226,8 @@ class Run(NamedTuple):
     seconds: float
     counters: EventCounters
     rows: object
-    #: Cell-family-specific fields of the point (charging path, spill I/O,
-    #: serving report, ...).
+    #: Cell-family-specific fields of the point (spill I/O, serving
+    #: report, ...).
     extras: dict
 
 
@@ -240,7 +237,7 @@ def run_query_cell(runner: ExperimentRunner, cell: Cell) -> Run:
         start = time.perf_counter()
         result = runner.execute(cell, session)
         seconds = time.perf_counter() - start
-        extras = {"charging_path": session.charging_path}
+        extras = {}
         if cell.query == "SJB":
             extras["memory_budget_bytes"] = session.execution.memory_budget_bytes
             extras["io_stats"] = dict(session.context.io_stats)
@@ -265,7 +262,6 @@ def run_serving_cell(runner: ExperimentRunner, labels: Dict[str, str]) -> Run:
     report = run_open_loop(server, trace)
     seconds = time.perf_counter() - start
     return Run(seconds, report.counters, report.total_rows, {
-        "charging_path": server.charging_path,
         "serving": {
             "max_concurrency": 8 if concurrent else 1,
             "queries": report.queries,

@@ -93,8 +93,7 @@ def main(argv=None) -> int:
           f"scale={args.scale} workers={args.workers} "
           f"tracing={args.tracing} native={load_status()!r}")
     print(f"# rows={len(result.rows)} "
-          f"cycles={result.counters.get('CPU_CLK_UNHALTED')} "
-          f"charging_path={session.charging_path!r}")
+          f"cycles={result.counters.get('CPU_CLK_UNHALTED')}")
     print(render_trace(result.trace, spec, processor,
                        show_breakdown=not args.no_breakdown))
 

@@ -11,6 +11,9 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The simulated hardware is a C extension compiled from this source on
+    # first import (repro.hardware.native), so the source ships as data.
+    package_data={"repro.hardware": ["_cachesim.c"]},
     # Every dataset is drawn from numpy's PCG64 stream and the vectorized
     # engine's kernels compute with it.
     install_requires=["numpy>=1.24"],

@@ -125,14 +125,6 @@ class Session:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def charging_path(self) -> str:
-        """Which routine-charging implementation this session runs:
-        ``"native"`` or ``"python: <reason>"`` (read-only provenance; see
-        :attr:`ExecutionContext.charging_path
-        <repro.execution.context.ExecutionContext.charging_path>`)."""
-        return self.context.charging_path
-
     # ------------------------------------------------------------- planning
     def plan(self, query: LogicalQuery) -> PhysicalPlan:
         return self.planner.plan(query)

@@ -37,8 +37,15 @@ The context also owns two cross-cutting concerns of the columnar engine:
   strided operations.  Each is count-identical to the per-element loads it
   stands for -- same cache/TLB hits and misses, same LRU evolution -- and
   only makes the *simulator* faster; ``tests/oracle.py`` keeps the
-  per-element loops as ``PerAddressContext`` and the differential harness
-  asserts the equivalence on every plan shape.
+  per-element loops as ``PerAddressContext`` (on the reference machine of
+  ``tests/reference_machine.py``) and the differential harness asserts the
+  equivalence on every plan shape.
+* **One charging path**: a routine visit is one call into the processor's
+  charging block (``_cachesim``: a ``Context`` per execution context, a
+  ``Segment`` per operation), which owns the per-visit bookkeeping -- the
+  visit counter behind the pseudo-random branch outcomes, the cold-code and
+  workspace cursors, the bulk-misprediction carry and the alternating /
+  rare branch-site state.
 * **Memoized plan resolution**: ``columns_for_table``/``index_for`` cache
   schema-subset and index lookups per context, so operators that are
   re-instantiated per batch (block nested-loop inners) do not re-resolve.
@@ -50,7 +57,6 @@ import struct
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from ..hardware.native import delegated
 from ..hardware.processor import SimulatedProcessor
 from ..query.plans import ExecutionConfig
 from ..storage.address_space import AddressSpace
@@ -61,16 +67,12 @@ from ..storage.schema import RecordLayout
 from ..systems.profile import (ACCESS_FIELDS_ONLY, BRANCH_KIND_ALTERNATING,
                                BRANCH_KIND_COLD, BRANCH_KIND_DATA, BRANCH_KIND_LOOP,
                                BRANCH_KIND_RARE, SystemProfile)
-from .code_layout import CodeLayout, CodeSegment, LINE_BYTES
+from .code_layout import CodeLayout, LINE_BYTES
 from .kernels import resolve_kernels
 from .resolve import _columns_for_table, _index_for
 
-#: Knuth multiplicative-hash constant used for deterministic pseudo-random
-#: branch outcomes (the simulation must be reproducible run to run).
-_HASH_CONSTANT = 2654435761
-
-#: Branch-site kind codes for the native visit fast path (``_cachesim.c``
-#: resolves site outcomes itself; the codes mirror ``BRANCH_KIND_*``).
+#: Branch-site kind codes of a segment handle (``_cachesim.c`` resolves site
+#: outcomes itself; the codes mirror ``BRANCH_KIND_*``).
 _NATIVE_KIND_CODES = {BRANCH_KIND_LOOP: 0, BRANCH_KIND_DATA: 1,
                       BRANCH_KIND_ALTERNATING: 2, BRANCH_KIND_RARE: 3,
                       BRANCH_KIND_COLD: 4}
@@ -92,17 +94,6 @@ def _consecutive_runs(slots: Sequence[int]) -> Iterable[Sequence[int]]:
 
 class ExecutionContext:
     """Per-(system, processor) execution state shared by all operators."""
-
-    #: Visit bookkeeping every routine visit advances: the deterministic
-    #: per-visit counter behind the pseudo-random branch outcomes, the
-    #: cold-code rotation and cyclic workspace cursors, and the fractional
-    #: remainder of the bulk-branch misprediction extrapolation (kept so
-    #: small per-visit quantities do not round away).  Members of the native
-    #: visit context when there is one.
-    _visit_counter = delegated("_native_ctx", "visit_counter")
-    _cold_cursor = delegated("_native_ctx", "cold_cursor")
-    _workspace_cursor = delegated("_native_ctx", "workspace_cursor")
-    _bulk_mispred_carry = delegated("_native_ctx", "bulk_carry")
 
     def __init__(self,
                  processor: SimulatedProcessor,
@@ -127,8 +118,6 @@ class ExecutionContext:
         # Private working set (cycled through on every routine invocation).
         self.workspace_base = address_space.allocate("workspace", profile.workspace_bytes,
                                                       alignment=64)
-        self._workspace_size = profile.workspace_bytes
-        self._workspace_stride = profile.workspace_touch_stride
 
         self.rows_produced = 0
 
@@ -194,61 +183,29 @@ class ExecutionContext:
         # ``read_fields`` plans, one per (layout, columns), not per record.
         self._field_plans: Dict[Tuple[int, Tuple[str, ...]], tuple] = {}
 
-        # Native visit fast path (``_cachesim.c``): a whole routine visit
-        # (and ``_touch_workspace``) is one C call, count- and
-        # state-identical to the Python code (tests/test_native_charging.py),
-        # the OS-interference hook included.  Eligible when the processor
-        # holds a charging block and the workspace geometry is
-        # non-degenerate; :attr:`charging_path` reports which decided.  The
-        # per-visit state has one owner either way: the native context and
-        # its segments, or the attributes of this object.
-        self._native_ctx = None
-        #: The native segment of every operation visited so far.
+        #: This context's visit state in the processor's charging block
+        #: (``_cachesim.Context``): the workspace and cold-pool geometry and
+        #: the per-visit bookkeeping (``visit_counter``, ``cold_cursor``,
+        #: ``workspace_cursor``, ``bulk_carry`` and the branch-site state).
+        self._native_ctx = processor._native_state.context(
+            self.workspace_base, profile.workspace_touch_stride,
+            profile.workspace_bytes, self.layout.cold_pool_base,
+            self.layout.cold_pool_lines, LINE_BYTES)
+        #: The segment (``_cachesim.Segment``) of every operation visited so
+        #: far: its visit constants, invocation count and ``visit``.
         self._segments: Dict[str, object] = {}
-        self._own_site_state: Dict[int, int] = {}
-        self._own_invocations: Dict[str, int] = {}
-        #: Routine visits that ran the Python ``_visit_segment``: every one
-        #: on a Python-path context, none on a native one.
-        self.python_segment_visits = 0
-        native_state = getattr(processor, "_native_state", None)
-        if native_state is None:
-            self._charging_path = "python: no native module"
-        elif not self._workspace_stride < self._workspace_size:
-            self._charging_path = "python: degenerate workspace geometry"
-        else:
-            self._charging_path = "native"
-            self._native_ctx = native_state.context(
-                self.workspace_base,
-                self._workspace_stride, self._workspace_size,
-                self.layout.cold_pool_base, self.layout.cold_pool_lines,
-                LINE_BYTES)
-        self._visit_counter = 0
-        self._cold_cursor = 0
-        self._workspace_cursor = 0
-        self._bulk_mispred_carry = 0.0
-
-    @property
-    def charging_path(self) -> str:
-        """Which routine-visit implementation this context runs, and why:
-        ``"native"`` or ``"python: <reason>"``.  Decided once, at
-        construction; read-only (fast-path provenance, not a knob)."""
-        return self._charging_path
 
     @property
     def op_invocations(self) -> Mapping[str, int]:
         """Routine invocations, one per interpreted call: a batched call
         (:meth:`visit_batch`) counts once however many records it covers.
-        Read-only on a native context, whose segments keep the counts."""
-        if self._native_ctx is None:
-            return self._own_invocations
+        Read-only: the segments keep the counts."""
         return MappingProxyType({operation: segment.invocations
                                  for operation, segment in self._segments.items()})
 
     @property
     def _site_state(self) -> Mapping[int, int]:
-        """Alternating / rare branch-site state (a native context keeps it)."""
-        if self._native_ctx is None:
-            return self._own_site_state
+        """Alternating / rare branch-site state, by site address (read-only)."""
         return MappingProxyType(self._native_ctx.site_state())
 
     # ------------------------------------------------------------ resolution
@@ -273,12 +230,13 @@ class ExecutionContext:
     # ------------------------------------------------------------------ core
     def visit(self, operation: str, data_taken: Optional[bool] = None,
               repeat: int = 1) -> None:
-        """Charge ``repeat`` invocations of ``operation`` to the processor."""
-        native = self._segments.get(operation) or self._native_segment(operation)
-        if native is not None:
-            native.visit(data_taken, repeat)
-        else:
-            self._visit_python(operation, data_taken, repeat)
+        """Charge ``repeat`` invocations of ``operation`` to the processor:
+        per visit, fetch its hot lines and its slice of the cold-code pool,
+        retire its instructions and bulk references, charge its resource
+        stalls (ticking the OS clock), touch the workspace, execute its
+        branch sites and account its bulk branch population."""
+        segment = self._segments.get(operation) or self._segment(operation)
+        segment.visit(data_taken, repeat)
 
     def visit_batch(self, operation: str, count: int) -> None:
         """Charge ``count`` record-iterations of ``operation`` run as one batch.
@@ -299,11 +257,7 @@ class ExecutionContext:
         """
         if count <= 0:
             return
-        native = self._segments.get(operation) or self._native_segment(operation)
-        if native is not None:
-            native.visit(None, 1)
-        else:
-            self._visit_python(operation, None, 1)
+        (self._segments.get(operation) or self._segment(operation)).visit(None, 1)
         segment = self.layout.segment(operation)
         iterations = count - 1
         if iterations <= 0:
@@ -316,7 +270,8 @@ class ExecutionContext:
         if segment.data_refs:
             processor.count_data_refs(segment.data_refs * iterations)
         body_touches = int(round(segment.workspace_touches * fraction))
-        self._touch_workspace(body_touches * iterations)
+        if body_touches:
+            self._native_ctx.workspace(body_touches * iterations)
         # The loop-closing branch: backward, taken every iteration, predicted
         # after the first trip -- charged in bulk with no mispredictions.
         processor.count_branches(iterations, taken=iterations)
@@ -358,25 +313,9 @@ class ExecutionContext:
             base = self._conjunct_sites_base = self.address_space.allocate(
                 "code", 4096, alignment=64)
         address = base + ((site & 0xFF) << 4)
-        native_state = getattr(self.processor, "_native_state", None)
-        if native_state is not None:
-            # The per-row branch loop and its ``count_branches`` in C
-            # (predictor state and counts identical to the loop below).
-            taken, mispredictions = native_state.conjunct(address, outcomes)
-        else:
-            branch_unit = self.processor.branch_unit
-            btb_before = branch_unit.stats.btb_misses
-            taken = mispredictions = 0
-            execute = branch_unit.execute
-            for outcome in outcomes:
-                outcome = bool(outcome)
-                if execute(address, outcome):
-                    mispredictions += 1
-                if outcome:
-                    taken += 1
-            self.processor.count_branches(
-                count, taken=taken, mispredictions=mispredictions,
-                btb_misses=branch_unit.stats.btb_misses - btb_before)
+        # The per-row branch loop and its ``count_branches``, in one C call.
+        taken, mispredictions = self.processor._native_state.conjunct(address,
+                                                                      outcomes)
         if key is not None and self.adaptive is not None:
             self.adaptive.collector.observe_branches(key, count, taken,
                                                      mispredictions)
@@ -409,126 +348,13 @@ class ExecutionContext:
     def snapshot_invocations(self) -> Dict[str, int]:
         return dict(self.op_invocations)
 
-    def _visit_python(self, operation: str, data_taken: Optional[bool],
-                      repeat: int) -> None:
-        """:meth:`visit` of a context with no native one."""
-        segment = self.layout.segment(operation)
-        counts = self._own_invocations
-        counts[operation] = counts.get(operation, 0) + repeat
-        self.python_segment_visits += repeat
-        for _ in range(repeat):
-            self._visit_segment(segment, data_taken)
+    def _segment(self, operation: str):
+        """Bind ``operation``'s segment -- its visit constants, its
+        invocation count and its ``visit`` entry point -- on first visit.
 
-    def _visit_segment(self, segment: CodeSegment, data_taken: Optional[bool]) -> None:
-        processor = self.processor
-        self._visit_counter += 1
-
-        # Instruction side: hot lines every visit, plus the cold-code slice.
-        # Both are contiguous line runs (hot code is laid out as one run,
-        # cold code rotates through a contiguous pool), so they take the
-        # run-based fetch fast path -- count-identical to per-line fetches.
-        processor.fetch_code_run(segment.base_address, len(segment.hot_lines))
-        cold_count = segment.cold_lines_per_visit
-        if cold_count:
-            pool = self.layout.cold_pool_lines
-            if cold_count < pool:
-                base = self.layout.cold_pool_base
-                cursor = self._cold_cursor
-                run = pool - cursor
-                if cold_count <= run:
-                    processor.fetch_code_run(base + cursor * LINE_BYTES, cold_count)
-                else:
-                    processor.fetch_code_run(base + cursor * LINE_BYTES, run)
-                    processor.fetch_code_run(base, cold_count - run)
-                self._cold_cursor = (cursor + cold_count) % pool
-            else:
-                # Degenerate geometry (slice wraps the whole pool): keep the
-                # generic per-line path so repeated lines stay exact.
-                processor.fetch_code(self._next_cold_lines(cold_count))
-
-        # Retirement, bulk L1D-hit references and (pre-rounded) resource
-        # stalls in one fused counter pass; the adds commute, so this is
-        # count-identical to the separate retire/count_data_refs/
-        # add_resource_stalls calls it replaces.
-        stall_ints = segment.stall_ints
-        processor.charge_routine(segment.instructions, segment.uops,
-                                 segment.data_refs, stall_ints[0],
-                                 stall_ints[1], stall_ints[2], stall_ints[3])
-
-        # Private working-set touches.
-        self._touch_workspace(segment.workspace_touches)
-
-        # Branch sites.  The predictor is exercised per site; the retirement
-        # counters take one bulk update per segment visit.
-        if segment.branch_sites:
-            branch_unit = processor.branch_unit
-            btb_before = branch_unit.stats.btb_misses
-            branches = taken_count = mispredictions = 0
-            for site in segment.branch_sites:
-                taken, address = self._site_outcome(site, data_taken)
-                mispredicted = branch_unit.execute(
-                    address, taken, backward=(site.kind == BRANCH_KIND_LOOP))
-                weight = site.weight
-                branches += weight
-                if taken:
-                    taken_count += weight
-                if mispredicted:
-                    mispredictions += weight
-            processor.count_branches(branches, taken=taken_count,
-                                     mispredictions=mispredictions,
-                                     btb_misses=branch_unit.stats.btb_misses - btb_before)
-
-        # Bulk branch population.
-        if segment.bulk_branches:
-            expected = (segment.bulk_branches * self.profile.bulk_branch_misprediction_rate
-                        + self._bulk_mispred_carry)
-            mispredictions = int(expected)
-            self._bulk_mispred_carry = expected - mispredictions
-            btb_misses = int(round(segment.bulk_branches
-                                   * self.profile.bulk_branch_btb_miss_rate))
-            processor.count_branches(segment.bulk_branches, taken=segment.bulk_taken,
-                                     mispredictions=mispredictions,
-                                     btb_misses=btb_misses)
-
-    def _touch_workspace(self, touches: int) -> None:
-        """Charge ``touches`` cyclic private-working-set reads.
-
-        The executor strides a 4-byte read through its workspace region on
-        every routine (and loop-body) iteration.  A run of touches is
-        presented to the hardware as one strided bulk read per wrap of the
-        cyclic cursor -- count-identical to issuing the reads one
-        :meth:`~repro.hardware.processor.SimulatedProcessor.data_read` at a
-        time.
+        The bulk-branch misprediction expectation is pre-multiplied, so the
+        fractional carry evolves by one float addition per visit.
         """
-        if touches <= 0:
-            return
-        if self._native_ctx is not None:
-            self._native_ctx.workspace(touches)
-            return
-        processor = self.processor
-        stride = self._workspace_stride
-        size = self._workspace_size
-        cursor = self._workspace_cursor
-        base = self.workspace_base
-        remaining = touches
-        while remaining:
-            run = min(remaining, (size - cursor + stride - 1) // stride)
-            processor.data_read_strided(base + cursor, stride, run, 4)
-            cursor = (cursor + run * stride) % size
-            remaining -= run
-        self._workspace_cursor = cursor
-
-    def _native_segment(self, operation: str):
-        """Bind ``operation``'s native segment -- its visit constants, its
-        invocation count and its ``visit`` entry point -- on first visit;
-        ``None`` on a context that visits in Python.
-
-        The bulk-branch misprediction expectation is pre-multiplied: the
-        product is the same float the Python path computes each visit, so
-        the fractional carry evolves bit-identically.
-        """
-        if self._native_ctx is None:
-            return None
         segment = self.layout.segment(operation)
         stall_ints = segment.stall_ints
         bulk = segment.bulk_branches
@@ -543,41 +369,6 @@ class ExecutionContext:
              bulk * self.profile.bulk_branch_misprediction_rate,
              int(round(bulk * self.profile.bulk_branch_btb_miss_rate)),
              sites)))
-
-    def _next_cold_lines(self, count: int) -> Tuple[int, ...]:
-        base = self.layout.cold_pool_base
-        pool = self.layout.cold_pool_lines
-        cursor = self._cold_cursor
-        lines = tuple(base + ((cursor + i) % pool) * LINE_BYTES for i in range(count))
-        self._cold_cursor = (cursor + count) % pool
-        return lines
-
-    def _site_outcome(self, site, data_taken: Optional[bool]) -> Tuple[bool, int]:
-        """Resolve the outcome and (possibly varying) address of a branch site."""
-        kind = site.kind
-        if kind == BRANCH_KIND_LOOP:
-            return True, site.address
-        if kind == BRANCH_KIND_DATA:
-            if data_taken is None:
-                return self._pseudo_random_bit(site.address), site.address
-            return bool(data_taken), site.address
-        if kind == BRANCH_KIND_ALTERNATING:
-            state = self._own_site_state.get(site.address, 0) ^ 1
-            self._own_site_state[site.address] = state
-            return bool(state), site.address
-        if kind == BRANCH_KIND_RARE:
-            state = self._own_site_state.get(site.address, 0) + 1
-            self._own_site_state[site.address] = state
-            return (state % 64) == 0, site.address
-        # Cold: the site address varies from visit to visit (different call
-        # sites / indirect targets), so the BTB essentially never hits.
-        offset = (self._visit_counter * _HASH_CONSTANT) & 0x1FFF
-        address = site.address + 64 + (offset & ~0x3F)
-        return self._pseudo_random_bit(address), address
-
-    def _pseudo_random_bit(self, salt: int) -> bool:
-        value = ((self._visit_counter + salt) * _HASH_CONSTANT) & 0xFFFFFFFF
-        return bool((value >> 17) & 1)
 
     # ----------------------------------------------------------- data access
     def read_address(self, address: int, size: int = 4) -> None:

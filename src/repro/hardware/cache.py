@@ -26,10 +26,8 @@ The model implements:
   ``tests/test_vectorized_equivalence.py`` asserts this on every plan
   shape); they only remove simulator overhead, never modelled events.
 
-The production automaton is native: when ``_cachesim.c`` is loaded a
-:class:`Cache` holds a C state object and delegates to it, and the Python
-loops in this module are the reference it was transcribed from (see the
-class docstring for the ownership rule).
+The automaton is native: a :class:`Cache` owns a ``_cachesim.CacheState``
+and every method is a call into it (see the class docstring).
 """
 
 from __future__ import annotations
@@ -40,15 +38,14 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .native import load_native, stats_view
 from .specs import CacheSpec
 
-#: The compiled ``_cachesim`` module or ``None``: the one switch every
-#: hardware automaton (:class:`Cache`, ``TLB``, ``BranchPredictor``) and the
-#: processor read *at construction* to decide who owns their state.  The
-#: transitions are transcriptions of the pure-Python ones, asserted
-#: identical by ``tests/test_native_cache.py`` and
-#: ``tests/test_native_charging.py``, so with or without it every hit/miss
-#: count, LRU ordering and write-back is the same; only the simulator's
-#: wall-clock changes.  ``REPRO_NATIVE=0`` leaves it ``None``; tests hide it
-#: to build a pure-Python oracle.
+#: The compiled ``_cachesim`` module: every hardware automaton
+#: (:class:`Cache`, ``TLB``, ``BranchPredictor``) and the processor's
+#: charging block build their state from what this attribute holds *at
+#: construction* (an execution context builds on its processor's block).
+#: It is the one substitution point: the
+#: test suite's reference machine (``tests/reference_machine.py``, the same
+#: surface in pure Python) is swapped in here to build an oracle, and must
+#: produce every hit/miss count, LRU ordering and write-back this module does.
 _NATIVE = load_native()
 
 #: Access port identifiers.  They index the statistics arrays.
@@ -96,26 +93,12 @@ class CacheStats:
     def add_bulk(self, port: int, accesses: int, misses: int = 0) -> None:
         """Fold a batch of accesses/misses into one counter update (element
         loads that are line hits by construction are accounted this way,
-        without probing)."""
-        self.accesses[port] += accesses
-        if misses:
-            self.misses[port] += misses
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Commutatively fold ``other``'s counts into this instance.
-
-        Every field is a sum, so merging worker-local statistics in any
-        order yields the same totals -- the property the morsel-parallel
-        subsystem relies on when it combines per-worker hardware state
-        (``tests/test_parallel_execution.py`` asserts it under random
-        permutations).  Returns ``self`` for chaining.
-        """
-        for port in range(len(self.accesses)):
-            self.accesses[port] += other.accesses[port]
-            self.misses[port] += other.misses[port]
-        self.writebacks += other.writebacks
-        self.invalidations += other.invalidations
-        return self
+        without probing).  Each per-port field is assigned whole, so the
+        update lands in C through a view."""
+        for name, count in (("accesses", accesses), ("misses", misses)):
+            ports = list(getattr(self, name))
+            ports[port] += count
+            setattr(self, name, ports)
 
     def miss_rate(self, port: Optional[int] = None) -> float:
         """Miss ratio overall or for a specific port (0.0 when unused)."""
@@ -142,63 +125,34 @@ class CacheStats:
         return out
 
 
-class _NativeCacheStats(stats_view(CacheStats)):
-    """:attr:`Cache.stats` of a natively built level: a view of the counts
-    its ``_cachesim.CacheState`` keeps (see :func:`.native.stats_view`)."""
-
-    def add_bulk(self, port: int, accesses: int, misses: int = 0) -> None:
-        for name, count in (("accesses", accesses), ("misses", misses)):
-            ports = list(getattr(self, name))
-            ports[port] += count
-            setattr(self, name, ports)
+#: :attr:`Cache.stats`: a view of the counts its ``_cachesim.CacheState``
+#: keeps (see :func:`.native.stats_view`).
+_NativeCacheStats = stats_view(CacheStats)
 
 
 class Cache:
     """A single level of set-associative, LRU, optionally write-back cache.
 
-    The state and the statistics have exactly one owner, decided here at
-    construction and never mixed afterwards.  With the native module loaded
-    it is a ``_cachesim.CacheState`` (flat tag array, MRU first within a
-    set; a dirty byte per way; a fill count per set; a pointer to the next
-    level's state; the per-port counts) held in :attr:`_native`: every
-    method delegates to it and :attr:`stats` is a view of its counts.
-    Without it this class *is* the automaton: each set is a small list of
-    line numbers ordered from most- to least-recently used, with the dirty
-    lines of a set in a parallel ``set`` -- the reference the native
-    transitions are transcribed from, the oracle of the differential tests
-    and the fallback on a machine without a C toolchain.  :meth:`snapshot`
-    returns the same canonical shape on both sides and is the only surface
-    the two are compared through.
+    The state and the statistics have exactly one owner: the
+    ``_cachesim.CacheState`` in :attr:`_native` (flat tag array, MRU first
+    within a set; a dirty byte per way; a fill count per set; a pointer to
+    the next level's state; the per-port counts).  Every method is a call
+    into it and :attr:`stats` is a view of its counts.  :meth:`snapshot`
+    returns its contents in canonical Python shapes, the surface the
+    reference machine is compared through.
     """
 
-    __slots__ = ("spec", "name", "_sets", "_dirty", "_native", "_line_shift",
-                 "_set_mask", "stats", "next_level", "_assoc", "_write_back")
+    __slots__ = ("spec", "name", "_native", "_line_shift", "stats", "next_level")
 
     def __init__(self, spec: CacheSpec, next_level: Optional["Cache"] = None) -> None:
         self.spec = spec
         self.name = spec.name
         self.next_level = next_level
         self._line_shift = spec.line_bytes.bit_length() - 1
-        self._set_mask = spec.num_sets - 1
-        self._assoc = spec.associativity
-        self._write_back = spec.write_back
-        native = _NATIVE
-        if next_level is not None and (next_level._native is None) != (native is None):
-            raise ValueError(f"{spec.name}: native and pure-Python cache levels "
-                             "cannot be chained")
-        if native is not None:
-            # ``_sets``/``_dirty`` stay unset: the C side owns the state.
-            self._native = native.CacheState(
-                spec.num_sets, self._assoc, self._line_shift, self._write_back,
-                next_level._native if next_level is not None else None)
-            self.stats = _NativeCacheStats(self._native)
-        else:
-            self._native = None
-            self.stats = CacheStats()
-            # Each set: list of line numbers, index 0 == MRU.
-            self._sets: List[List[int]] = [[] for _ in range(spec.num_sets)]
-            # Dirty lines per set (write-back bookkeeping).
-            self._dirty: List[set] = [set() for _ in range(spec.num_sets)]
+        self._native = _NATIVE.CacheState(
+            spec.num_sets, spec.associativity, self._line_shift, spec.write_back,
+            next_level._native if next_level is not None else None)
+        self.stats = _NativeCacheStats(self._native)
 
     # ------------------------------------------------------------------ API
     def line_address(self, addr: int) -> int:
@@ -219,13 +173,11 @@ class Cache:
         are automatically forwarded to :attr:`next_level` when one is
         attached, so a single call on the L1 drives the whole hierarchy.
         """
-        return self.access_strided(addr, 0, 1, size, port, write)
+        return self._native.strided(addr, 0, 1, size, port, write)
 
     def access_line(self, line_addr: int, port: int, write: bool = False) -> int:
         """Access a single, already line-aligned address."""
-        if self._native is not None:
-            return self._native.lines(line_addr, 0, 1, port, write)
-        return self._access_line(line_addr >> self._line_shift, port, write)
+        return self._native.lines(line_addr, 0, 1, port, write)
 
     def access_strided(self, addr: int, stride: int, count: int, size: int,
                        port: int, write: bool = False) -> int:
@@ -238,115 +190,38 @@ class Cache:
         size`` special case, NSM field strides and workspace churn use wider
         strides.
         """
-        if count <= 0:
-            return 0
-        if self._native is not None:
-            return self._native.strided(addr, stride, count, size, port, write)
-        shift = self._line_shift
-        span = max(size, 1) - 1
-        misses = 0
-        element = addr
-        for _ in range(count):
-            for line in range(element >> shift, ((element + span) >> shift) + 1):
-                misses += self._access_line(line, port, write)
-            element += stride
-        return misses
+        return self._native.strided(addr, stride, count, size, port, write)
 
     def access_lines(self, line_addresses: Iterable[int], port: int,
                      write: bool = False) -> int:
         """Bulk access to already line-aligned addresses (code-path fetches).
 
-        Equivalent to calling :meth:`access_line` per address in order.
+        Equivalent to calling :meth:`access_line` per address in order; a
+        ``range`` is one call.
         """
-        if self._native is not None and type(line_addresses) is range:
-            return self._native.lines(line_addresses.start, line_addresses.step,
-                                      len(line_addresses), port, write)
-        return sum(self.access_line(line_addr, port, write)
-                   for line_addr in line_addresses)
-
-    # ------------------------------------------------- reference automaton
-    def _access_line(self, line_number: int, port: int, write: bool) -> int:
-        """One line touch of the pure-Python automaton; returns 1 on a miss.
-
-        The full line number is kept as the tag (the set bits are redundant
-        but harmless).  ``_cachesim.c`` transcribes this function.
-        """
-        stats = self.stats
-        stats.accesses[port] += 1
-        set_index = line_number & self._set_mask
-        ways = self._sets[set_index]
-        if line_number in ways:
-            # Hit: move to MRU position.
-            if ways[0] != line_number:
-                ways.remove(line_number)
-                ways.insert(0, line_number)
-            if write:
-                self._dirty[set_index].add(line_number)
-            return 0
-        stats.misses[port] += 1
-        next_level = self.next_level
-        if next_level is not None:
-            # Fill request: a read regardless of the original direction
-            # (write-allocate); instruction fills keep the instruction port
-            # so the unified L2 separates TL2D from TL2I.
-            next_level._access_line(
-                line_number,
-                PORT_INSTRUCTION if port == PORT_INSTRUCTION else PORT_DATA_READ,
-                False)
-        # Victim selection, write-back bookkeeping, fill.
-        if len(ways) >= self._assoc:
-            victim = ways.pop()
-            dirty_set = self._dirty[set_index]
-            if victim in dirty_set:
-                dirty_set.discard(victim)
-                stats.writebacks += 1
-                if next_level is not None:
-                    # The write-back installs the line in the next level.
-                    next_level._access_line(victim, PORT_DATA_WRITE, True)
-        ways.insert(0, line_number)
-        if write:
-            if self._write_back:
-                self._dirty[set_index].add(line_number)
-            elif next_level is not None:
-                # Write-through: the write is also forwarded (counted as
-                # traffic only; latency is hidden by the write buffer).
-                next_level._access_line(line_number, PORT_DATA_WRITE, True)
-        return 1
+        lines = self._native.lines
+        if type(line_addresses) is range:
+            return lines(line_addresses.start, line_addresses.step,
+                         len(line_addresses), port, write)
+        return sum(lines(line_addr, 0, 1, port, write) for line_addr in line_addresses)
 
     # ------------------------------------------------------------ contents
     def snapshot(self) -> Tuple[List[List[int]], List[set]]:
         """``(sets, dirty)``: per set the resident line numbers, most
-        recently used first, and the set of dirty ones.  A copy in the
-        canonical (pure-Python) shape whichever side owns the state."""
-        if self._native is not None:
-            return self._native.snapshot()
-        return ([list(ways) for ways in self._sets],
-                [set(dirty) for dirty in self._dirty])
+        recently used first, and the set of dirty ones (a copy)."""
+        return self._native.snapshot()
 
     def contains(self, addr: int) -> bool:
         """True when the line containing ``addr`` is resident."""
-        if self._native is not None:
-            return self._native.contains(addr)
-        line_number = addr >> self._line_shift
-        return line_number in self._sets[line_number & self._set_mask]
+        return self._native.contains(addr)
 
     def resident_lines(self) -> int:
         """Number of lines currently resident (useful in tests)."""
-        if self._native is not None:
-            return self._native.resident_lines()
-        return sum(len(ways) for ways in self._sets)
+        return self._native.resident_lines()
 
     def invalidate_all(self) -> int:
-        """Invalidate every line; returns the number of lines dropped."""
-        if self._native is not None:
-            return self._native.invalidate_all()  # counts its invalidations
-        dropped = self.resident_lines()
-        for ways in self._sets:
-            ways.clear()
-        for dirty in self._dirty:
-            dirty.clear()
-        self.stats.invalidations += dropped
-        return dropped
+        """Invalidate every line; returns (and counts) the lines dropped."""
+        return self._native.invalidate_all()
 
     def invalidate_fraction(self, fraction: float) -> int:
         """Invalidate roughly ``fraction`` of resident lines.
@@ -359,23 +234,7 @@ class Cache:
         half-to-even, so at ``fraction = 0.5`` a 1-line set keeps none and a
         3-line set keeps two.
         """
-        if fraction <= 0.0:
-            return 0
-        if fraction >= 1.0:
-            return self.invalidate_all()
-        if self._native is not None:
-            return self._native.invalidate_fraction(fraction)
-        dropped = 0
-        for ways, dirty in zip(self._sets, self._dirty):
-            if not ways:
-                continue
-            keep = int(round(len(ways) * (1.0 - fraction)))
-            victims = ways[keep:]
-            del ways[keep:]
-            dirty.difference_update(victims)
-            dropped += len(victims)
-        self.stats.invalidations += dropped
-        return dropped
+        return self._native.invalidate_fraction(fraction)
 
     def warm(self, addresses: Iterable[int], port: int = PORT_DATA_READ) -> None:
         """Pre-load lines without counting statistics (cache warm-up).
@@ -402,10 +261,7 @@ class Cache:
                 self.next_level.stats.writebacks = next_saved
 
     def reset_stats(self) -> None:
-        if self._native is not None:
-            self.stats.reset()
-        else:
-            self.stats = CacheStats()
+        self.stats.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"Cache({self.name}, {self.spec.size_bytes // 1024}KB, "

@@ -19,7 +19,7 @@ simulator-only extensions (e.g. ``L2_DATA_MISS`` instead of deriving it from
 ``L2_LINES_IN`` minus instruction fills).
 
 A bank is a mapping from event name to count.  The supervisor bank, and both
-banks of every snapshot, are plain dicts.  The user bank of a *live* native
+banks of every snapshot, are plain dicts.  The user bank of a *live*
 processor is a :class:`NativeBank`: the counts are a ``long`` array in the
 processor's ``_cachesim.Machine``, which the charged operations increment in
 C, and the mapping reads and writes that array -- one store, so there is
@@ -92,11 +92,11 @@ def _check_mode(mode: str) -> None:
 
 
 class NativeBank(MutableMapping):
-    """The user-mode bank of a native processor, as the dict it stands for.
+    """The user-mode bank of a processor, as the dict it stands for.
 
     Every read presents the C counts of the moment and every write lands in
-    them; a key is present once it was counted or assigned, exactly as in
-    the pure-Python processor's dict, and an assignment to a name outside
+    them; a key is present once it was counted (non-zero) or assigned,
+    exactly as in a dict, and an assignment to a name outside
     the vocabulary raises ``KeyError`` (it would have nowhere to land).
     """
 

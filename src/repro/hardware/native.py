@@ -1,12 +1,12 @@
 """Build-on-demand loader for the native hardware automata.
 
 ``repro.hardware.cache`` asks this module for the compiled ``_cachesim``
-extension (see ``_cachesim.c``).  The native module is *optional* -- when a
-C toolchain or the Python headers are missing, or ``REPRO_NATIVE=0`` is
-set, every automaton is built as its pure-Python self, which remains the
-oracle the differential tests compare against.  The degradation is kept,
-and reported: :func:`load_status` says which of the outcomes happened and
-why, and the bench and trace records carry it in their headers.
+extension (see ``_cachesim.c``), and every cache, TLB, branch predictor,
+processor and execution context builds its state from it.  The extension is
+*required*: :func:`load_native` returns the module or raises
+``ImportError`` whose message is the :func:`load_status` string -- a missing
+C compiler, a failing compile or an unloadable build is reported, never
+worked around.
 
 The extension is compiled lazily, once, with the interpreter's own
 headers, ``$CC`` (default ``cc``) and ``-O2`` followed by ``$CFLAGS``.  The
@@ -107,9 +107,6 @@ def _compile_into(directory: str, key: str) -> Tuple[Optional[str], str]:
 @functools.lru_cache(maxsize=None)
 def _load() -> Tuple[Optional[object], str]:
     """``(module or None, status)``; runs once per process."""
-    switch = os.environ.get("REPRO_NATIVE", "1")
-    if switch.lower() in ("0", "off", "no", "false"):
-        return None, f"disabled: REPRO_NATIVE={switch}"
     try:
         key = _build_key()
     except OSError as error:
@@ -133,51 +130,29 @@ def _load() -> Tuple[Optional[object], str]:
     return module, "loaded"
 
 
-def load_native() -> Optional[object]:
-    """Return the compiled ``_cachesim`` module, building it if needed."""
-    return _load()[0]
+def load_native() -> object:
+    """Return the compiled ``_cachesim`` module, building it if needed;
+    ``ImportError`` carrying :func:`load_status` when it cannot be had."""
+    module, status = _load()
+    if module is None:
+        raise ImportError(status)
+    return module
 
 
 def load_status() -> str:
-    """Why :func:`load_native` returned what it did: ``"loaded"``,
-    ``"disabled: REPRO_NATIVE=0"``, ``"unavailable: no C compiler (cc)"``,
-    ``"unavailable: compile failed: <first line of stderr>"`` or
-    ``"unavailable: stale or unloadable build"``."""
+    """What loading the extension came to: ``"loaded"``,
+    ``"unavailable: no C compiler (cc)"``, ``"unavailable: compile failed:
+    <first line of stderr>"`` or ``"unavailable: stale or unloadable
+    build"``."""
     return _load()[1]
-
-
-def delegated(holder: str, name: str) -> property:
-    """A scalar attribute with one owner: member ``name`` of the native
-    object in ``self.<holder>`` when there is one, the instance otherwise.
-
-    ``SimulatedProcessor`` and ``ExecutionContext`` keep the few scalars
-    their native charging objects advance on every call this way, so the C
-    side reads and writes plain struct members while the Python paths, the
-    interrupt handler and the tests keep using the attribute.  ``holder``
-    must be assigned before the attribute is first written.
-    """
-    own = "_own_" + name
-
-    def fget(self):
-        native = getattr(self, holder)
-        return getattr(self, own) if native is None else getattr(native, name)
-
-    def fset(self, value):
-        native = getattr(self, holder)
-        if native is None:
-            setattr(self, own, value)
-        else:
-            setattr(native, name, value)
-
-    return property(fget, fset)
 
 
 def stats_view(base: type) -> type:
     """A subclass of the statistics dataclass ``base`` whose fields are the
     same-named members of a native state object.
 
-    The C automaton counts its own events, so an automaton built natively
-    has one set of statistics and ``wrapper.stats`` is this view of it:
+    The C automaton counts its own events, so an automaton has one set of
+    statistics and ``wrapper.stats`` is this view of it:
     every field read presents the C value, every field assignment lands in
     C, and the derived properties and ``as_dict`` of ``base`` work
     unchanged on top.  Per-port fields read as tuples, so an item assignment

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .native import delegated
-
 
 @dataclass
 class OSInterferenceConfig:
@@ -53,29 +51,29 @@ class OSInterference:
     """Stateful periodic-interrupt generator attached to a processor.
 
     The clock -- the instructions retired since the last interrupt and the
-    interrupts fired so far -- has one owner: members of the processor's
-    native charging block (``_cachesim.Machine``) when there is one, this
-    object otherwise (:func:`~repro.hardware.native.delegated`).  It
-    advances in two places that are transcriptions of each other:
+    interrupts fired so far -- is two members of the processor's charging
+    block (``_cachesim.Machine``: ``os_since_last``, ``os_interrupts``).
+    It advances in two places that are transcriptions of each other:
     :meth:`note_instructions`, which ``SimulatedProcessor.retire`` and
-    ``charge_routine`` call, and the native routine visit, which does the
-    same arithmetic on the same members in C and enters Python -- the
-    processor's interrupt handler -- only on a visit in which an interrupt
-    fires.  A disabled configuration attaches no model at all: the
-    processor treats it as ``os_interference=None``.
+    ``charge_routine`` call, and the routine visit in C, which does the same
+    arithmetic on the same members and enters Python -- the processor's
+    interrupt handler -- only on a visit in which an interrupt fires.  A
+    disabled configuration attaches no model at all: the processor treats
+    it as ``os_interference=None``.
     """
 
-    _since_last = delegated("_native", "os_since_last")
-    interrupts = delegated("_native", "os_interrupts")
-
-    def __init__(self, config: OSInterferenceConfig | None = None,
-                 native=None) -> None:
+    def __init__(self, config: OSInterferenceConfig | None, machine) -> None:
         self.config = config or OSInterferenceConfig()
         if self.config.enabled and self.config.interval_instructions <= 0:
             raise ValueError("interval_instructions must be positive, got "
                              f"{self.config.interval_instructions}")
-        self._native = native
+        self._machine = machine
         self.reset()
+
+    @property
+    def interrupts(self) -> int:
+        """Interrupts fired so far."""
+        return self._machine.os_interrupts
 
     def note_instructions(self, count: int) -> int:
         """Account ``count`` retired user instructions.
@@ -85,15 +83,16 @@ class OSInterference:
         """
         if not self.config.enabled or count <= 0:
             return 0
-        since_last = self._since_last + count
+        machine = self._machine
+        since_last = machine.os_since_last + count
         interval = self.config.interval_instructions
         fired = since_last // interval
         if fired:
             since_last -= fired * interval
-            self.interrupts += fired
-        self._since_last = since_last
+            machine.os_interrupts += fired
+        machine.os_since_last = since_last
         return int(fired)
 
     def reset(self) -> None:
-        self._since_last = 0
-        self.interrupts = 0
+        self._machine.os_since_last = 0
+        self._machine.os_interrupts = 0

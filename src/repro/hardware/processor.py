@@ -37,28 +37,26 @@ cycle count (``CPU_CLK_UNHALTED``) from the accumulated events using the
 :class:`~repro.hardware.pipeline.CycleModel` and returns an immutable counter
 snapshot that the measurement (emon) and analysis layers consume.
 
-Everything a charge counts has one owner.  A natively built processor's
-``_cachesim.Machine`` holds the user-mode counter bank, the OS-interference
-clock and the front-end scalars beside the automata (which keep their own
-statistics), and its charged operations run to completion in C.  Python
-reads through (``counters.user`` is a :class:`~.counters.NativeBank`, each
-``stats`` a view, the scalars ``delegated`` properties) and every method
-below writes through ``_count`` -- ``Machine.add`` there,
-``EventCounters.add`` on a pure-Python processor: never two stores to merge.
+Everything a charge counts has one owner: the processor's
+``_cachesim.Machine``, which holds the user-mode counter bank, the
+OS-interference clock and the front-end scalars beside the automata (which
+keep their own statistics), and runs its charged operations to completion in
+C.  Python reads through (``counters.user`` is a :class:`~.counters.
+NativeBank`, each ``stats`` a view) and every method below writes through
+``_count`` -- ``Machine.add`` -- or the machine's members: never two stores
+to merge.
 """
 
 from __future__ import annotations
 
 import functools
-from operator import index
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from . import cache as _cache  # home of the one ``_NATIVE`` switch
+from . import cache as _cache  # home of ``_NATIVE``, read at construction
 from .branch import BranchPredictor
 from .cache import CacheHierarchy
 from .counters import EventCounters, MODE_SUP, MODE_USER, MODES, NativeBank
 from .memory import MainMemory
-from .native import delegated
 from .os_interference import OSInterference, OSInterferenceConfig
 from .pipeline import CycleBreakdown, CycleModel, OverlapModel
 from .specs import PENTIUM_II_XEON, ProcessorSpec
@@ -67,12 +65,6 @@ from .tlb import TLB
 
 class SimulatedProcessor:
     """Trace-driven model of the paper's Pentium II Xeon platform."""
-
-    #: Front-end scalars every instruction fetch advances: the accumulated
-    #: L1I stall cycles and the page of the last fetched line.  Members of
-    #: the native charging block when there is one.
-    _l1i_stall_cycles = delegated("_native_state", "l1i_stall_cycles")
-    _last_instruction_page = delegated("_native_state", "last_instruction_page")
 
     def __init__(self,
                  spec: ProcessorSpec = PENTIUM_II_XEON,
@@ -91,16 +83,14 @@ class SimulatedProcessor:
         if os_interference is not None and not os_interference.enabled:
             os_interference = None
 
-        #: The native charging block (``_cachesim.Machine``) or ``None``:
-        #: built from the C state objects of the automata above (the same
-        #: ``_NATIVE`` switch, read at the same moment), so ownership is
-        #: never mixed.  ``None`` keeps every charge on the pure-Python
-        #: paths below, count- and state-identical by contract
-        #: (tests/test_native_charging.py).  The block only *borrows* the
-        #: processor (an owned reference would be a cycle the collector
+        #: The charging block (``_cachesim.Machine``), built from the state
+        #: objects of the automata above.  Besides the counter bank and the
+        #: OS clock it keeps the two front-end scalars every instruction
+        #: fetch advances: ``l1i_stall_cycles`` (the accumulated L1I stall
+        #: cycles) and ``last_instruction_page``.  The block only *borrows*
+        #: the processor (an owned reference would be a cycle the collector
         #: cannot see); the processor owns the block, so the borrow holds.
-        native = _cache._NATIVE
-        self._native_state = machine = None if native is None else native.Machine(
+        self._native_state = machine = _cache._NATIVE.Machine(
             self.caches.l1d._native, self.caches.l1i._native,
             self.caches.l2._native, self.dtlb._native, self.itlb._native,
             self.branch_unit._native,
@@ -108,14 +98,11 @@ class SimulatedProcessor:
             float(spec.memory.latency_cycles),
             os_interference.interval_instructions if os_interference else 0,
             self)
-        if machine is not None:
-            self.counters.user = NativeBank(machine)
+        self.counters.user = NativeBank(machine)
         #: ``_count(event, n)`` adds to a user-mode counter, in its one store.
-        self._count = self.counters.add if machine is None else machine.add
+        self._count = machine.add
         self.os = (OSInterference(os_interference, machine)
                    if os_interference else None)
-        self._l1i_stall_cycles = 0.0
-        self._last_instruction_page = -1
 
     # ------------------------------------------------------------ code side
     def fetch_code(self, line_addresses: Sequence[int]) -> int:
@@ -128,9 +115,10 @@ class SimulatedProcessor:
         PipelineSpec.l1i_fetch_stall_cycles`, and one that also misses the
         L2 additionally pays the full memory latency.
         """
+        machine = self._native_state
         itlb = self.itlb
         page_shift = itlb._page_shift
-        last_page = self._last_instruction_page
+        last_page = machine.last_instruction_page
         itlb_misses = 0
         # The ITLB is consulted only when the fetch stream changes page; the
         # line fetches themselves go to the L1I in one bulk call.
@@ -139,7 +127,7 @@ class SimulatedProcessor:
             if page != last_page:
                 itlb_misses += itlb.access(line_addr)
                 last_page = page
-        self._last_instruction_page = last_page
+        machine.last_instruction_page = last_page
         l2 = self.caches.l2
         l2i_misses_before = l2.stats.misses[2]
         l1i_misses = self.caches.fetch_lines(line_addresses)
@@ -149,7 +137,7 @@ class SimulatedProcessor:
         if l1i_misses:
             count("IFU_IFETCH_MISS", l1i_misses)
             count("L2_IFETCH", l1i_misses)
-            self._l1i_stall_cycles += (
+            machine.l1i_stall_cycles += (
                 l1i_misses * self.spec.pipeline.l1i_fetch_stall_cycles
                 + l2i_misses * self.spec.memory.latency_cycles)
         if l2i_misses:
@@ -164,17 +152,11 @@ class SimulatedProcessor:
 
         Code segments are contiguous by construction (hot code is one run,
         cold code rotates through a contiguous pool), so this is the shape
-        of every executor code fetch; one C call on a native processor.
-        Count- and state-identical to :meth:`fetch_code` over the expanded
-        line sequence, which is its pure-Python reference.
+        of every executor code fetch, and one C call.  Count- and
+        state-identical to :meth:`fetch_code` over the expanded line
+        sequence.
         """
-        if count <= 0:
-            return 0
-        if self._native_state is not None:
-            return self._native_state.fetch_run(line_addr, count)
-        line_bytes = self.caches.l1i.spec.line_bytes
-        return self.fetch_code(
-            range(line_addr, line_addr + count * line_bytes, line_bytes))
+        return self._native_state.fetch_run(line_addr, count)
 
     def retire(self, instructions: int, uops: int = 0, mode: str = MODE_USER) -> None:
         """Retire ``instructions`` x86 instructions (``uops`` micro-operations).
@@ -206,7 +188,9 @@ class SimulatedProcessor:
         ``count_data_refs(data_refs)`` + ``add_resource_stalls(...)`` with
         the ``int(round(...))`` of the stall components hoisted to segment
         construction -- the counter adds commute, so fusing them changes no
-        totals.  This is the executor's per-routine-visit path.
+        totals.  This is what one routine visit charges between its fetches
+        and its workspace touches (the context's ``Segment.visit`` does the
+        same in C).
         """
         count = self._count
         count("INST_RETIRED", instructions)
@@ -228,23 +212,16 @@ class SimulatedProcessor:
     # ------------------------------------------------------------ data side
     def data_read(self, address: int, size: int = 4) -> int:
         """Simulated load; returns the number of L1D misses incurred."""
-        if self._native_state is not None:
-            return self._native_state.charged_strided(address, 0, 1, size, 0)
-        return self._data_access(address, 0, 1, size, False)
+        return self._native_state.charged_strided(address, 0, 1, size, 0)
 
     def data_read_fields(self, base: int, fields: Tuple[Tuple[int, int], ...]) -> int:
         """Load the ``(offset, width)`` fields of the record at ``base``:
         one :meth:`data_read` per field, in order; returns the L1D misses."""
-        if self._native_state is not None:
-            return self._native_state.charged_fields(base, fields)
-        return sum(self._data_access(base + offset, 0, 1, width, False)
-                   for offset, width in fields)
+        return self._native_state.charged_fields(base, fields)
 
     def data_write(self, address: int, size: int = 4) -> int:
         """Simulated store; returns the number of L1D misses incurred."""
-        if self._native_state is not None:
-            return self._native_state.charged_strided(address, 0, 1, size, 1)
-        return self._data_access(address, 0, 1, size, True)
+        return self._native_state.charged_strided(address, 0, 1, size, 1)
 
     def data_read_span(self, address: int, size: int, refs: Optional[int] = None) -> int:
         """Streaming load of a contiguous span; returns the L1D misses incurred.
@@ -284,12 +261,10 @@ class SimulatedProcessor:
         churn) with *identical* hit/miss counts, LRU evolution and counter
         values to ``count`` individual :meth:`data_read` calls in ascending
         address order.  The DTLB is updated once per page-run of elements
-        (charging every element access), the caches once per call.
+        (charging every element access), the caches once per call; a stride
+        <= 0 revisits one element.
         """
-        if self._native_state is not None:
-            return self._native_state.charged_strided(address, stride, count,
-                                                      size, 0)
-        return self._data_access(address, stride, count, size, False)
+        return self._native_state.charged_strided(address, stride, count, size, 0)
 
     def data_write_strided(self, address: int, stride: int, count: int,
                            size: int = 4) -> int:
@@ -301,10 +276,7 @@ class SimulatedProcessor:
         counts, LRU/dirty evolution and counter values to ``count``
         individual :meth:`data_write` calls in ascending address order.
         """
-        if self._native_state is not None:
-            return self._native_state.charged_strided(address, stride, count,
-                                                      size, 1)
-        return self._data_access(address, stride, count, size, True)
+        return self._native_state.charged_strided(address, stride, count, size, 1)
 
     def data_read_scattered(self, addresses: Sequence[int], size: int = 4,
                             write: bool = False) -> int:
@@ -312,55 +284,11 @@ class SimulatedProcessor:
         ``size`` bytes per address, in order, as one charged call -- a key
         vector's hash buckets; returns the L1D misses.  A non-integer
         address or size raises before anything is charged."""
-        if self._native_state is not None:
-            return self._native_state.charged_addresses(addresses, size, write)
-        addresses, size = [index(address) for address in addresses], index(size)
-        return sum(self._data_access(address, 0, 1, size, write)
-                   for address in addresses)
+        return self._native_state.charged_addresses(addresses, size, write)
 
     def data_write_scattered(self, addresses: Sequence[int], size: int = 4) -> int:
         """The store-side twin of :meth:`data_read_scattered`."""
         return self.data_read_scattered(addresses, size, True)
-
-    def _data_access(self, address: int, stride: int, count: int, size: int,
-                     write: bool) -> int:
-        """Pure-Python reference of the native ``charged_strided``, which
-        the public data-access methods call when there is one: ``count``
-        ``size``-byte loads or stores ``stride`` bytes apart (a stride <= 0
-        revisits one element).  The DTLB is updated once per page-run of
-        elements, the caches once per call -- count- and state-identical to
-        element-at-a-time charging.
-        """
-        if count <= 0:
-            return 0
-        stride = max(stride, 0)
-        self._count("DATA_MEM_REFS", count)
-        dtlb = self.dtlb
-        page_shift = dtlb._page_shift
-        dtlb_misses = 0
-        position = 0
-        while position < count:
-            element = address + position * stride
-            run = count - position
-            if stride:
-                page_end = ((element >> page_shift) + 1) << page_shift
-                run = min(run, (page_end - element + stride - 1) // stride)
-            dtlb_misses += dtlb.access_bulk(element, run)
-            position += run
-        if dtlb_misses:
-            self._count("DTLB_MISS", dtlb_misses)
-        caches = self.caches
-        l2 = caches.l2
-        l2_data_misses_before = l2.stats.misses[0] + l2.stats.misses[1]
-        access = caches.write_strided if write else caches.read_strided
-        misses = access(address, stride, count, size)
-        if misses:
-            self._count("DCU_LINES_IN", misses)
-            self._count("L2_DATA_RQSTS", misses)
-            l2_misses = (l2.stats.misses[0] + l2.stats.misses[1]) - l2_data_misses_before
-            if l2_misses:
-                self._count("L2_DATA_MISS", l2_misses)
-        return misses
 
     def count_data_refs(self, count: int) -> None:
         """Account ``count`` loads/stores that hit the L1 D-cache.
@@ -430,8 +358,8 @@ class SimulatedProcessor:
     def _advance_os_clock(self, instructions: int) -> None:
         """Advance the OS-interference clock by ``instructions`` retired user
         instructions and service every interrupt that falls due (for
-        :meth:`retire` and :meth:`charge_routine`; the native routine visit
-        moves the same clock in C, where ``charge_routine`` sits, and enters
+        :meth:`retire` and :meth:`charge_routine`; a routine visit moves the
+        same clock in C, where ``charge_routine`` sits, and enters
         :meth:`_service_interrupts` only when one fires).  Requires a model.
         """
         fired = self.os.note_instructions(instructions)
@@ -447,7 +375,7 @@ class SimulatedProcessor:
             self.caches.l1i.invalidate_fraction(config.l1i_flush_fraction)
             if config.flush_itlb:
                 self.itlb.flush()
-                self._last_instruction_page = -1
+                self._native_state.last_instruction_page = -1
         counters.add("OS_INTERRUPTS", count, MODE_SUP)
         counters.add("INST_RETIRED", config.kernel_instructions * count, MODE_SUP)
         counters.add("UOPS_RETIRED",
@@ -472,7 +400,8 @@ class SimulatedProcessor:
                       "MEMORY_LATENCY_CYCLES", "L2_RQSTS", "L2_LINES_IN"):
             counters.user.pop(event, None)
 
-        counters.add("IFU_MEM_STALL", int(round(self._l1i_stall_cycles)))
+        counters.add("IFU_MEM_STALL",
+                     int(round(self._native_state.l1i_stall_cycles)))
 
         l2_stats = self.caches.l2.stats
         l2_misses = l2_stats.total_misses
@@ -514,7 +443,7 @@ class SimulatedProcessor:
         self.dtlb.flush()
         self.itlb.flush()
         self.branch_unit.flush()
-        self._last_instruction_page = -1
+        self._native_state.last_instruction_page = -1
 
     def reset_counters(self) -> None:
         """Reset statistics but keep cache/TLB/BTB contents (warm measurement).
@@ -530,7 +459,7 @@ class SimulatedProcessor:
         if self.os is not None:
             self.os.reset()
         self.counters.reset()
-        self._l1i_stall_cycles = 0.0
+        self._native_state.l1i_stall_cycles = 0.0
         self._finalized = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

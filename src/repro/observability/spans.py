@@ -13,7 +13,7 @@ Derived-counter synthesis mirrors
 :meth:`~repro.hardware.processor.SimulatedProcessor.finalize` exactly,
 restricted to a delta:
 
-* ``IFU_MEM_STALL``     = round(Δ ``_l1i_stall_cycles``) -- the accumulator
+* ``IFU_MEM_STALL``     = round(Δ ``l1i_stall_cycles``) -- the accumulator
   only ever grows by integer-valued stall penalties, so deltas are exact;
 * ``L2_RQSTS``          = Δ L2 accesses;
 * ``L2_LINES_IN``       = Δ L2 misses;
@@ -79,9 +79,9 @@ class CounterSnapshot:
 def capture_snapshot(ctx) -> CounterSnapshot:
     """Snapshot the context's simulated hardware state without touching it.
 
-    Works identically under python and native charging.  A native processor
-    keeps the user bank, the L2 statistics and the stall accumulator in C;
-    every read here goes through to the values of the moment (``copy()`` of
+    The processor keeps the user bank, the L2 statistics and the stall
+    accumulator in its charging block; every read here goes through to the
+    values of the moment (``copy()`` of
     the bank is a fresh dict, never an alias of it), and a snapshot only
     ever happens between Python-level operator calls, never inside one
     charged operation.
@@ -90,7 +90,7 @@ def capture_snapshot(ctx) -> CounterSnapshot:
     counters = processor.counters
     l2 = processor.caches.l2.stats
     return CounterSnapshot(counters.user.copy(), counters.sup.copy(),
-                           processor._l1i_stall_cycles,
+                           processor._native_state.l1i_stall_cycles,
                            l2.total_accesses, l2.total_misses, l2.writebacks,
                            dict(ctx.io_stats), ctx.rows_produced,
                            time.perf_counter())

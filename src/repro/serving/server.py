@@ -299,9 +299,6 @@ class Server:
         #: its breakdown and metrics -- per hit would only burn wall time
         #: producing identical results.
         self._probe_memo: Dict[int, _ProbeCharge] = {}
-        #: :attr:`Session.charging_path` of the sessions this server builds
-        #: (``None`` until the first result-cache miss builds one).
-        self.charging_path: Optional[str] = None
 
     # ---------------------------------------------------------------- intake
     def submit(self, query: LogicalQuery, label: str = "") -> ServingFuture:
@@ -389,7 +386,6 @@ class Server:
         region = self.database.address_space.ensure_region(namespace)
         region.cursor = 0
         session.context.disk_namespace = namespace
-        self.charging_path = session.charging_path
         return session
 
     def _serve_one(self, future: ServingFuture,

@@ -225,6 +225,9 @@ class SystemProfile:
             raise ProfileError("workspace_bytes must be positive")
         if self.workspace_touch_stride <= 0:
             raise ProfileError("workspace_touch_stride must be positive")
+        if self.workspace_touch_stride >= self.workspace_bytes:
+            raise ProfileError("workspace_touch_stride must be smaller than "
+                               "workspace_bytes")
         if not 0.0 < self.vector_body_fraction <= 1.0:
             raise ProfileError("vector_body_fraction must be in (0, 1]")
         missing = [op for op in OPERATION_NAMES if op not in self.costs]

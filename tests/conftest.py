@@ -10,11 +10,11 @@ measurement framework.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 import pytest
 
-import repro.hardware.cache as cache_mod
+import reference_machine as reference
 from oracle import per_address_sessions
 from repro.engine import Database, Session
 from repro.hardware import OSInterferenceConfig, SimulatedProcessor
@@ -26,28 +26,19 @@ from repro.workloads import MicroWorkload, MicroWorkloadConfig
 TEST_SCALE = 1.0 / 2000.0
 
 
-@contextmanager
-def _hidden_native():
-    saved = cache_mod._NATIVE
-    cache_mod._NATIVE = None
-    try:
-        yield
-    finally:
-        cache_mod._NATIVE = saved
-
-
 @pytest.fixture(scope="session")
-def pure_python():
-    """``with pure_python(): ...`` hides the native module for the block.
+def reference_machine():
+    """``with reference_machine(): ...`` builds on the reference machine.
 
-    Who owns an automaton's state is decided when it is constructed, from
-    the one ``repro.hardware.cache._NATIVE`` switch (what ``REPRO_NATIVE=0``
-    leaves ``None`` at import time).  A ``Cache``, ``TLB``,
-    ``BranchPredictor`` or ``SimulatedProcessor`` built inside the block is
-    therefore the pure-Python oracle, and stays one after the block ends.
+    Every automaton and processor reads the one substitution point,
+    ``repro.hardware.cache._NATIVE``, when it is constructed (a context
+    builds on its processor's machine).  A ``Cache``, ``TLB``,
+    ``BranchPredictor``, ``SimulatedProcessor`` or ``Session`` built inside
+    the block is therefore the pure-Python oracle of
+    ``tests/reference_machine.py``, and stays one after the block ends.
     Session-scoped (it holds no state), so Hypothesis tests may use it.
     """
-    return _hidden_native
+    return reference.reference_machine
 
 
 @pytest.fixture
@@ -55,8 +46,8 @@ def charging(charge_mode):
     """For a test parametrized over ``charge_mode``: ``with charging(): ...``
     makes every ``Session`` constructed inside the block charge the
     simulated hardware through :class:`oracle.PerAddressContext` when the
-    mode is ``"per_address"`` -- one probe per address on the pure-Python
-    visit path, the reference the production bulk charging must match count
+    mode is ``"per_address"`` -- one probe per address on the reference
+    machine, the reference the production bulk charging must match count
     for count -- and is a no-op for ``"span"`` (production charging).  A
     session keeps its context after the block ends.
     """

@@ -11,11 +11,11 @@ same cache/TLB hits and misses, same LRU evolution -- to the element loads
 it stands for, issued one at a time in ascending order.
 
 :class:`PerAddressContext` is that reference: the same context with the six
-bulk charging sites replaced by their per-element loops, on the pure-Python
-routine-visit path (so a bulk-vs-per-address differential doubles as a
-native-vs-Python one).  It is a test oracle, installed by the
-``charging`` fixture in ``conftest.py`` the way ``pure_python`` hides the
-native module; no production code can select it.
+bulk charging sites replaced by their per-element loops, on the reference
+machine of ``reference_machine.py`` (so a bulk-vs-per-address differential
+doubles as a native-vs-reference one).  It is a test oracle, installed by
+the ``charging`` fixture in ``conftest.py``; no production code can select
+it.
 
 :class:`PickledSpillFile` is the spilling join's page format before
 column-run blocks: one pickled, record-size-padded row per slot of a real
@@ -69,31 +69,20 @@ from repro.observability import TraceNode
 from repro.storage.catalog import Table
 from repro.storage.page import RecordId
 from repro.storage.schema import RecordLayout
+from reference_machine import Context as ReferenceContext, reference_machine
 
 
 class PerAddressContext(ExecutionContext):
-    """An :class:`ExecutionContext` that probes one address at a time."""
+    """An :class:`ExecutionContext` that probes one address at a time; its
+    processor must be built on the reference machine."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # Force the Python visit path: the native one runs the workspace
-        # touches in C, in bulk.
-        self._native_ctx = None
-        self._charging_path = "python: per-address oracle"
-        self._visit_counter = 0
-        self._cold_cursor = 0
-        self._workspace_cursor = 0
-        self._bulk_mispred_carry = 0.0
-
-    def _touch_workspace(self, touches: int) -> None:
-        processor = self.processor
-        stride = self._workspace_stride
-        size = self._workspace_size
-        cursor = self._workspace_cursor
-        for _ in range(touches):
-            processor.data_read(self.workspace_base + cursor, 4)
-            cursor = (cursor + stride) % size
-        self._workspace_cursor = cursor
+        if not isinstance(self._native_ctx, ReferenceContext):
+            raise TypeError("a per-address context needs a processor built "
+                            "inside reference_machine()")
+        # The workspace churn of every visit and batch body, one read a touch.
+        self._native_ctx.per_address = True
 
     def read_addresses(self, addresses: Sequence[int], size: int = 4) -> None:
         for address in addresses:
@@ -134,11 +123,13 @@ class PerAddressContext(ExecutionContext):
 
 @contextmanager
 def per_address_sessions():
-    """Sessions constructed inside the block charge through the oracle."""
+    """Sessions constructed inside the block run on the reference machine
+    and charge through the oracle."""
     saved = session_mod.ExecutionContext
     session_mod.ExecutionContext = PerAddressContext
     try:
-        yield
+        with reference_machine():
+            yield
     finally:
         session_mod.ExecutionContext = saved
 

@@ -113,10 +113,14 @@ class TestExecutionContext:
     def test_cold_code_rotates_through_the_pool(self):
         catalog = make_catalog(rows=10)
         ctx = make_context(catalog)
-        first = ctx._next_cold_lines(4)
-        second = ctx._next_cold_lines(4)
-        assert set(first).isdisjoint(second)
-        assert all(catalog.address_space.region_of(a) == "code" for a in first)
+        layout = ctx.layout
+        cold = layout.segment("scan_next").cold_lines_per_visit
+        assert 0 < 2 * cold < layout.cold_pool_lines
+        ctx.visit("scan_next")
+        assert ctx._native_ctx.cold_cursor == cold
+        ctx.visit("scan_next")                  # the next, disjoint slice
+        assert ctx._native_ctx.cold_cursor == 2 * cold
+        assert catalog.address_space.region_of(layout.cold_pool_base) == "code"
 
     def test_fields_only_vs_full_record_access(self):
         catalog = make_catalog(rows=10)

@@ -147,15 +147,20 @@ class TestMainMemory:
 
 
 class TestOSInterference:
+    @staticmethod
+    def model(config: OSInterferenceConfig) -> OSInterference:
+        """A model over a fresh processor's clock members."""
+        return OSInterference(config, SimulatedProcessor()._native_state)
+
     def test_interrupt_fires_every_interval(self):
-        model = OSInterference(OSInterferenceConfig(interval_instructions=1000))
+        model = self.model(OSInterferenceConfig(interval_instructions=1000))
         assert model.note_instructions(999) == 0
         assert model.note_instructions(1) == 1
         assert model.note_instructions(2500) == 2
         assert model.interrupts == 3
 
     def test_disabled_model_never_fires(self):
-        model = OSInterference(OSInterferenceConfig(enabled=False))
+        model = self.model(OSInterferenceConfig(enabled=False))
         assert model.note_instructions(10_000_000) == 0
 
     def test_processor_applies_interrupt_effects(self):

@@ -1,19 +1,18 @@
-"""Differential tests: the native hardware automata vs. the pure-Python oracle.
+"""Differential tests: the native hardware automata vs. the reference machine.
 
-With the compiled ``_cachesim`` extension loaded, ``Cache``, ``TLB`` and
-``BranchPredictor`` hold a C state object and delegate every method to it.
-The contract is total: the native automaton must leave the exact same state
-(per-set MRU order, dirty lines; LRU page order; BTB tags, histories and
-pattern tables) and produce the exact same statistics and return values as
-the pure-Python machine, for any interleaving of operations.  These tests
-replay random traces through both implementations and compare everything,
-through ``snapshot()`` -- the canonical shape both sides return.
+``Cache``, ``TLB`` and ``BranchPredictor`` hold a ``_cachesim`` state object
+and call into it for every method.  The contract is total: the native
+automaton must leave the exact same state (per-set MRU order, dirty lines;
+LRU page order; BTB tags, histories and pattern tables) and produce the
+exact same statistics and return values as the pure-Python reference
+machine (``reference_machine.py``), for any interleaving of operations.
+These tests replay random traces through both implementations and compare
+everything, through ``snapshot()`` -- the canonical shape both sides return.
 
-The oracle is *constructed* with the native module hidden (the
-``pure_python`` fixture of ``conftest.py``): ownership of an automaton's
-state is decided at construction and never mixed, so an object built inside
-the block is pure Python for life -- the same thing ``REPRO_NATIVE=0``
-produces at import time.
+The oracle is *constructed* on the reference machine (the
+``reference_machine`` fixture of ``conftest.py``): an automaton's state is
+built at construction and never mixed, so an object built inside the block
+is pure Python for life.
 """
 
 import math
@@ -22,16 +21,13 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+import reference_machine as reference
 import repro.hardware.cache as cache_mod
 from repro.hardware.branch import BranchPredictor
 from repro.hardware.cache import (Cache, CacheHierarchy, PORT_DATA_READ,
                                   PORT_DATA_WRITE, PORT_INSTRUCTION)
 from repro.hardware.specs import BranchSpec, CacheSpec, PENTIUM_II_XEON, TLBSpec
 from repro.hardware.tlb import TLB
-
-pytestmark = pytest.mark.skipif(
-    cache_mod._NATIVE is None,
-    reason="native _cachesim extension unavailable; pure-Python path is the only path")
 
 
 def tiny_hierarchy() -> CacheHierarchy:
@@ -54,20 +50,20 @@ def hierarchy_state(hier: CacheHierarchy):
     return tuple(full_state(c) for c in (hier.l1d, hier.l1i, hier.l2))
 
 
-def build_pair(pure_python, factory):
+def build_pair(reference_machine, factory):
     """``(native, oracle)`` from one factory; the oracle holds no C state."""
     native = factory()
-    with pure_python():
+    with reference_machine():
         oracle = factory()
     return native, oracle
 
 
-def hierarchy_pair(pure_python, factory=tiny_hierarchy):
-    native, oracle = build_pair(pure_python, factory)
+def hierarchy_pair(reference_machine, factory=tiny_hierarchy):
+    native, oracle = build_pair(reference_machine, factory)
     for cache in (native.l1d, native.l1i, native.l2):
-        assert cache._native is not None
+        assert type(cache._native) is cache_mod._NATIVE.CacheState
     for cache in (oracle.l1d, oracle.l1i, oracle.l2):
-        assert cache._native is None
+        assert type(cache._native) is reference.CacheState
     return native, oracle
 
 
@@ -114,8 +110,8 @@ def replay(hier: CacheHierarchy, trace, data_cache=None) -> list:
 
 @settings(max_examples=120, deadline=None)
 @given(st.lists(_step, min_size=1, max_size=60))
-def test_native_trace_matches_pure_python(pure_python, trace):
-    native_hier, oracle_hier = hierarchy_pair(pure_python)
+def test_native_trace_matches_pure_python(reference_machine, trace):
+    native_hier, oracle_hier = hierarchy_pair(reference_machine)
     assert replay(native_hier, trace) == replay(oracle_hier, trace)
     assert hierarchy_state(native_hier) == hierarchy_state(oracle_hier)
 
@@ -126,11 +122,11 @@ def test_native_trace_matches_pure_python(pure_python, trace):
        st.integers(min_value=1, max_value=200),
        st.integers(min_value=1, max_value=32),
        st.booleans())
-def test_native_strided_matches_elementwise(pure_python, addr, stride, count,
+def test_native_strided_matches_elementwise(reference_machine, addr, stride, count,
                                             size, write):
     """Bulk strided access equals ``count`` individual accesses, natively too."""
     port = PORT_DATA_WRITE if write else PORT_DATA_READ
-    bulk, loop = hierarchy_pair(pure_python)
+    bulk, loop = hierarchy_pair(reference_machine)
     bulk_misses = bulk.l1d.access_strided(addr, stride, count, size, port, write=write)
     loop_misses = sum(loop.l1d.access(addr + i * stride, port, size=size, write=write)
                       for i in range(count))
@@ -138,8 +134,8 @@ def test_native_strided_matches_elementwise(pure_python, addr, stride, count,
     assert hierarchy_state(bulk) == hierarchy_state(loop)
 
 
-def test_native_pentium_profile_smoke(pure_python):
-    """The real Pentium II Xeon profile agrees natively vs. pure-Python."""
+def test_native_pentium_profile_smoke(reference_machine):
+    """The real Pentium II Xeon profile agrees natively and on the reference."""
     def run(hier):
         for i in range(0, 4096, 8):
             hier.l1d.access(i * 13 % 65536, PORT_DATA_READ, size=8)
@@ -149,25 +145,25 @@ def test_native_pentium_profile_smoke(pure_python):
         return hierarchy_state(hier)
 
     native, oracle = hierarchy_pair(
-        pure_python, lambda: CacheHierarchy(PENTIUM_II_XEON.l1d, PENTIUM_II_XEON.l1i,
+        reference_machine, lambda: CacheHierarchy(PENTIUM_II_XEON.l1d, PENTIUM_II_XEON.l1i,
                                             PENTIUM_II_XEON.l2))
     assert run(native) == run(oracle)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(_step, min_size=1, max_size=60))
-def test_write_through_l1_over_write_back_l2(pure_python, trace):
+def test_write_through_l1_over_write_back_l2(reference_machine, trace):
     """Data traffic through the write-through L1 (the ``l1i`` spec) forwards
     every write miss, and every eviction of a line dirtied by a write hit,
     to the write-back L2 on its write port."""
-    native_hier, oracle_hier = hierarchy_pair(pure_python)
+    native_hier, oracle_hier = hierarchy_pair(reference_machine)
     assert (replay(native_hier, trace, data_cache=native_hier.l1i)
             == replay(oracle_hier, trace, data_cache=oracle_hier.l1i))
     assert hierarchy_state(native_hier) == hierarchy_state(oracle_hier)
 
 
-def test_write_through_forwarding_is_exercised(pure_python):
-    native_hier, oracle_hier = hierarchy_pair(pure_python)
+def test_write_through_forwarding_is_exercised(reference_machine):
+    native_hier, oracle_hier = hierarchy_pair(reference_machine)
     for hier in (native_hier, oracle_hier):
         for i in range(64):
             hier.l1i.access(i * 32, PORT_DATA_WRITE, size=4, write=True)
@@ -176,7 +172,7 @@ def test_write_through_forwarding_is_exercised(pure_python):
     assert hierarchy_state(native_hier) == hierarchy_state(oracle_hier)
 
 
-def test_three_level_chain_matches(pure_python):
+def test_three_level_chain_matches(reference_machine):
     """The native recursion follows ``next_level`` to any depth, with each
     level's events folded into that level's own statistics."""
     def chain():
@@ -190,7 +186,7 @@ def test_three_level_chain_matches(pure_python):
     def levels(l1):
         return [full_state(c) for c in (l1, l1.next_level, l1.next_level.next_level)]
 
-    native, oracle = build_pair(pure_python, chain)
+    native, oracle = build_pair(reference_machine, chain)
     for l1 in (native, oracle):
         for i in range(600):
             write = i % 3 == 0
@@ -200,22 +196,23 @@ def test_three_level_chain_matches(pure_python):
     assert native.next_level.next_level.stats.writebacks > 0
 
 
-def test_native_and_pure_python_levels_cannot_be_chained(pure_python):
+def test_native_and_pure_python_levels_cannot_be_chained(reference_machine):
+    """Each state type takes only its own kind as the next level."""
     spec = CacheSpec(name="c", size_bytes=512, line_bytes=32, associativity=2)
     native_l2 = Cache(spec)
-    with pure_python():
+    with reference_machine():
         oracle_l2 = Cache(spec)
-        with pytest.raises(ValueError, match="cannot be chained"):
+        with pytest.raises(TypeError, match="next level must be a CacheState"):
             Cache(spec, next_level=native_l2)
-    with pytest.raises(ValueError, match="cannot be chained"):
+    with pytest.raises(TypeError, match="next level must be a CacheState"):
         Cache(spec, next_level=oracle_l2)
 
 
 # ------------------------------------------------ contents and invalidation
 
 
-def test_contents_queries_and_invalidate_all_match(pure_python):
-    native_hier, oracle_hier = hierarchy_pair(pure_python)
+def test_contents_queries_and_invalidate_all_match(reference_machine):
+    native_hier, oracle_hier = hierarchy_pair(reference_machine)
     probes = [i * 24 for i in range(400)]
     for hier in (native_hier, oracle_hier):
         hier.l1d.warm(range(0, 2048, 16))
@@ -239,12 +236,12 @@ _ASSOC = 4
 _FRACTIONS = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0)
 
 
-def one_set_pair(pure_python, resident: int):
+def one_set_pair(reference_machine, resident: int):
     """A one-set, 4-way cache pair holding ``resident`` lines, the
     odd-numbered ones dirty."""
     spec = CacheSpec(name="one_set", size_bytes=32 * _ASSOC, line_bytes=32,
                      associativity=_ASSOC, write_back=True)
-    pair = build_pair(pure_python, lambda: Cache(spec))
+    pair = build_pair(reference_machine, lambda: Cache(spec))
     for cache in pair:
         for line in range(resident):
             cache.access(line * 32, PORT_DATA_WRITE if line % 2 else PORT_DATA_READ,
@@ -265,15 +262,15 @@ def assert_invalidation_matches(native, oracle, fraction):
 
 @pytest.mark.parametrize("fraction", _FRACTIONS)
 @pytest.mark.parametrize("resident", range(_ASSOC + 1))
-def test_invalidate_fraction_rounds_half_to_even(pure_python, resident, fraction):
-    native, oracle = one_set_pair(pure_python, resident)
+def test_invalidate_fraction_rounds_half_to_even(reference_machine, resident, fraction):
+    native, oracle = one_set_pair(reference_machine, resident)
     assert_invalidation_matches(native, oracle, fraction)
 
 
-def test_invalidate_fraction_half_keeps_even_counts(pure_python):
+def test_invalidate_fraction_half_keeps_even_counts(reference_machine):
     """The default ``l1i_flush_fraction = 0.5``: 1 line keeps 0, 3 keep 2."""
     for resident, kept in ((1, 0), (2, 1), (3, 2), (4, 2)):
-        native, oracle = one_set_pair(pure_python, resident)
+        native, oracle = one_set_pair(reference_machine, resident)
         native.invalidate_fraction(0.5)
         oracle.invalidate_fraction(0.5)
         assert native.resident_lines() == oracle.resident_lines() == kept
@@ -282,13 +279,13 @@ def test_invalidate_fraction_half_keeps_even_counts(pure_python):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=_ASSOC),
        st.floats(min_value=-0.5, max_value=1.5, allow_nan=False))
-def test_invalidate_fraction_matches_for_any_float(pure_python, resident, fraction):
-    native, oracle = one_set_pair(pure_python, resident)
+def test_invalidate_fraction_matches_for_any_float(reference_machine, resident, fraction):
+    native, oracle = one_set_pair(reference_machine, resident)
     assert_invalidation_matches(native, oracle, fraction)
 
 
-def test_invalidate_fraction_rejects_nan_on_both_sides(pure_python):
-    for cache in one_set_pair(pure_python, 3):
+def test_invalidate_fraction_rejects_nan_on_both_sides(reference_machine):
+    for cache in one_set_pair(reference_machine, 3):
         with pytest.raises(ValueError):
             cache.invalidate_fraction(math.nan)
         assert cache.resident_lines() == 3
@@ -323,9 +320,9 @@ def replay_tlb(tlb: TLB, trace) -> list:
 
 @settings(max_examples=120, deadline=None)
 @given(st.lists(_tlb_step, min_size=1, max_size=80))
-def test_tlb_trace_matches_pure_python(pure_python, trace):
-    native, oracle = build_pair(pure_python, lambda: TLB(_TINY_TLB))
-    assert native._native is not None and oracle._native is None
+def test_tlb_trace_matches_pure_python(reference_machine, trace):
+    native, oracle = build_pair(reference_machine, lambda: TLB(_TINY_TLB))
+    assert type(oracle._native) is reference.TLBState
     # Eight distinct pages up front: the 4-entry TLB evicts on every example.
     trace = [("access", page * 4096) for page in range(8)] + trace
     assert replay_tlb(native, trace) == replay_tlb(oracle, trace)
@@ -361,9 +358,9 @@ def replay_btb(unit: BranchPredictor, trace) -> list:
 
 @settings(max_examples=120, deadline=None)
 @given(st.lists(_btb_step, min_size=1, max_size=80))
-def test_btb_trace_matches_pure_python(pure_python, trace):
-    native, oracle = build_pair(pure_python, lambda: BranchPredictor(_TINY_BTB))
-    assert native._native is not None and oracle._native is None
+def test_btb_trace_matches_pure_python(reference_machine, trace):
+    native, oracle = build_pair(reference_machine, lambda: BranchPredictor(_TINY_BTB))
+    assert type(oracle._native) is reference.BTBState
     # Saturate one site upwards and downwards, then allocate three sites in
     # one set (an eviction), whatever the drawn trace does.
     trace = ([("run", 0, True, 6), ("run", 0, False, 6)]
@@ -373,8 +370,8 @@ def test_btb_trace_matches_pure_python(pure_python, trace):
     assert native.stats == oracle.stats
 
 
-def test_btb_counters_saturate_and_ways_evict(pure_python):
-    native, oracle = build_pair(pure_python, lambda: BranchPredictor(_TINY_BTB))
+def test_btb_counters_saturate_and_ways_evict(reference_machine):
+    native, oracle = build_pair(reference_machine, lambda: BranchPredictor(_TINY_BTB))
     for unit in (native, oracle):
         for _ in range(8):
             unit.execute(0x4000, True)
@@ -393,32 +390,31 @@ def test_btb_counters_saturate_and_ways_evict(pure_python):
     assert native.snapshot() == oracle.snapshot()
 
 
-# ------------------------------------------------- a fallback is reported
-
-
-def fresh_load_status(monkeypatch, **env) -> str:
-    """``load_status()`` of a first load under ``env`` (the process-wide
-    result is cached; this runs the uncached loader)."""
-    from repro.hardware import native
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    return native._load.__wrapped__()[1]
+# ------------------------------------------------- a failure is reported
 
 
 def test_load_status_names_what_happened(monkeypatch):
+    """No extension, no import: ``load_native`` raises ``ImportError``
+    whose message is the status string."""
     from repro.hardware import native
     assert native.load_status() == "loaded"
     assert native.load_native() is cache_mod._NATIVE
-    assert (fresh_load_status(monkeypatch, REPRO_NATIVE="0")
-            == "disabled: REPRO_NATIVE=0")
-    monkeypatch.delenv("REPRO_NATIVE")
-    # A different compiler or different flags are a different build key, so
-    # neither of these can pick up (or clobber) the .so this run loaded.
-    assert (fresh_load_status(monkeypatch, CC="no-such-compiler-on-path")
+    # Every call a first load.  A different compiler or different flags are
+    # a different build key, so neither of these can pick up (or clobber)
+    # the .so this run loaded.
+    monkeypatch.setattr(native, "_load", native._load.__wrapped__)
+    monkeypatch.setenv("CC", "no-such-compiler-on-path")
+    with pytest.raises(ImportError) as failure:
+        native.load_native()
+    assert (str(failure.value) == native.load_status()
             == "unavailable: no C compiler (no-such-compiler-on-path)")
     monkeypatch.delenv("CC")
-    status = fresh_load_status(monkeypatch, CFLAGS="-include no_such_header_anywhere.h")
+    monkeypatch.setenv("CFLAGS", "-include no_such_header_anywhere.h")
+    with pytest.raises(ImportError) as failure:
+        native.load_native()
+    status = native.load_status()
+    assert str(failure.value) == status
     assert status.startswith("unavailable: compile failed: ")
     assert "no_such_header_anywhere.h" in status
-    monkeypatch.delenv("CFLAGS")
+    monkeypatch.undo()
     assert native.load_native() is cache_mod._NATIVE      # the cached load stands

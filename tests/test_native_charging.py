@@ -1,4 +1,4 @@
-"""Differential tests: native charging fast paths vs. the pure-Python oracle.
+"""Differential tests: native charging vs. the reference machine.
 
 Beyond the cache automaton (tests/test_native_cache.py), the compiled
 ``_cachesim`` extension carries whole *charging* operations: the processor's
@@ -11,28 +11,27 @@ event counter, every cache/TLB/branch statistic, every piece of
 microarchitectural state (cache MRU order, TLB LRU order, BTB entry tags /
 histories / pattern tables) and every piece of executor bookkeeping (visit
 counter, cold/workspace cursors, bulk-misprediction carry, per-site state)
-must be byte-identical to the pure-Python code for any operation
-interleaving.
+must be byte-identical to the pure-Python reference machine
+(``reference_machine.py``) for any operation interleaving.
 
-The oracle side is *constructed* with the native module hidden (the
-``pure_python`` fixture of ``conftest.py``): its caches, TLBs and branch
-unit are the pure-Python automata, it builds no native charging block and
-its context stays on the Python path -- the same state ``REPRO_NATIVE=0``
-produces at import time.  States are compared through ``snapshot()``, the
-canonical shape both sides return.
+The oracle side is *constructed* on the reference machine (the
+``reference_machine`` fixture of ``conftest.py``): its caches, TLBs, branch
+unit, charging block and contexts are the Python transcriptions.  States are
+compared through ``snapshot()``, the canonical shape both sides return.
 
-The contract covers the OS-interference model too: the native visit advances
-the interrupt clock at the same point ``charge_routine`` does and calls back
-into the Python handler, so sessions in the paper's own configuration run on
-the native path and are compared here, interrupt by interrupt, with the
-oracle.
+The contract covers the OS-interference model too: the visit advances the
+interrupt clock at the same point ``charge_routine`` does and calls back
+into the Python handler, so sessions in the paper's own configuration are
+compared here, interrupt by interrupt, with the oracle.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-import repro.hardware.cache as cache_mod
+import reference_machine as reference
 from oracle import PerAddressContext
 from repro.execution.context import ExecutionContext
 from repro.experiments import ExperimentConfig, ExperimentRunner
@@ -42,17 +41,13 @@ from repro.storage.address_space import AddressSpace
 from repro.systems import SYSTEM_A, SYSTEM_B
 from repro.workloads.micro import MicroWorkloadConfig
 
-pytestmark = pytest.mark.skipif(
-    cache_mod._NATIVE is None,
-    reason="native _cachesim extension unavailable; pure-Python path is the only path")
-
-
 # --------------------------------------------------------------------- state
 
 
 def processor_state(proc: SimulatedProcessor):
     """Everything a charging call can change, microarchitectural state included."""
     caches = proc.caches
+    machine = proc._native_state
     return {
         "user": dict(proc.counters.user),
         "sup": dict(proc.counters.sup),
@@ -63,20 +58,20 @@ def processor_state(proc: SimulatedProcessor):
         "itlb": (proc.itlb.snapshot(), proc.itlb.stats.as_dict()),
         "btb": proc.branch_unit.snapshot(),
         "branch_stats": proc.branch_unit.stats.as_dict(),
-        "stall": proc._l1i_stall_cycles,
-        "last_page": proc._last_instruction_page,
-        "os": (None if proc.os is None
-               else (proc.os._since_last, proc.os.interrupts)),
+        "stall": machine.l1i_stall_cycles,
+        "last_page": machine.last_instruction_page,
+        "os": (machine.os_since_last, machine.os_interrupts),
     }
 
 
 def context_state(ctx: ExecutionContext):
     state = processor_state(ctx.processor)
+    visits = ctx._native_ctx
     state.update({
-        "visit_counter": ctx._visit_counter,
-        "cold_cursor": ctx._cold_cursor,
-        "workspace_cursor": ctx._workspace_cursor,
-        "bulk_carry": ctx._bulk_mispred_carry,
+        "visit_counter": visits.visit_counter,
+        "cold_cursor": visits.cold_cursor,
+        "workspace_cursor": visits.workspace_cursor,
+        "bulk_carry": visits.bulk_carry,
         "site_state": dict(ctx._site_state),
         "invocations": dict(ctx.op_invocations),
     })
@@ -94,24 +89,27 @@ def automata(proc: SimulatedProcessor):
             proc.branch_unit)
 
 
-def processor_pair(pure_python, os_interference=None):
+def on_reference(obj) -> bool:
+    return type(obj).__module__ == reference.__name__
+
+
+def processor_pair(reference_machine, os_interference=None):
     native = SimulatedProcessor(os_interference=os_interference)
-    with pure_python():
+    with reference_machine():
         oracle = SimulatedProcessor(os_interference=os_interference)
-    assert native._native_state is not None
-    assert all(automaton._native is not None for automaton in automata(native))
-    assert oracle._native_state is None
-    assert all(automaton._native is None for automaton in automata(oracle))
+    assert not on_reference(native._native_state)
+    assert not any(on_reference(automaton._native) for automaton in automata(native))
+    assert on_reference(oracle._native_state)
+    assert all(on_reference(automaton._native) for automaton in automata(oracle))
     return native, oracle
 
 
-def context_pair(pure_python, profile=SYSTEM_B, os_interference=None):
+def context_pair(reference_machine, profile=SYSTEM_B, os_interference=None):
     native, oracle = (
         ExecutionContext(proc, profile, AddressSpace())
-        for proc in processor_pair(pure_python, os_interference))
-    assert native._native_ctx is not None and native.charging_path == "native"
-    assert oracle._native_ctx is None
-    assert oracle.charging_path == "python: no native module"
+        for proc in processor_pair(reference_machine, os_interference))
+    assert not on_reference(native._native_ctx)
+    assert on_reference(oracle._native_ctx)
     return native, oracle
 
 
@@ -146,14 +144,14 @@ _proc_step = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_proc_step, min_size=1, max_size=60))
-def test_processor_charges_identical(pure_python, trace):
-    native, oracle = processor_pair(pure_python)
+def test_processor_charges_identical(reference_machine, trace):
+    native, oracle = processor_pair(reference_machine)
     assert replay_processor(native, trace) == replay_processor(oracle, trace)
     assert_states_identical(processor_state(native), processor_state(oracle))
 
 
-def test_degenerate_strides_match_scalar_loop(pure_python):
-    native, oracle = processor_pair(pure_python)
+def test_degenerate_strides_match_scalar_loop(reference_machine):
+    native, oracle = processor_pair(reference_machine)
     for proc in (native, oracle):
         proc.data_read_strided(0x4000, 0, 7, 4)      # stride 0: same element
         proc.data_read_strided(0x5000, -16, 5, 4)    # negative stride
@@ -162,8 +160,8 @@ def test_degenerate_strides_match_scalar_loop(pure_python):
     assert_states_identical(processor_state(native), processor_state(oracle))
 
 
-def test_finalized_cycles_identical_after_mixed_traffic(pure_python):
-    native, oracle = processor_pair(pure_python)
+def test_finalized_cycles_identical_after_mixed_traffic(reference_machine):
+    native, oracle = processor_pair(reference_machine)
     for proc in (native, oracle):
         proc.fetch_code_run(0x1000, 24)
         proc.data_read_strided(0x80000, 8, 4096, 4)
@@ -218,8 +216,8 @@ _ctx_step = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_ctx_step, min_size=1, max_size=40))
-def test_context_visits_identical(pure_python, trace):
-    native, oracle = context_pair(pure_python)
+def test_context_visits_identical(reference_machine, trace):
+    native, oracle = context_pair(reference_machine)
     replay_context(native, trace)
     replay_context(oracle, trace)
     assert_states_identical(context_state(native), context_state(oracle))
@@ -227,10 +225,10 @@ def test_context_visits_identical(pure_python, trace):
 
 @pytest.mark.parametrize("profile", [SYSTEM_A, SYSTEM_B],
                          ids=["system_a", "system_b"])
-def test_long_visit_sequence_identical(pure_python, profile):
+def test_long_visit_sequence_identical(reference_machine, profile):
     """Long enough to wrap the cold pool and the workspace, exercise every
     branch-site kind repeatedly and accumulate a non-trivial bulk carry."""
-    native, oracle = context_pair(pure_python, profile)
+    native, oracle = context_pair(reference_machine, profile)
     for ctx in (native, oracle):
         names = segment_names(ctx)
         for i in range(600):
@@ -242,13 +240,16 @@ def test_long_visit_sequence_identical(pure_python, profile):
     assert_states_identical(context_state(native), context_state(oracle))
 
 
-def test_per_address_mode_stays_pure_python_and_equivalent(pure_python):
-    """The per-address oracle never takes the native visit path, so the
-    bulk-vs-per-address differential doubles as a native-vs-Python one."""
-    span, _ = context_pair(pure_python, SYSTEM_B)
-    per_address = PerAddressContext(SimulatedProcessor(), SYSTEM_B,
-                                    AddressSpace())
-    assert per_address._native_ctx is None
+def test_per_address_mode_stays_pure_python_and_equivalent(reference_machine):
+    """The per-address oracle runs on the reference machine, so the
+    bulk-vs-per-address differential doubles as a native-vs-reference one."""
+    span, _ = context_pair(reference_machine, SYSTEM_B)
+    with reference_machine():
+        processor = SimulatedProcessor()
+    per_address = PerAddressContext(processor, SYSTEM_B, AddressSpace())
+    assert on_reference(per_address._native_ctx) and per_address._native_ctx.per_address
+    with pytest.raises(TypeError, match="reference_machine"):
+        PerAddressContext(SimulatedProcessor(), SYSTEM_B, AddressSpace())
     for ctx in (span, per_address):
         names = segment_names(ctx)
         for i in range(150):
@@ -258,13 +259,6 @@ def test_per_address_mode_stays_pure_python_and_equivalent(pure_python):
     for key in ("user", "dtlb", "itlb", "branch_stats", "btb",
                 "visit_counter", "workspace_cursor", "bulk_carry"):
         assert native_state[key] == oracle_state[key], f"{key} diverged"
-
-
-def test_per_address_mode_reports_its_reason():
-    ctx = PerAddressContext(SimulatedProcessor(), SYSTEM_B, AddressSpace())
-    assert ctx.charging_path == "python: per-address oracle"
-    with pytest.raises(AttributeError):
-        ctx.charging_path = "native"  # provenance, not a knob
 
 
 # ------------------------------------------------- OS interference, natively
@@ -289,8 +283,8 @@ _os_step = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(_os_config, st.lists(_os_step, min_size=1, max_size=40))
-def test_os_interference_visits_identical(pure_python, config, trace):
-    native, oracle = context_pair(pure_python, os_interference=config)
+def test_os_interference_visits_identical(reference_machine, config, trace):
+    native, oracle = context_pair(reference_machine, os_interference=config)
     # Routine 0 (``query_setup``) retires more instructions than any drawn
     # interval several times over: one visit up front guarantees that
     # interrupts fire -- more than one inside that visit -- whatever the
@@ -299,7 +293,6 @@ def test_os_interference_visits_identical(pure_python, config, trace):
     replay_context(native, trace)
     replay_context(oracle, trace)
     assert_states_identical(context_state(native), context_state(oracle))
-    assert native.python_segment_visits == 0
     assert native.processor.counters.sup["OS_INTERRUPTS"] > 0
     assert (native.processor.finalize().as_dict()
             == oracle.processor.finalize().as_dict())
@@ -307,7 +300,7 @@ def test_os_interference_visits_identical(pure_python, config, trace):
 
 @pytest.mark.parametrize("flush_fraction", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("flush_itlb", [False, True])
-def test_several_interrupts_inside_one_native_visit(pure_python, flush_fraction,
+def test_several_interrupts_inside_one_native_visit(reference_machine, flush_fraction,
                                                     flush_itlb):
     """One visit whose retired instructions span several intervals services
     all of them at the hook (``fired > 1``), between the retirement fold and
@@ -319,12 +312,12 @@ def test_several_interrupts_inside_one_native_visit(pure_python, flush_fraction,
     config = OSInterferenceConfig(interval_instructions=instructions // 3,
                                   l1i_flush_fraction=flush_fraction,
                                   flush_itlb=flush_itlb)
-    native, oracle = context_pair(pure_python, os_interference=config)
+    native, oracle = context_pair(reference_machine, os_interference=config)
     for ctx in (native, oracle):
         ctx.visit(name)
         assert ctx.processor.os.interrupts == 3
         if flush_itlb:
-            assert ctx.processor._last_instruction_page == -1
+            assert ctx.processor._native_state.last_instruction_page == -1
         for i in range(40):
             ctx.visit(name, data_taken=bool(i % 2))
     assert_states_identical(context_state(native), context_state(oracle))
@@ -338,25 +331,22 @@ def os_runner():
 
 @pytest.mark.parametrize("engine", ["tuple", "vectorized"])
 @pytest.mark.parametrize("system_key", ["A", "B", "C", "D"])
-def test_engine_counts_identical_under_default_os_model(os_runner, monkeypatch,
+def test_engine_counts_identical_under_default_os_model(os_runner, reference_machine,
                                                         system_key, engine):
     """Whole queries in the paper's configuration (default OS model): the
-    native and the pure-Python charging paths give the same rows and the
+    native machine and the reference machine give the same rows and the
     same ``EventCounters``, user and supervisor banks alike."""
     workload = os_runner.micro_workload
     queries = {"SRS": workload.sequential_range_selection(),
                "IRS": workload.indexed_range_selection(),
                "SJ": workload.sequential_join()}
     outcomes = {}
-    for path in ("native", "python"):
-        if path == "python":
-            # What REPRO_NATIVE=0 leaves behind at import time.
-            monkeypatch.setattr(cache_mod, "_NATIVE", None)
+    for path, machine in (("native", nullcontext), ("python", reference_machine)):
         for label, query in queries.items():
-            session = os_runner.grid_session(engine=engine, layout="nsm",
-                                             system_key=system_key)
-            assert session.charging_path == (
-                "native" if path == "native" else "python: no native module")
+            with machine():
+                session = os_runner.grid_session(engine=engine, layout="nsm",
+                                                 system_key=system_key)
+            assert on_reference(session.processor._native_state) == (path == "python")
             result = session.execute(query, warmup_runs=0)
             session.close()
             outcomes[path, label] = (result.rows, dict(result.counters.user),

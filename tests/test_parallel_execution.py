@@ -8,8 +8,8 @@ replayed into the real context in canonical morsel order, the partitioning
 (and any racing between pool workers) cannot influence a single simulated
 event.  The hypothesis section drives arbitrary morsel partitionings
 (single-page morsels, one giant morsel, empty tables, batch size 1) at the
-same contract, and checks that the worker-mergeable statistics types are
-commutative under ``merge()``.
+same contract, and checks that event counters are commutative under
+``merge()``.
 """
 
 from __future__ import annotations
@@ -28,10 +28,7 @@ from repro.execution.parallel import (ParallelExecution, TapeRecorder,
                                       partition_pages)
 from repro.execution.vectorized import VecSeqScanOperator
 from repro.hardware import SimulatedProcessor
-from repro.hardware.branch import BranchStats
-from repro.hardware.cache import CacheStats
 from repro.hardware.counters import EventCounters
-from repro.hardware.tlb import TLBStats
 from repro.query import (JoinQuery, Planner, SelectionQuery, UpdateQuery, avg,
                          count_star, range_predicate)
 from repro.query.planner import DefaultPolicy
@@ -240,60 +237,9 @@ def test_any_morsel_partitioning_matches_serial(morsel_pages, workers, layout):
 
 
 # ---------------------------------------------------------------------------
-# Commutative merges of worker-local statistics
+# Commutative merges of event counters
 # ---------------------------------------------------------------------------
 counts = st.integers(min_value=0, max_value=10_000)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(counts, counts, counts, counts, counts),
-                min_size=1, max_size=6),
-       st.randoms())
-def test_branch_and_tlb_stats_merge_commutes(parts, rnd):
-    branch_parts = [BranchStats(branches=a, taken=b, mispredictions=c,
-                                btb_hits=d, btb_misses=e)
-                    for a, b, c, d, e in parts]
-    tlb_parts = [TLBStats(accesses=a, misses=b) for a, b, _c, _d, _e in parts]
-    shuffled = list(zip(branch_parts, tlb_parts))
-    rnd.shuffle(shuffled)
-
-    merged_branch = BranchStats()
-    merged_tlb = TLBStats()
-    for branch, tlb in shuffled:
-        merged_branch.merge(branch)
-        merged_tlb.merge(tlb)
-    assert merged_branch.branches == sum(p[0] for p in parts)
-    assert merged_branch.taken == sum(p[1] for p in parts)
-    assert merged_branch.mispredictions == sum(p[2] for p in parts)
-    assert merged_branch.btb_hits == sum(p[3] for p in parts)
-    assert merged_branch.btb_misses == sum(p[4] for p in parts)
-    assert merged_tlb.accesses == sum(p[0] for p in parts)
-    assert merged_tlb.misses == sum(p[1] for p in parts)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(counts, counts, counts, counts, counts, counts),
-                min_size=1, max_size=6),
-       st.randoms())
-def test_cache_stats_merge_commutes(parts, rnd):
-    stat_parts = []
-    for a, b, c, d, e, f in parts:
-        stats = CacheStats()
-        stats.add_bulk(0, a, min(b, a))
-        stats.add_bulk(1, c, min(d, c))
-        stats.add_bulk(2, e, min(f, e))
-        stats.writebacks = d
-        stats.invalidations = f
-        stat_parts.append(stats)
-    shuffled = list(stat_parts)
-    rnd.shuffle(shuffled)
-    merged = CacheStats()
-    for stats in shuffled:
-        merged.merge(stats)
-    assert merged.total_accesses == sum(s.total_accesses for s in stat_parts)
-    assert merged.total_misses == sum(s.total_misses for s in stat_parts)
-    assert merged.writebacks == sum(s.writebacks for s in stat_parts)
-    assert merged.invalidations == sum(s.invalidations for s in stat_parts)
 
 
 @settings(max_examples=30, deadline=None)

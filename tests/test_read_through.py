@@ -1,13 +1,13 @@
-"""The read-through / write-through contract of a native processor.
+"""The read-through / write-through contract of a processor.
 
-A natively built processor keeps everything a charged operation counts in C
-(``_cachesim.Machine``: the user counter bank, each automaton's statistics,
-the OS-interference clock, the per-visit bookkeeping of its contexts), and
-Python only ever sees views of it.  The contract pinned here:
+A processor keeps everything a charged operation counts in its charging
+block (``_cachesim.Machine``: the user counter bank, each automaton's
+statistics, the OS-interference clock, the per-visit bookkeeping of its
+contexts), and Python only ever sees views of it.  The contract pinned here:
 
 * every public accessor presents the C values of the moment -- after *each*
   step of an interleaving of every charging entry point with every reader,
-  a native context and the pure-Python oracle observe the same thing;
+  a native context and the reference machine observe the same thing;
 * a snapshot never aliases the live bank;
 * an assignment through a view lands in C or raises -- it is never dropped;
 * the interrupt handler is the only way back into Python, entered exactly on
@@ -15,7 +15,7 @@ Python only ever sees views of it.  The contract pinned here:
   the native side where the oracle is;
 * a disabled OS model is no model.
 
-The oracle is built with the native module hidden (``pure_python`` in
+The oracle is built on the reference machine (``reference_machine`` in
 ``conftest.py``); the state helpers are those of ``test_native_charging``.
 """
 
@@ -40,14 +40,6 @@ from test_native_charging import (_ctx_step, _os_config, assert_states_identical
                                   context_pair, context_state, processor_pair,
                                   processor_state, replay_context, segment_names)
 
-#: The tests that compare a native object with the oracle.  The others hold
-#: on either path and run under ``REPRO_NATIVE=0`` too.
-needs_native = pytest.mark.skipif(
-    cache_mod._NATIVE is None,
-    reason="native _cachesim extension unavailable: there is nothing to read through")
-
-
-@needs_native
 def test_the_two_event_vocabularies_are_one():
     assert cache_mod._NATIVE.EVENT_NAMES == EVENT_NAMES
 
@@ -131,13 +123,12 @@ _step = st.one_of(
 )
 
 
-@needs_native
 @settings(max_examples=40, deadline=None)
 @given(_os_config, st.lists(_step, min_size=1, max_size=30))
-def test_every_accessor_reads_through_after_every_step(pure_python, config, trace):
-    native, oracle = context_pair(pure_python, os_interference=config)
+def test_every_accessor_reads_through_after_every_step(reference_machine, config, trace):
+    native, oracle = context_pair(reference_machine, os_interference=config)
     assert isinstance(native.processor.counters.user, NativeBank)
-    assert type(oracle.processor.counters.user) is dict
+    assert isinstance(oracle.processor.counters.user, NativeBank)
     baselines = [ctx.processor.counters.snapshot() for ctx in (native, oracle)]
     for step in [("visit", 0, None)] + trace:
         assert apply_step(native, step) == apply_step(oracle, step), step
@@ -145,17 +136,13 @@ def test_every_accessor_reads_through_after_every_step(pure_python, config, trac
         expected = observe(oracle, baselines[1])
         for key in expected:
             assert seen[key] == expected[key], f"{key} diverged after {step}"
-    assert native.python_segment_visits == 0
-    assert oracle.python_segment_visits == sum(oracle.op_invocations.values())
 
 
-@needs_native
-def test_degenerate_cold_pool_is_visited_natively_and_identically(pure_python):
+def test_degenerate_cold_pool_is_visited_natively_and_identically(reference_machine):
     """A cold slice that wraps the whole pool re-fetches lines within one
-    visit; the native visit handles it (``fetch_code`` over the slice) and
-    no native context falls back to Python."""
+    visit; the native visit handles it (``fetch_code`` over the slice)."""
     profile = dataclasses.replace(SYSTEM_B, cold_code_pool_bytes=256)
-    native, oracle = context_pair(pure_python, profile,
+    native, oracle = context_pair(reference_machine, profile,
                                   OSInterferenceConfig(interval_instructions=3000))
     for ctx in (native, oracle):
         names = segment_names(ctx)
@@ -166,7 +153,6 @@ def test_degenerate_cold_pool_is_visited_natively_and_identically(pure_python):
         for i in range(120):
             ctx.visit(names[i % len(names)], data_taken=bool(i % 3))
     assert_states_identical(context_state(native), context_state(oracle))
-    assert native.python_segment_visits == 0
 
 
 # ------------------------------------------------------- views, not copies
@@ -188,9 +174,8 @@ def test_a_snapshot_never_aliases_the_live_bank():
     assert processor.finalize().user is not processor.counters.user
 
 
-@needs_native
-def test_bank_is_the_dict_it_stands_for(pure_python):
-    native, oracle = processor_pair(pure_python)
+def test_bank_is_the_dict_it_stands_for(reference_machine):
+    native, oracle = processor_pair(reference_machine)
     for processor in (native, oracle):
         user = processor.counters.user
         assert "DATA_MEM_REFS" not in user and len(user) == 0
@@ -215,9 +200,8 @@ def test_bank_is_the_dict_it_stands_for(pure_python):
         native.counters.user["NOT_AN_EVENT"] = 1  # nowhere to land: raises
 
 
-@needs_native
-def test_an_assignment_through_a_stats_view_lands_in_c_or_raises(pure_python):
-    native, oracle = processor_pair(pure_python)
+def test_an_assignment_through_a_stats_view_lands_in_c_or_raises(reference_machine):
+    native, oracle = processor_pair(reference_machine)
     for processor in (native, oracle):
         l1d, dtlb, unit = processor.caches.l1d, processor.dtlb, processor.branch_unit
         processor.data_read_strided(0x2000, 32, 16, 4)
@@ -236,22 +220,19 @@ def test_an_assignment_through_a_stats_view_lands_in_c_or_raises(pure_python):
     # What a copy would silently swallow raises instead.
     with pytest.raises(TypeError):
         native.caches.l1d.stats.accesses[0] += 1
-    with pytest.raises(TypeError):
-        native.caches.l1d.stats.merge(oracle.caches.l1d.stats)
     with pytest.raises((TypeError, ValueError)):
         native.caches.l1d.stats.misses = [1, 2]
     with pytest.raises(TypeError):
         native.dtlb.stats.accesses = "many"
     assert native.caches.l1d.stats == oracle.caches.l1d.stats
-    # A held view follows a reset; the oracle rebinds a fresh object.
+    # A held view follows a reset.
     held = native.caches.l1d.stats
     native.caches.reset_stats()
     assert held.total_accesses == 0 and held is native.caches.l1d.stats
 
 
-@needs_native
-def test_context_views_are_read_only_on_a_native_context(pure_python):
-    native, oracle = context_pair(pure_python)
+def test_context_views_are_read_only_on_a_native_context(reference_machine):
+    native, oracle = context_pair(reference_machine)
     for ctx in (native, oracle):
         for name in segment_names(ctx):
             ctx.visit(name)
@@ -304,14 +285,13 @@ def test_handler_entered_exactly_on_the_visits_that_fire(config, trace):
     assert sum(entries) == ctx.processor.os.interrupts
 
 
-@needs_native
 @pytest.mark.parametrize("fail_on", [1, 2, 5])
-def test_a_raising_handler_leaves_native_where_the_oracle_is(pure_python, fail_on):
+def test_a_raising_handler_leaves_native_where_the_oracle_is(reference_machine, fail_on):
     """The visit stops at the hook on both paths: fetches and retirement are
     counted, the clock has advanced, the workspace and the branch sites are
     untouched -- and the next visits are identical again."""
     config = OSInterferenceConfig(interval_instructions=700)
-    native, oracle = context_pair(pure_python, os_interference=config)
+    native, oracle = context_pair(reference_machine, os_interference=config)
     entries = [count_handler_entries(ctx.processor, fail_on) for ctx in (native, oracle)]
     for ctx in (native, oracle):
         names = segment_names(ctx)
@@ -355,12 +335,11 @@ def test_a_disabled_model_is_no_model(monkeypatch):
             == contexts[1].processor.finalize().as_dict())
 
 
-@needs_native
-def test_batch_bodies_identical_under_the_default_os_model(pure_python):
+def test_batch_bodies_identical_under_the_default_os_model(reference_machine):
     """``visit_batch``'s loop body and ``visit_conjunct_batch`` count in
     Python, through the same owner: ``retire`` ticks the clock the native
     visit ticks, and interrupts fire from both."""
-    native, oracle = context_pair(pure_python, os_interference=OSInterferenceConfig())
+    native, oracle = context_pair(reference_machine, os_interference=OSInterferenceConfig())
     for ctx in (native, oracle):
         names = segment_names(ctx)
         for i in range(40):
@@ -466,8 +445,7 @@ def test_an_address_vector_charges_what_the_per_address_loop_charges(
         os_interference, size):
     """``read_addresses`` / ``write_addresses`` (one native call per key
     vector of a hash join) leave every cache, TLB and counter where the
-    ``read_address`` / ``write_address`` loop leaves them -- on whichever
-    charging path this interpreter runs (``REPRO_NATIVE=0`` included)."""
+    ``read_address`` / ``write_address`` loop leaves them."""
     bulk, loop = (
         ExecutionContext(SimulatedProcessor(os_interference=os_interference),
                          SYSTEM_B, AddressSpace()) for _ in range(2))

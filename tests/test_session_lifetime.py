@@ -7,9 +7,9 @@ the processor's charging block owns the six state objects, nothing refers
 back up except by a *borrowed* pointer to the object that owns it -- is
 what these tests pin: dropping a ``Session`` must free its processor, its
 context and the arrays behind them by reference count alone, with or
-without the native module and the OS-interference model; the arrays are
-freed with the object (no leak), and a state object lives as long as
-anything can still reach it (no dangling pointer).
+without the OS-interference model; the arrays are freed with the object (no
+leak), and a state object lives as long as anything can still reach it (no
+dangling pointer).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import weakref
 
 import pytest
 
-import repro.hardware.cache as cache_mod
 from repro.experiments import ExperimentConfig, ExperimentRunner
 from repro.hardware.cache import Cache, PORT_DATA_READ, PORT_DATA_WRITE
 from repro.hardware.processor import SimulatedProcessor
@@ -104,17 +103,12 @@ def test_server_holds_no_processor_per_served_miss(runner, collector_off):
 
 # ------------------------------------------------------ C-owned memory
 
-needs_native = pytest.mark.skipif(
-    cache_mod._NATIVE is None,
-    reason="native _cachesim extension unavailable: no C-owned memory to test")
-
 
 def resident_kb() -> int:
     with open("/proc/self/statm") as handle:
         return int(handle.read().split()[1]) * resource.getpagesize() // 1024
 
 
-@needs_native
 @pytest.mark.skipif("libasan" in os.environ.get("LD_PRELOAD", ""),
                     reason="AddressSanitizer quarantines freed memory: RSS says nothing")
 def test_dropped_processors_give_their_arrays_back(collector_off):
@@ -134,7 +128,6 @@ def test_dropped_processors_give_their_arrays_back(collector_off):
     assert resident_kb() - before < 2048
 
 
-@needs_native
 def test_native_state_outlives_its_dropped_wrapper():
     """``l1 -> l2``: the L1's state owns a reference to the L2's, so the L2
     arrays stay valid (and keep filling) after the Python ``l2`` is gone."""
@@ -155,7 +148,6 @@ def test_native_state_outlives_its_dropped_wrapper():
     assert l1.resident_lines() == 8
 
 
-@needs_native
 def test_charging_block_keeps_the_automata_alive():
     """The charging block holds its own references to the six state objects
     and their wrappers: it stays usable while the processor that owns it is

@@ -37,6 +37,7 @@ from hypothesis import strategies as st
 import repro.execution.vectorized as vectorized_mod
 from oracle import (PerAddressContext, in_process_morsels, per_address_sessions,
                     pickled_spill_files)
+from reference_machine import reference_machine
 from repro.adaptive.policy import (MAX_PARTITIONS, AdaptivePolicy,
                                    GreedyRankPolicy, plan_partition_count)
 from repro.adaptive import AdaptiveExecution
@@ -96,9 +97,12 @@ def join_plan_for(db: Database) -> HashJoinPlan:
 def run_join(layout: str, budget, batch_size: int = 64,
              context=ExecutionContext, seed: int = 7, db=None):
     """One spilling-join execution on a fresh seeded database (``context``
-    is the production context or the per-address oracle)."""
+    is the production context or the per-address oracle, which runs on the
+    reference machine)."""
     db = db or build_database(layout, seed=seed)
-    ctx = context(SimulatedProcessor(), SYSTEM_B, db.address_space,
+    with reference_machine() if context is PerAddressContext else nullcontext():
+        processor = SimulatedProcessor()
+    ctx = context(processor, SYSTEM_B, db.address_space,
                   execution=ExecutionConfig(engine="vectorized",
                                             batch_size=batch_size,
                                             memory_budget_bytes=budget))

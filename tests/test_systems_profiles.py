@@ -35,6 +35,23 @@ class TestProfileStructure:
                           record_access_style=ACCESS_FULL_RECORD, workspace_bytes=1024,
                           costs=costs)
 
+    @pytest.mark.parametrize("stride", [1024, 4096])
+    def test_workspace_stride_must_be_smaller_than_the_workspace(self, stride):
+        """A cyclic touch needs room to cycle: a stride of the whole
+        workspace or more is rejected when the profile is built."""
+        message = "workspace_touch_stride must be smaller than workspace_bytes"
+        with pytest.raises(ProfileError, match=message):
+            SystemProfile(key="X", name="X", description="", uses_index_for_range_selection=True,
+                          index_selectivity_threshold=0.2, join_algorithm="hash",
+                          record_access_style=ACCESS_FULL_RECORD, workspace_bytes=1024,
+                          workspace_touch_stride=stride, costs=dict(BASE_COSTS))
+        with pytest.raises(ProfileError, match=message):
+            SYSTEM_B.with_overrides(workspace_bytes=1024, workspace_touch_stride=stride)
+        with pytest.raises(ProfileError, match=message):
+            SYSTEM_B.with_overrides(workspace_bytes=SYSTEM_B.workspace_touch_stride)
+        for profile in ALL_SYSTEMS + tuple(map(oltp_variant, ALL_SYSTEMS)):
+            assert profile.workspace_touch_stride < profile.workspace_bytes
+
     def test_invalid_branch_kind_rejected(self):
         with pytest.raises(ProfileError):
             BranchSiteSpec(name="x", kind="banana")

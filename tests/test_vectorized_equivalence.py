@@ -21,10 +21,12 @@ must be a pure simulator optimisation, never a model change.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
 from oracle import PerAddressContext, in_process_morsels, morsel_pages
+from reference_machine import reference_machine
 from repro.engine import Database, Session
 from repro.execution import ExecutionContext, execute_plan, execute_update
 from repro.hardware import SimulatedProcessor
@@ -309,10 +311,12 @@ def run_charge_modes(plan_factory, layout_style: str, engine: str = "vectorized"
     (span) context on identically seeded databases; assert identical rows
     and identical hardware counts."""
     outcomes = {}
-    for mode, context in (("per_address", PerAddressContext),
-                          ("span", ExecutionContext)):
+    for mode, context, machine in (
+            ("per_address", PerAddressContext, reference_machine),
+            ("span", ExecutionContext, nullcontext)):
         db = build_database(layout_style=layout_style)
-        processor = SimulatedProcessor()
+        with machine():
+            processor = SimulatedProcessor()
         ctx = context(processor, profile, db.address_space,
                       execution=ExecutionConfig(engine=engine,
                                                 batch_size=batch_size))
