@@ -19,9 +19,7 @@ Operators interact with it through a handful of calls:
 
 ``read_fields(entry, layout, columns)`` / ``read_record(entry, layout)``
     Issue the data-side accesses for a record according to the profile's
-    record-access style, and decode the requested column values
-    (``field_loads(page, layout, columns)``: the same accesses, charge only,
-    for a scan that decodes the page it holds itself).
+    record-access style, and decode the requested column values.
 
 ``read_address(addr, size)`` / ``write_address(addr, size)``
     Raw data accesses for index nodes, hash buckets and similar structures
@@ -29,6 +27,11 @@ Operators interact with it through a handful of calls:
 
 ``record_done()``
     Mark a record boundary (per-record metrics, OS-interrupt pacing).
+
+``charge_pipeline(program, records, outcomes, operands, start)``
+    Charge one page of a tuple pipeline -- the scan's per-record Volcano
+    sequence and its consumer's per-row charges, declared once as steps
+    (``visit_step``, ``load_step``, ``STEP_*``) -- in one call.
 
 The context also owns two cross-cutting concerns of the columnar engine:
 
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 import struct
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..hardware.processor import SimulatedProcessor
 from ..query.plans import ExecutionConfig
@@ -76,6 +79,16 @@ from .resolve import _columns_for_table, _index_for
 _NATIVE_KIND_CODES = {BRANCH_KIND_LOOP: 0, BRANCH_KIND_DATA: 1,
                       BRANCH_KIND_ALTERNATING: 2, BRANCH_KIND_RARE: 3,
                       BRANCH_KIND_COLD: 4}
+
+#: Step kinds of a pipeline program (:meth:`ExecutionContext.charge_pipeline`;
+#: ``_cachesim.c`` numbers them the same): a visit whose data branches are
+#: pseudo-random, take the record's outcome, or take "the row's key
+#: matched"; the loads of a record (``(offset, scale, width)`` each, at
+#: ``offset + scale * key``); a fixed read or write ``(address, size)``; a
+#: read or write ``(size,)`` at the row's bucket address; and steps run once
+#: per match of the row.
+(STEP_VISIT, STEP_VISIT_OUTCOME, STEP_VISIT_MATCHED, STEP_LOADS, STEP_READ,
+ STEP_WRITE, STEP_READ_BUCKET, STEP_WRITE_BUCKET, STEP_EACH_MATCH) = range(9)
 
 
 def _consecutive_runs(slots: Sequence[int]) -> Iterable[Sequence[int]]:
@@ -199,9 +212,12 @@ class ExecutionContext:
     def op_invocations(self) -> Mapping[str, int]:
         """Routine invocations, one per interpreted call: a batched call
         (:meth:`visit_batch`) counts once however many records it covers.
-        Read-only: the segments keep the counts."""
+        Read-only: the segments keep the counts.  An operation is present
+        once it was visited (a program binds its segments before its first
+        charge)."""
         return MappingProxyType({operation: segment.invocations
-                                 for operation, segment in self._segments.items()})
+                                 for operation, segment in self._segments.items()
+                                 if segment.invocations})
 
     @property
     def _site_state(self) -> Mapping[int, int]:
@@ -237,6 +253,33 @@ class ExecutionContext:
         branch sites and account its bulk branch population."""
         segment = self._segments.get(operation) or self._segment(operation)
         segment.visit(data_taken, repeat)
+
+    def visit_step(self, operation: str, kind: int = STEP_VISIT) -> tuple:
+        """A visit of ``operation`` as a pipeline step: ``kind`` is
+        ``STEP_VISIT``, ``STEP_VISIT_OUTCOME`` or ``STEP_VISIT_MATCHED``."""
+        return (kind, self._segments.get(operation) or self._segment(operation))
+
+    def charge_pipeline(self, program: tuple, records: Sequence[int],
+                        outcomes: Optional[Sequence[bool]] = None,
+                        operands: Optional[tuple] = None, start: int = 0) -> int:
+        """Charge one page of a tuple pipeline in one call.
+
+        ``program`` is ``(page_steps, record_steps, row_steps, done,
+        pause)``.  From record ``start`` on -- after ``page_steps`` at 0,
+        after finishing the paused record ``start - 1`` past it -- each
+        record runs ``record_steps`` (its key in ``records``, its outcome in
+        ``outcomes``, ``None``: every record qualifies), then, when it
+        qualifies, ``row_steps`` (``operands``: ``(buckets, matches)``, one
+        entry per qualifying record, for the bucket and match steps), then
+        with ``done`` a :meth:`record_done`.  With ``pause`` it returns the
+        index of a qualifying record right after its ``row_steps``, so the
+        caller can hand the row on; else, and at the end of the page, the
+        record count.  A visit fires the OS interrupt handler where a
+        :meth:`visit` would; every argument is checked before the first
+        charge.
+        """
+        return self._native_ctx.pipeline(program, records, outcomes, operands,
+                                         start)
 
     def visit_batch(self, operation: str, count: int) -> None:
         """Charge ``count`` record-iterations of ``operation`` run as one batch.
@@ -436,7 +479,7 @@ class ExecutionContext:
         the whole record (slot parsing / record copy), which is what drives
         their higher L2 data-miss counts per record.
         """
-        _, columns, nsm_loads, pax_loads, decoders = self._plan(layout, columns)
+        _, columns, nsm_loads, pax_loads, decoders, _ = self._plan(layout, columns)
         processor = self.processor
         page, slot = entry.page, entry.slot
         if getattr(page, "columnar", False):
@@ -459,29 +502,28 @@ class ExecutionContext:
                 out[column] = struct.unpack_from(code, view, offset)[0]
         return out
 
-    def field_loads(self, page, layout: RecordLayout,
-                    columns: Sequence[str]) -> Callable[[int], None]:
-        """The charge half of :meth:`read_fields`, bound to one page.
-
-        Returns ``load(slot)``, which issues exactly the loads
-        :meth:`read_fields` issues for the record in ``slot`` -- the same
-        addresses and widths, in the same order, as one charged call -- and
-        decodes nothing.  A scan that holds the page decodes its values a
-        page at a time itself and calls this per record, in Volcano order;
-        binding once per page and column set keeps the plan lookup and the
-        address arithmetic off the per-record path.
-        """
-        _, _, nsm_loads, pax_loads, _ = self._plan(layout, columns)
-        read = self.processor.data_read_fields
+    def load_step(self, page, layout: RecordLayout,
+                  columns: Sequence[str]) -> tuple:
+        """The charge half of :meth:`read_fields` on ``page``, as a pipeline
+        step: the loads it issues for a record -- the same addresses and
+        widths, in the same order -- with the record keyed by
+        :meth:`record_keys`.  Nothing is decoded."""
+        plan = self._plan(layout, columns)
         if getattr(page, "columnar", False):
             # Each load is a whole column (or filler) slice, so it sits at
-            # ``width`` bytes per slot in its minipage.
-            firsts = tuple((page.field_address(0, offset), width)
-                           for offset, width in pax_loads)
-            return lambda slot: read(0, tuple((first + slot * width, width)
-                                              for first, width in firsts))
+            # ``width`` bytes per slot in its minipage: keyed by the slot.
+            return (STEP_LOADS, tuple((page.field_address(0, offset), width, width)
+                                      for offset, width in plan[3]))
+        return plan[5]
+
+    @staticmethod
+    def record_keys(page, slots: Sequence[int]) -> Sequence[int]:
+        """The keys :meth:`load_step` places the loads of ``slots`` by: the
+        records' addresses on an NSM page, the slots on a PAX page."""
+        if getattr(page, "columnar", False):
+            return slots
         addresses = page.slot_addresses()
-        return lambda slot: read(addresses[slot], nsm_loads)
+        return [addresses[slot] for slot in slots]
 
     def _plan(self, layout: RecordLayout, columns: Sequence[str]) -> tuple:
         """The memoized :meth:`_field_plan` of ``(layout, columns)``."""
@@ -492,19 +534,21 @@ class ExecutionContext:
         return plan
 
     def _field_plan(self, layout: RecordLayout, columns: Tuple[str, ...]) -> tuple:
-        """``(layout, columns, nsm_loads, pax_loads, decoders)``: the
-        ``(offset, width)`` loads of one record on an NSM and on a PAX page
-        -- the requested fields on a ``fields_only`` system; on a
+        """``(layout, columns, nsm_loads, pax_loads, decoders, nsm_step)``:
+        the ``(offset, width)`` loads of one record on an NSM and on a PAX
+        page -- the requested fields on a ``fields_only`` system; on a
         ``full_record`` one the whole record, as one sweep on NSM and one
-        load per minipage slice on PAX -- and one ``(column, offset, struct
-        code or None for CHAR, width)`` decoder per column."""
+        load per minipage slice on PAX --, one ``(column, offset, struct
+        code or None for CHAR, width)`` decoder per column, and the NSM
+        loads as a :meth:`load_step` keyed by the record's address."""
         if self.profile.record_access_style == ACCESS_FIELDS_ONLY:
             nsm_loads = pax_loads = tuple(map(layout.field_slice, columns))
         else:
             nsm_loads, pax_loads = ((0, layout.record_size),), layout.slices
         codecs = layout.column_codecs
         return (layout, columns, nsm_loads, pax_loads,
-                tuple((column,) + codecs[column] for column in columns))
+                tuple((column,) + codecs[column] for column in columns),
+                (STEP_LOADS, tuple((offset, 1, width) for offset, width in nsm_loads)))
 
     def read_record(self, entry: ScanEntry, layout: RecordLayout) -> Tuple:
         """Access the full record and decode every column (OLTP paths)."""

@@ -1,16 +1,15 @@
-/* Native hardware automata and charging fast paths.
+/* Native hardware automata and charging operations: the one charging path.
  *
  * Ownership rule: everything a charged operation reads, changes or counts
  * has exactly one owner, decided once, when the Python object is
- * constructed.  With this module loaded, ``repro.hardware.cache.Cache``,
- * ``tlb.TLB`` and ``branch.BranchPredictor`` each hold one of the state
- * objects defined here and delegate every method to it; without it they are
- * the pure-Python automata (the oracle of the differential suites and the
- * fallback).  The two are never mixed: a charged operation
- * (``Segment.visit``, ``Context.workspace``, ``Machine.charged_strided`` /
- * ``charged_fields`` / ``charged_addresses`` / ``fetch_run`` / ``conjunct``)
- * touches no Python
- * object beyond parsing its arguments and building its return value.
+ * constructed.  ``repro.hardware.cache.Cache``, ``tlb.TLB`` and
+ * ``branch.BranchPredictor`` each hold one of the state objects defined here
+ * and delegate every method to it; there is no Python automaton beside them
+ * in ``src/``.  A charged operation (``Segment.visit``, ``Context.workspace``,
+ * ``Context.pipeline``, ``Machine.charged_strided`` / ``charged_fields`` /
+ * ``charged_addresses`` / ``fetch_run`` / ``conjunct``) touches no Python
+ * object beyond parsing its arguments and building its return value, except
+ * for the interrupt-handler callback described below.
  *
  *   CacheState   int64 tags[num_sets * assoc], MRU first within a set; one
  *                dirty byte per way; a fill count per set; an owned
@@ -31,14 +30,19 @@
  *   Segment      one code segment's visit constants, its invocation count
  *                and its ``visit`` entry point over a Context.
  *
+ * ``Context.pipeline`` charges one page of a tuple pipeline -- the scan's
+ * per-record Volcano sequence and its consumer's per-row charges -- from a
+ * program of steps and the page's record keys, outcomes and per-row
+ * operands, in one call.
+ *
  * Python reads and writes through: a wrapper's ``stats`` is a view of the
- * members below, ``EventCounters.user`` of a native processor a view of the
- * Machine's bank (``counter`` / ``set_counter`` / ``counters`` / ``add``),
- * the scalars ``native.delegated`` properties over struct members.  Events
- * are counted where they happen, so there is nothing to fold when an
- * operation ends and nothing to discard when the interrupt handler -- the
- * one call back into Python, made only on a visit in which an interrupt
- * fires -- raises.
+ * members below, ``EventCounters.user`` a view of the Machine's bank
+ * (``counter`` / ``set_counter`` / ``counters`` / ``add``), and the scalars
+ * (the front-end stall float and page, the OS clock, the context's cursors)
+ * are struct members read and written in place.  Events are counted where
+ * they happen, so there is nothing to fold when an operation ends and
+ * nothing to discard when the interrupt handler -- the one call back into
+ * Python, made only on a visit in which an interrupt fires -- raises.
  *
  * Why nothing dangles: a level owns its next level, a Machine its six
  * states, a Context its Machine and a Segment its Context, so the arrays
@@ -47,10 +51,12 @@
  * reference (Machine -> processor, for the interrupt handler) is borrowed
  * from the object that owns the Machine.
  *
- * Every transition is a transcription of the Python reference (``cache.py``
- * ``_access_line``, ``tlb.py`` ``access_bulk``, ``branch.py`` ``execute``,
- * ``os_interference.py`` ``note_instructions``); ``snapshot()`` and the
- * statistics are the surface the differential tests compare.
+ * The oracle is the reference machine under ``tests/`` (``reference_machine.py``):
+ * the same types, methods and members written as plain Python loops, which
+ * the test suite alone swaps in.  Every transition here must leave every
+ * count and every piece of state where that module leaves it;
+ * ``snapshot()`` and the statistics are the surface the differential tests
+ * compare.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -1078,8 +1084,9 @@ data_strided_impl(Machine *m, long addr, long stride, long count, long size,
 /* ---------------------------------------------------------------- object */
 
 /* Machine(l1d, l1i, l2, dtlb, itlb, btb, l1i_stall_cost, l2i_stall_cost,
- *         os_interval_instructions, processor) -- the six *state* objects: a
- * pure-Python automaton has none to give, so the two are never mixed. */
+ *         os_interval_instructions, processor) -- the six state objects must
+ * be this module's own types, so a machine never mixes them with the
+ * reference machine's. */
 static PyObject *
 Machine_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
@@ -1758,6 +1765,368 @@ Context_workspace(Context *c, PyObject *arg)
     Py_RETURN_NONE;
 }
 
+/* ----------------------------------------------------- tuple pipelines */
+
+/* Step kinds of a pipeline program (``repro.execution.context.STEP_*``). */
+enum {
+    STEP_VISIT,          /* (kind, segment): a visit, pseudo-random data branches */
+    STEP_VISIT_OUTCOME,  /* (kind, segment): a visit taking the record's outcome */
+    STEP_VISIT_MATCHED,  /* (kind, segment): a visit taking "the row matched" */
+    STEP_LOADS,          /* (kind, ((offset, scale, width), ...)): a load of
+                          * ``width`` bytes at ``offset + scale * key`` each */
+    STEP_READ,           /* (kind, address, size) */
+    STEP_WRITE,          /* (kind, address, size) */
+    STEP_READ_BUCKET,    /* (kind, size): at the row's bucket address */
+    STEP_WRITE_BUCKET,   /* (kind, size) */
+    STEP_EACH_MATCH,     /* (kind, steps): the steps once per match of the row */
+};
+
+/* Bounds of one program: far above any operator's (a few visits, one load
+ * per column, two accesses per aggregate), and they keep it on the stack. */
+#define PROGRAM_STEPS 128
+#define PROGRAM_LOADS 128
+#define PROGRAM_DEPTH 4
+
+typedef struct {
+    int kind;
+    Segment *segment;           /* visits; borrowed from the program tuple */
+    long address, size;         /* READ / WRITE; *_BUCKET use ``size`` only */
+    Py_ssize_t first, count;    /* LOADS: triples of ``loads``; EACH_MATCH:
+                                 * its steps */
+} Step;
+
+typedef struct {
+    Step steps[PROGRAM_STEPS];
+    long loads[3 * PROGRAM_LOADS];
+    Py_ssize_t n_steps, n_loads;
+    int uses_buckets, uses_matches;
+} Program;
+
+/* Compile the tuple ``steps`` into ``p`` (its top level contiguous, nested
+ * lists after it); returns the index of its first step, or -1 with an
+ * exception set.  Only a per-row list (``depth`` > 0) may use the row's
+ * bucket address and match count. */
+static Py_ssize_t
+program_steps(Context *c, Program *p, PyObject *steps, int depth)
+{
+    if (!PyTuple_Check(steps)) {
+        PyErr_SetString(PyExc_TypeError, "program steps must be a tuple");
+        return -1;
+    }
+    Py_ssize_t n = PyTuple_GET_SIZE(steps), first = p->n_steps;
+    if (depth > PROGRAM_DEPTH || first + n > PROGRAM_STEPS) {
+        PyErr_SetString(PyExc_ValueError, "pipeline program too long");
+        return -1;
+    }
+    p->n_steps += n;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *item = PyTuple_GET_ITEM(steps, i);
+        Step *step = &p->steps[first + i];
+        memset(step, 0, sizeof(*step));
+        Py_ssize_t arity = PyTuple_Check(item) ? PyTuple_GET_SIZE(item) - 1 : -1;
+        long kind = arity < 0 ? -1 : PyLong_AsLong(PyTuple_GET_ITEM(item, 0));
+        if (kind == -1 && PyErr_Occurred())
+            return -1;
+        step->kind = (int)kind;
+        PyObject *arg = arity >= 1 ? PyTuple_GET_ITEM(item, 1) : NULL;
+        int per_row = kind == STEP_VISIT_MATCHED || kind == STEP_READ_BUCKET
+                      || kind == STEP_WRITE_BUCKET || kind == STEP_EACH_MATCH;
+        if (per_row && depth == 0) {
+            PyErr_SetString(PyExc_ValueError,
+                            "only a row's steps may use its bucket or matches");
+            return -1;
+        }
+        switch (kind) {
+        case STEP_VISIT:
+        case STEP_VISIT_OUTCOME:
+        case STEP_VISIT_MATCHED:
+            if (arity != 1)
+                goto malformed;
+            if (Py_TYPE(arg) != &SegmentType || ((Segment *)arg)->context != c) {
+                PyErr_SetString(PyExc_ValueError,
+                                "a visit step needs a segment of this context");
+                return -1;
+            }
+            step->segment = (Segment *)arg;
+            p->uses_matches |= kind == STEP_VISIT_MATCHED;
+            break;
+        case STEP_LOADS:
+            if (arity != 1 || !PyTuple_Check(arg))
+                goto malformed;
+            step->first = p->n_loads;
+            step->count = PyTuple_GET_SIZE(arg);
+            if (p->n_loads + step->count > PROGRAM_LOADS) {
+                PyErr_SetString(PyExc_ValueError, "pipeline program too long");
+                return -1;
+            }
+            for (Py_ssize_t j = 0; j < step->count; j++) {
+                long *load = p->loads + 3 * (p->n_loads + j);
+                if (!PyArg_ParseTuple(PyTuple_GET_ITEM(arg, j), "lll;a load is "
+                                      "(offset, scale, width)",
+                                      &load[0], &load[1], &load[2]))
+                    return -1;
+            }
+            p->n_loads += step->count;
+            break;
+        case STEP_READ:
+        case STEP_WRITE:
+            if (arity != 2)
+                goto malformed;
+            step->address = PyLong_AsLong(arg);
+            step->size = PyLong_AsLong(PyTuple_GET_ITEM(item, 2));
+            if (PyErr_Occurred())
+                return -1;
+            break;
+        case STEP_READ_BUCKET:
+        case STEP_WRITE_BUCKET:
+            if (arity != 1)
+                goto malformed;
+            step->size = PyLong_AsLong(arg);
+            if (step->size == -1 && PyErr_Occurred())
+                return -1;
+            p->uses_buckets = 1;
+            break;
+        case STEP_EACH_MATCH:
+            if (arity != 1)
+                goto malformed;
+            p->uses_matches = 1;
+            step->first = program_steps(c, p, arg, depth + 1);
+            if (step->first < 0)
+                return -1;
+            step->count = PyTuple_GET_SIZE(arg);
+            break;
+        default:
+            goto malformed;
+        }
+        continue;
+    malformed:
+        PyErr_Format(PyExc_TypeError, "malformed pipeline step %R", item);
+        return -1;
+    }
+    return first;
+}
+
+/* Run ``count`` steps from ``first`` for one record (``key``, ``outcome``)
+ * and, in a row's steps, its bucket address and match count; -1 when the
+ * interrupt handler raised (the charges before it stay, as in a visit). */
+static int
+run_steps(Context *c, Program *p, Py_ssize_t first, Py_ssize_t count, long key,
+          int outcome, long bucket, long matches)
+{
+    Machine *m = c->machine;
+    for (Step *step = p->steps + first; step < p->steps + first + count; step++) {
+        switch (step->kind) {
+        case STEP_VISIT:
+        case STEP_VISIT_OUTCOME:
+        case STEP_VISIT_MATCHED:
+            step->segment->invocations++;
+            if (visit_segment(step->segment,
+                              step->kind == STEP_VISIT ? -1
+                              : step->kind == STEP_VISIT_OUTCOME ? outcome
+                              : matches > 0) < 0)
+                return -1;
+            break;
+        case STEP_LOADS:
+            for (const long *load = p->loads + 3 * step->first;
+                 load < p->loads + 3 * (step->first + step->count); load += 3)
+                data_strided_impl(m, load[0] + load[1] * key, 0, 1, load[2], 0);
+            break;
+        case STEP_READ:
+        case STEP_WRITE:
+            data_strided_impl(m, step->address, 0, 1, step->size,
+                              step->kind == STEP_WRITE);
+            break;
+        case STEP_READ_BUCKET:
+        case STEP_WRITE_BUCKET:
+            data_strided_impl(m, bucket, 0, 1, step->size,
+                              step->kind == STEP_WRITE_BUCKET);
+            break;
+        default:  /* STEP_EACH_MATCH */
+            for (long k = 0; k < matches; k++) {
+                if (run_steps(c, p, step->first, step->count, key, outcome,
+                              bucket, matches) < 0)
+                    return -1;
+            }
+        }
+    }
+    return 0;
+}
+
+/* ``record_done``: what ``Machine.add("RECORDS_PROCESSED", 1)`` does. */
+static inline void
+record_processed(Machine *m)
+{
+    m->user[EV_RECORDS_PROCESSED]++;
+    m->assigned |= (uint64_t)1 << EV_RECORDS_PROCESSED;
+}
+
+/* Convert ``count`` items of a fast sequence from ``offset`` into ``out``:
+ * integers, or truth values when ``truth``; -1 with an exception set. */
+static int
+sequence_longs(PyObject *seq, Py_ssize_t offset, Py_ssize_t count, long *out,
+               int truth)
+{
+    for (Py_ssize_t i = 0; i < count; i++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(seq, offset + i);
+        out[i] = truth ? PyObject_IsTrue(item) : PyLong_AsLong(item);
+        if (out[i] == -1 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+/* pipeline(program, records, outcomes, operands, start) -> position
+ *
+ * One page of a tuple pipeline.  ``program`` is ``(page_steps, record_steps,
+ * row_steps, done, pause)``; ``records`` the records' keys (what a load's
+ * ``scale`` multiplies); ``outcomes`` one truth value per record, or None
+ * when every record qualifies; ``operands`` None or ``(buckets, matches)``,
+ * each None or one integer per qualifying record.  Starting at record
+ * ``start`` (at 0: after ``page_steps``; past 0: after finishing record
+ * ``start - 1``, which a pause left before its ``done``), each record runs
+ * ``record_steps``, then -- when it qualifies -- ``row_steps``, then with
+ * ``done`` counts ``RECORDS_PROCESSED``.  With ``pause`` the call returns
+ * the index of a qualifying record right after its ``row_steps``; otherwise,
+ * and at the end of the page, it returns the record count.  Every argument
+ * is converted before the first charge, so a malformed one raises with the
+ * machine untouched. */
+static PyObject *
+Context_pipeline(Context *c, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("pipeline", nargs, 5) < 0)
+        return NULL;
+    Program p;
+    p.n_steps = p.n_loads = 0;
+    p.uses_buckets = p.uses_matches = 0;
+    PyObject *page_steps, *record_steps, *row_steps;
+    int done, pause;
+    if (!PyTuple_Check(args[0])
+            || !PyArg_ParseTuple(args[0], "OOOpp;a program is (page_steps, "
+                                 "record_steps, row_steps, done, pause)",
+                                 &page_steps, &record_steps, &row_steps, &done,
+                                 &pause)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "a program is a tuple");
+        return NULL;
+    }
+    Py_ssize_t page_first = program_steps(c, &p, page_steps, 0);
+    Py_ssize_t record_first = page_first < 0 ? -1
+                              : program_steps(c, &p, record_steps, 0);
+    Py_ssize_t row_first = record_first < 0 ? -1
+                           : program_steps(c, &p, row_steps, 1);
+    Py_ssize_t start = PyLong_AsSsize_t(args[4]);
+    if (row_first < 0 || (start == -1 && PyErr_Occurred()))
+        return NULL;
+
+    PyObject *operands[2] = {NULL, NULL};  /* buckets, matches */
+    if (args[3] != Py_None
+            && (!PyTuple_Check(args[3])
+                || !PyArg_ParseTuple(args[3], "OO;operands are (buckets, matches)",
+                                     &operands[0], &operands[1]))) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "operands are a tuple");
+        return NULL;
+    }
+    PyObject *seqs[4] = {NULL, NULL, NULL, NULL};  /* records, outcomes, operands */
+    long *block = NULL;
+    PyObject *result = NULL;
+    seqs[0] = PySequence_Fast(args[1], "records must be a sequence");
+    if (seqs[0] == NULL)
+        goto out;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seqs[0]);
+    if (args[2] != Py_None) {
+        seqs[1] = PySequence_Fast(args[2], "outcomes must be a sequence");
+        if (seqs[1] == NULL)
+            goto out;
+        if (PySequence_Fast_GET_SIZE(seqs[1]) != n) {
+            PyErr_SetString(PyExc_ValueError, "one outcome per record");
+            goto out;
+        }
+    }
+    if (start < 0 || start > n) {
+        PyErr_SetString(PyExc_ValueError, "start must be a record index");
+        goto out;
+    }
+    /* One block: keys, outcomes, then the two operand vectors. */
+    block = PyMem_Malloc((size_t)(4 * n + 1) * sizeof(long));
+    if (block == NULL) {
+        PyErr_NoMemory();
+        goto out;
+    }
+    long *keys = block, *outcome = block + n;
+    Py_ssize_t qualifying = n, before = start;
+    if (seqs[1] != NULL) {
+        if (sequence_longs(seqs[1], 0, n, outcome, 1) < 0)
+            goto out;
+        qualifying = before = 0;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            qualifying += outcome[i];
+            before += i < start && outcome[i];
+        }
+    }
+    if (sequence_longs(seqs[0], start, n - start, keys + start, 0) < 0)
+        goto out;
+    long *vectors[2] = {NULL, NULL};
+    int used[2] = {p.uses_buckets, p.uses_matches};
+    for (int k = 0; k < 2; k++) {
+        if (operands[k] == NULL || operands[k] == Py_None) {
+            if (used[k]) {
+                PyErr_SetString(PyExc_ValueError, k ? "the program needs match "
+                                "counts" : "the program needs bucket addresses");
+                goto out;
+            }
+            continue;
+        }
+        seqs[2 + k] = PySequence_Fast(operands[k], "an operand must be a sequence");
+        if (seqs[2 + k] == NULL)
+            goto out;
+        if (PySequence_Fast_GET_SIZE(seqs[2 + k]) != qualifying) {
+            PyErr_SetString(PyExc_ValueError,
+                            "one operand per qualifying record");
+            goto out;
+        }
+        vectors[k] = block + (2 + k) * n;
+        if (sequence_longs(seqs[2 + k], 0, qualifying, vectors[k], 0) < 0)
+            goto out;
+    }
+
+    Py_ssize_t n_page = PyTuple_GET_SIZE(page_steps);
+    Py_ssize_t n_record = PyTuple_GET_SIZE(record_steps);
+    Py_ssize_t n_row = PyTuple_GET_SIZE(row_steps);
+    Py_ssize_t position = n, row = before;
+    if (start == 0) {
+        if (run_steps(c, &p, page_first, n_page, 0, 1, 0, 0) < 0)
+            goto out;
+    }
+    else if (done) {
+        record_processed(c->machine);
+    }
+    for (Py_ssize_t i = start; i < n; i++) {
+        int qualifies = seqs[1] == NULL || outcome[i];
+        if (run_steps(c, &p, record_first, n_record, keys[i], qualifies, 0, 0) < 0)
+            goto out;
+        if (qualifies) {
+            long bucket = vectors[0] ? vectors[0][row] : 0;
+            long matches = vectors[1] ? vectors[1][row] : 0;
+            row++;
+            if (run_steps(c, &p, row_first, n_row, keys[i], 1, bucket, matches) < 0)
+                goto out;
+            if (pause) {
+                position = i;
+                break;
+            }
+        }
+        if (done)
+            record_processed(c->machine);
+    }
+    result = PyLong_FromSsize_t(position);
+out:
+    PyMem_Free(block);
+    for (int k = 0; k < 4; k++)
+        Py_XDECREF(seqs[k]);
+    return result;
+}
+
 static PyMemberDef Context_members[] = {
     MEMBER(Context, visit_counter, T_LONG,
            "Routine visits so far (seeds the pseudo-random branch outcomes)."),
@@ -1774,6 +2143,8 @@ static PyMethodDef Context_methods[] = {
      "Parse a code-segment handle tuple into a Segment."},
     {"workspace", METHOD(Context_workspace), METH_O,
      "Charged cyclic workspace touches (DTLB + caches + counters)."},
+    {"pipeline", METHOD(Context_pipeline), METH_FASTCALL,
+     "Charge one page of a tuple pipeline; returns where it stopped."},
     {"site_state", METHOD(Context_site_state), METH_NOARGS,
      "A new {address: state} dict of the touched stateful sites."},
     {NULL, NULL, 0, NULL},

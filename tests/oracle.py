@@ -1,6 +1,6 @@
 """The per-address charging oracle, the pickled spill file, the heap-walk
 selectivity sampler, the read-modify-write point update, the per-record
-fetching scan, the per-hit result rebuild (and the in-process morsel
+tuple pipeline, the per-hit result rebuild (and the in-process morsel
 pipeline).
 
 Production charging is bulk: :class:`~repro.execution.context.
@@ -39,9 +39,14 @@ contents and every simulated count against it.
 :func:`per_record_fetch_rows` is the tuple engine's sequential scan before
 it read the page it holds: every record fetched by rid through the buffer
 pool, then charged and decoded by ``ExecutionContext.read_fields`` one
-record at a time.  ``per_record_fetch_scans()`` puts it in place of
-``SeqScanOperator.rows``, so a differential run checks rows, their order and
-every simulated count against it.
+record at a time.  :func:`per_row_aggregate_rows` and
+:func:`per_row_hash_join_rows` are the aggregate and the hash join before
+their per-row charges were pipeline steps: each pulls its input and issues
+every visit, load and store of a row as its own call.
+``per_record_pipelines()`` puts the three in place of the operators'
+``rows`` -- no page program is run then -- so a differential run checks
+rows, their order and every simulated count of the page-per-call pipelines
+against them.
 
 :func:`rebuilt_hit_result` is a result-cache hit as the server built it
 before the probe memo held finished parts: the memoized counters
@@ -63,9 +68,12 @@ from repro.analysis.metrics import compute_metrics
 from repro.engine.session import QueryResult
 from repro.execution.code_layout import LINE_BYTES
 from repro.execution.context import ExecutionContext
-from repro.execution.operators import SeqScanOperator
+from repro.execution.kernels import key_hash
+from repro.execution.operators import (HashJoinOperator, ScalarAggregateOperator,
+                                       SeqScanOperator, row_value)
 from repro.hardware.counters import EventCounters
 from repro.observability import TraceNode
+from repro.query.expressions import AggregateState
 from repro.storage.catalog import Table
 from repro.storage.page import RecordId
 from repro.storage.schema import RecordLayout
@@ -262,6 +270,50 @@ def read_modify_write_updates():
         Table.update_field = saved
 
 
+def per_row_aggregate_rows(self: ScalarAggregateOperator) -> Iterator[Dict[str, object]]:
+    """``ScalarAggregateOperator.rows`` as a pull and three charges per row."""
+    ctx = self.ctx
+    state_base = ctx.allocate_workspace(len(self.aggregates) * self.STATE_BYTES)
+    states = [AggregateState(agg) for agg in self.aggregates]
+    for row in self.child.rows():
+        ctx.visit("agg_update")
+        for position, (agg, state) in enumerate(zip(self.aggregates, states)):
+            address = state_base + position * self.STATE_BYTES
+            ctx.read_address(address, 8)
+            value = None if agg.column is None else row_value(row, agg.column)
+            state.update(value if agg.column is not None else 1)
+            ctx.write_address(address, 8)
+    yield {agg.label: state.result() for agg, state in zip(self.aggregates, states)}
+
+
+def per_row_hash_join_rows(self: HashJoinOperator) -> Iterator[Dict[str, object]]:
+    """``HashJoinOperator.rows`` as a pull and a charge per step, per row."""
+    ctx = self.ctx
+    hash_area = ctx.allocate_workspace(self.build_row_estimate * self.ENTRY_BYTES)
+    buckets = self.build_row_estimate
+    hash_table: Dict[object, List[Dict[str, object]]] = {}
+    for row in self.build.rows():
+        key = row_value(row, self.build_column)
+        ctx.visit("hash_build")
+        bucket_address = hash_area + (key_hash(key) % buckets) * self.ENTRY_BYTES
+        ctx.write_address(bucket_address, self.ENTRY_BYTES)
+        hash_table.setdefault(key, []).append(row)
+    for row in self.probe.rows():
+        key = row_value(row, self.probe_column)
+        bucket_address = hash_area + (key_hash(key) % buckets) * self.ENTRY_BYTES
+        ctx.read_address(bucket_address, self.ENTRY_BYTES)
+        matches = hash_table.get(key)
+        ctx.visit("hash_probe", data_taken=matches is not None)
+        if not matches:
+            continue
+        for build_row in matches:
+            ctx.visit("join_output")
+            joined = dict(build_row)
+            joined.update(row)
+            ctx.row_produced()
+            yield joined
+
+
 def per_record_fetch_rows(self: SeqScanOperator) -> Iterator[Dict[str, object]]:
     """``SeqScanOperator.rows`` as a fetch, a charge and a decode per record."""
     ctx = self.ctx
@@ -289,17 +341,27 @@ def per_record_fetch_rows(self: SeqScanOperator) -> Iterator[Dict[str, object]]:
                 ctx.record_done()
 
 
+#: What ``per_record_pipelines()`` puts in place of each operator's ``rows``.
+_PER_RECORD_BODIES = ((SeqScanOperator, per_record_fetch_rows),
+                      (ScalarAggregateOperator, per_row_aggregate_rows),
+                      (HashJoinOperator, per_row_hash_join_rows))
+
+
 @contextmanager
-def per_record_fetch_scans():
-    """Tuple-engine sequential scans pulled inside the block fetch, charge
-    and decode record by record (the generator is created when the scan is
-    pulled, so the block must cover the execution)."""
-    saved = SeqScanOperator.rows
-    SeqScanOperator.rows = per_record_fetch_rows
+def per_record_pipelines():
+    """Tuple pipelines run inside the block pull every row and charge it
+    call by call: the scan fetches, charges and decodes record by record,
+    the aggregate and the hash join charge each step of a row themselves
+    (the generators are created when the operators are pulled, so the
+    block must cover the execution)."""
+    saved = [(operator, operator.rows) for operator, _ in _PER_RECORD_BODIES]
+    for operator, body in _PER_RECORD_BODIES:
+        operator.rows = body
     try:
         yield
     finally:
-        SeqScanOperator.rows = saved
+        for operator, rows in saved:
+            operator.rows = rows
 
 
 def rebuilt_hit_result(server, future, entry) -> QueryResult:

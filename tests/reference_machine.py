@@ -5,10 +5,11 @@ extension: a ``CacheState`` per cache level, a ``TLBState`` per TLB, a
 ``BTBState`` for the branch unit, a ``Machine`` per processor (the six
 automata, the user-mode counter bank, the front-end scalars, the
 OS-interference clock and the charged operations) and, per execution
-context, a ``Context`` with one ``Segment`` per operation (the routine
-visit).  This module is the same surface -- the same constructors, methods,
-members and return values -- as the Python loops the C code was transcribed
-from.  It is the oracle of the differential suites: a machine built on it
+context, a ``Context`` (workspace churn, the tuple pipeline's page program)
+with one ``Segment`` per operation (the routine visit).  This module is
+the same surface -- the same constructors, methods, members and return
+values -- as plain Python loops.  It is the oracle of the differential
+suites: a machine built on it
 must leave every count, every LRU order, every BTB pattern table and every
 cursor exactly where the native machine leaves them.
 
@@ -48,6 +49,16 @@ _HASH_CONSTANT = 2654435761
 
 #: Branch-site kinds of a segment handle.
 _LOOP, _DATA, _ALTERNATING, _RARE, _COLD = range(5)
+
+#: Step kinds of a pipeline program.
+(_VISIT, _VISIT_OUTCOME, _VISIT_MATCHED, _LOADS, _READ, _WRITE, _READ_BUCKET,
+ _WRITE_BUCKET, _EACH_MATCH) = range(9)
+_VISITS = (_VISIT, _VISIT_OUTCOME, _VISIT_MATCHED)
+#: Arguments each step kind takes.
+_ARITY = {_VISIT: 1, _VISIT_OUTCOME: 1, _VISIT_MATCHED: 1, _LOADS: 1, _READ: 2,
+          _WRITE: 2, _READ_BUCKET: 1, _WRITE_BUCKET: 1, _EACH_MATCH: 1}
+#: Steps that read a row's bucket address or match count.
+_PER_ROW = (_VISIT_MATCHED, _READ_BUCKET, _WRITE_BUCKET, _EACH_MATCH)
 
 _EVENTS = frozenset(EVENT_NAMES)
 
@@ -554,6 +565,123 @@ class Context:
                 cursor = (cursor + run * stride) % size
                 touches -= run
         self.workspace_cursor = cursor
+
+    def pipeline(self, program: tuple, records: Sequence[int], outcomes,
+                 operands, start: int) -> int:
+        """One page of a tuple pipeline: per record from ``start`` (after
+        the page steps at 0, after finishing the paused record ``start - 1``
+        past it) the record steps, the row steps when it qualifies, then
+        ``RECORDS_PROCESSED`` when ``done``; with ``pause`` the index of the
+        next qualifying record, right after its row steps, else the record
+        count.  Every argument is checked before the first charge."""
+        if not isinstance(program, tuple) or len(program) != 5:
+            raise TypeError("a program is (page_steps, record_steps, "
+                            "row_steps, done, pause)")
+        page_steps, record_steps, row_steps, done, pause = program
+        uses = set()
+        page_steps = self._compile(page_steps, 0, uses)
+        record_steps = self._compile(record_steps, 0, uses)
+        row_steps = self._compile(row_steps, 1, uses)
+        start = index(start)
+        count = len(records)
+        qualifies = ([True] * count if outcomes is None
+                     else [bool(outcome) for outcome in outcomes])
+        if len(qualifies) != count:
+            raise ValueError("one outcome per record")
+        if not 0 <= start <= count:
+            raise ValueError("start must be a record index")
+        keys = [0] * start + [index(key) for key in records[start:]]
+        if operands is not None and not (isinstance(operands, tuple)
+                                         and len(operands) == 2):
+            raise TypeError("operands are (buckets, matches)")
+        buckets, matches = (None, None) if operands is None else operands
+        vectors = []
+        for vector, kinds, what in ((buckets, (_READ_BUCKET, _WRITE_BUCKET),
+                                     "bucket addresses"),
+                                    (matches, (_VISIT_MATCHED, _EACH_MATCH),
+                                     "match counts")):
+            if vector is None:
+                if uses.intersection(kinds):
+                    raise ValueError(f"the program needs {what}")
+            elif len(vector) != sum(qualifies):
+                raise ValueError("one operand per qualifying record")
+            vectors.append(None if vector is None else [index(v) for v in vector])
+        buckets, matches = vectors
+
+        machine = self._machine
+        if start == 0:
+            self._run(page_steps, 0, True, 0, 0)
+        elif done:
+            machine.add("RECORDS_PROCESSED", 1)
+        row = sum(qualifies[:start])
+        for position in range(start, count):
+            key, passed = keys[position], qualifies[position]
+            self._run(record_steps, key, passed, 0, 0)
+            if passed:
+                self._run(row_steps, key, True,
+                          buckets[row] if buckets is not None else 0,
+                          matches[row] if matches is not None else 0)
+                row += 1
+                if pause:
+                    return position
+            if done:
+                machine.add("RECORDS_PROCESSED", 1)
+        return count
+
+    def _compile(self, steps, depth: int, uses: set) -> tuple:
+        """Check a tuple of steps (the segments must be this context's, and
+        only a row's steps may use its bucket or matches); nested match
+        steps are checked too."""
+        if not isinstance(steps, tuple):
+            raise TypeError("program steps must be a tuple")
+        for step in steps:
+            kind = step[0] if isinstance(step, tuple) and step else None
+            if len(step) - 1 != _ARITY.get(kind):
+                raise TypeError(f"malformed pipeline step {step!r}")
+            if kind in _PER_ROW and depth == 0:
+                raise ValueError("only a row's steps may use its bucket or matches")
+            uses.add(kind)
+            if kind in _VISITS:
+                if not (isinstance(step[1], Segment) and step[1]._context is self):
+                    raise ValueError("a visit step needs a segment of this context")
+            elif kind == _EACH_MATCH:
+                self._compile(step[1], depth + 1, uses)
+            elif kind == _LOADS:
+                if not isinstance(step[1], tuple) or any(
+                        not isinstance(load, tuple) or len(load) != 3
+                        for load in step[1]):
+                    raise TypeError("a load is (offset, scale, width)")
+                for load in step[1]:
+                    for value in load:
+                        index(value)
+            else:
+                for value in step[1:]:
+                    index(value)
+        return steps
+
+    def _run(self, steps: tuple, key: int, outcome: bool, bucket: int,
+             matches: int) -> None:
+        """The steps for one record: visits, loads at ``offset + scale *
+        key``, fixed and bucket accesses, the match loop."""
+        machine = self._machine
+        for step in steps:
+            kind = step[0]
+            if kind in _VISITS:
+                segment = step[1]
+                segment.invocations += 1
+                segment._visit(None if kind == _VISIT
+                               else outcome if kind == _VISIT_OUTCOME
+                               else matches > 0)
+            elif kind == _LOADS:
+                for offset, scale, width in step[1]:
+                    machine._data(offset + scale * key, 0, 1, width, False)
+            elif kind in (_READ, _WRITE):
+                machine._data(step[1], 0, 1, step[2], kind == _WRITE)
+            elif kind in (_READ_BUCKET, _WRITE_BUCKET):
+                machine._data(bucket, 0, 1, step[1], kind == _WRITE_BUCKET)
+            else:
+                for _ in range(matches):
+                    self._run(step[1], key, outcome, bucket, matches)
 
 
 class Segment:

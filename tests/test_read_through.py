@@ -398,9 +398,9 @@ def test_read_fields_plan_charges_what_per_field_loads_charge(profile, layout_st
 @pytest.mark.parametrize("layout_style", ["nsm", "pax"])
 @pytest.mark.parametrize("profile", [SYSTEM_B, SYSTEM_C],
                          ids=["fields_only", "full_record"])
-def test_field_loads_charge_what_read_fields_charges(profile, layout_style):
-    """The page-bound, charge-only half of ``read_fields``: bound once per
-    page and column set, the same state as ``read_fields`` per record
+def test_load_steps_charge_what_read_fields_charges(profile, layout_style):
+    """The charge-only half of ``read_fields`` as a pipeline step, one
+    program call per page: the same state as ``read_fields`` per record
     (tombstoned slots skipped, a padded PAX record swept slice by slice)."""
     catalog = Catalog()
     schema, _ = microbenchmark_schema(100, "R")
@@ -414,9 +414,11 @@ def test_field_loads_charge_what_read_fields_charges(profile, layout_style):
     reference = ExecutionContext(SimulatedProcessor(), profile, catalog.address_space)
     for number, (page, slots) in enumerate(table.heap.scan_pages()):
         columns = (("a2", "a3"), ("a1",), ("a3", "a1", "a2"))[number % 3]
-        load = bound.field_loads(page, table.layout, columns)
+        program = ((), (bound.load_step(page, table.layout, columns),), (),
+                   False, False)
+        assert (bound.charge_pipeline(program, bound.record_keys(page, slots))
+                == len(slots))
         for slot in slots:
-            load(slot)
             entry = table.heap.fetch(RecordId(page.page_number, slot))
             reference.read_fields(entry, table.layout, columns)
     assert_states_identical(processor_state(bound.processor),

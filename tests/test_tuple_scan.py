@@ -22,7 +22,7 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracle import per_record_fetch_scans
+from oracle import per_record_pipelines
 from repro.engine import Session
 from repro.execution import ExecutionContext, build_join, build_scan
 from repro.execution.operators import (HashJoinOperator, NestedLoopJoinOperator,
@@ -54,7 +54,7 @@ def outcome(session_or_ctx, rows):
 def differential(run):
     """``run()`` with the production scan, then with the oracle's."""
     changed = run()
-    with per_record_fetch_scans():
+    with per_record_pipelines():
         reference = run()
     return changed, reference
 
@@ -296,7 +296,7 @@ def test_failed_query_rule(micro, layout, case):
 
     before = measured()
     error, after = after_failure()
-    with per_record_fetch_scans():
+    with per_record_pipelines():
         oracle_error, oracle_after = after_failure()
     assert type(error) is type(oracle_error)
     assert str(error) == str(oracle_error)
@@ -332,7 +332,7 @@ def test_short_circuited_operand_never_raises(micro, layout):
 def test_hash_join_on_a_missing_column_raises_operator_error(micro, layout):
     _, builds = micro
     database, checkpoint = builds[layout]
-    for scans in (None, per_record_fetch_scans):
+    for scans in (None, per_record_pipelines):
         database.address_space.restore(checkpoint)
         ctx = Session(database, SYSTEM_B, os_interference=None).context
         catalog = database.catalog
