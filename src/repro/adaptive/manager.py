@@ -21,11 +21,15 @@ per-conjunct short-circuit pipeline:
    positionally identical to evaluating the original predicate row by row.
 
 Ordering safety: every expression in :mod:`repro.query.expressions` is a
-pure total function of its row (comparisons involving ``None`` evaluate to
-``False`` rather than raising, SQL-style), so conjunction is commutative
-and any evaluation order yields the same mask -- the hypothesis harness in
-``tests/test_adaptive.py`` drives random conjunct sets (including ``Not``,
-``Between`` and ``None``-valued columns) through every policy to pin this.
+pure function of its row, and total unless it compares unorderable types
+(comparisons involving ``None`` evaluate to ``False`` rather than raising,
+SQL-style).  For predicates that raise on no row, conjunction is
+commutative and any evaluation order yields the same mask -- the
+hypothesis harness in ``tests/test_adaptive.py`` drives random conjunct
+sets (including ``Not``, ``Between`` and ``None``-valued columns) through
+every policy to pin this.  A conjunct that raises on some rows may raise
+under a reordering where source order would not have reached those rows
+(``tests/test_predicate_short_circuit.py``).
 
 Charging: each conjunct evaluation is charged through
 :meth:`~repro.execution.context.ExecutionContext.visit_conjunct_batch` --

@@ -2,15 +2,16 @@
 
 :class:`Database` wraps the storage catalog behind the small DDL/DML surface
 the workloads and examples need: create a table (optionally with explicit
-record padding, as the paper's ``<rest of fields>`` requires), bulk-load rows,
-build a non-clustered index, and inspect sizes.  The same database instance is
-shared by every system profile measured against it -- the paper used "the
-exact same commands and datasets ... for all the DBMSs".
+record padding, as the paper's ``<rest of fields>`` requires), bulk-load
+rows or columns, build a non-clustered index, and inspect sizes.  The same
+database instance is shared by every system profile measured against it --
+the paper used "the exact same commands and datasets ... for all the
+DBMSs".
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from ..index.btree import BTreeIndex
 from ..storage.address_space import AddressSpace
@@ -47,9 +48,21 @@ class Database:
         self.catalog.drop_index(table, column)
 
     # ------------------------------------------------------------------ DML
-    def load(self, table: str, rows: Iterable[Sequence]) -> int:
-        """Bulk-load rows into an existing table; returns the row count."""
-        return self.catalog.table(table).insert_many(rows)
+    def load(self, table: str,
+             data: Union[Mapping[str, Sequence], Iterable[Sequence]]) -> int:
+        """Bulk-load an existing table; returns the row count.
+
+        ``data`` is either a mapping of every column name to its values (a
+        numpy array or any sequence, all of one length) or an iterable of
+        rows, which is transposed once into that form.  Either way the
+        table is built a page at a time (``Table.insert_many``), with the
+        pages and index entries ``Table.insert`` of each row would leave.
+        """
+        target = self.catalog.table(table)
+        if isinstance(data, Mapping):
+            count = len(next(iter(data.values()))) if data else 0
+            return target.insert_many(data, count)
+        return target.insert_many(*target.schema.transpose(data))
 
     # -------------------------------------------------------------- queries
     def table(self, name: str) -> Table:

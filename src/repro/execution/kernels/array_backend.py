@@ -132,20 +132,6 @@ class ArrayKernels(PythonKernels):
         return PythonKernels.between_const(self, vector, low, high,
                                            include_low, include_high)
 
-    def and_masks(self, masks: Sequence[Sequence[bool]]) -> List[bool]:
-        try:
-            block = np.asarray(masks, dtype=bool)
-        except Exception:
-            return PythonKernels.and_masks(self, masks)
-        return np.logical_and.reduce(block, axis=0).tolist()
-
-    def or_masks(self, masks: Sequence[Sequence[bool]]) -> List[bool]:
-        try:
-            block = np.asarray(masks, dtype=bool)
-        except Exception:
-            return PythonKernels.or_masks(self, masks)
-        return np.logical_or.reduce(block, axis=0).tolist()
-
     def not_mask(self, mask: Sequence[bool]) -> List[bool]:
         return np.logical_not(np.asarray(mask, dtype=bool)).tolist()
 

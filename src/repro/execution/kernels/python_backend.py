@@ -74,25 +74,19 @@ class PythonKernels:
     def between_const(self, vector: Sequence, low, high,
                       include_low: bool, include_high: bool) -> List[bool]:
         """``low < value < high`` (bounds optionally inclusive) per element."""
+        # Operand order and short circuit as in ``Between.evaluate``, so a
+        # bound of the wrong type raises the same error on the same row.
         if include_low and include_high:
-            return [value is not None and low <= value <= high
+            return [value is not None and value >= low and value <= high
                     for value in vector]
         if include_low:
-            return [value is not None and low <= value < high
+            return [value is not None and value >= low and value < high
                     for value in vector]
         if include_high:
-            return [value is not None and low < value <= high
+            return [value is not None and value > low and value <= high
                     for value in vector]
-        return [value is not None and low < value < high
+        return [value is not None and value > low and value < high
                 for value in vector]
-
-    def and_masks(self, masks: Sequence[Sequence[bool]]) -> List[bool]:
-        """Elementwise conjunction of equal-length boolean masks."""
-        return [all(values) for values in zip(*masks)]
-
-    def or_masks(self, masks: Sequence[Sequence[bool]]) -> List[bool]:
-        """Elementwise disjunction of equal-length boolean masks."""
-        return [any(values) for values in zip(*masks)]
 
     def not_mask(self, mask: Sequence[bool]) -> List[bool]:
         """Elementwise negation of a boolean mask."""

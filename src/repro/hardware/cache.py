@@ -326,16 +326,6 @@ class CacheHierarchy:
         """
         return self.l1d.access_strided(addr, stride, count, size, PORT_DATA_READ)
 
-    def write_strided(self, addr: int, stride: int, count: int, size: int) -> int:
-        """Bulk data write of ``count`` ``size``-byte elements ``stride`` apart.
-
-        Count-identical to ``count`` individual :meth:`write` calls in
-        ascending order; the store-side twin of :meth:`read_strided` (page
-        flushes write whole line runs through this).
-        """
-        return self.l1d.access_strided(addr, stride, count, size, PORT_DATA_WRITE,
-                                       write=True)
-
     # Instruction side ------------------------------------------------------
     def fetch(self, line_addr: int) -> int:
         """Instruction fetch of one line; returns 1 on an L1I miss else 0."""

@@ -17,11 +17,15 @@ Null semantics: a comparison (or ``BETWEEN``) involving ``None`` evaluates to
 ``False`` rather than raising ("NULL is not less than anything", as in SQL).
 Logic stays *two-valued*, though: ``Not`` inverts that ``False``, so
 ``NOT (NULL < 3)`` is ``True`` here where SQL's three-valued logic would
-filter the row.  The deliberate point is totality, not SQL fidelity --
-predicates are pure total functions of their row, which makes conjunction
-commutative: the property the adaptive conjunct-reordering subsystem
-(:mod:`repro.adaptive`) relies on to shuffle evaluation order without
-changing a single result row.
+filter the row.  Predicates are pure, but not total: comparing values of
+unorderable types (an integer column against a string constant) raises
+``TypeError``.  ``And`` and ``Or`` therefore short-circuit in both forms --
+row by row in :meth:`Expression.evaluate`, and over the rows still
+undecided in :meth:`Expression.evaluate_batch` -- so both engines evaluate
+each operand on the same rows and fail the same queries.  Conjunction is
+commutative only for predicates that raise on no row; that is what the
+adaptive conjunct-reordering subsystem (:mod:`repro.adaptive`) relies on
+to shuffle evaluation order without changing a single result row.
 """
 
 from __future__ import annotations
@@ -227,6 +231,39 @@ class Between(Expression):
         return 2
 
 
+def _short_circuit(operands: Sequence[Expression],
+                   columns: Mapping[str, Sequence], count: int, kernels,
+                   decided: bool) -> List[bool]:
+    """The mask of ``And`` (``decided=False``) or ``Or`` (``decided=True``)
+    over ``operands``, short-circuited as :meth:`And.evaluate` and
+    :meth:`Or.evaluate` are: operand ``k`` sees only the rows operands
+    ``1..k-1`` left undecided, so it never runs on -- and never raises for
+    -- a row the row-at-a-time form would not hand it."""
+    kernels = kernels or _default_kernels()
+    undecided: Sequence[int] = range(count)
+    hits: List[int] = []
+    for operand in operands:
+        if not undecided:
+            break
+        if len(undecided) == count:
+            subset = columns
+        else:
+            subset = {}
+            for name in operand.columns():
+                vector = _column_vector(columns, name)
+                if vector is not None:
+                    subset[name] = kernels.gather(vector, undecided)
+        outcomes = operand.evaluate_batch(subset, len(undecided), kernels)
+        if decided:
+            hits.extend(kernels.select(undecided, outcomes))
+            outcomes = kernels.not_mask(outcomes)
+        undecided = kernels.select(undecided, outcomes)
+    mask = [False] * count
+    for position in (hits if decided else undecided):
+        mask[position] = True
+    return mask
+
+
 @dataclass(frozen=True)
 class And(Expression):
     """Conjunction with short-circuit evaluation."""
@@ -238,16 +275,8 @@ class And(Expression):
 
     def evaluate_batch(self, columns: Mapping[str, Sequence],
                        count: int, kernels=None) -> List[bool]:
-        # Predicates are total and pure, so the short-circuit ``all`` of
-        # :meth:`evaluate` and this non-short-circuit mask combination
-        # produce the same booleans row for row.
-        if not self.operands:
-            return [True] * count
-        masks = [op.evaluate_batch(columns, count, kernels)
-                 for op in self.operands]
-        if len(masks) == 1:
-            return [bool(value) for value in masks[0]]
-        return (kernels or _default_kernels()).and_masks(masks)
+        return _short_circuit(self.operands, columns, count, kernels,
+                              decided=False)
 
     def columns(self) -> FrozenSet[str]:
         out: FrozenSet[str] = frozenset()
@@ -270,13 +299,8 @@ class Or(Expression):
 
     def evaluate_batch(self, columns: Mapping[str, Sequence],
                        count: int, kernels=None) -> List[bool]:
-        if not self.operands:
-            return [False] * count
-        masks = [op.evaluate_batch(columns, count, kernels)
-                 for op in self.operands]
-        if len(masks) == 1:
-            return [bool(value) for value in masks[0]]
-        return (kernels or _default_kernels()).or_masks(masks)
+        return _short_circuit(self.operands, columns, count, kernels,
+                              decided=True)
 
     def columns(self) -> FrozenSet[str]:
         out: FrozenSet[str] = frozenset()

@@ -11,7 +11,10 @@ builds on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
+
+import numpy as np
 
 from .address_space import AddressSpace
 
@@ -19,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance (storage <-> inde
     from ..index.btree import BTreeIndex
 from .buffer_pool import BufferPool
 from .heapfile import PAGE_STYLE_NSM, HeapFile
-from .page import DEFAULT_PAGE_SIZE, RecordId
+from .page import DEFAULT_PAGE_SIZE, RecordId, decode_values
 from .schema import RecordLayout, Schema
 
 
@@ -47,11 +50,32 @@ class Table:
                 index.insert(key, rid)
         return rid
 
-    def insert_many(self, rows: Iterable[Sequence]) -> int:
-        count = 0
-        for values in rows:
-            self.insert(values)
-            count += 1
+    def insert_many(self, columns: Mapping[str, Sequence], count: int) -> int:
+        """Insert ``count`` rows given column-wise, maintaining every
+        secondary index; returns ``count``.
+
+        The heap is packed a page at a time (:meth:`HeapFile.pack`), then
+        each row's entries go into the indexes in row order, as
+        :meth:`insert` adds them.  Heap pages and index nodes come from
+        separate address regions, so the pages, nodes and cursors equal
+        those of ``count`` :meth:`insert` calls.  Values a column cannot
+        hold and keys a unique index already holds (or that repeat) are
+        rejected before anything is written.
+        """
+        keyed = [(index, _values(columns[name]))
+                 for name, index in self.indexes.items()]
+        for index, keys in keyed:
+            if index.unique:
+                _check_unique(index, keys)
+        runs = self.heap.pack(columns, count)
+        if keyed:
+            row = 0
+            for page_number, first, placed in runs:
+                for slot in range(first, first + placed):
+                    rid = RecordId(page_number, slot)
+                    for index, keys in keyed:
+                        index.insert(keys[row], rid)
+                    row += 1
         return count
 
     def update(self, rid: RecordId, values: Sequence) -> None:
@@ -93,6 +117,22 @@ class Table:
         return f"Table({self.name!r}, {self.row_count} rows, indexes={sorted(self.indexes)})"
 
 
+def _check_unique(index: "BTreeIndex", keys: Sequence) -> None:
+    """Raise the ``BTreeError`` inserting ``keys`` into ``index`` would."""
+    from ..index.btree import BTreeError  # local import: storage <-> index cycle
+
+    seen = set()
+    for key in keys:
+        if key in seen or index.search(key):
+            raise BTreeError(f"duplicate key {key!r} in unique index {index.name!r}")
+        seen.add(key)
+
+
+def _values(column: Sequence) -> Sequence:
+    """A column's values as Python scalars (index keys)."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
 class Catalog:
     """The storage manager: address space, buffer pools and table registry."""
 
@@ -125,7 +165,12 @@ class Catalog:
 
     def create_index(self, table_name: str, column_name: str,
                      unique: bool = False) -> "BTreeIndex":
-        """Create (and populate) a non-clustered B+-tree on one column."""
+        """Create (and populate) a non-clustered B+-tree on one column.
+
+        The keys are read a page at a time (one pool fetch per heap page,
+        one :func:`decode_values` of the column per page) and handed to
+        :meth:`~repro.index.btree.BTreeIndex.bulk_load` with their rids
+        in storage order."""
         table = self.table(table_name)
         from ..index.btree import BTreeIndex  # local import: storage <-> index cycle
 
@@ -135,12 +180,12 @@ class Catalog:
                 f"index on {table_name}.{column_name} already exists")
         index = BTreeIndex(name=f"{table_name}_{column_name}_idx",
                            address_space=self.address_space, unique=unique)
-        position = table.schema.index_of(column_name)
         layout = table.layout
-        entries = []
-        for entry in table.heap.scan():
-            key = layout.decode_column(bytes(entry.page.record_view(entry.slot)), column_name)
-            entries.append((key, entry.rid))
+        entries: List[Tuple[object, RecordId]] = []
+        for page, slots in table.heap.scan_pages():
+            number = page.page_number
+            entries.extend(zip(decode_values(page, layout, column_name, slots),
+                               [RecordId(number, slot) for slot in slots]))
         index.bulk_load(entries)
         table.indexes[column_name] = index
         return index

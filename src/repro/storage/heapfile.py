@@ -14,7 +14,9 @@ microbenchmark needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .buffer_pool import BufferPool
 from .page import (PAGE_HEADER_BYTES, PageError, PaxPage, RecordId, SlottedPage,
@@ -56,6 +58,9 @@ class HeapFile:
     vectorized scan can read them as dense spans).
     """
 
+    #: Pages' worth of records :meth:`pack` lays out per step.
+    PACK_CHUNK_PAGES = 64
+
     def __init__(self, name: str, layout: RecordLayout, buffer_pool: BufferPool,
                  page_style: str = PAGE_STYLE_NSM) -> None:
         if page_style not in PAGE_STYLES:
@@ -79,13 +84,62 @@ class HeapFile:
         self._record_count += 1
         return RecordId(page.page_number, slot)
 
-    def insert_many(self, rows: Iterable[Sequence]) -> int:
-        """Bulk insert; returns the number of records inserted."""
-        count = 0
-        for values in rows:
-            self.insert(values)
-            count += 1
-        return count
+    def pack(self, columns: Mapping[str, Sequence],
+             count: int) -> List[Tuple[int, int, int]]:
+        """Append ``count`` records given column-wise (column name ->
+        ``count`` values), a page at a time; returns ``(page number, first
+        slot, records)`` runs in row order.
+
+        Pages, slot directories, allocation and pins end up exactly as
+        ``count`` :meth:`insert` calls would leave them: the current fill
+        page is topped up first, and each further page comes from the pool
+        the way :meth:`_page_for_insert` takes it.  The values are checked
+        in full (:meth:`RecordLayout.encode_columns`) before any page is
+        touched, and records are laid out :data:`PACK_CHUNK_PAGES` pages'
+        worth at a time, so no byte image of the whole relation is held.
+        """
+        layout = self.layout
+        record_size = layout.record_size
+        encoded = layout.encode_columns(columns, count)
+        columnar = self.page_style == PAGE_STYLE_PAX
+        chunk_rows = self.PACK_CHUNK_PAGES * self.records_per_page
+        runs: List[Tuple[int, int, int]] = []
+        for start in range(0, count, chunk_rows):
+            rows = min(chunk_rows, count - start)
+            if columnar:
+                parts = [column[start:start + rows] for column in encoded]
+                if layout.padding_bytes:
+                    parts.append(np.zeros((rows, layout.padding_bytes), np.uint8))
+                minipages = [memoryview(part).cast("B") for part in parts]
+            else:
+                image = np.zeros((rows, record_size), np.uint8)
+                for (offset, width), column in zip(layout.slices, encoded):
+                    image[:, offset:offset + width] = column[start:start + rows]
+                records = memoryview(image).cast("B")
+            done = 0
+            while done < rows:
+                page = self._current_page
+                room = 0 if page is None else page.room_for(record_size)
+                if not room:
+                    page = self._next_fill_page()
+                    room = page.room_for(record_size)
+                    if not room:
+                        raise PageError(f"a {record_size}-byte record does "
+                                        f"not fit an empty page")
+                placed = min(room, rows - done)
+                if columnar:
+                    first = page.append(
+                        [view[done * width:(done + placed) * width]
+                         for view, (_, width) in zip(minipages, layout.slices)],
+                        placed)
+                else:
+                    first = page.append(
+                        records[done * record_size:(done + placed) * record_size],
+                        placed, record_size)
+                runs.append((page.page_number, first, placed))
+                done += placed
+        self._record_count += count
+        return runs
 
     def delete(self, rid: RecordId) -> None:
         page = self._page(rid.page_number)
@@ -109,22 +163,27 @@ class HeapFile:
     def _page_for_insert(self, record_size: int) -> SlottedPage:
         page = self._current_page
         if page is None or not page.has_room_for(record_size):
-            factory = None
-            if self.page_style == PAGE_STYLE_PAX:
-                layout = self.layout
-                page_size = self.buffer_pool.page_size
+            page = self._next_fill_page()
+        return page
 
-                def factory(page_number: int, base_address: int) -> PaxPage:
-                    return PaxPage(page_number, base_address, layout, page_size)
+    def _next_fill_page(self) -> SlottedPage:
+        """Allocate the next fill target, pinned; unpin the previous one."""
+        factory = None
+        if self.page_style == PAGE_STYLE_PAX:
+            layout = self.layout
+            page_size = self.buffer_pool.page_size
 
-            if page is not None:
-                # The previous fill target was pinned below; release it so a
-                # capacity-limited pool may evict it now that it is full.
-                self.buffer_pool.unpin(page.page_number)
-            page = self.buffer_pool.allocate_page(factory, pin=True)
-            self._page_numbers.append(page.page_number)
-            self._page_number_set.add(page.page_number)
-            self._current_page = page
+            def factory(page_number: int, base_address: int) -> PaxPage:
+                return PaxPage(page_number, base_address, layout, page_size)
+
+        if self._current_page is not None:
+            # The previous fill target was pinned below; release it so a
+            # capacity-limited pool may evict it now that it is full.
+            self.buffer_pool.unpin(self._current_page.page_number)
+        page = self.buffer_pool.allocate_page(factory, pin=True)
+        self._page_numbers.append(page.page_number)
+        self._page_number_set.add(page.page_number)
+        self._current_page = page
         return page
 
     def _page(self, page_number: int) -> SlottedPage:

@@ -98,7 +98,31 @@ class SlottedPage:
     def has_room_for(self, record_size: int) -> bool:
         return self.free_space() >= record_size
 
+    def room_for(self, record_size: int) -> int:
+        """How many more ``record_size``-byte records :meth:`insert` would
+        accept, one after another."""
+        spare = self.page_size - self._free_offset - self.slot_count * SLOT_ENTRY_BYTES
+        return max(spare // (record_size + SLOT_ENTRY_BYTES), 0)
+
     # ------------------------------------------------------------- mutation
+    def append(self, records, count: int, record_size: int) -> int:
+        """Lay ``count`` records of ``record_size`` bytes (``records``, their
+        bytes back to back) down at the free offset, as that many
+        :meth:`insert` calls would; returns the first new slot."""
+        if count > self.room_for(record_size):
+            raise PageError(
+                f"page {self.page_number}: {count} records of {record_size} "
+                f"bytes do not fit ({self.free_space()} bytes free)")
+        first = len(self._offsets)
+        offset = self._free_offset
+        end = offset + count * record_size
+        self._buffer[offset:end] = records
+        self._offsets.extend(range(offset, end, record_size))
+        self._lengths.extend([record_size] * count)
+        self._free_offset = end
+        self.dirty = True
+        return first
+
     def insert(self, record_bytes: bytes) -> int:
         """Insert a record; returns the slot number.
 
@@ -272,7 +296,28 @@ class PaxPage:
                 f"got {record_size}")
         return len(self._live) < self.capacity
 
+    def room_for(self, record_size: int) -> int:
+        """How many more records :meth:`insert` would accept."""
+        self.has_room_for(record_size)  # rejects a foreign record size
+        return self.capacity - len(self._live)
+
     # ------------------------------------------------------------- mutation
+    def append(self, minipages: Sequence, count: int) -> int:
+        """Lay ``count`` records down as that many :meth:`insert` calls
+        would: ``minipages`` holds one run of ``count * width`` bytes per
+        ``_geometry`` entry, in slot order.  Returns the first new slot."""
+        first = len(self._live)
+        if count > self.capacity - first:
+            raise PageError(f"PAX page {self.page_number}: {count} records "
+                            f"do not fit ({self.capacity - first} free)")
+        buffer = self._buffer
+        for (offset, _field_offset, width), values in zip(self._geometry, minipages):
+            start = offset + first * width
+            buffer[start:start + count * width] = values
+        self._live.extend([True] * count)
+        self.dirty = True
+        return first
+
     def insert(self, record_bytes: bytes) -> int:
         """Scatter one NSM-encoded record across the minipages; returns the slot."""
         if not self.has_room_for(len(record_bytes)):

@@ -20,7 +20,9 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class ColumnType(Enum):
@@ -110,6 +112,18 @@ class Schema:
 
     def column_names(self) -> Tuple[str, ...]:
         return tuple(c.name for c in self.columns)
+
+    def transpose(self, rows: Iterable[Sequence]) -> Tuple[Dict[str, tuple], int]:
+        """``(column name -> values, row count)`` of ``rows``: the column
+        form a bulk load takes.  A row of the wrong arity raises the
+        :class:`SchemaError` :meth:`RecordLayout.encode` would."""
+        rows = list(rows)
+        width = len(self.columns)
+        for row in rows:
+            if len(row) != width:
+                raise SchemaError(f"expected {width} values, got {len(row)}")
+        vectors = zip(*rows) if rows else ((),) * width
+        return dict(zip(self.column_names(), vectors)), len(rows)
 
 
 @dataclass(frozen=True)
@@ -216,6 +230,41 @@ class RecordLayout:
             return _char_bytes(value, width)
         return struct.pack(code, value)
 
+    def encode_columns(self, columns: Mapping[str, Sequence],
+                       count: int) -> List[np.ndarray]:
+        """Every declared column of ``count`` rows as a ``(count, width)``
+        ``uint8`` array, in schema order: row ``i`` of column ``c`` is the
+        bytes :meth:`encode` lays down for that value.
+
+        ``columns`` maps every column name (and no other) to ``count``
+        values: a numpy array or any sequence.  Whatever :meth:`encode`
+        rejects is rejected here with the same exception type, before any
+        byte is produced -- ``CHAR`` values first, through the same
+        truncate/NUL-pad rule, then the numeric columns: a numpy integer
+        (or, for ``FLOAT64``, float) array by a min/max range check and one
+        ``astype``, anything else by one ``struct.pack`` of the column.
+        """
+        names = self.schema.column_names()
+        if set(columns) != set(names):
+            raise SchemaError(f"columns {sorted(columns)} do not match the "
+                              f"schema's {sorted(names)}")
+        for name in names:
+            if len(columns[name]) != count:
+                raise SchemaError(f"column {name!r} holds {len(columns[name])} "
+                                  f"values, expected {count}")
+        encoded: Dict[str, np.ndarray] = {}
+        for column in self.schema:
+            if column.type is ColumnType.CHAR:
+                raw = b"".join([_char_bytes(value, column.byte_width)
+                                for value in columns[column.name]])
+                encoded[column.name] = np.frombuffer(raw, dtype=np.uint8)
+        for column in self.schema:
+            if column.type is not ColumnType.CHAR:
+                encoded[column.name] = _numeric_bytes(column.type,
+                                                      columns[column.name], count)
+        return [encoded[column.name].reshape(count, column.byte_width)
+                for column in self.schema]
+
     def decode(self, data: bytes) -> Tuple:
         """Deserialise a record previously produced by :meth:`encode`."""
         if len(data) < self.packed_size:
@@ -246,6 +295,32 @@ def _char_bytes(value, width: int) -> bytes:
     """A CHAR value truncated / NUL-padded to its fixed width."""
     raw = value.encode() if isinstance(value, str) else bytes(value)
     return raw[:width].ljust(width, b"\x00")
+
+
+#: Little-endian numpy dtype of each numeric column type (``struct``'s
+#: ``<i``, ``<q`` and ``<d``).
+_NUMPY_DTYPES = {ColumnType.INT32: np.dtype("<i4"),
+                 ColumnType.INT64: np.dtype("<i8"),
+                 ColumnType.FLOAT64: np.dtype("<f8")}
+
+
+def _numeric_bytes(column_type: ColumnType, values: Sequence,
+                   count: int) -> np.ndarray:
+    """``values`` packed as ``struct`` packs them with the column's code,
+    as a flat ``uint8`` array; raises what ``struct.pack`` would."""
+    dtype = _NUMPY_DTYPES[column_type]
+    code = column_type.struct_code
+    if isinstance(values, np.ndarray) and values.ndim == 1 \
+            and values.dtype.kind in "biuf":
+        if values.dtype.kind == "f" and dtype.kind == "i":
+            raise struct.error("required argument is not an integer")
+        if dtype.kind == "i" and values.size:
+            info = np.iinfo(dtype)
+            if int(values.min()) < info.min or int(values.max()) > info.max:
+                raise struct.error(f"'{code}' format requires {info.min} "
+                                   f"<= number <= {info.max}")
+        return values.astype(dtype).view(np.uint8)
+    return np.frombuffer(struct.pack(f"<{count}{code}", *values), dtype=np.uint8)
 
 
 def microbenchmark_schema(record_size: int = 100, name: str = "R") -> Tuple[Schema, RecordLayout]:

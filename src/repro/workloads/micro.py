@@ -30,8 +30,9 @@ uniformity of ``a2`` are preserved at every scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
+import numpy as np
 from numpy.random import default_rng
 
 from ..engine.database import Database
@@ -95,6 +96,18 @@ class MicroWorkloadConfig:
         return self.s_rows * self.record_size
 
 
+#: Rows :func:`_rows` converts to Python ints per step (bounds its memory).
+_ROWS_CHUNK = 1024
+
+
+def _rows(columns: Dict[str, np.ndarray]) -> Iterator[Tuple[int, ...]]:
+    """One tuple of Python ints per row of equal-length columns."""
+    vectors = list(columns.values())
+    for start in range(0, len(vectors[0]), _ROWS_CHUNK):
+        yield from zip(*(vector[start:start + _ROWS_CHUNK].tolist()
+                         for vector in vectors))
+
+
 class MicroWorkload:
     """Builds the R/S dataset and the three microbenchmark queries."""
 
@@ -105,23 +118,30 @@ class MicroWorkload:
         self.config = config or MicroWorkloadConfig()
 
     # ----------------------------------------------------------------- data
-    def generate_r_rows(self) -> Iterator[Tuple[int, int, int]]:
-        """Rows of R: ``a1`` sequential, ``a2`` uniform over the domain, ``a3`` values."""
+    def r_columns(self) -> Dict[str, np.ndarray]:
+        """R's columns: ``a1`` sequential, ``a2`` uniform over the domain,
+        ``a3`` values (one seeded stream)."""
         config = self.config
         rng = default_rng(config.seed)
         a2 = rng.integers(1, config.a2_domain + 1, size=config.r_rows)
         a3 = rng.integers(0, 10_000, size=config.r_rows)
-        for i in range(config.r_rows):
-            yield i + 1, int(a2[i]), int(a3[i])
+        return {"a1": np.arange(1, config.r_rows + 1), "a2": a2, "a3": a3}
 
-    def generate_s_rows(self) -> Iterator[Tuple[int, int, int]]:
-        """Rows of S: ``a1`` is the primary key 1..|S|."""
+    def s_columns(self) -> Dict[str, np.ndarray]:
+        """S's columns: ``a1`` is the primary key 1..|S|."""
         config = self.config
         rng = default_rng(config.seed + 1)
         a2 = rng.integers(1, config.a2_domain + 1, size=config.s_rows)
         a3 = rng.integers(0, 10_000, size=config.s_rows)
-        for i in range(config.s_rows):
-            yield i + 1, int(a2[i]), int(a3[i])
+        return {"a1": np.arange(1, config.s_rows + 1), "a2": a2, "a3": a3}
+
+    def generate_r_rows(self) -> Iterator[Tuple[int, int, int]]:
+        """Rows of R, ``(a1, a2, a3)`` tuples read off :meth:`r_columns`."""
+        return _rows(self.r_columns())
+
+    def generate_s_rows(self) -> Iterator[Tuple[int, int, int]]:
+        """Rows of S, read off :meth:`s_columns`."""
+        return _rows(self.s_columns())
 
     def build(self, database: Optional[Database] = None,
               include_s: bool = True, layout_style: str = "nsm") -> Database:
@@ -129,17 +149,18 @@ class MicroWorkload:
 
         ``layout_style`` selects the page organisation of both tables
         (``"nsm"`` slotted pages or ``"pax"`` minipages) -- the layout axis
-        of the engine x layout benchmark grid.
+        of the engine x layout benchmark grid.  Each table is loaded from
+        its columns, a page at a time.
         """
         db = database or Database()
         columns = [("a1", ColumnType.INT32), ("a2", ColumnType.INT32), ("a3", ColumnType.INT32)]
         db.create_table(self.R_TABLE, columns, record_size=self.config.record_size,
                         layout_style=layout_style)
-        db.load(self.R_TABLE, self.generate_r_rows())
+        db.load(self.R_TABLE, self.r_columns())
         if include_s:
             db.create_table(self.S_TABLE, columns, record_size=self.config.record_size,
                             layout_style=layout_style)
-            db.load(self.S_TABLE, self.generate_s_rows())
+            db.load(self.S_TABLE, self.s_columns())
         return db
 
     def create_selection_index(self, database: Database):

@@ -26,8 +26,9 @@ workload here provides exactly that:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
 from numpy.random import default_rng
 
 from ..engine.database import Database
@@ -91,6 +92,27 @@ class TPCCWorkload:
         self.config = config or TPCCConfig()
 
     # ----------------------------------------------------------------- data
+    def table_columns(self) -> Iterator[Tuple[str, Dict[str, np.ndarray]]]:
+        """``(table, columns)`` for ``customer`` then ``stock``, drawn from
+        one seeded stream in that order (every column ``INT32``)."""
+        config = self.config
+        rng = default_rng(config.seed)
+        ids = np.arange(config.customer_rows)
+        yield self.CUSTOMER, {
+            "c_id": ids + 1,
+            "c_d_id": ids % 10 + 1,
+            "c_w_id": ids % config.warehouses + 1,
+            "c_balance": rng.integers(0, 50_000, size=config.customer_rows),
+            "c_payment_cnt": np.zeros(config.customer_rows, dtype=np.int64),
+        }
+        ids = np.arange(config.stock_rows)
+        yield self.STOCK, {
+            "s_i_id": ids + 1,
+            "s_w_id": ids % config.warehouses + 1,
+            "s_quantity": rng.integers(10, 100, size=config.stock_rows),
+            "s_order_cnt": np.zeros(config.stock_rows, dtype=np.int64),
+        }
+
     def build(self, database: Optional[Database] = None,
               layout_style: str = "nsm") -> Database:
         """Create and populate both tables plus their unique key indexes.
@@ -100,31 +122,12 @@ class TPCCWorkload:
         """
         config = self.config
         db = database or Database()
-        rng = default_rng(config.seed)
-
-        db.create_table(self.CUSTOMER, [
-            ("c_id", ColumnType.INT32),
-            ("c_d_id", ColumnType.INT32),
-            ("c_w_id", ColumnType.INT32),
-            ("c_balance", ColumnType.INT32),
-            ("c_payment_cnt", ColumnType.INT32),
-        ], record_size=config.customer_record_size, layout_style=layout_style)
-        balances = rng.integers(0, 50_000, size=config.customer_rows)
-        db.load(self.CUSTOMER, (
-            (i + 1, (i % 10) + 1, (i % config.warehouses) + 1, int(balances[i]), 0)
-            for i in range(config.customer_rows)))
-
-        db.create_table(self.STOCK, [
-            ("s_i_id", ColumnType.INT32),
-            ("s_w_id", ColumnType.INT32),
-            ("s_quantity", ColumnType.INT32),
-            ("s_order_cnt", ColumnType.INT32),
-        ], record_size=config.stock_record_size, layout_style=layout_style)
-        quantities = rng.integers(10, 100, size=config.stock_rows)
-        db.load(self.STOCK, (
-            (i + 1, (i % config.warehouses) + 1, int(quantities[i]), 0)
-            for i in range(config.stock_rows)))
-
+        record_sizes = {self.CUSTOMER: config.customer_record_size,
+                        self.STOCK: config.stock_record_size}
+        for name, columns in self.table_columns():
+            db.create_table(name, [(column, ColumnType.INT32) for column in columns],
+                            record_size=record_sizes[name], layout_style=layout_style)
+            db.load(name, columns)
         db.create_index(self.CUSTOMER, "c_id", unique=True)
         db.create_index(self.STOCK, "s_i_id", unique=True)
         return db

@@ -26,8 +26,9 @@ paper's description of the workload as "selection queries".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
 from numpy.random import default_rng
 
 from ..engine.database import Database
@@ -78,6 +79,29 @@ class TPCDWorkload:
         self.config = config or TPCDConfig()
 
     # ----------------------------------------------------------------- data
+    def table_columns(self) -> Iterator[Tuple[str, Dict[str, np.ndarray]]]:
+        """``(table, columns)`` for the fact table, then each dimension, all
+        drawn from one seeded stream in that order (every column
+        ``INT32``)."""
+        config = self.config
+        rng = default_rng(config.seed)
+        rows = config.lineitem_rows
+        yield self.LINEITEM, {
+            "l_orderkey": rng.integers(1, config.orders_rows + 1, size=rows),
+            "l_partkey": rng.integers(1, config.part_rows + 1, size=rows),
+            "l_suppkey": rng.integers(1, config.supplier_rows + 1, size=rows),
+            "l_quantity": rng.integers(1, 51, size=rows),
+            "l_extendedprice": rng.integers(100, 100_000, size=rows),
+            "l_discount": rng.integers(0, 11, size=rows),
+            "l_shipdate": rng.integers(1, DATE_DOMAIN + 1, size=rows),
+        }
+        for name, rows in ((self.ORDERS, config.orders_rows),
+                           (self.PART, config.part_rows),
+                           (self.SUPPLIER, config.supplier_rows)):
+            attrs = rng.integers(0, 1_000, size=(rows, 2))
+            yield name, {"key": np.arange(1, rows + 1),
+                         "attr1": attrs[:, 0], "attr2": attrs[:, 1]}
+
     def build(self, database: Optional[Database] = None,
               layout_style: str = "nsm") -> Database:
         """Create and populate the four tables, plus the fact-table index.
@@ -89,40 +113,12 @@ class TPCDWorkload:
         """
         config = self.config
         db = database or Database()
-        rng = default_rng(config.seed)
-
-        db.create_table(self.LINEITEM, [
-            ("l_orderkey", ColumnType.INT32),
-            ("l_partkey", ColumnType.INT32),
-            ("l_suppkey", ColumnType.INT32),
-            ("l_quantity", ColumnType.INT32),
-            ("l_extendedprice", ColumnType.INT32),
-            ("l_discount", ColumnType.INT32),
-            ("l_shipdate", ColumnType.INT32),
-        ], record_size=config.lineitem_record_size, layout_style=layout_style)
-        orderkeys = rng.integers(1, config.orders_rows + 1, size=config.lineitem_rows)
-        partkeys = rng.integers(1, config.part_rows + 1, size=config.lineitem_rows)
-        suppkeys = rng.integers(1, config.supplier_rows + 1, size=config.lineitem_rows)
-        quantities = rng.integers(1, 51, size=config.lineitem_rows)
-        prices = rng.integers(100, 100_000, size=config.lineitem_rows)
-        discounts = rng.integers(0, 11, size=config.lineitem_rows)
-        shipdates = rng.integers(1, DATE_DOMAIN + 1, size=config.lineitem_rows)
-        db.load(self.LINEITEM, (
-            (int(orderkeys[i]), int(partkeys[i]), int(suppkeys[i]), int(quantities[i]),
-             int(prices[i]), int(discounts[i]), int(shipdates[i]))
-            for i in range(config.lineitem_rows)))
-
-        dimension_columns = [("key", ColumnType.INT32), ("attr1", ColumnType.INT32),
-                             ("attr2", ColumnType.INT32)]
-        for name, rows in ((self.ORDERS, config.orders_rows),
-                           (self.PART, config.part_rows),
-                           (self.SUPPLIER, config.supplier_rows)):
-            db.create_table(name, dimension_columns,
-                            record_size=config.dimension_record_size,
-                            layout_style=layout_style)
-            attrs = rng.integers(0, 1_000, size=(rows, 2))
-            db.load(name, ((i + 1, int(attrs[i, 0]), int(attrs[i, 1])) for i in range(rows)))
-
+        for name, columns in self.table_columns():
+            record_size = (config.lineitem_record_size if name == self.LINEITEM
+                           else config.dimension_record_size)
+            db.create_table(name, [(column, ColumnType.INT32) for column in columns],
+                            record_size=record_size, layout_style=layout_style)
+            db.load(name, columns)
         db.create_index(self.LINEITEM, "l_shipdate")
         return db
 

@@ -52,6 +52,17 @@ against them.
 before the probe memo held finished parts: the memoized counters
 re-validated into a fresh ``EventCounters``, then the Table 4.2 breakdown
 and the metrics derived from them again, on every hit.
+
+:func:`heap_insert_rows`, :func:`per_row_insert_many` and
+:func:`heap_scan_create_index` are the build before relations were packed
+a page at a time from columns: one ``HeapFile.insert`` (``struct.pack``
+of the record, ``SlottedPage.insert`` / ``PaxPage.insert``) per row, one
+``Table.insert`` per row with its index entries, and an index populated
+from a record-at-a-time heap scan that decodes each record's key.
+``per_row_builds()`` puts the last two in place of ``Table.insert_many``
+and ``Catalog.create_index``, so a differential build checks every page,
+slot directory, pool frame, pin, address-space cursor and B-tree node of
+the column packer against them.
 """
 
 from __future__ import annotations
@@ -74,7 +85,8 @@ from repro.execution.operators import (HashJoinOperator, ScalarAggregateOperator
 from repro.hardware.counters import EventCounters
 from repro.observability import TraceNode
 from repro.query.expressions import AggregateState
-from repro.storage.catalog import Table
+from repro.index.btree import BTreeIndex
+from repro.storage.catalog import Catalog, CatalogError, Table
 from repro.storage.page import RecordId
 from repro.storage.schema import RecordLayout
 from reference_machine import Context as ReferenceContext, reference_machine
@@ -414,3 +426,55 @@ def morsel_pages(pages):
         yield
     finally:
         parallel_mod.ParallelExecution.default_morsel_pages = saved
+
+
+def heap_insert_rows(heap, rows) -> int:
+    """``HeapFile.pack`` as one ``HeapFile.insert`` per row."""
+    count = 0
+    for values in rows:
+        heap.insert(values)
+        count += 1
+    return count
+
+
+def per_row_insert_many(table: Table, columns, count: int) -> int:
+    """``Table.insert_many`` as one ``Table.insert`` per row."""
+    vectors = [columns[name] for name in table.schema.column_names()]
+    vectors = [vector.tolist() if hasattr(vector, "tolist") else vector
+               for vector in vectors]
+    for values in zip(*vectors):
+        table.insert(values)
+    return count
+
+
+def heap_scan_create_index(self: Catalog, table_name: str, column_name: str,
+                           unique: bool = False) -> BTreeIndex:
+    """``Catalog.create_index`` populated by a record-at-a-time heap scan."""
+    table = self.table(table_name)
+    table.schema.column(column_name)  # validates existence
+    if column_name in table.indexes:
+        raise CatalogError(
+            f"index on {table_name}.{column_name} already exists")
+    index = BTreeIndex(name=f"{table_name}_{column_name}_idx",
+                       address_space=self.address_space, unique=unique)
+    layout = table.layout
+    entries = []
+    for entry in table.heap.scan():
+        key = layout.decode_column(bytes(entry.page.record_view(entry.slot)),
+                                   column_name)
+        entries.append((key, entry.rid))
+    index.bulk_load(entries)
+    table.indexes[column_name] = index
+    return index
+
+
+@contextmanager
+def per_row_builds():
+    """Loads and index builds run inside the block go a record at a time."""
+    saved = Table.insert_many, Catalog.create_index
+    Table.insert_many = per_row_insert_many
+    Catalog.create_index = heap_scan_create_index
+    try:
+        yield
+    finally:
+        Table.insert_many, Catalog.create_index = saved

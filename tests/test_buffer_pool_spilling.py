@@ -185,7 +185,7 @@ class TestHeapFileOnTinyPool:
         pool = BufferPool(AddressSpace(), capacity_pages=2)
         heap = HeapFile("R", layout, pool, page_style=style)
         rows = [(i, i % 7, i * 3) for i in range(300)]
-        heap.insert_many(rows)
+        heap.pack(*heap.layout.schema.transpose(rows))
         assert heap.page_count > 2           # data genuinely exceeds the pool
         assert pool.stats.evictions > 0
         scanned = [heap.read_values(entry.rid)[:3] for entry in list(heap.scan())]

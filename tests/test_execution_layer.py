@@ -18,10 +18,10 @@ def make_catalog(rows=500) -> Catalog:
     catalog = Catalog()
     schema, _ = microbenchmark_schema(100, "R")
     table = catalog.create_table("R", schema, record_size=100)
-    table.insert_many((i, i % 50 + 1, i * 2) for i in range(rows))
+    table.insert_many(*table.schema.transpose((i, i % 50 + 1, i * 2) for i in range(rows)))
     schema_s, _ = microbenchmark_schema(100, "S")
     s = catalog.create_table("S", schema_s, record_size=100)
-    s.insert_many((i, i * 3, i) for i in range(1, 51))
+    s.insert_many(*s.schema.transpose((i, i * 3, i) for i in range(1, 51)))
     catalog.create_index("R", "a2")
     catalog.create_index("S", "a1", unique=True)
     return catalog

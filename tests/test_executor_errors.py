@@ -39,7 +39,7 @@ def make_catalog(with_index: bool = False) -> Catalog:
     catalog = Catalog()
     schema, _ = microbenchmark_schema(100, "R")
     table = catalog.create_table("R", schema, record_size=100)
-    table.insert_many((i, i % 10, i) for i in range(40))
+    table.insert_many(*table.schema.transpose((i, i % 10, i) for i in range(40)))
     if with_index:
         catalog.create_index("R", "a2")
     return catalog

@@ -61,7 +61,7 @@ def build():
         schema = Schema.of(Column("k", ColumnType.CHAR, width=8),
                            Column("v", ColumnType.INT32), name=name)
         db.catalog.create_table(name, schema, record_size=100).insert_many(
-            (f"key{i % 40}", i) for i in range(count))
+            *schema.transpose((f"key{i % 40}", i) for i in range(count)))
     return db
 
 query = JoinQuery("P", "Q", "k", "k", (count_star(),))

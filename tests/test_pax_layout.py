@@ -99,7 +99,7 @@ class TestPaxHeapFile:
         schema, _ = microbenchmark_schema(100, "R")
         table = catalog.create_table("R", schema, record_size=100,
                                      layout_style=PAGE_STYLE_PAX)
-        table.insert_many((i, i % 40, i * 2) for i in range(rows))
+        table.insert_many(*table.schema.transpose((i, i % 40, i * 2) for i in range(rows)))
         return catalog, table
 
     def test_heap_scan_preserves_insert_order(self):

@@ -265,8 +265,8 @@ def _scan_catalog(rows=240, seed=1999) -> Catalog:
     schema, _ = microbenchmark_schema(100, "R")
     table = catalog.create_table("R", schema, record_size=100)
     rng = random.Random(seed)
-    table.insert_many((i, rng.randint(0, 100), rng.randint(0, 1000))
-                      for i in range(rows))
+    table.insert_many(*schema.transpose(
+        (i, rng.randint(0, 100), rng.randint(0, 1000)) for i in range(rows)))
     catalog.create_index("R", "a2")
     return catalog
 

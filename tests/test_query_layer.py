@@ -113,10 +113,10 @@ def build_catalog(rows=800, with_index=True) -> Catalog:
     catalog = Catalog()
     schema, _ = microbenchmark_schema(100, "R")
     table = catalog.create_table("R", schema, record_size=100)
-    table.insert_many((i, i % 100 + 1, i) for i in range(rows))
+    table.insert_many(*table.schema.transpose((i, i % 100 + 1, i) for i in range(rows)))
     schema_s, _ = microbenchmark_schema(100, "S")
     s = catalog.create_table("S", schema_s, record_size=100)
-    s.insert_many((i, i, i) for i in range(1, 41))
+    s.insert_many(*s.schema.transpose((i, i, i) for i in range(1, 41)))
     if with_index:
         catalog.create_index("R", "a2")
     return catalog
@@ -325,7 +325,8 @@ class TestIndexStatistics:
 
     def test_single_valued_column_has_unit_span(self):
         catalog = build_catalog(rows=0)
-        catalog.table("R").insert_many((i, 7, i) for i in range(4))
+        table = catalog.table("R")
+        table.insert_many(*table.schema.transpose((i, 7, i) for i in range(4)))
         planner = Planner(catalog, SYSTEM_B)
         assert planner.estimate_selectivity("R", self.bounds(6, 8)) == 1.0
         assert planner.estimate_selectivity("R", self.bounds(7, 7)) == 0.0

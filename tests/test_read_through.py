@@ -381,7 +381,7 @@ def test_read_fields_plan_charges_what_per_field_loads_charge(profile, layout_st
     schema, _ = microbenchmark_schema(100, "R")
     table = catalog.create_table("R", schema, record_size=100,
                                  layout_style=layout_style)
-    table.insert_many((i, i % 50 + 1, i * 2) for i in range(300))
+    table.insert_many(*table.schema.transpose((i, i % 50 + 1, i * 2) for i in range(300)))
     planned = ExecutionContext(SimulatedProcessor(), profile, catalog.address_space)
     reference = SimulatedProcessor()
     for i, entry in enumerate(table.heap.scan()):

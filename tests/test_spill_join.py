@@ -331,7 +331,7 @@ class TestRobustnessLadder:
     """``examples/spill_join.py``'s budget x skew grid: a measurement of the
     positional demotion rule, not a judgement of it -- the rows must not
     change and the numbers must be reproducible; what they should be is
-    the victim-policy question ROADMAP item 3 leaves open."""
+    the victim-policy question ROADMAP item 8 leaves open."""
 
     @pytest.fixture(scope="class")
     def example(self):

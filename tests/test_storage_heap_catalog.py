@@ -68,14 +68,14 @@ class TestHeapFile:
     def test_insert_scan_roundtrip(self):
         heap = self.make_heap()
         rows = [(i, i * 2, i * 3) for i in range(300)]
-        heap.insert_many(rows)
+        heap.pack(*heap.layout.schema.transpose(rows))
         assert heap.record_count == 300
         scanned = [heap.layout.decode(bytes(e.page.record_view(e.slot))) for e in heap.scan()]
         assert scanned == rows
 
     def test_records_span_multiple_pages_in_order(self):
         heap = self.make_heap()
-        heap.insert_many((i, 0, 0) for i in range(300))
+        heap.pack(*heap.layout.schema.transpose((i, 0, 0) for i in range(300)))
         assert heap.page_count > 1
         addresses = [entry.address for entry in heap.scan()]
         # Within the file, addresses are strictly increasing page by page.
@@ -110,7 +110,7 @@ class TestHeapFile:
 
     def test_data_bytes_and_records_per_page(self):
         heap = self.make_heap()
-        heap.insert_many((i, 0, 0) for i in range(10))
+        heap.pack(*heap.layout.schema.transpose((i, 0, 0) for i in range(10)))
         assert heap.data_bytes() == 10 * 100
         assert heap.records_per_page >= 70   # 8 KB page, 100-byte records + slots
 
@@ -126,7 +126,7 @@ class TestCatalogAndTable:
     def test_create_table_and_insert(self, catalog):
         schema, _ = microbenchmark_schema(100)
         table = catalog.create_table("R", schema, record_size=100)
-        table.insert_many((i, i, i) for i in range(50))
+        table.insert_many(*table.schema.transpose((i, i, i) for i in range(50)))
         assert table.row_count == 50
         assert catalog.table("R") is table
         assert catalog.total_data_bytes() == 50 * 100
@@ -144,7 +144,7 @@ class TestCatalogAndTable:
     def test_create_index_populates_from_existing_rows(self, catalog):
         schema, _ = microbenchmark_schema(100)
         table = catalog.create_table("R", schema, record_size=100)
-        table.insert_many((i, i % 7, i) for i in range(200))
+        table.insert_many(*table.schema.transpose((i, i % 7, i) for i in range(200)))
         index = catalog.create_index("R", "a2")
         assert len(index) == 200
         rids = index.search(3)
@@ -153,7 +153,7 @@ class TestCatalogAndTable:
     def test_insert_after_index_creation_maintains_index(self, catalog):
         schema, _ = microbenchmark_schema(100)
         table = catalog.create_table("R", schema, record_size=100)
-        table.insert_many((i, i, i) for i in range(10))
+        table.insert_many(*table.schema.transpose((i, i, i) for i in range(10)))
         index = catalog.create_index("R", "a2")
         table.insert((100, 5, 0))
         assert len(index.search(5)) == 2
@@ -196,7 +196,7 @@ class TestCatalogAndTable:
     def test_heap_and_index_pages_live_in_distinct_regions(self, catalog):
         schema, _ = microbenchmark_schema(100)
         table = catalog.create_table("R", schema, record_size=100)
-        table.insert_many((i, i, i) for i in range(100))
+        table.insert_many(*table.schema.transpose((i, i, i) for i in range(100)))
         index = catalog.create_index("R", "a2")
         space = catalog.address_space
         heap_entry = next(table.heap.scan())
