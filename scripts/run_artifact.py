@@ -18,10 +18,17 @@ and ``plot`` re-derive from the persisted raw JSON.  ``all`` chains the
 three.  matplotlib is strictly optional: without it the ``plot`` stage
 prints a notice and exits successfully.
 
-``--scale`` picks the dataset preset: ``ci`` finishes in seconds (the CI
-smoke job), ``small`` is a quick local run, ``full`` is the repo's default
-reduced-paper scale.  ``--workers 4`` adds morsel-parallel arms to the TPC
-matrices (simulated counts are identical for every worker count by
+``diff A B`` is the count gate: it compares two CSV directories (the same
+files, headers and rows, every value string-equal), prints one line per
+difference with the numeric delta where both sides parse, and exits
+non-zero on any difference.  The ``--scale ci`` CSVs are committed under
+``benchmarks/baselines/artifact_ci/``; a change that moves a simulated
+count shows up as a cell of that diff.
+
+``--scale`` picks the dataset preset: ``ci`` finishes in seconds (the
+committed baseline), ``small`` is a quick local run, ``full`` is the repo's
+default reduced-paper scale.  ``--workers 4`` adds morsel-parallel arms to
+the TPC matrices (simulated counts are identical for every worker count by
 design); ``--adaptivity`` adds a greedy-adaptive TPC-D arm.
 
 Usage::
@@ -29,6 +36,9 @@ Usage::
     PYTHONPATH=src python scripts/run_artifact.py run_all --scale small
     PYTHONPATH=src python scripts/run_artifact.py csv
     PYTHONPATH=src python scripts/run_artifact.py plot
+    PYTHONPATH=src python scripts/run_artifact.py all --scale ci --out out
+    PYTHONPATH=src python scripts/run_artifact.py diff \
+        benchmarks/baselines/artifact_ci out/csv
 """
 
 from __future__ import annotations
@@ -43,16 +53,21 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from pathlib import Path
 
 from repro.experiments.artifact import (ArtifactError, ArtifactOptions,
-                                        emit_csvs, render_plots, run_all)
+                                        diff_csvs, emit_csvs, render_plots,
+                                        run_all)
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "benchmarks" / "results" / "artifact"
-STAGES = ("run_all", "csv", "plot", "all")
+STAGES = ("run_all", "csv", "plot", "all", "diff")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("stage", choices=STAGES,
-                        help="pipeline stage to run (all = run_all + csv + plot)")
+                        help="pipeline stage to run (all = run_all + csv + "
+                             "plot; diff compares two CSV directories)")
+    parser.add_argument("dirs", nargs="*", type=Path, metavar="DIR",
+                        help="diff only: the baseline and the compared CSV "
+                             "directory")
     parser.add_argument("--scale", choices=("ci", "small", "full"),
                         default="full", help="dataset scale preset")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
@@ -63,6 +78,20 @@ def main(argv=None) -> int:
     parser.add_argument("--adaptivity", action="store_true",
                         help="add a greedy-adaptive TPC-D matrix arm")
     args = parser.parse_args(argv)
+
+    if len(args.dirs) != (2 if args.stage == "diff" else 0):
+        parser.error("diff takes two CSV directories; other stages take none")
+    if args.stage == "diff":
+        try:
+            differences = diff_csvs(*args.dirs)
+        except ArtifactError as error:
+            print(f"[artifact] ERROR: {error}", file=sys.stderr)
+            return 1
+        for line in differences:
+            print(line)
+        print(f"[artifact] diff: {len(differences)} difference(s) between "
+              f"{args.dirs[0]} and {args.dirs[1]}")
+        return 1 if differences else 0
 
     workers = (1,) if args.workers <= 1 else (1, args.workers)
     options = ArtifactOptions(workers=workers, adaptivity=args.adaptivity)

@@ -3,8 +3,9 @@
 The artifact pipeline (:mod:`repro.experiments.artifact`, driven by
 ``scripts/run_artifact.py``) measures every figure once and persists the
 structured :class:`~repro.experiments.figures.FigureResult` data as JSON;
-this module turns that JSON into the per-figure CSV files reviewers diff
-and, when matplotlib happens to be installed, into PNG charts.  matplotlib
+this module turns that JSON into the per-figure CSV files, compares two
+sets of them cell by cell (:func:`diff_table`, the count gate) and, when
+matplotlib happens to be installed, renders PNG charts.  matplotlib
 is strictly optional: :func:`matplotlib_available` gates the plot stage and
 everything else is pure standard library.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, float, str]
 Row = Tuple[Scalar, ...]
@@ -55,6 +56,65 @@ def write_csv(path: Path, columns: Sequence[str], rows: Sequence[Row]) -> None:
         writer = csv.writer(handle)
         writer.writerow(list(columns))
         writer.writerows(rows)
+
+
+def read_csv(path: Path) -> Tuple[List[str], List[List[str]]]:
+    """One CSV's header and data rows, every cell as written."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    return (rows[0] if rows else []), rows[1:]
+
+
+def _number(text: str) -> Optional[float]:
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            return float(text)
+        except ValueError:
+            return None
+
+
+def diff_table(name: str, before: Tuple[List[str], List[List[str]]],
+               after: Tuple[List[str], List[List[str]]]) -> List[str]:
+    """Every difference between two versions of one flattened CSV.
+
+    A row is identified by its key path (every column but the last); its
+    value must be string-equal on both sides.  Returns one line per
+    changed header, missing, extra or duplicated row, changed value (with
+    the numeric delta when both sides parse as numbers) and reordering.
+    """
+    (header, rows), (other_header, other_rows) = before, after
+    if header != other_header:
+        return [f"{name}: header {header} -> {other_header}"]
+    column = header[-1] if header else "value"
+    keyed, other_keyed = _keyed(rows), _keyed(other_rows)
+    lines = [f"{name}: duplicate row keys {side}"
+             for side, table, count in (("before", keyed, len(rows)),
+                                        ("after", other_keyed, len(other_rows)))
+             if len(table) != count]
+    for key, old in keyed.items():
+        where = f"{name} [{', '.join(key)}]"
+        new = other_keyed.get(key)
+        if new is None:
+            lines.append(f"{where}: row missing")
+        elif new != old:
+            delta = ""
+            if _number(old) is not None and _number(new) is not None:
+                change = _number(new) - _number(old)
+                delta = (f" ({change:+d})" if isinstance(change, int)
+                         else f" ({change:+.6g})")
+            lines.append(f"{where} {column}: {old} -> {new}{delta}")
+    lines.extend(f"{name} [{', '.join(key)}]: extra row"
+                 for key in other_keyed if key not in keyed)
+    if not lines and list(keyed) != list(other_keyed):
+        lines.append(f"{name}: rows in a different order")
+    return lines
+
+
+def _keyed(rows: List[List[str]]) -> Dict[Tuple[str, ...], str]:
+    """Rows by key path (every cell but the last) -> the last cell."""
+    return {tuple(row[:-1]): (row[-1] if row else "") for row in rows}
 
 
 def read_raw(path: Path) -> Dict[str, Dict]:

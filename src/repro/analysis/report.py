@@ -9,7 +9,7 @@ regenerates every figure in readable form.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence
 
 
 def format_percentage(value: float) -> str:
@@ -82,20 +82,4 @@ def format_key_values(title: str, values: Mapping[str, object]) -> str:
         else:
             rendered = str(value)
         lines.append(f"{key:<{width}}{rendered}")
-    return "\n".join(lines)
-
-
-def format_comparison(title: str,
-                      rows: Sequence[Tuple[str, str, str, str]],
-                      headers: Tuple[str, str, str, str] = ("observation", "paper",
-                                                            "measured", "verdict")) -> str:
-    """Render paper-vs-measured comparison rows."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def fmt(row):
-        return " | ".join(f"{cell:<{widths[i]}}" for i, cell in enumerate(row))
-    lines = [title, "=" * len(title), fmt(headers), "-+-".join("-" * w for w in widths)]
-    lines.extend(fmt(row) for row in rows)
     return "\n".join(lines)

@@ -6,17 +6,21 @@ This module is the measurement side of the three-command artifact pipeline
     run_all  -- measure every figure/table once, persist raw JSON
     csv      -- derive one CSV per figure/table, verify all are non-empty
     plot     -- render PNG charts when matplotlib is installed (optional)
+    diff     -- compare two CSV directories cell by cell (the count gate)
 
 Everything measures through one shared :class:`ExperimentRunner`, so the
 whole artifact costs one pass over the workloads: the microbenchmark grid
 figures (5.1--5.5) per page layout, the record-size and selectivity sweeps
 per layout, the TPC-D and TPC-C workloads under the modern engine matrix
-(tuple vs vectorized, optional ``workers`` and adaptivity arms), the two
-adaptivity experiments, and the two configuration tables (4.1/4.2).
+(tuple vs vectorized, optional ``workers`` and adaptivity arms), the engine
+ablation, the three adaptivity experiments, the join under a memory budget,
+the serving layer's counts, and the two configuration tables (4.1/4.2).
 
-Scale presets pick the dataset sizes: ``ci`` (seconds, used by the CI smoke
-job), ``small`` (a quick local run) and ``full`` (the repo's default
-reduced-paper scale, still env-scalable through ``REPRO_BENCH_SCALE``).
+Scale presets pick the dataset sizes: ``ci`` (seconds; its CSVs are
+committed under ``benchmarks/baselines/artifact_ci/`` and CI diffs every
+run against them), ``small`` (a quick local run) and ``full`` (the repo's
+default reduced-paper scale, still env-scalable through
+``REPRO_BENCH_SCALE``).
 """
 
 from __future__ import annotations
@@ -193,14 +197,23 @@ REGISTRY: Tuple[ArtifactSpec, ...] = (
     ArtifactSpec("tpcc_matrix", "TPC-C under the modern engine matrix",
                  ("layout", "arm", "metric", "value"), _tpcc_matrix),
     ArtifactSpec("engine_ablation", "Tuple vs vectorized execution",
-                 ("query", "arm", "metric", "value"),
-                 _simple(figures.engine_ablation)),
+                 ("layout", "query", "arm", "metric", "value"),
+                 _per_layout(figures.engine_ablation)),
     ArtifactSpec("figure_adaptivity", "Adaptive conjunct reordering",
                  ("layout", "mode", "metric", "value"),
                  _simple(figures.figure_adaptivity)),
     ArtifactSpec("figure_adaptive_joins", "Adaptive join-side selection",
                  ("layout", "mode", "metric", "value"),
                  _simple(figures.figure_adaptive_joins)),
+    ArtifactSpec("figure_adaptive_batching", "Adaptive batch sizing",
+                 ("layout", "mode", "metric", "value"),
+                 _simple(figures.figure_adaptive_batching)),
+    ArtifactSpec("join_budget", "Join under a memory budget",
+                 ("layout", "budget", "metric", "value"),
+                 _per_layout(figures.join_budget)),
+    ArtifactSpec("serving_counts", "Serving counts, serial vs concurrency 8",
+                 ("layout", "arm", "metric", "value"),
+                 _per_layout(figures.serving_counts)),
     ArtifactSpec("headline_claims", "Section 1 headline claims",
                  ("claim", "value"), _simple(figures.headline_claims)),
 )
@@ -211,11 +224,6 @@ def spec_by_name(name: str) -> ArtifactSpec:
         if spec.name == name:
             return spec
     raise ArtifactError(f"unknown artifact {name!r}")
-
-
-def expected_csvs(out_dir: Path) -> List[Path]:
-    """The CSV files a complete artifact run must produce (for CI checks)."""
-    return [out_dir / "csv" / f"{spec.name}.csv" for spec in REGISTRY]
 
 
 # --------------------------------------------------------------------- stages
@@ -264,6 +272,31 @@ def emit_csvs(out_dir: Path, echo=print) -> List[Path]:
     if empty:
         raise ArtifactError(f"empty CSVs: {empty}")
     return written
+
+
+def diff_csvs(before: Path, after: Path) -> List[str]:
+    """The count gate: every difference between two CSV directories.
+
+    Both directories must exist and ``before`` (the baseline) must hold at
+    least one CSV.  A CSV on one side only is a difference, and so is every
+    line :func:`~repro.analysis.artifact_io.diff_table` reports for a CSV
+    on both; an empty list means the two sets are identical.
+    """
+    for directory in (before, after):
+        if not directory.is_dir():
+            raise ArtifactError(f"{directory} is not a directory")
+    names = {path.name for path in before.glob("*.csv")}
+    other_names = {path.name for path in after.glob("*.csv")}
+    if not names:
+        raise ArtifactError(f"{before} holds no CSVs to compare against")
+    lines = [f"{name}: missing from {after}"
+             for name in sorted(names - other_names)]
+    lines += [f"{name}: not in {before}" for name in sorted(other_names - names)]
+    for name in sorted(names & other_names):
+        lines += artifact_io.diff_table(
+            Path(name).stem, artifact_io.read_csv(before / name),
+            artifact_io.read_csv(after / name))
+    return lines
 
 
 def render_plots(out_dir: Path, echo=print) -> List[Path]:

@@ -20,8 +20,14 @@ from ..analysis.breakdown import MEMORY_COMPONENTS
 from ..analysis.metrics import cpi_breakdown
 from ..analysis.report import format_key_values, format_stacked_bars, format_table
 from ..hardware.specs import PENTIUM_II_XEON, ProcessorSpec
-from .runner import (ExperimentRunner, QUERY_KINDS, TPCD_SYSTEMS,
-                     adaptive_cell)
+from ..workloads.serving import (ServingTraceConfig, build_trace,
+                                run_open_loop)
+from .runner import (BUDGET_KINDS, ExperimentRunner, QUERY_KINDS,
+                     TPCD_SYSTEMS, adaptive_cell, budget_cell)
+
+#: The serving table's arms: the trace served at these concurrencies, the
+#: serving layers (result cache, plan cache, shared scans) on above 1.
+SERVING_ARMS = {"SRV-serial": 1, "SRV-8": 8}
 
 #: Labels used in the figures, matching the paper's legends.
 GROUP_LABELS = ("Computation", "Memory stalls", "Branch mispredictions", "Resource stalls")
@@ -426,9 +432,9 @@ def tpcc_matrix(runner: ExperimentRunner,
 # ---------------------------------------------------------------------------
 # Engine ablation: tuple-at-a-time vs vectorized batch execution
 # ---------------------------------------------------------------------------
-def engine_ablation(runner: ExperimentRunner,
+def engine_ablation(runner: ExperimentRunner, layout: str = "nsm",
                     systems: Sequence[str] = ("B", "D"),
-                    kinds: Sequence[str] = ("SRS", "SJ")) -> FigureResult:
+                    kinds: Sequence[str] = QUERY_KINDS) -> FigureResult:
     """Stall breakdown of the same queries under both execution engines.
 
     The paper attributes the dominant stall components (L1 I-cache misses,
@@ -446,7 +452,8 @@ def engine_ablation(runner: ExperimentRunner,
         per_case: Dict[str, Dict[str, float]] = {}
         for system in systems:
             for engine in ("tuple", "vectorized"):
-                result = runner.micro_result(system, kind, engine=engine)
+                result = runner.micro_result(system, kind, engine=engine,
+                                             layout=layout)
                 if result is None:
                     continue
                 components = result.breakdown.components
@@ -460,11 +467,12 @@ def engine_ablation(runner: ExperimentRunner,
                 }
         data[kind] = per_case
         sections.append(format_table(
-            f"Engine ablation ({QUERY_TITLES[kind]}): tuple vs vectorized",
+            f"Engine ablation{_tag(layout)} ({QUERY_TITLES[kind]}): "
+            f"tuple vs vectorized",
             ["routine invocations", "computation cycles", "L1 I-stall cycles",
              "branch stall cycles", "L2 D-stall cycles", "total cycles"],
             list(per_case.keys()), per_case, formatter=lambda v: f"{v:,.0f}"))
-    return FigureResult(name="engine_ablation",
+    return FigureResult(name=f"engine_ablation_{layout}",
                         title="Tuple vs vectorized execution",
                         data=data, text="\n\n".join(sections))
 
@@ -573,6 +581,104 @@ def figure_adaptive_joins(runner: ExperimentRunner,
         reductions={"cycle reduction": ("total cycles",),
                     "data-stall reduction": ("L1 D-stall cycles",
                                              "L2 D-stall cycles")})
+
+
+def figure_adaptive_batching(runner: ExperimentRunner,
+                             layouts: Sequence[str] = ("nsm", "pax"),
+                             modes: Sequence[str] = ("off", "static", "greedy")
+                             ) -> FigureResult:
+    """Branch and cycle effect of adaptive batch sizing.
+
+    Runs the 50% sequential selection from a deliberately too-small
+    configured vector (32 rows) under every adaptivity mode and both page
+    layouts.  ``static`` keeps the configured size under adaptive charging;
+    ``greedy`` walks the bounded ladder of vector sizes from the observed
+    L1D pressure per rung, so fewer, longer batches pay the per-batch
+    routine and branch overhead.
+    """
+    return _adaptive_figure(
+        runner, "ABS", "figure_adaptive_batching", "Adaptive batching",
+        "50% selection from a 32-row vector", layouts, modes,
+        metrics={
+            "total cycles": lambda r: r.breakdown.total_cycles,
+            "branch mispredictions":
+                lambda r: r.counters.get("BR_MISS_PRED_RETIRED"),
+            "branch stall cycles": lambda r: r.breakdown.components["TB"],
+            "L1 D-stall cycles": lambda r: r.breakdown.components["TL1D"],
+            "routine invocations": lambda r: r.total_routine_invocations,
+            "result rows": lambda r: len(r.rows),
+        },
+        reductions={"misprediction reduction": ("branch mispredictions",),
+                    "cycle reduction": ("total cycles",)})
+
+
+# ---------------------------------------------------------------------------
+# The join under a memory budget; the serving layer's counts
+# ---------------------------------------------------------------------------
+def join_budget(runner: ExperimentRunner, layout: str = "nsm") -> FigureResult:
+    """The join under budgets of infinity, 2x, 1x and 0.5x its build side.
+
+    Each point is one serial vectorized session (:func:`budget_cell`); the
+    charged page I/O is read off the session's context.  Budgets at or
+    above the build side keep the hybrid join resident (no I/O); below it
+    the grace/hybrid path spills partitions through the buffer pool's
+    backing store.  Result rows are identical at every budget.
+    """
+    s_bytes = runner.config.micro.s_bytes
+    data: Dict[str, Dict[str, object]] = {}
+    for kind in BUDGET_KINDS:
+        cell = budget_cell(kind, layout, s_bytes)
+        with runner.session(cell) as session:
+            result = runner.execute(cell, session)
+            budget = session.execution.memory_budget_bytes
+            io_stats = dict(session.context.io_stats)
+        data[kind] = {
+            "cycles": result.breakdown.total_cycles,
+            "rows": len(result.rows),
+            "budget bytes": "inf" if budget is None else budget,
+            "page reads": io_stats["page_reads"],
+            "page writes": io_stats["page_writes"],
+        }
+    text = format_table(
+        f"Join under a memory budget{_tag(layout)}: vectorized engine, "
+        f"System B", list(next(iter(data.values()))), list(data), data,
+        formatter=str)
+    return FigureResult(name=f"join_budget_{layout}",
+                        title="Join under a memory budget", data=data,
+                        text=text)
+
+
+def serving_counts(runner: ExperimentRunner,
+                   layout: str = "nsm") -> FigureResult:
+    """The open-loop mixed trace served back to back and at concurrency 8.
+
+    ``SRV-serial`` serves the 48-query trace one query a round with the
+    result cache, plan cache and shared scans off (each query's counts are
+    a solo session's); ``SRV-8`` serves it eight a round with all three on.
+    Only simulated counts and cache events are recorded: the rounds'
+    wall-clock throughput and latency are the host benchmark's business.
+    """
+    trace = build_trace(runner.micro_workload, ServingTraceConfig())
+    data: Dict[str, Dict[str, int]] = {}
+    for kind, concurrency in SERVING_ARMS.items():
+        layers = concurrency > 1
+        server = runner.serving_server(
+            layout, max_concurrency=concurrency, plan_cache=layers,
+            result_cache=layers, shared_scans=layers)
+        report = run_open_loop(server, trace)
+        data[kind] = {
+            "total cycles": report.total_cycles,
+            "rows": report.total_rows,
+            "queries": report.queries,
+            "result-cache hits": report.stats["result_cache_hits"],
+            "shared-scan reuses": report.stats["shared_scan_reuses"],
+        }
+    text = format_table(
+        f"Serving counts{_tag(layout)}: {ServingTraceConfig().queries}-query "
+        f"open-loop trace", list(next(iter(data.values()))), list(data), data,
+        formatter=lambda v: f"{v:,}")
+    return FigureResult(name=f"serving_counts_{layout}",
+                        title="Serving counts", data=data, text=text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Experiment runner: the one measurement discipline behind every number.
 
 The paper's method is one query measured in isolation, repeatably.  Every
-figure, bench cell and artifact here is therefore a :class:`Cell` -- a
+figure, table and artifact here is therefore a :class:`Cell` -- a
 frozen description of *what* to measure (dataset, page layout, system, query
 or suite or transaction mix, session knobs, warm-up) -- handed to
 :meth:`ExperimentRunner.measure`, which does the same four things for all of
@@ -157,6 +157,28 @@ def adaptive_cell(kind: str, layout: str, adaptivity: str,
     else:
         knobs["parallelism"] = 1
     return Cell(layout=layout, system=system, knobs=knobs, **fields)
+
+
+#: The over-budget join's memory budgets, as multiples of the build side's
+#: footprint (:attr:`MicroWorkloadConfig.s_bytes`).  ``SJB-inf`` runs with
+#: no budget, the structural bypass: its cycles and rows equal the plain
+#: vectorized ``SJ`` cell's.  Finite budgets take the grace/hybrid spilling
+#: path through the buffer pool's backing store.
+BUDGET_KINDS: Dict[str, Optional[float]] = {
+    "SJB-inf": None, "SJB-2x": 2.0, "SJB-1x": 1.0, "SJB-0.5x": 0.5}
+
+
+def budget_cell(kind: str, layout: str, s_bytes: int) -> Cell:
+    """The ``kind`` memory-budget join (vectorized engine, System B).
+
+    Pinned to a serial session: the spilling join's page-I/O schedule
+    depends on ingest order.
+    """
+    factor = BUDGET_KINDS[kind]
+    budget = None if factor is None else max(int(factor * s_bytes), 1)
+    return Cell(layout=layout, query="SJB", knobs={
+        "engine": "vectorized", "parallelism": 1,
+        "memory_budget_bytes": budget})
 
 
 def _env_scale(default: float) -> float:

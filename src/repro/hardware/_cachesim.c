@@ -571,7 +571,7 @@ typedef struct {
 
 static PyTypeObject TLBStateType;
 
-/* ``TLB.access_bulk``: ``count`` same-page accesses are ``count``
+/* ``TLBState.access``: ``count`` same-page accesses are ``count``
  * consultations, one transition and at most one miss; returns 1 on a miss. */
 static inline int
 tlb_access(TLBState *t, int64_t page, long count)

@@ -71,19 +71,6 @@ class TLB:
         """Translate ``addr``; returns 1 on a TLB miss, 0 on a hit."""
         return self._native.access(addr, 1)
 
-    def access_bulk(self, addr: int, count: int) -> int:
-        """Translate ``count`` same-page accesses starting at ``addr`` in bulk.
-
-        Span charging issues one call per page a vector touches instead of
-        one per element.  The statistics and the LRU state end up exactly as
-        if :meth:`access` had been called ``count`` times with addresses
-        inside the page: ``count`` accesses, at most one miss, and the page
-        left in the MRU position.
-        """
-        if count <= 0:
-            return 0
-        return self._native.access(addr, count)
-
     def snapshot(self) -> List[int]:
         """Resident page numbers, least recently used first."""
         return self._native.snapshot()

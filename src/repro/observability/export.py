@@ -6,8 +6,8 @@ Three consumers, three shapes:
   (``scripts/run_trace.py``): per node, self/inclusive cycles, rows,
   pulls, and the Figure 5.x stall decomposition of the node's *self*
   delta, so "where does time go?" is answered per operator.
-* :func:`trace_to_dict` -- JSON-serialisable nesting for ``BENCH_*.json``
-  points and programmatic use.
+* :func:`trace_to_dict` -- JSON-serialisable nesting (``run_trace.py
+  --json``) and programmatic use.
 * :func:`chrome_trace` -- ``chrome://tracing`` / Perfetto "complete"
   (``ph: "X"``) events.  Timestamps are host wall-clock (a node's span is
   first pull start to last pull end, children nested within parents by

@@ -202,9 +202,8 @@ class ServerStats:
     mark and time series (sampled at each admission round), one
     :class:`RoundRecord` per round (the round's admission/service span),
     and per-class :class:`ClassStats` with service-time percentiles,
-    histograms and cache hit/miss ratios -- the telemetry the ``serving/*``
-    bench cells export.  All of it is host-side observation; no simulated
-    count changes.
+    histograms and cache hit/miss ratios.  All of it is host-side
+    observation; no simulated count changes.
     """
 
     submitted: int = 0

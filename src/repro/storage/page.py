@@ -41,9 +41,13 @@ class PageError(RuntimeError):
     """Raised on invalid page operations (overflow, bad slot, ...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordId:
-    """Physical record identifier: (page number, slot number)."""
+    """Physical record identifier: (page number, slot number).
+
+    Slotted: an index holds one per record (1.2M at the paper's scale), and
+    without a ``__dict__`` each is about a third smaller.
+    """
 
     page_number: int
     slot: int

