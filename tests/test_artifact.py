@@ -69,6 +69,20 @@ def test_ci_run_matches_the_committed_baseline(artifact_dir):
     assert diff_csvs(BASELINE, artifact_dir / "csv") == []
 
 
+def test_the_baseline_holds_one_csv_per_registered_artifact():
+    assert sorted(path.name for path in BASELINE.glob("*.csv")) == sorted(
+        f"{spec.name}.csv" for spec in REGISTRY)
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in REGISTRY])
+def test_ci_table_matches_the_committed_baseline(artifact_dir, name):
+    """The gate one table at a time, so a failure names the table."""
+    csv_name = f"{name}.csv"
+    assert artifact_io.diff_table(
+        name, artifact_io.read_csv(BASELINE / csv_name),
+        artifact_io.read_csv(artifact_dir / "csv" / csv_name)) == []
+
+
 @pytest.fixture
 def baseline_copy(tmp_path):
     copy = tmp_path / "csv"
@@ -96,6 +110,22 @@ def test_diff_names_the_artifact_row_and_column_of_a_changed_value(
     rewrite(baseline_copy / "join_budget.csv", bump)
     assert diff_csvs(BASELINE, baseline_copy) == [
         "join_budget [nsm, SJB-0.5x, page writes] value: 182 -> 183 (+1)"]
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in REGISTRY])
+def test_diff_names_a_changed_value_in_every_table(baseline_copy, name):
+    """Every table's key width is read from its own rows: one changed value
+    in the middle of any table is one line naming its full key path."""
+    changed = {}
+
+    def edit(rows):
+        row = rows[1 + (len(rows) - 1) // 2]
+        changed.update(header=rows[0], key=row[:-1], old=row[-1])
+        row[-1] += "x"
+    rewrite(baseline_copy / f"{name}.csv", edit)
+    key, old = ", ".join(changed["key"]), changed["old"]
+    assert diff_csvs(BASELINE, baseline_copy) == [
+        f"{name} [{key}] {changed['header'][-1]}: {old} -> {old}x"]
 
 
 def test_diff_reports_a_float_delta(baseline_copy):

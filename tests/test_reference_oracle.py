@@ -4,11 +4,12 @@ The count gate diffs the ``--scale ci`` artifact CSVs against the committed
 baseline, natively.  This runs the same ``run_all(scale="ci")`` once
 natively and once on the reference machine (``reference_machine.py``, the
 pure-Python transcription of ``_cachesim``) and asserts that the raw
-measurements are equal, and that every cell either runner measured has
-equal rows and equal user and supervisor counter banks: every figure's
-systems A-D with OS interference on, the engine ablation, the adaptive,
-budgeted-join and serving tables and the TPC mixes, not only the charging
-entry points the differential suites drive one by one.
+measurements are equal, artifact by artifact, and that every cell either
+runner measured has equal rows and equal user and supervisor counter
+banks: every figure's systems A-D with OS interference on, the engine
+ablation, the adaptive, budgeted-join and serving tables and the TPC
+mixes, not only the charging entry points the differential suites drive
+one by one.
 """
 
 from __future__ import annotations
@@ -37,12 +38,20 @@ def run_ci(out, monkeypatch):
     return runner, artifact_io.read_raw(path)
 
 
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """``(native, reference)``: each a ``(runner, raw)`` of one ci run."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        native = run_ci(tmp_path_factory.mktemp("native"), monkeypatch)
+        with reference_machine():
+            reference = run_ci(tmp_path_factory.mktemp("reference"),
+                               monkeypatch)
+    return native, reference
+
+
 @pytest.mark.slow
-def test_ci_artifact_is_count_identical_on_the_reference_machine(
-        tmp_path, monkeypatch):
-    native, native_raw = run_ci(tmp_path / "native", monkeypatch)
-    with reference_machine():
-        reference, reference_raw = run_ci(tmp_path / "reference", monkeypatch)
+def test_ci_artifact_is_count_identical_on_the_reference_machine(runs):
+    (native, native_raw), (reference, reference_raw) = runs
     assert reference_raw == native_raw
     assert list(reference._results) == list(native._results)
     for cell, ours in reference._results.items():
@@ -51,3 +60,12 @@ def test_ci_artifact_is_count_identical_on_the_reference_machine(
         assert dict(ours.counters.user) == dict(theirs.counters.user), cell
         assert dict(ours.counters.sup) == dict(theirs.counters.sup), cell
     assert len(native._results) > 50
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", [spec.name for spec in artifact.REGISTRY])
+def test_artifact_is_identical_on_the_reference_machine(runs, name):
+    """One artifact's raw measurement, so a divergence names its table."""
+    (_, native_raw), (_, reference_raw) = runs
+    assert native_raw[name]["data"], name
+    assert reference_raw[name] == native_raw[name]
