@@ -8,22 +8,25 @@ interchangeable backends:
 * ``python`` -- the original pure-Python loops, the oracle every other
   backend is differenced against;
 * ``array`` -- the same contracts on numpy (what the default ``"auto"``
-  means), with per-call fallbacks wherever vectorization could diverge
-  (``None`` values, magnitudes past 2**53, non-integer hash keys).
+  means), taking the oracle loop for a call whose constant numpy could
+  compare differently from Python (``None``, a mistyped or inexact
+  constant), for ``CHAR`` columns and for float folds.
 
 The backends sit *behind the count-identity wall*: kernels only ever see
-plain data, never the simulated processor, so every cache visit, TLB walk
+data, never the simulated processor, so every cache visit, TLB walk
 and branch the model charges happens in exactly the same place regardless
 of backend.  Same rows, same column order, byte-identical simulated
 counters -- wall clock is the only thing allowed to differ.
 
-Which backend wins on wall clock depends on where the time goes.  With
-the charging plane in C (DESIGN.md, "Kernels behind the count-identity
-wall") the microbenchmark's batches are small and its kernels light, so
-numpy's fixed per-call list-to-array conversion cost often outweighs its
-per-element win and ``python`` comes out ahead; the array backend earns
-its keep as batches grow and kernels get heavier.  The backend identity
-wall is ``tests/test_kernels.py``; this example is the wall-clock side.
+Columns are typed numpy arrays from page decode to the result rows
+(DESIGN.md, "Typed vectors from page decode to ``rows()``"), so the array
+kernels run on them as they are, while the python backend converts each
+input with ``tolist()`` and its result back to an array.  Two runs of
+this example on a 2-core Linux box (numpy 2.4, Python 3.11) measured the
+array backend 1.2-1.9x faster on the selection and 1.3-1.4x on the join
+at batch 256; at batch 4096 one join run came out 0.82x, so single runs
+are noisy.  The backend identity wall is ``tests/test_kernels.py``; this
+example is the wall-clock side.
 
 This example runs the microbenchmark's sequential range selection and its
 equijoin under ``kernel_backend="python"`` and ``"array"`` at two batch

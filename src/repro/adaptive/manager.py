@@ -48,7 +48,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..query.expressions import And, Expression, _column_vector
+import numpy as np
+
+from ..query.expressions import (And, Expression, _column_vector,
+                                 _default_kernels, _python_values)
 from .policy import AdaptivePolicy, make_policy
 from .stats import RuntimeStatsCollector, conjunct_key
 
@@ -169,7 +172,7 @@ class AdaptiveExecution:
 
     # ----------------------------------------------------------- the point
     def evaluate_batch(self, ctx, predicate: Expression,
-                       columns: Mapping[str, Sequence], count: int) -> List[bool]:
+                       columns: Mapping[str, Sequence], count: int) -> np.ndarray:
         """Policy-ordered, short-circuiting replacement for
         ``predicate.evaluate_batch`` -- identical mask, adaptive charging.
 
@@ -179,43 +182,35 @@ class AdaptiveExecution:
         """
         plan = self.plan_for(predicate)
         order = self.policy.order(plan.keys, plan.costs, self.collector)
-        kernels = getattr(ctx, "kernels", None)
-        gather = kernels.gather if kernels is not None else None
-        positions: List[int] = list(range(count))
+        kernels = getattr(ctx, "kernels", None) or _default_kernels()
+        positions = None  # every row
         for conjunct_index in order:
-            if not positions:
+            survivors_count = count if positions is None else len(positions)
+            if not survivors_count:
                 break
             conjunct = plan.conjuncts[conjunct_index]
             key = plan.keys[conjunct_index]
-            survivors_count = len(positions)
             sub_columns: Dict[str, Sequence] = {}
             for name in plan.column_names[conjunct_index]:
                 vector = _resolve_vector(columns, name)
                 # While every row survives (the first conjunct in the
                 # order), the original vectors can be read directly --
                 # evaluate_batch never mutates them.
-                if survivors_count == count:
-                    sub_columns[name] = vector
-                elif gather is not None:
-                    sub_columns[name] = gather(vector, positions)
-                else:
-                    sub_columns[name] = [vector[i] for i in positions]
+                sub_columns[name] = (vector if survivors_count == count
+                                     else kernels.gather(vector, positions))
             outcomes = conjunct.evaluate_batch(sub_columns, survivors_count,
                                                kernels)
             # One batched routine visit plus one data branch per surviving
             # row, at a site that identifies the *conjunct* (not its current
             # position), so predictor state follows the conjunct across
             # reorderings.
-            ctx.visit_conjunct_batch(PREDICATE_OPERATION, outcomes,
+            ctx.visit_conjunct_batch(PREDICATE_OPERATION,
+                                     _python_values(outcomes),
                                      site=conjunct_index, key=key)
-            if kernels is not None:
-                survivors = kernels.select(positions, outcomes)
-            else:
-                survivors = [position for position, passed
-                             in zip(positions, outcomes) if passed]
-            ctx.observe_conjuncts(key, len(positions), len(survivors))
+            survivors = (kernels.compact(outcomes) if positions is None
+                         else kernels.select(positions, outcomes))
+            ctx.observe_conjuncts(key, survivors_count, len(survivors))
             positions = survivors
-        mask = [False] * count
-        for position in positions:
-            mask[position] = True
-        return mask
+        if positions is None:
+            return np.ones(count, dtype=bool)
+        return kernels.scatter(positions, count)

@@ -60,6 +60,8 @@ import struct
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..hardware.processor import SimulatedProcessor
 from ..query.plans import ExecutionConfig
 from ..storage.address_space import AddressSpace
@@ -485,13 +487,11 @@ class ExecutionContext:
         if getattr(page, "columnar", False):
             for offset, width in pax_loads:
                 processor.data_read(page.field_address(slot, offset), width)
-            # PAX rows are not contiguous; decode straight from the
-            # minipages instead of materialising an NSM record image.
-            return {column: page.column_values(column, (slot,))[0]
-                    for column in columns}
-        # One charged call: the same addresses, in the same order, as a
-        # ``data_read`` per load.
-        processor.data_read_fields(entry.address, nsm_loads)
+        else:
+            # One charged call: the same addresses, in the same order, as a
+            # ``data_read`` per load.
+            processor.data_read_fields(entry.address, nsm_loads)
+        # The record's NSM image (on PAX gathered from its minipages).
         view = page.record_view(slot)
         out = {}
         for column, offset, code, width in decoders:
@@ -570,7 +570,7 @@ class ExecutionContext:
             access(page.field_address(entry.slot, offset), width)
 
     def read_column_batch(self, page, layout: RecordLayout, slots: Sequence[int],
-                          column: str) -> list:
+                          column: str) -> np.ndarray:
         """Read and decode one column for a batch of slots on one page.
 
         On a PAX page the values are contiguous in the column's minipage, so
@@ -582,21 +582,18 @@ class ExecutionContext:
         way each consecutive-slot run reaches the hardware as one bulk
         strided read, count-identical to its element loads one at a time.
         """
-        if not slots:
-            return []
         offset, width = layout.field_slice(column)
-        processor = self.processor
-        if getattr(page, "columnar", False):
+        if slots and getattr(page, "columnar", False):
             for run in _consecutive_runs(slots):
                 address, _span_bytes = page.column_span(column, run)
-                processor.data_read_strided(address, width, len(run), width)
-        else:
+                self.processor.data_read_strided(address, width, len(run), width)
+        elif slots:
             self._charge_nsm_stride(page, slots, offset, width, layout.record_size)
         return decode_values(page, layout, column, slots)
 
     def read_column_group_batch(self, page, layout: RecordLayout,
                                 slots: Sequence[int],
-                                columns: Sequence[str]) -> Dict[str, list]:
+                                columns: Sequence[str]) -> Dict[str, np.ndarray]:
         """Read and decode a group of columns for a batch of slots on one page.
 
         This is the batch counterpart of :meth:`read_fields` and honours the
@@ -609,27 +606,16 @@ class ExecutionContext:
         full-record sweep of a consecutive-slot run is one contiguous bulk
         read.
         """
-        if not slots or not columns:
-            return {column: [] for column in columns}
-        if (getattr(page, "columnar", False)
+        if not columns:
+            return {}
+        if (not slots or getattr(page, "columnar", False)
                 or self.profile.record_access_style == ACCESS_FIELDS_ONLY):
             return {column: self.read_column_batch(page, layout, slots, column)
                     for column in columns}
         record_size = layout.record_size
         self._charge_nsm_stride(page, slots, 0, record_size, record_size)
-        codecs = layout.column_codecs
-        if all(codecs[column][1] is not None for column in columns):
-            return {column: page.field_values(codecs[column][0],
-                                              codecs[column][1], slots)
-                    for column in columns}
-        packed = layout.packed_size
-        decode = layout.decode_column
-        out: Dict[str, list] = {column: [] for column in columns}
-        for slot in slots:
-            data = bytes(page.record_view(slot)[:packed])
-            for column in columns:
-                out[column].append(decode(data, column))
-        return out
+        return {column: decode_values(page, layout, column, slots)
+                for column in columns}
 
     def _charge_nsm_stride(self, page, slots: Sequence[int], offset: int,
                            width: int, record_size: int) -> None:

@@ -7,18 +7,22 @@ harness proves invisible.  This package splits that data work out of the
 vectorized operators into a :class:`~.python_backend.PythonKernels`
 interface with two backends:
 
-* ``python`` -- the original pure-Python loops, extracted verbatim: the
-  oracle every other backend is diffed against, and the per-call fallback
-  base class of the array backend.
-* ``array`` -- the same contracts on numpy, with per-call fallback to the
-  oracle whenever vectorized execution could change a value, a type or an
-  order (``None`` vectors, mixed dtypes, magnitudes past 2**53, ...).
+* ``python`` -- the original pure-Python loops, extracted verbatim and put
+  on typed vectors by one adaptor: the oracle every other backend is
+  diffed against.
+* ``array`` -- the same contracts on numpy, falling back to the oracle
+  loop for a call whose constant numpy could compare differently from
+  Python (``None``, a mistyped or an inexact constant), for ``CHAR``
+  vectors and for float folds.
 
 Backends are selected by the ``kernel_backend`` field of
 :class:`~repro.query.plans.ExecutionConfig` and reach operators as
 ``ExecutionContext.kernels``.  ``auto`` (the default) is ``array``.
 
-Kernels receive and return plain Python data and never see an execution
+Kernels take and return the engine's typed column vectors -- ``ndarray``
+values of a column's :data:`~repro.storage.schema.VECTOR_DTYPES` dtype,
+``bool`` masks, ``intp`` positions -- (given plain sequences, both backends
+run the oracle loop and return lists), and never see an execution
 context, so the charging calls cannot move: rows, row order, column order
 and every simulated counter are byte-identical across backends (asserted
 by ``tests/test_kernels.py`` on every planner-producible plan shape).

@@ -2,23 +2,32 @@
 
 Every method body here is the loop the vectorized operators ran inline
 before the kernel split -- extracted verbatim, not rewritten -- so this
-backend is simultaneously the zero-dependency fallback and the oracle the
-differential suite (``tests/test_kernels.py``) compares the ``array``
-backend against.  It imports nothing from the rest of the package (or from
-anywhere beyond the stdlib), which is what lets
+backend is the oracle the differential suite (``tests/test_kernels.py``)
+compares the ``array`` backend against.  One adaptor, :func:`_on_lists`,
+puts the loops on the engine's typed vectors: an ``ndarray`` argument
+reaches the loop as its ``tolist()`` (Python ``int``/``float``/``str``
+values, exactly what the row engine computes with) and the loop's list
+goes back as an array -- of the input vector's dtype for a gather.  Given
+plain sequences, a kernel returns the loop's list unchanged.  Beyond numpy
+it imports only :mod:`repro.storage.schema`, which is what lets
 :mod:`repro.query.expressions` reach it without an import cycle.
 
-The charging contract is enforced structurally: kernels receive only plain
-data (value vectors, masks, position lists, aggregate state) and return
-plain data.  No kernel ever sees an execution context, so no kernel can
-move, add or drop a simulated hardware charge -- backends can only differ
-in wall-clock time.
+The charging contract is enforced structurally: kernels receive only
+data (value vectors, masks, position vectors, aggregate state) and return
+data.  No kernel ever sees an execution context, so no kernel can move,
+add or drop a simulated hardware charge -- backends can only differ in
+wall-clock time.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import List, Optional, Sequence
+from functools import wraps
+from typing import List, Sequence
+
+import numpy as np
+
+from ...storage.schema import vector_of
 
 __all__ = ["PythonKernels", "PYTHON_KERNELS", "key_hash", "spill_partition_of"]
 
@@ -60,17 +69,44 @@ def spill_partition_of(key, level: int, count: int) -> int:
     return mixed % count
 
 
+#: ``_on_lists`` output dtype of a gather: that of the vector gathered from.
+_LIKE_INPUT = "like input"
+
+
+def _on_lists(out):
+    """The adaptor around one oracle loop: ``ndarray`` arguments go in as
+    their ``tolist()``; when one did, the loop's result comes back as an
+    ``out``-dtype array (:data:`_LIKE_INPUT`: the first argument's dtype,
+    ``object`` for a plain sequence; ``None``: the loop returns nothing)."""
+    def adapt(loop):
+        @wraps(loop)
+        def kernel(self, *args):
+            if not any(type(arg) is np.ndarray for arg in args):
+                return loop(self, *args)
+            result = loop(self, *[arg.tolist() if type(arg) is np.ndarray else arg
+                                  for arg in args])
+            if out is None:
+                return result
+            if out is _LIKE_INPUT:
+                return vector_of(result, getattr(args[0], "dtype", object))
+            return vector_of(result, out)
+        return kernel
+    return adapt
+
+
 class PythonKernels:
-    """Data-plane kernels as plain Python loops (fallback and oracle)."""
+    """Data-plane kernels as plain Python loops (the oracle)."""
 
     name = "python"
 
     # ------------------------------------------------------------ predicates
+    @_on_lists(bool)
     def compare_const(self, op, vector: Sequence, constant) -> List[bool]:
         """``value OP constant`` per element, SQL-style ``None -> False``."""
         apply = op.apply
         return [apply(value, constant) for value in vector]
 
+    @_on_lists(bool)
     def between_const(self, vector: Sequence, low, high,
                       include_low: bool, include_high: bool) -> List[bool]:
         """``low < value < high`` (bounds optionally inclusive) per element."""
@@ -88,37 +124,53 @@ class PythonKernels:
         return [value is not None and value > low and value < high
                 for value in vector]
 
+    @_on_lists(bool)
     def not_mask(self, mask: Sequence[bool]) -> List[bool]:
         """Elementwise negation of a boolean mask."""
         return [not value for value in mask]
 
     # ----------------------------------------------------- selection vectors
+    @_on_lists(np.intp)
     def compact(self, mask: Sequence[bool]) -> List[int]:
         """Positions of the set entries of a selection mask, ascending."""
         return [position for position, passed in enumerate(mask) if passed]
 
+    @_on_lists(np.intp)
     def select(self, positions: Sequence[int],
                outcomes: Sequence[bool]) -> List[int]:
         """Filter a position list by parallel outcomes (adaptive conjuncts)."""
         return [position for position, passed in zip(positions, outcomes)
                 if passed]
 
+    @_on_lists(bool)
+    def scatter(self, positions: Sequence[int], count: int) -> List[bool]:
+        """The ``count``-row mask set at ``positions`` (inverse of
+        :meth:`compact`)."""
+        mask = [False] * count
+        for position in positions:
+            mask[position] = True
+        return mask
+
     # --------------------------------------------------------------- gathers
+    @_on_lists(_LIKE_INPUT)
     def gather(self, vector: Sequence, positions: Sequence[int]) -> List:
         """Values of ``vector`` at ``positions``, in position order."""
         return [vector[position] for position in positions]
 
     # --------------------------------------------------------------- hashing
+    @_on_lists(np.int64)
     def bucket_indices(self, keys: Sequence, buckets: int) -> List[int]:
         """``key_hash(key) % buckets`` per key (hash-join bucket choice)."""
         return [key_hash(key) % buckets for key in keys]
 
+    @_on_lists(np.int64)
     def spill_partitions(self, keys: Sequence, level: int,
                          count: int) -> List[int]:
         """Level-salted spill-partition index per key (grace/hybrid join)."""
         return [spill_partition_of(key, level, count) for key in keys]
 
     # ----------------------------------------------------------- aggregation
+    @_on_lists(None)
     def fold(self, state, vector: Sequence) -> None:
         """Fold a value vector into one aggregate accumulator, in row order."""
         update = state.update
@@ -132,5 +184,5 @@ class PythonKernels:
             update(1)
 
 
-#: Shared stateless instance -- the default wherever no backend was chosen.
+#: Shared stateless instance -- the oracle, and the morsel workers' backend.
 PYTHON_KERNELS = PythonKernels()

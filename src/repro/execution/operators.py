@@ -122,7 +122,8 @@ class SeqScanOperator(Operator):
                             if names else (scan_next,) + qualify)
             rows: List[Row] = [
                 dict(zip(names, values)) for values in
-                zip(*[decode_values(page, layout, name, slots) for name in names])
+                zip(*[decode_values(page, layout, name, slots).tolist()
+                       for name in names])
             ] if names else [{} for _ in slots]
             outcomes = None
             qualifying = slots
@@ -134,7 +135,7 @@ class SeqScanOperator(Operator):
             if extras and qualifying:
                 steps = (ctx.load_step(page, layout, extras),) + row_steps
                 for row, values in zip(rows, zip(*[decode_values(page, layout, name,
-                                                                 qualifying)
+                                                                 qualifying).tolist()
                                                    for name in extras])):
                     row.update(zip(extras, values))
             yield ((page_steps, record_steps, steps, done, pause),

@@ -47,9 +47,10 @@ Design rules:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..adaptive.policy import plan_partition_count
 from ..index.btree import BTreeIndex
@@ -58,8 +59,9 @@ from ..storage.page import (DEFAULT_PAGE_SIZE, PAGE_HEADER_BYTES,
                             records_per_page)
 from ..query.expressions import Aggregate, AggregateState, Expression
 from ..storage.catalog import Table
+from ..storage.schema import vector_of
 from .context import ExecutionContext
-from .kernels import PYTHON_KERNELS, key_hash
+from .kernels import ARRAY_KERNELS, key_hash
 from .operators import HashJoinOperator, OperatorError, Row
 
 __all__ = [
@@ -74,36 +76,57 @@ __all__ = [
 class ColumnBatch:
     """One unit of columnar dataflow: column name -> equal-length vectors.
 
-    The mapping is insertion-ordered and that order is the batch's column
-    order: :meth:`to_rows` materializes dictionaries with exactly this key
-    order, so column order is stable end-to-end.  ``length`` is tracked
-    explicitly so projection-free batches (no columns requested) still know
-    how many rows they carry.
+    Every vector is a one-dimensional ``ndarray`` -- a column's typed
+    vector (:data:`~repro.storage.schema.VECTOR_DTYPES`) as decoded off its
+    page; any other sequence handed in becomes an ``object`` vector of its
+    values as they are.  Vectors are never written in place, so batches may
+    share them.  The mapping is insertion-ordered and that order is the
+    batch's column order: :meth:`to_rows` materializes dictionaries with
+    exactly this key order, so column order is stable end-to-end.
+    ``length`` is tracked explicitly so projection-free batches (no columns
+    requested) still know how many rows they carry.
     """
 
-    __slots__ = ("columns", "length")
+    __slots__ = ("_parts", "length")
 
-    def __init__(self, columns: Dict[str, List], length: Optional[int] = None) -> None:
+    def __init__(self, columns: Dict[str, np.ndarray],
+                 length: Optional[int] = None) -> None:
         if length is None:
             length = len(next(iter(columns.values()))) if columns else 0
+        typed = True
         for name, vector in columns.items():
             if len(vector) != length:
                 raise OperatorError(
                     f"column {name!r} has {len(vector)} values, expected {length}")
-        self.columns = columns
+            typed = typed and type(vector) is np.ndarray
+        if not typed:
+            columns = {name: vector if type(vector) is np.ndarray
+                       else vector_of(vector, object)
+                       for name, vector in columns.items()}
+        #: The column mappings :meth:`extend` appended, concatenated once
+        #: when :attr:`columns` is next read.
+        self._parts = [columns]
         self.length = length
 
     @classmethod
     def empty(cls, column_names: Sequence[str] = ()) -> "ColumnBatch":
-        return cls({name: [] for name in column_names}, 0)
+        return cls({name: np.empty(0, dtype=object) for name in column_names}, 0)
+
+    @property
+    def columns(self) -> Dict[str, np.ndarray]:
+        parts = self._parts
+        if len(parts) > 1:
+            self._parts = parts = [{name: np.concatenate([part[name] for part in parts])
+                                    for name in parts[0]}]
+        return parts[0]
 
     def __len__(self) -> int:
         return self.length
 
     def column_names(self) -> Tuple[str, ...]:
-        return tuple(self.columns)
+        return tuple(self._parts[0])
 
-    def vector(self, column: str) -> List:
+    def vector(self, column: str) -> np.ndarray:
         """Fetch a column vector, accepting qualified or unqualified names."""
         columns = self.columns
         if column in columns:
@@ -115,36 +138,37 @@ class ColumnBatch:
 
     def row(self, position: int) -> Row:
         """Materialize one row dict (predicate evaluation, debugging)."""
-        return {name: vector[position] for name, vector in self.columns.items()}
+        return {name: vector[position:position + 1].tolist()[0]
+                for name, vector in self.columns.items()}
 
     def to_rows(self) -> List[Row]:
-        """Late materialization: the row dicts the tuple engine would yield."""
+        """Late materialization: the row dicts the tuple engine would yield,
+        holding Python values (one ``tolist()`` per vector)."""
         columns = self.columns
         if not columns:
             return [{} for _ in range(self.length)]
         names = tuple(columns)
-        return [dict(zip(names, values)) for values in zip(*columns.values())]
+        return [dict(zip(names, values))
+                for values in zip(*[vector.tolist() for vector in columns.values()])]
 
     def gather(self, positions: Sequence[int], kernels=None) -> "ColumnBatch":
         """New batch holding the given row positions (selection/compaction)."""
-        take = (kernels or PYTHON_KERNELS).gather
+        take = (kernels or ARRAY_KERNELS).gather
         return ColumnBatch({name: take(vector, positions)
                             for name, vector in self.columns.items()},
                            len(positions))
 
     def extend(self, batch: "ColumnBatch") -> None:
-        """Append ``batch``'s rows in place: a growing column block (the
-        hashed or cached side of a join).  The first non-empty batch fixes
-        the column order and its vectors are copied, so the block never
-        aliases a vector its producer (or a shared-scan recording) owns."""
+        """Append ``batch``'s rows: a growing column block (the hashed or
+        cached side of a join).  The first non-empty batch fixes the column
+        order; the vectors are concatenated once, when next read, so
+        growing a block a batch at a time stays linear."""
         if not len(batch):
             return
-        if not self.columns:
-            self.columns = {name: list(vector)
-                            for name, vector in batch.columns.items()}
+        if not self.length:
+            self._parts = [batch.columns]
         else:
-            for name, vector in batch.columns.items():
-                self.columns[name].extend(vector)
+            self._parts.append(batch.columns)
         self.length += len(batch)
 
 
@@ -161,8 +185,10 @@ def merge_gather(left: ColumnBatch, left_positions: Sequence[int],
     """
     if len(left_positions) != len(right_positions):
         raise OperatorError("merge_gather requires position lists of equal length")
-    take = (kernels or PYTHON_KERNELS).gather
-    out: Dict[str, List] = {}
+    take = (kernels or ARRAY_KERNELS).gather
+    left_positions = np.asarray(left_positions, dtype=np.intp)
+    right_positions = np.asarray(right_positions, dtype=np.intp)
+    out: Dict[str, np.ndarray] = {}
     for name, vector in left.columns.items():
         out[name] = take(vector, left_positions)
     for name, vector in right.columns.items():
@@ -191,7 +217,8 @@ def _chunked(items: Sequence, size: int) -> Iterator[Sequence]:
 
 
 def _select(ctx: ExecutionContext, predicate: Expression,
-            columns: Dict[str, List], count: int, conjuncts=None) -> List[int]:
+            columns: Dict[str, np.ndarray], count: int,
+            conjuncts=None) -> np.ndarray:
     """Selection vector of ``predicate`` over one batch, charged.
 
     ``conjuncts`` is the context's adaptive manager when it applies to this
@@ -327,21 +354,17 @@ class VecSeqScanOperator(VectorOperator):
         if pending_rows:
             yield flush()
 
-    def _read(self, segments: Segments, names: Sequence[str]) -> Dict[str, List]:
-        """Read ``names`` for every ``(page, slots)`` segment, concatenated.
-        ``read_column_group_batch`` returns fresh vectors per call, so the
-        first segment's can be extended (and emitted) directly."""
+    def _read(self, segments: Segments,
+              names: Sequence[str]) -> Dict[str, np.ndarray]:
+        """Read ``names`` for every ``(page, slots)`` segment, concatenated."""
         ctx = self.ctx
         layout = self.table.layout
-        columns: Dict[str, List] = {}
-        for index, (page, slots) in enumerate(segments):
-            part = ctx.read_column_group_batch(page, layout, slots, names)
-            if not index:
-                columns = part
-            else:
-                for name in names:
-                    columns[name].extend(part[name])
-        return columns
+        parts = [ctx.read_column_group_batch(page, layout, slots, names)
+                 for page, slots in segments]
+        if len(parts) == 1:
+            return parts[0]
+        return {name: np.concatenate([part[name] for part in parts])
+                for name in names}
 
     def _emit(self, segments: Segments, count: int, conjuncts) -> ColumnBatch:
         """Charge, read, filter and project one vector of ``count`` slots
@@ -367,12 +390,11 @@ class VecSeqScanOperator(VectorOperator):
                 offset = cursor = 0
                 for page, slots in segments:
                     upper = offset + len(slots)
-                    end = bisect_left(selected, upper, cursor)
+                    end = int(np.searchsorted(selected, upper))
                     if end > cursor:
-                        local = selected[cursor:end]
-                        if offset:
-                            local = [position - offset for position in local]
-                        qualifying.append((page, kernels.gather(slots, local)))
+                        qualifying.append((page, [
+                            slots[position] for position
+                            in (selected[cursor:end] - offset).tolist()]))
                     cursor = end
                     offset = upper
                 segments = qualifying
@@ -430,7 +452,7 @@ def _charge_descent(ctx: ExecutionContext, index: BTreeIndex, key,
 
 
 def _fetch_leaf_chunk(ctx: ExecutionContext, table: Table, chunk: Sequence,
-                      columns: Sequence[str]) -> Dict[str, List]:
+                      columns: Sequence[str]) -> Dict[str, np.ndarray]:
     """Advance over one chunk of leaf matches and fetch ``columns`` of the
     heap records they point to: one amortised ``leaf_advance`` and one
     ``rid_fetch`` invocation per chunk, the entry loads and record reads
@@ -447,7 +469,15 @@ def _fetch_leaf_chunk(ctx: ExecutionContext, table: Table, chunk: Sequence,
             fields = ctx.read_fields(table.heap.fetch(match.rid), layout, columns)
             for name in columns:
                 vectors[name].append(fields[name])
-    return vectors
+    return _typed(table, vectors)
+
+
+def _typed(table: Table, values: Dict[str, List]) -> Dict[str, np.ndarray]:
+    """Decoded values (``int``, ``float``, ``str``: scalars to numpy) of
+    ``table``'s columns as its typed column vectors."""
+    dtypes = table.schema.vector_dtypes
+    return {name: np.array(vector, dtype=dtypes[name])
+            for name, vector in values.items()}
 
 
 class VecIndexRangeScanOperator(VectorOperator):
@@ -492,8 +522,8 @@ class VecIndexRangeScanOperator(VectorOperator):
         residual = self.residual_predicate
         for chunk in _chunked(matches, self.batch_size):
             count = len(chunk)
-            columns: Dict[str, List] = {self.key_column: [match.key
-                                                          for match in chunk]}
+            columns = _typed(self.table, {self.key_column: [match.key
+                                                            for match in chunk]})
             columns.update(_fetch_leaf_chunk(ctx, self.table, chunk,
                                              self.fetch_columns))
             batch = ColumnBatch(columns, count)
@@ -526,7 +556,9 @@ class VecIndexPointLookupOperator(VectorOperator):
         columns = tuple(self.output_columns or self.table.schema.column_names())
         for chunk in _chunked(matches, self.batch_size):
             vectors = _fetch_leaf_chunk(ctx, self.table, chunk, columns)
-            vectors["__rid__"] = [match.rid for match in chunk]
+            # A RecordId is no sequence to numpy: one object per row.
+            vectors["__rid__"] = np.array([match.rid for match in chunk],
+                                          dtype=object)
             ctx.row_produced(len(chunk))
             yield ColumnBatch(vectors, len(chunk))
         ctx.record_done()
@@ -541,8 +573,8 @@ _MAX_SPILL_DEPTH = 4
 
 
 class _SpillBlock:
-    """One pool page of a spill file: the global positions and one value run
-    per column of the (at most ``_SpillFile.capacity``) rows it holds."""
+    """One pool page of a spill file: the global positions and the value
+    runs per column of the (at most ``_SpillFile.capacity``) rows it holds."""
 
     __slots__ = ("page_number", "base_address", "positions", "columns", "dirty")
 
@@ -550,7 +582,7 @@ class _SpillBlock:
         self.page_number = page_number
         self.base_address = base_address
         self.positions: List[int] = []
-        self.columns: Dict[str, List] = {}
+        self.columns: Dict[str, List[np.ndarray]] = {}
         self.dirty = False
 
 
@@ -605,7 +637,8 @@ class _SpillFile:
         self.row_count += 1
         self.pending.append(offset)
 
-    def flush(self, positions: Sequence[int], columns: Dict[str, List]) -> None:
+    def flush(self, positions: Sequence[int],
+              columns: Dict[str, np.ndarray]) -> None:
         """Move the pending rows into the blocks: row ``offset`` of the
         ``columns`` vectors, whose global position is ``positions[offset]``."""
         pending = self.pending
@@ -616,9 +649,9 @@ class _SpillFile:
             take = pending[start:start + self.capacity - len(block.positions)]
             stored += len(take)
             block.positions.extend([positions[offset] for offset in take])
+            rows = np.array(take, dtype=np.intp)
             for name, vector in columns.items():
-                block.columns.setdefault(name, []).extend(
-                    [vector[offset] for offset in take])
+                block.columns.setdefault(name, []).append(vector[rows])
         pending.clear()
 
     def read_all(self, ctx: ExecutionContext) -> Tuple[List[int], ColumnBatch]:
@@ -633,7 +666,9 @@ class _SpillFile:
             for slot in range(len(block.positions)):
                 ctx.read_address(first + slot * size, size)
             positions.extend(block.positions)
-            rows.extend(ColumnBatch(block.columns, len(block.positions)))
+            rows.extend(ColumnBatch({name: np.concatenate(runs) for name, runs
+                                     in block.columns.items()},
+                                    len(block.positions)))
             self.pool.unpin(page_number)
         return positions, rows
 
@@ -660,17 +695,17 @@ class _BucketArea:
         self.base = ctx.allocate_workspace(buckets * _ENTRY_BYTES)
         self.count = 0
 
-    def addresses(self, keys: Sequence) -> List[int]:
+    def addresses(self, keys: np.ndarray) -> List[int]:
         """Bucket address of every key, hashed in bulk at the current size."""
-        base = self.base
-        return [base + bucket * _ENTRY_BYTES for bucket
-                in self.ctx.kernels.bucket_indices(keys, self.buckets)]
+        buckets = self.ctx.kernels.bucket_indices(keys, self.buckets)
+        return (buckets * _ENTRY_BYTES + self.base).tolist()
 
     def _charge(self, access: Callable[[Sequence[int], int], None],
-                keys: Sequence) -> None:
+                keys: np.ndarray) -> None:
         access(self.addresses(keys), _ENTRY_BYTES)
 
-    def store(self, keys: Sequence, resident: Callable[[], Sequence]) -> None:
+    def store(self, keys: np.ndarray,
+              resident: Callable[[], np.ndarray]) -> None:
         """Charge the bucket store of one key vector.
 
         ``resident()`` returns the keys stored so far (asked for only when
@@ -678,13 +713,13 @@ class _BucketArea:
         hashed at once; the per-key charge is the same either way.
         """
         if self.count + len(keys) > self.buckets:
-            for key in keys:
+            for key in keys.tolist():
                 self.store_one(key, resident)
         else:
             self._charge(self.ctx.write_addresses, keys)
             self.count += len(keys)
 
-    def store_one(self, key, resident: Callable[[], Sequence]) -> None:
+    def store_one(self, key, resident: Callable[[], np.ndarray]) -> None:
         """Charge one bucket store, doubling the area first if it is full."""
         if self.count == self.buckets:
             # Observed cardinality exceeds the sizing estimate:
@@ -694,7 +729,7 @@ class _BucketArea:
             self.base + (key_hash(key) % self.buckets) * _ENTRY_BYTES, _ENTRY_BYTES)
         self.count += 1
 
-    def _double(self, keys: Sequence) -> None:
+    def _double(self, keys: np.ndarray) -> None:
         """Grow the bucket array past the planner's estimate and re-charge.
 
         The observed cardinality has reached ``buckets`` (the sizing
@@ -706,11 +741,11 @@ class _BucketArea:
         """
         self.buckets = max(self.buckets * 2, 16)
         self.base = self.ctx.allocate_workspace(self.buckets * _ENTRY_BYTES)
-        if keys:
+        if len(keys):
             self.ctx.visit_batch("hash_build", len(keys))
             self._charge(self.ctx.write_addresses, keys)
 
-    def load(self, keys: Sequence) -> None:
+    def load(self, keys: np.ndarray) -> None:
         """Charge the bucket load of one key vector."""
         self._charge(self.ctx.read_addresses, keys)
 
@@ -720,17 +755,18 @@ class _BucketArea:
 
 
 class _Positions(dict):
-    """Hash-table payload: join key -> row positions, in insertion order."""
+    """Hash-table payload: join key -> row positions, in insertion order.
+    Keys are Python values (a key vector's ``tolist()``)."""
 
     __slots__ = ()
 
     def add(self, key, position: int) -> None:
         self.setdefault(key, []).append(position)
 
-    def matches(self, keys: Sequence) -> Iterator[Tuple[int, List[int]]]:
+    def matches(self, keys: np.ndarray) -> Iterator[Tuple[int, List[int]]]:
         """``(offset, positions)`` for every key of the vector that has any."""
         get = self.get
-        for offset, key in enumerate(keys):
+        for offset, key in enumerate(keys.tolist()):
             found = get(key)
             if found:
                 yield offset, found
@@ -808,7 +844,7 @@ class VecHashJoinOperator(VectorOperator):
         block.extend(batch)
         keys = batch.vector(column)
         area.store(keys, lambda: block.vector(column)[:area.count])
-        for position, key in enumerate(keys, base):
+        for position, key in enumerate(keys.tolist(), base):
             table.add(key, position)
 
     def _emit_pairs(self, pairs: Pairs, build_block: ColumnBatch,
@@ -997,16 +1033,16 @@ class VecHashJoinOperator(VectorOperator):
         build_block = ColumnBatch.empty()
         resident = partitions
         resident_bytes = 0
-        resident_keys: List[List] = [[] for _ in range(partitions)]
         resident_tables: List[Optional[_Positions]] = [
             _Positions() for _ in range(partitions)]
         resident_rows: List[List[int]] = [[] for _ in range(partitions)]
         build_files = self._spill_files(partitions)
         probe_files = self._spill_files(partitions)
 
-        def keys_in_area() -> List:
-            return [key for part_keys in resident_keys[:resident]
-                    for key in part_keys]
+        def keys_in_area() -> np.ndarray:
+            rows = [row for part_rows in resident_rows[:resident]
+                    for row in part_rows]
+            return build_block.vector(self.build_column)[np.array(rows, dtype=np.intp)]
 
         def demote_one() -> None:
             """Spill the highest-numbered resident partition (destaging)."""
@@ -1021,7 +1057,6 @@ class VecHashJoinOperator(VectorOperator):
             area.count -= len(resident_rows[victim])
             resident_tables[victim] = None
             resident_rows[victim] = []
-            resident_keys[victim] = []
 
         for batch in self.build.batches():
             if not len(batch):
@@ -1034,12 +1069,11 @@ class VecHashJoinOperator(VectorOperator):
             # level-0 partition of every key can be assigned in bulk; the
             # bucket hash cannot (the resident area may resize mid-batch).
             parts = kernels.spill_partitions(keys, 0, partitions)
-            for offset, (key, part) in enumerate(zip(keys, parts)):
+            for offset, (key, part) in enumerate(zip(keys.tolist(), parts.tolist())):
                 if part < resident:
                     area.store_one(key, keys_in_area)
                     resident_tables[part].add(key, base + offset)
                     resident_rows[part].append(base + offset)
-                    resident_keys[part].append(key)
                     resident_bytes += row_bytes
                     while resident_bytes > budget and resident > 0:
                         demote_one()
@@ -1067,7 +1101,7 @@ class VecHashJoinOperator(VectorOperator):
             # bulk.
             parts = kernels.spill_partitions(keys, 0, partitions)
             addresses = area.addresses(keys)
-            for offset, (key, part) in enumerate(zip(keys, parts)):
+            for offset, (key, part) in enumerate(zip(keys.tolist(), parts.tolist())):
                 if part < resident:
                     area.load_one(addresses[offset])
                     found = resident_tables[part].get(key)
@@ -1128,7 +1162,7 @@ class VecHashJoinOperator(VectorOperator):
                     (sub_build, build_keys, build_positions, build_rows),
                     (sub_probe, probe_keys, probe_positions, probe_rows)):
                 for offset, part in enumerate(
-                        kernels.spill_partitions(keys, level, fanout)):
+                        kernels.spill_partitions(keys, level, fanout).tolist()):
                     # A probe row of a build-empty sub-partition is dropped.
                     if files is sub_build or sub_build[part].row_count:
                         files[part].charge_append(ctx, offset)
@@ -1143,7 +1177,7 @@ class VecHashJoinOperator(VectorOperator):
         table = _Positions()
         ctx.visit_batch("hash_build", len(build_keys))
         area.store(build_keys, lambda: build_keys[:area.count])
-        for position, key in zip(build_positions, build_keys):
+        for position, key in zip(build_positions, build_keys.tolist()):
             table.add(key, position)
         ctx.visit_batch("hash_probe", len(probe_keys))
         area.load(probe_keys)
@@ -1178,13 +1212,13 @@ class VecNestedLoopJoinOperator(VectorOperator):
             inner_block = ColumnBatch.empty()
             for inner_batch in self.inner_factory().batches():
                 inner_block.extend(inner_batch)
-            inner_keys = (inner_block.vector(self.inner_column)
+            inner_keys = (inner_block.vector(self.inner_column).tolist()
                           if len(inner_block) else [])
             inner_count = len(inner_block)
             inner_positions: List[int] = []
             outer_positions: List[int] = []
             for outer_position, outer_key in enumerate(
-                    outer_batch.vector(self.outer_column)):
+                    outer_batch.vector(self.outer_column).tolist()):
                 # The match tests against the cached block are the join's
                 # per-record work; one amortised invocation covers them all.
                 ctx.visit_batch("inner_scan_next", inner_count)
@@ -1228,7 +1262,7 @@ class VecIndexNestedLoopJoinOperator(VectorOperator):
             outer_positions: List[int] = []
             inner_vectors: Dict[str, List] = {name: [] for name in inner_names}
             for outer_position, key in enumerate(
-                    outer_batch.vector(self.outer_column)):
+                    outer_batch.vector(self.outer_column).tolist()):
                 descend_steps += _charge_descent(ctx, self.inner_index, key,
                                                  visit=False)
                 matched = False
@@ -1252,8 +1286,9 @@ class VecIndexNestedLoopJoinOperator(VectorOperator):
             ctx.visit_batch("rid_fetch", rid_fetches)
             joined_count = len(outer_positions)
             yield _joined(ctx, outer_batch, outer_positions,
-                          ColumnBatch(inner_vectors, joined_count),
-                          range(joined_count))
+                          ColumnBatch(_typed(self.inner_table, inner_vectors),
+                                      joined_count),
+                          np.arange(joined_count))
 
 
 class VecScalarAggregateOperator(VectorOperator):

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 
 class ExpressionError(ValueError):
@@ -47,6 +49,11 @@ def _column_vector(columns: Mapping[str, Sequence], name: str) -> Optional[Seque
 
 
 _DEFAULT_KERNELS = None
+
+
+def _python_values(vector: Sequence) -> Sequence:
+    """A typed vector's values as Python objects; any other sequence as is."""
+    return vector.tolist() if type(vector) is np.ndarray else vector
 
 
 def _default_kernels():
@@ -65,11 +72,12 @@ class Expression:
         raise NotImplementedError
 
     def evaluate_batch(self, columns: Mapping[str, Sequence],
-                       count: int, kernels=None) -> List[bool]:
+                       count: int, kernels=None) -> np.ndarray:
         """Boolean selection mask over ``count`` rows given as column vectors.
 
         The vectorized engine's columnar dataflow evaluates predicates
-        against column vectors rather than row dicts.  The base
+        against column vectors (typed arrays) rather than row dicts, and
+        gets a ``bool`` array back.  The base
         implementation materializes a minimal row view per position (so any
         expression works); :class:`Between` and :class:`Comparison` override
         it with single-column kernel calls, and the logical connectives
@@ -82,10 +90,13 @@ class Expression:
         """
         names = tuple(columns)
         if not names:
-            return [bool(self.evaluate({})) for _ in range(count)]
-        vectors = tuple(columns[name] for name in names)
-        return [bool(self.evaluate(dict(zip(names, values))))
-                for values in zip(*vectors)]
+            return np.array([bool(self.evaluate({})) for _ in range(count)],
+                            dtype=bool)
+        # Rows of Python values (a typed vector's ``tolist()``), as the
+        # tuple engine evaluates them.
+        vectors = tuple(_python_values(columns[name]) for name in names)
+        return np.array([bool(self.evaluate(dict(zip(names, values))))
+                         for values in zip(*vectors)], dtype=bool)
 
     def columns(self) -> FrozenSet[str]:
         """Names of the columns this expression reads."""
@@ -170,7 +181,7 @@ class Comparison(Expression):
         return self.op.apply(self.left.evaluate(row), self.right.evaluate(row))
 
     def evaluate_batch(self, columns: Mapping[str, Sequence],
-                       count: int, kernels=None) -> List[bool]:
+                       count: int, kernels=None) -> np.ndarray:
         if type(self.left) is ColumnRef and type(self.right) is Const:
             vector = _column_vector(columns, self.left.name)
             if vector is not None:
@@ -212,14 +223,14 @@ class Between(Expression):
         return value <= high if self.include_high else value < high
 
     def evaluate_batch(self, columns: Mapping[str, Sequence],
-                       count: int, kernels=None) -> List[bool]:
+                       count: int, kernels=None) -> np.ndarray:
         if type(self.expr) is ColumnRef and type(self.low) is Const \
                 and type(self.high) is Const:
             vector = _column_vector(columns, self.expr.name)
             if vector is not None:
                 low, high = self.low.value, self.high.value
                 if low is None or high is None:
-                    return [False] * count
+                    return np.zeros(count, dtype=bool)
                 return (kernels or _default_kernels()).between_const(
                     vector, low, high, self.include_low, self.include_high)
         return Expression.evaluate_batch(self, columns, count, kernels)
@@ -233,19 +244,19 @@ class Between(Expression):
 
 def _short_circuit(operands: Sequence[Expression],
                    columns: Mapping[str, Sequence], count: int, kernels,
-                   decided: bool) -> List[bool]:
+                   decided: bool) -> np.ndarray:
     """The mask of ``And`` (``decided=False``) or ``Or`` (``decided=True``)
     over ``operands``, short-circuited as :meth:`And.evaluate` and
     :meth:`Or.evaluate` are: operand ``k`` sees only the rows operands
     ``1..k-1`` left undecided, so it never runs on -- and never raises for
     -- a row the row-at-a-time form would not hand it."""
     kernels = kernels or _default_kernels()
-    undecided: Sequence[int] = range(count)
-    hits: List[int] = []
+    undecided = None  # every row
     for operand in operands:
-        if not undecided:
+        remaining = count if undecided is None else len(undecided)
+        if not remaining:
             break
-        if len(undecided) == count:
+        if remaining == count:
             subset = columns
         else:
             subset = {}
@@ -253,15 +264,16 @@ def _short_circuit(operands: Sequence[Expression],
                 vector = _column_vector(columns, name)
                 if vector is not None:
                     subset[name] = kernels.gather(vector, undecided)
-        outcomes = operand.evaluate_batch(subset, len(undecided), kernels)
+        outcomes = operand.evaluate_batch(subset, remaining, kernels)
         if decided:
-            hits.extend(kernels.select(undecided, outcomes))
             outcomes = kernels.not_mask(outcomes)
-        undecided = kernels.select(undecided, outcomes)
-    mask = [False] * count
-    for position in (hits if decided else undecided):
-        mask[position] = True
-    return mask
+        undecided = (kernels.compact(outcomes) if undecided is None
+                     else kernels.select(undecided, outcomes))
+    if undecided is None:
+        return np.full(count, not decided)
+    # The rows no operand decided: ``And``'s true rows, ``Or``'s false ones.
+    mask = kernels.scatter(undecided, count)
+    return kernels.not_mask(mask) if decided else mask
 
 
 @dataclass(frozen=True)
@@ -274,7 +286,7 @@ class And(Expression):
         return all(op.evaluate(row) for op in self.operands)
 
     def evaluate_batch(self, columns: Mapping[str, Sequence],
-                       count: int, kernels=None) -> List[bool]:
+                       count: int, kernels=None) -> np.ndarray:
         return _short_circuit(self.operands, columns, count, kernels,
                               decided=False)
 
@@ -298,7 +310,7 @@ class Or(Expression):
         return any(op.evaluate(row) for op in self.operands)
 
     def evaluate_batch(self, columns: Mapping[str, Sequence],
-                       count: int, kernels=None) -> List[bool]:
+                       count: int, kernels=None) -> np.ndarray:
         return _short_circuit(self.operands, columns, count, kernels,
                               decided=True)
 
@@ -322,7 +334,7 @@ class Not(Expression):
         return not self.operand.evaluate(row)
 
     def evaluate_batch(self, columns: Mapping[str, Sequence],
-                       count: int, kernels=None) -> List[bool]:
+                       count: int, kernels=None) -> np.ndarray:
         mask = self.operand.evaluate_batch(columns, count, kernels)
         return (kernels or _default_kernels()).not_mask(mask)
 

@@ -299,7 +299,7 @@ class HeapFile:
         """Decode one column of the record at ``rid``."""
         page = self.fetch(rid).page
         if page.columnar:
-            return page.column_values(column, (rid.slot,))[0]
+            return page.column_values(column, (rid.slot,)).tolist()[0]
         return self.layout.decode_column(bytes(page.record_view(rid.slot)), column)
 
     def __len__(self) -> int:

@@ -16,9 +16,12 @@ column of many slots off either page organisation.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
+
+import numpy as np
+
+from .schema import VECTOR_DTYPES, vector_of
 
 DEFAULT_PAGE_SIZE = 8192
 
@@ -186,14 +189,32 @@ class SlottedPage:
         offset, length = self._offsets[slot], self._lengths[slot]
         return memoryview(self._buffer)[offset:offset + length]
 
-    def field_values(self, offset: int, code: str, slots: Sequence[int]) -> List:
-        """Decode the fixed-width field at record-relative ``offset`` for a
-        batch of live slots -- one ``unpack_from`` straight off the page
-        buffer per value, no per-record view or copy."""
-        buffer = self._buffer
+    def field_values(self, offset: int, code: str,
+                     slots: Sequence[int]) -> np.ndarray:
+        """The fixed-width field at record-relative ``offset`` (``struct``
+        format ``code``) of ascending ``slots``, as a new array.  Records
+        are appended back to back, so a run of consecutive slots holding
+        records of one size -- every run of a fixed-size table -- is one
+        strided copy off the page buffer; any other slot list is a gather."""
+        dtype = np.dtype(code)
+        count = len(slots)
+        if count:
+            first = slots[0]
+            size = self._lengths[first]
+            if (slots[count - 1] - first == count - 1 and size > 0
+                    and self._lengths[first:first + count].count(size) == count):
+                return np.ndarray(count, dtype, self._buffer,
+                                  self._offsets[first] + offset, (size,)).copy()
+        return self.raw_fields(offset, dtype.itemsize, slots).view(dtype).reshape(count)
+
+    def raw_fields(self, offset: int, width: int,
+                   slots: Sequence[int]) -> np.ndarray:
+        """``(len(slots), width)`` ``uint8`` copy of the ``width`` bytes at
+        record-relative ``offset`` of each slot's record."""
         offsets = self._offsets
-        return [struct.unpack_from(code, buffer, offsets[slot] + offset)[0]
-                for slot in slots]
+        starts = np.array([offsets[slot] for slot in slots], dtype=np.intp)
+        page = np.frombuffer(self._buffer, dtype=np.uint8)
+        return page[(starts + offset)[:, None] + np.arange(width)]
 
     def slot_address(self, slot: int) -> int:
         """Virtual address of the first byte of the record in ``slot``."""
@@ -423,30 +444,23 @@ class PaxPage:
         address = self.base_address + minipage + first * width
         return address, (last - first + 1) * width
 
-    def column_values(self, column_name: str, slots: Sequence[int]) -> List:
-        """Decode a column's values for the given slots from its minipage."""
-        layout = self.layout
-        index = layout.schema.index_of(column_name)
-        column = layout.schema.columns[index]
+    def column_values(self, column_name: str,
+                      slots: Sequence[int]) -> np.ndarray:
+        """A column's values for ascending ``slots``, as a new array indexed
+        out of its minipage (a slice for consecutive slots)."""
+        index = self.layout.schema.index_of(column_name)
+        column = self.layout.schema.columns[index]
         base, _, width = self._geometry[index]
-        buffer = self._buffer
-        from .schema import ColumnType  # local import: schema also feeds layouts
-        if column.type is ColumnType.CHAR:
-            out = []
-            for slot in slots:
-                raw = bytes(buffer[base + slot * width:base + (slot + 1) * width])
-                out.append(raw.rstrip(b"\x00").decode(errors="replace"))
-            return out
+        dtype = VECTOR_DTYPES[column.type]
+        if dtype == object:
+            dtype = np.dtype((np.uint8, width))
+        minipage = np.frombuffer(self._buffer, dtype, self.capacity, base)
         count = len(slots)
-        if count > 1 and slots[count - 1] - slots[0] == count - 1:
-            # Ascending consecutive slots (the common full-run case) are
-            # contiguous in the minipage: decode them with one bulk unpack.
-            return list(struct.unpack_from(
-                f"<{count}{column.type.struct_code}", buffer,
-                base + slots[0] * width))
-        code = "<" + column.type.struct_code
-        return [struct.unpack_from(code, buffer, base + slot * width)[0]
-                for slot in slots]
+        if count and slots[count - 1] - slots[0] == count - 1:
+            values = minipage[slots[0]:slots[0] + count].copy()
+        else:
+            values = minipage[np.asarray(slots, dtype=np.intp)]
+        return _char_values(values) if values.ndim == 2 else values
 
     def live_slots(self) -> Iterator[int]:
         for slot, live in enumerate(self._live):
@@ -468,17 +482,25 @@ class PaxPage:
                 f"records, {len(self.layout.schema)} minipages)")
 
 
-def decode_values(page, layout, column: str, slots: Sequence[int]) -> List:
-    """``column``'s values for the live ``slots`` of an NSM or PAX page, in
-    slot order: one minipage decode on PAX, one ``unpack_from`` per value on
-    NSM, and on NSM one record-prefix copy per value for ``CHAR``.  Pure
-    data work -- nothing reaches the simulated hardware."""
+def _char_values(raw: np.ndarray) -> np.ndarray:
+    """``object`` vector of the ``CHAR`` values whose bytes are the rows of
+    ``raw`` (``(count, width)`` ``uint8``): NUL padding stripped, decoded as
+    :meth:`~repro.storage.schema.RecordLayout.decode` does."""
+    width = raw.shape[1]
+    data = raw.tobytes()
+    return vector_of([data[start:start + width].rstrip(b"\x00").decode(errors="replace")
+                      for start in range(0, len(data), width)], object)
+
+
+def decode_values(page, layout, column: str, slots: Sequence[int]) -> np.ndarray:
+    """``column``'s values for the ascending live ``slots`` of an NSM or PAX
+    page, as a new array of the column's :data:`~repro.storage.schema.
+    VECTOR_DTYPES` dtype (it never shares the page's memory): one minipage
+    read on PAX, one strided copy or gather on NSM.  Pure data work --
+    nothing reaches the simulated hardware."""
     if page.columnar:
         return page.column_values(column, slots)
-    offset, code, _width = layout.column_codecs[column]
+    offset, code, width = layout.column_codecs[column]
     if code is not None:
         return page.field_values(offset, code, slots)
-    packed = layout.packed_size
-    decode = layout.decode_column
-    return [decode(bytes(page.record_view(slot)[:packed]), column)
-            for slot in slots]
+    return _char_values(page.raw_fields(offset, width, slots))

@@ -113,6 +113,11 @@ class Schema:
     def column_names(self) -> Tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
+    @cached_property
+    def vector_dtypes(self) -> Dict[str, np.dtype]:
+        """Each column's value-vector dtype (:data:`VECTOR_DTYPES`)."""
+        return {c.name: VECTOR_DTYPES[c.type] for c in self.columns}
+
     def transpose(self, rows: Iterable[Sequence]) -> Tuple[Dict[str, tuple], int]:
         """``(column name -> values, row count)`` of ``rows``: the column
         form a bulk load takes.  A row of the wrong arity raises the
@@ -297,18 +302,30 @@ def _char_bytes(value, width: int) -> bytes:
     return raw[:width].ljust(width, b"\x00")
 
 
-#: Little-endian numpy dtype of each numeric column type (``struct``'s
-#: ``<i``, ``<q`` and ``<d``).
-_NUMPY_DTYPES = {ColumnType.INT32: np.dtype("<i4"),
+#: The numpy dtype of each column type's value vectors: little-endian
+#: ``<i4`` / ``<i8`` / ``<f8`` (``struct``'s ``<i``, ``<q`` and ``<d``) for
+#: the numbers, ``object`` (one ``str`` per value) for ``CHAR``.
+VECTOR_DTYPES = {ColumnType.INT32: np.dtype("<i4"),
                  ColumnType.INT64: np.dtype("<i8"),
-                 ColumnType.FLOAT64: np.dtype("<f8")}
+                 ColumnType.FLOAT64: np.dtype("<f8"),
+                 ColumnType.CHAR: np.dtype(object)}
+_OBJECT = VECTOR_DTYPES[ColumnType.CHAR]
+
+
+def vector_of(values: Sequence, dtype) -> np.ndarray:
+    """``values`` as a one-dimensional ``dtype`` array.  An ``object``
+    vector holds every value as it is -- a tuple or a list included, which
+    ``np.array`` would unpack into a second dimension."""
+    if dtype is object or dtype is _OBJECT:
+        return np.fromiter(values, dtype=_OBJECT, count=len(values))
+    return np.array(values, dtype=dtype)
 
 
 def _numeric_bytes(column_type: ColumnType, values: Sequence,
                    count: int) -> np.ndarray:
     """``values`` packed as ``struct`` packs them with the column's code,
     as a flat ``uint8`` array; raises what ``struct.pack`` would."""
-    dtype = _NUMPY_DTYPES[column_type]
+    dtype = VECTOR_DTYPES[column_type]
     code = column_type.struct_code
     if isinstance(values, np.ndarray) and values.ndim == 1 \
             and values.dtype.kind in "biuf":

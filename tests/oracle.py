@@ -71,6 +71,8 @@ import pickle
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 import repro.engine.session as session_mod
 import repro.execution.parallel as parallel_mod
 import repro.execution.vectorized as vectorized_mod
@@ -196,11 +198,13 @@ class PickledSpillFile:
         self.row_count += 1
         self._pending.append((offset, page.page_number, slot))
 
-    def flush(self, positions: Sequence[int], columns: Dict[str, List]) -> None:
+    def flush(self, positions: Sequence[int], columns: Dict[str, np.ndarray]) -> None:
         if self._pending:
             self._names = tuple(columns)
+        # Python values, as a row engine would store them.
+        vectors = [vector.tolist() for vector in columns.values()]
         for offset, page_number, slot in self._pending:
-            values = tuple(vector[offset] for vector in columns.values())
+            values = tuple(vector[offset] for vector in vectors)
             payload = pickle.dumps((positions[offset], values),
                                    protocol=pickle.HIGHEST_PROTOCOL)
             assert len(payload) <= self.record_bytes, "pickle outgrew the slot"

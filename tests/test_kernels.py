@@ -26,12 +26,13 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Database, Session
-from repro.execution import ExecutionContext, execute_plan
+from repro.execution import ColumnBatch, ExecutionContext, execute_plan
 from repro.execution.kernels import (ARRAY_KERNELS, PYTHON_KERNELS, key_hash,
                                      resolve_kernels, spill_partition_of)
 from repro.hardware import SimulatedProcessor
@@ -42,7 +43,7 @@ from repro.query.expressions import (AggregateState, And, ComparisonOp,
 from repro.query.planner import DefaultPolicy
 from repro.query.plans import (IndexPointLookupPlan, IndexRangeScanPlan,
                                SeqScanPlan)
-from repro.storage.schema import ColumnType
+from repro.storage.schema import VECTOR_DTYPES, ColumnType, vector_of
 from repro.systems import SYSTEM_B
 
 def array_kernels():
@@ -52,180 +53,210 @@ def array_kernels():
 # ---------------------------------------------------------------------------
 # Kernel-level differentials (Hypothesis)
 # ---------------------------------------------------------------------------
-#: Values a column vector can plausibly carry, tilted toward the edges the
-#: array backend guards: None, bools, huge ints (past 2**53 and 2**63),
-#: hash(-1) == -2, NaN/inf floats, floats at the exactness boundary.
-scalar_values = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-5, max_value=5),
-    st.sampled_from([-1, -2, 2**53, -(2**53), 2**53 - 1, 2**61 - 2,
-                     2**61 - 1, 2**63 - 1, -(2**63), 2**64, -(2**64) - 7]),
-    st.floats(allow_nan=True, allow_infinity=True, width=32),
-    st.sampled_from([0.5, -0.5, 9007199254740993.0, float(2**60)]),
-    st.text(max_size=3),
-)
+#: A typed vector of every ``ColumnType`` -- the engine's vectors as
+#: ``decode_values`` makes them -- tilted toward the edges: the integer
+#: types' extremes, INT64 past 2**53 and 2**61 - 1 (CPython's hash
+#: modulus), hash(-1) == -2; NaN, +-inf and -0.0; CHAR text with NULs and
+#: non-ASCII characters.  ``object`` vectors of mixed values (``None``,
+#: bools, huge ints, text) stand for a batch built from plain sequences.
+_INT32 = st.one_of(st.integers(-2 ** 31, 2 ** 31 - 1),
+                   st.sampled_from([-2 ** 31, 2 ** 31 - 1, -1, -2, 0]))
+_INT64 = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                   st.sampled_from([-2 ** 63, 2 ** 63 - 1, 2 ** 53, 2 ** 53 + 1,
+                                    -(2 ** 53) - 1, 2 ** 61 - 2, 2 ** 61 - 1,
+                                    2 ** 61, -(2 ** 61) + 1, -1, -2]))
+_FLOAT64 = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 0.0, math.nan, math.inf, -math.inf, 0.5, 2.0 ** 53, 2.0 ** 53 + 2]))
+_CHAR = st.text(alphabet="ab\x00é日", max_size=4)
+_MIXED = st.one_of(st.none(), st.booleans(), st.integers(-5, 5),
+                   st.sampled_from([2 ** 53 + 1, 2 ** 64, -(2 ** 64) - 7]),
+                   st.floats(width=32), st.text(max_size=3))
+_ELEMENTS = {ColumnType.INT32: _INT32, ColumnType.INT64: _INT64,
+             ColumnType.FLOAT64: _FLOAT64, ColumnType.CHAR: _CHAR,
+             None: _MIXED}
 
-vectors = st.lists(scalar_values, max_size=40)
-int_vectors = st.lists(
-    st.one_of(st.integers(min_value=-10**6, max_value=10**6),
-              st.sampled_from([2**53 - 1, 2**53, -(2**53), 2**62, -(2**63)]),
-              st.booleans()),
-    max_size=40)
-masks = st.lists(st.booleans(), max_size=40)
+
+def _vector(kind, values) -> np.ndarray:
+    dtype = VECTOR_DTYPES[kind] if kind is not None else object
+    return vector_of(values, dtype)
+
+
+@st.composite
+def typed_vectors(draw, kinds=tuple(_ELEMENTS), max_size=40):
+    kind = draw(st.sampled_from(kinds))
+    return _vector(kind, draw(st.lists(_ELEMENTS[kind], max_size=max_size)))
+
+
+#: Constants a predicate can carry: ``None``, bools, ints inside and past
+#: every integer range and 2**53, floats (NaN, +-inf, -0.0, past 2**53) and
+#: mistyped text.
+constants = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10),
+    st.sampled_from([2 ** 31 - 1, 2 ** 31, -(2 ** 31) - 1, 2 ** 53, 2 ** 53 + 1,
+                     -(2 ** 53) - 1, 2 ** 63 - 1, 2 ** 63, -(2 ** 63) - 1, 2 ** 64]),
+    st.floats(), st.sampled_from([-0.0, math.nan, math.inf, 0.5, 2.0 ** 53 + 2,
+                                  9007199254740993.0, 1e300]),
+    st.sampled_from(["x", "", "é"]))
+masks = st.lists(st.booleans(), max_size=40).map(lambda v: np.array(v, dtype=bool))
 ops = st.sampled_from(list(ComparisonOp))
 
 
-@settings(max_examples=150, deadline=None)
-@given(op=ops, vector=vectors, constant=scalar_values)
-def test_compare_const_matches_oracle(op, vector, constant):
+def outcome(call):
+    """A kernel call's result as dtype and the Python values (and their
+    types) ``to_rows`` would yield, or its error's type and message."""
     try:
-        expected = PYTHON_KERNELS.compare_const(op, vector, constant)
-    except TypeError:
-        # Mixed-type comparisons raise in Python; the array backend is
-        # allowed to raise too (same queries fail either way) -- but it
-        # must not silently produce a mask.
-        with pytest.raises(TypeError):
-            array_kernels().compare_const(op, vector, constant)
-        return
-    got = array_kernels().compare_const(op, vector, constant)
-    assert got == expected
-    assert all(type(value) is bool for value in got)
+        result = call()
+    except Exception as error:
+        return "raised", type(error), str(error)
+    assert isinstance(result, np.ndarray)
+    rows = ColumnBatch({"v": result}).to_rows()
+    return "value", result.dtype, repr([row["v"] for row in rows])
 
 
-@settings(max_examples=150, deadline=None)
-@given(vector=vectors, low=scalar_values, high=scalar_values,
+def assert_backends_agree(method, *args):
+    expected = outcome(lambda: getattr(PYTHON_KERNELS, method)(*args))
+    assert outcome(lambda: getattr(ARRAY_KERNELS, method)(*args)) == expected
+    return expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(op=ops, vector=typed_vectors(), constant=constants)
+# Where float64 rounds: an INT64 value against a float, a float against an
+# int past 2**53, an int past an INT32 vector's range.
+@example(ComparisonOp.GT, np.array([2 ** 53 + 1], "<i8"), 2.0 ** 53)
+@example(ComparisonOp.EQ, np.array([2.0 ** 53], "<f8"), 2 ** 53 + 1)
+@example(ComparisonOp.LT, np.array([5], "<i4"), 2 ** 40)
+def test_compare_const_matches_oracle(op, vector, constant):
+    expected = assert_backends_agree("compare_const", op, vector, constant)
+    if expected[0] == "value":
+        assert expected[1] == bool
+
+
+@settings(max_examples=400, deadline=None)
+@given(vector=typed_vectors(), low=constants, high=constants,
        include_low=st.booleans(), include_high=st.booleans())
 def test_between_const_matches_oracle(vector, low, high, include_low,
                                       include_high):
-    if low is None or high is None:
-        return  # Between short-circuits None bounds before the kernel call
-    try:
-        expected = PYTHON_KERNELS.between_const(vector, low, high,
-                                                include_low, include_high)
-    except TypeError:
-        with pytest.raises(TypeError):
-            array_kernels().between_const(vector, low, high,
-                                          include_low, include_high)
-        return
-    got = array_kernels().between_const(vector, low, high,
-                                        include_low, include_high)
-    assert got == expected
-    assert all(type(value) is bool for value in got)
+    assert_backends_agree("between_const", vector, low, high, include_low,
+                          include_high)
 
 
 @settings(max_examples=100, deadline=None)
 @given(mask=masks)
 def test_mask_negation_matches_oracle(mask):
-    ak = array_kernels()
-    assert ak.not_mask(mask) == PYTHON_KERNELS.not_mask(mask)
+    assert_backends_agree("not_mask", mask)
 
 
 @settings(max_examples=100, deadline=None)
 @given(mask=masks)
 def test_compact_matches_oracle(mask):
-    expected = PYTHON_KERNELS.compact(mask)
-    got = array_kernels().compact(mask)
-    assert got == expected
-    assert all(type(position) is int for position in got)
+    assert assert_backends_agree("compact", mask)[1] == np.intp
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), vector=vectors)
+@given(data=st.data(), count=st.integers(0, 40))
+def test_scatter_matches_oracle(data, count):
+    drawn = data.draw(st.sets(st.integers(0, count - 1))) if count else ()
+    positions = np.array(sorted(drawn), dtype=np.intp)
+    assert_backends_agree("scatter", positions, count)
+    assert PYTHON_KERNELS.compact(ARRAY_KERNELS.scatter(positions, count)
+                                  ).tolist() == positions.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), vector=typed_vectors())
 def test_gather_matches_oracle_and_preserves_identity(data, vector):
-    if vector:
-        positions = data.draw(st.lists(
-            st.integers(min_value=0, max_value=len(vector) - 1), max_size=60))
-    else:
-        positions = []
-    expected = PYTHON_KERNELS.gather(vector, positions)
-    got = array_kernels().gather(vector, positions)
-    assert len(got) == len(expected)
-    # Object identity, not just equality: the array backend must move
-    # pointers, never coerce values to numpy scalars.
-    assert all(a is b for a, b in zip(got, expected))
+    drawn = (data.draw(st.lists(st.integers(0, len(vector) - 1), max_size=60))
+             if len(vector) else [])
+    positions = np.array(drawn, dtype=np.intp)
+    expected = assert_backends_agree("gather", vector, positions)
+    assert expected[1] == vector.dtype
+    if vector.dtype == object:
+        # An object vector's values move as they are: same objects.
+        got = ARRAY_KERNELS.gather(vector, positions)
+        assert all(value is vector[position]
+                   for value, position in zip(got, positions.tolist()))
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), outcomes=masks)
 def test_select_matches_oracle(data, outcomes):
-    positions = data.draw(st.lists(st.integers(min_value=0, max_value=10**6),
-                                   min_size=len(outcomes),
-                                   max_size=len(outcomes)))
-    expected = PYTHON_KERNELS.select(positions, outcomes)
-    got = array_kernels().select(positions, outcomes)
-    assert got == expected
+    positions = np.array(data.draw(st.lists(
+        st.integers(0, 10 ** 6), min_size=len(outcomes),
+        max_size=len(outcomes))), dtype=np.intp)
+    assert assert_backends_agree("select", positions, outcomes)[1] == np.intp
 
 
-@settings(max_examples=150, deadline=None)
-@given(keys=vectors, buckets=st.integers(min_value=1, max_value=2**40))
+def _without_nan(keys: np.ndarray) -> np.ndarray:
+    """``hash(nan)`` is the float object's identity (CPython >= 3.10), so a
+    NaN key has no reproducible hash to compare against."""
+    if keys.dtype.kind == "f":
+        return keys[~np.isnan(keys)]
+    return keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=typed_vectors().map(_without_nan),
+       buckets=st.integers(min_value=1, max_value=2**40))
 def test_bucket_indices_match_python_hash(keys, buckets):
-    expected = [key_hash(key) % buckets for key in keys]
-    assert PYTHON_KERNELS.bucket_indices(keys, buckets) == expected
-    assert array_kernels().bucket_indices(keys, buckets) == expected
+    expected = [key_hash(key) % buckets for key in keys.tolist()]
+    for kernels in (PYTHON_KERNELS, ARRAY_KERNELS):
+        got = kernels.bucket_indices(keys, buckets)
+        assert got.dtype == np.int64 and got.tolist() == expected
 
 
-@settings(max_examples=150, deadline=None)
-@given(keys=vectors, level=st.integers(min_value=0, max_value=4),
+@settings(max_examples=300, deadline=None)
+@given(keys=typed_vectors().map(_without_nan),
+       level=st.integers(min_value=0, max_value=4),
        count=st.integers(min_value=1, max_value=64))
 def test_spill_partitions_match_scalar_finalizer(keys, level, count):
-    expected = [spill_partition_of(key, level, count) for key in keys]
-    assert PYTHON_KERNELS.spill_partitions(keys, level, count) == expected
-    assert array_kernels().spill_partitions(keys, level, count) == expected
+    expected = [spill_partition_of(key, level, count) for key in keys.tolist()]
+    for kernels in (PYTHON_KERNELS, ARRAY_KERNELS):
+        got = kernels.spill_partitions(keys, level, count)
+        assert got.dtype == np.int64 and got.tolist() == expected
 
 
 def _state_fields(state: AggregateState):
-    return (state.count, state.total, state.minimum, state.maximum)
+    return repr((state.count, state.total, state.minimum, state.maximum))
 
 
-def _assert_states_identical(left: AggregateState, right: AggregateState):
-    # bool minima/maxima normalize to their int value: the oracle keeps the
-    # original object (False), the array backend the extracted int (0).
-    # They are `==`-identical everywhere results are rendered or compared.
-    def norm(value):
-        return int(value) if isinstance(value, bool) else value
-
-    lf = tuple(norm(v) for v in _state_fields(left))
-    rf = tuple(norm(v) for v in _state_fields(right))
-    for a, b in zip(lf, rf):
-        if isinstance(a, float) and isinstance(b, float) \
-                and math.isnan(a) and math.isnan(b):
-            continue
-        assert a == b and type(a) is type(b), (lf, rf)
-
-
-@settings(max_examples=150, deadline=None)
-@given(chunks=st.lists(int_vectors, max_size=4))
-def test_fold_matches_sequential_update(chunks):
-    agg = avg("x")
-    oracle, fast = AggregateState(agg), AggregateState(agg)
-    ak = array_kernels()
-    for chunk in chunks:
-        PYTHON_KERNELS.fold(oracle, chunk)
-        ak.fold(fast, chunk)
-        _assert_states_identical(oracle, fast)
-
-
-@settings(max_examples=80, deadline=None)
-@given(chunks=st.lists(st.lists(st.one_of(
-    st.floats(allow_nan=False, allow_infinity=True),
-    st.integers(min_value=-2**60, max_value=2**60),
-    st.none()), max_size=20), max_size=4))
-def test_fold_mixed_and_float_chunks_match(chunks):
-    """Float/mixed/None chunks route through the oracle fallback -- the
-    result must still be identical to a pure sequential fold."""
-    agg = avg("x")
-    oracle, fast = AggregateState(agg), AggregateState(agg)
-    ak = array_kernels()
+def _fold_outcome(kernels, chunks):
+    state = AggregateState(avg("x"))
     for chunk in chunks:
         try:
-            PYTHON_KERNELS.fold(oracle, chunk)
-        except TypeError:
-            with pytest.raises(TypeError):
-                ak.fold(fast, chunk)
-            return
-        ak.fold(fast, chunk)
-        _assert_states_identical(oracle, fast)
+            kernels.fold(state, chunk)
+        except Exception as error:
+            return "raised", type(error), str(error)
+    return _state_fields(state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(tuple(_ELEMENTS)))
+def test_fold_matches_sequential_update(data, kind):
+    """One column's chunks, of one dtype (or mixed ``object`` values)."""
+    chunks = [_vector(kind, chunk) for chunk in data.draw(st.lists(
+        st.lists(_ELEMENTS[kind], max_size=20), max_size=4))]
+    assert _fold_outcome(ARRAY_KERNELS, chunks) == \
+        _fold_outcome(PYTHON_KERNELS, chunks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chunks=st.lists(st.lists(st.integers(-2 ** 31, 2 ** 31 - 1),
+                                min_size=1, max_size=300), max_size=6),
+       start=st.sampled_from([0.0, 0.1, -1 / 3, -(2.0 ** 52), 2.0 ** 53 - 10]))
+def test_fold_exactness_bound_sees_the_accumulator(chunks, start):
+    """INT32 chunks folded into a total that is fractional or near 2**53:
+    the exactness bound must see the accumulator, not just the vector.
+    (Float and mixed ``object`` chunks are ``test_fold_matches_sequential_update``'s.)"""
+    vectors = [np.array(chunk, dtype="<i4") for chunk in chunks]
+    states = []
+    for kernels in (PYTHON_KERNELS, ARRAY_KERNELS):
+        state = AggregateState(avg("x"))
+        state.total = start
+        for vector in vectors:
+            kernels.fold(state, vector)
+        states.append(_state_fields(state))
+    assert states[0] == states[1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -233,22 +264,37 @@ def test_fold_mixed_and_float_chunks_match(chunks):
 def test_fold_count_matches_sequential_update(counts):
     agg = _count_star()
     oracle, fast = AggregateState(agg), AggregateState(agg)
-    ak = array_kernels()
     for count in counts:
         PYTHON_KERNELS.fold_count(oracle, count)
-        ak.fold_count(fast, count)
-        _assert_states_identical(oracle, fast)
+        ARRAY_KERNELS.fold_count(fast, count)
+        assert _state_fields(oracle) == _state_fields(fast)
 
 
 def test_empty_and_single_row_vectors():
     ak = array_kernels()
-    assert ak.compare_const(ComparisonOp.LT, [], 3) == []
-    assert ak.compare_const(ComparisonOp.LT, [None], 3) == [False]
-    assert ak.compact([]) == []
-    assert ak.compact([True]) == [0]
-    assert ak.gather([], []) == []
-    assert ak.bucket_indices([], 7) == []
-    assert ak.spill_partitions([], 1, 3) == []
+    empty = np.empty(0, dtype="<i4")
+    assert ak.compare_const(ComparisonOp.LT, empty, 3).tolist() == []
+    assert ak.compare_const(ComparisonOp.LT, empty, "x").tolist() == []
+    assert ak.compare_const(ComparisonOp.LT, np.array([1], "<i4"), None
+                            ).tolist() == [False]
+    assert ak.compact(np.empty(0, dtype=bool)).tolist() == []
+    assert ak.compact(np.array([True])).tolist() == [0]
+    assert ak.gather(empty, np.empty(0, dtype=np.intp)).dtype == empty.dtype
+    assert ak.bucket_indices(empty, 7).tolist() == []
+    assert ak.spill_partitions(empty, 1, 3).tolist() == []
+
+
+def test_plain_sequences_take_the_oracle_loop():
+    """Given lists rather than typed vectors, both backends run the oracle
+    loop and return lists (a predicate evaluated over plain columns)."""
+    for kernels in (PYTHON_KERNELS, ARRAY_KERNELS):
+        assert kernels.compare_const(ComparisonOp.GT, [1, None, 3], 1) == \
+            [False, False, True]
+        assert kernels.compact([False, True]) == [1]
+        assert kernels.gather(["a", None], [1, 0]) == [None, "a"]
+        assert kernels.scatter([2], 3) == [False, False, True]
+        assert kernels.bucket_indices([-1, "a"], 5) == [
+            key_hash(-1) % 5, key_hash("a") % 5]
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ class TestPaxPage:
         for i in range(10):
             page.insert(layout.encode((i, i * 2, i * 3)))
         slots = list(page.live_slots())
-        assert page.column_values("a2", slots) == [i * 2 for i in range(10)]
-        assert page.column_values("a3", [3, 7]) == [9, 21]
+        assert page.column_values("a2", slots).tolist() == [i * 2 for i in range(10)]
+        assert page.column_values("a3", [3, 7]).tolist() == [9, 21]
 
     def test_minipage_values_are_contiguous(self):
         layout = make_layout()

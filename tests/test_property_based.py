@@ -337,7 +337,7 @@ def test_pax_page_roundtrips_any_records(values, padding):
     for name in ("a1", "a2", "a3"):
         index = schema.index_of(name)
         slots = sorted(stored)
-        assert page.column_values(name, slots) == [stored[s][index] for s in slots]
+        assert page.column_values(name, slots).tolist() == [stored[s][index] for s in slots]
 
 
 # ---------------------------------------------------------------------------
