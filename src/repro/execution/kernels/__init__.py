@@ -21,8 +21,8 @@ Backends are selected by the ``kernel_backend`` field of
 
 Kernels take and return the engine's typed column vectors -- ``ndarray``
 values of a column's :data:`~repro.storage.schema.VECTOR_DTYPES` dtype,
-``bool`` masks, ``intp`` positions -- (given plain sequences, both backends
-run the oracle loop and return lists), and never see an execution
+``bool`` masks, ``intp`` positions -- (given plain sequences, the ``python``
+backend runs its loops on them and returns lists), and never see an execution
 context, so the charging calls cannot move: rows, row order, column order
 and every simulated counter are byte-identical across backends (asserted
 by ``tests/test_kernels.py`` on every planner-producible plan shape).

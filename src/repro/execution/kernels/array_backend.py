@@ -22,10 +22,10 @@ when ``min``/``max`` times the length bound every partial sum of the
 oracle's sequential float accumulator below 2**53 (then each is exact and
 one bulk add lands on the same float); float folds depend on the order of
 rounding and take the loop.  Hash kernels reproduce CPython's integer hash
-(``|n| mod 2**61 - 1`` with ``n``'s sign, and ``hash(-1) == -2``).
+(``|n| mod 2**61 - 1`` with ``n``'s sign, and ``hash(-1) == -2``); float and
+``CHAR`` keys take the loop.
 
-Given plain sequences instead of arrays, every kernel runs the oracle loop
-and returns a list.
+Every argument is an array: plain sequences are the oracle's business.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ __all__ = ["ArrayKernels"]
 
 #: Largest magnitude below which int -> float64 conversion is exact.
 _EXACT_FLOAT = 2 ** 53
-#: Below this many values a fold's min/max/sum run on the ``tolist()``:
-#: numpy's fixed cost per reduction (a few microseconds) exceeds the loop.
-_SHORT_FOLD = 32
 #: CPython's hash modulus for plain integers (Mersenne prime 2**61 - 1).
 _HASH_MODULUS = np.uint64((1 << 61) - 1)
 
@@ -86,10 +83,6 @@ def _int_hashes(keys) -> np.ndarray:
     return hashes
 
 
-def _integers(vector) -> bool:
-    return type(vector) is np.ndarray and vector.dtype.kind == "i"
-
-
 class ArrayKernels(PythonKernels):
     """numpy kernels on typed vectors; the oracle loop where numpy could
     differ."""
@@ -98,14 +91,13 @@ class ArrayKernels(PythonKernels):
 
     # ------------------------------------------------------------ predicates
     def compare_const(self, op, vector, constant):
-        if type(vector) is np.ndarray and _exact(vector, constant):
+        if _exact(vector, constant):
             return _COMPARE[op.value](vector, constant)
         return PythonKernels.compare_const(self, op, vector, constant)
 
     def between_const(self, vector, low, high, include_low: bool,
                       include_high: bool):
-        if type(vector) is np.ndarray and _exact(vector, low) \
-                and _exact(vector, high):
+        if _exact(vector, low) and _exact(vector, high):
             low_ok = vector >= low if include_low else vector > low
             high_ok = vector <= high if include_high else vector < high
             return low_ok & high_ok
@@ -113,43 +105,33 @@ class ArrayKernels(PythonKernels):
                                            include_low, include_high)
 
     def not_mask(self, mask):
-        if type(mask) is np.ndarray:
-            return ~mask
-        return PythonKernels.not_mask(self, mask)
+        return ~mask
 
     # ----------------------------------------------------- selection vectors
     def compact(self, mask):
-        if type(mask) is np.ndarray:
-            return np.flatnonzero(mask)
-        return PythonKernels.compact(self, mask)
+        return np.flatnonzero(mask)
 
     def select(self, positions, outcomes):
-        if type(positions) is np.ndarray:
-            return positions[np.asarray(outcomes, dtype=bool)]
-        return PythonKernels.select(self, positions, outcomes)
+        return positions[outcomes]
 
     def scatter(self, positions, count: int):
-        if type(positions) is np.ndarray:
-            mask = np.zeros(count, dtype=bool)
-            mask[positions] = True
-            return mask
-        return PythonKernels.scatter(self, positions, count)
+        mask = np.zeros(count, dtype=bool)
+        mask[positions] = True
+        return mask
 
     # --------------------------------------------------------------- gathers
     def gather(self, vector, positions):
-        if type(vector) is np.ndarray:
-            return vector[np.asarray(positions, dtype=np.intp)]
-        return PythonKernels.gather(self, vector, positions)
+        return vector[positions]
 
     # --------------------------------------------------------------- hashing
     def bucket_indices(self, keys, buckets: int):
-        if _integers(keys):
+        if keys.dtype.kind == "i":
             # numpy's int64 % matches Python's floored modulo for positive moduli.
             return _int_hashes(keys) % buckets
         return PythonKernels.bucket_indices(self, keys, buckets)
 
     def spill_partitions(self, keys, level: int, count: int):
-        if not _integers(keys):
+        if keys.dtype.kind != "i":
             return PythonKernels.spill_partitions(self, keys, level, count)
         # Two's-complement view == Python's ``& 0xFFFF...F`` of a (possibly
         # negative) hash; uint64 arithmetic wraps mod 2**64 like the masks.
@@ -164,21 +146,17 @@ class ArrayKernels(PythonKernels):
     # ----------------------------------------------------------- aggregation
     def fold(self, state, vector) -> None:
         count = len(vector)
-        if not (_integers(vector) and count and state.total.is_integer()):
+        if not (vector.dtype.kind == "i" and count and state.total.is_integer()):
             PythonKernels.fold(self, state, vector)
             return
-        if count < _SHORT_FOLD:
-            values = vector.tolist()
-            low, high, total = min(values), max(values), sum(values)
-        else:
-            low, high, total = vector.min().item(), vector.max().item(), None
+        low, high = vector.min().item(), vector.max().item()
         # Every partial sum of the oracle's ``total += value`` loop is at
         # most |total| + count * max(|low|, |high|) in magnitude.
         if abs(state.total) + count * max(-low, high) >= _EXACT_FLOAT:
             PythonKernels.fold(self, state, vector)
             return
         state.count += count
-        state.total += int(vector.sum(dtype=np.int64)) if total is None else total
+        state.total += int(vector.sum(dtype=np.int64))
         if state.minimum is None or low < state.minimum:
             state.minimum = low
         if state.maximum is None or high > state.maximum:

@@ -184,5 +184,5 @@ class PythonKernels:
             update(1)
 
 
-#: Shared stateless instance -- the oracle, and the morsel workers' backend.
+#: Shared stateless instance -- the oracle.
 PYTHON_KERNELS = PythonKernels()

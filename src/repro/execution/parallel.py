@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..systems.profile import SystemProfile
-from .kernels import PYTHON_KERNELS
+from .kernels import ARRAY_KERNELS
 from .vectorized import ColumnBatch, VecSeqScanOperator, VectorOperator
 
 __all__ = [
@@ -143,8 +143,8 @@ class TapeRecorder:
         self.adaptive = None
         #: Data-plane kernels for the worker's operators.  Kernel choice is
         #: invisible to results and charges, so workers always use the
-        #: Python backend.
-        self.kernels = PYTHON_KERNELS
+        #: numpy backend.
+        self.kernels = ARRAY_KERNELS
 
     # -- charge recording ---------------------------------------------------
     def visit(self, operation: str, data_taken: Optional[bool] = None,

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from repro.execution.kernels import (ARRAY_KERNELS, PYTHON_KERNELS, key_hash,
                                      spill_partition_of)
+from repro.storage.schema import vector_of
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -31,7 +32,8 @@ def test_numbers_hash_as_before():
         assert key_hash(key) == hash(key), key
     keys = list(range(-50, 50))
     assert PYTHON_KERNELS.bucket_indices(keys, 13) == [hash(k) % 13 for k in keys]
-    assert ARRAY_KERNELS.bucket_indices(keys, 13) == [hash(k) % 13 for k in keys]
+    assert ARRAY_KERNELS.bucket_indices(vector_of(keys, "<i8"), 13).tolist() == \
+        [hash(k) % 13 for k in keys]
 
 
 def test_text_bytes_and_none_are_process_independent():
@@ -40,10 +42,14 @@ def test_text_bytes_and_none_are_process_independent():
     assert key_hash("\ud800") == zlib.crc32("\ud800".encode("utf-8", "surrogatepass"))
     assert key_hash(None) == key_hash(None) != key_hash(0)
     keys = ["a", "bb", None, "a"]
-    for kernels in (PYTHON_KERNELS, ARRAY_KERNELS):
-        assert kernels.bucket_indices(keys, 7) == [key_hash(k) % 7 for k in keys]
-        assert kernels.spill_partitions(keys, 2, 5) == [
-            spill_partition_of(k, 2, 5) for k in keys]
+    assert PYTHON_KERNELS.bucket_indices(keys, 7) == [key_hash(k) % 7 for k in keys]
+    assert PYTHON_KERNELS.spill_partitions(keys, 2, 5) == [
+        spill_partition_of(k, 2, 5) for k in keys]
+    vector = vector_of(keys, object)
+    assert ARRAY_KERNELS.bucket_indices(vector, 7).tolist() == [
+        key_hash(k) % 7 for k in keys]
+    assert ARRAY_KERNELS.spill_partitions(vector, 2, 5).tolist() == [
+        spill_partition_of(k, 2, 5) for k in keys]
 
 
 #: A CHAR-key join of 400 x 40 rows on System B, in the tuple engine, the
