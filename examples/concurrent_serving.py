@@ -11,7 +11,7 @@ shared warmed database build:
   result cache and shared scans all on: repeated query classes skip the
   planner, repeats over unchanged tables answer from the result cache for
   a small charged probe cost, and same-table scans within an admission
-  round ride one recorded morsel stream.
+  round ride one recorded scan.
 
 Rows are identical between the two runs for every query, and per-query
 simulated counts are identical too except on result-cache hits (which

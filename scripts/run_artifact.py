@@ -27,9 +27,8 @@ count shows up as a cell of that diff.
 
 ``--scale`` picks the dataset preset: ``ci`` finishes in seconds (the
 committed baseline), ``small`` is a quick local run, ``full`` is the repo's
-default reduced-paper scale.  ``--workers 4`` adds morsel-parallel arms to
-the TPC matrices (simulated counts are identical for every worker count by
-design); ``--adaptivity`` adds a greedy-adaptive TPC-D arm.
+default reduced-paper scale.  ``--adaptivity`` adds a greedy-adaptive
+TPC-D arm.
 
 Usage::
 
@@ -72,9 +71,6 @@ def main(argv=None) -> int:
                         default="full", help="dataset scale preset")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
                         help="results directory (default benchmarks/results/artifact)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="add a morsel-parallel arm with N workers to the "
-                             "TPC matrices (counts identical by design)")
     parser.add_argument("--adaptivity", action="store_true",
                         help="add a greedy-adaptive TPC-D matrix arm")
     args = parser.parse_args(argv)
@@ -93,8 +89,7 @@ def main(argv=None) -> int:
               f"{args.dirs[0]} and {args.dirs[1]}")
         return 1 if differences else 0
 
-    workers = (1,) if args.workers <= 1 else (1, args.workers)
-    options = ArtifactOptions(workers=workers, adaptivity=args.adaptivity)
+    options = ArtifactOptions(adaptivity=args.adaptivity)
 
     started = time.time()
     try:

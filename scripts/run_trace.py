@@ -63,13 +63,11 @@ def main(argv=None) -> int:
     parser.add_argument("--query", choices=QUERY_KINDS, default="SJ-skew")
     parser.add_argument("--tracing", choices=("spans", "full"),
                         default="full",
-                        help="span granularity (full adds replay subspans "
-                             "and per-pull events)")
+                        help="span granularity (full adds spill-I/O "
+                             "subspans and per-pull events)")
     parser.add_argument("--scale", type=float, default=0.002,
                         help="microbenchmark scale factor (fraction of the "
                              "paper's table sizes)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="morsel-parallel worker count (1 = serial)")
     parser.add_argument("--no-breakdown", action="store_true",
                         help="omit the per-node stall-breakdown lines")
     parser.add_argument("--json", metavar="PATH",
@@ -82,7 +80,6 @@ def main(argv=None) -> int:
     runner = ExperimentRunner(ExperimentConfig(
         micro=MicroWorkloadConfig(scale=args.scale), os_interference=False))
     session = runner.grid_session(engine=args.engine, layout=args.layout,
-                                  parallelism=args.workers,
                                   tracing=args.tracing)
     query = build_query(runner.micro_workload, args.query)
     result = session.execute(query)
@@ -90,7 +87,7 @@ def main(argv=None) -> int:
     spec = session.spec
     processor = session.context.processor
     print(f"# {args.query} engine={args.engine} layout={args.layout} "
-          f"scale={args.scale} workers={args.workers} "
+          f"scale={args.scale} "
           f"tracing={args.tracing} native={load_status()!r}")
     print(f"# rows={len(result.rows)} "
           f"cycles={result.counters.get('CPU_CLK_UNHALTED')}")

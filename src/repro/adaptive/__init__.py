@@ -3,10 +3,10 @@
 The subsystem has three layers (see the module docstrings for the design
 rationale):
 
-* :mod:`.stats` -- :class:`RuntimeStatsCollector`, cheap picklable counters
+* :mod:`.stats` -- :class:`RuntimeStatsCollector`, cheap integer counters
   (per-conjunct selectivities and simulated branch outcomes, per-operator
-  cardinalities, per-scan L1D miss pressure) that merge commutatively --
-  they ride the morsel charge tapes back to the parent;
+  cardinalities, per-scan L1D miss pressure) observed by the session's one
+  execution context;
 * :mod:`.policy` -- the :class:`AdaptivePolicy` interface with one method
   per runtime decision (conjunct :meth:`~AdaptivePolicy.order`, join-side
   :meth:`~AdaptivePolicy.flip_join`, vector

@@ -102,9 +102,7 @@ class AdaptiveExecution:
 
     One instance lives on an :class:`~repro.execution.context.
     ExecutionContext` (attached by the session when
-    ``adaptivity != "off"``); morsel workers build a private instance from
-    the spec's snapshot and their data-side observations ride the charge
-    tapes back into the parent's instance.
+    ``adaptivity != "off"``).
 
     Beyond the PR 4 conjunct-reordering decision (always active when the
     manager exists and the predicate is a multi-conjunct conjunction), the
@@ -121,8 +119,7 @@ class AdaptiveExecution:
       observed L1D miss pressure.
 
     >>> manager = AdaptiveExecution("greedy", join_sides=True)
-    >>> clone = AdaptiveExecution.from_snapshot(manager.snapshot())
-    >>> (clone.mode, clone.join_sides, clone.batch_sizing)
+    >>> (manager.mode, manager.join_sides, manager.batch_sizing)
     ('greedy', True, False)
     """
 
@@ -150,35 +147,15 @@ class AdaptiveExecution:
         """True when the predicate is a >= 2-conjunct conjunction."""
         return predicate is not None and self.plan_for(predicate).applies
 
-    def snapshot(self) -> dict:
-        """Picklable state a morsel worker resumes from."""
-        return {"mode": self.mode,
-                "collector": self.collector.snapshot(),
-                "policy": self.policy.state(),
-                "join_sides": self.join_sides,
-                "batch_sizing": self.batch_sizing}
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Optional[dict]) -> "AdaptiveExecution":
-        snapshot = snapshot or {}
-        mode = snapshot.get("mode", "static")
-        manager = cls(mode,
-                      join_sides=bool(snapshot.get("join_sides", False)),
-                      batch_sizing=bool(snapshot.get("batch_sizing", False)))
-        manager.collector = RuntimeStatsCollector.from_snapshot(
-            snapshot.get("collector"))
-        manager.policy.restore(snapshot.get("policy"))
-        return manager
-
     # ----------------------------------------------------------- the point
     def evaluate_batch(self, ctx, predicate: Expression,
                        columns: Mapping[str, Sequence], count: int) -> np.ndarray:
         """Policy-ordered, short-circuiting replacement for
         ``predicate.evaluate_batch`` -- identical mask, adaptive charging.
 
-        ``ctx`` is an execution context *or* a morsel worker's
-        :class:`~repro.execution.parallel.TapeRecorder`; both expose
-        ``visit_conjunct_batch`` and ``observe_conjuncts``.
+        ``ctx`` is the execution context the conjunct evaluations are
+        charged to (through ``visit_conjunct_batch``); the data-side
+        observations go straight into this manager's collector.
         """
         plan = self.plan_for(predicate)
         order = self.policy.order(plan.keys, plan.costs, self.collector)
@@ -209,7 +186,7 @@ class AdaptiveExecution:
                                      site=conjunct_index, key=key)
             survivors = (kernels.compact(outcomes) if positions is None
                          else kernels.select(positions, outcomes))
-            ctx.observe_conjuncts(key, survivors_count, len(survivors))
+            self.collector.observe_batch(key, survivors_count, len(survivors))
             positions = survivors
         if positions is None:
             return np.ones(count, dtype=bool)

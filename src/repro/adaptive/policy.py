@@ -13,13 +13,12 @@ without touching an operator.  The three decisions:
   consulted between build-side batches;
 * :meth:`AdaptivePolicy.batch_size` -- the next vector size of a scan,
   stepped through the bounded :data:`BATCH_SIZE_LADDER` from observed L1D
-  miss pressure, consulted between batches (serial) or between morsel waves
-  (parallel);
+  miss pressure, consulted between batches;
 * :meth:`AdaptivePolicy.partition_count` -- how many spill partitions a
   memory-budgeted hash join should fan its inputs into, consulted once
   before build ingest.  The static arm sizes from the planner's cardinality
   estimate; greedy substitutes the observed build cardinality when earlier
-  executions (or merged morsel waves) have measured it, which is the
+  executions have measured it, which is the
   standard cure for the underestimated-build spiral of grace joins
   (arXiv:2112.02480).
 
@@ -64,7 +63,7 @@ same snapshot yields the same orders.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .stats import RuntimeStatsCollector
 
@@ -145,8 +144,8 @@ class AdaptivePolicy:
 
         Consulted before each build-side batch is ingested.
         ``seen_build_rows`` is the build cardinality observed so far in this
-        execution; historical cardinalities (earlier executions, merged
-        worker stats) live in ``stats``.  Default: trust the planner.
+        execution; historical cardinalities (earlier executions) live in
+        ``stats``.  Default: trust the planner.
         """
         return False
 
@@ -155,9 +154,8 @@ class AdaptivePolicy:
                    ladder: Sequence[int] = BATCH_SIZE_LADDER) -> int:
         """The next vector size for the scan ``key`` (bounded by ``ladder``).
 
-        Consulted after each batch's L1D pressure has been observed (serial
-        scans) or between morsel waves (the exchange, from merged worker
-        stats).  Default: keep the configured size.
+        Consulted after each batch's L1D pressure has been observed.
+        Default: keep the configured size.
         """
         return current
 
@@ -170,21 +168,6 @@ class AdaptivePolicy:
         trust the planner's ``build_estimate``.
         """
         return plan_partition_count(build_estimate, row_bytes, budget_bytes)
-
-    # ---------------------------------------------------- snapshot plumbing
-    def state(self) -> Dict[str, int]:
-        """Picklable policy state (rides morsel specs; default: stateless)."""
-        return {}
-
-    def restore(self, state: Optional[Dict[str, int]]) -> "AdaptivePolicy":
-        return self
-
-    def advance(self, decisions: int) -> None:
-        """Account ``decisions`` ordering decisions taken on this policy's
-        behalf elsewhere (morsel workers).  The parent exchange calls this
-        after replaying each wave, so the snapshot dispatched to the next
-        wave continues any internal decision sequence instead of restarting
-        it.  Default: stateless, nothing to advance."""
 
 
 class StaticPolicy(AdaptivePolicy):
@@ -223,7 +206,7 @@ def greedy_flip_join(build_key: str, probe_key: str, probe_estimate: int,
     planner's estimates, it reacts to evidence: either this execution has
     already streamed more build rows than the probe side is expected to
     hold (``seen_build_rows``, the cold-run trigger), or earlier executions
-    / merged morsel waves measured the build input's cardinality
+    measured the build input's cardinality
     (``stats.cardinality(build_key)``, the warm-run trigger that flips
     before any build work is wasted).  The probe expectation prefers the
     observed probe cardinality and falls back to the planner's estimate.
@@ -243,8 +226,8 @@ def greedy_partition_count(build_key: str, build_estimate: int, row_bytes: int,
                            stats: RuntimeStatsCollector) -> int:
     """Prefer the *observed* build cardinality over the planner's estimate.
 
-    Warm executions (and merged morsel waves) have measured the build
-    input's cardinality via ``stats.cardinality``; sizing the fan-out from
+    Warm executions have measured the build input's cardinality via
+    ``stats.cardinality``; sizing the fan-out from
     that observation avoids both the underestimated-build spiral (too few
     partitions, every one overflows and recurses) and the overestimated
     fan-out (too many partitions, output buffers thrash the budgeted pool).
@@ -341,8 +324,7 @@ class EpsilonGreedyPolicy(AdaptivePolicy):
             raise ValueError("epsilon must be within [0, 1]")
         self.epsilon = epsilon
         #: Decisions taken so far -- the seed of the deterministic
-        #: exploration hash, carried in the policy snapshot so workers
-        #: continue the sequence instead of restarting it.
+        #: exploration hash.
         self.decisions = 0
 
     def order(self, keys: Sequence[str], costs: Sequence[int],
@@ -383,17 +365,6 @@ class EpsilonGreedyPolicy(AdaptivePolicy):
         # epsilon exploration to refresh.
         return greedy_partition_count(build_key, build_estimate, row_bytes,
                                       budget_bytes, stats)
-
-    def state(self) -> Dict[str, int]:
-        return {"decisions": self.decisions}
-
-    def restore(self, state: Optional[Dict[str, int]]) -> "EpsilonGreedyPolicy":
-        if state:
-            self.decisions = int(state.get("decisions", 0))
-        return self
-
-    def advance(self, decisions: int) -> None:
-        self.decisions += decisions
 
 
 #: ``ExecutionConfig.adaptivity`` value -> policy factory.  ``"off"`` is not

@@ -13,10 +13,8 @@ records three families of observations, all keyed by stable strings:
 
 * **per-conjunct** (:class:`ConjunctStats`, keyed by the conjunct's textual
   identity): rows in / rows passed / batches -- pure functions of the stored
-  data, so morsel workers can observe them too (they ride the charge tapes
-  back to the parent) -- plus simulated branch outcomes, which only the real
-  :class:`~repro.execution.context.ExecutionContext` can produce because
-  only it drives a branch predictor;
+  data -- plus the simulated branch outcomes the
+  :class:`~repro.execution.context.ExecutionContext` charged for them;
 * **per-operator cardinalities** (:class:`CardinalityStats`, keyed by a
   plan-side identity such as the source table of a join input): how many
   rows an operator input actually produced per execution.  Cardinalities
@@ -29,11 +27,8 @@ records three families of observations, all keyed by stable strings:
   simulated L1 data-cache misses per batch-size rung, the signal the
   adaptive batch-size ladder climbs.
 
-Everything is plain integer counters: collectors pickle compactly across
-the morsel process boundary and :meth:`~RuntimeStatsCollector.merge` is
-commutative (sums only), exactly like the morsel workers' telemetry types
-(``EventCounters``, ``CacheStats``, ``TLBStats``, ``BranchStats``), so tape
-replay order cannot change what a policy eventually sees.
+Everything is plain integer counters, observed by the one execution
+context the collector's manager is attached to.
 
 >>> collector = RuntimeStatsCollector()
 >>> collector.observe_batch("a2 < 10", rows_in=256, rows_passed=16)
@@ -43,8 +38,7 @@ replay order cannot change what a policy eventually sees.
 >>> collector.cardinality("card:S")
 200.0
 >>> collector.observe_pressure("scan:R", size=256, rows=256, l1d_misses=310)
->>> clone = RuntimeStatsCollector.from_snapshot(collector.snapshot())
->>> clone.pressure["scan:R"][256].l1d_misses
+>>> collector.pressure_profile("scan:R")[256].l1d_misses
 310
 """
 
@@ -55,19 +49,18 @@ from typing import Dict, Optional
 
 
 def conjunct_key(expression) -> str:
-    """Stable identity of a conjunct across operators, batches and workers.
+    """Stable identity of a conjunct across operators and batches.
 
-    Expressions are frozen dataclasses, so ``repr`` is a deterministic,
-    picklable rendering of the conjunct's structure -- the same predicate
-    text maps to the same statistics no matter which scan (or which morsel
-    worker) evaluated it.
+    Expressions are frozen dataclasses, so ``repr`` is a deterministic
+    rendering of the conjunct's structure -- the same predicate text maps
+    to the same statistics no matter which scan evaluated it.
     """
     return repr(expression)
 
 
 @dataclass
 class ConjunctStats:
-    """Counters for one conjunct (all commutative sums)."""
+    """Counters for one conjunct (all sums)."""
 
     rows_in: int = 0
     rows_passed: int = 0
@@ -87,39 +80,14 @@ class ConjunctStats:
     def misprediction_rate(self) -> float:
         return self.mispredictions / self.branches if self.branches else 0.0
 
-    def merge(self, other: "ConjunctStats") -> "ConjunctStats":
-        self.rows_in += other.rows_in
-        self.rows_passed += other.rows_passed
-        self.batches += other.batches
-        self.branches += other.branches
-        self.branches_taken += other.branches_taken
-        self.mispredictions += other.mispredictions
-        return self
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "rows_in": self.rows_in,
-            "rows_passed": self.rows_passed,
-            "batches": self.batches,
-            "branches": self.branches,
-            "branches_taken": self.branches_taken,
-            "mispredictions": self.mispredictions,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "ConjunctStats":
-        return cls(**{field: int(data.get(field, 0)) for field in
-                      ("rows_in", "rows_passed", "batches", "branches",
-                       "branches_taken", "mispredictions")})
-
 
 @dataclass
 class CardinalityStats:
     """Observed output cardinality of one operator input (per execution).
 
     A cardinality is a per-execution quantity, so summing across executions
-    would be meaningless; the pair (total rows, observation count) *is*
-    commutatively mergeable, and the mean is the runtime estimate policies
+    would be meaningless; the collector keeps the pair (total rows,
+    observation count), and the mean is the runtime estimate policies
     consume.
     """
 
@@ -131,19 +99,6 @@ class CardinalityStats:
         if self.observations <= 0:
             return None
         return self.rows / self.observations
-
-    def merge(self, other: "CardinalityStats") -> "CardinalityStats":
-        self.rows += other.rows
-        self.observations += other.observations
-        return self
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"rows": self.rows, "observations": self.observations}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "CardinalityStats":
-        return cls(rows=int(data.get("rows", 0)),
-                   observations=int(data.get("observations", 0)))
 
 
 @dataclass
@@ -160,26 +115,9 @@ class BatchPressureStats:
             return None
         return self.l1d_misses / self.rows
 
-    def merge(self, other: "BatchPressureStats") -> "BatchPressureStats":
-        self.rows += other.rows
-        self.l1d_misses += other.l1d_misses
-        self.batches += other.batches
-        return self
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"rows": self.rows, "l1d_misses": self.l1d_misses,
-                "batches": self.batches}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "BatchPressureStats":
-        return cls(rows=int(data.get("rows", 0)),
-                   l1d_misses=int(data.get("l1d_misses", 0)),
-                   batches=int(data.get("batches", 0)))
-
 
 class RuntimeStatsCollector:
-    """Runtime observations (conjuncts, cardinalities, L1D pressure),
-    mergeable in any order."""
+    """Runtime observations (conjuncts, cardinalities, L1D pressure)."""
 
     __slots__ = ("conjuncts", "cardinalities", "pressure")
 
@@ -264,50 +202,3 @@ class RuntimeStatsCollector:
     def pressure_profile(self, key: str) -> Dict[int, BatchPressureStats]:
         """Observed L1D pressure per batch-size rung for one scan key."""
         return self.pressure.get(key, {})
-
-    # ------------------------------------------------------ merge/snapshot
-    def merge(self, other: "RuntimeStatsCollector") -> "RuntimeStatsCollector":
-        """Commutatively fold ``other`` into this collector (sums only)."""
-        for key, stats in other.conjuncts.items():
-            self.stats_for(key).merge(stats)
-        for key, cardinality in other.cardinalities.items():
-            mine = self.cardinalities.get(key)
-            if mine is None:
-                mine = self.cardinalities[key] = CardinalityStats()
-            mine.merge(cardinality)
-        for key, rungs in other.pressure.items():
-            my_rungs = self.pressure.get(key)
-            if my_rungs is None:
-                my_rungs = self.pressure[key] = {}
-            for size, stats in rungs.items():
-                mine = my_rungs.get(size)
-                if mine is None:
-                    mine = my_rungs[size] = BatchPressureStats()
-                mine.merge(stats)
-        return self
-
-    def snapshot(self) -> Dict[str, Dict]:
-        """Plain-dict rendering (picklable; rides morsel specs and tapes)."""
-        return {
-            "conjuncts": {key: stats.as_dict()
-                          for key, stats in self.conjuncts.items()},
-            "cardinalities": {key: stats.as_dict()
-                              for key, stats in self.cardinalities.items()},
-            "pressure": {key: {size: stats.as_dict()
-                               for size, stats in rungs.items()}
-                         for key, rungs in self.pressure.items()},
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Optional[Dict[str, Dict]]
-                      ) -> "RuntimeStatsCollector":
-        collector = cls()
-        snapshot = snapshot or {}
-        for key, data in (snapshot.get("conjuncts") or {}).items():
-            collector.conjuncts[key] = ConjunctStats.from_dict(data)
-        for key, data in (snapshot.get("cardinalities") or {}).items():
-            collector.cardinalities[key] = CardinalityStats.from_dict(data)
-        for key, rungs in (snapshot.get("pressure") or {}).items():
-            collector.pressure[key] = {int(size): BatchPressureStats.from_dict(data)
-                                       for size, data in rungs.items()}
-        return collector

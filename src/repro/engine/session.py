@@ -22,7 +22,6 @@ from ..analysis.metrics import QueryMetrics, compute_metrics
 from ..execution.code_layout import CodeLayout
 from ..execution.context import ExecutionContext
 from ..execution.executor import execute_plan, execute_update
-from ..execution.parallel import ParallelExecution
 from ..hardware.counters import EventCounters
 from ..hardware.os_interference import OSInterferenceConfig
 from ..hardware.pipeline import OverlapModel
@@ -84,11 +83,10 @@ class Session:
                  execution: Optional[ExecutionConfig] = None,
                  **knobs) -> None:
         """The execution knobs (``engine=``, ``batch_size=``,
-        ``parallelism=``, ``adaptivity=``, ``memory_budget_bytes=``,
-        ``tracing=``, ...) are the fields of
-        :class:`~repro.query.plans.ExecutionConfig` -- named, defaulted,
-        validated and documented there -- given as keywords, as one
-        ``execution`` value, or as a value plus keyword overrides.
+        ``adaptivity=``, ``memory_budget_bytes=``, ``tracing=``, ...) are
+        the fields of :class:`~repro.query.plans.ExecutionConfig` -- named,
+        defaulted, validated and documented there -- given as keywords, as
+        one ``execution`` value, or as a value plus keyword overrides.
         """
         self.database = database
         self.profile = profile
@@ -109,15 +107,11 @@ class Session:
                                               join_sides=execution.adaptive_joins,
                                               batch_sizing=execution.adaptive_batching)
             self.context.adaptive = self.adaptive
-        self.parallel: Optional[ParallelExecution] = None
-        if execution.is_parallel:
-            self.parallel = ParallelExecution(database, execution.parallelism)
-            self.context.parallel = self.parallel
 
     def close(self) -> None:
-        """Release the morsel-worker pool (no-op for serial sessions)."""
-        if self.parallel is not None:
-            self.parallel.close()
+        """End the session.  A session holds no resources beyond memory, so
+        this does nothing; it exists so ``with Session(...)`` reads as the
+        scope of one measurement."""
 
     def __enter__(self) -> "Session":
         return self
@@ -243,9 +237,6 @@ class Session:
     def _run_plan(self, plan: PhysicalPlan) -> List[Dict[str, object]]:
         if isinstance(plan, UpdatePlan):
             updated = execute_update(plan, self.database.catalog, self.context)
-            if self.parallel is not None:
-                # The forked workers hold a pre-update database snapshot.
-                self.parallel.invalidate_snapshot()
             return [{"updated": updated}]
         return execute_plan(plan, self.database.catalog, self.context)
 
@@ -271,10 +262,6 @@ class Session:
             if isinstance(plan, UpdatePlan):
                 execute_update(plan, self.database.catalog, self.context,
                                charge_setup=False)
-                if self.parallel is not None:
-                    # Invalidate immediately: a later statement of this very
-                    # transaction may scan the table the update just changed.
-                    self.parallel.invalidate_snapshot()
             else:
                 execute_plan(plan, self.database.catalog, self.context)
         return len(statements)

@@ -136,20 +136,13 @@ class ExecutionContext:
 
         self.rows_produced = 0
 
-        #: Optional morsel-parallel executor
-        #: (:class:`~repro.execution.parallel.ParallelExecution`).  When set
-        #: with ``workers > 1``, vectorized sequential scans are built as
-        #: exchange operators that fan page morsels out to workers and
-        #: replay their charge tapes here, in canonical order.
-        self.parallel = None
-
         #: Optional shared-scan coordinator
         #: (:class:`~repro.execution.parallel.SharedScanCoordinator`),
         #: attached by the serving layer for one admission round.  When set,
-        #: vectorized sequential scans attach to (or record) one in-flight
-        #: morsel stream per scan signature: the stream's charge tapes are
-        #: replayed into this context, so the data work runs once per round
-        #: while simulated counts stay identical to a solo execution.
+        #: vectorized sequential scans attach to (or record) one scan per
+        #: scan signature: the recording's charge tapes are replayed into
+        #: this context, so the data work runs once per round while
+        #: simulated counts stay identical to a solo execution.
         #: ``None`` (the default) leaves every code path untouched.
         self.shared_scans = None
 
@@ -365,24 +358,11 @@ class ExecutionContext:
             self.adaptive.collector.observe_branches(key, count, taken,
                                                      mispredictions)
 
-    def observe_conjuncts(self, key: str, rows_in: int, rows_passed: int) -> None:
-        """Feed one conjunct's data-side observation to the stats collector.
-
-        Issued by the adaptive evaluator after each conjunct; morsel workers
-        record the same call on their charge tapes, so replay merges worker
-        observations into this (the parent's) collector in canonical order.
-        """
-        if self.adaptive is not None:
-            self.adaptive.collector.observe_batch(key, rows_in, rows_passed)
-
-    def l1d_misses(self) -> Optional[int]:
+    def l1d_misses(self) -> int:
         """Current simulated L1 data-cache miss total (all ports).
 
         The adaptive batch-size decision samples this around a scan batch's
-        charges; the delta is the batch's L1D pressure.  A morsel worker's
-        :class:`~repro.execution.parallel.TapeRecorder` returns ``None``
-        (it drives no hardware); pressure is then observed by the parent at
-        tape-replay time instead.
+        charges; the delta is the batch's L1D pressure.
         """
         return self.processor.caches.l1d.stats.total_misses
 

@@ -10,8 +10,8 @@ results".
 Both engines are built here, from the same plan: ``ctx.execution.engine``
 picks the operator family (:mod:`.operators`, or :mod:`.vectorized` sized by
 ``ctx.execution.batch_size``), and the one choice that is not node ->
-operator -- shared scan, morsel exchange or serial scan -- is one block
-inside :func:`build_scan`.
+operator -- shared scan or plain scan -- is one block inside
+:func:`build_scan`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .operators import (HashJoinOperator, IndexNestedLoopJoinOperator,
                         IndexPointLookupOperator, IndexRangeScanOperator,
                         NestedLoopJoinOperator, Operator, OperatorError, Row,
                         ScalarAggregateOperator, SeqScanOperator, row_value)
-from .parallel import VecExchangeOperator
 from .resolve import ExecutorError, _columns_for_table, _index_for
 from .vectorized import (VecHashJoinOperator, VecIndexNestedLoopJoinOperator,
                          VecIndexPointLookupOperator,
@@ -43,26 +42,20 @@ AnyOperator = Union[Operator, VectorOperator]
 def build_scan(plan: ScanPlan, catalog: Catalog, ctx: ExecutionContext,
                output_columns: Sequence[str] = (),
                next_operation: str = "scan_next",
-               allow_exchange: bool = True) -> AnyOperator:
+               allow_shared: bool = True) -> AnyOperator:
     """Instantiate a scan plan node into an operator of the context's engine.
 
-    A vectorized sequential scan is one of three operators.  When the
-    context carries a shared-scan coordinator (``ctx.shared_scans``,
-    attached by the serving layer for one admission round), the scan
-    attaches to the round's recorded morsel stream for its signature: the
-    scan's data work runs once per round and its charge tapes are replayed
-    into each attached query's own context.  Sharing steps aside for
-    adaptive or morsel-parallel contexts (their scan charges depend on
-    per-context runtime state).  When the context instead carries a
-    morsel-parallel executor (``ctx.parallel``, threaded from the session's
-    ``parallelism`` knob), the scan is wrapped in a
-    :class:`~repro.execution.parallel.VecExchangeOperator`, which partitions
-    the heap into page morsels, produces the batches in workers and replays
-    their charge tapes in canonical order.  Either way results and simulated
-    counts stay bit-identical to the serial ``VecSeqScanOperator`` every
-    other context gets.  ``allow_exchange=False`` pins a scan to that serial
-    operator (rescanned nested-loop inners, update lookups); the tuple
-    engine has no other, so the flag is inert there.
+    A vectorized sequential scan is one of two operators.  When the context
+    carries a shared-scan coordinator (``ctx.shared_scans``, attached by
+    the serving layer for one admission round) and no adaptive manager
+    (adaptive scan charges depend on per-context runtime state), the scan
+    attaches to the round's recorded scan for its signature: the scan's
+    data work runs once per round and its charge tapes are replayed into
+    each attached query's own context, so results and simulated counts stay
+    bit-identical to the ``VecSeqScanOperator`` every other context gets.
+    ``allow_shared=False`` pins a scan to that operator (rescanned
+    nested-loop inners, update lookups); the tuple engine has no other, so
+    the flag is inert there.
     """
     vectorized = ctx.execution.is_vectorized
     # Only the vectorized operators have a vector size.
@@ -74,12 +67,9 @@ def build_scan(plan: ScanPlan, catalog: Catalog, ctx: ExecutionContext,
                     next_operation=next_operation, **sized)
         if not vectorized:
             return SeqScanOperator(table, ctx, **scan)
-        if allow_exchange:
-            if (ctx.shared_scans is not None and ctx.adaptive is None
-                    and ctx.parallel is None):
-                return ctx.shared_scans.attach(table, ctx, **scan)
-            if ctx.parallel is not None and ctx.parallel.workers > 1:
-                return VecExchangeOperator(table, ctx, ctx.parallel, **scan)
+        if (allow_shared and ctx.shared_scans is not None
+                and ctx.adaptive is None):
+            return ctx.shared_scans.attach(table, ctx, **scan)
         return VecSeqScanOperator(table, ctx, **scan)
     if isinstance(plan, (IndexRangeScanPlan, IndexPointLookupPlan)):
         table = catalog.table(plan.table)
@@ -136,11 +126,10 @@ def build_join(plan: JoinPlan, catalog: Catalog, ctx: ExecutionContext,
 
         def inner_factory() -> AnyOperator:
             # Re-instantiated once per outer row (tuple) or outer batch
-            # (vectorized): keep it on the serial path (per-batch morsel
-            # dispatch would cost more than the rescan it parallelises).
+            # (vectorized): a fresh scan each time, never a shared one.
             return build_scan(plan.inner, catalog, ctx, inner_columns,
                               next_operation="inner_scan_next",
-                              allow_exchange=False)
+                              allow_shared=False)
 
         join = VecNestedLoopJoinOperator if vectorized else NestedLoopJoinOperator
         return join(outer, inner_factory, plan.outer_column, plan.inner_column,
@@ -221,7 +210,7 @@ def execute_update(plan: UpdatePlan, catalog: Catalog, ctx: ExecutionContext,
     table = catalog.table(plan.lookup.table)
     lookup = build_scan(plan.lookup, catalog, ctx,
                         output_columns=table.schema.column_names(),
-                        allow_exchange=False)  # updates mutate the heap: stay serial
+                        allow_shared=False)  # updates mutate the heap
     apply_cm = None
     if tracer is not None:
         # The lookup's pulls interleave with the update charges, so the

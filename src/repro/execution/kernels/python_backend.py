@@ -33,6 +33,8 @@ __all__ = ["PythonKernels", "PYTHON_KERNELS", "key_hash", "spill_partition_of"]
 
 #: ``key_hash(None)``: any constant will do, as long as it is one.
 _NONE_HASH = 0x6E6F6E65
+#: ``key_hash`` of every NaN, likewise.
+_NAN_HASH = 0x6E616E
 
 
 def key_hash(key) -> int:
@@ -40,9 +42,10 @@ def key_hash(key) -> int:
 
     ``hash(key)`` for numbers (and anything else), which CPython computes
     the same way in every process; ``zlib.crc32`` of the bytes for ``str``
-    and ``bytes`` keys, and a constant for ``None``, whose ``hash`` depends
-    on ``PYTHONHASHSEED`` or on an object address -- so a ``CHAR``-key
-    join charges the same buckets in every process.
+    and ``bytes`` keys, and one constant each for ``None`` and for every
+    NaN, whose ``hash`` depends on ``PYTHONHASHSEED`` or on an object
+    address -- so a join charges the same buckets in every process and
+    every run.
     """
     kind = type(key)
     if kind is str:
@@ -51,6 +54,8 @@ def key_hash(key) -> int:
         return zlib.crc32(key)
     if key is None:
         return _NONE_HASH
+    if key != key:
+        return _NAN_HASH
     return hash(key)
 
 

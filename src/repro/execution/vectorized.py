@@ -276,18 +276,13 @@ class VecSeqScanOperator(VectorOperator):
                  output_columns: Sequence[str] = (),
                  next_operation: str = "scan_next",
                  batch_size: int = 256,
-                 count_records: bool = True,
-                 page_range: Optional[Tuple[int, int]] = None) -> None:
+                 count_records: bool = True) -> None:
         self.table = table
         self.ctx = ctx
         self.predicate = predicate
         self.next_operation = next_operation
         self.batch_size = batch_size
         self.count_records = count_records
-        #: Optional ``[start, stop)`` restriction over the heap's page
-        #: sequence -- the unit the morsel-parallel exchange partitions on.
-        #: ``None`` scans every page (the serial engine's behaviour).
-        self.page_range = page_range
         predicate_columns = sorted(c.split(".")[-1]
                                    for c in (predicate.columns() if predicate else ()))
         outputs = sorted({c.split(".")[-1] for c in output_columns})
@@ -306,11 +301,7 @@ class VecSeqScanOperator(VectorOperator):
         then really under the policy's control.  After each such batch the
         simulated L1D miss delta is observed into the collector at the
         batch's size rung and the policy picks the next size from the
-        bounded ladder.  Inside a morsel worker the context exposes no
-        hardware (``l1d_misses() is None``): the worker keeps the spec's
-        fixed size and the parent observes the pressure at tape-replay time
-        instead, re-deciding between waves -- so serial charging and
-        replayed charging observe the same signal exactly once.
+        bounded ladder.
         """
         ctx = self.ctx
         # Micro-adaptive conjunct reordering engages only when a manager is
@@ -340,7 +331,7 @@ class VecSeqScanOperator(VectorOperator):
             pending_rows = 0
             return batch
 
-        for page, slots in self.table.heap.scan_pages(*(self.page_range or ())):
+        for page, slots in self.table.heap.scan_pages():
             ctx.visit("page_boundary")
             start = 0
             total = len(slots)

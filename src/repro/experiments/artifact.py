@@ -12,7 +12,7 @@ Everything measures through one shared :class:`ExperimentRunner`, so the
 whole artifact costs one pass over the workloads: the microbenchmark grid
 figures (5.1--5.5) per page layout, the record-size and selectivity sweeps
 per layout, the TPC-D and TPC-C workloads under the modern engine matrix
-(tuple vs vectorized, optional ``workers`` and adaptivity arms), the engine
+(tuple vs vectorized, optional adaptivity arm), the engine
 ablation, the three adaptivity experiments, the join under a memory budget,
 the serving layer's counts, and the two configuration tables (4.1/4.2).
 
@@ -48,7 +48,6 @@ class ArtifactError(RuntimeError):
 class ArtifactOptions:
     """Cross-cutting knobs of the artifact run (the optional matrix arms)."""
 
-    workers: Tuple[int, ...] = (1,)
     adaptivity: bool = False
 
 
@@ -126,7 +125,7 @@ def _selectivity_sweep(runner: ExperimentRunner,
 
 
 def _tpcd_matrix(runner: ExperimentRunner, options: ArtifactOptions) -> Dict:
-    data = figures.tpcd_matrix(runner, workers=options.workers).data
+    data = figures.tpcd_matrix(runner).data
     if options.adaptivity:
         for layout in LAYOUTS:
             result = runner.tpcd_grid_result(layout, engine="vectorized",
@@ -139,10 +138,6 @@ def _tpcd_matrix(runner: ExperimentRunner, options: ArtifactOptions) -> Dict:
                 "routine invocations": float(result.total_routine_invocations),
             }
     return data
-
-
-def _tpcc_matrix(runner: ExperimentRunner, options: ArtifactOptions) -> Dict:
-    return figures.tpcc_matrix(runner, workers=options.workers).data
 
 
 def _simple(figure_fn) -> Callable[[ExperimentRunner, ArtifactOptions], Dict]:
@@ -195,7 +190,8 @@ REGISTRY: Tuple[ArtifactSpec, ...] = (
     ArtifactSpec("tpcd_matrix", "TPC-D under the modern engine matrix",
                  ("layout", "arm", "metric", "value"), _tpcd_matrix),
     ArtifactSpec("tpcc_matrix", "TPC-C under the modern engine matrix",
-                 ("layout", "arm", "metric", "value"), _tpcc_matrix),
+                 ("layout", "arm", "metric", "value"),
+                 _simple(figures.tpcc_matrix)),
     ArtifactSpec("engine_ablation", "Tuple vs vectorized execution",
                  ("layout", "query", "arm", "metric", "value"),
                  _per_layout(figures.engine_ablation)),

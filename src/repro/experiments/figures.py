@@ -343,20 +343,18 @@ def record_size_sweep(runner: ExperimentRunner,
 
 
 # ---------------------------------------------------------------------------
-# TPC workloads under the modern engine matrix (layouts x engines x workers)
+# TPC workloads under the modern engine matrix (layouts x engines)
 # ---------------------------------------------------------------------------
 def tpcd_matrix(runner: ExperimentRunner,
                 layouts: Sequence[str] = ("nsm", "pax"),
                 engines: Sequence[str] = ("tuple", "vectorized"),
-                system_key: str = "B",
-                workers: Sequence[int] = (1,)) -> FigureResult:
+                system_key: str = "B") -> FigureResult:
     """TPC-D suite across the modern engine matrix, on the warmed grid.
 
     Every arm shares one warmed build per layout (checkpoint-restored), so
-    the matrix isolates exactly the engine/layout/parallelism axes: the
-    paper's NSM + tuple arm is the baseline, PAX moves the data stalls,
-    vectorization moves the instruction/branch stalls, and ``workers`` is
-    count-identical by design (the charge-tape replay wall).
+    the matrix isolates exactly the engine/layout axes: the paper's NSM +
+    tuple arm is the baseline, PAX moves the data stalls, vectorization
+    moves the instruction/branch stalls.
     """
     data: Dict[str, Dict[str, Dict[str, float]]] = {}
     sections = []
@@ -365,17 +363,15 @@ def tpcd_matrix(runner: ExperimentRunner,
     for layout in layouts:
         per_arm: Dict[str, Dict[str, float]] = {}
         for engine in engines:
-            for n in workers:
-                result = runner.tpcd_grid_result(layout, system_key=system_key,
-                                                 engine=engine, parallelism=n)
-                arm = engine if n == 1 else f"{engine}/w{n}"
-                per_arm[arm] = {
-                    "cycles": float(result.breakdown.total_cycles),
-                    "CPI": result.metrics.cpi,
-                    "memory stall share": result.breakdown.shares()["memory"],
-                    "instructions": float(result.counters.get("INST_RETIRED")),
-                    "routine invocations": float(result.total_routine_invocations),
-                }
+            result = runner.tpcd_grid_result(layout, system_key=system_key,
+                                             engine=engine)
+            per_arm[engine] = {
+                "cycles": float(result.breakdown.total_cycles),
+                "CPI": result.metrics.cpi,
+                "memory stall share": result.breakdown.shares()["memory"],
+                "instructions": float(result.counters.get("INST_RETIRED")),
+                "routine invocations": float(result.total_routine_invocations),
+            }
         data[layout] = per_arm
         sections.append(format_table(
             f"TPC-D matrix ({layout.upper()}): 17-query average, System {system_key}",
@@ -389,8 +385,7 @@ def tpcd_matrix(runner: ExperimentRunner,
 def tpcc_matrix(runner: ExperimentRunner,
                 layouts: Sequence[str] = ("nsm", "pax"),
                 engines: Sequence[str] = ("tuple", "vectorized"),
-                system_key: str = "B",
-                workers: Sequence[int] = (1,)) -> FigureResult:
+                system_key: str = "B") -> FigureResult:
     """TPC-C mix across the modern engine matrix, on the warmed grid.
 
     The update-heavy mix runs against one warmed build per layout with
@@ -405,20 +400,18 @@ def tpcc_matrix(runner: ExperimentRunner,
     for layout in layouts:
         per_arm: Dict[str, Dict[str, float]] = {}
         for engine in engines:
-            for n in workers:
-                result = runner.tpcc_grid_result(layout, system_key=system_key,
-                                                 engine=engine, parallelism=n)
-                shares = result.breakdown.shares()
-                memory_shares = result.breakdown.memory_shares()
-                arm = engine if n == 1 else f"{engine}/w{n}"
-                per_arm[arm] = {
-                    "cycles": float(result.breakdown.total_cycles),
-                    "CPI": result.metrics.cpi,
-                    "memory stall share": shares["memory"],
-                    "L2 share of memory stalls":
-                        memory_shares["TL2D"] + memory_shares["TL2I"],
-                    "transactions": float(result.transactions),
-                }
+            result = runner.tpcc_grid_result(layout, system_key=system_key,
+                                             engine=engine)
+            shares = result.breakdown.shares()
+            memory_shares = result.breakdown.memory_shares()
+            per_arm[engine] = {
+                "cycles": float(result.breakdown.total_cycles),
+                "CPI": result.metrics.cpi,
+                "memory stall share": shares["memory"],
+                "L2 share of memory stalls":
+                    memory_shares["TL2D"] + memory_shares["TL2I"],
+                "transactions": float(result.transactions),
+            }
         data[layout] = per_arm
         sections.append(format_table(
             f"TPC-C matrix ({layout.upper()}): transaction mix, System {system_key}",

@@ -16,8 +16,7 @@ them:
 4. **cache** the result under the cell.
 
 Step 2 makes a cell fresh-build-identical and independent of which cells
-ran before it -- which is also what lets cells be dispatched to forked
-workers (:meth:`ExperimentRunner.map_cells`).
+ran before it.
 
 Scale and warm-up policy
 ------------------------
@@ -36,14 +35,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from ..analysis.breakdown import ExecutionBreakdown
 from ..analysis.metrics import QueryMetrics
 from ..engine.database import Database
 from ..engine.session import QueryResult, Session
-from ..execution.parallel import fork_available
 from ..hardware.counters import EventCounters
 from ..hardware.os_interference import OSInterferenceConfig
 from ..hardware.specs import PENTIUM_II_XEON, ProcessorSpec
@@ -94,9 +92,7 @@ class Cell:
     ``knobs`` are the cell's overrides of the session's execution knobs
     (:class:`~repro.query.plans.ExecutionConfig` fields): give a mapping,
     it is held as sorted ``(name, value)`` pairs.  A knob left out -- or
-    given as ``None`` -- keeps the runner's default, which is
-    ``ExecutionConfig``'s except that ``parallelism`` defaults to
-    ``ExperimentConfig.parallelism``.
+    given as ``None`` -- keeps ``ExecutionConfig``'s default.
     """
 
     dataset: str = "micro"
@@ -144,18 +140,11 @@ ADAPTIVE_KINDS: Dict[str, Tuple[Dict, Dict]] = {
 
 def adaptive_cell(kind: str, layout: str, adaptivity: str,
                   system: str = "B") -> Cell:
-    """The ``kind`` adaptivity workload under one mode (vectorized engine).
-
-    Greedy/epsilon decisions depend on the morsel partitioning (only
-    ``adaptivity="off"`` promises bit-identity to serial), so adaptive arms
-    are pinned to a serial session to keep their cycles deterministic.
-    """
+    """The ``kind`` adaptivity workload under one mode (vectorized engine)."""
     fields, knobs = ADAPTIVE_KINDS[kind]
     knobs = dict(knobs, engine="vectorized", adaptivity=adaptivity)
     if adaptivity == "off":
         knobs.update(adaptive_joins=None, adaptive_batching=None)
-    else:
-        knobs["parallelism"] = 1
     return Cell(layout=layout, system=system, knobs=knobs, **fields)
 
 
@@ -169,16 +158,11 @@ BUDGET_KINDS: Dict[str, Optional[float]] = {
 
 
 def budget_cell(kind: str, layout: str, s_bytes: int) -> Cell:
-    """The ``kind`` memory-budget join (vectorized engine, System B).
-
-    Pinned to a serial session: the spilling join's page-I/O schedule
-    depends on ingest order.
-    """
+    """The ``kind`` memory-budget join (vectorized engine, System B)."""
     factor = BUDGET_KINDS[kind]
     budget = None if factor is None else max(int(factor * s_bytes), 1)
     return Cell(layout=layout, query="SJB", knobs={
-        "engine": "vectorized", "parallelism": 1,
-        "memory_budget_bytes": budget})
+        "engine": "vectorized", "memory_budget_bytes": budget})
 
 
 def _env_scale(default: float) -> float:
@@ -208,12 +192,16 @@ class ExperimentConfig:
     selectivity_points: Tuple[float, ...] = SELECTIVITY_POINTS
     record_size_points: Tuple[int, ...] = RECORD_SIZE_POINTS
     record_size_systems: Tuple[str, ...] = ("C", "D")
-    #: Morsel parallelism inside each measured session (the ``parallelism=N``
-    #: exchange; simulated counts are identical for every N by design).
+    #: Retired: every measurement runs in one process.  Accepted only as 1
+    #: until no caller passes them; nothing reads them.
     parallelism: int = 1
-    #: Process-level parallelism across independent cells: ``map_cells``
-    #: dispatches to a fork-based pool that inherits the warmed builds.
     grid_workers: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("parallelism", "grid_workers"):
+            if getattr(self, name) != 1:
+                raise ValueError(f"{name} is retired: measurements run in one "
+                                 f"process, so only {name}=1 is accepted")
 
     def os_config(self) -> Optional[OSInterferenceConfig]:
         return OSInterferenceConfig() if self.os_interference else None
@@ -240,16 +228,6 @@ class Build(NamedTuple):
     #: Raw page bytes, for datasets whose workload updates records in place
     #: (TPC-C); ``None`` for read-only datasets.
     data: Optional[Dict]
-
-
-#: Runner and task inherited by forked ``map_cells`` workers (set only
-#: around a dispatch).
-_FORKED: Optional[Tuple["ExperimentRunner", Callable]] = None
-
-
-def _forked_task(item):
-    runner, function = _FORKED
-    return function(runner, item)
 
 
 class ExperimentRunner:
@@ -340,8 +318,7 @@ class ExperimentRunner:
         profile = system_by_key(cell.system)
         if cell.dataset == "tpcc":
             profile = oltp_variant(profile)
-        execution = ExecutionConfig(**{"parallelism": self.config.parallelism,
-                                       **dict(cell.knobs)})
+        execution = ExecutionConfig(**dict(cell.knobs))
         return Session(build.database, profile, spec=self.config.spec,
                        os_interference=self.config.os_config(),
                        execution=execution)
@@ -377,31 +354,6 @@ class ExperimentRunner:
             with self.session(cell) as session:
                 cached = self._results[cell] = self.execute(cell, session)
         return cached
-
-    def map_cells(self, function: Callable, items: Iterable) -> List:
-        """``[function(runner, item) for item in items]``, in order.
-
-        With ``config.grid_workers > 1`` the calls are dispatched to a
-        fork-based process pool.  Cells are independent measurements (each
-        restores its build's checkpoint), so results are identical under
-        serial and parallel dispatch; build the items' datasets first
-        (:meth:`build`) so workers inherit them instead of rebuilding.
-        """
-        items = list(items)
-        workers = min(self.config.grid_workers, len(items))
-        if workers <= 1 or not fork_available():
-            return [function(self, item) for item in items]
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        global _FORKED
-        _FORKED = (self, function)
-        try:
-            with ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=multiprocessing.get_context("fork")) as pool:
-                return list(pool.map(_forked_task, items))
-        finally:
-            _FORKED = None
 
     # ------------------------------------------------------ cell constructors
     def micro_result(self, system_key: str, kind: str,
@@ -464,12 +416,11 @@ class ExperimentRunner:
     def tpcd_grid_result(self, layout: str, system_key: str = "B",
                          **knobs) -> QueryResult:
         """The 17-query TPC-D suite (averaged, label ``"TPC-D"``), one
-        engine-matrix arm: vectorized and serial unless ``knobs`` say
-        otherwise, joins adaptive whenever ``adaptivity`` is on.  Counts are
-        identical across worker counts and kernel backends by design;
-        engines differ (that is the ablation).
+        engine-matrix arm: vectorized unless ``knobs`` say otherwise, joins
+        adaptive whenever ``adaptivity`` is on.  Counts are identical across
+        kernel backends by design; engines differ (that is the ablation).
         """
-        knobs = {"engine": "vectorized", "parallelism": 1, **knobs}
+        knobs = {"engine": "vectorized", **knobs}
         if knobs.get("adaptivity", "off") != "off":
             knobs.setdefault("adaptive_joins", True)
         return self.measure(Cell(dataset="tpcd", layout=layout,
@@ -477,13 +428,12 @@ class ExperimentRunner:
 
     def tpcc_grid_result(self, layout: str, system_key: str = "B",
                          **knobs) -> TPCCResult:
-        """The TPC-C mix, one engine-matrix arm (vectorized and serial
-        unless ``knobs`` say otherwise): every arm measures the freshly
-        built table contents no matter which update-heavy arms ran before
-        it."""
+        """The TPC-C mix, one engine-matrix arm (vectorized unless
+        ``knobs`` say otherwise): every arm measures the freshly built table
+        contents no matter which update-heavy arms ran before it."""
         return self.measure(Cell(
             dataset="tpcc", layout=layout, system=system_key,
-            knobs={"engine": "vectorized", "parallelism": 1, **knobs}))
+            knobs={"engine": "vectorized", **knobs}))
 
     def grid_session(self, layout: str, system_key: str = "B",
                      **knobs) -> Session:

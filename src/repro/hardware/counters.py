@@ -217,10 +217,10 @@ class EventCounters:
         """Commutatively fold ``other``'s counts into this register file.
 
         In-place counterpart of :meth:`merged_with`: every event is a plain
-        sum, so folding any permutation of worker-local (or per-cell)
-        snapshots produces identical totals -- the property the
-        morsel-parallel subsystem and the benchmark grid rely on when
-        combining results.  Returns ``self`` for chaining/``reduce``.
+        sum, so folding any permutation of per-query (or per-cell)
+        snapshots produces identical totals -- the property the serving
+        workload relies on when it totals a run's per-query counters.
+        Returns ``self`` for chaining/``reduce``.
         """
         for event, count in other.user.items():
             self.user[event] = self.user.get(event, 0) + count

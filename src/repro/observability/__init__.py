@@ -4,7 +4,7 @@ The paper attributes an entire run's processor time to microarchitectural
 causes; this package attributes it *per operator*.  A
 :class:`~repro.observability.trace.Tracer` (installed by the session when
 ``tracing != "off"``) brackets every operator pull, planner/setup phase,
-morsel replay and spill I/O in a counter span -- a snapshot-delta capture
+shared-scan replay and spill I/O in a counter span -- a snapshot-delta capture
 of the simulated event banks -- and assembles the spans into a per-query
 trace tree whose nodes each carry the Figure 5.x stall decomposition.
 Exporters render the tree as text (``scripts/run_trace.py``), JSON and

@@ -7,8 +7,8 @@ so the root's synthesized delta *is* the whole-query counter set (the
 observability tests assert key-by-key equality).  Inside the unit the
 executor instruments the operator tree -- every ``batches()``/``rows()``
 pull is bracketed by a counter span -- and opens phase spans around
-planner/setup work; the parallel and spill layers add subspans in ``full``
-mode.
+planner/setup work; the shared-scan and spill layers add subspans in
+``full`` mode.
 
 Structure and attribution rules:
 
@@ -23,12 +23,12 @@ Structure and attribution rules:
   raw-bank deltas.
 * **Reentrancy-safe.**  Only the outermost enter/exit of a node captures
   snapshots; nested re-entries (e.g. a replay subspan re-entered per
-  morsel) just track depth.
-* **Morsel / shared-scan composition.**  Worker charge tapes are replayed
-  into the parent context *inside* the consuming operator's open span, in
-  canonical replay order -- so exchange and shared-scan nodes attribute
-  exactly the charges a serial scan would have issued.  ``full`` mode
-  additionally gives each replayed morsel batch a ``replay`` subspan.
+  batch) just track depth.
+* **Shared-scan composition.**  A recorded scan's charge tapes are
+  replayed into the query's context *inside* the consuming operator's
+  open span, in recording order -- so shared-scan nodes attribute exactly
+  the charges a solo scan would have issued.  ``full`` mode additionally
+  gives each replayed batch a ``replay`` subspan.
 
 Tracing only reads hardware state; the ``off`` mode never constructs any
 of this (``ctx.tracer`` stays ``None`` and every hook is one attribute

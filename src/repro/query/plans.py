@@ -72,7 +72,7 @@ KERNEL_BACKENDS = (KERNEL_BACKEND_AUTO, KERNEL_BACKEND_PYTHON,
 #: releases.  ``spans`` wraps every operator ``next()`` boundary and the
 #: planner/setup phases in counter spans (snapshot-delta captures of the
 #: simulated event banks); ``full`` additionally records per-pull host
-#: timing events, per-morsel replay subspans and spill-I/O subspans.
+#: timing events, shared-scan replay subspans and spill-I/O subspans.
 #: Tracing only *reads* hardware state between charges: result rows and
 #: every simulated count are identical in all three modes.
 TRACING_OFF = "off"
@@ -107,15 +107,6 @@ class ExecutionConfig:
     engine: str = ENGINE_TUPLE
     #: Records per batch of the vectorized engine.
     batch_size: int = DEFAULT_BATCH_SIZE
-    #: Degree of morsel parallelism for vectorized sequential scans.  1 (the
-    #: default) is the serial engine, byte-identical to previous releases;
-    #: N > 1 fans page morsels out to workers (a forked pool inheriting the
-    #: database where the platform can fork, the same pipeline in-process
-    #: where it cannot) whose charge tapes are replayed in canonical order,
-    #: so results *and* simulated hardware counts stay identical to
-    #: ``parallelism=1`` (the differential harness asserts this per plan
-    #: shape).
-    parallelism: int = 1
     #: Runtime-adaptation mode (see :data:`ADAPTIVITY_MODES`).  Selects the
     #: decision policy; conjunct reordering is active whenever the mode is
     #: not ``off``, the two decisions below opt in separately.
@@ -160,8 +151,6 @@ class ExecutionConfig:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
         if self.adaptivity not in ADAPTIVITY_MODES:
             raise ValueError(f"unknown adaptivity mode {self.adaptivity!r}; "
                              f"expected one of {ADAPTIVITY_MODES}")
@@ -201,10 +190,6 @@ class ExecutionConfig:
     @property
     def is_adaptive(self) -> bool:
         return self.adaptivity != ADAPTIVITY_OFF
-
-    @property
-    def is_parallel(self) -> bool:
-        return self.parallelism > 1
 
     @property
     def is_traced(self) -> bool:

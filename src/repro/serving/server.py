@@ -22,7 +22,7 @@ remove *host-side* work without touching the per-query simulated story:
 3. **shared scans**
    (:class:`~repro.execution.parallel.SharedScanCoordinator`): queries of
    one admission round whose plans contain the same sequential-scan leaf
-   ride one recorded morsel stream; each query replays the stream's charge
+   ride one recorded scan; each query replays the recording's charge
    tapes into its own context, keeping counts identical to solo execution
    while the scan's data work runs once per round.
 
@@ -330,7 +330,7 @@ class Server:
         admitted = [self._queue.popleft()
                     for _ in range(min(self.max_concurrency, len(self._queue)))]
         round_start = time.perf_counter()
-        coordinator = (SharedScanCoordinator(self.database)
+        coordinator = (SharedScanCoordinator()
                        if self.shared_scans else None)
         for future in admitted:
             try:

@@ -262,8 +262,7 @@ class HeapFile:
                 yield ScanEntry(rid=RecordId(page_number, slot), page=page,
                                 slot=slot, address=page.slot_address(slot))
 
-    def scan_pages(self, start: Optional[int] = None,
-                   stop: Optional[int] = None) -> Iterator[Tuple[SlottedPage, List[int]]]:
+    def scan_pages(self) -> Iterator[Tuple[SlottedPage, List[int]]]:
         """Iterate page-at-a-time: ``(page, [live slots])``.
 
         Both engines' sequential scans use this form.  Each page is fetched
@@ -272,13 +271,9 @@ class HeapFile:
         charges the per-page buffer-pool management code path once per page
         boundary crossing (one of the candidate explanations in Section
         5.2.2 for the record-size effect on L1 instruction misses).
-
-        ``start``/``stop`` restrict the iteration to a ``[start, stop)``
-        slice of the heap's page sequence (the morsel-parallel exchange's
-        unit of partitioning); only the selected pages are fetched.
         """
         fetch = self.buffer_pool.fetch_page
-        for page_number in self._page_numbers[start:stop]:
+        for page_number in self._page_numbers:
             page = fetch(page_number)
             yield page, list(page.live_slots())
 

@@ -1,7 +1,6 @@
 """The per-address charging oracle, the pickled spill file, the heap-walk
 selectivity sampler, the read-modify-write point update, the per-record
-tuple pipeline, the per-hit result rebuild (and the in-process morsel
-pipeline).
+tuple pipeline and the per-hit result rebuild.
 
 Production charging is bulk: :class:`~repro.execution.context.
 ExecutionContext` presents column-vector reads, full-record sweeps, page
@@ -74,7 +73,6 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 import repro.engine.session as session_mod
-import repro.execution.parallel as parallel_mod
 import repro.execution.vectorized as vectorized_mod
 from repro.analysis.breakdown import ExecutionBreakdown
 from repro.analysis.metrics import compute_metrics
@@ -398,38 +396,6 @@ def rebuilt_hit_result(server, future, entry) -> QueryResult:
         rows=entry.rows, counters=counters, breakdown=breakdown,
         metrics=metrics, engine=server.execution.engine,
         routine_invocations=dict(charge.invocations), trace=trace)
-
-
-@contextmanager
-def in_process_morsels():
-    """Morsel-parallel sessions constructed inside the block run their
-    morsels in-process, as on a platform that cannot fork (no pool to spin
-    up per session; the tapes and their replay are the same)."""
-    saved = parallel_mod.fork_available
-    parallel_mod.fork_available = lambda: False
-    try:
-        yield
-    finally:
-        parallel_mod.fork_available = saved
-
-
-@contextmanager
-def morsel_pages(pages):
-    """Exchanges that run inside the block cut their scans into morsels of
-    ``pages`` pages instead of the size derived from page count and workers
-    (``None``: leave the derivation alone) -- a test's way to pin one
-    particular partitioning.  Partitioning happens when the exchange is
-    pulled, so the block must cover the execution, not the construction."""
-    if pages is None:
-        yield
-        return
-    saved = parallel_mod.ParallelExecution.default_morsel_pages
-    parallel_mod.ParallelExecution.default_morsel_pages = (
-        lambda self, page_count: max(pages, 1))
-    try:
-        yield
-    finally:
-        parallel_mod.ParallelExecution.default_morsel_pages = saved
 
 
 def heap_insert_rows(heap, rows) -> int:

@@ -4,15 +4,14 @@ Contracts pinned here:
 
 * ``adaptivity="off"`` is *bit-identical* to the engine without the knob --
   same rows, same cache/TLB/branch/event counts, same routine invocations --
-  on every plan shape, layout, charge mode and worker count (the PR 3
-  parallel contract extended by the adaptivity axis).  The off path does not
+  on every plan shape, layout and charge mode.  The off path does not
   construct a manager, so this is structural; the tests guard it.
 * Every adaptive policy returns *identical result rows* to the static
   engine, for arbitrary conjunct sets -- including ``Not``, ``Between`` and
   ``None``-valued columns (SQL-style: comparisons against NULL are never
   satisfied, so conjuncts are total functions and conjunction commutes).
-* Runtime statistics merge commutatively and round-trip through snapshots
-  (they ride morsel specs and charge tapes across process boundaries).
+* Adaptive runs are deterministic, and the collector observes every
+  conjunct evaluation the context charged.
 * On the skewed-conjunct microworkload the greedy policy measurably reduces
   simulated branch mispredictions and total cycles versus the same charging
   under the static conjunct order.
@@ -20,7 +19,6 @@ Contracts pinned here:
 
 from __future__ import annotations
 
-import pickle
 import random
 from contextlib import nullcontext
 
@@ -28,7 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import in_process_morsels, morsel_pages
 from repro.adaptive import (AdaptiveExecution, EpsilonGreedyPolicy,
                             GreedyRankPolicy, RuntimeStatsCollector,
                             StaticPolicy, conjunct_key, flatten_conjuncts,
@@ -79,26 +76,24 @@ def hardware_counts(processor) -> dict:
     }
 
 
-def run_query(query, adaptivity=None, layout="nsm", workers=1,
-              charging=nullcontext, batch_size=64, seed=42):
-    """Execute one query; return (rows, hardware counts, invocations, session).
+def run_query(query, adaptivity=None, layout="nsm", charging=nullcontext,
+              batch_size=64, seed=42):
+    """Execute one query; return (rows, hardware counts, invocations,
+    the adaptive manager's collector or ``None``).
 
     ``charging`` is ``nullcontext`` (production bulk charging) or the
     ``charging`` fixture's per-address oracle."""
     db = build_database(layout_style=layout, seed=seed)
     kwargs = {} if adaptivity is None else {"adaptivity": adaptivity}
-    with charging(), in_process_morsels():
+    with charging():
         session = Session(db, SYSTEM_B, os_interference=None,
-                          engine="vectorized", batch_size=batch_size,
-                          parallelism=workers, **kwargs)
-    with morsel_pages(1):
-        result = session.execute(query, warmup_runs=0)
+                          engine="vectorized", batch_size=batch_size, **kwargs)
+    result = session.execute(query, warmup_runs=0)
     session.processor.finalize()
     counts = hardware_counts(session.processor)
     invocations = dict(session.context.op_invocations)
-    collector = (session.adaptive.collector.snapshot()
-                 if session.adaptive is not None else None)
-    session.close()
+    collector = (session.context.adaptive.collector
+                 if session.context.adaptive is not None else None)
     return result.rows, counts, invocations, collector
 
 
@@ -125,12 +120,10 @@ def test_off_identical_to_unconfigured_engine(shape, layout):
 
 
 @pytest.mark.parametrize("charge_mode", ("span", "per_address"))
-@pytest.mark.parametrize("workers", (1, 3))
-def test_off_identical_across_workers_and_charge_modes(workers, charging):
+def test_off_identical_across_charge_modes(charging):
     query = multi_conjunct_query()
     baseline = run_query(query, adaptivity=None)
-    off = run_query(query, adaptivity="off", workers=workers,
-                    charging=charging)
+    off = run_query(query, adaptivity="off", charging=charging)
     assert off[:3] == baseline[:3]
 
 
@@ -166,7 +159,7 @@ def test_adaptivity_requires_vectorized_engine():
 
 
 # ---------------------------------------------------------------------------
-# Every policy returns identical rows (serial and parallel)
+# Every policy returns identical rows
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("layout", ("nsm", "pax"))
 @pytest.mark.parametrize("mode", ("static", "greedy", "epsilon"))
@@ -181,31 +174,17 @@ def test_policies_return_identical_rows(mode, layout):
 
 
 @pytest.mark.parametrize("mode", ("static", "greedy"))
-def test_parallel_adaptive_matches_serial_rows_and_is_deterministic(mode):
+def test_adaptive_runs_are_deterministic_and_observed(mode):
     query = multi_conjunct_query()
-    serial = run_query(query, adaptivity=mode)
-    first = run_query(query, adaptivity=mode, workers=3)
-    second = run_query(query, adaptivity=mode, workers=3)
-    assert first[0] == serial[0]
-    # A fixed partitioning is deterministic (pool racing cannot move an
-    # event): identical counts, invocations and merged statistics.
-    assert second == first
-    # The workers' data-side observations rode the tapes into the parent.
-    merged = RuntimeStatsCollector.from_snapshot(first[3])
-    assert merged.total_rows_in() > 0
-    assert sum(s.branches for s in merged.conjuncts.values()) > 0
-
-
-def test_adaptive_off_spec_roundtrip_pickles():
-    """Morsel specs with adaptive state must survive the process boundary."""
-    manager = AdaptiveExecution("greedy")
-    manager.collector.observe_batch("k", 100, 7)
-    manager.collector.observe_branches("k", 100, 7, 3)
-    snapshot = pickle.loads(pickle.dumps(manager.snapshot()))
-    clone = AdaptiveExecution.from_snapshot(snapshot)
-    assert clone.mode == "greedy"
-    assert clone.collector.selectivity("k") == pytest.approx(0.07)
-    assert clone.collector.conjuncts["k"].mispredictions == 3
+    first = run_query(query, adaptivity=mode)
+    second = run_query(query, adaptivity=mode)
+    assert second[:3] == first[:3]
+    assert second[3].conjuncts == first[3].conjuncts
+    # Every charged conjunct evaluation reached the collector, data side
+    # and simulated branch side alike.
+    collector = first[3]
+    assert collector.total_rows_in() > 0
+    assert sum(s.branches for s in collector.conjuncts.values()) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +193,7 @@ def test_adaptive_off_spec_roundtrip_pickles():
 class _NullCtx:
     """Charging sink for mask-identity checks (no simulated hardware)."""
 
-    adaptive = None
-
     def visit_conjunct_batch(self, operation, outcomes, site=0, key=None):
-        pass
-
-    def observe_conjuncts(self, key, rows_in, rows_passed):
         pass
 
 
@@ -269,35 +243,6 @@ def test_any_policy_mask_identical_to_static_evaluation(conjuncts, rows, mode,
     assert [bool(m) for m in mask] == [bool(r) for r in reference]
 
 
-@settings(max_examples=40, deadline=None)
-@given(parts=st.lists(st.lists(st.tuples(
-    st.sampled_from(("p", "q", "r")),
-    st.integers(min_value=0, max_value=500),
-    st.integers(min_value=0, max_value=500)), max_size=6),
-    min_size=1, max_size=5),
-    rnd=st.randoms())
-def test_collector_merge_commutes(parts, rnd):
-    collectors = []
-    for part in parts:
-        collector = RuntimeStatsCollector()
-        for key, rows_in, passed in part:
-            collector.observe_batch(key, rows_in, min(passed, rows_in))
-            collector.observe_branches(key, rows_in, min(passed, rows_in),
-                                       passed // 3)
-        collectors.append(collector)
-    shuffled = list(collectors)
-    rnd.shuffle(shuffled)
-    merged = RuntimeStatsCollector()
-    for collector in shuffled:
-        merged.merge(RuntimeStatsCollector.from_snapshot(collector.snapshot()))
-    for key in {k for c in collectors for k in c.conjuncts}:
-        for field in ("rows_in", "rows_passed", "batches", "branches",
-                      "branches_taken", "mispredictions"):
-            expected = sum(getattr(c.conjuncts[key], field)
-                           for c in collectors if key in c.conjuncts)
-            assert getattr(merged.conjuncts[key], field) == expected
-
-
 # ---------------------------------------------------------------------------
 # Policy behaviour
 # ---------------------------------------------------------------------------
@@ -330,7 +275,7 @@ def test_greedy_rank_orders_by_selectivity_per_cost():
     assert StaticPolicy().order(keys, (1, 1, 1), stats) == (0, 1, 2)
 
 
-def test_epsilon_policy_is_deterministic_and_restorable():
+def test_epsilon_policy_is_deterministic():
     stats = RuntimeStatsCollector()
     stats.observe_batch("a", 100, 90)
     stats.observe_batch("b", 100, 10)
@@ -343,18 +288,6 @@ def test_epsilon_policy_is_deterministic_and_restorable():
     # Exploration actually happens, and greedy order dominates.
     assert sequence.count((1, 0)) > len(sequence) // 2
     assert (0, 1) in sequence
-
-    resumed = EpsilonGreedyPolicy(epsilon=0.3).restore(
-        {"decisions": 32})
-    assert [resumed.order(keys, costs, stats) for _ in range(32)] == sequence[32:]
-
-    # advance() accounts decisions taken by morsel workers: the parent's
-    # next snapshot continues the sequence instead of restarting it.
-    advanced = EpsilonGreedyPolicy(epsilon=0.3)
-    advanced.advance(32)
-    assert advanced.state() == {"decisions": 32}
-    assert [advanced.order(keys, costs, stats) for _ in range(32)] == sequence[32:]
-    StaticPolicy().advance(5)  # stateless policies accept it as a no-op
 
     with pytest.raises(ValueError):
         EpsilonGreedyPolicy(epsilon=1.5)

@@ -6,17 +6,14 @@ PR 4 conjunct-reordering contracts):
 
 * ``adaptivity="off"`` stays *bit-identical* to the engine without the knob
   on **join plans** too -- same rows, same cache/TLB/branch/event counts,
-  same routine invocations -- across layouts, charge modes and worker
-  counts (the differential harness extended to joins, as the PR 5
-  acceptance criteria require).
+  same routine invocations -- across layouts and charge modes (the
+  differential harness extended to joins).
 * A flipped hash join returns rows identical to the static plan **in the
   same order and with the same dict-merge column order**, for seeded random
   tables with duplicate keys on both sides.
 * Both decisions are charge-mode independent (span vs per-address produce
   identical cycles -- the L1D pressure signal and the cardinality evidence
-  are count-identical by the span-charging contract) and compose with
-  morsel parallelism (identical rows for every worker count, deterministic
-  counts for a fixed partitioning).
+  are count-identical by the span-charging contract).
 * The payoff is real: greedy flips the planner-wrong join and spends fewer
   cycles than the static control arm; greedy grows a too-small vector and
   spends fewer cycles than the fixed-size control arm.
@@ -29,7 +26,6 @@ from contextlib import nullcontext
 
 import pytest
 
-from oracle import in_process_morsels, morsel_pages
 from repro.adaptive import (AdaptiveExecution, GreedyRankPolicy,
                             RuntimeStatsCollector, StaticPolicy,
                             greedy_batch_size, greedy_flip_join)
@@ -81,28 +77,25 @@ def hardware_counts(processor) -> dict:
     }
 
 
-def run_query(query, adaptivity=None, layout="nsm", workers=1,
-              charging=nullcontext, batch_size=64, seed=42, warmup_runs=0,
-              **session_kwargs):
-    """Execute one query; return (rows, hardware counts, invocations, session
-    collector snapshot).  ``charging`` is ``nullcontext`` (production bulk
-    charging) or the ``charging`` fixture's per-address oracle."""
+def run_query(query, adaptivity=None, layout="nsm", charging=nullcontext,
+              batch_size=64, seed=42, warmup_runs=0, **session_kwargs):
+    """Execute one query; return (rows, hardware counts, invocations, the
+    adaptive manager's collector or ``None``).  ``charging`` is
+    ``nullcontext`` (production bulk charging) or the ``charging``
+    fixture's per-address oracle."""
     db = build_database(layout_style=layout, seed=seed)
     kwargs = dict(session_kwargs)
     if adaptivity is not None:
         kwargs["adaptivity"] = adaptivity
-    with charging(), in_process_morsels():
+    with charging():
         session = Session(db, SYSTEM_B, os_interference=None,
-                          engine="vectorized", batch_size=batch_size,
-                          parallelism=workers, **kwargs)
-    with morsel_pages(1):
-        result = session.execute(query, warmup_runs=warmup_runs)
+                          engine="vectorized", batch_size=batch_size, **kwargs)
+    result = session.execute(query, warmup_runs=warmup_runs)
     session.processor.finalize()
     counts = hardware_counts(session.processor)
     invocations = dict(session.context.op_invocations)
-    collector = (session.adaptive.collector.snapshot()
-                 if session.adaptive is not None else None)
-    session.close()
+    collector = (session.context.adaptive.collector
+                 if session.context.adaptive is not None else None)
     return result.rows, counts, invocations, collector
 
 
@@ -127,13 +120,10 @@ def test_off_identical_to_unconfigured_engine_on_joins(shape, layout):
 
 
 @pytest.mark.parametrize("charge_mode", ("span", "per_address"))
-@pytest.mark.parametrize("workers", (1, 3))
-def test_off_join_identical_across_workers_and_charge_modes(workers,
-                                                            charging):
+def test_off_join_identical_across_charge_modes(charging):
     query = WRONG_SIDE_JOIN
     baseline = run_query(query, adaptivity=None)
-    off = run_query(query, adaptivity="off", workers=workers,
-                    charging=charging)
+    off = run_query(query, adaptivity="off", charging=charging)
     assert off[:3] == baseline[:3]
 
 
@@ -224,7 +214,7 @@ def test_static_policy_never_flips_and_matches_off_charges():
     # The unflipped adaptive path charges exactly like the static engine.
     assert static[:3] == off[:3]
     # ... while still observing both input cardinalities.
-    collector = RuntimeStatsCollector.from_snapshot(static[3])
+    collector = static[3]
     assert collector.cardinality("card:R") == R_ROWS
     assert collector.cardinality("card:S") == S_ROWS
 
@@ -250,17 +240,6 @@ def test_flip_decision_is_charge_mode_independent(charging):
     other = run_query(WRONG_SIDE_JOIN, adaptivity="greedy",
                       adaptive_joins=True, charging=charging)
     assert other[:3] == reference[:3]
-
-
-def test_parallel_adaptive_join_matches_serial_rows():
-    serial = run_query(WRONG_SIDE_JOIN, adaptivity="greedy",
-                       adaptive_joins=True)
-    first = run_query(WRONG_SIDE_JOIN, adaptivity="greedy",
-                      adaptive_joins=True, workers=3)
-    second = run_query(WRONG_SIDE_JOIN, adaptivity="greedy",
-                       adaptive_joins=True, workers=3)
-    assert first[0] == serial[0]
-    assert second == first  # fixed partitioning -> deterministic counts
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +280,22 @@ def test_greedy_batch_size_explores_then_settles():
     assert greedy_batch_size("k", 128, stats, ladder=ladder) == 128
 
 
-def test_collector_merges_cardinalities_and_pressure_commutatively():
-    a, b = RuntimeStatsCollector(), RuntimeStatsCollector()
-    a.observe_cardinality("card:R", 100)
-    b.observe_cardinality("card:R", 300)
-    b.observe_cardinality("card:S", 40)
-    a.observe_pressure("scan:R", 128, rows=128, l1d_misses=50)
-    b.observe_pressure("scan:R", 128, rows=128, l1d_misses=70)
-    ab = RuntimeStatsCollector.from_snapshot(a.snapshot()).merge(b)
-    ba = RuntimeStatsCollector.from_snapshot(b.snapshot()).merge(a)
-    assert ab.snapshot() == ba.snapshot()
-    assert ab.cardinality("card:R") == 200.0  # mean of the two executions
-    assert ab.pressure_profile("scan:R")[128].l1d_misses == 120
-    roundtrip = RuntimeStatsCollector.from_snapshot(ab.snapshot())
-    assert roundtrip.snapshot() == ab.snapshot()
+def test_collector_averages_cardinalities_and_sums_pressure():
+    stats = RuntimeStatsCollector()
+    stats.observe_cardinality("card:R", 100)
+    stats.observe_cardinality("card:R", 300)
+    stats.observe_cardinality("card:S", 40)
+    stats.observe_pressure("scan:R", 128, rows=128, l1d_misses=50)
+    stats.observe_pressure("scan:R", 128, rows=128, l1d_misses=70)
+    assert stats.cardinality("card:R") == 200.0  # mean of two executions
+    assert stats.cardinality("card:S") == 40.0
+    assert stats.cardinality("card:T") is None
+    rung = stats.pressure_profile("scan:R")[128]
+    assert (rung.rows, rung.l1d_misses, rung.batches) == (256, 120, 2)
 
 
 # ---------------------------------------------------------------------------
-# Batch sizing: identical rows, charge-mode independence, parallel rows
+# Batch sizing: identical rows, charge-mode independence
 # ---------------------------------------------------------------------------
 def scan_query():
     from repro.query import SelectionQuery, range_predicate
@@ -348,22 +325,6 @@ def test_batch_sizing_is_charge_mode_independent(charging):
     assert other[:3] == reference[:3]
 
 
-def test_parallel_adaptive_batching_matches_serial_rows():
-    query = scan_query()
-    serial = run_query(query, adaptivity="greedy", adaptive_batching=True,
-                       batch_size=16)
-    first = run_query(query, adaptivity="greedy", adaptive_batching=True,
-                      batch_size=16, workers=3)
-    second = run_query(query, adaptivity="greedy", adaptive_batching=True,
-                       batch_size=16, workers=3)
-    assert first[0] == serial[0]
-    assert second == first
-    # The parent observed worker pressure at replay time, per rung.
-    collector = RuntimeStatsCollector.from_snapshot(first[3])
-    assert sum(stats.rows
-               for stats in collector.pressure_profile("scan:R").values()) > 0
-
-
 def test_batching_composes_with_conjunct_reordering():
     from repro.query import SelectionQuery
     from repro.query.expressions import (ColumnRef, Comparison, ComparisonOp,
@@ -378,7 +339,7 @@ def test_batching_composes_with_conjunct_reordering():
     both = run_query(query, adaptivity="greedy", adaptive_batching=True,
                      adaptive_joins=True, batch_size=16)
     assert both[0] == baseline[0]
-    collector = RuntimeStatsCollector.from_snapshot(both[3])
+    collector = both[3]
     assert collector.total_rows_in() > 0          # conjunct stats observed
     assert collector.pressure_profile("scan:R")   # pressure observed
 

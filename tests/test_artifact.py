@@ -29,8 +29,8 @@ import pytest
 
 from repro.analysis import artifact_io
 from repro.experiments import artifact
-from repro.experiments.artifact import (ArtifactError, ArtifactOptions,
-                                        LAYOUTS, REGISTRY, config_for_scale,
+from repro.experiments.artifact import (ArtifactError, LAYOUTS, REGISTRY,
+                                        config_for_scale,
                                         diff_csvs, emit_csvs, render_plots,
                                         run_all, raw_path, spec_by_name)
 from repro.experiments.runner import ExperimentRunner, budget_cell
@@ -381,15 +381,3 @@ def test_flatten_preserves_insertion_order():
 def test_registry_names_are_unique():
     names = [spec.name for spec in REGISTRY]
     assert len(names) == len(set(names))
-
-
-def test_options_add_worker_arms():
-    """workers=(1, 2) adds a w2 arm to both TPC matrices."""
-    runner = artifact.ExperimentRunner(config_for_scale("ci"))
-    data = artifact._tpcd_matrix(runner, ArtifactOptions(workers=(1, 2)))
-    for layout in artifact.LAYOUTS:
-        assert "vectorized/w2" in data[layout]
-        base = data[layout]["vectorized"]
-        arm = data[layout]["vectorized/w2"]
-        assert arm["cycles"] == base["cycles"], \
-            "worker arms must be count-identical by design"

@@ -10,7 +10,7 @@ knobs -- ``Session``, ``Server``, ``ExperimentRunner.grid_session`` /
 (b) an invalid or unknown knob fails with the dataclass's own error, at
     construction, identically in all of them, and
 (c) a ``Cell``'s session runs under exactly the config its knob overrides
-    name over the runner's one default (``ExperimentConfig.parallelism``).
+    name over ``ExecutionConfig``'s defaults.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ KNOBS = {field.name for field in dataclasses.fields(ExecutionConfig)}
 @pytest.fixture(scope="module")
 def runner() -> ExperimentRunner:
     return ExperimentRunner(ExperimentConfig(
-        micro=MicroWorkloadConfig(scale=0.001), os_interference=False,
-        parallelism=2))
+        micro=MicroWorkloadConfig(scale=0.001), os_interference=False))
 
 
 # ------------------------------------------------------------------ (a)
@@ -59,8 +58,8 @@ def test_cell_carries_knobs_as_one_value():
 
 
 def test_the_knob_has_one_name():
-    assert "parallelism" in KNOBS and "workers" not in KNOBS
-    assert len(KNOBS) == 9
+    assert "parallelism" not in KNOBS and "workers" not in KNOBS
+    assert len(KNOBS) == 8
 
 
 # ------------------------------------------------------------------ (b)
@@ -110,16 +109,10 @@ def test_an_execution_value_is_passed_on_unchanged(runner):
 @pytest.mark.parametrize("cell", [
     Cell(query="SRS", knobs={"engine": "vectorized"}),
     adaptive_cell("AJS", "nsm", "greedy"),
-    Cell(query="SJB", knobs={"engine": "vectorized", "parallelism": 1,
+    Cell(query="SJB", knobs={"engine": "vectorized",
                              "memory_budget_bytes": 4096}),
 ], ids=["plain", "adaptive", "SJB"])
 def test_cell_session_runs_under_the_cells_config(runner, cell):
-    expected = ExecutionConfig(**{"parallelism": runner.config.parallelism,
-                                  **dict(cell.knobs)})
+    expected = ExecutionConfig(**dict(cell.knobs))
     with runner.session(cell) as session:
         assert session.execution == expected
-    # Adaptive and budgeted cells pin a serial session; everything else
-    # takes the runner's default.
-    pinned = "parallelism" in dict(cell.knobs)
-    assert expected.parallelism == (1 if pinned else 2)
-    assert pinned == (cell.query != "SRS")

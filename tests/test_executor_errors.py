@@ -2,7 +2,7 @@
 
 ``repro.execution.executor`` is the only builder; the engine comes from the
 context.  Covered here: every plan node under both engines, the shared-scan
-/ exchange / serial choice for vectorized sequential scans, instantiating an
+/ plain choice for vectorized sequential scans, instantiating an
 index plan against a table with no index, planning against an unknown
 catalog table, feeding malformed qualified column names through
 ``row_value``, and the ``_columns_for_table`` contract.
@@ -10,17 +10,14 @@ catalog table, feeding malformed qualified column names through
 
 import pytest
 
-from oracle import in_process_morsels
 from repro.adaptive import AdaptiveExecution
 from repro.execution import (ExecutionContext, ExecutorError, build_plan,
                              build_scan, execute_plan, execute_update)
 from repro.execution import operators, vectorized
 from repro.execution.executor import _columns_for_table
 from repro.execution.operators import OperatorError, row_value
-from repro.execution.parallel import (ParallelExecution,
-                                      SharedScanCoordinator,
-                                      SharedScanReplayOperator,
-                                      VecExchangeOperator)
+from repro.execution.parallel import (SharedScanCoordinator,
+                                      SharedScanReplayOperator)
 from repro.engine import Database
 from repro.hardware import SimulatedProcessor
 from repro.query import ExecutionConfig, count_star
@@ -117,7 +114,7 @@ class TestOneBuilder:
 
 
 class TestVectorizedSeqScanChoice:
-    """Shared scan, exchange or serial: one block inside ``build_scan``."""
+    """Shared scan or plain scan: one block inside ``build_scan``."""
 
     def database(self) -> Database:
         db = Database()
@@ -129,12 +126,9 @@ class TestVectorizedSeqScanChoice:
     def context(self, db, shared=True, **knobs) -> ExecutionContext:
         ctx = make_context(db.catalog, "vectorized", **knobs)
         if shared:
-            ctx.shared_scans = SharedScanCoordinator(db)
+            ctx.shared_scans = SharedScanCoordinator()
         if ctx.execution.is_adaptive:
             ctx.adaptive = AdaptiveExecution(ctx.execution.adaptivity)
-        if ctx.execution.is_parallel:
-            with in_process_morsels():
-                ctx.parallel = ParallelExecution(db, ctx.execution.parallelism)
         return ctx
 
     def test_plain_context_attaches_to_the_coordinator(self):
@@ -151,29 +145,25 @@ class TestVectorizedSeqScanChoice:
         assert type(operator) is vectorized.VecSeqScanOperator
         assert ctx.shared_scans.attachments == 0
 
-    @pytest.mark.parametrize("parallelism", (1, 2))
-    def test_allow_exchange_false_gets_the_plain_scan(self, parallelism):
+    def test_allow_shared_false_gets_the_plain_scan(self):
         db = self.database()
-        ctx = self.context(db, parallelism=parallelism)
+        ctx = self.context(db)
         operator = build_scan(SCAN, db.catalog, ctx, ["a1"],
-                              allow_exchange=False)
+                              allow_shared=False)
         assert type(operator) is vectorized.VecSeqScanOperator
         assert ctx.shared_scans.attachments == 0
 
-    @pytest.mark.parametrize("shared", (True, False))
-    def test_parallel_context_gets_the_exchange(self, shared):
+    def test_context_without_coordinator_gets_the_plain_scan(self):
         db = self.database()
-        ctx = self.context(db, shared=shared, parallelism=2)
+        ctx = self.context(db, shared=False)
         operator = build_scan(SCAN, db.catalog, ctx, ["a1"])
-        assert type(operator) is VecExchangeOperator
+        assert type(operator) is vectorized.VecSeqScanOperator
         assert operator.batch_size == ctx.execution.batch_size
-        if shared:
-            assert ctx.shared_scans.attachments == 0
 
     def test_tuple_engine_ignores_all_of_it(self):
         db = self.database()
         ctx = make_context(db.catalog, "tuple")
-        ctx.shared_scans = SharedScanCoordinator(db)
+        ctx.shared_scans = SharedScanCoordinator()
         operator = build_scan(SCAN, db.catalog, ctx, ["a1"])
         assert type(operator) is operators.SeqScanOperator
         assert ctx.shared_scans.attachments == 0

@@ -1,12 +1,10 @@
-"""The measurement grid: address-space checkpoints, warmed-build reuse and
-parallel cell dispatch.
+"""The measurement grid: address-space checkpoints and warmed-build reuse.
 
 The grid's contract is that caching one warmed database build per
 layout changes *nothing*: the address-space checkpoint/restore makes a
 session against the cached build allocate at the same addresses as against
 a fresh build, so rows and simulated cycles are identical -- and therefore
-independent of how many cells ran before, which is what makes the cells
-independently dispatchable to a process pool.
+independent of how many cells ran before.
 """
 
 from __future__ import annotations
@@ -21,9 +19,8 @@ from repro.workloads.micro import MicroWorkloadConfig
 TINY = MicroWorkloadConfig(scale=0.001)
 
 
-def tiny_runner(grid_workers: int = 1) -> ExperimentRunner:
-    return ExperimentRunner(ExperimentConfig(micro=TINY, os_interference=False,
-                                             grid_workers=grid_workers))
+def tiny_runner() -> ExperimentRunner:
+    return ExperimentRunner(ExperimentConfig(micro=TINY, os_interference=False))
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +89,3 @@ class TestGridDatabaseReuse:
         assert first.rows == second.rows
         assert first.counters.as_dict() == second.counters.as_dict()
 
-    def test_serial_and_parallel_dispatch_agree(self):
-        cells = [Cell(query=kind, knobs={"engine": engine})
-                 for engine in ("tuple", "vectorized") for kind in ("SRS", "SJ")]
-        serial = tiny_runner().map_cells(ExperimentRunner.measure, cells)
-        forked = tiny_runner(grid_workers=3)
-        forked.build(cells[0])
-        parallel = forked.map_cells(ExperimentRunner.measure, cells)
-        assert len(serial) == len(parallel) == len(cells)
-        for one, other in zip(serial, parallel):
-            assert one.rows == other.rows
-            assert one.counters.as_dict() == other.counters.as_dict()

@@ -1,6 +1,8 @@
 """Tests for the hardware event-counter register file."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.counters import (EVENT_DESCRIPTIONS, EVENT_NAMES, EventCounters,
                                      MODE_SUP, MODE_USER, UnknownEventError)
@@ -103,3 +105,21 @@ class TestEventCounters:
         counters = EventCounters.from_dict({"INST_RETIRED": 5}, {"INST_RETIRED": 2})
         counters.reset()
         assert counters.total("INST_RETIRED") == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.dictionaries(
+    st.sampled_from(("INST_RETIRED", "DATA_MEM_REFS", "DCU_LINES_IN",
+                     "L2_DATA_MISS", "BR_MISS_PRED_RETIRED")),
+    st.integers(min_value=0, max_value=10_000), max_size=5),
+    min_size=1, max_size=6),
+    st.randoms())
+def test_event_counters_merge_commutes(parts, rnd):
+    counter_parts = [EventCounters.from_dict(part) for part in parts]
+    shuffled = list(counter_parts)
+    rnd.shuffle(shuffled)
+    merged = EventCounters()
+    for counters in shuffled:
+        merged.merge(counters)
+    for event in {event for part in parts for event in part}:
+        assert merged.get(event) == sum(part.get(event, 0) for part in parts)

@@ -187,16 +187,8 @@ def test_select_matches_oracle(data, outcomes):
     assert assert_backends_agree("select", positions, outcomes)[1] == np.intp
 
 
-def _without_nan(keys: np.ndarray) -> np.ndarray:
-    """``hash(nan)`` is the float object's identity (CPython >= 3.10), so a
-    NaN key has no reproducible hash to compare against."""
-    if keys.dtype.kind == "f":
-        return keys[~np.isnan(keys)]
-    return keys
-
-
 @settings(max_examples=300, deadline=None)
-@given(keys=typed_vectors().map(_without_nan),
+@given(keys=typed_vectors(),
        buckets=st.integers(min_value=1, max_value=2**40))
 def test_bucket_indices_match_python_hash(keys, buckets):
     expected = [key_hash(key) % buckets for key in keys.tolist()]
@@ -206,7 +198,7 @@ def test_bucket_indices_match_python_hash(keys, buckets):
 
 
 @settings(max_examples=300, deadline=None)
-@given(keys=typed_vectors().map(_without_nan),
+@given(keys=typed_vectors(),
        level=st.integers(min_value=0, max_value=4),
        count=st.integers(min_value=1, max_value=64))
 def test_spill_partitions_match_scalar_finalizer(keys, level, count):

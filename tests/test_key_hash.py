@@ -3,9 +3,11 @@
 ``hash(str)`` is salted per process and ``hash(None)`` comes from an
 address, so a join keyed on a ``CHAR`` column charged different buckets --
 different cache lines, different cycle counts -- from one process to the
-next.  ``key_hash`` is the one hash every bucket and partition is chosen by:
-numbers hash exactly as ``hash`` does (no committed count moves), text and
-bytes through ``zlib.crc32``, ``None`` to a constant.
+next.  ``hash(nan)`` comes from the float object's address too, so a NaN
+key moved from run to run even inside one process.  ``key_hash`` is the one
+hash every bucket and partition is chosen by: numbers hash exactly as
+``hash`` does (no committed count moves), text and bytes through
+``zlib.crc32``, ``None`` and every NaN each to a constant.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ import sys
 import zlib
 from pathlib import Path
 
+from repro.engine import Database, Session
 from repro.execution.kernels import (ARRAY_KERNELS, PYTHON_KERNELS, key_hash,
                                      spill_partition_of)
-from repro.storage.schema import vector_of
+from repro.query import JoinQuery, count_star
+from repro.storage.schema import ColumnType, vector_of
+from repro.systems import SYSTEM_B
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -50,6 +55,42 @@ def test_text_bytes_and_none_are_process_independent():
         key_hash(k) % 7 for k in keys]
     assert ARRAY_KERNELS.spill_partitions(vector, 2, 5).tolist() == [
         spill_partition_of(k, 2, 5) for k in keys]
+
+
+def test_every_nan_hashes_alike():
+    first, second = float("nan"), float("inf") - float("inf")
+    assert first is not second and hash(first) != hash(second)
+    assert key_hash(first) == key_hash(second) != key_hash(0.0)
+    for keys in ([first, second], vector_of([first, second], "<f8")):
+        for kernels in (PYTHON_KERNELS, ARRAY_KERNELS):
+            if kernels is ARRAY_KERNELS and isinstance(keys, list):
+                continue  # the array backend takes arrays only
+            buckets = list(kernels.bucket_indices(keys, 1 << 20))
+            partitions = list(kernels.spill_partitions(keys, 1, 1 << 20))
+            assert buckets[0] == buckets[1] == key_hash(first) % (1 << 20)
+            assert partitions[0] == partitions[1] == spill_partition_of(
+                first, 1, 1 << 20)
+
+
+def _float_key_join():
+    """A vectorized hash join on a FLOAT64 key column that holds NaNs."""
+    db = Database()
+    for name, count in (("P", 300), ("Q", 60)):
+        db.create_table(name, [("k", ColumnType.FLOAT64),
+                               ("v", ColumnType.INT32)], record_size=64)
+        db.load(name, [(float("nan") if i % 3 == 0 else float(i % 20), i)
+                       for i in range(count)])
+    with Session(db, SYSTEM_B, os_interference=None,
+                 engine="vectorized") as session:
+        result = session.execute(JoinQuery("P", "Q", "k", "k", (count_star(),)),
+                                 warmup_runs=0)
+        return result.rows, dict(result.counters.user)
+
+
+def test_nan_key_join_counts_repeat():
+    first, second = _float_key_join(), _float_key_join()
+    assert first[0] == second[0]
+    assert first[1] == second[1]
 
 
 #: A CHAR-key join of 400 x 40 rows on System B, in the tuple engine, the

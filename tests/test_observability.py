@@ -4,7 +4,7 @@ The identity wall: ``tracing="off"`` must run the exact untraced code
 path, and ``"spans"``/``"full"`` must change **zero** simulated counts —
 identical result rows, identical cache/TLB/branch/event counts, identical
 routine invocations — on every planner-producible plan shape, both page
-layouts, both charge modes and under morsel parallelism.  Tracing only
+layouts and both charge modes.  Tracing only
 *reads* hardware state between charges, so any divergence is a bug in the
 span machinery, not noise.
 
@@ -22,38 +22,43 @@ from contextlib import nullcontext
 
 import pytest
 
-from oracle import in_process_morsels, morsel_pages as pin_morsel_pages
 from repro.engine import Session
+from repro.execution.parallel import SharedScanCoordinator
+from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.observability import (Tracer, chrome_trace, chrome_trace_json,
                                  render_trace, trace_to_dict)
 from repro.query.plans import ExecutionConfig
 from repro.systems import SYSTEM_B
+from repro.workloads.micro import MicroWorkloadConfig
 
-from test_parallel_execution import (PLAN_SHAPES, build_database,
-                                     hardware_counts)
+from test_shared_scans import PLAN_SHAPES, build_database
+from test_vectorized_equivalence import hardware_counts
 
 TRACED_MODES = ("spans", "full")
 
 
 def run_traced(shape: str, tracing: str, layout: str = "nsm",
-               charging=nullcontext, parallelism: int = 1,
-               morsel_pages=None, memory_budget_bytes=None):
+               charging=nullcontext, memory_budget_bytes=None,
+               shared_scans: bool = False):
     """Execute one plan shape and return rows/counts/invocations + trace.
 
     ``charging`` is ``nullcontext`` (production bulk charging) or the
-    ``charging`` fixture's per-address oracle."""
+    ``charging`` fixture's per-address oracle.  ``shared_scans`` gives the
+    session a shared-scan coordinator, so its sequential scans are recorded
+    and their charge tapes replayed."""
     query, policy = PLAN_SHAPES[shape]()
     profile = policy if hasattr(policy, "key") else SYSTEM_B
     db = build_database(layout_style=layout)
-    with charging(), in_process_morsels():
+    with charging():
         session = Session(db, profile, os_interference=None,
-                          engine="vectorized", parallelism=parallelism,
+                          engine="vectorized",
                           memory_budget_bytes=memory_budget_bytes,
                           tracing=tracing)
     if not hasattr(policy, "key"):
         session.planner.policy = policy
-    with pin_morsel_pages(morsel_pages):
-        result = session.execute(query, warmup_runs=0)
+    if shared_scans:
+        session.context.shared_scans = SharedScanCoordinator()
+    result = session.execute(query, warmup_runs=0)
     session.processor.finalize()
     counts = hardware_counts(session.processor)
     invocations = dict(session.context.op_invocations)
@@ -90,16 +95,17 @@ def test_tracing_identical_under_both_charge_modes(charging):
 
 
 @pytest.mark.parametrize("shape", ("agg_seq_scan", "hash_join"))
-def test_tracing_identical_under_morsel_parallelism(shape):
-    baseline = run_traced(shape, "off", parallelism=2, morsel_pages=1)
+def test_tracing_identical_under_shared_scans(shape):
+    baseline = run_traced(shape, "off", shared_scans=True)
     for mode in TRACED_MODES:
-        traced = run_traced(shape, mode, parallelism=2, morsel_pages=1)
+        traced = run_traced(shape, mode, shared_scans=True)
         assert traced["rows"] == baseline["rows"]
         assert traced["counts"] == baseline["counts"]
-    # ... and tracing under workers matches untraced serial execution too.
-    serial = run_traced(shape, "off")
-    assert baseline["rows"] == serial["rows"]
-    assert baseline["counts"] == serial["counts"]
+        assert traced["invocations"] == baseline["invocations"]
+    # ... and a replayed scan matches the plain scan's counts too.
+    solo = run_traced(shape, "off")
+    assert baseline["rows"] == solo["rows"]
+    assert baseline["counts"] == solo["counts"]
 
 
 def test_tracing_identical_with_spill_budget():
@@ -126,10 +132,12 @@ def test_root_span_matches_finalized_counters(shape):
     assert synthesized == finalized
 
 
-@pytest.mark.parametrize("parallelism,morsel_pages", [(1, None), (2, 1)])
-def test_self_deltas_sum_to_root(parallelism, morsel_pages):
-    traced = run_traced("hash_join", "spans", parallelism=parallelism,
-                        morsel_pages=morsel_pages)
+@pytest.mark.parametrize("tracing,shared_scans",
+                         [("spans", False), ("full", True)])
+def test_self_deltas_sum_to_root(tracing, shared_scans):
+    """Also under shared scans, whose full-mode replay subspans nest inside
+    the scan operator's span."""
+    traced = run_traced("hash_join", tracing, shared_scans=shared_scans)
     root = traced["trace"]
     processor = traced["processor"]
     totals = {}
@@ -150,14 +158,28 @@ def test_update_trace_has_apply_span():
     assert "query_setup" in names
 
 
+def shared_scan_round_traces(tracing: str):
+    """Traces of two identical scans served in one admission round: the
+    first records the scan, and both replay its charge tapes."""
+    runner = ExperimentRunner(ExperimentConfig(
+        micro=MicroWorkloadConfig(scale=0.001), os_interference=False))
+    server = runner.serving_server("nsm", max_concurrency=2,
+                                   result_cache=False, tracing=tracing)
+    query = runner.micro_workload.sequential_range_selection()
+    futures = [server.submit(query) for _ in range(2)]
+    server.run_until_idle()
+    assert server.stats.shared_scan_reuses == 1
+    return [future.outcome.result.trace for future in futures]
+
+
 def test_full_mode_records_replay_subspans():
-    traced = run_traced("agg_seq_scan", "full", parallelism=2,
-                        morsel_pages=1)
-    kinds = {node.kind for _, node in traced["trace"].walk()}
-    assert "replay" in kinds
+    for trace in shared_scan_round_traces("full"):
+        replays = [node for _, node in trace.walk() if node.kind == "replay"]
+        assert replays
+        assert {node.name for node in replays} == {"shared_scan_replay"}
     # spans mode keeps the tree operator-only: no replay subspans.
-    lean = run_traced("agg_seq_scan", "spans", parallelism=2, morsel_pages=1)
-    assert "replay" not in {node.kind for _, node in lean["trace"].walk()}
+    for trace in shared_scan_round_traces("spans"):
+        assert "replay" not in {node.kind for _, node in trace.walk()}
 
 
 # --------------------------------------------------------------- exports

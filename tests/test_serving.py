@@ -24,12 +24,13 @@ from dataclasses import replace
 
 import pytest
 
+from repro.execution.parallel import TapeRecorder
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.query import SelectionQuery, count_star, range_predicate
 from repro.query.plans import UpdateQuery
 from repro.serving import PlanCache, ResultCache, Server, normalize_query
 from repro.serving.server import ClassStats
-from repro.systems import system_by_key
+from repro.systems import SYSTEM_B, system_by_key
 from repro.workloads import (MicroWorkloadConfig, ServingTraceConfig,
                              build_trace, percentile, run_open_loop)
 
@@ -140,6 +141,21 @@ class TestCountIdentity:
                     == future.outcome.result.counters.as_dict())
             hits.append(future.outcome.result.counters.as_dict())
         assert hits[0] == hits[1]
+
+    def test_tape_recorder_records_and_counts_invocations(self):
+        """A shared scan's recording context: every charge lands on the
+        tape in call order, and invocations count as the real context's."""
+        recorder = TapeRecorder(SYSTEM_B)
+        recorder.visit("scan_next")
+        recorder.visit_batch("predicate", 10)
+        recorder.visit_batch("predicate", 0)     # no-op, like the real context
+        recorder.read_address(0x100, 8)
+        recorder.record_done(3)
+        recorder.row_produced(2)
+        ops = recorder.take()
+        assert [op[0] for op in ops] == ["v", "vb", "dr", "rd", "rp"]
+        assert recorder.op_invocations == {"scan_next": 1, "predicate": 1}
+        assert recorder.take() == []             # tape drained
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ probe-major order, with the same dict-merge column order.  These tests pin
 that contract deterministically (a ladder of budgets straddling the build
 side's footprint), adversarially (Hypothesis drawing random budgets, batch
 sizes and layouts) and across the other engine axes (tuple engine, charge
-modes, morsel workers).
+modes).
 
 Also covered here: the hash-area resize when the observed build
 cardinality exceeds the planner's estimate (satellite of the same PR), the
@@ -35,8 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.execution.vectorized as vectorized_mod
-from oracle import (PerAddressContext, in_process_morsels, per_address_sessions,
-                    pickled_spill_files)
+from oracle import PerAddressContext, per_address_sessions, pickled_spill_files
 from reference_machine import reference_machine
 from repro.adaptive.policy import (MAX_PARTITIONS, AdaptivePolicy,
                                    GreedyRankPolicy, plan_partition_count)
@@ -54,7 +53,7 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.schema import ColumnType
 from repro.systems import SYSTEM_B
 
-from test_parallel_execution import hardware_counts
+from test_vectorized_equivalence import hardware_counts
 
 R_ROWS = 108
 S_ROWS = 12
@@ -367,19 +366,7 @@ def test_hypothesis_random_budgets_are_invisible(budget, layout, batch_size):
     assert rows == reference
 
 
-class TestMorselWorkers:
-    @pytest.mark.parametrize("budget", [None, BUILD_BYTES // 2])
-    def test_parallel_session_rows_match_serial(self, budget):
-        results = {}
-        for workers in (1, 2):
-            db = build_database("pax")
-            with in_process_morsels():
-                session = Session(db, SYSTEM_B, os_interference=None,
-                                  engine="vectorized", parallelism=workers,
-                                  memory_budget_bytes=budget)
-            results[workers] = session.execute(JOIN_QUERY).rows
-        assert results[2] == results[1]
-
+class TestSessionBudget:
     def test_session_threads_budget_to_context(self):
         db = build_database("nsm")
         session = Session(db, SYSTEM_B, os_interference=None,

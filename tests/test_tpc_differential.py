@@ -6,15 +6,15 @@ The contract mirrors the microbenchmark differential suite
 * **Rows are engine-independent.**  Every TPC-D query and every TPC-C
   statement (selections *and* updates) returns row-for-row identical
   results under the tuple and vectorized engines, under bulk and
-  per-address charging, at every worker count and kernel backend.  Across
+  per-address charging, and with either kernel backend.  Across
   engines the ``query_setup`` charge counts also match (the PR 1
   contract); the *hardware* counts differ across engines by design --
   that difference IS the engine ablation.
 * **Counts are identical across the identity walls.**  For a fixed engine,
   the simulated event counters are bit-identical across production (span)
-  charging vs the per-address oracle (``oracle.PerAddressContext``),
-  ``parallelism`` 1 vs 4, and the python vs array kernel backends -- each
-  is a simulator implementation choice, never a model change.
+  charging vs the per-address oracle (``oracle.PerAddressContext``) and
+  the python vs array kernel backends -- each is a simulator
+  implementation choice, never a model change.
 
 Everything measures on the warmed TPC grids (one build per layout,
 checkpoints restored per arm), so the suite doubles as the regression test
@@ -41,7 +41,6 @@ ENGINES = ("tuple", "vectorized")
 #: How an arm's sessions charge: through the per-address oracle or the
 #: production (span) context.
 CHARGING = {"per_address": per_address_sessions, "span": nullcontext}
-WORKER_COUNTS = (1, 4)
 KERNEL_BACKENDS = ("python", "array")
 
 
@@ -61,14 +60,14 @@ def runner() -> ExperimentRunner:
 
 
 # ---------------------------------------------------------------- TPC-D rows
-def _tpcd_session(runner, engine, charge_mode="span", workers=1,
+def _tpcd_session(runner, engine, charge_mode="span",
                   kernel_backend="auto", layout="nsm") -> Session:
     database, checkpoint = runner.tpcd_grid_database(layout)
     database.address_space.restore(checkpoint)
     with CHARGING[charge_mode]():
         return Session(database, system_by_key("B"), spec=runner.config.spec,
                        os_interference=None, engine=engine,
-                       parallelism=workers, kernel_backend=kernel_backend)
+                       kernel_backend=kernel_backend)
 
 
 def _tpcd_rows_and_setups(runner, **session_knobs):
@@ -92,35 +91,30 @@ def test_tpcd_rows_identical_across_matrix(runner, layout):
         "every TPC-D query aggregates to at least one row"
     for engine in ENGINES:
         for charge_mode in CHARGING:
-            for workers in WORKER_COUNTS:
-                for backend in KERNEL_BACKENDS:
-                    rows, setups = _tpcd_rows_and_setups(
-                        runner, engine=engine, charge_mode=charge_mode,
-                        workers=workers, kernel_backend=backend,
-                        layout=layout)
-                    assert rows == reference_rows, (
-                        f"rows diverged: {engine}/{charge_mode}/w{workers}"
-                        f"/{backend}/{layout}")
-                    assert setups == reference_setups, (
-                        f"query_setup charges diverged: {engine}/"
-                        f"{charge_mode}/w{workers}/{backend}/{layout}")
+            for backend in KERNEL_BACKENDS:
+                rows, setups = _tpcd_rows_and_setups(
+                    runner, engine=engine, charge_mode=charge_mode,
+                    kernel_backend=backend, layout=layout)
+                assert rows == reference_rows, (
+                    f"rows diverged: {engine}/{charge_mode}/{backend}/{layout}")
+                assert setups == reference_setups, (
+                    f"query_setup charges diverged: {engine}/"
+                    f"{charge_mode}/{backend}/{layout}")
 
 
 # -------------------------------------------------------------- TPC-D counts
 def test_tpcd_counts_identical_across_walls(runner):
-    """Bulk charging, workers and kernel backend never change the counts:
-    every production arm equals the serial per-address oracle."""
+    """Bulk charging and kernel backend never change the counts: every
+    production arm equals the per-address oracle."""
     for engine in ENGINES:
         cell = Cell(dataset="tpcd", knobs={"engine": engine})
         with per_address_sessions(), runner.session(cell) as session:
             reference = runner.execute(cell, session).counters.as_dict()
-        for workers in WORKER_COUNTS:
-            for backend in KERNEL_BACKENDS:
-                arm = runner.tpcd_grid_result(
-                    "nsm", engine=engine, parallelism=workers,
-                    kernel_backend=backend)
-                assert arm.counters.as_dict() == reference, (
-                    f"counts diverged: {engine}/w{workers}/{backend}")
+        for backend in KERNEL_BACKENDS:
+            arm = runner.tpcd_grid_result("nsm", engine=engine,
+                                          kernel_backend=backend)
+            assert arm.counters.as_dict() == reference, (
+                f"counts diverged: {engine}/{backend}")
 
 
 def test_tpcd_engines_differ_in_counts_by_design(runner):
@@ -132,7 +126,7 @@ def test_tpcd_engines_differ_in_counts_by_design(runner):
 
 
 # ---------------------------------------------------------------- TPC-C rows
-def _tpcc_statement_rows(runner, engine, charge_mode="span", workers=1,
+def _tpcc_statement_rows(runner, engine, charge_mode="span",
                          kernel_backend="auto", layout="nsm"):
     """Rows of every statement of a fixed transaction stream, one arm.
 
@@ -150,8 +144,7 @@ def _tpcc_statement_rows(runner, engine, charge_mode="span", workers=1,
     with CHARGING[charge_mode]():
         session = Session(database, oltp_variant(system_by_key("B")),
                           spec=runner.config.spec, os_interference=None,
-                          engine=engine, parallelism=workers,
-                          kernel_backend=kernel_backend)
+                          engine=engine, kernel_backend=kernel_backend)
     with session:
         for txn in workload.transactions(TXNS, seed=1234):
             for statement in txn.statements:
@@ -169,22 +162,19 @@ def test_tpcc_rows_identical_across_matrix(runner, layout):
         "the mix must contain applied updates"
     for engine in ENGINES:
         for charge_mode in CHARGING:
-            for workers in WORKER_COUNTS:
-                for backend in KERNEL_BACKENDS:
-                    rows, setups = _tpcc_statement_rows(
-                        runner, engine=engine, charge_mode=charge_mode,
-                        workers=workers, kernel_backend=backend,
-                        layout=layout)
-                    assert rows == reference_rows, (
-                        f"rows diverged: {engine}/{charge_mode}/w{workers}"
-                        f"/{backend}/{layout}")
-                    assert setups == reference_setups, (
-                        f"query_setup charges diverged: {engine}/"
-                        f"{charge_mode}/w{workers}/{backend}/{layout}")
+            for backend in KERNEL_BACKENDS:
+                rows, setups = _tpcc_statement_rows(
+                    runner, engine=engine, charge_mode=charge_mode,
+                    kernel_backend=backend, layout=layout)
+                assert rows == reference_rows, (
+                    f"rows diverged: {engine}/{charge_mode}/{backend}/{layout}")
+                assert setups == reference_setups, (
+                    f"query_setup charges diverged: {engine}/"
+                    f"{charge_mode}/{backend}/{layout}")
 
 
 # -------------------------------------------------------------- TPC-C counts
-def _tpcc_counters(runner, engine, charge_mode="span", workers=1,
+def _tpcc_counters(runner, engine, charge_mode="span",
                    kernel_backend="auto", layout="nsm"):
     """Full measured counters of the driven mix for one matrix arm."""
     database, workload, checkpoint, data = runner.tpcc_grid_database(layout)
@@ -193,8 +183,7 @@ def _tpcc_counters(runner, engine, charge_mode="span", workers=1,
     with CHARGING[charge_mode]():
         session = Session(database, oltp_variant(system_by_key("B")),
                           spec=runner.config.spec, os_interference=None,
-                          engine=engine, parallelism=workers,
-                          kernel_backend=kernel_backend)
+                          engine=engine, kernel_backend=kernel_backend)
     with session:
         counters, _, _, executed = workload.run(
             session, transactions=TXNS, warmup_transactions=2)
@@ -206,15 +195,11 @@ def test_tpcc_counts_identical_across_walls(runner):
     for engine in ENGINES:
         reference = _tpcc_counters(runner, engine, charge_mode="per_address")
         for charge_mode in CHARGING:
-            for workers in WORKER_COUNTS:
-                for backend in KERNEL_BACKENDS:
-                    arm = _tpcc_counters(runner, engine,
-                                         charge_mode=charge_mode,
-                                         workers=workers,
-                                         kernel_backend=backend)
-                    assert arm == reference, (
-                        f"counts diverged: {engine}/{charge_mode}"
-                        f"/w{workers}/{backend}")
+            for backend in KERNEL_BACKENDS:
+                arm = _tpcc_counters(runner, engine, charge_mode=charge_mode,
+                                     kernel_backend=backend)
+                assert arm == reference, (
+                    f"counts diverged: {engine}/{charge_mode}/{backend}")
 
 
 def test_tpcc_grid_repeat_identity(runner):

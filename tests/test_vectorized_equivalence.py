@@ -25,7 +25,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from oracle import PerAddressContext, in_process_morsels, morsel_pages
+from oracle import PerAddressContext
 from reference_machine import reference_machine
 from repro.engine import Database, Session
 from repro.execution import ExecutionContext, execute_plan, execute_update
@@ -264,29 +264,6 @@ def test_pax_and_nsm_return_identical_results():
                 predicate=range_predicate("a2", 10, 40)), warmup_runs=0)
             rows[style] = result.rows
         assert rows["nsm"] == rows["pax"]
-
-
-# ---------------------------------------------------------------------------
-# Morsel parallelism: identical rows and counts for every worker count
-# (the full per-shape matrix lives in tests/test_parallel_execution.py)
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("layout_style", ("nsm", "pax"))
-def test_parallel_workers_match_serial_engine(layout_style):
-    outcomes = {}
-    for workers in (1, 3):
-        db = build_database(layout_style=layout_style)
-        with in_process_morsels():
-            session = Session(db, SYSTEM_B, os_interference=None,
-                              engine="vectorized", parallelism=workers)
-        with morsel_pages(1):
-            result = session.execute(SelectionQuery(
-                table="R", aggregates=(avg("a3"), count_star()),
-                predicate=range_predicate("a2", 10, 40)), warmup_runs=0)
-        outcomes[workers] = (result.rows,
-                             result.counters.get("CPU_CLK_UNHALTED"),
-                             hardware_counts(session.processor))
-        session.close()
-    assert outcomes[3] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------
