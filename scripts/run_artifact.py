@@ -27,8 +27,7 @@ count shows up as a cell of that diff.
 
 ``--scale`` picks the dataset preset: ``ci`` finishes in seconds (the
 committed baseline), ``small`` is a quick local run, ``full`` is the repo's
-default reduced-paper scale.  ``--adaptivity`` adds a greedy-adaptive
-TPC-D arm.
+default reduced-paper scale.
 
 Usage::
 
@@ -51,9 +50,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from pathlib import Path
 
-from repro.experiments.artifact import (ArtifactError, ArtifactOptions,
-                                        diff_csvs, emit_csvs, render_plots,
-                                        run_all)
+from repro.experiments.artifact import (ArtifactError, diff_csvs, emit_csvs,
+                                        render_plots, run_all)
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "benchmarks" / "results" / "artifact"
 STAGES = ("run_all", "csv", "plot", "all", "diff")
@@ -71,8 +69,6 @@ def main(argv=None) -> int:
                         default="full", help="dataset scale preset")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
                         help="results directory (default benchmarks/results/artifact)")
-    parser.add_argument("--adaptivity", action="store_true",
-                        help="add a greedy-adaptive TPC-D matrix arm")
     args = parser.parse_args(argv)
 
     if len(args.dirs) != (2 if args.stage == "diff" else 0):
@@ -89,12 +85,10 @@ def main(argv=None) -> int:
               f"{args.dirs[0]} and {args.dirs[1]}")
         return 1 if differences else 0
 
-    options = ArtifactOptions(adaptivity=args.adaptivity)
-
     started = time.time()
     try:
         if args.stage in ("run_all", "all"):
-            run_all(args.out, scale=args.scale, options=options)
+            run_all(args.out, scale=args.scale)
         if args.stage in ("csv", "all"):
             written = emit_csvs(args.out)
             print(f"[artifact] {len(written)} CSVs verified non-empty")

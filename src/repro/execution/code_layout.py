@@ -147,12 +147,3 @@ class CodeLayout:
 
     def segments(self) -> Dict[str, CodeSegment]:
         return dict(self._segments)
-
-    def hot_footprint_bytes(self, operations: Tuple[str, ...]) -> int:
-        """Unique hot-code bytes of a path touching the given routines."""
-        return sum(self._segments[op].hot_bytes for op in dict.fromkeys(operations))
-
-    def total_code_bytes(self) -> int:
-        """Hot code plus the cold pool (the system's instruction footprint)."""
-        return (sum(seg.hot_bytes for seg in self._segments.values())
-                + self.profile.cold_code_pool_bytes)

@@ -461,18 +461,9 @@ class ExecutionContext:
         the whole record (slot parsing / record copy), which is what drives
         their higher L2 data-miss counts per record.
         """
-        _, columns, nsm_loads, pax_loads, decoders, _ = self._plan(layout, columns)
-        processor = self.processor
-        page, slot = entry.page, entry.slot
-        if getattr(page, "columnar", False):
-            for offset, width in pax_loads:
-                processor.data_read(page.field_address(slot, offset), width)
-        else:
-            # One charged call: the same addresses, in the same order, as a
-            # ``data_read`` per load.
-            processor.data_read_fields(entry.address, nsm_loads)
+        decoders = self.charge_fields(entry, layout, columns)
         # The record's NSM image (on PAX gathered from its minipages).
-        view = page.record_view(slot)
+        view = entry.page.record_view(entry.slot)
         out = {}
         for column, offset, code, width in decoders:
             if code is None:
@@ -481,6 +472,24 @@ class ExecutionContext:
             else:
                 out[column] = struct.unpack_from(code, view, offset)[0]
         return out
+
+    def charge_fields(self, entry: ScanEntry, layout: RecordLayout,
+                      columns: Sequence[str]) -> tuple:
+        """The charge half of :meth:`read_fields`: the same loads, in the
+        same order, on NSM and PAX; nothing is decoded.  Returns the
+        columns' ``(column, offset, struct code, width)`` decoders."""
+        _, _, nsm_loads, pax_loads, decoders, _ = self._plan(layout, columns)
+        page = entry.page
+        if getattr(page, "columnar", False):
+            processor = self.processor
+            slot = entry.slot
+            for offset, width in pax_loads:
+                processor.data_read(page.field_address(slot, offset), width)
+        else:
+            # One charged call: the same addresses, in the same order, as a
+            # ``data_read`` per load.
+            self.processor.data_read_fields(entry.address, nsm_loads)
+        return decoders
 
     def load_step(self, page, layout: RecordLayout,
                   columns: Sequence[str]) -> tuple:

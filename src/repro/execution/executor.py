@@ -74,12 +74,11 @@ def build_scan(plan: ScanPlan, catalog: Catalog, ctx: ExecutionContext,
     if isinstance(plan, (IndexRangeScanPlan, IndexPointLookupPlan)):
         table = catalog.table(plan.table)
         index = ctx.index_for(table, plan.column)
-        columns = ctx.columns_for_table(table, output_columns)
         if isinstance(plan, IndexPointLookupPlan):
             lookup = (VecIndexPointLookupOperator if vectorized
                       else IndexPointLookupOperator)
-            return lookup(table, index, ctx, value=plan.value,
-                          output_columns=columns, **sized)
+            return lookup(table, index, ctx, value=plan.value, **sized)
+        columns = ctx.columns_for_table(table, output_columns)
         range_scan = (VecIndexRangeScanOperator if vectorized
                       else IndexRangeScanOperator)
         return range_scan(table, index, ctx, low=plan.low, high=plan.high,
@@ -209,7 +208,6 @@ def execute_update(plan: UpdatePlan, catalog: Catalog, ctx: ExecutionContext,
             ctx.visit("query_setup")
     table = catalog.table(plan.lookup.table)
     lookup = build_scan(plan.lookup, catalog, ctx,
-                        output_columns=table.schema.column_names(),
                         allow_shared=False)  # updates mutate the heap
     apply_cm = None
     if tracer is not None:

@@ -230,15 +230,17 @@ class IndexRangeScanOperator(Operator):
 
 
 class IndexPointLookupOperator(Operator):
-    """Exact-match index lookup returning the matching heap rows."""
+    """Exact-match index lookup (the update path's access plan): charges
+    the read of every column of each matching record and yields its
+    ``__rid__`` alone, the one value the update reads."""
 
     def __init__(self, table: Table, index: BTreeIndex, ctx: ExecutionContext,
-                 value, output_columns: Sequence[str] = ()) -> None:
+                 value) -> None:
         self.table = table
         self.index = index
         self.ctx = ctx
         self.value = value
-        self.output_columns = tuple(sorted({c.split(".")[-1] for c in output_columns}))
+        self.columns = tuple(sorted(table.schema.column_names()))
 
     def rows(self) -> Iterator[Row]:
         ctx = self.ctx
@@ -252,13 +254,10 @@ class IndexPointLookupOperator(Operator):
             ctx.visit("leaf_advance", data_taken=True)
             ctx.read_address(match.entry_address, 16)
             ctx.visit("rid_fetch")
-            entry = self.table.heap.fetch(match.rid)
-            row: Row = {}
-            columns = self.output_columns or self.table.schema.column_names()
-            row.update(ctx.read_fields(entry, layout, columns))
-            row["__rid__"] = match.rid
+            ctx.charge_fields(self.table.heap.fetch(match.rid), layout,
+                              self.columns)
             ctx.row_produced()
-            yield row
+            yield {"__rid__": match.rid}
         ctx.record_done()
 
 

@@ -445,14 +445,9 @@ def _charge_descent(ctx: ExecutionContext, index: BTreeIndex, key,
 def _fetch_leaf_chunk(ctx: ExecutionContext, table: Table, chunk: Sequence,
                       columns: Sequence[str]) -> Dict[str, np.ndarray]:
     """Advance over one chunk of leaf matches and fetch ``columns`` of the
-    heap records they point to: one amortised ``leaf_advance`` and one
-    ``rid_fetch`` invocation per chunk, the entry loads and record reads
-    per match."""
-    count = len(chunk)
-    ctx.visit_batch("leaf_advance", count)
-    for match in chunk:
-        ctx.read_address(match.entry_address, 16)
-    ctx.visit_batch("rid_fetch", count)
+    heap records they point to: the entry loads and record reads per
+    match."""
+    _advance_leaf_chunk(ctx, chunk)
     vectors: Dict[str, List] = {name: [] for name in columns}
     if columns:
         layout = table.layout
@@ -461,6 +456,16 @@ def _fetch_leaf_chunk(ctx: ExecutionContext, table: Table, chunk: Sequence,
             for name in columns:
                 vectors[name].append(fields[name])
     return _typed(table, vectors)
+
+
+def _advance_leaf_chunk(ctx: ExecutionContext, chunk: Sequence) -> None:
+    """One amortised ``leaf_advance`` and one ``rid_fetch`` invocation for
+    a chunk of leaf matches, and each match's entry load."""
+    count = len(chunk)
+    ctx.visit_batch("leaf_advance", count)
+    for match in chunk:
+        ctx.read_address(match.entry_address, 16)
+    ctx.visit_batch("rid_fetch", count)
 
 
 def _typed(table: Table, values: Dict[str, List]) -> Dict[str, np.ndarray]:
@@ -527,31 +532,33 @@ class VecIndexRangeScanOperator(VectorOperator):
 
 
 class VecIndexPointLookupOperator(VectorOperator):
-    """Batch exact-match index lookup (the update path's access plan)."""
+    """Batch exact-match index lookup (the update path's access plan):
+    charges the read of every column of each matching record and emits its
+    ``__rid__`` alone, the one value the update reads."""
 
     def __init__(self, table: Table, index: BTreeIndex, ctx: ExecutionContext,
-                 value, output_columns: Sequence[str] = (),
-                 batch_size: int = 256) -> None:
+                 value, batch_size: int = 256) -> None:
         self.table = table
         self.index = index
         self.ctx = ctx
         self.value = value
         self.batch_size = batch_size
-        self.output_columns = tuple(sorted({c.split(".")[-1] for c in output_columns}))
+        self.columns = tuple(sorted(table.schema.column_names()))
 
     def batches(self) -> Iterator[ColumnBatch]:
         ctx = self.ctx
         _charge_descent(ctx, self.index, self.value)
         matches = list(self.index.range_search(self.value, self.value,
                                                include_low=True, include_high=True))
-        columns = tuple(self.output_columns or self.table.schema.column_names())
+        fetch, layout = self.table.heap.fetch, self.table.layout
         for chunk in _chunked(matches, self.batch_size):
-            vectors = _fetch_leaf_chunk(ctx, self.table, chunk, columns)
+            _advance_leaf_chunk(ctx, chunk)
+            for match in chunk:
+                ctx.charge_fields(fetch(match.rid), layout, self.columns)
             # A RecordId is no sequence to numpy: one object per row.
-            vectors["__rid__"] = np.array([match.rid for match in chunk],
-                                          dtype=object)
+            rids = np.array([match.rid for match in chunk], dtype=object)
             ctx.row_produced(len(chunk))
-            yield ColumnBatch(vectors, len(chunk))
+            yield ColumnBatch({"__rid__": rids}, len(chunk))
         ctx.record_done()
 
 

@@ -12,7 +12,7 @@ Everything measures through one shared :class:`ExperimentRunner`, so the
 whole artifact costs one pass over the workloads: the microbenchmark grid
 figures (5.1--5.5) per page layout, the record-size and selectivity sweeps
 per layout, the TPC-D and TPC-C workloads under the modern engine matrix
-(tuple vs vectorized, optional adaptivity arm), the engine
+(tuple vs vectorized), the engine
 ablation, the three adaptivity experiments, the join under a memory budget,
 the serving layer's counts, and the two configuration tables (4.1/4.2).
 
@@ -45,13 +45,6 @@ class ArtifactError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ArtifactOptions:
-    """Cross-cutting knobs of the artifact run (the optional matrix arms)."""
-
-    adaptivity: bool = False
-
-
-@dataclass(frozen=True)
 class ArtifactSpec:
     """One artifact: a name, its CSV schema, and how to measure it.
 
@@ -63,7 +56,7 @@ class ArtifactSpec:
     name: str
     title: str
     columns: Tuple[str, ...]
-    build: Callable[[ExperimentRunner, ArtifactOptions], Dict]
+    build: Callable[[ExperimentRunner], Dict]
 
 
 # ---------------------------------------------------------------------- scale
@@ -94,16 +87,15 @@ def config_for_scale(scale: str) -> ExperimentConfig:
 
 
 # ------------------------------------------------------------------- builders
-def _per_layout(figure_fn) -> Callable[[ExperimentRunner, ArtifactOptions], Dict]:
+def _per_layout(figure_fn) -> Callable[[ExperimentRunner], Dict]:
     """Compose a single-layout figure across :data:`LAYOUTS`."""
-    def build(runner: ExperimentRunner, options: ArtifactOptions) -> Dict:
+    def build(runner: ExperimentRunner) -> Dict:
         return {layout: figure_fn(runner, layout=layout).data
                 for layout in LAYOUTS}
     return build
 
 
-def _selectivity_sweep(runner: ExperimentRunner,
-                       options: ArtifactOptions) -> Dict:
+def _selectivity_sweep(runner: ExperimentRunner) -> Dict:
     """Full selectivity sweep per layout (System D sequential selection)."""
     data: Dict[str, Dict[str, Dict[str, float]]] = {}
     for layout in LAYOUTS:
@@ -124,24 +116,8 @@ def _selectivity_sweep(runner: ExperimentRunner,
     return data
 
 
-def _tpcd_matrix(runner: ExperimentRunner, options: ArtifactOptions) -> Dict:
-    data = figures.tpcd_matrix(runner).data
-    if options.adaptivity:
-        for layout in LAYOUTS:
-            result = runner.tpcd_grid_result(layout, engine="vectorized",
-                                             adaptivity="greedy")
-            data[layout]["vectorized/adaptive"] = {
-                "cycles": float(result.breakdown.total_cycles),
-                "CPI": result.metrics.cpi,
-                "memory stall share": result.breakdown.shares()["memory"],
-                "instructions": float(result.counters.get("INST_RETIRED")),
-                "routine invocations": float(result.total_routine_invocations),
-            }
-    return data
-
-
-def _simple(figure_fn) -> Callable[[ExperimentRunner, ArtifactOptions], Dict]:
-    def build(runner: ExperimentRunner, options: ArtifactOptions) -> Dict:
+def _simple(figure_fn) -> Callable[[ExperimentRunner], Dict]:
+    def build(runner: ExperimentRunner) -> Dict:
         return figure_fn(runner).data
     return build
 
@@ -150,10 +126,10 @@ def _simple(figure_fn) -> Callable[[ExperimentRunner, ArtifactOptions], Dict]:
 REGISTRY: Tuple[ArtifactSpec, ...] = (
     ArtifactSpec("table_4_1", "Cache characteristics",
                  ("cache level", "characteristic", "value"),
-                 lambda runner, options: figures.table_4_1(runner.config.spec).data),
+                 lambda runner: figures.table_4_1(runner.config.spec).data),
     ArtifactSpec("table_4_2", "Measurement methods",
                  ("component", "field", "value"),
-                 lambda runner, options: figures.table_4_2().data),
+                 lambda runner: figures.table_4_2().data),
     ArtifactSpec("figure_5_1", "Execution time breakdown",
                  ("layout", "query", "system", "component", "share"),
                  _per_layout(figures.figure_5_1)),
@@ -188,7 +164,8 @@ REGISTRY: Tuple[ArtifactSpec, ...] = (
                  ("layout", "selectivity", "metric", "value"),
                  _selectivity_sweep),
     ArtifactSpec("tpcd_matrix", "TPC-D under the modern engine matrix",
-                 ("layout", "arm", "metric", "value"), _tpcd_matrix),
+                 ("layout", "arm", "metric", "value"),
+                 _simple(figures.tpcd_matrix)),
     ArtifactSpec("tpcc_matrix", "TPC-C under the modern engine matrix",
                  ("layout", "arm", "metric", "value"),
                  _simple(figures.tpcc_matrix)),
@@ -227,15 +204,13 @@ def raw_path(out_dir: Path) -> Path:
     return out_dir / "raw" / "measurements.json"
 
 
-def run_all(out_dir: Path, scale: str = "full",
-            options: ArtifactOptions = ArtifactOptions(),
-            echo=print) -> Path:
+def run_all(out_dir: Path, scale: str = "full", echo=print) -> Path:
     """Stage 1: measure every artifact and persist the raw JSON."""
     runner = ExperimentRunner(config_for_scale(scale))
     raw: Dict[str, Dict] = {}
     for spec in REGISTRY:
         echo(f"[artifact] measuring {spec.name} ...")
-        data = spec.build(runner, options)
+        data = spec.build(runner)
         if not data:
             raise ArtifactError(f"artifact {spec.name} produced no data")
         raw[spec.name] = {"title": spec.title, "columns": list(spec.columns),

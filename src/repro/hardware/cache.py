@@ -83,10 +83,6 @@ class CacheStats:
         return self.misses[PORT_DATA_READ] + self.misses[PORT_DATA_WRITE]
 
     @property
-    def instruction_accesses(self) -> int:
-        return self.accesses[PORT_INSTRUCTION]
-
-    @property
     def instruction_misses(self) -> int:
         return self.misses[PORT_INSTRUCTION]
 
@@ -107,9 +103,6 @@ class CacheStats:
         else:
             acc, mis = self.accesses[port], self.misses[port]
         return mis / acc if acc else 0.0
-
-    def data_miss_rate(self) -> float:
-        return self.data_misses / self.data_accesses if self.data_accesses else 0.0
 
     def as_dict(self) -> Dict[str, float]:
         out: Dict[str, float] = {
@@ -316,15 +309,6 @@ class CacheHierarchy:
     def write(self, addr: int, size: int = 4) -> int:
         """Data write; returns number of L1D misses incurred."""
         return self.l1d.access(addr, PORT_DATA_WRITE, size=size, write=True)
-
-    def read_strided(self, addr: int, stride: int, count: int, size: int) -> int:
-        """Bulk data read of ``count`` ``size``-byte elements ``stride`` apart.
-
-        Count-identical to ``count`` individual :meth:`read` calls in
-        ascending order; this is the data side of the span-charging fast
-        path (contiguous column vectors use ``stride == size``).
-        """
-        return self.l1d.access_strided(addr, stride, count, size, PORT_DATA_READ)
 
     # Instruction side ------------------------------------------------------
     def fetch(self, line_addr: int) -> int:

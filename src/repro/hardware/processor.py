@@ -58,7 +58,7 @@ from .cache import CacheHierarchy
 from .counters import EventCounters, MODE_SUP, MODE_USER, MODES, NativeBank
 from .memory import MainMemory
 from .os_interference import OSInterference, OSInterferenceConfig
-from .pipeline import CycleBreakdown, CycleModel, OverlapModel
+from .pipeline import CycleModel, OverlapModel
 from .specs import PENTIUM_II_XEON, ProcessorSpec
 from .tlb import TLB
 
@@ -420,12 +420,6 @@ class SimulatedProcessor:
         counters.add("CPU_CLK_UNHALTED", int(round(breakdown.total)))
         self._finalized = True
         return counters.snapshot()
-
-    def cycle_breakdown(self) -> CycleBreakdown:
-        """Ground-truth cycle breakdown for the counts accumulated so far."""
-        if not self._finalized:
-            self.finalize()
-        return self.cycle_model.assemble(self.counters)
 
     # -------------------------------------------------------------- queries
     def bandwidth_utilisation(self) -> float:

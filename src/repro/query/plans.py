@@ -291,10 +291,6 @@ class SeqScanPlan:
     table: str
     predicate: Optional[Expression] = None
 
-    @property
-    def access_path(self) -> str:
-        return "seq_scan"
-
 
 @dataclass(frozen=True)
 class IndexRangeScanPlan:
@@ -312,10 +308,6 @@ class IndexRangeScanPlan:
     include_high: bool = False
     residual_predicate: Optional[Expression] = None
 
-    @property
-    def access_path(self) -> str:
-        return "index_scan"
-
 
 @dataclass(frozen=True)
 class IndexPointLookupPlan:
@@ -324,10 +316,6 @@ class IndexPointLookupPlan:
     table: str
     column: str
     value: object
-
-    @property
-    def access_path(self) -> str:
-        return "index_lookup"
 
 
 ScanPlan = Union[SeqScanPlan, IndexRangeScanPlan, IndexPointLookupPlan]

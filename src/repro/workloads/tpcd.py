@@ -60,12 +60,6 @@ class TPCDConfig:
         if min(self.lineitem_rows, self.orders_rows, self.part_rows, self.supplier_rows) <= 0:
             raise ValueError("all row counts must be positive")
 
-    @property
-    def total_bytes(self) -> int:
-        return (self.lineitem_rows * self.lineitem_record_size
-                + (self.orders_rows + self.part_rows + self.supplier_rows)
-                * self.dimension_record_size)
-
 
 class TPCDWorkload:
     """Builds the synthetic DSS schema, data and 17-query suite."""

@@ -1,6 +1,7 @@
-"""The per-address charging oracle, the pickled spill file, the heap-walk
-selectivity sampler, the read-modify-write point update, the per-record
-tuple pipeline and the per-hit result rebuild.
+"""The per-address charging oracle, the Python kernels, the pickled spill
+file, the heap-walk selectivity sampler, the read-modify-write point update,
+the per-record tuple pipeline, the per-hit result rebuild and the
+record-at-a-time build, and the registry of them all.
 
 Production charging is bulk: :class:`~repro.execution.context.
 ExecutionContext` presents column-vector reads, full-record sweeps, page
@@ -62,34 +63,113 @@ from a record-at-a-time heap scan that decodes each record's key.
 and ``Catalog.create_index``, so a differential build checks every page,
 slot directory, pool frame, pin, address-space cursor and B-tree node of
 the column packer against them.
+
+:func:`python_kernels` puts the ``python`` kernel backend -- the oracle
+the ``array`` backend falls back to and is diffed against -- under every
+execution context and shared-scan recorder built inside the block, whatever
+``kernel_backend`` the session asked for.
+
+Every count-identical swap is registered in :data:`ORACLES`, keyed by name;
+``tests/test_reference_oracle.py`` runs the ``--scale ci`` artifact under
+each and requires the raw measurements, and every cell's rows, counter
+banks and routine invocations, to equal the native run's.  Each swap yields
+a :class:`~collections.Counter` of the events of its own path, so the test
+also sees that the swapped path ran.  Key: production path it shadows --
+the suites that keep the edge cases the artifact does not reach.
+
+- ``reference_machine`` (slow): ``_cachesim`` -- ``test_native_cache.py``,
+  ``test_native_charging.py``, ``test_read_through.py``.
+- ``per_address`` (slow): bulk charging -- ``test_vectorized_equivalence.py``,
+  ``test_spill_join.py``.
+- ``python_kernels``: ``ArrayKernels`` -- ``test_kernels.py``.
+- ``per_record_pipelines``: ``Context.pipeline`` page programs --
+  ``test_tuple_pipeline.py``, ``test_tuple_scan.py``.
+- ``pickled_spill_files``: column-run spill blocks -- ``test_spill_join.py``.
+- ``read_modify_write_updates``: ``Table.update_field`` --
+  ``test_update_field.py``.
+- ``per_row_builds``: ``HeapFile.pack`` and ``create_index`` --
+  ``test_columnar_build.py``.
+- ``heap_walk_estimate``: the index-extremes selectivity estimate --
+  ``test_query_layer.py``.
+- ``rebuilt_hit_result``: the memoized result-cache hit --
+  ``test_result_cache_hits.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import pickle
+from collections import Counter
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, ContextManager, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+import reference_machine as reference
 import repro.engine.session as session_mod
+import repro.execution.context as context_mod
+import repro.execution.parallel as parallel_mod
 import repro.execution.vectorized as vectorized_mod
 from repro.analysis.breakdown import ExecutionBreakdown
 from repro.analysis.metrics import compute_metrics
 from repro.engine.session import QueryResult
 from repro.execution.code_layout import LINE_BYTES
 from repro.execution.context import ExecutionContext
-from repro.execution.kernels import key_hash
+from repro.execution.kernels import PYTHON_KERNELS, PythonKernels, key_hash
 from repro.execution.operators import (HashJoinOperator, ScalarAggregateOperator,
                                        SeqScanOperator, row_value)
 from repro.hardware.counters import EventCounters
 from repro.observability import TraceNode
 from repro.query.expressions import AggregateState
 from repro.index.btree import BTreeIndex
+from repro.query.planner import Planner
+from repro.serving.server import QueryOutcome, Server
 from repro.storage.catalog import Catalog, CatalogError, Table
 from repro.storage.page import RecordId
 from repro.storage.schema import RecordLayout
 from reference_machine import Context as ReferenceContext, reference_machine
+
+
+def hardware_counts(processor) -> dict:
+    """Every cache/TLB access, hit and miss count, the branch unit's
+    statistics and both event-counter banks of ``processor``."""
+    snap = processor.caches.snapshot()
+    return {
+        "l1d": snap.l1d, "l1i": snap.l1i, "l2": snap.l2,
+        "dtlb": processor.dtlb.stats.as_dict(),
+        "itlb": processor.itlb.stats.as_dict(),
+        "branch": processor.branch_unit.stats.as_dict(),
+        "user": dict(processor.counters.user),
+        "sup": dict(processor.counters.sup),
+    }
+
+
+def _tally(*events: str) -> Counter:
+    """What a swap yields: its own path's events, each counted from 0."""
+    return Counter(dict.fromkeys(events, 0))
+
+
+def _counting(tally: Counter, event: str, function: Callable) -> Callable:
+    """``function``, adding one to ``tally[event]`` per call."""
+    @functools.wraps(function)
+    def counted(*args, **kwargs):
+        tally[event] += 1
+        return function(*args, **kwargs)
+    return counted
+
+
+@contextmanager
+def reference_machines():
+    """Processors and automata built inside the block run on the reference
+    machine; counts the machines built."""
+    ran = _tally("machines")
+    saved = reference.Machine
+    reference.Machine = _counting(ran, "machines", saved)
+    try:
+        with reference_machine():
+            yield ran
+    finally:
+        reference.Machine = saved
 
 
 class PerAddressContext(ExecutionContext):
@@ -144,14 +224,38 @@ class PerAddressContext(ExecutionContext):
 @contextmanager
 def per_address_sessions():
     """Sessions constructed inside the block run on the reference machine
-    and charge through the oracle."""
+    and charge through the oracle; counts their contexts."""
+    ran = _tally("contexts")
     saved = session_mod.ExecutionContext
-    session_mod.ExecutionContext = PerAddressContext
+    session_mod.ExecutionContext = _counting(ran, "contexts", PerAddressContext)
     try:
         with reference_machine():
-            yield
+            yield ran
     finally:
         session_mod.ExecutionContext = saved
+
+
+@contextmanager
+def python_kernels():
+    """Execution contexts and shared-scan recorders created inside the
+    block compute with the ``python`` kernels; counts the contexts and the
+    kernel calls."""
+    ran = _tally("contexts", "kernel_calls")
+    saved = context_mod.resolve_kernels, parallel_mod.ARRAY_KERNELS
+    context_mod.resolve_kernels = _counting(ran, "contexts",
+                                            lambda backend: PYTHON_KERNELS)
+    parallel_mod.ARRAY_KERNELS = PYTHON_KERNELS
+    kernels = [name for name, kernel in vars(PythonKernels).items()
+               if callable(kernel) and not name.startswith("_")]
+    for name in kernels:
+        setattr(PYTHON_KERNELS, name,
+                _counting(ran, "kernel_calls", getattr(PYTHON_KERNELS, name)))
+    try:
+        yield ran
+    finally:
+        context_mod.resolve_kernels, parallel_mod.ARRAY_KERNELS = saved
+        for name in kernels:
+            delattr(PYTHON_KERNELS, name)
 
 
 class PickledSpillFile:
@@ -233,13 +337,22 @@ class PickledSpillFile:
 def pickled_spill_files():
     """Memory-budgeted joins that run inside the block spill through
     :class:`PickledSpillFile` (files are created during execution, so the
-    block must cover it)."""
+    block must cover it); counts the files and the rows appended to them
+    (the latter when the block ends)."""
+    ran = _tally("files", "appends")
+    files: List[PickledSpillFile] = []
+
+    def spill_file(*args):
+        files.append(PickledSpillFile(*args))
+        return files[-1]
+
     saved = vectorized_mod._SpillFile
-    vectorized_mod._SpillFile = PickledSpillFile
+    vectorized_mod._SpillFile = _counting(ran, "files", spill_file)
     try:
-        yield
+        yield ran
     finally:
         vectorized_mod._SpillFile = saved
+        ran["appends"] = sum(file.row_count for file in files)
 
 
 def heap_walk_estimate(table, bounds) -> float:
@@ -259,6 +372,23 @@ def heap_walk_estimate(table, bounds) -> float:
     return max(min(max(float(high) - float(low), 0.0) / span, 1.0), 0.0)
 
 
+@contextmanager
+def heap_walk_estimates():
+    """Plans made inside the block estimate selectivity by walking the
+    heap; counts the estimates."""
+    ran = _tally("estimates")
+
+    def estimate(self, table_name, bounds):
+        return heap_walk_estimate(self.catalog.table(table_name), bounds)
+
+    saved = Planner.estimate_selectivity
+    Planner.estimate_selectivity = _counting(ran, "estimates", estimate)
+    try:
+        yield ran
+    finally:
+        Planner.estimate_selectivity = saved
+
+
 def read_modify_write_update(table: Table, rid, column_name: str, value) -> None:
     """``Table.update_field`` as gather, modify, index upkeep, scatter."""
     values = list(table.heap.read_values(rid))
@@ -275,11 +405,13 @@ def read_modify_write_update(table: Table, rid, column_name: str, value) -> None
 
 @contextmanager
 def read_modify_write_updates():
-    """Point updates executed inside the block rewrite the whole record."""
+    """Point updates executed inside the block rewrite the whole record;
+    counts them."""
+    ran = _tally("updates")
     saved = Table.update_field
-    Table.update_field = read_modify_write_update
+    Table.update_field = _counting(ran, "updates", read_modify_write_update)
     try:
-        yield
+        yield ran
     finally:
         Table.update_field = saved
 
@@ -367,12 +499,13 @@ def per_record_pipelines():
     call by call: the scan fetches, charges and decodes record by record,
     the aggregate and the hash join charge each step of a row themselves
     (the generators are created when the operators are pulled, so the
-    block must cover the execution)."""
+    block must cover the execution); counts each operator's pulls."""
+    ran = _tally(*(operator.__name__ for operator, _ in _PER_RECORD_BODIES))
     saved = [(operator, operator.rows) for operator, _ in _PER_RECORD_BODIES]
     for operator, body in _PER_RECORD_BODIES:
-        operator.rows = body
+        operator.rows = _counting(ran, operator.__name__, body)
     try:
-        yield
+        yield ran
     finally:
         for operator, rows in saved:
             operator.rows = rows
@@ -440,11 +573,47 @@ def heap_scan_create_index(self: Catalog, table_name: str, column_name: str,
 
 @contextmanager
 def per_row_builds():
-    """Loads and index builds run inside the block go a record at a time."""
+    """Loads and index builds run inside the block go a record at a time;
+    counts the loads and the index builds."""
+    ran = _tally("loads", "indexes")
     saved = Table.insert_many, Catalog.create_index
-    Table.insert_many = per_row_insert_many
-    Catalog.create_index = heap_scan_create_index
+    Table.insert_many = _counting(ran, "loads", per_row_insert_many)
+    Catalog.create_index = _counting(ran, "indexes", heap_scan_create_index)
     try:
-        yield
+        yield ran
     finally:
         Table.insert_many, Catalog.create_index = saved
+
+
+@contextmanager
+def rebuilt_hit_results():
+    """Result-cache hits served inside the block rebuild their result from
+    the memoized counters; counts the hits."""
+    ran = _tally("hits")
+
+    def serve_hit(self, future, entry):
+        return QueryOutcome(result=rebuilt_hit_result(self, future, entry),
+                            result_cached=True)
+
+    saved = Server._serve_hit
+    Server._serve_hit = _counting(ran, "hits", serve_hit)
+    try:
+        yield ran
+    finally:
+        Server._serve_hit = saved
+
+
+#: Every count-identical swap: name -> a context manager that puts the
+#: reference in place of one production path and yields the tally of its
+#: path's events.
+ORACLES: Dict[str, Callable[[], ContextManager[Counter]]] = {
+    "reference_machine": reference_machines,
+    "per_address": per_address_sessions,
+    "python_kernels": python_kernels,
+    "per_record_pipelines": per_record_pipelines,
+    "pickled_spill_files": pickled_spill_files,
+    "read_modify_write_updates": read_modify_write_updates,
+    "per_row_builds": per_row_builds,
+    "heap_walk_estimate": heap_walk_estimates,
+    "rebuilt_hit_result": rebuilt_hit_results,
+}

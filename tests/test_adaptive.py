@@ -4,8 +4,10 @@ Contracts pinned here:
 
 * ``adaptivity="off"`` is *bit-identical* to the engine without the knob --
   same rows, same cache/TLB/branch/event counts, same routine invocations --
-  on every plan shape, layout and charge mode.  The off path does not
-  construct a manager, so this is structural; the tests guard it.
+  on every plan shape and layout (under per-address charging too: the
+  ``--scale ci`` artifact's adaptivity tables run under every oracle of
+  ``oracle.ORACLES``).  The off path does not construct a manager, so this
+  is structural; the tests guard it.
 * Every adaptive policy returns *identical result rows* to the static
   engine, for arbitrary conjunct sets -- including ``Not``, ``Between`` and
   ``None``-valued columns (SQL-style: comparisons against NULL are never
@@ -20,12 +22,11 @@ Contracts pinned here:
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import hardware_counts
 from repro.adaptive import (AdaptiveExecution, EpsilonGreedyPolicy,
                             GreedyRankPolicy, RuntimeStatsCollector,
                             StaticPolicy, conjunct_key, flatten_conjuncts,
@@ -64,30 +65,13 @@ def multi_conjunct_query() -> SelectionQuery:
             Comparison(ComparisonOp.LT, ColumnRef("a2"), Const(4))))
 
 
-def hardware_counts(processor) -> dict:
-    snap = processor.caches.snapshot()
-    return {
-        "l1d": snap.l1d, "l1i": snap.l1i, "l2": snap.l2,
-        "dtlb": processor.dtlb.stats.as_dict(),
-        "itlb": processor.itlb.stats.as_dict(),
-        "branch": processor.branch_unit.stats.as_dict(),
-        "user": dict(processor.counters.user),
-        "sup": dict(processor.counters.sup),
-    }
-
-
-def run_query(query, adaptivity=None, layout="nsm", charging=nullcontext,
-              batch_size=64, seed=42):
+def run_query(query, adaptivity=None, layout="nsm", batch_size=64, seed=42):
     """Execute one query; return (rows, hardware counts, invocations,
-    the adaptive manager's collector or ``None``).
-
-    ``charging`` is ``nullcontext`` (production bulk charging) or the
-    ``charging`` fixture's per-address oracle."""
+    the adaptive manager's collector or ``None``)."""
     db = build_database(layout_style=layout, seed=seed)
     kwargs = {} if adaptivity is None else {"adaptivity": adaptivity}
-    with charging():
-        session = Session(db, SYSTEM_B, os_interference=None,
-                          engine="vectorized", batch_size=batch_size, **kwargs)
+    session = Session(db, SYSTEM_B, os_interference=None,
+                      engine="vectorized", batch_size=batch_size, **kwargs)
     result = session.execute(query, warmup_runs=0)
     session.processor.finalize()
     counts = hardware_counts(session.processor)
@@ -116,14 +100,6 @@ def test_off_identical_to_unconfigured_engine(shape, layout):
     query = QUERIES[shape]()
     baseline = run_query(query, adaptivity=None, layout=layout)
     off = run_query(query, adaptivity="off", layout=layout)
-    assert off[:3] == baseline[:3]
-
-
-@pytest.mark.parametrize("charge_mode", ("span", "per_address"))
-def test_off_identical_across_charge_modes(charging):
-    query = multi_conjunct_query()
-    baseline = run_query(query, adaptivity=None)
-    off = run_query(query, adaptivity="off", charging=charging)
     assert off[:3] == baseline[:3]
 
 

@@ -6,14 +6,16 @@ PR 4 conjunct-reordering contracts):
 
 * ``adaptivity="off"`` stays *bit-identical* to the engine without the knob
   on **join plans** too -- same rows, same cache/TLB/branch/event counts,
-  same routine invocations -- across layouts and charge modes (the
-  differential harness extended to joins).
+  same routine invocations -- across layouts (the differential harness
+  extended to joins).
 * A flipped hash join returns rows identical to the static plan **in the
   same order and with the same dict-merge column order**, for seeded random
   tables with duplicate keys on both sides.
 * Both decisions are charge-mode independent (span vs per-address produce
   identical cycles -- the L1D pressure signal and the cardinality evidence
-  are count-identical by the span-charging contract).
+  are count-identical by the span-charging contract): the ``--scale ci``
+  artifact's adaptive-join and adaptive-batching tables run under the
+  ``per_address`` oracle (``tests/test_reference_oracle.py``).
 * The payoff is real: greedy flips the planner-wrong join and spends fewer
   cycles than the static control arm; greedy grows a too-small vector and
   spends fewer cycles than the fixed-size control arm.
@@ -22,10 +24,9 @@ PR 4 conjunct-reordering contracts):
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
-
 import pytest
 
+from oracle import hardware_counts
 from repro.adaptive import (AdaptiveExecution, GreedyRankPolicy,
                             RuntimeStatsCollector, StaticPolicy,
                             greedy_batch_size, greedy_flip_join)
@@ -65,31 +66,16 @@ WRONG_SIDE_JOIN = JoinQuery(left_table="R", right_table="S",
                             build_side="left")
 
 
-def hardware_counts(processor) -> dict:
-    snap = processor.caches.snapshot()
-    return {
-        "l1d": snap.l1d, "l1i": snap.l1i, "l2": snap.l2,
-        "dtlb": processor.dtlb.stats.as_dict(),
-        "itlb": processor.itlb.stats.as_dict(),
-        "branch": processor.branch_unit.stats.as_dict(),
-        "user": dict(processor.counters.user),
-        "sup": dict(processor.counters.sup),
-    }
-
-
-def run_query(query, adaptivity=None, layout="nsm", charging=nullcontext,
-              batch_size=64, seed=42, warmup_runs=0, **session_kwargs):
+def run_query(query, adaptivity=None, layout="nsm", batch_size=64, seed=42,
+              warmup_runs=0, **session_kwargs):
     """Execute one query; return (rows, hardware counts, invocations, the
-    adaptive manager's collector or ``None``).  ``charging`` is
-    ``nullcontext`` (production bulk charging) or the ``charging``
-    fixture's per-address oracle."""
+    adaptive manager's collector or ``None``)."""
     db = build_database(layout_style=layout, seed=seed)
     kwargs = dict(session_kwargs)
     if adaptivity is not None:
         kwargs["adaptivity"] = adaptivity
-    with charging():
-        session = Session(db, SYSTEM_B, os_interference=None,
-                          engine="vectorized", batch_size=batch_size, **kwargs)
+    session = Session(db, SYSTEM_B, os_interference=None,
+                      engine="vectorized", batch_size=batch_size, **kwargs)
     result = session.execute(query, warmup_runs=warmup_runs)
     session.processor.finalize()
     counts = hardware_counts(session.processor)
@@ -116,14 +102,6 @@ def test_off_identical_to_unconfigured_engine_on_joins(shape, layout):
     query = JOIN_QUERIES[shape]()
     baseline = run_query(query, adaptivity=None, layout=layout)
     off = run_query(query, adaptivity="off", layout=layout)
-    assert off[:3] == baseline[:3]
-
-
-@pytest.mark.parametrize("charge_mode", ("span", "per_address"))
-def test_off_join_identical_across_charge_modes(charging):
-    query = WRONG_SIDE_JOIN
-    baseline = run_query(query, adaptivity=None)
-    off = run_query(query, adaptivity="off", charging=charging)
     assert off[:3] == baseline[:3]
 
 
@@ -233,15 +211,6 @@ def test_warm_flip_uses_historical_cardinalities():
     assert warm[2]["hash_probe"] > static[2]["hash_probe"]
 
 
-@pytest.mark.parametrize("charge_mode", ("span", "per_address"))
-def test_flip_decision_is_charge_mode_independent(charging):
-    reference = run_query(WRONG_SIDE_JOIN, adaptivity="greedy",
-                          adaptive_joins=True)
-    other = run_query(WRONG_SIDE_JOIN, adaptivity="greedy",
-                      adaptive_joins=True, charging=charging)
-    assert other[:3] == reference[:3]
-
-
 # ---------------------------------------------------------------------------
 # Policy units: the decision rules themselves
 # ---------------------------------------------------------------------------
@@ -313,16 +282,6 @@ def test_adaptive_batching_rows_identical(layout, size):
         adaptive = run_query(query, adaptivity=mode, adaptive_batching=True,
                              layout=layout, batch_size=size)
         assert adaptive[0] == baseline[0]
-
-
-@pytest.mark.parametrize("charge_mode", ("span", "per_address"))
-def test_batch_sizing_is_charge_mode_independent(charging):
-    reference = run_query(scan_query(), adaptivity="greedy",
-                          adaptive_batching=True, batch_size=16)
-    other = run_query(scan_query(), adaptivity="greedy",
-                      adaptive_batching=True, batch_size=16,
-                      charging=charging)
-    assert other[:3] == reference[:3]
 
 
 def test_batching_composes_with_conjunct_reordering():

@@ -20,6 +20,7 @@ backs every assertion.
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 import shutil
 import threading
@@ -39,6 +40,7 @@ SILENT = lambda *args, **kwargs: None  # noqa: E731 - quiet echo for tests
 
 #: The committed ``--scale ci`` CSVs: the count gate's baseline.
 BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines" / "artifact_ci"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @pytest.fixture(scope="module")
@@ -381,3 +383,15 @@ def test_flatten_preserves_insertion_order():
 def test_registry_names_are_unique():
     names = [spec.name for spec in REGISTRY]
     assert len(names) == len(set(names))
+
+
+def test_run_artifact_rejects_the_retired_adaptivity_flag(capsys):
+    """The artifact has no optional arms: ``--adaptivity`` is a usage error."""
+    spec = importlib.util.spec_from_file_location(
+        "run_artifact", SCRIPTS / "run_artifact.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(["run_all", "--scale", "ci", "--adaptivity"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --adaptivity" in capsys.readouterr().err

@@ -329,13 +329,17 @@ def os_runner():
         micro=MicroWorkloadConfig(scale=0.001), os_interference=True))
 
 
-@pytest.mark.parametrize("engine", ["tuple", "vectorized"])
-@pytest.mark.parametrize("system_key", ["A", "B", "C", "D"])
-def test_engine_counts_identical_under_default_os_model(os_runner, reference_machine,
-                                                        system_key, engine):
+@pytest.mark.parametrize("system_key", ["A", "C"])
+def test_vectorized_counts_identical_under_default_os_model(os_runner, reference_machine,
+                                                            system_key):
     """Whole queries in the paper's configuration (default OS model): the
     native machine and the reference machine give the same rows and the
-    same ``EventCounters``, user and supervisor banks alike."""
+    same ``EventCounters``, user and supervisor banks alike.  The tuple
+    engine on Systems A-D and the vectorized one on B and D are the
+    ``reference_machine`` oracle's (``tests/test_reference_oracle.py`` runs
+    the ``--scale ci`` artifact on it); this covers the vectorized engine
+    on the other two."""
+    engine = "vectorized"
     workload = os_runner.micro_workload
     queries = {"SRS": workload.sequential_range_selection(),
                "IRS": workload.indexed_range_selection(),

@@ -22,6 +22,7 @@ from contextlib import nullcontext
 
 import pytest
 
+from oracle import hardware_counts
 from repro.engine import Session
 from repro.execution.parallel import SharedScanCoordinator
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
@@ -32,7 +33,6 @@ from repro.systems import SYSTEM_B
 from repro.workloads.micro import MicroWorkloadConfig
 
 from test_shared_scans import PLAN_SHAPES, build_database
-from test_vectorized_equivalence import hardware_counts
 
 TRACED_MODES = ("spans", "full")
 

@@ -1,71 +1,109 @@
-"""The whole artifact on the reference machine: every count identical.
+"""The whole artifact under every oracle: every count identical.
 
 The count gate diffs the ``--scale ci`` artifact CSVs against the committed
 baseline, natively.  This runs the same ``run_all(scale="ci")`` once
-natively and once on the reference machine (``reference_machine.py``, the
-pure-Python transcription of ``_cachesim``) and asserts that the raw
-measurements are equal, artifact by artifact, and that every cell either
-runner measured has equal rows and equal user and supervisor counter
-banks: every figure's systems A-D with OS interference on, the engine
-ablation, the adaptive, budgeted-join and serving tables and the TPC
-mixes, not only the charging entry points the differential suites drive
-one by one.
+natively and once under each swap of ``oracle.ORACLES`` -- the reference
+machine (``reference_machine.py``, the pure-Python transcription of
+``_cachesim``), per-address charging, the Python kernels, the per-record
+tuple pipelines, the pickled spill file, the read-modify-write update, the
+record-at-a-time build, the heap-walk estimate and the rebuilt cache hit --
+and asserts that the raw measurements are equal, artifact by artifact, and
+that every cell either runner measured has equal rows, user and supervisor
+counter banks and routine invocations: every figure's systems A-D with OS
+interference on, the engine ablation, the adaptive, budgeted-join and
+serving tables and the TPC mixes.  Each swap's tally must show that its
+path ran.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
+
 import pytest
 
-from reference_machine import reference_machine
+import oracle
+from oracle import ORACLES
 from repro.analysis import artifact_io
 from repro.experiments import artifact
 
 SILENT = lambda *args, **kwargs: None  # noqa: E731 - quiet echo
 
+#: Swaps that take seconds rather than a second at ``--scale ci``.
+SLOW = {"reference_machine", "per_address"}
+
+
+def cell_state(result) -> dict:
+    """What a measured cell must reproduce under every oracle."""
+    return {"rows": getattr(result, "rows", None),
+            "user": dict(result.counters.user),
+            "sup": dict(result.counters.sup),
+            "invocations": getattr(result, "routine_invocations", None)}
+
 
 def run_ci(out, monkeypatch):
-    """``run_all(scale="ci")`` into ``out``; returns the runner it used."""
-    runners = []
+    """``run_all(scale="ci")`` into ``out``; returns the raw measurements
+    and ``(cell, cell_state)`` of every cell the runner executed, in
+    order (the cached grid cells and the uncached budgeted joins alike)."""
+    executed = []
 
     class Recorded(artifact.ExperimentRunner):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            runners.append(self)
+        def execute(self, cell, session):
+            result = super().execute(cell, session)
+            executed.append((cell, cell_state(result)))
+            return result
 
     monkeypatch.setattr(artifact, "ExperimentRunner", Recorded)
     path = artifact.run_all(out, scale="ci", echo=SILENT)
-    (runner,) = runners
-    return runner, artifact_io.read_raw(path)
+    return artifact_io.read_raw(path), executed
 
 
 @pytest.fixture(scope="module")
-def runs(tmp_path_factory):
-    """``(native, reference)``: each a ``(runner, raw)`` of one ci run."""
+def native(tmp_path_factory):
+    """``(raw, executed)`` of one native ci run."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        native = run_ci(tmp_path_factory.mktemp("native"), monkeypatch)
-        with reference_machine():
-            reference = run_ci(tmp_path_factory.mktemp("reference"),
-                               monkeypatch)
-    return native, reference
+        return run_ci(tmp_path_factory.mktemp("native"), monkeypatch)
 
 
-@pytest.mark.slow
-def test_ci_artifact_is_count_identical_on_the_reference_machine(runs):
-    (native, native_raw), (reference, reference_raw) = runs
-    assert reference_raw == native_raw
-    assert list(reference._results) == list(native._results)
-    for cell, ours in reference._results.items():
-        theirs = native._results[cell]
-        assert getattr(ours, "rows", None) == getattr(theirs, "rows", None), cell
-        assert dict(ours.counters.user) == dict(theirs.counters.user), cell
-        assert dict(ours.counters.sup) == dict(theirs.counters.sup), cell
-    assert len(native._results) > 50
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.slow) if name in SLOW else name
+    for name in ORACLES])
+def test_ci_artifact_is_count_identical_under_the_oracle(native, name,
+                                                         tmp_path, monkeypatch):
+    native_raw, native_cells = native
+    with ORACLES[name]() as ran:
+        raw, cells = run_ci(tmp_path, monkeypatch)
+    assert ran and all(ran.values()), f"{name} never ran: {dict(ran)}"
+    assert list(raw) == list(native_raw)
+    for table in native_raw:   # a divergence names its table
+        assert native_raw[table]["data"], table
+        assert raw[table] == native_raw[table], table
+    assert [cell for cell, _ in cells] == [cell for cell, _ in native_cells]
+    for (cell, state), (_, expected) in zip(cells, native_cells):
+        assert state == expected, cell
+    assert len(cells) > 50
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("name", [spec.name for spec in artifact.REGISTRY])
-def test_artifact_is_identical_on_the_reference_machine(runs, name):
-    """One artifact's raw measurement, so a divergence names its table."""
-    (_, native_raw), (_, reference_raw) = runs
-    assert native_raw[name]["data"], name
-    assert reference_raw[name] == native_raw[name]
+def context_managers(module) -> set:
+    """Names of the ``@contextmanager`` functions ``module`` defines."""
+    tree = ast.parse(inspect.getsource(module))
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(getattr(decorator, "id", None) == "contextmanager"
+                    for decorator in node.decorator_list)}
+
+
+def unregistered(module, registry) -> set:
+    registered = {swap.__name__ for swap in registry.values()}
+    return context_managers(module) - registered
+
+
+def test_every_oracle_is_registered():
+    assert not unregistered(oracle, ORACLES)
+    assert len(ORACLES) >= 7 and SLOW <= set(ORACLES)
+
+
+def test_the_guard_sees_an_unregistered_oracle():
+    registry = dict(ORACLES)
+    del registry["pickled_spill_files"]
+    assert unregistered(oracle, registry) == {"pickled_spill_files"}

@@ -9,7 +9,9 @@ context.  The contract is that a round with a coordinator is
 *indistinguishable* from the same round without one: identical result
 rows, identical cache/TLB/branch/event counts and identical routine
 invocations for every session, on every planner-producible plan shape,
-both page layouts, both charge modes and any batch size.  The roles are
+both page layouts and any batch size (and under per-address charging:
+the ``--scale ci`` artifact's concurrent serving arm shares scans under
+every oracle of ``oracle.ORACLES``).  The roles are
 tested apart: the *recording* session is the round's first, and the
 *replaying* session is a second one that rides the first's recording.
 """
@@ -17,12 +19,12 @@ tested apart: the *recording* session is the round's first, and the
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import hardware_counts
 from repro.engine import Database, Session
 from repro.execution.parallel import SharedScanCoordinator
 from repro.query import (JoinQuery, SelectionQuery, UpdateQuery, avg,
@@ -31,7 +33,6 @@ from repro.query.planner import DefaultPolicy
 from repro.storage.schema import ColumnType
 from repro.systems import SYSTEM_B, SYSTEM_C
 
-from test_vectorized_equivalence import hardware_counts
 
 R_ROWS = 420
 S_ROWS = 40
@@ -87,8 +88,8 @@ def build_database(layout_style: str = "nsm", seed: int = 42,
 
 
 def run_round(shape: str, shared: bool, sessions: int = 1,
-              layout: str = "nsm", charging=nullcontext,
-              batch_size: int = 64, r_rows: int = R_ROWS):
+              layout: str = "nsm", batch_size: int = 64,
+              r_rows: int = R_ROWS):
     """Execute ``shape`` once in each of ``sessions`` fresh sessions over
     one database, in order, as one admission round.
 
@@ -103,9 +104,8 @@ def run_round(shape: str, shared: bool, sessions: int = 1,
     coordinator = SharedScanCoordinator() if shared else None
     outcomes = []
     for _ in range(sessions):
-        with charging():
-            session = Session(db, profile, os_interference=None,
-                              engine="vectorized", batch_size=batch_size)
+        session = Session(db, profile, os_interference=None,
+                          engine="vectorized", batch_size=batch_size)
         if not hasattr(policy, "key"):
             session.planner.policy = policy
         session.context.shared_scans = coordinator
@@ -144,16 +144,6 @@ def test_shared_scan_identical_to_solo_every_plan_shape(shape, layout, role):
         assert coordinator.reuses == coordinator.recordings
     else:
         assert coordinator.reuses == 0
-
-
-@pytest.mark.parametrize("charge_mode", ("span", "per_address"))
-def test_shared_scan_identical_under_both_charge_modes(charging):
-    solo, _ = run_round("agg_seq_scan", shared=False, sessions=2,
-                        charging=charging)
-    shared, coordinator = run_round("agg_seq_scan", shared=True, sessions=2,
-                                    charging=charging)
-    assert shared == solo
-    assert coordinator.reuses == 1
 
 
 @pytest.mark.parametrize("batch_size", (1, 7))

@@ -8,7 +8,10 @@ probe-major order, with the same dict-merge column order.  These tests pin
 that contract deterministically (a ladder of budgets straddling the build
 side's footprint), adversarially (Hypothesis drawing random budgets, batch
 sizes and layouts) and across the other engine axes (tuple engine, charge
-modes).
+modes).  The ``--scale ci`` artifact runs the budgeted join at four
+budgets, both layouts and the default batch size under every oracle of
+``oracle.ORACLES`` (``tests/test_reference_oracle.py``); what stays here
+are the edges it does not reach.
 
 Also covered here: the hash-area resize when the observed build
 cardinality exceeds the planner's estimate (satellite of the same PR), the
@@ -17,8 +20,9 @@ the budget knob.
 
 The spill file holds column-run blocks; ``TestSpillBlocksMatchPickledOracle``
 runs the same joins through the pickled slotted-page file it replaced
-(``oracle.PickledSpillFile``) and requires identical rows, counters, I/O and
-pool statistics, and ``TestRobustnessLadder`` measures the positional
+(``oracle.PickledSpillFile``) at batch sizes 7 and 256, budgets down to one
+page and a duplicate-heavy build that recurses to the cap, and requires
+identical rows, counters, I/O and pool statistics, and ``TestRobustnessLadder`` measures the positional
 demotion rule on a skewed build without judging it.
 """
 
@@ -35,7 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.execution.vectorized as vectorized_mod
-from oracle import PerAddressContext, per_address_sessions, pickled_spill_files
+from oracle import PerAddressContext, hardware_counts, pickled_spill_files
 from reference_machine import reference_machine
 from repro.adaptive.policy import (MAX_PARTITIONS, AdaptivePolicy,
                                    GreedyRankPolicy, plan_partition_count)
@@ -52,8 +56,6 @@ from repro.query.plans import HashJoinPlan
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.schema import ColumnType
 from repro.systems import SYSTEM_B
-
-from test_vectorized_equivalence import hardware_counts
 
 R_ROWS = 108
 S_ROWS = 12
@@ -231,16 +233,14 @@ def spill_pools(monkeypatch):
     return pools
 
 
-def measure_join(layout, budget, batch_size, s_key, pools,
-                 charging=nullcontext):
+def measure_join(layout, budget, batch_size, s_key, pools):
     """Everything one budgeted join produces and charges."""
     del pools[:]
     db = build_database(layout, s_rows=BIG_S_ROWS, s_key=s_key,
                         r_rows=BIG_R_ROWS)
-    with charging():
-        session = Session(db, SYSTEM_B, os_interference=None,
-                          engine="vectorized", batch_size=batch_size,
-                          memory_budget_bytes=budget)
+    session = Session(db, SYSTEM_B, os_interference=None,
+                      engine="vectorized", batch_size=batch_size,
+                      memory_budget_bytes=budget)
     ctx = session.context
     rows = execute_plan(join_plan_for(db), db.catalog, ctx)
     counters = ctx.processor.finalize().as_dict()
@@ -253,8 +253,9 @@ def measure_join(layout, budget, batch_size, s_key, pools,
 
 
 class TestSpillBlocksMatchPickledOracle:
-    @pytest.mark.parametrize("charging", [nullcontext, per_address_sessions],
-                             ids=["production", "per-address"])
+    """Production charging only: per-address charging of the spill path is
+    ``TestChargeModeIdentity``'s and the ``per_address`` oracle's."""
+
     @pytest.mark.parametrize("build", sorted(BUILDS))
     @pytest.mark.parametrize("batch_size", [7, 256])
     @pytest.mark.parametrize("budget", [
@@ -263,12 +264,12 @@ class TestSpillBlocksMatchPickledOracle:
                                           "one-page"])
     @pytest.mark.parametrize("layout", ["nsm", "pax"])
     def test_blocks_and_pickled_pages_agree(self, spill_pools, layout, budget,
-                                            batch_size, build, charging):
+                                            batch_size, build):
         blocks = measure_join(layout, budget, batch_size, BUILDS[build],
-                              spill_pools, charging)
+                              spill_pools)
         with pickled_spill_files():
             pickled = measure_join(layout, budget, batch_size, BUILDS[build],
-                                   spill_pools, charging)
+                                   spill_pools)
         for key in blocks:   # rows and their order first: the clearest diff
             assert blocks[key] == pickled[key], f"{key} diverged"
         if budget is not None and budget < BIG_BUILD_BYTES:

@@ -4,12 +4,15 @@ the per-record fetching scan it replaced (``oracle.per_record_fetch_rows``).
 The page-at-a-time data plane must be invisible everywhere except on the
 host clock: rows and their order, every counter ``finalize()`` reports
 (user and supervisor banks), the routine invocations and ``rows_produced``
-are those of fetching, charging and decoding one record at a time -- on
-Systems A-D, NSM and PAX, OS interference on and off, under a consumer
-(aggregate, hash join) and as the rescanned inner side of a nested-loop
-join.  Hypothesis adds random tables with random deletes (a fully
-tombstoned page among them), every column type, and random ``Between`` /
-``Comparison`` / ``And`` predicates.
+are those of fetching, charging and decoding one record at a time.  The
+paper's queries on Systems A-D and both layouts are the
+``per_record_pipelines`` oracle's (``tests/test_reference_oracle.py`` runs
+the ``--scale ci`` artifact through it), and every tuple plan shape --
+under a consumer, pulled, as the rescanned inner side of a nested-loop
+join -- is ``tests/test_tuple_pipeline.py``'s.  Here Hypothesis adds random
+tables with random deletes (a fully tombstoned page among them), every
+column type, and random ``Between`` / ``Comparison`` / ``And`` predicates,
+OS interference on and off.
 
 The error path is specified, not identical: a predicate that raises does so
 when its page is decoded (DESIGN.md, "Uncharged work").
@@ -24,14 +27,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracle import per_record_pipelines
 from repro.engine import Session
-from repro.execution import ExecutionContext, build_join, build_scan
-from repro.execution.operators import (HashJoinOperator, NestedLoopJoinOperator,
-                                       OperatorError, SeqScanOperator)
+from repro.execution import ExecutionContext
+from repro.execution.operators import (HashJoinOperator, OperatorError,
+                                       SeqScanOperator)
 from repro.hardware import OSInterferenceConfig, SimulatedProcessor
 from repro.query import SelectionQuery, avg
 from repro.query.expressions import (And, Between, ColumnRef, Comparison,
-                                     ComparisonOp, Const, range_predicate)
-from repro.query.plans import HashJoinPlan, SeqScanPlan
+                                     ComparisonOp, Const)
 from repro.storage import Catalog
 from repro.storage.schema import Column, ColumnType, RecordLayout, Schema
 from repro.systems import ALL_SYSTEMS, SYSTEM_B, SYSTEM_C
@@ -59,7 +61,6 @@ def differential(run):
     return changed, reference
 
 
-# --------------------------------------------------------- the paper's queries
 @pytest.fixture(scope="module")
 def micro():
     workload = MicroWorkload(MicroWorkloadConfig(scale=1 / 2000, minimum_r_rows=600))
@@ -68,73 +69,6 @@ def micro():
         database = workload.build(layout_style=layout)
         builds[layout] = (database, database.address_space.checkpoint())
     return workload, builds
-
-
-def _filtered_scan(query):
-    """The filtered scan under ``query``'s aggregate, as the builder makes it."""
-    def build(workload, catalog, ctx):
-        plan = SeqScanPlan("R", query(workload).predicate)
-        return build_scan(plan, catalog, ctx, ["a3"])
-    return build
-
-
-def _sj(workload, catalog, ctx):
-    plan = HashJoinPlan(probe=SeqScanPlan("R"), build=SeqScanPlan("S"),
-                        probe_column="R.a2", build_column="S.a1")
-    return build_join(plan, catalog, ctx, ["R.a3"])
-
-
-def _nlj(workload, catalog, ctx):
-    """The inner side rescanned per outer row, ``inner_scan_next`` and no
-    record counting, as the nested-loop join charges it."""
-    outer = SeqScanOperator(catalog.table("S"), ctx,
-                            predicate=range_predicate("a1", 0, 8),
-                            output_columns=("a1", "a3"))
-    inner_predicate = range_predicate("a3", 1_000, 6_000)
-
-    def inner():
-        return SeqScanOperator(catalog.table("R"), ctx, predicate=inner_predicate,
-                               output_columns=("a2", "a1"),
-                               next_operation="inner_scan_next",
-                               count_records=False)
-
-    return NestedLoopJoinOperator(outer, inner, "a1", "a2", ctx)
-
-
-#: The full queries the shapes belong to (executed after the bare operator).
-QUERIES = {"SRS": MicroWorkload.sequential_range_selection,
-           "ACS": MicroWorkload.skewed_conjunct_selection,
-           "SJ": MicroWorkload.sequential_join}
-SHAPES = {"SRS": _filtered_scan(QUERIES["SRS"]),
-          "ACS": _filtered_scan(QUERIES["ACS"]), "SJ": _sj, "NLJ": _nlj}
-
-
-@pytest.mark.parametrize("shape", sorted(SHAPES))
-@pytest.mark.parametrize("os_on", (True, False), ids=("os", "no_os"))
-@pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("system", sorted(SYSTEMS))
-def test_scan_is_count_identical_to_per_record_fetch(micro, system, layout,
-                                                     os_on, shape):
-    workload, builds = micro
-    database, checkpoint = builds[layout]
-
-    def run():
-        database.address_space.restore(checkpoint)
-        session = Session(database, SYSTEMS[system],
-                          os_interference=OS_ON if os_on else None)
-        rows = list(SHAPES[shape](workload, database.catalog, session.context).rows())
-        if shape in QUERIES:
-            rows.append(session.execute(QUERIES[shape](workload)).rows)
-        return outcome(session, rows)
-
-    changed, reference = differential(run)
-    assert changed[0], "the shape must produce rows"
-    for got, expected, what in zip(changed, reference,
-                                   ("rows", "user counters", "supervisor counters",
-                                    "routine invocations", "rows_produced")):
-        assert got == expected, what
-    if os_on:
-        assert changed[2]["OS_INTERRUPTS"] > 0
 
 
 # ------------------------------------------------------ random tables (Hypothesis)
