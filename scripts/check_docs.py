@@ -21,7 +21,9 @@ resolve to a module or an attribute of one (looked up as Sphinx looks it
 up: in the enclosing class, then the module, then as an absolute path).
 And so does README's "Execution knobs" table when its rows are
 not exactly the fields of ``repro.query.plans.ExecutionConfig`` -- the one
-declaration of every knob.  Exit status: 0 when every check passes.
+declaration of every knob -- and its "Architecture map" table when its rows
+are not exactly the packages under ``src/repro/``.  Exit status: 0 when
+every check passes.
 
 Usage::
 
@@ -236,6 +238,21 @@ def knob_table_errors(text: str):
                f"ExecutionConfig declares {declared}")
 
 
+def architecture_map_errors(text: str):
+    """Yield an error when README's "Architecture map" table does not list
+    exactly the packages under ``src/repro/`` (one ``| `name/` |`` row
+    each)."""
+    section = text.split("## Architecture map", 1)[-1].split("\n## ", 1)[0]
+    listed = sorted(re.findall(r"^\| `(\w+)/` \|", section, re.MULTILINE))
+    source = os.path.join(REPO, "src", "repro")
+    packages = sorted(
+        name for name in os.listdir(source)
+        if os.path.isfile(os.path.join(source, name, "__init__.py")))
+    if listed != packages:
+        yield (f"README's Architecture map lists {listed}, "
+               f"src/repro/ holds {packages}")
+
+
 def main() -> int:
     with open(README) as handle:
         text = handle.read()
@@ -257,6 +274,7 @@ def main() -> int:
     errors.extend(dangling_references())
     errors.extend(dangling_roles())
     errors.extend(knob_table_errors(text))
+    errors.extend(architecture_map_errors(text))
     if errors:
         print("\ndocs check FAILED:")
         for error in errors:

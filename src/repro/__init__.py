@@ -5,8 +5,8 @@ DeWitt, Hill and Wood's VLDB 1999 study: a trace-driven model of the Pentium
 II Xeon platform (caches, TLBs, branch prediction, event counters), an
 in-memory relational engine parameterised by profiles of the four anonymous
 commercial DBMSs, the microbenchmark / TPC-D-style / TPC-C-style workloads,
-the emon measurement methodology, and the execution-time breakdown framework
-that is the paper's primary contribution.
+and the execution-time breakdown framework that is the paper's primary
+contribution.
 
 Typical usage::
 

@@ -51,7 +51,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..query.expressions import (And, Expression, _column_vector,
-                                 _default_kernels, _python_values)
+                                 _default_kernels, _python_values,
+                                 raise_first_row_error)
 from .policy import AdaptivePolicy, make_policy
 from .stats import RuntimeStatsCollector, conjunct_key
 
@@ -175,8 +176,15 @@ class AdaptiveExecution:
                 # evaluate_batch never mutates them.
                 sub_columns[name] = (vector if survivors_count == count
                                      else kernels.gather(vector, positions))
-            outcomes = conjunct.evaluate_batch(sub_columns, survivors_count,
-                                               kernels)
+            try:
+                outcomes = conjunct.evaluate_batch(sub_columns,
+                                                   survivors_count, kernels)
+            except TypeError:
+                # Raise the first failing row's error, as the tuple engine
+                # meets it evaluating the conjuncts in this batch's order.
+                raise_first_row_error([plan.conjuncts[index]
+                                       for index in order], columns, count)
+                raise
             # One batched routine visit plus one data branch per surviving
             # row, at a site that identifies the *conjunct* (not its current
             # position), so predictor state follows the conjunct across

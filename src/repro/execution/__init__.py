@@ -13,26 +13,23 @@ from .code_layout import BranchSite, CodeLayout, CodeSegment, LINE_BYTES
 from .context import ExecutionContext
 from .executor import (ExecutorError, build_plan, build_scan, build_join,
                        execute_plan, execute_update)
-from .operators import (HashJoinOperator, IndexNestedLoopJoinOperator,
-                        IndexPointLookupOperator, IndexRangeScanOperator,
-                        NestedLoopJoinOperator, Operator, OperatorError, Row,
+from .operators import (HashJoinOperator, IndexPointLookupOperator,
+                        IndexRangeScanOperator, Operator, OperatorError, Row,
                         ScalarAggregateOperator, SeqScanOperator, row_value)
-from .vectorized import (ColumnBatch, VecFilterOperator, VecHashJoinOperator,
-                         VecIndexNestedLoopJoinOperator,
+from .vectorized import (ColumnBatch, VecHashJoinOperator,
                          VecIndexPointLookupOperator, VecIndexRangeScanOperator,
-                         VecNestedLoopJoinOperator, VecScalarAggregateOperator,
-                         VecSeqScanOperator, VectorOperator, merge_gather)
+                         VecScalarAggregateOperator, VecSeqScanOperator,
+                         VectorOperator, merge_gather)
 
 __all__ = [
     "BranchSite", "CodeLayout", "CodeSegment", "LINE_BYTES",
     "ExecutionContext",
     "ExecutorError", "build_plan", "build_scan", "build_join", "execute_plan",
     "execute_update",
-    "HashJoinOperator", "IndexNestedLoopJoinOperator", "IndexPointLookupOperator",
-    "IndexRangeScanOperator", "NestedLoopJoinOperator", "Operator", "OperatorError",
-    "Row", "ScalarAggregateOperator", "SeqScanOperator", "row_value",
-    "ColumnBatch", "VectorOperator", "VecFilterOperator", "VecHashJoinOperator",
-    "VecIndexNestedLoopJoinOperator", "VecIndexPointLookupOperator",
-    "VecIndexRangeScanOperator", "VecNestedLoopJoinOperator",
+    "HashJoinOperator", "IndexPointLookupOperator", "IndexRangeScanOperator",
+    "Operator", "OperatorError", "Row", "ScalarAggregateOperator",
+    "SeqScanOperator", "row_value",
+    "ColumnBatch", "VectorOperator", "VecHashJoinOperator",
+    "VecIndexPointLookupOperator", "VecIndexRangeScanOperator",
     "VecScalarAggregateOperator", "VecSeqScanOperator", "merge_gather",
 ]

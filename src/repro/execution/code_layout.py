@@ -19,12 +19,21 @@ out in the ``code`` region of the simulated address space as a
 The per-record instruction working set, and hence the L1I miss behaviour, is
 therefore an emergent property of the profile's footprints and the cache
 geometry rather than a hard-coded number.
+
+Placement is a pure function of the profile: the modelled DBMS binary is
+loaded once, so the cold pool sits at the ``code`` region's base, each
+routine follows at the next line boundary in :data:`OPERATION_NAMES` order,
+and the block of synthetic conjunct branch sites follows at the next 64-byte
+boundary.  Nothing is allocated from the region, so every session of a
+profile -- the first on a database or the thousandth -- runs its code at
+the same addresses.  Placements of different profiles overlap; one session
+runs one profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..storage.address_space import AddressSpace
 from ..systems.profile import OperationCost, OPERATION_NAMES, SystemProfile
@@ -77,25 +86,36 @@ class CodeSegment:
         return sum(site.weight for site in self.branch_sites)
 
 
+def _aligned(offset: int, alignment: int) -> int:
+    return (offset + alignment - 1) & ~(alignment - 1)
+
+
 class CodeLayout:
-    """Places every routine of a profile into the simulated code region."""
+    """Places every routine of a profile at fixed offsets in the simulated
+    code region."""
 
     def __init__(self, profile: SystemProfile, address_space: AddressSpace) -> None:
         self.profile = profile
-        self.address_space = address_space
+        code_base = address_space.region("code").base
         self._segments: Dict[str, CodeSegment] = {}
-        self.cold_pool_base = address_space.allocate(
-            "code", profile.cold_code_pool_bytes, alignment=LINE_BYTES)
+        self.cold_pool_base = code_base
         self.cold_pool_lines = max(profile.cold_code_pool_bytes // LINE_BYTES, 1)
+        offset = profile.cold_code_pool_bytes
         for operation in OPERATION_NAMES:
-            self._segments[operation] = self._place(operation, profile.cost(operation))
+            offset = _aligned(offset, LINE_BYTES)
+            segment = self._place(operation, profile.cost(operation),
+                                  code_base + offset)
+            self._segments[operation] = segment
+            offset += segment.hot_bytes
+        #: Base of the 4 KB block of synthetic branch sites that adaptive
+        #: conjunct evaluations charge (see :meth:`~repro.execution.context.
+        #: ExecutionContext.visit_conjunct_batch`).
+        self.conjunct_sites_base = code_base + _aligned(offset, 64)
 
     # ------------------------------------------------------------ placement
-    def _place(self, name: str, cost: OperationCost) -> CodeSegment:
+    def _place(self, name: str, cost: OperationCost, base: int) -> CodeSegment:
         profile = self.profile
         hot_bytes = max(cost.code_bytes, LINE_BYTES)
-        span = hot_bytes + profile.code_layout_gap_bytes
-        base = self.address_space.allocate("code", span, alignment=LINE_BYTES)
         n_lines = (hot_bytes + LINE_BYTES - 1) // LINE_BYTES
         hot_lines = tuple(base + i * LINE_BYTES for i in range(n_lines))
 

@@ -49,9 +49,6 @@ The context also owns two cross-cutting concerns of the columnar engine:
   visit counter behind the pseudo-random branch outcomes, the cold-code and
   workspace cursors, the bulk-misprediction carry and the alternating /
   rare branch-site state.
-* **Memoized plan resolution**: ``columns_for_table``/``index_for`` cache
-  schema-subset and index lookups per context, so operators that are
-  re-instantiated per batch (block nested-loop inners) do not re-resolve.
 """
 
 from __future__ import annotations
@@ -65,7 +62,6 @@ import numpy as np
 from ..hardware.processor import SimulatedProcessor
 from ..query.plans import ExecutionConfig
 from ..storage.address_space import AddressSpace
-from ..storage.catalog import Table
 from ..storage.heapfile import ScanEntry
 from ..storage.page import decode_values
 from ..storage.schema import RecordLayout
@@ -74,7 +70,6 @@ from ..systems.profile import (ACCESS_FIELDS_ONLY, BRANCH_KIND_ALTERNATING,
                                BRANCH_KIND_RARE, SystemProfile)
 from .code_layout import CodeLayout, LINE_BYTES
 from .kernels import resolve_kernels
-from .resolve import _columns_for_table, _index_for
 
 #: Branch-site kind codes of a segment handle (``_cachesim.c`` resolves site
 #: outcomes itself; the codes mirror ``BRANCH_KIND_*``).
@@ -118,7 +113,10 @@ class ExecutionContext:
                  execution: Optional[ExecutionConfig] = None) -> None:
         self.processor = processor
         self.profile = profile
-        self.address_space = address_space
+        #: The context's own fork of the database's address space: what it
+        #: allocates (workspace, spill frames and pages) is placed as in any
+        #: other context on the same database, and never leaks into it.
+        self.address_space = address_space.fork()
         self.layout = code_layout or CodeLayout(profile, address_space)
         #: The execution knobs the executor runs plans under -- the same
         #: frozen object the session holds (engine, batch geometry, join
@@ -131,8 +129,8 @@ class ExecutionContext:
         self.kernels = resolve_kernels(self.execution.kernel_backend)
 
         # Private working set (cycled through on every routine invocation).
-        self.workspace_base = address_space.allocate("workspace", profile.workspace_bytes,
-                                                      alignment=64)
+        self.workspace_base = self.address_space.allocate(
+            "workspace", profile.workspace_bytes, alignment=64)
 
         self.rows_produced = 0
 
@@ -177,17 +175,6 @@ class ExecutionContext:
                                          "bytes_read": 0, "bytes_written": 0,
                                          "budget_overruns": 0}
 
-        # Lazily allocated instruction block holding the synthetic branch
-        # sites of adaptive conjunct evaluations (never allocated on the
-        # ``off`` path, so legacy address layouts are untouched).
-        self._conjunct_sites_base: Optional[int] = None
-
-        # Memoized plan-resolution results (column subsets and index
-        # lookups).  The vectorized block nested-loop join re-instantiates
-        # its inner operator once per outer batch, so without the cache the
-        # schema set/loop work of ``_columns_for_table`` re-runs per batch.
-        self._columns_cache: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, ...]] = {}
-        self._index_cache: Dict[Tuple[str, str], object] = {}
         # ``read_fields`` plans, one per (layout, columns), not per record.
         self._field_plans: Dict[Tuple[int, Tuple[str, ...]], tuple] = {}
 
@@ -218,25 +205,6 @@ class ExecutionContext:
     def _site_state(self) -> Mapping[int, int]:
         """Alternating / rare branch-site state, by site address (read-only)."""
         return MappingProxyType(self._native_ctx.site_state())
-
-    # ------------------------------------------------------------ resolution
-    def columns_for_table(self, table: Table, columns: Sequence[str]) -> Tuple[str, ...]:
-        """Memoized :func:`~repro.execution.resolve._columns_for_table`."""
-        key = (table.name, tuple(columns))
-        cached = self._columns_cache.get(key)
-        if cached is None:
-            cached = _columns_for_table(table, columns)
-            self._columns_cache[key] = cached
-        return cached
-
-    def index_for(self, table: Table, column: str):
-        """Memoized :func:`~repro.execution.resolve._index_for`."""
-        key = (table.name, column)
-        cached = self._index_cache.get(key)
-        if cached is None:
-            cached = _index_for(table, column)
-            self._index_cache[key] = cached
-        return cached
 
     # ------------------------------------------------------------------ core
     def visit(self, operation: str, data_taken: Optional[bool] = None,
@@ -340,17 +308,13 @@ class ExecutionContext:
         if count <= 0:
             return
         self.visit_batch(operation, count)
-        # One synthetic site per conjunct in a dedicated instruction block,
+        # One synthetic site per conjunct in the layout's conjunct block,
         # 16 bytes apart: the predictor drops the low 4 address bits, so
         # sites in this block can never share a predictor entry with each
-        # other or with any code segment's real branch sites (the block is
-        # its own allocation).  256 sites before the block wraps -- far
-        # beyond any real conjunct count.
-        base = self._conjunct_sites_base
-        if base is None:
-            base = self._conjunct_sites_base = self.address_space.allocate(
-                "code", 4096, alignment=64)
-        address = base + ((site & 0xFF) << 4)
+        # other or with any code segment's real branch sites (the block
+        # follows the last segment).  256 sites before the block wraps --
+        # far beyond any real conjunct count.
+        address = self.layout.conjunct_sites_base + ((site & 0xFF) << 4)
         # The per-row branch loop and its ``count_branches``, in one C call.
         taken, mispredictions = self.processor._native_state.conjunct(address,
                                                                       outcomes)

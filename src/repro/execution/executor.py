@@ -16,33 +16,60 @@ operator -- shared scan or plain scan -- is one block inside
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
-from ..query.plans import (AggregatePlan, HashJoinPlan,
-                           IndexNestedLoopJoinPlan, IndexPointLookupPlan,
-                           IndexRangeScanPlan, JoinPlan, NestedLoopJoinPlan,
-                           PhysicalPlan, ScanPlan, SeqScanPlan, UpdatePlan)
-from ..storage.catalog import Catalog
+from ..query.plans import (AggregatePlan, HashJoinPlan, IndexPointLookupPlan,
+                           IndexRangeScanPlan, PhysicalPlan, ScanPlan,
+                           SeqScanPlan, UpdatePlan)
+from ..storage.catalog import Catalog, Table
 from .context import ExecutionContext
-from .operators import (HashJoinOperator, IndexNestedLoopJoinOperator,
-                        IndexPointLookupOperator, IndexRangeScanOperator,
-                        NestedLoopJoinOperator, Operator, OperatorError, Row,
+from .operators import (HashJoinOperator, IndexPointLookupOperator,
+                        IndexRangeScanOperator, Operator, OperatorError, Row,
                         ScalarAggregateOperator, SeqScanOperator, row_value)
-from .resolve import ExecutorError, _columns_for_table, _index_for
-from .vectorized import (VecHashJoinOperator, VecIndexNestedLoopJoinOperator,
-                         VecIndexPointLookupOperator,
-                         VecIndexRangeScanOperator, VecNestedLoopJoinOperator,
-                         VecScalarAggregateOperator, VecSeqScanOperator,
-                         VectorOperator)
+from .vectorized import (VecHashJoinOperator, VecIndexPointLookupOperator,
+                         VecIndexRangeScanOperator, VecScalarAggregateOperator,
+                         VecSeqScanOperator, VectorOperator)
 
 #: What a builder returns: either engine's operators iterate as rows.
 AnyOperator = Union[Operator, VectorOperator]
 
 
+class ExecutorError(RuntimeError):
+    """Raised when a plan cannot be instantiated against the catalog."""
+
+
+def _columns_for_table(table: Table, columns: Sequence[str]) -> Tuple[str, ...]:
+    """Subset of (possibly qualified) columns that belong to ``table``.
+
+    Qualified names are matched against the table: ``"S.a3"`` belongs to
+    table ``S`` only, even when another table also declares a column
+    ``a3``.  The caller's request order is preserved (first occurrence of a
+    duplicate wins), so the operator's output-column tuple is deterministic
+    for duplicate and mixed qualified/unqualified requests.
+    """
+    names = set(table.schema.column_names())
+    out: List[str] = []
+    seen = set()
+    for column in columns:
+        qualifier, _, short = column.rpartition(".")
+        if qualifier and qualifier != table.name:
+            continue
+        if short in names and short not in seen:
+            seen.add(short)
+            out.append(short)
+    return tuple(out)
+
+
+def _index_for(table: Table, column: str):
+    index = table.index_on(column.split(".")[-1])
+    if index is None:
+        raise ExecutorError(f"plan requires an index on {table.name}.{column} "
+                            f"but none exists")
+    return index
+
+
 def build_scan(plan: ScanPlan, catalog: Catalog, ctx: ExecutionContext,
-               output_columns: Sequence[str] = (),
-               next_operation: str = "scan_next",
-               allow_shared: bool = True) -> AnyOperator:
+               output_columns: Sequence[str] = ()) -> AnyOperator:
     """Instantiate a scan plan node into an operator of the context's engine.
 
     A vectorized sequential scan is one of two operators.  When the context
@@ -53,9 +80,6 @@ def build_scan(plan: ScanPlan, catalog: Catalog, ctx: ExecutionContext,
     data work runs once per round and its charge tapes are replayed into
     each attached query's own context, so results and simulated counts stay
     bit-identical to the ``VecSeqScanOperator`` every other context gets.
-    ``allow_shared=False`` pins a scan to that operator (rescanned
-    nested-loop inners, update lookups); the tuple engine has no other, so
-    the flag is inert there.
     """
     vectorized = ctx.execution.is_vectorized
     # Only the vectorized operators have a vector size.
@@ -63,22 +87,21 @@ def build_scan(plan: ScanPlan, catalog: Catalog, ctx: ExecutionContext,
     if isinstance(plan, SeqScanPlan):
         table = catalog.table(plan.table)
         scan = dict(predicate=plan.predicate,
-                    output_columns=ctx.columns_for_table(table, output_columns),
-                    next_operation=next_operation, **sized)
+                    output_columns=_columns_for_table(table, output_columns),
+                    **sized)
         if not vectorized:
             return SeqScanOperator(table, ctx, **scan)
-        if (allow_shared and ctx.shared_scans is not None
-                and ctx.adaptive is None):
+        if ctx.shared_scans is not None and ctx.adaptive is None:
             return ctx.shared_scans.attach(table, ctx, **scan)
         return VecSeqScanOperator(table, ctx, **scan)
     if isinstance(plan, (IndexRangeScanPlan, IndexPointLookupPlan)):
         table = catalog.table(plan.table)
-        index = ctx.index_for(table, plan.column)
+        index = _index_for(table, plan.column)
         if isinstance(plan, IndexPointLookupPlan):
             lookup = (VecIndexPointLookupOperator if vectorized
                       else IndexPointLookupOperator)
             return lookup(table, index, ctx, value=plan.value, **sized)
-        columns = ctx.columns_for_table(table, output_columns)
+        columns = _columns_for_table(table, output_columns)
         range_scan = (VecIndexRangeScanOperator if vectorized
                       else IndexRangeScanOperator)
         return range_scan(table, index, ctx, low=plan.low, high=plan.high,
@@ -90,67 +113,41 @@ def build_scan(plan: ScanPlan, catalog: Catalog, ctx: ExecutionContext,
     raise ExecutorError(f"unknown scan plan {plan!r}")
 
 
-def build_join(plan: JoinPlan, catalog: Catalog, ctx: ExecutionContext,
+def build_join(plan: HashJoinPlan, catalog: Catalog, ctx: ExecutionContext,
                output_columns: Sequence[str] = ()) -> AnyOperator:
-    """Instantiate a join plan node into an operator of the context's engine."""
+    """Instantiate a hash join plan node into an operator of the context's
+    engine."""
     vectorized = ctx.execution.is_vectorized
-    if isinstance(plan, HashJoinPlan):
-        probe_columns = list(output_columns) + [plan.probe_column]
-        build_columns = list(output_columns) + [plan.build_column]
-        probe = build_scan(plan.probe, catalog, ctx, probe_columns)
-        build = build_scan(plan.build, catalog, ctx, build_columns)
-        build_table_name = getattr(plan.build, "table", None)
-        estimate = catalog.table(build_table_name).row_count if build_table_name else 1024
-        if not vectorized:
-            return HashJoinOperator(probe, build, plan.probe_column,
-                                    plan.build_column, ctx,
-                                    build_row_estimate=max(estimate, 16))
-        probe_table_name = getattr(plan.probe, "table", None)
-        probe_estimate = (catalog.table(probe_table_name).row_count
-                          if probe_table_name else 1024)
-        build_row_bytes = (catalog.table(build_table_name).layout.record_size
-                           if build_table_name else 64)
-        return VecHashJoinOperator(
-            probe, build, plan.probe_column, plan.build_column, ctx,
-            build_row_estimate=max(estimate, 16),
-            probe_row_estimate=max(probe_estimate, 16),
-            build_key=f"card:{build_table_name or plan.build_column}",
-            probe_key=f"card:{probe_table_name or plan.probe_column}",
-            batch_size=ctx.execution.batch_size,
-            build_row_bytes=build_row_bytes)
-    if isinstance(plan, NestedLoopJoinPlan):
-        outer_columns = list(output_columns) + [plan.outer_column]
-        inner_columns = list(output_columns) + [plan.inner_column]
-        outer = build_scan(plan.outer, catalog, ctx, outer_columns)
-
-        def inner_factory() -> AnyOperator:
-            # Re-instantiated once per outer row (tuple) or outer batch
-            # (vectorized): a fresh scan each time, never a shared one.
-            return build_scan(plan.inner, catalog, ctx, inner_columns,
-                              next_operation="inner_scan_next",
-                              allow_shared=False)
-
-        join = VecNestedLoopJoinOperator if vectorized else NestedLoopJoinOperator
-        return join(outer, inner_factory, plan.outer_column, plan.inner_column,
-                    ctx)
-    if isinstance(plan, IndexNestedLoopJoinPlan):
-        outer_columns = list(output_columns) + [plan.outer_column]
-        outer = build_scan(plan.outer, catalog, ctx, outer_columns)
-        inner_table = catalog.table(plan.inner_table)
-        inner_index = ctx.index_for(inner_table, plan.inner_column)
-        join = (VecIndexNestedLoopJoinOperator if vectorized
-                else IndexNestedLoopJoinOperator)
-        return join(outer, inner_table, inner_index, plan.outer_column, ctx,
-                    inner_output_columns=ctx.columns_for_table(
-                        inner_table, output_columns))
-    raise ExecutorError(f"unknown join plan {plan!r}")
+    probe_columns = list(output_columns) + [plan.probe_column]
+    build_columns = list(output_columns) + [plan.build_column]
+    probe = build_scan(plan.probe, catalog, ctx, probe_columns)
+    build = build_scan(plan.build, catalog, ctx, build_columns)
+    build_table_name = getattr(plan.build, "table", None)
+    estimate = catalog.table(build_table_name).row_count if build_table_name else 1024
+    if not vectorized:
+        return HashJoinOperator(probe, build, plan.probe_column,
+                                plan.build_column, ctx,
+                                build_row_estimate=max(estimate, 16))
+    probe_table_name = getattr(plan.probe, "table", None)
+    probe_estimate = (catalog.table(probe_table_name).row_count
+                      if probe_table_name else 1024)
+    build_row_bytes = (catalog.table(build_table_name).layout.record_size
+                       if build_table_name else 64)
+    return VecHashJoinOperator(
+        probe, build, plan.probe_column, plan.build_column, ctx,
+        build_row_estimate=max(estimate, 16),
+        probe_row_estimate=max(probe_estimate, 16),
+        build_key=f"card:{build_table_name or plan.build_column}",
+        probe_key=f"card:{probe_table_name or plan.probe_column}",
+        batch_size=ctx.execution.batch_size,
+        build_row_bytes=build_row_bytes)
 
 
 def build_plan(plan: PhysicalPlan, catalog: Catalog, ctx: ExecutionContext) -> AnyOperator:
     """Instantiate any physical plan into its operator tree."""
     if isinstance(plan, AggregatePlan):
         agg_columns = [agg.column for agg in plan.aggregates if agg.column is not None]
-        if isinstance(plan.input, (HashJoinPlan, NestedLoopJoinPlan, IndexNestedLoopJoinPlan)):
+        if isinstance(plan.input, HashJoinPlan):
             child = build_join(plan.input, catalog, ctx, agg_columns)
         else:
             child = build_scan(plan.input, catalog, ctx, agg_columns)
@@ -159,7 +156,7 @@ def build_plan(plan: PhysicalPlan, catalog: Catalog, ctx: ExecutionContext) -> A
         return aggregate(child, plan.aggregates, ctx)
     if isinstance(plan, (SeqScanPlan, IndexRangeScanPlan, IndexPointLookupPlan)):
         return build_scan(plan, catalog, ctx)
-    if isinstance(plan, (HashJoinPlan, NestedLoopJoinPlan, IndexNestedLoopJoinPlan)):
+    if isinstance(plan, HashJoinPlan):
         return build_join(plan, catalog, ctx)
     if isinstance(plan, UpdatePlan):
         raise ExecutorError("UpdatePlan is executed via execute_update(), not build_plan()")
@@ -207,8 +204,7 @@ def execute_update(plan: UpdatePlan, catalog: Catalog, ctx: ExecutionContext,
         else:
             ctx.visit("query_setup")
     table = catalog.table(plan.lookup.table)
-    lookup = build_scan(plan.lookup, catalog, ctx,
-                        allow_shared=False)  # updates mutate the heap
+    lookup = build_scan(plan.lookup, catalog, ctx)
     apply_cm = None
     if tracer is not None:
         # The lookup's pulls interleave with the update charges, so the

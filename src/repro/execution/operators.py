@@ -64,12 +64,9 @@ class SeqScanOperator(Operator):
     decodes the output columns of the qualifying slots -- no per-record
     fetch, no per-record decode.  The charge plane stays per record, in
     Volcano order: ``page_boundary`` per page, then per record
-    ``next_operation``, the predicate-field loads, the ``predicate`` visit
-    with its outcome, the output-field loads of a qualifying record (and
-    there its consumer's per-row charges), then ``record_done`` (when
-    ``count_records``).  ``next_operation`` selects which profiled routine
-    is charged per record (the inner side of a nested-loop join uses the
-    cheaper ``inner_scan_next`` path, everything else uses ``scan_next``).
+    ``scan_next``, the predicate-field loads, the ``predicate`` visit with
+    its outcome, the output-field loads of a qualifying record (and there
+    its consumer's per-row charges), then ``record_done``.
 
     The sequence is one pipeline program per page
     (:meth:`ExecutionContext.charge_pipeline`).  A consumer that declares
@@ -85,14 +82,10 @@ class SeqScanOperator(Operator):
                  table: Table,
                  ctx: ExecutionContext,
                  predicate: Optional[Expression] = None,
-                 output_columns: Sequence[str] = (),
-                 next_operation: str = "scan_next",
-                 count_records: bool = True) -> None:
+                 output_columns: Sequence[str] = ()) -> None:
         self.table = table
         self.ctx = ctx
         self.predicate = predicate
-        self.next_operation = next_operation
-        self.count_records = count_records
         predicate_columns = sorted(c.split(".")[-1] for c in (predicate.columns() if predicate else ()))
         outputs = sorted({c.split(".")[-1] for c in output_columns})
         self.predicate_columns: Tuple[str, ...] = tuple(predicate_columns)
@@ -109,14 +102,13 @@ class SeqScanOperator(Operator):
         predicate = self.predicate
         names, extras = self.predicate_columns, self.extra_columns
         page_steps = (ctx.visit_step("page_boundary"),)
-        scan_next = ctx.visit_step(self.next_operation)
+        scan_next = ctx.visit_step("scan_next")
         qualify = (() if predicate is None
                    else (ctx.visit_step("predicate", STEP_VISIT_OUTCOME),))
-        done = self.count_records
         for page, slots in self.table.heap.scan_pages():
             if not slots:
                 # Nothing to bind or decode: a bad column raises at a record.
-                yield (page_steps, (), (), done, pause), (), None, []
+                yield (page_steps, (), (), True, pause), (), None, []
                 continue
             record_steps = ((scan_next, ctx.load_step(page, layout, names)) + qualify
                             if names else (scan_next,) + qualify)
@@ -138,7 +130,7 @@ class SeqScanOperator(Operator):
                                                                  qualifying).tolist()
                                                    for name in extras])):
                     row.update(zip(extras, values))
-            yield ((page_steps, record_steps, steps, done, pause),
+            yield ((page_steps, record_steps, steps, True, pause),
                    ctx.record_keys(page, slots), outcomes, rows)
 
     def rows(self) -> Iterator[Row]:
@@ -358,86 +350,6 @@ class HashJoinOperator(Operator):
         steps = self._probe_steps() + (
             (STEP_EACH_MATCH, (ctx.visit_step("join_output"),) + row_steps),)
         _consume(self.probe, ctx, steps, probe)
-
-
-class NestedLoopJoinOperator(Operator):
-    """Tuple-at-a-time nested-loop join (the inner input is rescanned).
-
-    Quadratic; included for completeness and for the planner's
-    ``nested_loop`` policy, but none of the default system profiles choose it
-    for the microbenchmark join (the commercial systems all used hash- or
-    sort-based plans for the no-index equijoin).
-    """
-
-    def __init__(self,
-                 outer: Operator,
-                 inner_factory: Callable[[], Operator],
-                 outer_column: str,
-                 inner_column: str,
-                 ctx: ExecutionContext) -> None:
-        self.outer = outer
-        self.inner_factory = inner_factory
-        self.outer_column = outer_column.split(".")[-1]
-        self.inner_column = inner_column.split(".")[-1]
-        self.ctx = ctx
-
-    def rows(self) -> Iterator[Row]:
-        ctx = self.ctx
-        for outer_row in self.outer.rows():
-            outer_key = row_value(outer_row, self.outer_column)
-            for inner_row in self.inner_factory().rows():
-                matches = row_value(inner_row, self.inner_column) == outer_key
-                ctx.visit("inner_scan_next", data_taken=matches)
-                if matches:
-                    ctx.visit("join_output")
-                    joined = dict(inner_row)
-                    joined.update(outer_row)
-                    ctx.row_produced()
-                    yield joined
-
-
-class IndexNestedLoopJoinOperator(Operator):
-    """Nested-loop join probing an index on the inner table per outer row."""
-
-    def __init__(self,
-                 outer: Operator,
-                 inner_table: Table,
-                 inner_index: BTreeIndex,
-                 outer_column: str,
-                 ctx: ExecutionContext,
-                 inner_output_columns: Sequence[str] = ()) -> None:
-        self.outer = outer
-        self.inner_table = inner_table
-        self.inner_index = inner_index
-        self.outer_column = outer_column.split(".")[-1]
-        self.inner_output_columns = tuple(sorted({c.split(".")[-1] for c in inner_output_columns}))
-        self.ctx = ctx
-
-    def rows(self) -> Iterator[Row]:
-        ctx = self.ctx
-        layout = self.inner_table.layout
-        for outer_row in self.outer.rows():
-            key = row_value(outer_row, self.outer_column)
-            for step in self.inner_index.descend(key):
-                ctx.visit("index_descend_node")
-                ctx.read_address(step.node_address, 8)
-                ctx.read_address(step.entry_address, 16)
-            matched = False
-            for match in self.inner_index.range_search(key, key, include_low=True,
-                                                       include_high=True):
-                matched = True
-                ctx.visit("leaf_advance", data_taken=True)
-                ctx.read_address(match.entry_address, 16)
-                ctx.visit("rid_fetch")
-                entry = self.inner_table.heap.fetch(match.rid)
-                joined = dict(outer_row)
-                if self.inner_output_columns:
-                    joined.update(ctx.read_fields(entry, layout, self.inner_output_columns))
-                ctx.visit("join_output")
-                ctx.row_produced()
-                yield joined
-            if not matched:
-                ctx.visit("leaf_advance", data_taken=False)
 
 
 class ScalarAggregateOperator(Operator):

@@ -250,17 +250,14 @@ class SharedScanCoordinator:
         self.attachments = 0
 
     def attach(self, table, ctx, predicate, output_columns: Sequence[str],
-               next_operation: str, batch_size: int,
-               count_records: bool = True) -> "SharedScanReplayOperator":
+               batch_size: int) -> "SharedScanReplayOperator":
         """Return a replay operator for this scan, recording it on first use."""
         key = (table.name, repr(predicate), tuple(output_columns),
-               next_operation, int(batch_size), bool(count_records),
-               ctx.profile.key)
+               int(batch_size), ctx.profile.key)
         recording = self._recordings.get(key)
         if recording is None:
             recording = self._record(table, ctx.profile, predicate,
-                                     output_columns, next_operation,
-                                     batch_size, count_records)
+                                     output_columns, batch_size)
             self._recordings[key] = recording
             self.recordings += 1
         else:
@@ -270,15 +267,13 @@ class SharedScanCoordinator:
 
     @staticmethod
     def _record(table, profile: SystemProfile, predicate,
-                output_columns: Sequence[str], next_operation: str,
-                batch_size: int, count_records: bool) -> RecordedScan:
+                output_columns: Sequence[str],
+                batch_size: int) -> RecordedScan:
         """Run the scan once against a tape recorder, one tape per batch."""
         recorder = TapeRecorder(profile)
         operator = VecSeqScanOperator(
             table, recorder, predicate=predicate,
-            output_columns=tuple(output_columns),
-            next_operation=next_operation, batch_size=int(batch_size),
-            count_records=count_records)
+            output_columns=tuple(output_columns), batch_size=int(batch_size))
         batches = [(batch.columns, batch.length, recorder.take())
                    for batch in operator.batches()]
         return RecordedScan(batches, recorder.take())

@@ -57,7 +57,8 @@ from ..index.btree import BTreeIndex
 from ..storage.buffer_pool import BACKING_REGION, BufferPool
 from ..storage.page import (DEFAULT_PAGE_SIZE, PAGE_HEADER_BYTES,
                             records_per_page)
-from ..query.expressions import Aggregate, AggregateState, Expression
+from ..query.expressions import (Aggregate, AggregateState, Expression,
+                                 raise_first_row_error)
 from ..storage.catalog import Table
 from ..storage.schema import vector_of
 from .context import ExecutionContext
@@ -66,10 +67,9 @@ from .operators import HashJoinOperator, OperatorError, Row
 
 __all__ = [
     "ColumnBatch", "merge_gather",
-    "VectorOperator", "VecSeqScanOperator", "VecFilterOperator",
+    "VectorOperator", "VecSeqScanOperator",
     "VecIndexRangeScanOperator", "VecIndexPointLookupOperator",
-    "VecHashJoinOperator", "VecNestedLoopJoinOperator",
-    "VecIndexNestedLoopJoinOperator", "VecScalarAggregateOperator",
+    "VecHashJoinOperator", "VecScalarAggregateOperator",
 ]
 
 
@@ -225,12 +225,18 @@ def _select(ctx: ExecutionContext, predicate: Expression,
     predicate (a multi-conjunct conjunction under ``adaptivity != "off"``):
     the conjuncts are then evaluated -- and charged -- one by one in policy
     order with short-circuit selection vectors.  Otherwise the predicate is
-    one columnar evaluation and one amortised ``predicate`` visit.
+    one columnar evaluation and one amortised ``predicate`` visit.  Either
+    way a batch that raises raises its first failing row's error (see
+    :func:`~repro.query.expressions.raise_first_row_error`).
     """
     if conjuncts is not None:
         mask = conjuncts.evaluate_batch(ctx, predicate, columns, count)
     else:
-        mask = predicate.evaluate_batch(columns, count, ctx.kernels)
+        try:
+            mask = predicate.evaluate_batch(columns, count, ctx.kernels)
+        except TypeError:
+            raise_first_row_error((predicate,), columns, count)
+            raise
         ctx.visit_batch("predicate", count)
     return ctx.kernels.compact(mask)
 
@@ -274,15 +280,11 @@ class VecSeqScanOperator(VectorOperator):
                  ctx: ExecutionContext,
                  predicate: Optional[Expression] = None,
                  output_columns: Sequence[str] = (),
-                 next_operation: str = "scan_next",
-                 batch_size: int = 256,
-                 count_records: bool = True) -> None:
+                 batch_size: int = 256) -> None:
         self.table = table
         self.ctx = ctx
         self.predicate = predicate
-        self.next_operation = next_operation
         self.batch_size = batch_size
-        self.count_records = count_records
         predicate_columns = sorted(c.split(".")[-1]
                                    for c in (predicate.columns() if predicate else ()))
         outputs = sorted({c.split(".")[-1] for c in output_columns})
@@ -359,12 +361,12 @@ class VecSeqScanOperator(VectorOperator):
 
     def _emit(self, segments: Segments, count: int, conjuncts) -> ColumnBatch:
         """Charge, read, filter and project one vector of ``count`` slots
-        spread over ``segments``: one amortised ``next_operation`` visit,
+        spread over ``segments``: one amortised ``scan_next`` visit,
         the predicate columns, the selection, then the output columns of
         the qualifying slots only."""
         ctx = self.ctx
         kernels = ctx.kernels
-        ctx.visit_batch(self.next_operation, count)
+        ctx.visit_batch("scan_next", count)
         columns = self._read(segments, self.predicate_columns)
         selected = None
         out_count = count
@@ -391,55 +393,19 @@ class VecSeqScanOperator(VectorOperator):
                 segments = qualifying
             columns.update(self._read(segments, self.extra_columns))
         ctx.row_produced(out_count)
-        if self.count_records:
-            ctx.record_done(count)
+        ctx.record_done(count)
         return ColumnBatch(columns, out_count)
 
 
-class VecFilterOperator(VectorOperator):
-    """Standalone columnar filter (selection vector + gather).
-
-    The scan fuses its own predicate; this operator exists for filters that
-    cannot be pushed into an access path (e.g. post-join residuals) and for
-    exercising batch-boundary behaviour in isolation.
-    """
-
-    def __init__(self, child: VectorOperator, predicate: Expression,
-                 ctx: ExecutionContext) -> None:
-        self.child = child
-        self.predicate = predicate
-        self.ctx = ctx
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        ctx = self.ctx
-        predicate = self.predicate
-        conjuncts = _conjunct_manager(ctx, predicate)
-        for batch in self.child.batches():
-            if not len(batch):
-                yield batch
-                continue
-            selected = _select(ctx, predicate, batch.columns, len(batch),
-                               conjuncts)
-            kept = batch.gather(selected, ctx.kernels)
-            ctx.row_produced(len(kept))
-            yield kept
-
-
-def _charge_descent(ctx: ExecutionContext, index: BTreeIndex, key,
-                    visit: bool = True) -> int:
-    """Charge one root-to-leaf descent for ``key``; returns its step count.
-
-    The node and entry loads are issued per step.  ``visit=False`` leaves
-    the amortised ``index_descend_node`` invocation to the caller (the
-    index nested-loop join issues one per outer batch, after the loads).
-    """
+def _charge_descent(ctx: ExecutionContext, index: BTreeIndex, key) -> None:
+    """Charge one root-to-leaf descent for ``key``: one amortised
+    ``index_descend_node`` invocation, then the node and entry loads of
+    each step."""
     steps = list(index.descend(key))
-    if visit:
-        ctx.visit_batch("index_descend_node", len(steps))
+    ctx.visit_batch("index_descend_node", len(steps))
     for step in steps:
         ctx.read_address(step.node_address, 8)
         ctx.read_address(step.entry_address, 16)
-    return len(steps)
 
 
 def _fetch_leaf_chunk(ctx: ExecutionContext, table: Table, chunk: Sequence,
@@ -1183,110 +1149,6 @@ class VecHashJoinOperator(VectorOperator):
             position = probe_positions[offset]
             pairs.extend((position, build_position)
                          for build_position in found)
-
-
-class VecNestedLoopJoinOperator(VectorOperator):
-    """Block nested-loop join: the inner input is rescanned (and cached as
-    one columnar block) once per outer *batch* instead of once per outer
-    *row*, while preserving the tuple engine's outer-major output order."""
-
-    def __init__(self,
-                 outer: VectorOperator,
-                 inner_factory: Callable[[], VectorOperator],
-                 outer_column: str,
-                 inner_column: str,
-                 ctx: ExecutionContext) -> None:
-        self.outer = outer
-        self.inner_factory = inner_factory
-        self.outer_column = outer_column.split(".")[-1]
-        self.inner_column = inner_column.split(".")[-1]
-        self.ctx = ctx
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        ctx = self.ctx
-        for outer_batch in self.outer.batches():
-            if not len(outer_batch):
-                continue
-            inner_block = ColumnBatch.empty()
-            for inner_batch in self.inner_factory().batches():
-                inner_block.extend(inner_batch)
-            inner_keys = (inner_block.vector(self.inner_column).tolist()
-                          if len(inner_block) else [])
-            inner_count = len(inner_block)
-            inner_positions: List[int] = []
-            outer_positions: List[int] = []
-            for outer_position, outer_key in enumerate(
-                    outer_batch.vector(self.outer_column).tolist()):
-                # The match tests against the cached block are the join's
-                # per-record work; one amortised invocation covers them all.
-                ctx.visit_batch("inner_scan_next", inner_count)
-                for inner_position, inner_key in enumerate(inner_keys):
-                    if inner_key == outer_key:
-                        inner_positions.append(inner_position)
-                        outer_positions.append(outer_position)
-            yield _joined(ctx, inner_block, inner_positions, outer_batch,
-                          outer_positions)
-
-
-class VecIndexNestedLoopJoinOperator(VectorOperator):
-    """Index nested-loop join probing the inner index once per outer row,
-    with the routine charges amortised over each outer batch."""
-
-    def __init__(self,
-                 outer: VectorOperator,
-                 inner_table: Table,
-                 inner_index: BTreeIndex,
-                 outer_column: str,
-                 ctx: ExecutionContext,
-                 inner_output_columns: Sequence[str] = ()) -> None:
-        self.outer = outer
-        self.inner_table = inner_table
-        self.inner_index = inner_index
-        self.outer_column = outer_column.split(".")[-1]
-        self.inner_output_columns = tuple(sorted({c.split(".")[-1]
-                                                  for c in inner_output_columns}))
-        self.ctx = ctx
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        ctx = self.ctx
-        layout = self.inner_table.layout
-        inner_names = self.inner_output_columns
-        for outer_batch in self.outer.batches():
-            if not len(outer_batch):
-                continue
-            descend_steps = 0
-            leaf_advances = 0
-            rid_fetches = 0
-            outer_positions: List[int] = []
-            inner_vectors: Dict[str, List] = {name: [] for name in inner_names}
-            for outer_position, key in enumerate(
-                    outer_batch.vector(self.outer_column).tolist()):
-                descend_steps += _charge_descent(ctx, self.inner_index, key,
-                                                 visit=False)
-                matched = False
-                for match in self.inner_index.range_search(key, key,
-                                                           include_low=True,
-                                                           include_high=True):
-                    matched = True
-                    leaf_advances += 1
-                    ctx.read_address(match.entry_address, 16)
-                    rid_fetches += 1
-                    entry = self.inner_table.heap.fetch(match.rid)
-                    outer_positions.append(outer_position)
-                    if inner_names:
-                        fields = ctx.read_fields(entry, layout, inner_names)
-                        for name in inner_names:
-                            inner_vectors[name].append(fields[name])
-                if not matched:
-                    leaf_advances += 1
-            ctx.visit_batch("index_descend_node", descend_steps)
-            ctx.visit_batch("leaf_advance", leaf_advances)
-            ctx.visit_batch("rid_fetch", rid_fetches)
-            joined_count = len(outer_positions)
-            yield _joined(ctx, outer_batch, outer_positions,
-                          ColumnBatch(_typed(self.inner_table, inner_vectors),
-                                      joined_count),
-                          np.arange(joined_count))
 
 
 class VecScalarAggregateOperator(VectorOperator):

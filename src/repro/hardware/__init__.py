@@ -12,9 +12,6 @@ from .cache import (Cache, CacheHierarchy, CacheStats, HierarchyStats,
                     PORT_DATA_READ, PORT_DATA_WRITE, PORT_INSTRUCTION)
 from .counters import (EVENT_DESCRIPTIONS, EVENT_NAMES, EventCounters, MODE_SUP,
                        MODE_USER, UnknownEventError)
-from .events import (Branch, BulkBranches, BulkDataRefs, CodeFetch, DataRead,
-                     DataWrite, RecordBoundary, ResourceStall, RetireInstructions,
-                     Trace, replay)
 from .memory import MainMemory, MemoryStats
 from .os_interference import OSInterference, OSInterferenceConfig
 from .pipeline import CycleBreakdown, CycleModel, OverlapModel
@@ -30,8 +27,6 @@ __all__ = [
     "PORT_DATA_READ", "PORT_DATA_WRITE", "PORT_INSTRUCTION",
     "EVENT_DESCRIPTIONS", "EVENT_NAMES", "EventCounters", "MODE_SUP", "MODE_USER",
     "UnknownEventError",
-    "Branch", "BulkBranches", "BulkDataRefs", "CodeFetch", "DataRead", "DataWrite",
-    "RecordBoundary", "ResourceStall", "RetireInstructions", "Trace", "replay",
     "MainMemory", "MemoryStats",
     "OSInterference", "OSInterferenceConfig",
     "CycleBreakdown", "CycleModel", "OverlapModel",

@@ -6,12 +6,9 @@ query, in both user and kernel (supervisor) mode, and then combined the raw
 counts through a set of formulae into the stall-time components of Table 4.2.
 
 The simulated processor keeps *all* events simultaneously in an
-:class:`EventCounters` register file.  The :mod:`repro.emon` package then
-re-creates the measurement methodology on top of it: programming two logical
-counters at a time, executing the unit of ten queries, repeating runs and
-reporting standard deviations.  Keeping the full register file underneath lets
-tests cross-check that the pairwise-multiplexed methodology converges to the
-directly observed values.
+:class:`EventCounters` register file, so no run needs to be repeated to
+multiplex them: the simulation is deterministic, and every event of one run
+is read directly.
 
 Event names follow Intel's mnemonics where one exists (``INST_RETIRED``,
 ``BR_MISS_PRED_RETIRED``, ``IFU_MEM_STALL`` ...), with a few explicit
@@ -33,7 +30,7 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
-#: Mode suffixes used by emon event specifications (``EVENT:USER`` etc.).
+#: Counter banks: user mode and kernel (supervisor) mode.
 MODE_USER = "USER"
 MODE_SUP = "SUP"
 MODES = (MODE_USER, MODE_SUP)

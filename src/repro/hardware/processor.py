@@ -35,7 +35,7 @@ records:
 Calling :meth:`~SimulatedProcessor.finalize` assembles the ground-truth
 cycle count (``CPU_CLK_UNHALTED``) from the accumulated events using the
 :class:`~repro.hardware.pipeline.CycleModel` and returns an immutable counter
-snapshot that the measurement (emon) and analysis layers consume.
+snapshot that the analysis layer consumes.
 
 Everything a charge counts has one owner: the processor's
 ``_cachesim.Machine``, which holds the user-mode counter bank, the

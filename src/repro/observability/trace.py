@@ -48,9 +48,7 @@ from .spans import capture_snapshot, synthesize_counters
 __all__ = ["TraceNode", "Tracer"]
 
 #: Attribute names under which operators hold their child operators.
-#: ``inner_factory`` inners (nested-loop joins) are deliberately absent:
-#: they are constructed per outer batch and attribute to the join node.
-_CHILD_ROLES: Tuple[str, ...] = ("child", "probe", "build", "outer")
+_CHILD_ROLES: Tuple[str, ...] = ("child", "probe", "build")
 
 #: Cap on per-node ``full``-mode event records (per-pull timings, spill
 #: I/O).  Keeps long scans from accumulating unbounded host-side lists;

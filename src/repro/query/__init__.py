@@ -8,9 +8,9 @@ from .planner import DefaultPolicy, Planner, PlannerError, PlannerPolicy, extrac
 from .plans import (DEFAULT_BATCH_SIZE, ENGINE_TUPLE, ENGINE_VECTORIZED, ENGINES,
                     KERNEL_BACKENDS, TRACING_MODES,
                     AggregatePlan, ExecutionConfig, HashJoinPlan,
-                    IndexNestedLoopJoinPlan, IndexPointLookupPlan, IndexRangeScanPlan,
-                    JoinQuery, LogicalQuery, NestedLoopJoinPlan, PhysicalPlan,
-                    SelectionQuery, SeqScanPlan, UpdatePlan, UpdateQuery, describe_plan)
+                    IndexPointLookupPlan, IndexRangeScanPlan, JoinQuery,
+                    LogicalQuery, PhysicalPlan, SelectionQuery, SeqScanPlan,
+                    UpdatePlan, UpdateQuery, describe_plan)
 
 __all__ = [
     "Aggregate", "AggregateFunction", "AggregateState", "And", "Between", "ColumnRef",
@@ -20,8 +20,8 @@ __all__ = [
     "DEFAULT_BATCH_SIZE", "ENGINE_TUPLE", "ENGINE_VECTORIZED", "ENGINES",
     "KERNEL_BACKENDS", "TRACING_MODES",
     "ExecutionConfig",
-    "AggregatePlan", "HashJoinPlan", "IndexNestedLoopJoinPlan", "IndexPointLookupPlan",
-    "IndexRangeScanPlan", "JoinQuery", "LogicalQuery", "NestedLoopJoinPlan",
+    "AggregatePlan", "HashJoinPlan", "IndexPointLookupPlan",
+    "IndexRangeScanPlan", "JoinQuery", "LogicalQuery",
     "PhysicalPlan", "SelectionQuery", "SeqScanPlan", "UpdatePlan", "UpdateQuery",
     "describe_plan",
 ]

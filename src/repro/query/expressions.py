@@ -22,10 +22,14 @@ unorderable types (an integer column against a string constant) raises
 ``TypeError``.  ``And`` and ``Or`` therefore short-circuit in both forms --
 row by row in :meth:`Expression.evaluate`, and over the rows still
 undecided in :meth:`Expression.evaluate_batch` -- so both engines evaluate
-each operand on the same rows and fail the same queries.  Conjunction is
-commutative only for predicates that raise on no row; that is what the
-adaptive conjunct-reordering subsystem (:mod:`repro.adaptive`) relies on
-to shuffle evaluation order without changing a single result row.
+each operand on the same rows and fail the same queries.  Which error a
+failing query raises is the first row's: a batch evaluation meets its rows
+operand by operand, so when it raises, :func:`raise_first_row_error`
+re-evaluates the batch row by row and raises that row's error instead.
+Conjunction is commutative only for predicates that raise on no row; that
+is what the adaptive conjunct-reordering subsystem (:mod:`repro.adaptive`)
+relies on to shuffle evaluation order without changing a single result
+row.
 """
 
 from __future__ import annotations
@@ -54,6 +58,26 @@ _DEFAULT_KERNELS = None
 def _python_values(vector: Sequence) -> Sequence:
     """A typed vector's values as Python objects; any other sequence as is."""
     return vector.tolist() if type(vector) is np.ndarray else vector
+
+
+def raise_first_row_error(conjuncts: Sequence["Expression"],
+                          columns: Mapping[str, Sequence], count: int) -> None:
+    """Evaluate ``conjuncts`` over a batch row by row and raise the first
+    row's error; return if no row raises.
+
+    Each row is evaluated as the tuple engine evaluates it -- ``conjuncts``
+    in the given order, short-circuited -- so the error is the one the
+    first failing row meets, whatever order a batch evaluation that raised
+    met the rows in.  Charges nothing: it runs only on the error path.
+    """
+    names = tuple(columns)
+    rows = (zip(*(_python_values(columns[name]) for name in names)) if names
+            else [()] * count)
+    for values in rows:
+        row = dict(zip(names, values))
+        for conjunct in conjuncts:
+            if not conjunct.evaluate(row):
+                break
 
 
 def _default_kernels():

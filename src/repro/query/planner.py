@@ -6,8 +6,10 @@ the paper says drives each commercial optimiser's choice:
 * whether a usable non-clustered index exists on the qualification column,
 * the estimated selectivity of the range predicate, and
 * the system's policy -- System A "did not use the index to execute this
-  query" (Figure 5.1), while B, C and D did; systems also differ in their
-  preferred join algorithm for the no-index equijoin.
+  query" (Figure 5.1), while B, C and D did.
+
+The no-index equijoin is a hash join on every system, as it was in all four
+commercial systems the paper measured.
 
 Policies are supplied through the small :class:`PlannerPolicy` protocol so the
 planner does not depend on the :mod:`repro.systems` package; the system
@@ -22,11 +24,10 @@ from typing import Optional, Protocol, Tuple
 from ..storage.catalog import Catalog
 from .expressions import (Between, Comparison, ComparisonOp, ColumnRef, Const,
                           Expression)
-from .plans import (AggregatePlan, HashJoinPlan,
-                    IndexNestedLoopJoinPlan, IndexPointLookupPlan,
-                    IndexRangeScanPlan, JoinQuery, LogicalQuery,
-                    NestedLoopJoinPlan, PhysicalPlan, ScanPlan,
-                    SelectionQuery, SeqScanPlan, UpdatePlan, UpdateQuery)
+from .plans import (AggregatePlan, HashJoinPlan, IndexPointLookupPlan,
+                    IndexRangeScanPlan, JoinQuery, LogicalQuery, PhysicalPlan,
+                    ScanPlan, SelectionQuery, SeqScanPlan, UpdatePlan,
+                    UpdateQuery)
 
 
 class PlannerError(RuntimeError):
@@ -41,18 +42,14 @@ class PlannerPolicy(Protocol):
     #: Maximum estimated selectivity (fraction of rows) at which the index
     #: path is still chosen over a sequential scan.
     index_selectivity_threshold: float
-    #: Join algorithm for equijoins without a supporting index:
-    #: ``"hash"``, ``"nested_loop"`` or ``"index_nested_loop"``.
-    join_algorithm: str
 
 
 @dataclass(frozen=True)
 class DefaultPolicy:
-    """A sensible default policy (index when selective, hash joins)."""
+    """A sensible default policy (index when selective)."""
 
     uses_index_for_range_selection: bool = True
     index_selectivity_threshold: float = 0.25
-    join_algorithm: str = "hash"
 
 
 @dataclass(frozen=True)
@@ -171,45 +168,26 @@ class Planner:
 
     # ---------------------------------------------------------------- joins
     def _plan_join(self, query: JoinQuery) -> AggregatePlan:
+        """Hash join: build on the smaller input, probe with the larger --
+        unless the query pins a build side (``build_side`` models a
+        stale-statistics misestimate; the runtime join-side decision exists
+        to correct exactly this kind of planner-frozen choice)."""
         left = self.catalog.table(query.left_table)
         right = self.catalog.table(query.right_table)
-        algorithm = self.policy.join_algorithm
-
         left_scan = SeqScanPlan(table=query.left_table, predicate=None)
         right_scan = SeqScanPlan(table=query.right_table, predicate=None)
-
-        if algorithm == "index_nested_loop" and right.index_on(query.right_column) is not None:
-            join = IndexNestedLoopJoinPlan(outer=left_scan,
-                                           inner_table=query.right_table,
-                                           inner_column=query.right_column,
-                                           outer_column=query.left_column)
-        elif algorithm == "nested_loop":
-            # Put the smaller relation on the inner side to bound the rescans.
-            if left.row_count <= right.row_count:
-                join = NestedLoopJoinPlan(outer=right_scan, inner=left_scan,
-                                          outer_column=query.right_column,
-                                          inner_column=query.left_column)
-            else:
-                join = NestedLoopJoinPlan(outer=left_scan, inner=right_scan,
-                                          outer_column=query.left_column,
-                                          inner_column=query.right_column)
+        if query.build_side is not None:
+            build_left = query.build_side == "left"
         else:
-            # Hash join: build on the smaller input, probe with the larger --
-            # unless the query pins a build side (``build_side`` models a
-            # stale-statistics misestimate; the runtime join-side decision
-            # exists to correct exactly this kind of planner-frozen choice).
-            if query.build_side is not None:
-                build_left = query.build_side == "left"
-            else:
-                build_left = left.row_count < right.row_count
-            if build_left:
-                join = HashJoinPlan(probe=right_scan, build=left_scan,
-                                    probe_column=query.right_column,
-                                    build_column=query.left_column)
-            else:
-                join = HashJoinPlan(probe=left_scan, build=right_scan,
-                                    probe_column=query.left_column,
-                                    build_column=query.right_column)
+            build_left = left.row_count < right.row_count
+        if build_left:
+            join = HashJoinPlan(probe=right_scan, build=left_scan,
+                                probe_column=query.right_column,
+                                build_column=query.left_column)
+        else:
+            join = HashJoinPlan(probe=left_scan, build=right_scan,
+                                probe_column=query.left_column,
+                                build_column=query.right_column)
         return AggregatePlan(input=join, aggregates=query.aggregates)
 
     # -------------------------------------------------------------- updates

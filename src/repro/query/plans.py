@@ -95,7 +95,7 @@ class ExecutionConfig:
     fields by ``scripts/check_docs.py``.
 
     The planner produces the *same* physical plans for both engines -- the
-    plan describes access paths and join algorithms, and the engine decides
+    plan describes access paths and join sides, and the engine decides
     whether the operator tree iterates tuple-at-a-time or batch-at-a-time.
     Keeping the switch in a config object (rather than in the plan nodes)
     is what lets the differential harness replay one plan under both
@@ -330,47 +330,12 @@ class HashJoinPlan:
     probe_column: str
     build_column: str
 
-    @property
-    def algorithm(self) -> str:
-        return "hash_join"
-
-
-@dataclass(frozen=True)
-class NestedLoopJoinPlan:
-    """Tuple-at-a-time nested-loop join (inner input rescanned per outer row)."""
-
-    outer: ScanPlan
-    inner: ScanPlan
-    outer_column: str
-    inner_column: str
-
-    @property
-    def algorithm(self) -> str:
-        return "nested_loop_join"
-
-
-@dataclass(frozen=True)
-class IndexNestedLoopJoinPlan:
-    """Nested-loop join driving an index lookup on the inner table per outer row."""
-
-    outer: ScanPlan
-    inner_table: str
-    inner_column: str
-    outer_column: str
-
-    @property
-    def algorithm(self) -> str:
-        return "index_nested_loop_join"
-
-
-JoinPlan = Union[HashJoinPlan, NestedLoopJoinPlan, IndexNestedLoopJoinPlan]
-
 
 @dataclass(frozen=True)
 class AggregatePlan:
     """Scalar aggregation over the rows produced by the input plan."""
 
-    input: Union[ScanPlan, JoinPlan]
+    input: Union[ScanPlan, HashJoinPlan]
     aggregates: Tuple[Aggregate, ...]
 
 
@@ -383,7 +348,7 @@ class UpdatePlan:
     set_value: object
 
 
-PhysicalPlan = Union[AggregatePlan, UpdatePlan, ScanPlan, JoinPlan]
+PhysicalPlan = Union[AggregatePlan, UpdatePlan, ScanPlan, HashJoinPlan]
 
 
 def describe_plan(plan: PhysicalPlan, indent: int = 0) -> str:
@@ -399,14 +364,6 @@ def describe_plan(plan: PhysicalPlan, indent: int = 0) -> str:
         return (f"{pad}HashJoin probe.{plan.probe_column} = build.{plan.build_column}\n"
                 + describe_plan(plan.probe, indent + 1)
                 + "\n" + describe_plan(plan.build, indent + 1))
-    if isinstance(plan, NestedLoopJoinPlan):
-        return (f"{pad}NestedLoopJoin outer.{plan.outer_column} = inner.{plan.inner_column}\n"
-                + describe_plan(plan.outer, indent + 1)
-                + "\n" + describe_plan(plan.inner, indent + 1))
-    if isinstance(plan, IndexNestedLoopJoinPlan):
-        return (f"{pad}IndexNestedLoopJoin outer.{plan.outer_column} = "
-                f"{plan.inner_table}.{plan.inner_column} (index)\n"
-                + describe_plan(plan.outer, indent + 1))
     if isinstance(plan, SeqScanPlan):
         predicate = " (filtered)" if plan.predicate is not None else ""
         return f"{pad}SeqScan {plan.table}{predicate}"

@@ -372,18 +372,17 @@ class Server:
 
         The address space is rolled back to the shared build's checkpoint
         first, so the session's transient allocations land at the exact
-        solo-session addresses; its spill backing store is then pointed at
-        the logical session slot's private namespace (reset to empty), so
+        solo-session addresses; its spill backing store is the logical
+        session slot's private namespace (created before the session, so
+        the context's fork of the address space holds it empty), so
         concurrent budgeted joins never collide on backing-store pages.
         """
         self.database.address_space.restore(self.checkpoint)
+        namespace = f"disk.s{index % self.max_concurrency}"
+        self.database.address_space.ensure_region(namespace)
         session = Session(self.database, self.profile, spec=self.spec,
                           os_interference=self.os_interference,
                           execution=self.execution)
-        slot = index % self.max_concurrency
-        namespace = f"disk.s{slot}"
-        region = self.database.address_space.ensure_region(namespace)
-        region.cursor = 0
         session.context.disk_namespace = namespace
         return session
 

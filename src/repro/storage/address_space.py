@@ -127,6 +127,23 @@ class AddressSpace:
         """
         return {name: region.cursor for name, region in self._regions.items()}
 
+    def fork(self) -> "AddressSpace":
+        """A private copy: the same regions at the same cursors, whose
+        allocations leave this address space untouched.
+
+        An execution context allocates its transient memory (its working
+        set, hash areas, spill frames and backing pages) from a fork of the
+        database's address space.  Every context therefore starts at the
+        addresses the database left free -- the thousandth session on an
+        unrestored database is placed exactly as the first -- and no number
+        of sessions can exhaust a region.
+        """
+        space = AddressSpace.__new__(AddressSpace)
+        space._regions = {name: Region(name, region.base, region.size,
+                                       region.cursor)
+                          for name, region in self._regions.items()}
+        return space
+
     def ensure_region(self, name: str, size: Optional[int] = None) -> Region:
         """Return the region called ``name``, creating it on first use.
 

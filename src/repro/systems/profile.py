@@ -13,9 +13,10 @@ results.
 The profile has three groups of knobs:
 
 Planner policy
-    ``uses_index_for_range_selection``, ``index_selectivity_threshold`` and
-    ``join_algorithm`` -- the observable optimiser differences (System A
-    refuses the non-clustered index for the 10% selection).
+    ``uses_index_for_range_selection`` and ``index_selectivity_threshold``
+    -- the observable optimiser difference (System A refuses the
+    non-clustered index for the 10% selection).  Every system runs the
+    no-index equijoin as a hash join.
 
 Per-operation costs (:class:`OperationCost`)
     For each executor routine (fetch next record from a page, evaluate the
@@ -123,8 +124,12 @@ class OperationCost:
         )
 
 
-#: Executor routine names the execution engine charges.  Every profile must
-#: provide a cost for each of these.
+#: Executor routine names, in code-layout order.  Every profile must provide
+#: a cost for each of these.  ``inner_scan_next`` and ``sort_merge_step``
+#: are never charged (no plan runs a nested-loop or sort-merge join), but
+#: they are part of each modelled binary's code footprint: the layout places
+#: every routine after the ones before it, so removing one would move the
+#: code address of every later routine.
 OPERATION_NAMES: Tuple[str, ...] = (
     "query_setup",        # per query: parse/optimise/open cursors
     "scan_next",          # per record delivered by a sequential scan
@@ -137,8 +142,8 @@ OPERATION_NAMES: Tuple[str, ...] = (
     "hash_build",         # per build-side record inserted into the hash table
     "hash_probe",         # per probe-side record hashed and matched
     "join_output",        # per joined pair delivered upward
-    "inner_scan_next",    # per inner-side record in a nested-loop join rescans
-    "sort_merge_step",    # per record passed through a sort/merge phase
+    "inner_scan_next",    # nested-loop join inner rescan (laid out, not run)
+    "sort_merge_step",    # sort/merge phase (laid out, not run)
     "update_record",      # per in-place record update (OLTP path)
     "txn_overhead",       # per OLTP transaction (begin/commit, locking, logging)
 )
@@ -159,7 +164,6 @@ class SystemProfile:
     # --- planner policy (satisfies repro.query.planner.PlannerPolicy) -----
     uses_index_for_range_selection: bool
     index_selectivity_threshold: float
-    join_algorithm: str
 
     # --- data access behaviour --------------------------------------------
     record_access_style: str
@@ -197,13 +201,6 @@ class SystemProfile:
     workspace churn and resource stalls for those loop-body iterations; the
     remaining ~1 - fraction is exactly the amortised overhead the paper
     attributes to tuple-at-a-time interpretation."""
-    code_layout_gap_bytes: int = 0
-    """Padding inserted between code segments when laying them out.
-
-    A non-zero gap spreads the executor's routines over a larger span of the
-    instruction address space, which is how poor static code layout (the
-    thing the paper says DBMS vendors should fix) is expressed physically.
-    """
 
     # --- per-operation costs ------------------------------------------------
     costs: Mapping[str, OperationCost] = field(default_factory=dict)
@@ -213,8 +210,6 @@ class SystemProfile:
             raise ProfileError(f"unknown record access style {self.record_access_style!r}")
         if not 0.0 <= self.index_selectivity_threshold <= 1.0:
             raise ProfileError("index_selectivity_threshold must be in [0, 1]")
-        if self.join_algorithm not in ("hash", "nested_loop", "index_nested_loop", "sort_merge"):
-            raise ProfileError(f"unknown join algorithm {self.join_algorithm!r}")
         if not 0.0 < self.branch_fraction < 1.0:
             raise ProfileError("branch_fraction must be in (0, 1)")
         if not 0.0 <= self.bulk_branch_misprediction_rate <= 1.0:

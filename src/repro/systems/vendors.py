@@ -174,7 +174,6 @@ def system_a() -> SystemProfile:
                      "resource-stall share, dominated by functional-unit contention."),
         uses_index_for_range_selection=False,
         index_selectivity_threshold=0.0,
-        join_algorithm="hash",
         record_access_style=ACCESS_FULL_RECORD,
         workspace_bytes=10 * 1024,
         uops_per_instruction=1.45,
@@ -198,7 +197,6 @@ def system_b() -> SystemProfile:
                      "private working set that spills out of the L1 D-cache."),
         uses_index_for_range_selection=True,
         index_selectivity_threshold=0.25,
-        join_algorithm="hash",
         record_access_style=ACCESS_FIELDS_ONLY,
         workspace_bytes=56 * 1024,
         uops_per_instruction=1.30,
@@ -221,7 +219,6 @@ def system_c() -> SystemProfile:
                      "the dominant stall sources."),
         uses_index_for_range_selection=True,
         index_selectivity_threshold=0.25,
-        join_algorithm="hash",
         record_access_style=ACCESS_FULL_RECORD,
         workspace_bytes=14 * 1024,
         uops_per_instruction=1.40,
@@ -252,7 +249,6 @@ def system_d() -> SystemProfile:
                      "instruction stalls as selectivity increases."),
         uses_index_for_range_selection=True,
         index_selectivity_threshold=0.25,
-        join_algorithm="hash",
         record_access_style=ACCESS_FULL_RECORD,
         workspace_bytes=18 * 1024,
         uops_per_instruction=1.38,

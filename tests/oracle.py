@@ -469,7 +469,7 @@ def per_record_fetch_rows(self: SeqScanOperator) -> Iterator[Dict[str, object]]:
     for page, slots in table.heap.scan_pages():
         ctx.visit("page_boundary")
         for slot in slots:
-            ctx.visit(self.next_operation)
+            ctx.visit("scan_next")
             entry = table.heap.fetch(RecordId(page.page_number, slot))
             row: Dict[str, object] = {}
             if self.predicate_columns:
@@ -483,8 +483,7 @@ def per_record_fetch_rows(self: SeqScanOperator) -> Iterator[Dict[str, object]]:
                     row.update(ctx.read_fields(entry, layout, self.extra_columns))
                 ctx.row_produced()
                 yield row
-            if self.count_records:
-                ctx.record_done()
+            ctx.record_done()
 
 
 #: What ``per_record_pipelines()`` puts in place of each operator's ``rows``.

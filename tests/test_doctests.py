@@ -20,6 +20,7 @@ import repro.adaptive.manager
 import repro.adaptive.policy
 import repro.adaptive.stats
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = (repro.adaptive, repro.adaptive.stats, repro.adaptive.policy,
            repro.adaptive.manager)
 
@@ -32,16 +33,21 @@ def test_adaptive_doctests_pass(module):
         assert tested > 0, f"{module.__name__} lost its runnable examples"
 
 
+def load_check_docs():
+    spec = importlib.util.spec_from_file_location("check_docs",
+                                                  ROOT / "scripts" / "check_docs.py")
+    check_docs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_docs)
+    return check_docs
+
+
 def test_docstring_roles_resolve():
     """``scripts/check_docs.py`` follows every ``:mod:`` / ``:class:`` /
     ``:func:`` / ``:meth:`` / ``:attr:`` / ``:data:`` target of a
     ``src/repro`` docstring to something importable (``hardware/pipeline.py``
     pointed at a module that never existed; ``workloads/serving.py`` at a
     ``Server.step`` its module never imports)."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "check_docs.py"
-    spec = importlib.util.spec_from_file_location("check_docs", path)
-    check_docs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(check_docs)
+    check_docs = load_check_docs()
     resolves = check_docs.role_target_resolves
     home = ("repro.hardware.pipeline", "repro.hardware")
     assert resolves("repro.analysis.breakdown", *home)
@@ -76,3 +82,19 @@ def test_docstring_roles_resolve():
     assert target("~repro.hardware.specs.\n    #: PipelineSpec") \
         == "repro.hardware.specs.PipelineSpec"
     assert list(check_docs.dangling_roles()) == []
+
+
+def test_architecture_map_lists_exactly_the_packages():
+    """README's "Architecture map" has one row per package under
+    ``src/repro/``: a stale row fails the docs check, and so does a
+    missing one."""
+    check_docs = load_check_docs()
+    readme = (ROOT / "README.md").read_text()
+    assert list(check_docs.architecture_map_errors(readme)) == []
+    row = "| `serving/` |"
+    assert row in readme
+    stale = readme.replace(row, "| `emon/` | A retired package |\n" + row)
+    missing = readme.replace(row, "| `not-a-package` |")
+    for text in (stale, missing):
+        (error,) = check_docs.architecture_map_errors(text)
+        assert "Architecture map" in error

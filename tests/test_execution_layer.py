@@ -9,7 +9,7 @@ from repro.hardware import SimulatedProcessor
 from repro.query import (Planner, SelectionQuery, UpdateQuery, avg, count_star,
                          equals, range_predicate)
 from repro.query.plans import (AggregatePlan, HashJoinPlan, IndexRangeScanPlan,
-                               NestedLoopJoinPlan, SeqScanPlan)
+                               SeqScanPlan)
 from repro.storage import Catalog, microbenchmark_schema
 from repro.systems import OPERATION_NAMES, SYSTEM_A, SYSTEM_B, SYSTEM_C
 
@@ -204,30 +204,6 @@ class TestExecutorCorrectness:
         matching = [a3 for _, a2, a3 in r_rows if a2 in s_keys]
         assert rows[0]["count(*)"] == len(matching)
         assert rows[0]["avg(R.a3)"] == pytest.approx(sum(matching) / len(matching))
-
-    def test_nested_loop_join_agrees_with_hash_join(self):
-        catalog = make_catalog(rows=120)
-        from repro.query import JoinQuery
-        from repro.query.planner import DefaultPolicy
-        query = JoinQuery(left_table="R", right_table="S", left_column="a2",
-                          right_column="a1", aggregates=(count_star(),))
-        hash_plan = Planner(catalog, DefaultPolicy(join_algorithm="hash")).plan(query)
-        nl_plan = Planner(catalog, DefaultPolicy(join_algorithm="nested_loop")).plan(query)
-        assert isinstance(nl_plan.input, NestedLoopJoinPlan)
-        hash_count = execute_plan(hash_plan, catalog, make_context(catalog))[0]["count(*)"]
-        nl_count = execute_plan(nl_plan, catalog, make_context(catalog))[0]["count(*)"]
-        assert hash_count == nl_count
-
-    def test_index_nested_loop_join_agrees(self):
-        catalog = make_catalog(rows=120)
-        from repro.query import JoinQuery
-        from repro.query.planner import DefaultPolicy
-        query = JoinQuery(left_table="R", right_table="S", left_column="a2",
-                          right_column="a1", aggregates=(count_star(),))
-        inl_plan = Planner(catalog, DefaultPolicy(join_algorithm="index_nested_loop")).plan(query)
-        hash_plan = Planner(catalog, DefaultPolicy(join_algorithm="hash")).plan(query)
-        assert execute_plan(inl_plan, catalog, make_context(catalog))[0]["count(*)"] == \
-            execute_plan(hash_plan, catalog, make_context(catalog))[0]["count(*)"]
 
     def test_update_through_index(self):
         catalog = make_catalog(rows=100)

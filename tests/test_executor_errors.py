@@ -22,8 +22,7 @@ from repro.engine import Database
 from repro.hardware import SimulatedProcessor
 from repro.query import ExecutionConfig, count_star
 from repro.query.plans import (AggregatePlan, HashJoinPlan,
-                               IndexNestedLoopJoinPlan, IndexPointLookupPlan,
-                               IndexRangeScanPlan, NestedLoopJoinPlan,
+                               IndexPointLookupPlan, IndexRangeScanPlan,
                                SeqScanPlan, UpdatePlan)
 from repro.storage import Catalog, CatalogError, microbenchmark_schema
 from repro.storage.schema import ColumnType
@@ -58,13 +57,6 @@ PLAN_NODES = {
     "index_point_lookup": (POINT, "IndexPointLookupOperator"),
     "hash_join": (HashJoinPlan(probe=SCAN, build=SCAN, probe_column="a2",
                                build_column="a1"), "HashJoinOperator"),
-    "nested_loop_join": (NestedLoopJoinPlan(outer=SCAN, inner=SCAN,
-                                            outer_column="a2",
-                                            inner_column="a1"),
-                         "NestedLoopJoinOperator"),
-    "index_nested_loop_join": (IndexNestedLoopJoinPlan(
-        outer=SCAN, inner_table="R", inner_column="a2", outer_column="a1"),
-        "IndexNestedLoopJoinOperator"),
     "aggregate_over_scan": (AggregatePlan(input=SCAN,
                                           aggregates=(count_star(),)),
                             "ScalarAggregateOperator"),
@@ -85,13 +77,6 @@ class TestOneBuilder:
         expected = (getattr(operators, name) if engine == "tuple"
                     else getattr(vectorized, "Vec" + name))
         assert type(operator) is expected
-        if node == "nested_loop_join":
-            # The rescanned inner side is always the engine's serial scan.
-            inner = operator.inner_factory()
-            assert type(inner) is (operators.SeqScanOperator
-                                   if engine == "tuple"
-                                   else vectorized.VecSeqScanOperator)
-            assert inner.next_operation == "inner_scan_next"
         # Both engines answer the plan with the same rows.
         other = build_plan(plan, catalog, make_context(catalog, "tuple"))
         assert list(operator.rows()) == list(other.rows())
@@ -103,8 +88,6 @@ class TestOneBuilder:
         ("update_plan", UpdatePlan(lookup=POINT, set_column="a3",
                                    set_value=0), build_plan, "execute_update"),
         ("missing_index", RANGE, build_plan, "requires an index"),
-        ("missing_inner_index", PLAN_NODES["index_nested_loop_join"][0],
-         build_plan, "requires an index"),
     ])
     def test_errors_are_the_same_under_both_engines(self, case, plan, builder,
                                                     match, engine):
@@ -142,14 +125,6 @@ class TestVectorizedSeqScanChoice:
         db = self.database()
         ctx = self.context(db, adaptivity="static")
         operator = build_scan(SCAN, db.catalog, ctx, ["a1"])
-        assert type(operator) is vectorized.VecSeqScanOperator
-        assert ctx.shared_scans.attachments == 0
-
-    def test_allow_shared_false_gets_the_plain_scan(self):
-        db = self.database()
-        ctx = self.context(db)
-        operator = build_scan(SCAN, db.catalog, ctx, ["a1"],
-                              allow_shared=False)
         assert type(operator) is vectorized.VecSeqScanOperator
         assert ctx.shared_scans.attachments == 0
 

@@ -43,6 +43,19 @@ class TestAddressSpaceCheckpoint:
         with pytest.raises(AddressSpaceError):
             space.restore(mark)
 
+    def test_a_fork_allocates_apart_from_its_parent(self):
+        space = AddressSpace()
+        space.allocate("workspace", 100)
+        space.ensure_region("disk.s0")
+        fork = space.fork()
+        assert fork.checkpoint() == space.checkpoint()
+        assert fork.region("disk.s0").base == space.region("disk.s0").base
+        first = fork.allocate("workspace", 512, alignment=64)
+        assert space.allocated_bytes("workspace") == 100
+        assert space.fork().allocate("workspace", 512, alignment=64) == first
+        space.allocate("workspace", 4096)
+        assert fork.allocated_bytes("workspace") == 128 + 512
+
     def test_restore_is_per_region(self):
         space = AddressSpace()
         space.allocate("heap", 100)

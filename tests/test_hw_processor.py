@@ -4,10 +4,7 @@ import pytest
 
 from repro.hardware import (CycleModel, EventCounters, MainMemory, MemorySpec,
                             OSInterference, OSInterferenceConfig, OverlapModel,
-                            PENTIUM_II_XEON, SimulatedProcessor, Trace, replay)
-from repro.hardware.events import (Branch, BulkBranches, BulkDataRefs, CodeFetch,
-                                   DataRead, DataWrite, RecordBoundary, ResourceStall,
-                                   RetireInstructions)
+                            PENTIUM_II_XEON, SimulatedProcessor)
 
 
 class TestProcessorCounters:
@@ -174,39 +171,3 @@ class TestOSInterference:
         assert processor.counters.get("IFU_IFETCH_MISS") == 32
         assert processor.counters.get("OS_INTERRUPTS") == 0            # user bank untouched
         assert processor.counters.get("OS_INTERRUPTS", "SUP") == 2     # kernel bank counts them
-
-
-class TestTraceReplay:
-    def test_replay_reproduces_direct_counters(self):
-        events = [
-            CodeFetch((0x0800_0000, 0x0800_0020), instructions=100, uops=140),
-            DataRead(0x2000_0000, 4),
-            DataWrite(0x2000_0040, 8),
-            BulkDataRefs(50),
-            Branch(0x0800_0010, taken=True),
-            BulkBranches(20, taken=12, mispredictions=1),
-            RetireInstructions(200),
-            ResourceStall(dependency_cycles=30, functional_unit_cycles=10, ild_cycles=5),
-            RecordBoundary(),
-        ]
-        direct = SimulatedProcessor()
-        direct.fetch_code((0x0800_0000, 0x0800_0020))
-        direct.retire(100, 140)
-        direct.data_read(0x2000_0000, 4)
-        direct.data_write(0x2000_0040, 8)
-        direct.count_data_refs(50)
-        direct.branch(0x0800_0010, True)
-        direct.count_branches(20, taken=12, mispredictions=1)
-        direct.retire(200)
-        direct.add_resource_stalls(30, 10, 5)
-        direct.record_done()
-
-        replayed = SimulatedProcessor()
-        replay(Trace(events), replayed)
-
-        assert direct.finalize().as_dict() == replayed.finalize().as_dict()
-
-    def test_trace_counts_by_type(self):
-        trace = Trace([DataRead(0), DataRead(4), RecordBoundary()])
-        assert trace.counts_by_type() == {"DataRead": 2, "RecordBoundary": 1}
-        assert len(trace) == 3

@@ -46,16 +46,13 @@ def run_traced(shape: str, tracing: str, layout: str = "nsm",
     ``charging`` fixture's per-address oracle.  ``shared_scans`` gives the
     session a shared-scan coordinator, so its sequential scans are recorded
     and their charge tapes replayed."""
-    query, policy = PLAN_SHAPES[shape]()
-    profile = policy if hasattr(policy, "key") else SYSTEM_B
+    query, profile = PLAN_SHAPES[shape]()
     db = build_database(layout_style=layout)
     with charging():
         session = Session(db, profile, os_interference=None,
                           engine="vectorized",
                           memory_budget_bytes=memory_budget_bytes,
                           tracing=tracing)
-    if not hasattr(policy, "key"):
-        session.planner.policy = policy
     if shared_scans:
         session.context.shared_scans = SharedScanCoordinator()
     result = session.execute(query, warmup_runs=0)
@@ -230,14 +227,14 @@ def test_tracer_refuses_off_mode():
 
 
 def test_tuple_engine_traces_too():
-    query, policy = PLAN_SHAPES["agg_seq_scan"]()
+    query, profile = PLAN_SHAPES["agg_seq_scan"]()
     db = build_database()
-    baseline = Session(db, policy, os_interference=None, engine="tuple")
+    baseline = Session(db, profile, os_interference=None, engine="tuple")
     rows_off = baseline.execute(query, warmup_runs=0).rows
     counts_off = hardware_counts(baseline.processor)
     baseline.close()
     db2 = build_database()
-    traced = Session(db2, policy, os_interference=None, engine="tuple",
+    traced = Session(db2, profile, os_interference=None, engine="tuple",
                      tracing="spans")
     result = traced.execute(query, warmup_runs=0)
     counts_on = hardware_counts(traced.processor)

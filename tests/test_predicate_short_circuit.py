@@ -6,6 +6,11 @@ tuple engine) and over the rows still undecided in
 raises -- an integer column compared with a string -- is evaluated on the
 same rows in both, and both return the same rows or raise the same error.
 
+Which error is the answer: the first failing row's.  A batch evaluation
+meets its rows operand by operand, so a batch that raises is re-evaluated
+row by row in the same conjunct order, and the first row's error is raised
+(``raise_first_row_error``).
+
 The adaptive modes that reorder a conjunction's (flattened) conjuncts
 (``greedy``, ``epsilon``) may evaluate them in any order, which for a
 predicate that raises on some rows is allowed to change whether it raises:
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -155,3 +161,38 @@ def test_both_engines_and_every_adaptivity_mode_agree(predicate, seed,
             assert got in errors, mode
         else:
             assert got == lenient_rows(db, conjuncts), mode
+
+
+_a1, _a3 = ColumnRef("a1"), ColumnRef("a3")
+#: Found by the property above: on the seed-1 table (``a1`` starts -12, -4,
+#: 8) the tuple engine meets the ``Between`` on the first row, while a
+#: batch evaluation of the ``Or`` conjunct meets ``8 > 'x'`` first.
+FIRST_ROW_COUNTEREXAMPLE = And((
+    Or((Comparison(ComparisonOp.LT, _a1, Const(0)),
+        Comparison(ComparisonOp.GT, _a1, Const(MISTYPED)))),
+    Comparison(ComparisonOp.LT, _a1, Const(0)),
+    Between(_a1, Const(MISTYPED), Const(0), include_low=True,
+            include_high=False)))
+#: The same disagreement in a later batch, after batches that raise
+#: nothing: ``a3 > 17`` first holds on row 43, where ``a3 < 20`` sends the
+#: row on to the ``Between``; row 45 (``a3 = 20``) makes a batch evaluation
+#: of the ``Or`` compare ``20 > 'x'``.
+LATER_BATCH_COUNTEREXAMPLE = And((
+    Comparison(ComparisonOp.GT, _a3, Const(17)),
+    Or((Comparison(ComparisonOp.LT, _a3, Const(20)),
+        Comparison(ComparisonOp.GT, _a3, Const(MISTYPED)))),
+    Between(_a1, Const(MISTYPED), Const(0), include_low=True,
+            include_high=False)))
+
+
+@pytest.mark.parametrize("engine,mode,batch_size", [("tuple", "off", 256)] + [
+    ("vectorized", mode, batch_size) for mode in ADAPTIVITY_MODES
+    for batch_size in (1, 7, 256)])
+@pytest.mark.parametrize("predicate", [FIRST_ROW_COUNTEREXAMPLE,
+                                       LATER_BATCH_COUNTEREXAMPLE],
+                         ids=["first_batch", "later_batch"])
+def test_the_first_failing_rows_error_is_the_answer(predicate, engine, mode,
+                                                    batch_size):
+    got = outcome(DATABASES[1], predicate, engine, mode, batch_size)
+    assert got == ("raised", TypeError,
+                   "'>=' not supported between instances of 'int' and 'str'")

@@ -7,10 +7,9 @@ from repro.query import (Aggregate, AggregateFunction, AggregateState, And, Betw
                          JoinQuery, Not, Or, Planner, PlannerError, SelectionQuery,
                          UpdateQuery, avg, count_star, describe_plan, equals,
                          extract_range_bounds, range_predicate)
-from repro.query.planner import DefaultPolicy
-from repro.query.plans import (AggregatePlan, HashJoinPlan, IndexNestedLoopJoinPlan,
+from repro.query.plans import (AggregatePlan, HashJoinPlan,
                                IndexPointLookupPlan, IndexRangeScanPlan,
-                               NestedLoopJoinPlan, SeqScanPlan, UpdatePlan)
+                               SeqScanPlan, UpdatePlan)
 from repro.storage import Catalog, microbenchmark_schema
 from repro.systems import SYSTEM_A, SYSTEM_B
 
@@ -169,26 +168,6 @@ class TestPlanner:
         assert isinstance(plan.input, HashJoinPlan)
         assert plan.input.build.table == "S"
         assert plan.input.probe.table == "R"
-
-    def test_nested_loop_policy(self):
-        policy = DefaultPolicy(join_algorithm="nested_loop")
-        planner = Planner(build_catalog(), policy)
-        query = JoinQuery(left_table="R", right_table="S", left_column="a2",
-                          right_column="a1", aggregates=(avg("R.a3"),))
-        plan = planner.plan(query)
-        assert isinstance(plan.input, NestedLoopJoinPlan)
-        # Smaller relation goes on the inner side.
-        assert plan.input.inner.table == "S"
-
-    def test_index_nested_loop_policy_requires_inner_index(self):
-        catalog = build_catalog()
-        catalog.create_index("S", "a1", unique=True)
-        policy = DefaultPolicy(join_algorithm="index_nested_loop")
-        planner = Planner(catalog, policy)
-        query = JoinQuery(left_table="R", right_table="S", left_column="a2",
-                          right_column="a1", aggregates=(avg("R.a3"),))
-        plan = planner.plan(query)
-        assert isinstance(plan.input, IndexNestedLoopJoinPlan)
 
     def test_update_plan_requires_index(self):
         catalog = build_catalog(with_index=False)

@@ -29,7 +29,6 @@ from repro.engine import Database, Session
 from repro.execution.parallel import SharedScanCoordinator
 from repro.query import (JoinQuery, SelectionQuery, UpdateQuery, avg,
                          count_star, range_predicate)
-from repro.query.planner import DefaultPolicy
 from repro.storage.schema import ColumnType
 from repro.systems import SYSTEM_B, SYSTEM_C
 
@@ -41,8 +40,8 @@ A2_DOMAIN = 60
 JOIN_QUERY = JoinQuery(left_table="R", right_table="S", left_column="a2",
                        right_column="a1", aggregates=(avg("R.a3"), count_star()))
 
-#: Planner-producible plan shapes, as logical queries plus the planner
-#: profile or join policy that lowers them.
+#: Planner-producible plan shapes, as logical queries plus the profile that
+#: plans and runs them.
 PLAN_SHAPES = {
     "agg_seq_scan": lambda: (SelectionQuery(
         table="R", aggregates=(avg("a3"), count_star()),
@@ -53,18 +52,13 @@ PLAN_SHAPES = {
     "agg_index_range": lambda: (SelectionQuery(
         table="R", aggregates=(avg("a3"),),
         predicate=range_predicate("a2", 10, 20), prefer_index_on="a2"), SYSTEM_B),
-    "hash_join": lambda: (JOIN_QUERY, DefaultPolicy(join_algorithm="hash")),
-    "nested_loop_join": lambda: (JOIN_QUERY,
-                                 DefaultPolicy(join_algorithm="nested_loop")),
-    "index_nested_loop_join": lambda: (JOIN_QUERY,
-                                       DefaultPolicy(join_algorithm="index_nested_loop")),
+    "hash_join": lambda: (JOIN_QUERY, SYSTEM_B),
     "update": lambda: (UpdateQuery(table="S", key_column="a1", key_value=11,
                                    set_column="a3", set_value=-5), SYSTEM_B),
 }
 
-#: Shapes with no shareable sequential scan: index access paths only, or
-#: an update (whose lookup is pinned to the plain scan).  A coordinator
-#: must be inert for them.
+#: Shapes with no shareable sequential scan: index access paths only (an
+#: update's lookup is one).  A coordinator must be inert for them.
 UNSHARED_SHAPES = {"agg_index_range", "update"}
 
 ROLES = ("recording", "replaying")
@@ -98,16 +92,13 @@ def run_round(shape: str, shared: bool, sessions: int = 1,
     Returns ``(rows, counts, invocations)`` per session and the
     coordinator (``None`` without ``shared``).
     """
-    query, policy = PLAN_SHAPES[shape]()
-    profile = policy if hasattr(policy, "key") else SYSTEM_B
+    query, profile = PLAN_SHAPES[shape]()
     db = build_database(layout_style=layout, r_rows=r_rows)
     coordinator = SharedScanCoordinator() if shared else None
     outcomes = []
     for _ in range(sessions):
         session = Session(db, profile, os_interference=None,
                           engine="vectorized", batch_size=batch_size)
-        if not hasattr(policy, "key"):
-            session.planner.policy = policy
         session.context.shared_scans = coordinator
         result = session.execute(query, warmup_runs=0)
         session.processor.finalize()
@@ -159,8 +150,7 @@ def test_shared_scan_identical_at_odd_batch_sizes(batch_size):
 @settings(max_examples=10, deadline=None)
 @given(batch_size=st.integers(min_value=1, max_value=512),
        layout=st.sampled_from(("nsm", "pax")),
-       shape=st.sampled_from(("agg_seq_scan", "hash_join",
-                              "nested_loop_join")))
+       shape=st.sampled_from(("agg_seq_scan", "hash_join")))
 def test_any_batch_size_shared_round_matches_solo(batch_size, layout, shape):
     args = dict(sessions=2, layout=layout, batch_size=batch_size)
     solo, _ = run_round(shape, shared=False, **args)
@@ -197,7 +187,7 @@ def test_coordinator_keys_recordings_by_scan_signature():
         dict(predicate=narrow, output_columns=("a3",), batch_size=32),
     ]
     for scan in scans:
-        coordinator.attach(table, ctx, next_operation="scan_next", **scan)
+        coordinator.attach(table, ctx, **scan)
     session.close()
     assert coordinator.attachments == 5
     assert coordinator.recordings == 4

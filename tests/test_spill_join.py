@@ -90,7 +90,7 @@ def build_database(layout_style: str = "nsm", seed: int = 7,
 
 
 def join_plan_for(db: Database) -> HashJoinPlan:
-    plan = Planner(db.catalog, DefaultPolicy(join_algorithm="hash")).plan(JOIN_QUERY)
+    plan = Planner(db.catalog, DefaultPolicy()).plan(JOIN_QUERY)
     assert isinstance(plan.input, HashJoinPlan)
     return plan.input
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.storage.address_space import AddressSpace, AddressSpaceError
-from repro.storage.page import (PAGE_HEADER_BYTES, PageError, RecordId,
-                                SlottedPage, records_per_page)
+from repro.storage.page import (PAGE_HEADER_BYTES, PageError, PaxPage,
+                                RecordId, SlottedPage, records_per_page)
 from repro.storage.schema import (Column, ColumnType, RecordLayout, Schema, SchemaError,
                                   microbenchmark_schema)
 
@@ -164,6 +164,41 @@ class TestSlottedPage:
             page.insert(b"z" * 50)
             assert page.free_space() < previous
             previous = page.free_space()
+
+
+class TestAppendOverflow:
+    """``append`` lays a whole run of records down or none: a run longer
+    than the page's room raises before a byte is written."""
+
+    @staticmethod
+    def image(page) -> tuple:
+        return (bytes(page._buffer), page.slot_count, page.free_space(),
+                page.dirty)
+
+    @pytest.mark.parametrize("layout_style", ["nsm", "pax"])
+    def test_a_run_past_the_room_raises_and_leaves_the_page(self, layout_style):
+        _, layout = microbenchmark_schema(100, "R")
+        if layout_style == "nsm":
+            page = SlottedPage(0, 0x2000_0000, 1024)
+
+            def append(count):
+                return page.append(bytes([count]) * (count * 100), count, 100)
+        else:
+            page = PaxPage(0, 0x2000_0000, layout, 1024)
+
+            def append(count):
+                return page.append([bytes([count]) * (count * width)
+                                    for _, _, width in page._geometry], count)
+        append(2)
+        page.dirty = False
+        room = page.room_for(100)
+        assert room > 0
+        before = self.image(page)
+        with pytest.raises(PageError, match="do not fit"):
+            append(room + 1)
+        assert self.image(page) == before
+        assert append(room) == 2       # the room itself still fits
+        assert page.room_for(100) == 0
 
 
 class TestRecordsPerPage:

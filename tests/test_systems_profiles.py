@@ -31,7 +31,7 @@ class TestProfileStructure:
         costs = {name: BASE_COSTS[name] for name in OPERATION_NAMES if name != "scan_next"}
         with pytest.raises(ProfileError):
             SystemProfile(key="X", name="X", description="", uses_index_for_range_selection=True,
-                          index_selectivity_threshold=0.2, join_algorithm="hash",
+                          index_selectivity_threshold=0.2,
                           record_access_style=ACCESS_FULL_RECORD, workspace_bytes=1024,
                           costs=costs)
 
@@ -42,7 +42,7 @@ class TestProfileStructure:
         message = "workspace_touch_stride must be smaller than workspace_bytes"
         with pytest.raises(ProfileError, match=message):
             SystemProfile(key="X", name="X", description="", uses_index_for_range_selection=True,
-                          index_selectivity_threshold=0.2, join_algorithm="hash",
+                          index_selectivity_threshold=0.2,
                           record_access_style=ACCESS_FULL_RECORD, workspace_bytes=1024,
                           workspace_touch_stride=stride, costs=dict(BASE_COSTS))
         with pytest.raises(ProfileError, match=message):

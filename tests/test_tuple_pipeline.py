@@ -37,8 +37,7 @@ from repro.execution.context import (STEP_EACH_MATCH, STEP_LOADS, STEP_READ,
                                      STEP_READ_BUCKET, STEP_VISIT,
                                      STEP_VISIT_MATCHED, STEP_VISIT_OUTCOME,
                                      STEP_WRITE, STEP_WRITE_BUCKET, ExecutionContext)
-from repro.execution.operators import (HashJoinOperator, IndexNestedLoopJoinOperator,
-                                       IndexRangeScanOperator, NestedLoopJoinOperator,
+from repro.execution.operators import (HashJoinOperator, IndexRangeScanOperator,
                                        OperatorError, ScalarAggregateOperator,
                                        SeqScanOperator)
 from repro.hardware import OSInterferenceConfig, SimulatedProcessor
@@ -134,34 +133,12 @@ def _counted(child, ctx):
     return list(ScalarAggregateOperator(child, (count_star(), avg("a3")), ctx).rows())
 
 
-def _nlj(workload, session):
-    ctx, catalog = session.context, session.database.catalog
-    outer = SeqScanOperator(catalog.table("S"), ctx, predicate=range_predicate("a1", 0, 6),
-                            output_columns=("a1", "a3"))
-
-    def inner():
-        return SeqScanOperator(catalog.table("R"), ctx,
-                               predicate=range_predicate("a3", 1_000, 6_000),
-                               output_columns=("a2",), next_operation="inner_scan_next",
-                               count_records=False)
-
-    return _counted(NestedLoopJoinOperator(outer, inner, "a1", "a2", ctx), ctx)
-
-
-def _inlj(workload, session):
-    ctx, catalog = session.context, session.database.catalog
-    table = catalog.table("R")
-    outer = SeqScanOperator(catalog.table("S"), ctx, output_columns=("a1",))
-    return _counted(IndexNestedLoopJoinOperator(outer, table, ctx.index_for(table, "a2"),
-                                                "a1", ctx, ("a3",)), ctx)
-
-
 def _index_probe(workload, session):
     """A hash join whose probe side is an index scan: its consumer's steps
     still run inside the join's per-row programs."""
     ctx, catalog = session.context, session.database.catalog
     table = catalog.table("R")
-    probe = IndexRangeScanOperator(table, ctx.index_for(table, "a2"), ctx, 0, 30, "a2",
+    probe = IndexRangeScanOperator(table, table.index_on("a2"), ctx, 0, 30, "a2",
                                    output_columns=("a3",))
     build = SeqScanOperator(catalog.table("S"), ctx, output_columns=("a1",))
     return _counted(HashJoinOperator(probe, build, "a2", "a1", ctx), ctx)
@@ -179,14 +156,13 @@ def _nested_join(workload, session):
     return _counted(HashJoinOperator(probe, s_side, "a2", "a1", ctx), ctx)
 
 
-#: Fused: ACS, aggregates.  Pulled: scan, acs_scan, join (its probe), nlj,
-#: inlj.  Fused consumer over a pulled input: index_probe, nested_join.
+#: Fused: ACS, aggregates.  Pulled: scan, acs_scan, join (its probe).  Fused
+#: consumer over a pulled input: index_probe, nested_join.
 SHAPES = {"ACS": _query("skewed_conjunct_selection"),
           "aggregates": _aggregates,
           "scan": _scan("sequential_range_selection"),
           "acs_scan": _scan("skewed_conjunct_selection"), "join": _join,
-          "nlj": _nlj, "inlj": _inlj, "index_probe": _index_probe,
-          "nested_join": _nested_join}
+          "index_probe": _index_probe, "nested_join": _nested_join}
 
 
 def _session(micro, layout, system, os_on, **knobs):

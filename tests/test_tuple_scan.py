@@ -8,8 +8,7 @@ are those of fetching, charging and decoding one record at a time.  The
 paper's queries on Systems A-D and both layouts are the
 ``per_record_pipelines`` oracle's (``tests/test_reference_oracle.py`` runs
 the ``--scale ci`` artifact through it), and every tuple plan shape --
-under a consumer, pulled, as the rescanned inner side of a nested-loop
-join -- is ``tests/test_tuple_pipeline.py``'s.  Here Hypothesis adds random
+under a consumer or pulled -- is ``tests/test_tuple_pipeline.py``'s.  Here Hypothesis adds random
 tables with random deletes (a fully tombstoned page among them), every
 column type, and random ``Between`` / ``Comparison`` / ``And`` predicates,
 OS interference on and off.
@@ -146,11 +145,9 @@ def random_table(layout, deleted, tombstoned_page):
        deleted=st.sets(st.integers(0, ROWS - 1), max_size=40),
        tombstoned_page=st.integers(0, 5),
        predicate=PREDICATE,
-       outputs=st.lists(st.sampled_from(SCHEMA.column_names()), max_size=4),
-       count_records=st.booleans())
+       outputs=st.lists(st.sampled_from(SCHEMA.column_names()), max_size=4))
 def test_random_tables_and_predicates(system, layout, os_on, deleted,
-                                      tombstoned_page, predicate, outputs,
-                                      count_records):
+                                      tombstoned_page, predicate, outputs):
     catalog, table = random_table(layout, deleted, tombstoned_page)
     assert any(not slots for _, slots in table.heap.scan_pages())
     checkpoint = catalog.address_space.checkpoint()
@@ -161,7 +158,7 @@ def test_random_tables_and_predicates(system, layout, os_on, deleted,
             SimulatedProcessor(os_interference=OS_ON if os_on else None),
             SYSTEMS[system], catalog.address_space)
         scan = SeqScanOperator(table, ctx, predicate=predicate,
-                               output_columns=outputs, count_records=count_records)
+                               output_columns=outputs)
         return outcome(ctx, list(scan.rows()))
 
     changed, reference = differential(run)

@@ -30,9 +30,9 @@ from repro.execution.vectorized import VecSeqScanOperator
 from repro.hardware import SimulatedProcessor
 from repro.query import ExecutionConfig, avg, count_star, range_predicate
 from repro.query.expressions import Aggregate, AggregateFunction
-from repro.query.plans import (AggregatePlan, HashJoinPlan, IndexNestedLoopJoinPlan,
+from repro.query.plans import (AggregatePlan, HashJoinPlan,
                                IndexPointLookupPlan, IndexRangeScanPlan,
-                               NestedLoopJoinPlan, SeqScanPlan)
+                               SeqScanPlan)
 from repro.storage.page import PaxPage, SlottedPage, decode_values
 from repro.storage.schema import Column, ColumnType, RecordLayout, Schema
 from repro.systems import SYSTEM_B
@@ -96,20 +96,11 @@ def result_rows(db: Database, engine: str) -> dict:
     out = {name: list(build_scan(plan, catalog, context(db, engine),
                                  NAMES).rows())
            for name, plan in scans.items()}
-    joins = {
-        "hash": HashJoinPlan(probe=SeqScanPlan(table="T"),
-                             build=SeqScanPlan(table="U"),
-                             probe_column="k", build_column="k"),
-        "nested_loop": NestedLoopJoinPlan(outer=SeqScanPlan(table="U"),
-                                          inner=SeqScanPlan(table="T"),
-                                          outer_column="k", inner_column="k"),
-        "index_nested_loop": IndexNestedLoopJoinPlan(
-            outer=SeqScanPlan(table="U"), inner_table="T", inner_column="k",
-            outer_column="k"),
-    }
-    for name, plan in joins.items():
-        out[name] = list(build_join(plan, catalog, context(db, engine),
-                                    NAMES).rows())
+    join = HashJoinPlan(probe=SeqScanPlan(table="T"),
+                        build=SeqScanPlan(table="U"),
+                        probe_column="k", build_column="k")
+    out["hash"] = list(build_join(join, catalog, context(db, engine),
+                                  NAMES).rows())
     aggregates = tuple(Aggregate(function, column)
                        for function in (AggregateFunction.MIN,
                                         AggregateFunction.MAX,

@@ -3,7 +3,7 @@ from the tuple engine at the result level, and span charging must be
 indistinguishable from per-address charging at the hardware level.
 
 Every planner-producible plan shape (sequential scan, index range and point
-access, nested-loop / index-nested-loop / hash joins, scalar aggregation,
+access, hash joins, scalar aggregation,
 point update) is executed under both engines on seeded random tables, and
 the harness asserts row-for-row identical results (same rows, same order)
 and identical ``query_setup`` charge counts.  Batch sizes of 1 (degenerate:
@@ -18,7 +18,7 @@ counts, identical event counters and identical result rows -- span charging
 must be a pure simulator optimisation, never a model change.  It covers the
 plan shapes and batch sizes the ``--scale ci`` artifact, which runs whole
 under the ``per_address`` oracle (``tests/test_reference_oracle.py``), does
-not: bare scans, the nested-loop joins, and batches of 1 and 7.
+not: bare scans, point lookups, and batches of 1 and 7.
 """
 
 from __future__ import annotations
@@ -180,32 +180,19 @@ JOIN_QUERY = JoinQuery(left_table="R", right_table="S", left_column="a2",
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-@pytest.mark.parametrize("algorithm", ["hash", "nested_loop", "index_nested_loop"])
-def test_joins_under_every_algorithm(database, algorithm, batch_size):
-    plan = Planner(database.catalog,
-                   DefaultPolicy(join_algorithm=algorithm)).plan(JOIN_QUERY)
+def test_aggregate_over_hash_join(database, batch_size):
+    plan = Planner(database.catalog, DefaultPolicy()).plan(JOIN_QUERY)
     rows, _, _ = run_both(database, plan, batch_size)
     assert rows[0]["count(*)"] > 0
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_bare_hash_join_rows_match_in_order(database, batch_size):
-    plan = Planner(database.catalog,
-                   DefaultPolicy(join_algorithm="hash")).plan(JOIN_QUERY)
+    plan = Planner(database.catalog, DefaultPolicy()).plan(JOIN_QUERY)
     join_plan = plan.input
     assert isinstance(join_plan, HashJoinPlan)
     rows, _, _ = run_both(database, join_plan, batch_size)
     assert len(rows) > 0
-
-
-def test_join_results_agree_across_algorithms(database):
-    counts = set()
-    for algorithm in ("hash", "nested_loop", "index_nested_loop"):
-        plan = Planner(database.catalog,
-                       DefaultPolicy(join_algorithm=algorithm)).plan(JOIN_QUERY)
-        rows, _, _ = run_both(database, plan, 64)
-        counts.add(rows[0]["count(*)"])
-    assert len(counts) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +218,8 @@ def test_update_produces_identical_table_state(batch_size):
 # ---------------------------------------------------------------------------
 # The point of the exercise: strictly fewer interpreted invocations
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("algorithm", ["hash", "nested_loop", "index_nested_loop"])
-def test_vectorized_charges_strictly_fewer_invocations(database, algorithm):
-    plan = Planner(database.catalog,
-                   DefaultPolicy(join_algorithm=algorithm)).plan(JOIN_QUERY)
+def test_vectorized_charges_strictly_fewer_invocations(database):
+    plan = Planner(database.catalog, DefaultPolicy()).plan(JOIN_QUERY)
     _, ctx_tuple, ctx_vec = run_both(database, plan, 256)
     assert ctx_vec.total_invocations() < ctx_tuple.total_invocations()
 
@@ -311,10 +296,6 @@ CHARGE_MODE_PLANS = {
         table="R", column="a2", low=5, high=45,
         residual_predicate=range_predicate("a3", 1000, 9000)),
     "point_lookup": lambda db: IndexPointLookupPlan(table="S", column="a1", value=7),
-    "nested_loop_join": lambda db: Planner(
-        db.catalog, DefaultPolicy(join_algorithm="nested_loop")).plan(JOIN_QUERY),
-    "index_nested_loop_join": lambda db: Planner(
-        db.catalog, DefaultPolicy(join_algorithm="index_nested_loop")).plan(JOIN_QUERY),
 }
 
 
